@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .domination import maximal_admissible
@@ -99,7 +100,7 @@ def _parse_init(net: ReactionNetwork, text: str) -> tuple[int, ...]:
 
 
 def _search_config(net: ReactionNetwork, args: argparse.Namespace) -> SearchConfig:
-    kwargs: dict = {"forest_cap": args.forest_cap}
+    kwargs: dict = {"forest_cap": _positive_int(args.forest_cap, "--forest-cap")}
     dom = args.dom
     if dom == "maximal":
         kwargs["dom_strategy"] = "maximal"
@@ -148,6 +149,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
     root = _parse_init(net, args.init)
+    if args.budget < 0:
+        raise InputError("--budget must be >= 0")
     graph = explore(net, root, hard_cap=args.state_cap)
     names = net.species_names
     flags = recurrent_states(graph)
@@ -195,7 +198,7 @@ def _cmd_structure(args: argparse.Namespace) -> int:
     print("linkage classes: " + fmt_blocks(linkage_classes(g)))
     print("strong linkage classes: " + fmt_blocks(strong_linkage_classes(g)))
     print("terminal SLCs: " + fmt_blocks(terminal_slcs(g)))
-    sets = enumerate_absorbing_sets(g, args.cap)
+    sets = enumerate_absorbing_sets(g, _positive_int(args.cap, "--cap"))
     print(f"absorbing complex sets (first {len(sets)}):")
     for s in sets:
         print(
@@ -225,6 +228,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_forests(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
+    cap = _positive_int(args.forest_cap, "--forest-cap")
     names = net.species_names
     dcrn = maximal_admissible(net)
     print("maximal admissible domination expansion:")
@@ -241,10 +245,10 @@ def _cmd_forests(args: argparse.Namespace) -> int:
         + ", ".join(format_complex(net.complexes[i], names) for i in sorted(dcrn.absorbing))
         + "}"
     )
-    forest_set = enumerate_forests(dcrn, cap=args.forest_cap)
-    if forest_set.truncated:
-        print(f"(enumeration truncated at {args.forest_cap})")
-    for idx, forest in enumerate(forest_set.forests, start=1):
+    forests = list(islice(enumerate_forests(dcrn), cap + 1))
+    if len(forests) > cap:
+        print(f"(enumeration truncated at {cap})")
+    for idx, forest in enumerate(forests[:cap], start=1):
         outcome = decide_balance(build_balancing_system(dcrn, forest))
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"

@@ -93,6 +93,12 @@ def _reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
     return {(net.source_index[k], net.target_index[k]) for k in range(net.r)}
 
 
+def expansion_edges(net: ReactionNetwork) -> tuple[DominationEdge, ...]:
+    """The domination relations that do not duplicate a true reaction, in domination_set order."""
+    pairs = _reaction_pairs(net)
+    return tuple(e for e in domination_set(net) if (e.src, e.dst) not in pairs)
+
+
 def build_dom_crn(
     net: ReactionNetwork,
     dom_edges: Iterable[DominationEdge],
@@ -143,22 +149,28 @@ def build_dom_crn(
     return DomCRN(net, dedup, aset)
 
 
-def maximal_admissible(net: ReactionNetwork) -> DomCRN:
-    """The default expansion: start from all domination relations and shrink.
+def shrink_to_terminal(
+    net: ReactionNetwork, dom_edges: Sequence[DominationEdge]
+) -> tuple[tuple[DominationEdge, ...], frozenset[int]]:
+    """Delete every domination edge touching the terminal complexes, until stable.
 
-    Fixpoint: delete every domination edge touching the terminal complexes of
-    the current expanded graph, recompute terminality, repeat until stable.
-    The edge set shrinks monotonically, so this terminates; the returned
-    absorbing set is the final graph's terminal-complex set.
+    Each round recomputes terminality on the expanded graph.  The edge set
+    shrinks monotonically, so this terminates; returns the surviving edges and
+    the final graph's terminal-complex set.
     """
-    pairs = _reaction_pairs(net)
-    edges = [e for e in domination_set(net) if (e.src, e.dst) not in pairs]
+    edges = list(dom_edges)
     while True:
         terminals = terminal_complexes(dom_graph(net, edges))
         kept = [e for e in edges if e.dst not in terminals and e.src not in terminals]
         if kept == edges:
-            return build_dom_crn(net, edges, terminals)
+            return tuple(edges), terminals
         edges = kept
+
+
+def maximal_admissible(net: ReactionNetwork) -> DomCRN:
+    """The default expansion: all domination relations, shrunk to the terminal fixpoint."""
+    edges, terminals = shrink_to_terminal(net, expansion_edges(net))
+    return build_dom_crn(net, edges, terminals)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Optional, Union
 
 from .domination import (
@@ -25,7 +25,8 @@ from .domination import (
     build_dom_crn,
     check_slc_coincidence,
     dom_graph,
-    domination_set,
+    expansion_edges,
+    shrink_to_terminal,
 )
 from .forests import (
     TRUE_REACTIONS,
@@ -38,7 +39,7 @@ from .forests import (
     forest_is_valid,
     verify_balance_outcome,
 )
-from .graphs import enumerate_absorbing_sets, is_absorbing_set, terminal_complexes
+from .graphs import enumerate_absorbing_sets, is_absorbing_set
 from .invariants import FeasibilityOutcome, is_subconservative
 from .model import ReactionNetwork, stoich_matrix
 
@@ -57,6 +58,7 @@ class SearchConfig:
     absorbing_strategy: "terminal" uses each expansion's terminal complexes;
         "enumerate" additionally tries absorbing sets of the expanded graph
         (up to absorbing_cap); "explicit" uses exactly explicit_absorbing.
+    forest_cap: at most this many forests are decided per candidate.
     nontriviality: which edges may carry the required positive weight in a
         balancing vector ("true-reactions" or "any-edge").
     """
@@ -81,23 +83,12 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class CandidateRecord:
-    """What the search saw for one (expansion, absorbing set) candidate."""
-
-    dom_edges: tuple[DominationEdge, ...]
-    absorbing: frozenset[int]
-    forest_outcomes: tuple[bool, ...]  # True = balanced, per forest in order
-    forests_truncated: bool
-
-
-@dataclass(frozen=True)
 class SearchStats:
     candidates: int
-    forests: int
+    forests: int  # forests decided
     balanced: int
-    truncated: bool
+    truncated: bool  # some candidate had more forests than forest_cap
     vacuous_skipped: int
-    examined: tuple[CandidateRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -136,12 +127,9 @@ Verdict = Union[GuaranteedExtinction, Inconclusive, NotApplicable]
 
 def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN]:
     """Validated (expansion, absorbing set) candidates in deterministic order."""
-    reaction_pairs = {
-        (net.source_index[k], net.target_index[k]) for k in range(net.r)
-    }
-    full = tuple(
-        e for e in domination_set(net) if (e.src, e.dst) not in reaction_pairs
-    )
+    if cfg.absorbing_strategy == "explicit" and not cfg.explicit_absorbing <= set(range(net.n)):
+        raise ValueError("absorbing set contains an invalid complex index")
+    full = expansion_edges(net)
 
     def seeds() -> Iterator[tuple[DominationEdge, ...]]:
         if cfg.dom_strategy == "maximal":
@@ -155,15 +143,6 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
                 if count >= cfg.dom_cap:
                     return
 
-    def stabilize(seed: tuple[DominationEdge, ...]) -> tuple[tuple[DominationEdge, ...], frozenset[int]]:
-        edges = list(seed)
-        while True:
-            terminals = terminal_complexes(dom_graph(net, edges))
-            kept = [e for e in edges if e.dst not in terminals and e.src not in terminals]
-            if kept == edges:
-                return tuple(edges), terminals
-            edges = kept
-
     def restrict(seed, absorbing: frozenset[int]) -> tuple[DominationEdge, ...]:
         return tuple(e for e in seed if e.src not in absorbing and e.dst not in absorbing)
 
@@ -174,7 +153,7 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
             aset = cfg.explicit_absorbing
             pairs.append((restrict(seed, aset), aset))
         else:
-            edges, terminals = stabilize(seed)
+            edges, terminals = shrink_to_terminal(net, seed)
             pairs.append((edges, terminals))
             if cfg.absorbing_strategy == "enumerate":
                 for aset in enumerate_absorbing_sets(dom_graph(net, edges), cfg.absorbing_cap):
@@ -184,8 +163,6 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
             if key in seen:
                 continue
             seen.add(key)
-            if not is_absorbing_set(dom_graph(net, edges), aset):
-                continue
             try:
                 yield build_dom_crn(net, edges, aset)
             except AdmissibilityError:
@@ -196,7 +173,8 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     """Decide whether the network has a certifiable guaranteed extinction event.
 
     Deterministic for a fixed config: the first unbalanced forest in canonical
-    candidate-then-forest order is the one reported.
+    candidate-then-forest order is the one reported.  Forests are decided as
+    they are enumerated, at most cfg.forest_cap per candidate.
     """
     sub = is_subconservative(stoich_matrix(net))
     if not sub.feasible:
@@ -206,12 +184,9 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     balanced_seen = 0
     truncated = False
     vacuous = 0
-    examined: list[CandidateRecord] = []
 
     def stats() -> SearchStats:
-        return SearchStats(
-            candidates, forests_seen, balanced_seen, truncated, vacuous, tuple(examined)
-        )
+        return SearchStats(candidates, forests_seen, balanced_seen, truncated, vacuous)
 
     for dcrn in _candidate_pairs(net, cfg):
         if len(dcrn.absorbing) == net.n:
@@ -223,23 +198,14 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
             raise InternalCheckError(
                 f"SLC coincidence failed for expansion {dcrn.dom_edges}: {coincidence}"
             )
-        forest_set = enumerate_forests(dcrn, cfg.forest_cap)
-        truncated = truncated or forest_set.truncated
-        outcomes: list[bool] = []
-        for forest in forest_set.forests:
+        forests = enumerate_forests(dcrn)
+        for forest in islice(forests, cfg.forest_cap):
             forests_seen += 1
             system = build_balancing_system(dcrn, forest, cfg.nontriviality)
             outcome = decide_balance(system)
             if isinstance(outcome, Balanced):
                 balanced_seen += 1
-                outcomes.append(True)
                 continue
-            outcomes.append(False)
-            examined.append(
-                CandidateRecord(
-                    dcrn.dom_edges, dcrn.absorbing, tuple(outcomes), forest_set.truncated
-                )
-            )
             certificate = ExtinctionCertificate(
                 subconservation=sub.witness,
                 dom_edges=dcrn.dom_edges,
@@ -250,11 +216,8 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
             )
             transient = frozenset(range(net.n)) - dcrn.absorbing
             return GuaranteedExtinction(transient, certificate, stats())
-        examined.append(
-            CandidateRecord(
-                dcrn.dom_edges, dcrn.absorbing, tuple(outcomes), forest_set.truncated
-            )
-        )
+        if next(forests, None) is not None:
+            truncated = True
     return Inconclusive(stats(), sub.witness)
 
 
@@ -278,12 +241,8 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     )
     checks.append(("subconservativity-witness", ok_c))
 
-    full = {(e.src, e.dst) for e in domination_set(net)}
-    reaction_pairs = {(net.source_index[k], net.target_index[k]) for k in range(net.r)}
-    ok_edges = all(
-        (e.src, e.dst) in full and (e.src, e.dst) not in reaction_pairs
-        for e in cert.dom_edges
-    )
+    allowed = set(expansion_edges(net))
+    ok_edges = all(e in allowed for e in cert.dom_edges)
     checks.append(("domination-edges", ok_edges))
 
     aset = cert.absorbing

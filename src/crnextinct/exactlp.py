@@ -32,16 +32,15 @@ def make_row(coeffs: Sequence, rhs) -> Row:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Constraints over `n` variables: eq rows a.x = b, ge rows a.x >= b.
+    """Constraints over `n` nonnegative variables: eq rows a.x = b, ge rows a.x >= b.
 
-    With nonneg=True the variables additionally satisfy x >= 0; those implicit
-    rows participate in Farkas certificates through `nonneg` multipliers.
+    The implicit rows x >= 0 participate in Farkas certificates through
+    `nonneg` multipliers.
     """
 
     n: int
     eq: tuple[Row, ...] = ()
     ge: tuple[Row, ...] = ()
-    nonneg: bool = True
 
     def __post_init__(self) -> None:
         for coeffs, _ in self.eq + self.ge:
@@ -49,7 +48,7 @@ class LinearSystem:
                 raise ValueError(f"row has {len(coeffs)} coefficients, expected {self.n}")
 
     def with_rows(self, eq: Sequence[Row] = (), ge: Sequence[Row] = ()) -> "LinearSystem":
-        return LinearSystem(self.n, self.eq + tuple(eq), self.ge + tuple(ge), self.nonneg)
+        return LinearSystem(self.n, self.eq + tuple(eq), self.ge + tuple(ge))
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class Farkas:
 
     eq_mult: tuple[Rat, ...]
     ge_mult: tuple[Rat, ...]
-    nonneg_mult: Optional[tuple[Rat, ...]]  # one per variable when the system is nonneg
+    nonneg_mult: tuple[Rat, ...]  # one per variable, for the rows x >= 0
 
 
 Outcome = Union[Feasible, Farkas]
@@ -77,7 +76,7 @@ def check_feasible(system: LinearSystem, x: Sequence) -> bool:
     xv = _rat_vec(x)
     if len(xv) != system.n:
         return False
-    if system.nonneg and any(v < 0 for v in xv):
+    if any(v < 0 for v in xv):
         return False
     for coeffs, rhs in system.eq:
         if sum(c * v for c, v in zip(coeffs, xv)) != rhs:
@@ -92,14 +91,9 @@ def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
     """Re-derive the contradiction exactly; True only if every step checks."""
     if len(cert.eq_mult) != len(system.eq) or len(cert.ge_mult) != len(system.ge):
         return False
-    if any(m < 0 for m in cert.ge_mult):
+    if len(cert.nonneg_mult) != system.n:
         return False
-    if system.nonneg:
-        if cert.nonneg_mult is None or len(cert.nonneg_mult) != system.n:
-            return False
-        if any(m < 0 for m in cert.nonneg_mult):
-            return False
-    elif cert.nonneg_mult is not None:
+    if any(m < 0 for m in cert.ge_mult) or any(m < 0 for m in cert.nonneg_mult):
         return False
     combo = [Fraction(0)] * system.n
     rhs_total = Fraction(0)
@@ -111,9 +105,8 @@ def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
         for j, c in enumerate(coeffs):
             combo[j] += m * c
         rhs_total += m * rhs
-    if system.nonneg:
-        for j, m in enumerate(cert.nonneg_mult):
-            combo[j] += m
+    for j, m in enumerate(cert.nonneg_mult):
+        combo[j] += m
     return all(c == 0 for c in combo) and rhs_total > 0
 
 
@@ -199,19 +192,17 @@ class _Tableau:
             rc = [a - factor * row[j] for j, a in enumerate(rc)]
 
 
-def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], int, int, list[int], int]:
-    """Build phase-1 rows: [x | (v for free mode) | slacks | artificials | rhs].
+def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], int, list[int], int]:
+    """Build phase-1 rows: [x | slacks | artificials | rhs].
 
-    Returns (rows, flips, n_struct, n_slack, art_cols, ncols).  For free-variable
-    systems the structural block is the u/v split of width 2n.
+    Returns (rows, flips, n_slack, art_cols, ncols).
     """
     n = system.n
     rows_in = [(coeffs, rhs, "eq") for coeffs, rhs in system.eq]
     rows_in += [(coeffs, rhs, "ge") for coeffs, rhs in system.ge]
     n_rows = len(rows_in)
-    n_struct = n if system.nonneg else 2 * n
     n_slack = len(system.ge)
-    ncols = n_struct + n_slack + n_rows
+    ncols = n + n_slack + n_rows
     rows: list[list[Rat]] = []
     flips: list[int] = []
     slack_at = 0
@@ -221,63 +212,49 @@ def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], int,
         row = [Fraction(0)] * (ncols + 1)
         for j, c in enumerate(coeffs):
             row[j] = flip * c
-            if not system.nonneg:
-                row[n + j] = -flip * c
         if kind == "ge":
-            row[n_struct + slack_at] = Fraction(-flip)
+            row[n + slack_at] = Fraction(-flip)
             slack_at += 1
-        row[n_struct + n_slack + i] = Fraction(1)
+        row[n + n_slack + i] = Fraction(1)
         row[-1] = flip * rhs
         rows.append(row)
-    art_cols = list(range(n_struct + n_slack, ncols))
-    return rows, flips, n_struct, n_slack, art_cols, ncols
+    art_cols = list(range(n + n_slack, ncols))
+    return rows, flips, n_slack, art_cols, ncols
 
 
 def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
-    n = system.n
     values = [Fraction(0)] * tab.ncols
     for r, b in enumerate(tab.basis):
         values[b] = tab.rows[r][-1]
-    if system.nonneg:
-        return tuple(values[:n])
-    return tuple(values[j] - values[n + j] for j in range(n))
+    return tuple(values[: system.n])
 
 
 def _extract_farkas(system: LinearSystem, rc: list[Rat], flips: list[int], art_cols: list[int]) -> Farkas:
     n_eq = len(system.eq)
     y = [flips[i] * (Fraction(1) - rc[art_cols[i]]) for i in range(len(flips))]
-    eq_mult = y[:n_eq]
-    ge_mult = y[n_eq:]
-    nonneg_mult = None
-    if system.nonneg:
-        combo = [Fraction(0)] * system.n
-        for m, (coeffs, _) in zip(y, list(system.eq) + list(system.ge)):
-            for j, c in enumerate(coeffs):
-                combo[j] += m * c
-        nonneg_mult = [-c for c in combo]
-        scaled = _normalize_multipliers(eq_mult + ge_mult + nonneg_mult)
-        eq_mult = scaled[:n_eq]
-        ge_mult = scaled[n_eq : n_eq + len(ge_mult)]
-        nonneg_mult = tuple(scaled[n_eq + len(ge_mult) :])
-    else:
-        scaled = _normalize_multipliers(eq_mult + ge_mult)
-        eq_mult = scaled[:n_eq]
-        ge_mult = scaled[n_eq:]
-    cert = Farkas(tuple(eq_mult), tuple(ge_mult), nonneg_mult)
+    combo = [Fraction(0)] * system.n
+    for m, (coeffs, _) in zip(y, list(system.eq) + list(system.ge)):
+        for j, c in enumerate(coeffs):
+            combo[j] += m * c
+    scaled = _normalize_multipliers(y + [-c for c in combo])
+    n_rows = len(y)
+    cert = Farkas(
+        tuple(scaled[:n_eq]), tuple(scaled[n_eq:n_rows]), tuple(scaled[n_rows:])
+    )
     if not check_farkas(system, cert):
         raise AssertionError("internal error: produced Farkas certificate fails its own audit")
     return cert
 
 
-def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas], int]:
-    rows, flips, n_struct, n_slack, art_cols, ncols = _standardize(system)
+def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]:
+    rows, flips, n_slack, art_cols, ncols = _standardize(system)
     tab = _Tableau(rows, list(art_cols), ncols)
     cost = [Fraction(0)] * ncols
     for c in art_cols:
         cost[c] = Fraction(1)
     z, rc = tab.minimize(cost, banned=set())
     if z > 0:
-        return None, _extract_farkas(system, rc, flips, art_cols), n_struct
+        return None, _extract_farkas(system, rc, flips, art_cols)
     # drive leftover zero-level artificials out of the basis; drop redundant rows
     art_set = set(art_cols)
     r = 0
@@ -285,7 +262,7 @@ def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas],
         b = tab.basis[r]
         if b in art_set:
             pivot_col = next(
-                (j for j in range(n_struct + n_slack) if tab.rows[r][j] != 0), None
+                (j for j in range(system.n + n_slack) if tab.rows[r][j] != 0), None
             )
             if pivot_col is None:
                 del tab.rows[r]
@@ -293,12 +270,12 @@ def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas],
                 continue
             tab.pivot(r, pivot_col)
         r += 1
-    return tab, None, n_struct
+    return tab, None
 
 
 def solve_feasibility(system: LinearSystem) -> Outcome:
     """Decide the system exactly, returning a checkable witness either way."""
-    tab, farkas, _ = _phase1(system)
+    tab, farkas = _phase1(system)
     if farkas is not None:
         return farkas
     point = _extract_point(system, tab)
@@ -315,18 +292,11 @@ def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], 
     d = _rat_vec(direction)
     if len(d) != system.n:
         raise ValueError("direction length mismatch")
-    tab, farkas, n_struct = _phase1(system)
+    tab, farkas = _phase1(system)
     if farkas is not None:
         return None, farkas
-    cost = [Fraction(0)] * tab.ncols
-    if system.nonneg:
-        for j, v in enumerate(d):
-            cost[j] = v
-    else:
-        for j, v in enumerate(d):
-            cost[j] = v
-            cost[system.n + j] = -v
-    banned = set(range(n_struct + len(system.ge), tab.ncols))
+    cost = list(d) + [Fraction(0)] * (tab.ncols - system.n)
+    banned = set(range(system.n + len(system.ge), tab.ncols))
     z, _ = tab.minimize(cost, banned=banned)
     point = _extract_point(system, tab)
     assert check_feasible(system, point)

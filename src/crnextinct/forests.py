@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .domination import DomCRN
 from .exactlp import (
@@ -55,12 +55,6 @@ class ExteriorForest:
         return labels
 
 
-@dataclass(frozen=True)
-class ForestSet:
-    forests: tuple[ExteriorForest, ...]
-    truncated: bool
-
-
 def _edge_target(dcrn: DomCRN, eid: EdgeId) -> int:
     if eid.kind == "R":
         return dcrn.net.target_index[eid.index]
@@ -78,16 +72,15 @@ def interior_reactions(dcrn: DomCRN) -> tuple[int, ...]:
     return tuple(k for k in range(net.r) if net.source_index[k] in dcrn.absorbing)
 
 
-def enumerate_forests(dcrn: DomCRN, cap: int = 10000) -> ForestSet:
-    """Backtracking enumeration of exterior forests in canonical order.
+def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
+    """Backtracking enumeration of exterior forests in canonical order, lazily.
 
     Choices advance by exterior complex index; per complex, true reactions
     come before domination edges, each in index order.  Any selection whose
-    functional graph would cycle among exterior complexes is pruned.  The
-    result is truncated at `cap` with the truncation flag set.
+    functional graph would cycle among exterior complexes is pruned.  Forests
+    are generated one at a time, so a caller that stops early pays only for
+    the forests it took.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     g = dcrn.graph()
     absorbing = dcrn.absorbing
     exterior = dcrn.exterior_complexes()
@@ -97,7 +90,6 @@ def enumerate_forests(dcrn: DomCRN, cap: int = 10000) -> ForestSet:
             options[e.src].append(e)
     interior = interior_reactions(dcrn)
     choice: dict[int, GraphEdge] = {}
-    collected: list[ExteriorForest] = []
 
     def creates_cycle(start: int, assigning: int) -> bool:
         cur = start
@@ -108,31 +100,22 @@ def enumerate_forests(dcrn: DomCRN, cap: int = 10000) -> ForestSet:
                 return False
             cur = choice[cur].dst
 
-    def descend(i: int) -> bool:
-        """Returns False to abort once the cap is exceeded."""
+    def descend(i: int) -> Iterator[ExteriorForest]:
         if i == len(exterior):
-            if len(collected) >= cap:
-                return False
-            collected.append(
-                ExteriorForest(
-                    choices=tuple((y, choice[y].eid) for y in exterior),
-                    interior=interior,
-                )
+            yield ExteriorForest(
+                choices=tuple((y, choice[y].eid) for y in exterior),
+                interior=interior,
             )
-            return True
+            return
         y = exterior[i]
         for e in options[y]:
             if creates_cycle(e.dst, y):
                 continue
             choice[y] = e
-            keep_going = descend(i + 1)
+            yield from descend(i + 1)
             del choice[y]
-            if not keep_going:
-                return False
-        return True
 
-    exhausted = descend(0)
-    return ForestSet(tuple(collected), truncated=not exhausted)
+    return descend(0)
 
 
 def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import ReactionNetwork
 
@@ -82,16 +82,22 @@ def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
     return _sorted_blocks(groups.values())
 
 
-def strong_linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
-    """Strongly connected components (iterative Tarjan), singletons allowed."""
-    succ = g.successors()
-    index_of = [-1] * g.n
-    low = [0] * g.n
-    on_stack = [False] * g.n
+def scc_ids(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Strongly connected components by iterative Tarjan: a component id per vertex.
+
+    Ids count up in the order components complete, which is a reverse
+    topological order: every edge between two components points to the
+    smaller id.
+    """
+    n = len(succ)
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
-    sccs: list[set[int]] = []
+    comp_of = [-1] * n
+    comp_count = 0
     counter = 0
-    for root in range(g.n):
+    for root in range(n):
         if index_of[root] != -1:
             continue
         work = [(root, 0)]
@@ -117,32 +123,48 @@ def strong_linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
                 continue
             work.pop()
             if low[v] == index_of[v]:
-                comp = set()
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp.add(w)
+                    comp_of[w] = comp_count
                     if w == v:
                         break
-                sccs.append(comp)
+                comp_count += 1
             if work:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
-    return _sorted_blocks(sccs)
+    return comp_of
+
+
+def sink_components(succ: Sequence[Sequence[int]], comp_of: Sequence[int]) -> list[bool]:
+    """Per component id of scc_ids, True when no edge leaves the component."""
+    sink = [True] * (max(comp_of, default=-1) + 1)
+    for v, targets in enumerate(succ):
+        c = comp_of[v]
+        for w in targets:
+            if comp_of[w] != c:
+                sink[c] = False
+    return sink
+
+
+def _blocks(comp_of: Sequence[int]) -> list[frozenset[int]]:
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(comp_of):
+        groups.setdefault(c, []).append(v)
+    return _sorted_blocks(groups.values())
+
+
+def strong_linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
+    """Strongly connected components, singletons allowed."""
+    return _blocks(scc_ids(g.successors()))
 
 
 def terminal_slcs(g: ReactionGraph) -> list[frozenset[int]]:
     """Strong linkage classes with no edge leaving them."""
-    sccs = strong_linkage_classes(g)
-    block_of = {}
-    for i, block in enumerate(sccs):
-        for v in block:
-            block_of[v] = i
-    has_out = [False] * len(sccs)
-    for e in g.edges:
-        if block_of[e.src] != block_of[e.dst]:
-            has_out[block_of[e.src]] = True
-    return [block for i, block in enumerate(sccs) if not has_out[i]]
+    succ = g.successors()
+    comp_of = scc_ids(succ)
+    sink = sink_components(succ, comp_of)
+    return [block for block in _blocks(comp_of) if sink[comp_of[min(block)]]]
 
 
 def terminal_complexes(g: ReactionGraph) -> frozenset[int]:

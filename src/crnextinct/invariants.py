@@ -50,19 +50,19 @@ def _decide(system: LinearSystem, canonical: bool = True) -> FeasibilityOutcome:
     return FeasibilityOutcome(False, None, outcome, system)
 
 
-def _columns(gamma: Matrix) -> list[tuple[int, ...]]:
+def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Columns of the matrix as rows; empty for a matrix with no rows."""
     rows = [tuple(row) for row in gamma]
     if not rows:
-        return []
-    width = len(rows[0])
-    return [tuple(row[k] for row in rows) for k in range(width)]
+        return ()
+    return tuple(tuple(row[k] for row in rows) for k in range(len(rows[0])))
 
 
 def conservation_system(gamma: Matrix, *, equality: bool) -> LinearSystem:
     """The system for c >= 1 with c^T Gamma = 0 (equality) or <= 0 (subconservative)."""
     rows = [tuple(row) for row in gamma]
     m = len(rows)
-    cols = _columns(gamma)
+    cols = transpose(gamma)
     unit = [make_row([1 if j == i else 0 for j in range(m)], 1) for i in range(m)]
     if equality:
         return LinearSystem(m, eq=tuple(make_row(col, 0) for col in cols), ge=tuple(unit))
@@ -132,10 +132,6 @@ def nonneg_kernel_generators(gamma: Matrix) -> ConeGenerators:
                     )
         rays = zero + combined
     return ConeGenerators(tuple(sorted(set(rays))))
-
-
-def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(_columns(gamma))
 
 
 def p_invariants(gamma: Matrix) -> ConeGenerators:

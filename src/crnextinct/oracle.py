@@ -10,11 +10,11 @@ recurrence of complexes and extinction events directly from the definitions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .domination import domination_set
-from .graphs import reaction_graph, strong_linkage_classes
+from .graphs import reaction_graph, scc_ids, sink_components, strong_linkage_classes
 from .model import Complex, ReactionNetwork, State, fire, is_charged
 
 
@@ -43,11 +43,8 @@ class StateGraph:
     edges: list[tuple[int, int, int]]  # (state, reaction, state)
     succ: list[list[int]]
     parent: list[Optional[tuple[int, int]]]  # BFS tree: (parent state, reaction)
-    scc_of: list[int] = field(default_factory=list)
-    scc_terminal: list[bool] = field(default_factory=list)
-
-    def recurrent_flags(self) -> list[bool]:
-        return [self.scc_terminal[self.scc_of[i]] for i in range(len(self.states))]
+    scc_of: list[int]
+    scc_terminal: list[bool]
 
 
 @dataclass(frozen=True)
@@ -107,67 +104,15 @@ def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -
                 queue.append(j)
             edges.append((i, k, j))
             succ[i].append(j)
-    graph = StateGraph(net, start, states, index, edges, succ, parent)
-    _condense(graph)
-    return graph
-
-
-def _condense(g: StateGraph) -> None:
-    n = len(g.states)
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp_of = [-1] * n
-    comp_count = 0
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(g.succ[v]):
-                w = g.succ[v][pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = comp_count
-                    if w == v:
-                        break
-                comp_count += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    terminal = [True] * comp_count
-    for i, _, j in g.edges:
-        if comp_of[i] != comp_of[j]:
-            terminal[comp_of[i]] = False
-    g.scc_of = comp_of
-    g.scc_terminal = terminal
+    scc_of = scc_ids(succ)
+    return StateGraph(
+        net, start, states, index, edges, succ, parent, scc_of, sink_components(succ, scc_of)
+    )
 
 
 def recurrent_states(g: StateGraph) -> list[bool]:
     """Per-state labels: recurrent iff the state's SCC is terminal."""
-    return g.recurrent_flags()
+    return [g.scc_terminal[c] for c in g.scc_of]
 
 
 def trace_to(g: StateGraph, state: Sequence[int]) -> Trace:

@@ -15,7 +15,7 @@ must be a positive integer; a bare identifier means coefficient 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Complex, ReactionNetwork, build_network, format_complex
 
@@ -34,11 +34,10 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<a
 
 @dataclass
 class CrnDocument:
-    """A parsed network together with its source text and per-reaction locations."""
+    """A parsed network together with its source text."""
 
     network: ReactionNetwork
     source: str
-    reaction_lines: list[int] = field(default_factory=list)
 
     def normalized(self) -> str:
         return format_network(self.network)
@@ -111,7 +110,7 @@ def parse_crn(text: str) -> CrnDocument:
     Raises ParseError (with line/column) on malformed input.
     """
     reader = _ComplexReader()
-    raw: list[tuple[dict[int, int], dict[int, int], bool, int]] = []
+    raw: list[tuple[dict[int, int], dict[int, int], bool]] = []
     for lineno, line_text in enumerate(text.splitlines(), start=1):
         body = line_text.split("#", 1)[0]
         if not body.strip():
@@ -126,7 +125,7 @@ def parse_crn(text: str) -> CrnDocument:
         tgt, at = reader.read(tokens, at, lineno)
         if at != len(tokens):
             raise ParseError(f"unexpected trailing input {tokens[at][1]!r}", lineno, tokens[at][2])
-        raw.append((src, tgt, reversible, lineno))
+        raw.append((src, tgt, reversible))
 
     m = len(reader.species)
 
@@ -134,15 +133,12 @@ def parse_crn(text: str) -> CrnDocument:
         return tuple(coeffs.get(i, 0) for i in range(m))
 
     reactions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    lines: list[int] = []
-    for src, tgt, reversible, lineno in raw:
+    for src, tgt, reversible in raw:
         reactions.append((vec(src), vec(tgt)))
-        lines.append(lineno)
         if reversible:
             reactions.append((vec(tgt), vec(src)))
-            lines.append(lineno)
     network = build_network(reader.species, reactions)
-    return CrnDocument(network=network, source=text, reaction_lines=lines)
+    return CrnDocument(network=network, source=text)
 
 
 def parse_complex(text: str, net: ReactionNetwork) -> Complex:

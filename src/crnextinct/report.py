@@ -29,7 +29,9 @@ from .graphs import EdgeId
 from .model import ReactionNetwork, format_complex
 
 REPORT_FORMAT = "crn-extinction-report"
-REPORT_VERSION = 1
+# Version 2: statistics.truncated is set only when a candidate had forests
+# beyond forest_cap left undecided.  Certificate fields are as in version 1.
+REPORT_VERSION = 2
 
 
 def encode_rational(x: Fraction) -> dict[str, str]:
@@ -39,7 +41,10 @@ def encode_rational(x: Fraction) -> dict[str, str]:
 def decode_rational(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"not a rational encoding: {obj!r}")
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    den = int(obj["den"])
+    if den == 0:
+        raise ValueError("rational with zero denominator")
+    return Fraction(int(obj["num"]), den)
 
 
 def _rational_vector(values) -> list[dict[str, str]]:
@@ -67,18 +72,17 @@ def _edge_obj(net: ReactionNetwork, e: DominationEdge, j: int) -> dict[str, Any]
 
 
 def _farkas_obj(cert: Farkas) -> dict[str, Any]:
-    obj = {
+    return {
         "eq": _rational_vector(cert.eq_mult),
         "ge": _rational_vector(cert.ge_mult),
+        "nonneg": _rational_vector(cert.nonneg_mult),
     }
-    if cert.nonneg_mult is not None:
-        obj["nonneg"] = _rational_vector(cert.nonneg_mult)
-    return obj
 
 
 def _decode_farkas(obj: Any) -> Farkas:
-    nonneg = _decode_vector(obj["nonneg"]) if "nonneg" in obj else None
-    return Farkas(_decode_vector(obj["eq"]), _decode_vector(obj["ge"]), nonneg)
+    return Farkas(
+        _decode_vector(obj["eq"]), _decode_vector(obj["ge"]), _decode_vector(obj["nonneg"])
+    )
 
 
 def _stats_obj(stats: SearchStats) -> dict[str, Any]:
@@ -200,15 +204,24 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         nontriviality=report["nontriviality"],
     )
     transient = frozenset(range(net.n)) - absorbing
-    stats = SearchStats(0, 0, 0, bool(report["statistics"]["truncated"]), 0, ())
+    stats = SearchStats(0, 0, 0, bool(report["statistics"]["truncated"]), 0)
     verdict = GuaranteedExtinction(transient, certificate, stats)
     if report.get("transient_complexes") != _complex_names(net, transient):
         raise ValueError("transient complex names disagree with the absorbing set")
     return verdict
 
 
-def verify_report(net: ReactionNetwork, report: dict[str, Any]) -> bool:
-    """Rebuild the certificate from the report and re-audit it against the network."""
+def verify_report(net: ReactionNetwork, report: Any) -> bool:
+    """Rebuild the certificate from the report and re-audit it against the network.
+
+    False for anything that is not a well-formed report of a supported
+    version carrying a certificate that re-verifies; never raises on bad input.
+    """
+    if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
+        return False
+    version = report.get("version")
+    if type(version) is not int or not 1 <= version <= REPORT_VERSION:
+        return False
     try:
         verdict = report_certificate(net, report)
     except (ValueError, KeyError, TypeError):

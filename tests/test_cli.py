@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from crnextinct.cli import main
 from crnextinct.parser import parse_crn
 from crnextinct.report import verify_report
@@ -163,3 +165,17 @@ def test_analyze_bad_strategy_values(capsys):
     assert main(["analyze", fixture("example21"), "--dom", "some"]) == 2
     assert main(["analyze", fixture("example21"), "--absorbing", "enumerate:0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fixture("example21"), "--forest-cap", "0"],
+        ["forests", fixture("example21"), "--forest-cap", "0"],
+        ["structure", fixture("example21"), "--cap", "0"],
+        ["oracle", fixture("intro"), "--init", "X1=1", "--budget", "-1"],
+    ],
+)
+def test_out_of_range_caps_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "must be >=" in capsys.readouterr().err

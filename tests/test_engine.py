@@ -114,9 +114,6 @@ def test_stats_shape(nets):
     assert stats.forests == 2  # first forest balanced, second unbalanced
     assert stats.balanced == 1
     assert not stats.truncated
-    assert len(stats.examined) == 1
-    record = stats.examined[0]
-    assert record.forest_outcomes == (True, False)
 
 
 def test_forest_cap_marks_truncated(nets):
@@ -125,6 +122,12 @@ def test_forest_cap_marks_truncated(nets):
     # but flags that it did not see everything
     assert isinstance(verdict, Inconclusive)
     assert verdict.stats.truncated
+    # a verdict reached within the cap skipped nothing
+    for name, cap in (("example21", 2), ("envz", 1)):
+        verdict = analyze(nets[name], SearchConfig(forest_cap=cap))
+        assert isinstance(verdict, GuaranteedExtinction), name
+        assert not verdict.stats.truncated, name
+        assert verdict.stats.forests == cap, name
 
 
 def test_audit_names_failing_link(nets):

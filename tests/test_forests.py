@@ -26,42 +26,39 @@ def _labels(forest):
 
 
 def test_enumerate_forests_example33(example33):
-    result = enumerate_forests(example33)
-    assert not result.truncated
-    assert [_labels(f) for f in result.forests] == [
+    forests = list(enumerate_forests(example33))
+    assert [_labels(f) for f in forests] == [
         ["1", "D2", "3"],
         ["D1", "2", "3"],
         ["D1", "D2", "3"],
     ]
-    for forest in result.forests:
+    for forest in forests:
         assert forest_is_valid(example33, forest)
 
 
 def test_enumerate_forests_all_interior(nets):
     net = nets["example999"]
     dcrn = build_dom_crn(net, [], {0, 1, 2})
-    result = enumerate_forests(dcrn)
-    assert len(result.forests) == 1
-    assert result.forests[0].choices == ()
-    assert result.forests[0].interior == (0, 1, 2)
+    (forest,) = enumerate_forests(dcrn)
+    assert forest.choices == ()
+    assert forest.interior == (0, 1, 2)
 
 
 def test_enumerate_forests_example999(nets):
     dcrn = maximal_admissible(nets["example999"])
-    result = enumerate_forests(dcrn)
-    assert len(result.forests) == 1
-    assert _labels(result.forests[0]) == ["1", "3"]
+    (forest,) = enumerate_forests(dcrn)
+    assert _labels(forest) == ["1", "3"]
 
 
-def test_forest_cap_truncates(example33):
-    result = enumerate_forests(example33, cap=1)
-    assert result.truncated and len(result.forests) == 1
-    with pytest.raises(ValueError):
-        enumerate_forests(example33, cap=0)
+def test_enumeration_is_lazy(example33):
+    stream = enumerate_forests(example33)
+    assert _labels(next(stream)) == ["1", "D2", "3"]
+    # the forests not taken are still there, in order
+    assert [_labels(f) for f in stream] == [["D1", "2", "3"], ["D1", "D2", "3"]]
 
 
 def test_balancing_system_example35_left(example33):
-    forest = enumerate_forests(example33).forests[0]
+    forest = next(enumerate_forests(example33))
     system = build_balancing_system(example33, forest)
     # support zeros: the unused reaction 2 and domination edge D1
     assert system.zero_vars == (1, 3)
@@ -72,7 +69,7 @@ def test_balancing_system_example35_left(example33):
 
 def test_balancing_system_example999(nets):
     dcrn = maximal_admissible(nets["example999"])
-    forest = enumerate_forests(dcrn).forests[0]
+    forest = next(enumerate_forests(dcrn))
     system = build_balancing_system(dcrn, forest)
     assert system.zero_vars == (1,)
     assert system.kernel_rows == ((1, -1, -2), (-1, 1, 2))
@@ -82,14 +79,14 @@ def test_balancing_system_example999(nets):
 
 def test_balancing_system_empty_exterior(nets):
     dcrn = build_dom_crn(nets["example999"], [], {0, 1, 2})
-    forest = enumerate_forests(dcrn).forests[0]
+    forest = next(enumerate_forests(dcrn))
     system = build_balancing_system(dcrn, forest)
     assert system.flow_rows == () and system.candidates == ()
     assert isinstance(decide_balance(system), Unbalanced)
 
 
 def test_decide_balance_left_forest(example33):
-    forest = enumerate_forests(example33).forests[0]
+    forest = next(enumerate_forests(example33))
     system = build_balancing_system(example33, forest)
     outcome = decide_balance(system)
     assert isinstance(outcome, Balanced)
@@ -100,7 +97,7 @@ def test_decide_balance_left_forest(example33):
 
 
 def test_decide_balance_right_forest(example33):
-    forest = enumerate_forests(example33).forests[1]
+    forest = list(enumerate_forests(example33))[1]
     outcome = decide_balance(build_balancing_system(example33, forest))
     assert isinstance(outcome, Unbalanced)
     assert [cand for cand, _ in outcome.witnesses] == [1, 2]
@@ -109,7 +106,7 @@ def test_decide_balance_right_forest(example33):
 
 def test_decide_balance_example999(nets):
     dcrn = maximal_admissible(nets["example999"])
-    forest = enumerate_forests(dcrn).forests[0]
+    forest = next(enumerate_forests(dcrn))
     outcome = decide_balance(build_balancing_system(dcrn, forest))
     assert isinstance(outcome, Unbalanced)
     assert verify_balance_outcome(dcrn, forest, outcome)
@@ -123,7 +120,7 @@ def test_decide_balance_example999(nets):
 
 
 def test_verify_rejects_corruption(example33):
-    forest = enumerate_forests(example33).forests[0]
+    forest = next(enumerate_forests(example33))
     good = decide_balance(build_balancing_system(example33, forest))
     broken = Balanced(alpha=(1, 0, 0, 0, 1), positive_edge=0)
     assert not verify_balance_outcome(example33, forest, broken)
@@ -136,7 +133,7 @@ def test_nontriviality_readings(nets):
     # nonterminal pair through a domination edge
     net = nets["example001"]
     dcrn = DomCRN(net, (DominationEdge(1, 2),), frozenset({2, 3}))
-    forest = enumerate_forests(dcrn).forests[0]
+    forest = next(enumerate_forests(dcrn))
     assert _labels(forest) == ["1", "D1"]
     strict = decide_balance(build_balancing_system(dcrn, forest))
     assert isinstance(strict, Unbalanced)
@@ -149,7 +146,7 @@ def test_nontriviality_readings(nets):
 def test_example000_explicit_absorbing(nets):
     net = nets["example000"]
     dcrn = build_dom_crn(net, [], {1, 2, 3})
-    forest = enumerate_forests(dcrn).forests[0]
+    forest = next(enumerate_forests(dcrn))
     assert _labels(forest) == ["1"] and forest.interior == (1, 2, 3)
     outcome = decide_balance(build_balancing_system(dcrn, forest))
     assert isinstance(outcome, Unbalanced)
@@ -159,7 +156,7 @@ def test_example000_explicit_absorbing(nets):
 def test_example000_terminal_balanced(nets):
     net = nets["example000"]
     dcrn = maximal_admissible(net)
-    forest = enumerate_forests(dcrn).forests[0]
+    forest = next(enumerate_forests(dcrn))
     system = build_balancing_system(dcrn, forest)
     outcome = decide_balance(system)
     assert isinstance(outcome, Balanced)
@@ -169,7 +166,7 @@ def test_example000_terminal_balanced(nets):
 def test_monotone_in_candidates(example33):
     # widening the candidate set can only flip unbalanced -> balanced
     net = example33.net
-    for forest in enumerate_forests(example33).forests:
+    for forest in enumerate_forests(example33):
         strict = decide_balance(build_balancing_system(example33, forest))
         wide = decide_balance(
             build_balancing_system(example33, forest, nontriviality=ANY_EDGE)

@@ -1,6 +1,9 @@
+import json
 import random
+from itertools import islice
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnextinct.exactlp import (
     Feasible,
@@ -28,6 +31,10 @@ from crnextinct.invariants import (
 from crnextinct.model import build_network, fire, is_charged, stoich_matrix
 from crnextinct.oracle import explore, recurrent_complexes, complex_recurrent, StateCapExceeded
 from crnextinct.parser import format_network, parse_crn
+from crnextinct.petri import PetriFormatError, petri_export, petri_import
+from crnextinct.report import emit_report, verify_report
+
+from conftest import FIXTURE_NAMES
 
 
 @st.composite
@@ -151,8 +158,7 @@ def test_forests_of_maximal_expansion_are_valid(net):
     if not is_subconservative(stoich_matrix(net)).feasible:
         return
     dcrn = maximal_admissible(net)
-    result = enumerate_forests(dcrn, cap=64)
-    for forest in result.forests:
+    for forest in islice(enumerate_forests(dcrn), 64):
         assert forest_is_valid(dcrn, forest)
         outcome = decide_balance(build_balancing_system(dcrn, forest))
         from crnextinct.forests import verify_balance_outcome
@@ -206,9 +212,7 @@ def test_row_scaling_invariance(system, scales):
             out.append((tuple(s * c for c in coeffs), s * rhs))
         return tuple(out)
 
-    scaled = LinearSystem(
-        system.n, scaled_rows(system.eq, 0), scaled_rows(system.ge, 3), system.nonneg
-    )
+    scaled = LinearSystem(system.n, scaled_rows(system.eq, 0), scaled_rows(system.ge, 3))
     a = solve_feasibility(system)
     b = solve_feasibility(scaled)
     assert isinstance(a, Feasible) == isinstance(b, Feasible)
@@ -264,3 +268,61 @@ def test_any_edge_reading_claims_are_sound(net):
         for root in states_with_total(net.m, total):
             alive = recurrent_complexes(net, explore(net, root))
             assert not (alive & verdict.transient)
+
+
+FUZZ_VALUES = [0, -1, "0", "-1", "x", None, [], {}, 1.5, True]
+
+
+def _leaf_paths(doc, path=()):
+    """Paths to every scalar and every empty container of a JSON document."""
+    if isinstance(doc, dict) and doc:
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [p for key, value in items for p in _leaf_paths(value, path + (key,))]
+
+
+def _with_leaf(doc, path, value):
+    """A copy of the document with the leaf at `path` replaced; the original is untouched."""
+    if not path:
+        return value
+    head = path[0]
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[head] = _with_leaf(doc[head], path[1:], value)
+    return out
+
+
+@pytest.fixture(scope="module")
+def extinction_reports(nets):
+    from crnextinct.engine import SearchConfig, analyze
+
+    out = {}
+    for name in ("example21", "envz", "intro"):
+        net = nets[name]
+        report = json.loads(emit_report(net, analyze(net), SearchConfig()))
+        out[name] = (report, _leaf_paths(report))
+    return out
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_verify_report_survives_leaf_mutations(nets, extinction_reports, data):
+    name = data.draw(st.sampled_from(sorted(extinction_reports)))
+    report, paths = extinction_reports[name]
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    assert isinstance(verify_report(nets[name], _with_leaf(report, path, value)), bool)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_petri_import_survives_leaf_mutations(nets, data):
+    doc = petri_export(nets[data.draw(st.sampled_from(FIXTURE_NAMES))])
+    path = data.draw(st.sampled_from(_leaf_paths(doc)))
+    mutated = _with_leaf(doc, path, data.draw(st.sampled_from(FUZZ_VALUES)))
+    try:
+        petri_import(mutated)
+    except (PetriFormatError, ValueError):
+        pass

@@ -6,6 +6,8 @@ import pytest
 
 from crnextinct.engine import SearchConfig, analyze
 from crnextinct.report import (
+    REPORT_FORMAT,
+    REPORT_VERSION,
     build_report,
     decode_rational,
     emit_report,
@@ -20,6 +22,8 @@ def test_rational_encoding_round_trip():
         assert decode_rational(encode_rational(value)) == value
     with pytest.raises(ValueError):
         decode_rational({"num": "1"})
+    with pytest.raises(ValueError):
+        decode_rational({"num": "1", "den": "0"})
 
 
 def _extinction_report(net):
@@ -64,6 +68,20 @@ def test_report_rejects_tampering(nets):
     dropped_edge = copy.deepcopy(report)
     dropped_edge["forest"]["choices"] = dropped_edge["forest"]["choices"][1:]
     assert not verify_report(net, dropped_edge)
+
+
+def test_report_envelope_is_checked(nets):
+    net = nets["example21"]
+    _, report = _extinction_report(net)
+    report = json.loads(json.dumps(report))
+    assert report["format"] == REPORT_FORMAT and report["version"] == REPORT_VERSION
+    for not_a_report in ([], None, "report", 7):
+        assert verify_report(net, not_a_report) is False
+    # certificates are unchanged since version 1, so those reports still verify
+    for version, ok in ((1, True), (2, True), (0, False), (3, False), (True, False), ("2", False)):
+        assert verify_report(net, dict(report, version=version)) is ok, version
+    assert not verify_report(net, dict(report, format="bogus"))
+    assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
 
 
 def test_envz_report_contents(nets):
