@@ -151,7 +151,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     root = _parse_init(net, args.init)
     if args.budget < 0:
         raise InputError("--budget must be >= 0")
-    graph = explore(net, root, hard_cap=args.state_cap)
+    state_cap = _positive_int(args.state_cap, "--state-cap")
+    graph = explore(net, root, hard_cap=state_cap)
     names = net.species_names
     flags = recurrent_states(graph)
     print(f"root: {root}")
@@ -166,7 +167,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         local = extinction_on(net, graph, targets)
         print(f"extinction event on listed complexes from root: {local}")
         swept = guaranteed_extinction_on(
-            net, targets, budget=args.budget, hard_cap=args.state_cap
+            net, targets, budget=args.budget, hard_cap=state_cap
         )
         print(
             f"extinction from every initial state with total <= {args.budget}: {swept}"

@@ -4,11 +4,15 @@ Every query is a system of equalities and inequalities over rational vectors.
 The answer is either a feasible point (checkable by substitution) or a Farkas
 certificate: multipliers, nonnegative on inequality rows, whose combination
 cancels every variable while combining the right-hand sides to something
-positive, i.e. the contradiction 0 >= 1.  All arithmetic is fractions.Fraction;
-no floating point enters any certificate path.
+positive, i.e. the contradiction 0 >= 1.  No floating point enters any path.
 
 The solver is a dense two-phase simplex with Bland's rule, which terminates on
-every input.  Systems here are desk-sized, so clarity wins over sparsity.
+every input.  Its tableau holds Python ints: each row is scaled to integers
+and kept primitive by integer-preserving pivots (Edmonds 1967), so it stands
+for exactly the rational tableau and takes the same pivots.  Witnesses and
+certificates leave the solver as fractions.Fraction and are audited by
+check_feasible / check_farkas, which work in Fraction independently of the
+tableau.  Systems here are desk-sized, so clarity wins over sparsity.
 """
 
 from __future__ import annotations
@@ -46,9 +50,6 @@ class LinearSystem:
         for coeffs, _ in self.eq + self.ge:
             if len(coeffs) != self.n:
                 raise ValueError(f"row has {len(coeffs)} coefficients, expected {self.n}")
-
-    def with_rows(self, eq: Sequence[Row] = (), ge: Sequence[Row] = ()) -> "LinearSystem":
-        return LinearSystem(self.n, self.eq + tuple(eq), self.ge + tuple(ge))
 
 
 @dataclass(frozen=True)
@@ -124,118 +125,144 @@ def _normalize_multipliers(values: list[Rat]) -> list[Rat]:
     return [Fraction(i) for i in ints]
 
 
-class _Tableau:
-    """Dense simplex tableau; rows carry rhs in the last slot."""
+def _integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """Scale rationals by the lcm of their denominators: (integers, lcm)."""
+    scale = 1
+    for v in values:
+        d = v.denominator
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
-    def __init__(self, rows: list[list[Rat]], basis: list[int], ncols: int):
+
+class _Tableau:
+    """Dense integer simplex tableau; rows carry rhs in the last slot.
+
+    Row i stands for the rational row rows[i] / rows[i][basis[i]], whose basic
+    entry is 1; the integer basic entry is kept positive and every rewritten
+    row is divided by the gcd of its entries (Edmonds' integer-preserving
+    elimination).  The rational tableau is the one a Fraction simplex would
+    hold, so the pivots are the same, and so is every answer.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
         self.rows = rows
         self.basis = basis
         self.ncols = ncols
 
     def pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
-        piv = row[c]
-        inv = Fraction(1) / piv
-        self.rows[r] = [v * inv for v in row]
-        row = self.rows[r]
+        p = row[c]
+        if p < 0:  # only while artificials are driven out
+            row = self.rows[r] = [-v for v in row]
+            p = -p
         for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            factor = other[c]
-            if factor:
-                self.rows[i] = [a - factor * b for a, b in zip(other, row)]
+            f = other[c]
+            if f and i != r:
+                new = [p * a - f * b for a, b in zip(other, row)]
+                g = gcd(*new)
+                self.rows[i] = [v // g for v in new] if g > 1 else new
         self.basis[r] = c
 
-    def minimize(self, cost: list[Rat], banned: set[int]) -> tuple[Rat, list[Rat]]:
-        """Run Bland-rule simplex for the given cost vector.
+    def _eliminate(self, rc: list[int], den: int, r: int, c: int) -> tuple[list[int], int]:
+        """Clear column c of the reduced costs rc / den with row r (basic in c)."""
+        row = self.rows[r]
+        p, f = row[c], rc[c]
+        rc = [p * a - f * b for a, b in zip(rc, row)]
+        den *= p
+        g = gcd(den, *rc)
+        if g > 1:
+            return [v // g for v in rc], den // g
+        return rc, den
 
-        The tableau must be canonical for its current basis.  Returns
-        (optimal value, reduced-cost row); raises UnboundedError when the
-        objective is unbounded below.  Bland's rule (lowest eligible entering
-        column, lowest basic index on ratio ties) guarantees termination.
+    def minimize(self, cost: list[int], banned: set[int]) -> tuple[list[int], int]:
+        """Run Bland-rule simplex for an integer cost vector.
+
+        The tableau must be canonical for its current basis.  Returns the
+        reduced-cost row as (integers, positive denominator); its last slot is
+        minus the optimal value.  Raises UnboundedError when the objective is
+        unbounded below.  Bland's rule (lowest eligible entering column,
+        lowest basic index on ratio ties) guarantees termination.
         """
         ncols = self.ncols
-        rc = list(cost)
-        for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                row = self.rows[r]
-                rc = [a - cb * row[j] for j, a in enumerate(rc)]
+        rows, basis = self.rows, self.basis
+        rc, den = list(cost) + [0], 1
+        for r, b in enumerate(basis):
+            if rc[b]:
+                rc, den = self._eliminate(rc, den, r, b)
         while True:
             enter = -1
             for j in range(ncols):
-                if j not in banned and rc[j] < 0:
+                if rc[j] < 0 and j not in banned:
                     enter = j
                     break
             if enter == -1:
-                z = sum(
-                    (cost[b] * self.rows[i][-1] for i, b in enumerate(self.basis)),
-                    Fraction(0),
-                )
-                return z, rc
+                return rc, den
             leave = -1
-            best: Optional[Rat] = None
-            for i, row in enumerate(self.rows):
+            for i, row in enumerate(rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave == -1:
+                        leave, best_rhs, best_a = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, best_rhs, best_a = i, row[-1], a
             if leave == -1:
                 raise UnboundedError("objective unbounded below")
-            factor = rc[enter]
             self.pivot(leave, enter)
-            row = self.rows[leave]
-            rc = [a - factor * row[j] for j, a in enumerate(rc)]
+            rc, den = self._eliminate(rc, den, leave, enter)
 
 
-def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], int, list[int], int]:
-    """Build phase-1 rows: [x | slacks | artificials | rhs].
+def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], int, list[int], int]:
+    """Build phase-1 rows: [x | slacks | artificials | rhs], each scaled to integers.
 
+    A row's scale (the lcm of its denominators) multiplies its slack and
+    artificial entries too, so each integer row stands for the rational row.
     Returns (rows, flips, n_slack, art_cols, ncols).
     """
     n = system.n
-    rows_in = [(coeffs, rhs, "eq") for coeffs, rhs in system.eq]
-    rows_in += [(coeffs, rhs, "ge") for coeffs, rhs in system.ge]
-    n_rows = len(rows_in)
+    rows_in = [(coeffs, rhs, False) for coeffs, rhs in system.eq]
+    rows_in += [(coeffs, rhs, True) for coeffs, rhs in system.ge]
     n_slack = len(system.ge)
-    ncols = n + n_slack + n_rows
-    rows: list[list[Rat]] = []
+    ncols = n + n_slack + len(rows_in)
+    rows: list[list[int]] = []
     flips: list[int] = []
-    slack_at = 0
-    for i, (coeffs, rhs, kind) in enumerate(rows_in):
+    slack_at = n
+    for i, (coeffs, rhs, is_ge) in enumerate(rows_in):
         flip = -1 if rhs < 0 else 1
         flips.append(flip)
-        row = [Fraction(0)] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = flip * c
-        if kind == "ge":
-            row[n + slack_at] = Fraction(-flip)
+        ints, scale = _integer_row([*coeffs, rhs])
+        row = [flip * v for v in ints[:n]] + [0] * (ncols - n) + [flip * ints[n]]
+        if is_ge:
+            row[slack_at] = -flip * scale
             slack_at += 1
-        row[n + n_slack + i] = Fraction(1)
-        row[-1] = flip * rhs
+        row[n + n_slack + i] = scale
         rows.append(row)
     art_cols = list(range(n + n_slack, ncols))
     return rows, flips, n_slack, art_cols, ncols
 
 
 def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
-    values = [Fraction(0)] * tab.ncols
-    for r, b in enumerate(tab.basis):
-        values[b] = tab.rows[r][-1]
-    return tuple(values[: system.n])
+    values = [Fraction(0)] * system.n
+    for row, b in zip(tab.rows, tab.basis):
+        if b < system.n:
+            values[b] = Fraction(row[-1], row[b])
+    return tuple(values)
 
 
-def _extract_farkas(system: LinearSystem, rc: list[Rat], flips: list[int], art_cols: list[int]) -> Farkas:
+def _extract_farkas(
+    system: LinearSystem, rc: list[int], den: int, flips: list[int], art_cols: list[int]
+) -> Farkas:
+    """Row multipliers y = flip * (1 - rc[artificial]), scaled by den to integers."""
     n_eq = len(system.eq)
-    y = [flips[i] * (Fraction(1) - rc[art_cols[i]]) for i in range(len(flips))]
+    y = [flip * (den - rc[c]) for flip, c in zip(flips, art_cols)]
     combo = [Fraction(0)] * system.n
-    for m, (coeffs, _) in zip(y, list(system.eq) + list(system.ge)):
-        for j, c in enumerate(coeffs):
-            combo[j] += m * c
+    for m, (coeffs, _) in zip(y, system.eq + system.ge):
+        if m:
+            for j, c in enumerate(coeffs):
+                if c:
+                    combo[j] += m * c
     scaled = _normalize_multipliers(y + [-c for c in combo])
     n_rows = len(y)
     cert = Farkas(
@@ -249,12 +276,12 @@ def _extract_farkas(system: LinearSystem, rc: list[Rat], flips: list[int], art_c
 def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]:
     rows, flips, n_slack, art_cols, ncols = _standardize(system)
     tab = _Tableau(rows, list(art_cols), ncols)
-    cost = [Fraction(0)] * ncols
+    cost = [0] * ncols
     for c in art_cols:
-        cost[c] = Fraction(1)
-    z, rc = tab.minimize(cost, banned=set())
-    if z > 0:
-        return None, _extract_farkas(system, rc, flips, art_cols)
+        cost[c] = 1
+    rc, den = tab.minimize(cost, banned=set())
+    if rc[-1] < 0:  # the least sum of artificials, -rc[-1] / den, is positive
+        return None, _extract_farkas(system, rc, den, flips, art_cols)
     # drive leftover zero-level artificials out of the basis; drop redundant rows
     art_set = set(art_cols)
     r = 0
@@ -295,34 +322,35 @@ def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], 
     tab, farkas = _phase1(system)
     if farkas is not None:
         return None, farkas
-    cost = list(d) + [Fraction(0)] * (tab.ncols - system.n)
+    cost, scale = _integer_row(d)
+    cost += [0] * (tab.ncols - system.n)
     banned = set(range(system.n + len(system.ge), tab.ncols))
-    z, _ = tab.minimize(cost, banned=banned)
+    rc, den = tab.minimize(cost, banned=banned)
     point = _extract_point(system, tab)
     assert check_feasible(system, point)
-    return z, Feasible(point)
+    return Fraction(-rc[-1], den * scale), Feasible(point)
 
 
 def lexmin(system: LinearSystem) -> Outcome:
     """The lexicographically least feasible point (canonical witness).
 
-    Requires every coordinate to be bounded below on the feasible set, which
-    holds for all systems this package builds (variables carry >= 0 or >= 1
-    rows).  Deterministic: repeated calls return identical witnesses.
+    One phase 1, then one tableau for all coordinates: after minimizing x_i,
+    every nonbasic column with positive reduced cost is banned, which keeps
+    exactly the optimal face, and x_{i+1} is minimized from the same basis.
+    Every variable is nonnegative, so each stage is bounded and the least
+    point is unique.  Deterministic: repeated calls return identical witnesses.
     """
-    current = system
-    values: list[Rat] = []
+    tab, farkas = _phase1(system)
+    if farkas is not None:
+        return farkas
+    ncols = tab.ncols
+    banned = set(range(system.n + len(system.ge), ncols))
+    cost = [0] * ncols
     for i in range(system.n):
-        direction = [Fraction(0)] * system.n
-        direction[i] = Fraction(1)
-        opt, outcome = minimize(current, direction)
-        if isinstance(outcome, Farkas):
-            if values:
-                raise AssertionError("internal error: fixing a minimizer broke feasibility")
-            return outcome
-        values.append(opt)
-        fix_row = make_row(direction, opt)
-        current = current.with_rows(eq=[fix_row])
-    witness = tuple(values)
+        cost[i] = 1
+        rc, _ = tab.minimize(cost, banned=banned)
+        cost[i] = 0
+        banned.update(j for j in range(ncols) if rc[j] > 0)
+    witness = _extract_point(system, tab)
     assert check_feasible(system, witness)
     return Feasible(witness)

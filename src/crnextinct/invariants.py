@@ -43,8 +43,8 @@ class FeasibilityOutcome:
         return self.farkas is not None and check_farkas(self.system, self.farkas)
 
 
-def _decide(system: LinearSystem, canonical: bool = True) -> FeasibilityOutcome:
-    outcome = lexmin(system) if canonical else solve_feasibility(system)
+def _decide(system: LinearSystem) -> FeasibilityOutcome:
+    outcome = lexmin(system)
     if isinstance(outcome, Feasible):
         return FeasibilityOutcome(True, outcome.witness, None, system)
     return FeasibilityOutcome(False, None, outcome, system)

@@ -9,6 +9,7 @@ and re-audited (see verify_report).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -38,13 +39,23 @@ def encode_rational(x: Fraction) -> dict[str, str]:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+# The strings str(int) produces: no sign on zero, no leading zeros, spaces or "_".
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _decode_int(text: Any) -> int:
+    if not isinstance(text, str) or not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer string: {text!r}")
+    return int(text)
+
+
 def decode_rational(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"not a rational encoding: {obj!r}")
-    den = int(obj["den"])
+    den = _decode_int(obj["den"])
     if den == 0:
         raise ValueError("rational with zero denominator")
-    return Fraction(int(obj["num"]), den)
+    return Fraction(_decode_int(obj["num"]), den)
 
 
 def _rational_vector(values) -> list[dict[str, str]]:

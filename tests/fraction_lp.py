@@ -1,0 +1,206 @@
+"""Reference exact simplex over `fractions.Fraction`, for differential tests.
+
+This is the dense two-phase Bland-rule simplex that `crnextinct.exactlp` ran
+before its tableau moved to Python ints.  Both walk the same rational tableau
+through the same pivots, so `solve_feasibility`, `minimize` and `lexmin` here
+must return results equal (`==`) to the package's.  `lexmin` is the original
+one: a fresh phase 1 per coordinate, with each optimum fixed by an equality
+row before the next coordinate is minimized.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from crnextinct.exactlp import (
+    Farkas,
+    Feasible,
+    LinearSystem,
+    Outcome,
+    UnboundedError,
+    _normalize_multipliers,
+    _rat_vec,
+    check_farkas,
+    check_feasible,
+    make_row,
+)
+
+Rat = Fraction
+
+
+class _Tableau:
+    """Dense simplex tableau; rows carry rhs in the last slot."""
+
+    def __init__(self, rows: list[list[Rat]], basis: list[int], ncols: int):
+        self.rows = rows
+        self.basis = basis
+        self.ncols = ncols
+
+    def pivot(self, r: int, c: int) -> None:
+        row = self.rows[r]
+        piv = row[c]
+        inv = Fraction(1) / piv
+        self.rows[r] = [v * inv for v in row]
+        row = self.rows[r]
+        for i, other in enumerate(self.rows):
+            if i == r:
+                continue
+            factor = other[c]
+            if factor:
+                self.rows[i] = [a - factor * b for a, b in zip(other, row)]
+        self.basis[r] = c
+
+    def minimize(self, cost: list[Rat], banned: set[int]) -> tuple[Rat, list[Rat]]:
+        """Bland-rule simplex from a canonical tableau; (optimal value, reduced costs)."""
+        ncols = self.ncols
+        rc = list(cost)
+        for r, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb:
+                row = self.rows[r]
+                rc = [a - cb * row[j] for j, a in enumerate(rc)]
+        while True:
+            enter = -1
+            for j in range(ncols):
+                if j not in banned and rc[j] < 0:
+                    enter = j
+                    break
+            if enter == -1:
+                z = sum(
+                    (cost[b] * self.rows[i][-1] for i, b in enumerate(self.basis)),
+                    Fraction(0),
+                )
+                return z, rc
+            leave = -1
+            best: Optional[Rat] = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[-1] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave == -1:
+                raise UnboundedError("objective unbounded below")
+            factor = rc[enter]
+            self.pivot(leave, enter)
+            row = self.rows[leave]
+            rc = [a - factor * row[j] for j, a in enumerate(rc)]
+
+
+def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], int, list[int], int]:
+    """Phase-1 rows [x | slacks | artificials | rhs]; (rows, flips, n_slack, art_cols, ncols)."""
+    n = system.n
+    rows_in = [(coeffs, rhs, "eq") for coeffs, rhs in system.eq]
+    rows_in += [(coeffs, rhs, "ge") for coeffs, rhs in system.ge]
+    n_rows = len(rows_in)
+    n_slack = len(system.ge)
+    ncols = n + n_slack + n_rows
+    rows: list[list[Rat]] = []
+    flips: list[int] = []
+    slack_at = 0
+    for i, (coeffs, rhs, kind) in enumerate(rows_in):
+        flip = -1 if rhs < 0 else 1
+        flips.append(flip)
+        row = [Fraction(0)] * (ncols + 1)
+        for j, c in enumerate(coeffs):
+            row[j] = flip * c
+        if kind == "ge":
+            row[n + slack_at] = Fraction(-flip)
+            slack_at += 1
+        row[n + n_slack + i] = Fraction(1)
+        row[-1] = flip * rhs
+        rows.append(row)
+    art_cols = list(range(n + n_slack, ncols))
+    return rows, flips, n_slack, art_cols, ncols
+
+
+def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
+    values = [Fraction(0)] * tab.ncols
+    for r, b in enumerate(tab.basis):
+        values[b] = tab.rows[r][-1]
+    return tuple(values[: system.n])
+
+
+def _extract_farkas(system: LinearSystem, rc: list[Rat], flips: list[int], art_cols: list[int]) -> Farkas:
+    n_eq = len(system.eq)
+    y = [flips[i] * (Fraction(1) - rc[art_cols[i]]) for i in range(len(flips))]
+    combo = [Fraction(0)] * system.n
+    for m, (coeffs, _) in zip(y, list(system.eq) + list(system.ge)):
+        for j, c in enumerate(coeffs):
+            combo[j] += m * c
+    scaled = _normalize_multipliers(y + [-c for c in combo])
+    n_rows = len(y)
+    cert = Farkas(
+        tuple(scaled[:n_eq]), tuple(scaled[n_eq:n_rows]), tuple(scaled[n_rows:])
+    )
+    assert check_farkas(system, cert)
+    return cert
+
+
+def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]:
+    rows, flips, n_slack, art_cols, ncols = _standardize(system)
+    tab = _Tableau(rows, list(art_cols), ncols)
+    cost = [Fraction(0)] * ncols
+    for c in art_cols:
+        cost[c] = Fraction(1)
+    z, rc = tab.minimize(cost, banned=set())
+    if z > 0:
+        return None, _extract_farkas(system, rc, flips, art_cols)
+    art_set = set(art_cols)
+    r = 0
+    while r < len(tab.rows):
+        b = tab.basis[r]
+        if b in art_set:
+            pivot_col = next(
+                (j for j in range(system.n + n_slack) if tab.rows[r][j] != 0), None
+            )
+            if pivot_col is None:
+                del tab.rows[r]
+                del tab.basis[r]
+                continue
+            tab.pivot(r, pivot_col)
+        r += 1
+    return tab, None
+
+
+def solve_feasibility(system: LinearSystem) -> Outcome:
+    tab, farkas = _phase1(system)
+    if farkas is not None:
+        return farkas
+    point = _extract_point(system, tab)
+    assert check_feasible(system, point)
+    return Feasible(point)
+
+
+def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], Outcome]:
+    d = _rat_vec(direction)
+    tab, farkas = _phase1(system)
+    if farkas is not None:
+        return None, farkas
+    cost = list(d) + [Fraction(0)] * (tab.ncols - system.n)
+    banned = set(range(system.n + len(system.ge), tab.ncols))
+    z, _ = tab.minimize(cost, banned=banned)
+    point = _extract_point(system, tab)
+    assert check_feasible(system, point)
+    return z, Feasible(point)
+
+
+def lexmin(system: LinearSystem) -> Outcome:
+    current = system
+    values: list[Rat] = []
+    for i in range(system.n):
+        direction = [Fraction(0)] * system.n
+        direction[i] = Fraction(1)
+        opt, outcome = minimize(current, direction)
+        if isinstance(outcome, Farkas):
+            assert not values
+            return outcome
+        values.append(opt)
+        current = LinearSystem(current.n, current.eq + (make_row(direction, opt),), current.ge)
+    witness = tuple(values)
+    assert check_feasible(system, witness)
+    return Feasible(witness)

@@ -174,6 +174,8 @@ def test_analyze_bad_strategy_values(capsys):
         ["forests", fixture("example21"), "--forest-cap", "0"],
         ["structure", fixture("example21"), "--cap", "0"],
         ["oracle", fixture("intro"), "--init", "X1=1", "--budget", "-1"],
+        ["oracle", fixture("intro"), "--init", "X1=1", "--state-cap", "-5"],
+        ["oracle", fixture("intro"), "--init", "X1=1", "--state-cap", "0"],
     ],
 )
 def test_out_of_range_caps_exit_2(argv, capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crnextinct.exactlp import (
     Farkas,
@@ -14,6 +15,8 @@ from crnextinct.exactlp import (
     minimize,
     solve_feasibility,
 )
+
+import fraction_lp
 
 
 def test_direct_contradiction():
@@ -98,3 +101,48 @@ def test_empty_and_degenerate_systems():
     assert isinstance(out, Farkas)
     with pytest.raises(ValueError):
         LinearSystem(2, eq=(make_row([1], 0),))
+
+
+HUGE = 2**64
+
+
+@st.composite
+def differential_systems(draw):
+    """Systems that reach every solver path: negative right-hand sides, redundant
+    equality rows, mixed denominators and coefficients of 2**64 and more."""
+    n = draw(st.integers(1, 4))
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+        st.builds(lambda s, k: s * (HUGE + k), st.sampled_from([-1, 1]), st.integers(0, HUGE)),
+    )
+    vector = st.lists(coeff, min_size=n, max_size=n)
+    eq = draw(st.lists(vector, max_size=3))
+    ge = draw(st.lists(vector, max_size=4))
+    if eq and draw(st.booleans()):  # a redundant row: a combination of the others
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(eq), max_size=len(eq)))
+        eq.append([sum(w * row[j] for w, row in zip(weights, eq)) for j in range(n)])
+    if draw(st.booleans()):  # planted: feasible at a hidden point x0 >= 0
+        x0 = draw(st.lists(st.builds(Fraction, st.integers(0, 5), st.integers(1, 3)), min_size=n, max_size=n))
+        slack = st.builds(Fraction, st.integers(0, 4), st.integers(1, 4))
+        eq_rhs = [sum(c * x for c, x in zip(row, x0)) for row in eq]
+        ge_rhs = [sum(c * x for c, x in zip(row, x0)) - draw(slack) for row in ge]
+    else:
+        rhs = st.one_of(coeff, st.integers(-5, 5))
+        eq_rhs = [draw(rhs) for _ in eq]
+        ge_rhs = [draw(rhs) for _ in ge]
+    return LinearSystem(
+        n,
+        eq=tuple(make_row(c, b) for c, b in zip(eq, eq_rhs)),
+        ge=tuple(make_row(c, b) for c, b in zip(ge, ge_rhs)),
+    )
+
+
+@settings(max_examples=300)
+@given(differential_systems(), st.data())
+def test_integer_simplex_matches_fraction_reference(system, data):
+    assert solve_feasibility(system) == fraction_lp.solve_feasibility(system)
+    assert lexmin(system) == fraction_lp.lexmin(system)
+    weight = st.one_of(st.integers(0, 4), st.builds(Fraction, st.integers(0, 9), st.integers(1, 5)))
+    direction = data.draw(st.lists(weight, min_size=system.n, max_size=system.n))
+    assert minimize(system, direction) == fraction_lp.minimize(system, direction)

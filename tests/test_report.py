@@ -17,13 +17,28 @@ from crnextinct.report import (
 )
 
 
-def test_rational_encoding_round_trip():
+def test_rational_encoding_round_trip(nets):
     for value in (Fraction(0), Fraction(3, 7), Fraction(-12, 5), Fraction(10**30)):
         assert decode_rational(encode_rational(value)) == value
     with pytest.raises(ValueError):
         decode_rational({"num": "1"})
     with pytest.raises(ValueError):
         decode_rational({"num": "1", "den": "0"})
+    # int() would read each of these as 1 (1.5 truncated, "1_0" as 10)
+    not_int_strings = (1.5, True, "1_0", " 1")
+    for bad in not_int_strings:
+        with pytest.raises(ValueError):
+            decode_rational({"num": bad, "den": "1"})
+        with pytest.raises(ValueError):
+            decode_rational({"num": "1", "den": bad})
+    net = nets["example21"]
+    _, report = _extinction_report(net)
+    report = json.loads(json.dumps(report))
+    assert report["balance_refutations"][0]["farkas"]["ge"][0] == {"num": "1", "den": "1"}
+    for bad in (1.0, True, "0_1", " 1"):  # each would decode to the same 1
+        doctored = copy.deepcopy(report)
+        doctored["balance_refutations"][0]["farkas"]["ge"][0]["den"] = bad
+        assert verify_report(net, doctored) is False
 
 
 def _extinction_report(net):
