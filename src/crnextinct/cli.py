@@ -11,6 +11,7 @@ import json
 import sys
 from itertools import islice
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .domination import maximal_admissible
 from .engine import SearchConfig, analyze
@@ -40,27 +41,39 @@ from .oracle import (
     recurrent_states,
 )
 from .parser import ParseError, parse_complex, parse_crn, format_network
-from .petri import PetriFormatError, petri_export, petri_import
+from .petri import petri_export, petri_import
 from .report import emit_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
+T = TypeVar("T")
+
 
 class InputError(Exception):
     pass
 
 
-def _load_network(path: str) -> ReactionNetwork:
+def _read(path: str, decode: Callable[[str], T]) -> T:
+    """Decode a UTF-8 file; unreadable or malformed input becomes an InputError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return decode(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        return parse_crn(text).network
-    except ParseError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8; JSON nested too deep
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _write(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _load_network(path: str) -> ReactionNetwork:
+    return _read(path, lambda text: parse_crn(text).network)
 
 
 def _complex_list(net: ReactionNetwork, text: str) -> list[int]:
@@ -140,9 +153,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
     cfg = _search_config(net, args)
     verdict = analyze(net, cfg)
+    if args.json:  # before any output, so a failed write prints no verdict
+        _write(args.json, emit_report(net, verdict, cfg, "json"))
     sys.stdout.write(emit_report(net, verdict, cfg, "text").decode("utf-8"))
-    if args.json:
-        Path(args.json).write_bytes(emit_report(net, verdict, cfg, "json"))
     return EXIT_OK
 
 
@@ -264,19 +277,10 @@ def _cmd_petri(args: argparse.Namespace) -> int:
         net = _load_network(args.file)
         text = json.dumps(petri_export(net), indent=2) + "\n"
     else:
-        try:
-            doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"{args.file}: {exc.strerror or exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.file}: {exc}") from exc
-        try:
-            net = petri_import(doc)
-        except (PetriFormatError, ValueError) as exc:
-            raise InputError(f"{args.file}: {exc}") from exc
+        net = _read(args.file, lambda text: petri_import(json.loads(text)))
         text = format_network(net)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -111,21 +111,7 @@ def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
     return all(c == 0 for c in combo) and rhs_total > 0
 
 
-def _normalize_multipliers(values: list[Rat]) -> list[Rat]:
-    """Scale to a primitive integer vector (positive scaling keeps validity)."""
-    denom_lcm = 1
-    for v in values:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in values]
-    g = 0
-    for i in ints:
-        g = gcd(g, abs(i))
-    if g > 1:
-        ints = [i // g for i in ints]
-    return [Fraction(i) for i in ints]
-
-
-def _integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
+def scale_to_integers(values: Sequence[Rat]) -> tuple[list[int], int]:
     """Scale rationals by the lcm of their denominators: (integers, lcm)."""
     scale = 1
     for v in values:
@@ -133,6 +119,13 @@ def _integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
         if d != 1:
             scale = scale * d // gcd(scale, d)
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _normalize_multipliers(values: list[Rat]) -> list[Rat]:
+    """Scale to a primitive integer vector (positive scaling keeps validity)."""
+    ints, _ = scale_to_integers(values)
+    g = gcd(*ints) or 1
+    return [Fraction(i // g) for i in ints]
 
 
 class _Tableau:
@@ -232,7 +225,7 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], int,
     for i, (coeffs, rhs, is_ge) in enumerate(rows_in):
         flip = -1 if rhs < 0 else 1
         flips.append(flip)
-        ints, scale = _integer_row([*coeffs, rhs])
+        ints, scale = scale_to_integers([*coeffs, rhs])
         row = [flip * v for v in ints[:n]] + [0] * (ncols - n) + [flip * ints[n]]
         if is_ge:
             row[slack_at] = -flip * scale
@@ -322,7 +315,7 @@ def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], 
     tab, farkas = _phase1(system)
     if farkas is not None:
         return None, farkas
-    cost, scale = _integer_row(d)
+    cost, scale = scale_to_integers(d)
     cost += [0] * (tab.ncols - system.n)
     banned = set(range(system.n + len(system.ge), tab.ncols))
     rc, den = tab.minimize(cost, banned=banned)

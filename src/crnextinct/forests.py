@@ -17,20 +17,17 @@ them to include domination edges for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Iterator, Optional, Union
 
 from .domination import DomCRN
 from .exactlp import (
     Farkas,
-    Feasible,
     LinearSystem,
     check_farkas,
     check_feasible,
     lexmin,
     make_row,
-    solve_feasibility,
+    scale_to_integers,
 )
 from .graphs import EdgeId, GraphEdge
 from .model import stoich_matrix
@@ -250,31 +247,23 @@ class Unbalanced:
 BalanceOutcome = Union[Balanced, Unbalanced]
 
 
-def _integerize(alpha: tuple[Fraction, ...]) -> tuple[int, ...]:
-    lcm = 1
-    for a in alpha:
-        lcm = lcm * a.denominator // gcd(lcm, a.denominator)
-    return tuple(int(a * lcm) for a in alpha)
-
-
 def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     """Balanced iff some candidate pivot is feasible; certificates either way.
 
-    Candidates are tried in ascending order; the first feasible one yields the
-    canonical (lexicographically least, integer-scaled) balancing vector.  If
-    all fail, every Farkas refutation is retained.  An empty candidate set is
-    unbalanced outright.
+    Candidates are tried in ascending order, one lexmin per candidate: its
+    Farkas certificate refutes the candidate, and the first feasible one
+    yields the canonical (lexicographically least, integer-scaled) balancing
+    vector.  If all fail, every refutation is retained.  An empty candidate
+    set is unbalanced outright.
     """
     refutations: list[tuple[int, Farkas]] = []
     for cand in system.candidates:
         sys_k = system.linear_system(candidate=cand)
-        probe = solve_feasibility(sys_k)
-        if isinstance(probe, Farkas):
-            refutations.append((cand, probe))
-            continue
         best = lexmin(sys_k)
-        assert isinstance(best, Feasible)
-        alpha = _integerize(best.witness)
+        if isinstance(best, Farkas):
+            refutations.append((cand, best))
+            continue
+        alpha = tuple(scale_to_integers(best.witness)[0])
         assert check_feasible(sys_k, alpha)
         return Balanced(alpha=alpha, positive_edge=cand)
     return Unbalanced(tuple(refutations))

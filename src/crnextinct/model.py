@@ -10,6 +10,7 @@ everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -39,9 +40,6 @@ class Complex:
             and all(a <= b for a, b in zip(other.coeffs, self.coeffs))
         )
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class Reaction:
@@ -53,7 +51,7 @@ class Reaction:
     def is_self_loop(self) -> bool:
         return self.source == self.target
 
-    @property
+    @cached_property
     def vector(self) -> tuple[int, ...]:
         return tuple(t - s for s, t in zip(self.source.coeffs, self.target.coeffs))
 

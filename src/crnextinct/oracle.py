@@ -3,8 +3,8 @@
 States are tuples of molecular counts.  From a root state the oracle computes
 the full closure under single reaction firings (finite for subconservative
 networks; a hard cap guards everything else), labels states recurrent or
-transient through terminal strongly connected components, and decides
-recurrence of complexes and extinction events directly from the definitions.
+transient through terminal strongly connected components, and reads every
+recurrence and extinction answer off those labels (recurrent_complexes).
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def trace_to(g: StateGraph, state: Sequence[int]) -> Trace:
 def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
     """Can every reachable state still reach a state charging the complex?
 
-    Implements the definition directly: reverse reachability from the set of
-    charging states must cover the whole graph.
+    The definition, kept as the reference that recurrent_complexes is tested
+    against: reverse reachability from the charging states covers the graph.
     """
     n = len(g.states)
     charged = [is_charged(y, s) for s in g.states]
@@ -150,9 +150,8 @@ def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
 def recurrent_complexes(net: ReactionNetwork, g: StateGraph) -> frozenset[int]:
     """Complex indices recurrent from the graph's root.
 
-    Uses the terminal-SCC characterization (a complex is recurrent iff every
-    terminal SCC charges it somewhere), which agrees with complex_recurrent on
-    finite graphs; the test suite asserts that agreement.
+    A complex is recurrent iff every terminal SCC of explore's labels charges
+    it somewhere; on finite graphs this agrees with complex_recurrent.
     """
     alive: Optional[set[int]] = None
     members: dict[int, list[int]] = {}
@@ -169,11 +168,18 @@ def recurrent_complexes(net: ReactionNetwork, g: StateGraph) -> frozenset[int]:
     return frozenset(alive or set())
 
 
+def _targets(net: ReactionNetwork, complexes: Iterable[int]) -> set[int]:
+    """The listed complex indices, each checked to lie in 0..n-1."""
+    targets = set(complexes)
+    bad = [ci for ci in targets if ci not in range(net.n)]
+    if bad:
+        raise ValueError(f"complex indices {bad} out of range 0..{net.n - 1}")
+    return targets
+
+
 def extinction_on(net: ReactionNetwork, g: StateGraph, complexes: Iterable[int]) -> bool:
     """True when every listed complex is transient from the graph's root."""
-    return all(
-        not complex_recurrent(net, g, net.complexes[ci]) for ci in set(complexes)
-    )
+    return recurrent_complexes(net, g).isdisjoint(_targets(net, complexes))
 
 
 def states_with_total(m: int, total: int) -> Iterable[State]:
@@ -199,15 +205,10 @@ def guaranteed_extinction_on(
     """Extinction from every root with coordinate sum up to `budget`.
 
     A budgeted under-approximation of quantifying over the whole state space;
-    callers report the budget alongside the answer.
+    callers report the budget alongside the answer.  The roots are
+    find_recurrent_witness's, and the answer is True iff it finds none.
     """
-    targets = set(complexes)
-    for total in range(budget + 1):
-        for root in states_with_total(net.m, total):
-            g = explore(net, root, hard_cap)
-            if not extinction_on(net, g, targets):
-                return False
-    return True
+    return find_recurrent_witness(net, complexes, budget, hard_cap) is None
 
 
 def find_recurrent_witness(
@@ -216,15 +217,18 @@ def find_recurrent_witness(
     budget: int = 6,
     hard_cap: int = 200000,
 ) -> Optional[tuple[State, int]]:
-    """A (root, complex) pair where the complex is recurrent, if one exists in budget."""
-    targets = sorted(set(complexes))
+    """The first (root, complex) pair in budget where a listed complex is recurrent.
+
+    Roots go by total, then in states_with_total order; the complex is the
+    least listed one recurrent from that root.  None when there is no such pair.
+    """
+    targets = _targets(net, complexes)
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):
             g = explore(net, root, hard_cap)
-            alive = recurrent_complexes(net, g)
-            for ci in targets:
-                if ci in alive:
-                    return g.root, ci
+            hit = recurrent_complexes(net, g) & targets
+            if hit:
+                return g.root, min(hit)
     return None
 
 

@@ -181,3 +181,32 @@ def test_analyze_bad_strategy_values(capsys):
 def test_out_of_range_caps_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "must be >=" in capsys.readouterr().err
+
+
+def _deep_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    return path
+
+
+def _latin1(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"X1 -> \xe9\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["analyze", fixture("intro"), "--json", str(d / "missing" / "r.json")],
+        lambda d: ["petri", "export", fixture("intro"), "--out", str(d / "missing" / "n.json")],
+        lambda d: ["analyze", str(_latin1(d, "net.crn"))],
+        lambda d: ["petri", "import", str(_latin1(d, "net.json"))],
+        lambda d: ["petri", "import", str(_deep_json(d))],
+    ],
+    ids=["json-dir", "out-dir", "crn-utf8", "petri-utf8", "petri-deep"],
+)
+def test_file_errors_exit_2(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err

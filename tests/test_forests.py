@@ -96,6 +96,23 @@ def test_decide_balance_left_forest(example33):
     assert check_feasible(system.linear_system(candidate=0), (1, 0, 1, 0, 1))
 
 
+def test_decide_balance_one_lp_per_candidate(example33, monkeypatch):
+    # the first candidate is feasible: one phase 1 decides it and gives alpha
+    from crnextinct import exactlp
+
+    calls = []
+    phase1 = exactlp._phase1
+
+    def counted(system):
+        calls.append(system)
+        return phase1(system)
+
+    monkeypatch.setattr(exactlp, "_phase1", counted)
+    forest = next(enumerate_forests(example33))
+    outcome = decide_balance(build_balancing_system(example33, forest))
+    assert isinstance(outcome, Balanced) and len(calls) == 1
+
+
 def test_decide_balance_right_forest(example33):
     forest = list(enumerate_forests(example33))[1]
     outcome = decide_balance(build_balancing_system(example33, forest))

@@ -1,7 +1,11 @@
+import importlib.util
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
+from crnextinct import engine
 from crnextinct.model import Complex, build_network
 from crnextinct.oracle import (
     StateCapExceeded,
@@ -192,6 +196,30 @@ def test_guaranteed_extinction_example101_false(nets):
     assert complex_recurrent(net, g, net.complexes[ci])
 
 
+def test_sweep_matches_per_root_definition(nets):
+    # guaranteed_extinction_on against explore + complex_recurrent, root by root
+    for name in ("intro", "example100", "example101"):
+        net = nets[name]
+        graphs = [
+            explore(net, root) for total in range(4) for root in states_with_total(net.m, total)
+        ]
+        for ci in range(net.n):
+            slow = all(not complex_recurrent(net, g, net.complexes[ci]) for g in graphs)
+            assert guaranteed_extinction_on(net, {ci}, budget=3) == slow, (name, ci)
+
+
+def test_target_indices_are_range_checked(nets):
+    net = nets["intro"]
+    g = explore(net, (1, 1))
+    for bad in ({-1}, {net.n}, {0, 99}, {0.5}):
+        with pytest.raises(ValueError):
+            extinction_on(net, g, bad)
+        with pytest.raises(ValueError):
+            guaranteed_extinction_on(net, bad, budget=3)
+        with pytest.raises(ValueError):
+            find_recurrent_witness(net, bad, budget=3)
+
+
 def test_states_with_total():
     assert sorted(states_with_total(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(states_with_total(1, 3)) == [(3,)]
@@ -255,3 +283,27 @@ def test_subconservation_monotone(nets):
     total = sum(ci * x for ci, x in zip(c, g21.root))
     for state in g21.states:
         assert sum(ci * x for ci, x in zip(c, state)) == total
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["certify", "search"])
+def test_engine_agrees_with_oracle_on_bench_families(workload):
+    # every certified transient complex stays transient from every root up to budget 5
+    workloads = _bench_workloads()
+    cfg = workloads.search_config(engine, workload)
+    certified = 0
+    for key, m, reactions in workloads.family(workload):
+        net = build_network([f"X{i + 1}" for i in range(m)], reactions)
+        verdict = engine.analyze(net, cfg)
+        if isinstance(verdict, engine.GuaranteedExtinction):
+            certified += 1
+            assert find_recurrent_witness(net, verdict.transient, budget=5) is None, key
+    assert certified

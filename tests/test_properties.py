@@ -29,7 +29,13 @@ from crnextinct.invariants import (
     nonneg_kernel_generators,
 )
 from crnextinct.model import build_network, fire, is_charged, stoich_matrix
-from crnextinct.oracle import explore, recurrent_complexes, complex_recurrent, StateCapExceeded
+from crnextinct.oracle import (
+    StateCapExceeded,
+    complex_recurrent,
+    explore,
+    extinction_on,
+    recurrent_complexes,
+)
 from crnextinct.parser import format_network, parse_crn
 from crnextinct.petri import PetriFormatError, petri_export, petri_import
 from crnextinct.report import emit_report, verify_report
@@ -166,8 +172,8 @@ def test_forests_of_maximal_expansion_are_valid(net):
         assert verify_balance_outcome(dcrn, forest, outcome)
 
 
-@given(networks_with_state())
-def test_complex_recurrence_characterizations_agree(case):
+@given(networks_with_state(), st.data())
+def test_complex_recurrence_characterizations_agree(case, data):
     net, state = case
     if not is_subconservative(stoich_matrix(net)).feasible:
         return
@@ -178,6 +184,8 @@ def test_complex_recurrence_characterizations_agree(case):
     fast = recurrent_complexes(net, g)
     slow = {i for i in range(net.n) if complex_recurrent(net, g, net.complexes[i])}
     assert fast == slow
+    subset = data.draw(st.sets(st.integers(0, net.n - 1)))
+    assert extinction_on(net, g, subset) == slow.isdisjoint(subset)
 
 
 @st.composite
