@@ -93,15 +93,18 @@ def _complex_list(net: ReactionNetwork, text: str) -> list[int]:
 
 
 def _parse_init(net: ReactionNetwork, text: str) -> tuple[int, ...]:
-    counts = {name: 0 for name in net.species_names}
+    names = net.species_names
+    counts: dict[str, int] = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         name, _, value = piece.partition("=")
         name = name.strip()
-        if name not in counts:
+        if name not in names:
             raise InputError(f"unknown species {name!r} in --init")
+        if name in counts:
+            raise InputError(f"species {name!r} given twice in --init")
         try:
             count = int(value)
         except ValueError:
@@ -109,7 +112,7 @@ def _parse_init(net: ReactionNetwork, text: str) -> tuple[int, ...]:
         if count < 0:
             raise InputError(f"negative count for {name!r} in --init")
         counts[name] = count
-    return tuple(counts[name] for name in net.species_names)
+    return tuple(counts.get(name, 0) for name in names)
 
 
 def _search_config(net: ReactionNetwork, args: argparse.Namespace) -> SearchConfig:
@@ -146,6 +149,8 @@ def _positive_int(text: str, what: str) -> int:
         raise InputError(f"{what} needs an integer") from None
     if value < 1:
         raise InputError(f"{what} must be >= 1")
+    if value > sys.maxsize:
+        raise InputError(f"{what} must be <= {sys.maxsize}")
     return value
 
 
@@ -190,6 +195,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_structure(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
+    cap = _positive_int(args.cap, "--cap")
     names = net.species_names
     g = reaction_graph(net)
 
@@ -212,7 +218,7 @@ def _cmd_structure(args: argparse.Namespace) -> int:
     print("linkage classes: " + fmt_blocks(linkage_classes(g)))
     print("strong linkage classes: " + fmt_blocks(strong_linkage_classes(g)))
     print("terminal SLCs: " + fmt_blocks(terminal_slcs(g)))
-    sets = enumerate_absorbing_sets(g, _positive_int(args.cap, "--cap"))
+    sets = enumerate_absorbing_sets(g, cap)
     print(f"absorbing complex sets (first {len(sets)}):")
     for s in sets:
         print(
@@ -259,10 +265,11 @@ def _cmd_forests(args: argparse.Namespace) -> int:
         + ", ".join(format_complex(net.complexes[i], names) for i in sorted(dcrn.absorbing))
         + "}"
     )
-    forests = list(islice(enumerate_forests(dcrn), cap + 1))
-    if len(forests) > cap:
+    stream = enumerate_forests(dcrn)
+    forests = list(islice(stream, cap))
+    if next(stream, None) is not None:
         print(f"(enumeration truncated at {cap})")
-    for idx, forest in enumerate(forests[:cap], start=1):
+    for idx, forest in enumerate(forests, start=1):
         outcome = decide_balance(build_balancing_system(dcrn, forest))
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"

@@ -13,6 +13,7 @@ extinction claim on an empty complement is vacuous.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
@@ -28,6 +29,7 @@ from .domination import (
     expansion_edges,
     shrink_to_terminal,
 )
+from .exactlp import check_feasible
 from .forests import (
     TRUE_REACTIONS,
     Balanced,
@@ -40,7 +42,7 @@ from .forests import (
     verify_balance_outcome,
 )
 from .graphs import enumerate_absorbing_sets, is_absorbing_set
-from .invariants import FeasibilityOutcome, is_subconservative
+from .invariants import FeasibilityOutcome, conservation_system, is_subconservative
 from .model import ReactionNetwork, stoich_matrix
 
 
@@ -78,8 +80,9 @@ class SearchConfig:
             raise ValueError(f"unknown absorbing_strategy {self.absorbing_strategy!r}")
         if self.absorbing_strategy == "explicit" and self.explicit_absorbing is None:
             raise ValueError("explicit absorbing strategy needs explicit_absorbing")
-        if min(self.dom_cap, self.absorbing_cap, self.forest_cap) < 1:
-            raise ValueError("caps must be >= 1")
+        caps = (self.dom_cap, self.absorbing_cap, self.forest_cap)
+        if min(caps) < 1 or max(caps) > sys.maxsize:
+            raise ValueError(f"caps must be between 1 and {sys.maxsize}")
 
 
 @dataclass(frozen=True)
@@ -229,17 +232,9 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     """
     cert = verdict.certificate
     checks: list[tuple[str, bool]] = []
-    gamma = stoich_matrix(net)
 
-    c = cert.subconservation
-    ok_c = (
-        len(c) == net.m
-        and all(ci >= 1 for ci in c)
-        and all(
-            sum(ci * gamma[i][k] for i, ci in enumerate(c)) <= 0 for k in range(net.r)
-        )
-    )
-    checks.append(("subconservativity-witness", ok_c))
+    sub_system = conservation_system(stoich_matrix(net), equality=False)
+    checks.append(("subconservativity-witness", check_feasible(sub_system, cert.subconservation)))
 
     allowed = set(expansion_edges(net))
     ok_edges = all(e in allowed for e in cert.dom_edges)

@@ -9,10 +9,12 @@ positive, i.e. the contradiction 0 >= 1.  No floating point enters any path.
 The solver is a dense two-phase simplex with Bland's rule, which terminates on
 every input.  Its tableau holds Python ints: each row is scaled to integers
 and kept primitive by integer-preserving pivots (Edmonds 1967), so it stands
-for exactly the rational tableau and takes the same pivots.  Witnesses and
-certificates leave the solver as fractions.Fraction and are audited by
-check_feasible / check_farkas, which work in Fraction independently of the
-tableau.  Systems here are desk-sized, so clarity wins over sparsity.
+for exactly the rational tableau and takes the same pivots.  One path, _solve,
+runs phase 1 and then any cost stages; a Farkas certificate is read off the
+final phase-1 reduced costs.  Witnesses and certificates leave the solver as
+fractions.Fraction and are audited by check_feasible / check_farkas, which
+work in Fraction independently of the tableau.  Systems here are desk-sized,
+so clarity wins over sparsity.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 Row = tuple[tuple[Rat, ...], Rat]  # (coefficients, rhs)
@@ -121,11 +123,12 @@ def scale_to_integers(values: Sequence[Rat]) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _normalize_multipliers(values: list[Rat]) -> list[Rat]:
-    """Scale to a primitive integer vector (positive scaling keeps validity)."""
-    ints, _ = scale_to_integers(values)
-    g = gcd(*ints) or 1
-    return [Fraction(i // g) for i in ints]
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries (a zero vector stays zero)."""
+    g = gcd(*ints)
+    if g > 1:
+        return tuple(v // g for v in ints)
+    return tuple(ints)
 
 
 class _Tableau:
@@ -247,20 +250,17 @@ def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
 def _extract_farkas(
     system: LinearSystem, rc: list[int], den: int, flips: list[int], art_cols: list[int]
 ) -> Farkas:
-    """Row multipliers y = flip * (1 - rc[artificial]), scaled by den to integers."""
+    """The certificate in the optimal phase-1 reduced costs rc / den = c - yA.
+
+    Row i's multiplier is flip_i * (den - rc[artificial_i]) and the multiplier
+    of x_j >= 0 is rc[j], which cancels column j of the combined rows (LP
+    duality); the vector is made primitive and audited.
+    """
     n_eq = len(system.eq)
     y = [flip * (den - rc[c]) for flip, c in zip(flips, art_cols)]
-    combo = [Fraction(0)] * system.n
-    for m, (coeffs, _) in zip(y, system.eq + system.ge):
-        if m:
-            for j, c in enumerate(coeffs):
-                if c:
-                    combo[j] += m * c
-    scaled = _normalize_multipliers(y + [-c for c in combo])
     n_rows = len(y)
-    cert = Farkas(
-        tuple(scaled[:n_eq]), tuple(scaled[n_eq:n_rows]), tuple(scaled[n_rows:])
-    )
+    scaled = _rat_vec(primitive(y + rc[: system.n]))
+    cert = Farkas(scaled[:n_eq], scaled[n_eq:n_rows], scaled[n_rows:])
     if not check_farkas(system, cert):
         raise AssertionError("internal error: produced Farkas certificate fails its own audit")
     return cert
@@ -293,14 +293,31 @@ def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]
     return tab, None
 
 
-def solve_feasibility(system: LinearSystem) -> Outcome:
-    """Decide the system exactly, returning a checkable witness either way."""
+def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, Optional[Rat]]:
+    """Phase 1, then each integer cost minimized over the optimal face of the last.
+
+    After a stage every column with positive reduced cost is banned and the
+    next stage continues from the same basis.  Returns (Farkas, None) or the
+    final point with the last stage's optimal value (0 with no stages).
+    """
     tab, farkas = _phase1(system)
     if farkas is not None:
-        return farkas
+        return farkas, None
+    ncols = tab.ncols
+    pad = [0] * (ncols - system.n)
+    banned = set(range(system.n + len(system.ge), ncols))  # the artificials
+    rc, den = [0], 1
+    for cost in costs:
+        rc, den = tab.minimize(cost + pad, banned=banned)
+        banned.update(j for j in range(ncols) if rc[j] > 0)
     point = _extract_point(system, tab)
     assert check_feasible(system, point)
-    return Feasible(point)
+    return Feasible(point), Fraction(-rc[-1], den)
+
+
+def solve_feasibility(system: LinearSystem) -> Outcome:
+    """Decide the system exactly, returning a checkable witness either way."""
+    return _solve(system, ())[0]
 
 
 def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], Outcome]:
@@ -312,38 +329,18 @@ def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], 
     d = _rat_vec(direction)
     if len(d) != system.n:
         raise ValueError("direction length mismatch")
-    tab, farkas = _phase1(system)
-    if farkas is not None:
-        return None, farkas
     cost, scale = scale_to_integers(d)
-    cost += [0] * (tab.ncols - system.n)
-    banned = set(range(system.n + len(system.ge), tab.ncols))
-    rc, den = tab.minimize(cost, banned=banned)
-    point = _extract_point(system, tab)
-    assert check_feasible(system, point)
-    return Fraction(-rc[-1], den * scale), Feasible(point)
+    outcome, value = _solve(system, [cost])
+    return (None if value is None else value / scale), outcome
 
 
 def lexmin(system: LinearSystem) -> Outcome:
     """The lexicographically least feasible point (canonical witness).
 
-    One phase 1, then one tableau for all coordinates: after minimizing x_i,
-    every nonbasic column with positive reduced cost is banned, which keeps
-    exactly the optimal face, and x_{i+1} is minimized from the same basis.
-    Every variable is nonnegative, so each stage is bounded and the least
-    point is unique.  Deterministic: repeated calls return identical witnesses.
+    One solve with n unit-cost stages: x_1 is minimized, then x_2 over the
+    optimal face of x_1, and so on, all in one tableau.  Every variable is
+    nonnegative, so each stage is bounded and the least point is unique.
+    Deterministic: repeated calls return identical witnesses.
     """
-    tab, farkas = _phase1(system)
-    if farkas is not None:
-        return farkas
-    ncols = tab.ncols
-    banned = set(range(system.n + len(system.ge), ncols))
-    cost = [0] * ncols
-    for i in range(system.n):
-        cost[i] = 1
-        rc, _ = tab.minimize(cost, banned=banned)
-        cost[i] = 0
-        banned.update(j for j in range(ncols) if rc[j] > 0)
-    witness = _extract_point(system, tab)
-    assert check_feasible(system, witness)
-    return Feasible(witness)
+    n = system.n
+    return _solve(system, ([int(j == i) for j in range(n)] for i in range(n)))[0]

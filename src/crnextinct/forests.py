@@ -17,7 +17,7 @@ them to include domination edges for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .domination import DomCRN
 from .exactlp import (
@@ -153,7 +153,7 @@ class BalancingSystem:
     edges.  The assembled LinearSystem lays rows out deterministically:
     equalities are the support zeros (ascending variable) followed by the
     kernel rows (species order); inequalities are the flow rows (ascending
-    exterior complex) followed, when requested, by the candidate row.
+    exterior complex) followed by the candidate row (weight >= 1).
     """
 
     n_reactions: int
@@ -167,7 +167,7 @@ class BalancingSystem:
     def n_vars(self) -> int:
         return self.n_reactions + self.n_dom
 
-    def linear_system(self, candidate: Optional[int] = None) -> LinearSystem:
+    def linear_system(self, candidate: int) -> LinearSystem:
         n = self.n_vars
         eq = []
         for v in self.zero_vars:
@@ -183,10 +183,9 @@ class BalancingSystem:
             for v in in_vars:
                 coeffs[v] -= 1
             ge.append(make_row(coeffs, 0))
-        if candidate is not None:
-            coeffs = [0] * n
-            coeffs[candidate] = 1
-            ge.append(make_row(coeffs, 1))
+        coeffs = [0] * n
+        coeffs[candidate] = 1
+        ge.append(make_row(coeffs, 1))
         return LinearSystem(n, eq=tuple(eq), ge=tuple(ge))
 
 

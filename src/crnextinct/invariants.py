@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from .exactlp import (
@@ -22,6 +21,7 @@ from .exactlp import (
     check_feasible,
     lexmin,
     make_row,
+    primitive,
     solve_feasibility,
 )
 
@@ -87,15 +87,6 @@ class ConeGenerators:
     rays: tuple[tuple[int, ...], ...]
 
 
-def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
-
-
 def nonneg_kernel_generators(gamma: Matrix) -> ConeGenerators:
     """Extreme rays of {v >= 0 : Gamma v = 0} via double description.
 
@@ -128,7 +119,7 @@ def nonneg_kernel_generators(gamma: Matrix) -> ConeGenerators:
             for w, pw in neg:
                 if adjacent(u, w):
                     combined.append(
-                        _primitive(tuple(pu * wi - pw * ui for ui, wi in zip(u, w)))
+                        primitive([pu * wi - pw * ui for ui, wi in zip(u, w)])
                     )
         rays = zero + combined
     return ConeGenerators(tuple(sorted(set(rays))))

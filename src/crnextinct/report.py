@@ -58,6 +58,13 @@ def decode_rational(obj: Any) -> Fraction:
     return Fraction(_decode_int(obj["num"]), den)
 
 
+def _exact(value: Any, kind: type) -> Any:
+    """A field of exactly this JSON type: an index is no float or bool, a flag no 0."""
+    if type(value) is not kind:
+        raise ValueError(f"not a JSON {kind.__name__}: {value!r}")
+    return value
+
+
 def _rational_vector(values) -> list[dict[str, str]]:
     return [encode_rational(Fraction(v)) for v in values]
 
@@ -190,19 +197,19 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     if report.get("complexes") != expected or report.get("species") != names:
         raise ValueError("report does not match this network")
     dom_edges = tuple(
-        DominationEdge(e["from_index"], e["to_index"]) for e in report["dom_edges"]
+        DominationEdge(_exact(e["from_index"], int), _exact(e["to_index"], int))
+        for e in report["dom_edges"]
     )
-    absorbing = frozenset(report["absorbing_indices"])
+    absorbing = frozenset(_exact(i, int) for i in report["absorbing_indices"])
     choices = tuple(
-        (c["complex_index"], EdgeId(c["edge"]["kind"], c["edge"]["index"]))
+        (_exact(c["complex_index"], int), EdgeId(c["edge"]["kind"], _exact(c["edge"]["index"], int)))
         for c in report["forest"]["choices"]
     )
-    forest = ExteriorForest(
-        choices=choices, interior=tuple(report["forest"]["interior_reactions"])
-    )
+    interior = tuple(_exact(k, int) for k in report["forest"]["interior_reactions"])
+    forest = ExteriorForest(choices=choices, interior=interior)
     outcome = Unbalanced(
         tuple(
-            (w["candidate_variable"], _decode_farkas(w["farkas"]))
+            (_exact(w["candidate_variable"], int), _decode_farkas(w["farkas"]))
             for w in report["balance_refutations"]
         )
     )
@@ -215,7 +222,7 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         nontriviality=report["nontriviality"],
     )
     transient = frozenset(range(net.n)) - absorbing
-    stats = SearchStats(0, 0, 0, bool(report["statistics"]["truncated"]), 0)
+    stats = SearchStats(0, 0, 0, _exact(report["statistics"]["truncated"], bool), 0)
     verdict = GuaranteedExtinction(transient, certificate, stats)
     if report.get("transient_complexes") != _complex_names(net, transient):
         raise ValueError("transient complex names disagree with the absorbing set")

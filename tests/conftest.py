@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """Import bench/<name>.py read-only, under the module name bench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 FIXTURE_NAMES = [
     "intro",

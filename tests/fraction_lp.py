@@ -11,6 +11,7 @@ row before the next coordinate is minimized.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from crnextinct.exactlp import (
@@ -19,14 +20,24 @@ from crnextinct.exactlp import (
     LinearSystem,
     Outcome,
     UnboundedError,
-    _normalize_multipliers,
-    _rat_vec,
     check_farkas,
     check_feasible,
     make_row,
 )
 
 Rat = Fraction
+
+
+def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
+    return tuple(Fraction(v) for v in values)
+
+
+def _normalize_multipliers(values: list[Rat]) -> list[Rat]:
+    """The positive multiple of the vector that is a primitive integer vector."""
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v * scale for v in values]
+    g = gcd(*(v.numerator for v in ints)) or 1
+    return [v / g for v in ints]
 
 
 class _Tableau:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -89,6 +90,9 @@ def test_oracle_confirms_extinction(capsys):
 def test_oracle_bad_init(capsys):
     assert main(["oracle", fixture("intro"), "--init", "X9=1"]) == 2
     capsys.readouterr()
+    for init in ("X1=1,X1=2", "X1=1, X1 =1"):  # a repeated species
+        assert main(["oracle", fixture("intro"), "--init", init]) == 2
+        assert "given twice" in capsys.readouterr().err
 
 
 def test_oracle_state_cap_exit(capsys):
@@ -181,6 +185,34 @@ def test_analyze_bad_strategy_values(capsys):
 def test_out_of_range_caps_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "must be >=" in capsys.readouterr().err
+
+
+HUGE = "99999999999999999999"  # above sys.maxsize
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fixture("example21"), "--forest-cap", HUGE],
+        ["forests", fixture("example21"), "--forest-cap", HUGE],
+        ["analyze", fixture("example21"), "--dom", f"all:{HUGE}"],
+        ["structure", fixture("example21"), "--cap", HUGE],
+        ["oracle", fixture("intro"), "--init", "X1=1", "--state-cap", HUGE],
+    ],
+)
+def test_huge_caps_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be <=" in captured.err and not captured.out
+
+
+def test_largest_cap_runs(capsys):
+    cap = str(sys.maxsize)
+    assert main(["analyze", fixture("example21"), "--forest-cap", cap]) == 0
+    assert "guaranteed extinction" in capsys.readouterr().out
+    assert main(["forests", fixture("example21"), "--forest-cap", cap]) == 0
+    out = capsys.readouterr().out
+    assert "forest 1:" in out and "truncated" not in out
 
 
 def _deep_json(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from crnextinct.engine import (
@@ -158,6 +160,10 @@ def test_invalid_config():
         SearchConfig(absorbing_strategy="explicit")
     with pytest.raises(ValueError):
         SearchConfig(forest_cap=0)
+    for cap in ("dom_cap", "absorbing_cap", "forest_cap"):
+        with pytest.raises(ValueError):
+            SearchConfig(**{cap: sys.maxsize + 1})
+        SearchConfig(**{cap: sys.maxsize})
 
 
 def test_widened_search_claims_survive_oracle():

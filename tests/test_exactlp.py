@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crnextinct import exactlp
 from crnextinct.exactlp import (
     Farkas,
     Feasible,
@@ -13,6 +14,7 @@ from crnextinct.exactlp import (
     lexmin,
     make_row,
     minimize,
+    primitive,
     solve_feasibility,
 )
 
@@ -47,6 +49,34 @@ def test_minimize_value():
     value, out = minimize(system, [1, 0])
     assert value == Fraction(2)
     assert isinstance(out, Feasible)
+
+
+def test_primitive():
+    assert primitive([4, -6, 0]) == (2, -3, 0)
+    assert primitive([-3, 5]) == (-3, 5)
+    assert primitive([0, 0]) == (0, 0)
+    assert primitive([]) == ()
+
+
+def test_one_solve_path_per_public_call(monkeypatch):
+    # one _solve per public call, with 0, 1 and n cost stages: none calls another
+    stages = []
+    solve = exactlp._solve
+
+    def spy(system, costs):
+        costs = list(costs)
+        stages.append(len(costs))
+        return solve(system, costs)
+
+    monkeypatch.setattr(exactlp, "_solve", spy)
+    feasible = LinearSystem(3, eq=(make_row([1, 1, 1], 6),))
+    infeasible = LinearSystem(3, ge=(make_row([-1, 0, 0], 1),))
+    for system in (feasible, infeasible):
+        stages.clear()
+        solve_feasibility(system)
+        minimize(system, [1, 0, 2])
+        lexmin(system)
+        assert stages == [0, 1, 3]
 
 
 def test_lexmin_deterministic():

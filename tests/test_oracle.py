@@ -1,7 +1,4 @@
-import importlib.util
-import sys
 from collections import deque
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +19,7 @@ from crnextinct.oracle import (
     trace_to,
 )
 
-from conftest import name_to_index, state_of
+from conftest import bench_module, name_to_index, state_of
 
 
 def test_explore_intro(nets):
@@ -285,19 +282,10 @@ def test_subconservation_monotone(nets):
         assert sum(ci * x for ci, x in zip(c, state)) == total
 
 
-def _bench_workloads():
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload", ["certify", "search"])
 def test_engine_agrees_with_oracle_on_bench_families(workload):
     # every certified transient complex stays transient from every root up to budget 5
-    workloads = _bench_workloads()
+    workloads = bench_module("workloads")
     cfg = workloads.search_config(engine, workload)
     certified = 0
     for key, m, reactions in workloads.family(workload):

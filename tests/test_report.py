@@ -99,6 +99,39 @@ def test_report_envelope_is_checked(nets):
     assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
 
 
+def _replace(report, path, value):
+    *keys, last = path
+    for key in keys:
+        report = report[key]
+    report[last] = value(report[last])
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("example23", ("absorbing_indices",), lambda v: [float(i) for i in v]),
+        ("example23", ("absorbing_indices",), lambda v: [True, 2]),
+        ("example21", ("forest", "choices", 1, "complex_index"), float),
+        ("example21", ("forest", "choices", 1, "edge", "index"), float),
+        ("example21", ("dom_edges", 0, "to_index"), float),
+        ("example23", ("forest", "interior_reactions"), lambda v: [True, 2]),
+        ("example23", ("forest", "interior_reactions"), lambda v: [float(i) for i in v]),
+        ("example21", ("balance_refutations", 0, "candidate_variable"), float),
+        ("example21", ("statistics", "truncated"), lambda v: "no"),
+        ("example21", ("statistics", "truncated"), lambda v: 0),
+    ],
+)
+def test_report_fields_are_strictly_typed(nets, name, path, value):
+    net = nets[name]
+    _, report = _extinction_report(net)
+    report = json.loads(json.dumps(report))
+    assert verify_report(net, report)
+    _replace(report, path, value)
+    assert verify_report(net, report) is False
+    with pytest.raises(ValueError):
+        report_certificate(net, report)
+
+
 def test_envz_report_contents(nets):
     net = nets["envz"]
     verdict, report = _extinction_report(net)
