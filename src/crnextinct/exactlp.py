@@ -13,14 +13,16 @@ for exactly the rational tableau and takes the same pivots.  One path, _solve,
 runs phase 1 and then any cost stages; a Farkas certificate is read off the
 final phase-1 reduced costs.  Witnesses and certificates leave the solver as
 fractions.Fraction and are audited by check_feasible / check_farkas, which
-work in Fraction independently of the tableau.  Systems here are desk-sized,
-so clarity wins over sparsity.
+work in Fraction independently of the tableau.  The audit skips zero terms:
+a zero multiplier, coefficient or coordinate contributes nothing, and every
+term that remains is multiplied out exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -81,11 +83,12 @@ def check_feasible(system: LinearSystem, x: Sequence) -> bool:
         return False
     if any(v < 0 for v in xv):
         return False
+    support = [(j, v) for j, v in enumerate(xv) if v]
     for coeffs, rhs in system.eq:
-        if sum(c * v for c, v in zip(coeffs, xv)) != rhs:
+        if sum(coeffs[j] * v for j, v in support) != rhs:
             return False
     for coeffs, rhs in system.ge:
-        if sum(c * v for c, v in zip(coeffs, xv)) < rhs:
+        if sum(coeffs[j] * v for j, v in support) < rhs:
             return False
     return True
 
@@ -100,16 +103,17 @@ def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
         return False
     combo = [Fraction(0)] * system.n
     rhs_total = Fraction(0)
-    for m, (coeffs, rhs) in zip(cert.eq_mult, system.eq):
+    for m, (coeffs, rhs) in chain(zip(cert.eq_mult, system.eq), zip(cert.ge_mult, system.ge)):
+        if not m:
+            continue
         for j, c in enumerate(coeffs):
-            combo[j] += m * c
-        rhs_total += m * rhs
-    for m, (coeffs, rhs) in zip(cert.ge_mult, system.ge):
-        for j, c in enumerate(coeffs):
-            combo[j] += m * c
-        rhs_total += m * rhs
+            if c:
+                combo[j] += m * c
+        if rhs:
+            rhs_total += m * rhs
     for j, m in enumerate(cert.nonneg_mult):
-        combo[j] += m
+        if m:
+            combo[j] += m
     return all(c == 0 for c in combo) and rhs_total > 0
 
 

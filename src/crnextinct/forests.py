@@ -17,12 +17,14 @@ them to include domination edges for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 from .domination import DomCRN
 from .exactlp import (
     Farkas,
     LinearSystem,
+    Row,
     check_farkas,
     check_feasible,
     lexmin,
@@ -153,7 +155,9 @@ class BalancingSystem:
     edges.  The assembled LinearSystem lays rows out deterministically:
     equalities are the support zeros (ascending variable) followed by the
     kernel rows (species order); inequalities are the flow rows (ascending
-    exterior complex) followed by the candidate row (weight >= 1).
+    exterior complex) followed by the candidate row: one candidate's weight,
+    or the sum of all candidates' weights, >= 1.  The shared rows are built
+    once per system; each assembled system only appends its candidate row.
     """
 
     n_reactions: int
@@ -167,7 +171,9 @@ class BalancingSystem:
     def n_vars(self) -> int:
         return self.n_reactions + self.n_dom
 
-    def linear_system(self, candidate: int) -> LinearSystem:
+    @cached_property
+    def _shared_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+        """(equality rows, flow rows): every row but the candidate row."""
         n = self.n_vars
         eq = []
         for v in self.zero_vars:
@@ -183,10 +189,22 @@ class BalancingSystem:
             for v in in_vars:
                 coeffs[v] -= 1
             ge.append(make_row(coeffs, 0))
-        coeffs = [0] * n
-        coeffs[candidate] = 1
-        ge.append(make_row(coeffs, 1))
-        return LinearSystem(n, eq=tuple(eq), ge=tuple(ge))
+        return tuple(eq), tuple(ge)
+
+    def _with_candidate_row(self, variables: tuple[int, ...]) -> LinearSystem:
+        coeffs = [0] * self.n_vars
+        for v in variables:
+            coeffs[v] = 1
+        eq, ge = self._shared_rows
+        return LinearSystem(self.n_vars, eq=eq, ge=ge + (make_row(coeffs, 1),))
+
+    def linear_system(self, candidate: int) -> LinearSystem:
+        """The shared rows with the candidate row x_candidate >= 1."""
+        return self._with_candidate_row((candidate,))
+
+    def summed_system(self) -> LinearSystem:
+        """The shared rows with the candidate row sum of all candidates >= 1."""
+        return self._with_candidate_row(self.candidates)
 
 
 def _edge_var(dcrn: DomCRN, eid: EdgeId) -> int:
@@ -247,25 +265,37 @@ BalanceOutcome = Union[Balanced, Unbalanced]
 
 
 def decide_balance(system: BalancingSystem) -> BalanceOutcome:
-    """Balanced iff some candidate pivot is feasible; certificates either way.
+    """Balanced iff the summed system is feasible; certificates either way.
 
-    Candidates are tried in ascending order, one lexmin per candidate: its
-    Farkas certificate refutes the candidate, and the first feasible one
-    yields the canonical (lexicographically least, integer-scaled) balancing
-    vector.  If all fail, every refutation is retained.  An empty candidate
-    set is unbalanced outright.
+    One lexmin decides the forest.  Its candidate row is the sum of all
+    candidate variables >= 1; every other right-hand side is 0, so the rows
+    are a cone and the sum reaches 1 iff some single candidate does.  A
+    feasible point, scaled to integers, is the canonical balancing vector
+    and its least positive candidate the positive edge.  A Farkas answer
+    (lambda, mu, mu0, nu) has mu0 > 0 on the summed row; candidate k's
+    refutation keeps lambda and mu, puts mu0 on its own row x_k >= 1 and
+    adds mu0 to the nonneg multipliers of the other candidates, so the
+    combination is unchanged.  One refutation per candidate, ascending.
+    An empty candidate set is unbalanced outright.
     """
-    refutations: list[tuple[int, Farkas]] = []
-    for cand in system.candidates:
-        sys_k = system.linear_system(candidate=cand)
-        best = lexmin(sys_k)
-        if isinstance(best, Farkas):
-            refutations.append((cand, best))
-            continue
-        alpha = tuple(scale_to_integers(best.witness)[0])
-        assert check_feasible(sys_k, alpha)
-        return Balanced(alpha=alpha, positive_edge=cand)
-    return Unbalanced(tuple(refutations))
+    if not system.candidates:
+        return Unbalanced(())
+    best = lexmin(system.summed_system())
+    if isinstance(best, Farkas):
+        mu0 = best.ge_mult[-1]
+        nonneg = list(best.nonneg_mult)
+        for cand in system.candidates:
+            nonneg[cand] += mu0
+        refutations = []
+        for cand in system.candidates:
+            own = list(nonneg)
+            own[cand] -= mu0
+            refutations.append((cand, Farkas(best.eq_mult, best.ge_mult, tuple(own))))
+        return Unbalanced(tuple(refutations))
+    alpha = tuple(scale_to_integers(best.witness)[0])
+    positive_edge = next(k for k in system.candidates if alpha[k] > 0)
+    assert check_feasible(system.linear_system(candidate=positive_edge), alpha)
+    return Balanced(alpha=alpha, positive_edge=positive_edge)
 
 
 def verify_balance_outcome(

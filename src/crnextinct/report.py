@@ -32,7 +32,10 @@ from .model import ReactionNetwork, format_complex
 REPORT_FORMAT = "crn-extinction-report"
 # Version 2: statistics.truncated is set only when a candidate had forests
 # beyond forest_cap left undecided.  Certificate fields are as in version 1.
-REPORT_VERSION = 2
+# Version 3: the per-candidate refutations are derived from one LP per forest
+# (the summed candidate row), so their multipliers differ; the fields are as
+# in version 2.
+REPORT_VERSION = 3
 
 
 def encode_rational(x: Fraction) -> dict[str, str]:

@@ -6,6 +6,11 @@ through the same pivots, so `solve_feasibility`, `minimize` and `lexmin` here
 must return results equal (`==`) to the package's.  `lexmin` is the original
 one: a fresh phase 1 per coordinate, with each optimum fixed by an equality
 row before the next coordinate is minimized.
+
+`dense_check_feasible` and `dense_check_farkas` are the audits as exactlp had
+them before they skipped zero terms: every multiplier times every
+coefficient, in Fraction.  The reference solver audits its own answers with
+them, and the sparse audit must agree with them on every input.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from crnextinct.exactlp import (
     LinearSystem,
     Outcome,
     UnboundedError,
-    check_farkas,
-    check_feasible,
     make_row,
 )
 
@@ -30,6 +33,43 @@ Rat = Fraction
 
 def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
     return tuple(Fraction(v) for v in values)
+
+
+def dense_check_feasible(system: LinearSystem, x: Sequence) -> bool:
+    xv = _rat_vec(x)
+    if len(xv) != system.n:
+        return False
+    if any(v < 0 for v in xv):
+        return False
+    for coeffs, rhs in system.eq:
+        if sum(c * v for c, v in zip(coeffs, xv)) != rhs:
+            return False
+    for coeffs, rhs in system.ge:
+        if sum(c * v for c, v in zip(coeffs, xv)) < rhs:
+            return False
+    return True
+
+
+def dense_check_farkas(system: LinearSystem, cert: Farkas) -> bool:
+    if len(cert.eq_mult) != len(system.eq) or len(cert.ge_mult) != len(system.ge):
+        return False
+    if len(cert.nonneg_mult) != system.n:
+        return False
+    if any(m < 0 for m in cert.ge_mult) or any(m < 0 for m in cert.nonneg_mult):
+        return False
+    combo = [Fraction(0)] * system.n
+    rhs_total = Fraction(0)
+    for m, (coeffs, rhs) in zip(cert.eq_mult, system.eq):
+        for j, c in enumerate(coeffs):
+            combo[j] += m * c
+        rhs_total += m * rhs
+    for m, (coeffs, rhs) in zip(cert.ge_mult, system.ge):
+        for j, c in enumerate(coeffs):
+            combo[j] += m * c
+        rhs_total += m * rhs
+    for j, m in enumerate(cert.nonneg_mult):
+        combo[j] += m
+    return all(c == 0 for c in combo) and rhs_total > 0
 
 
 def _normalize_multipliers(values: list[Rat]) -> list[Rat]:
@@ -148,7 +188,7 @@ def _extract_farkas(system: LinearSystem, rc: list[Rat], flips: list[int], art_c
     cert = Farkas(
         tuple(scaled[:n_eq]), tuple(scaled[n_eq:n_rows]), tuple(scaled[n_rows:])
     )
-    assert check_farkas(system, cert)
+    assert dense_check_farkas(system, cert)
     return cert
 
 
@@ -183,7 +223,7 @@ def solve_feasibility(system: LinearSystem) -> Outcome:
     if farkas is not None:
         return farkas
     point = _extract_point(system, tab)
-    assert check_feasible(system, point)
+    assert dense_check_feasible(system, point)
     return Feasible(point)
 
 
@@ -196,7 +236,7 @@ def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], 
     banned = set(range(system.n + len(system.ge), tab.ncols))
     z, _ = tab.minimize(cost, banned=banned)
     point = _extract_point(system, tab)
-    assert check_feasible(system, point)
+    assert dense_check_feasible(system, point)
     return z, Feasible(point)
 
 
@@ -213,5 +253,5 @@ def lexmin(system: LinearSystem) -> Outcome:
         values.append(opt)
         current = LinearSystem(current.n, current.eq + (make_row(direction, opt),), current.ge)
     witness = tuple(values)
-    assert check_feasible(system, witness)
+    assert dense_check_feasible(system, witness)
     return Feasible(witness)

@@ -176,3 +176,61 @@ def test_integer_simplex_matches_fraction_reference(system, data):
     weight = st.one_of(st.integers(0, 4), st.builds(Fraction, st.integers(0, 9), st.integers(1, 5)))
     direction = data.draw(st.lists(weight, min_size=system.n, max_size=system.n))
     assert minimize(system, direction) == fraction_lp.minimize(system, direction)
+
+
+SMALL = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)))
+CORRUPTIONS = ("none", "perturb", "wake-zero", "flip", "length")
+
+
+def _corrupt(data, vectors: list[list]) -> None:
+    """Change the vectors in place one way: a multiplier perturbed, a zero made
+    nonzero, a sign flipped or a length changed (or nothing)."""
+    how = data.draw(st.sampled_from(CORRUPTIONS))
+    slots = [(v, i) for v, vec in enumerate(vectors) for i in range(len(vec))]
+    nonzero = SMALL.filter(bool)
+    if how == "perturb" and slots:
+        v, i = data.draw(st.sampled_from(slots))
+        vectors[v][i] += data.draw(nonzero)
+    elif how == "wake-zero":
+        zeros = [(v, i) for v, i in slots if vectors[v][i] == 0]
+        if zeros:
+            v, i = data.draw(st.sampled_from(zeros))
+            vectors[v][i] = abs(data.draw(nonzero))
+    elif how == "flip":
+        signed = [(v, i) for v, i in slots if vectors[v][i] != 0]
+        if signed:
+            v, i = data.draw(st.sampled_from(signed))
+            vectors[v][i] = -vectors[v][i]
+    elif how == "length":
+        v = data.draw(st.integers(0, len(vectors) - 1))
+        if vectors[v] and data.draw(st.booleans()):
+            vectors[v].pop()
+        else:
+            vectors[v].append(Fraction(0))
+
+
+@settings(max_examples=300)
+@given(differential_systems(), st.data())
+def test_sparse_audit_matches_dense_reference(system, data):
+    # the solver's own answer where it has one, random vectors otherwise (which
+    # no audit may accept), then perhaps corrupted
+    out = solve_feasibility(system)
+    weight = st.one_of(st.just(0), SMALL.map(abs))
+    if isinstance(out, Farkas):
+        mults = [list(out.eq_mult), list(out.ge_mult), list(out.nonneg_mult)]
+    else:
+        mults = [
+            data.draw(st.lists(SMALL, min_size=len(system.eq), max_size=len(system.eq))),
+            data.draw(st.lists(weight, min_size=len(system.ge), max_size=len(system.ge))),
+            data.draw(st.lists(weight, min_size=system.n, max_size=system.n)),
+        ]
+    _corrupt(data, mults)
+    cert = Farkas(*(tuple(Fraction(m) for m in vec) for vec in mults))
+    assert check_farkas(system, cert) == fraction_lp.dense_check_farkas(system, cert)
+
+    if isinstance(out, Feasible):
+        point = [list(out.witness)]
+    else:
+        point = [data.draw(st.lists(weight, min_size=system.n, max_size=system.n))]
+    _corrupt(data, point)
+    assert check_feasible(system, point[0]) == fraction_lp.dense_check_feasible(system, point[0])

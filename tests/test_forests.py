@@ -113,6 +113,25 @@ def test_decide_balance_one_lp_per_candidate(example33, monkeypatch):
     assert isinstance(outcome, Balanced) and len(calls) == 1
 
 
+def test_decide_balance_one_phase1_per_forest(example33, monkeypatch):
+    # both candidates are infeasible: the summed candidate row refutes them at once
+    from crnextinct import exactlp
+
+    calls = []
+    phase1 = exactlp._phase1
+
+    def counted(system):
+        calls.append(system)
+        return phase1(system)
+
+    monkeypatch.setattr(exactlp, "_phase1", counted)
+    forest = list(enumerate_forests(example33))[1]
+    outcome = decide_balance(build_balancing_system(example33, forest))
+    assert isinstance(outcome, Unbalanced)
+    assert [cand for cand, _ in outcome.witnesses] == [1, 2]
+    assert len(calls) == 1
+
+
 def test_decide_balance_right_forest(example33):
     forest = list(enumerate_forests(example33))[1]
     outcome = decide_balance(build_balancing_system(example33, forest))

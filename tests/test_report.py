@@ -1,6 +1,7 @@
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from crnextinct.report import (
     report_certificate,
     verify_report,
 )
+
+REPORT_DIR = Path(__file__).resolve().parent / "reports"
 
 
 def test_rational_encoding_round_trip(nets):
@@ -92,11 +95,25 @@ def test_report_envelope_is_checked(nets):
     assert report["format"] == REPORT_FORMAT and report["version"] == REPORT_VERSION
     for not_a_report in ([], None, "report", 7):
         assert verify_report(net, not_a_report) is False
-    # certificates are unchanged since version 1, so those reports still verify
-    for version, ok in ((1, True), (2, True), (0, False), (3, False), (True, False), ("2", False)):
+    # certificate fields are unchanged since version 1, so those reports still verify
+    for version, ok in (
+        (1, True), (2, True), (3, True), (0, False), (4, False), (True, False), ("2", False)
+    ):
         assert verify_report(net, dict(report, version=version)) is ok, version
     assert not verify_report(net, dict(report, format="bogus"))
     assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
+
+
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version2_reports_still_verify(nets, name):
+    # emitted when each candidate's refutation came from its own LP
+    net = nets[name]
+    old = json.loads((REPORT_DIR / f"{name}-v2.json").read_text(encoding="utf-8"))
+    assert old["version"] == 2
+    assert verify_report(net, old)
+    _, new = _extinction_report(net)
+    new = json.loads(json.dumps(new))
+    assert old["balance_refutations"] != new["balance_refutations"]
 
 
 def _replace(report, path, value):
