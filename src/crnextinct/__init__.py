@@ -62,13 +62,11 @@ from .model import (
 )
 from .oracle import (
     StateGraph,
-    Trace,
     complex_recurrent,
     explore,
     extinction_on,
     guaranteed_extinction_on,
     recurrent_states,
-    slc_recurrence_report,
 )
 from .parser import CrnDocument, ParseError, format_network, parse_complex, parse_crn
 from .petri import petri_export, petri_import

@@ -312,8 +312,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="explicit state-space exploration from a root state")
     p.add_argument("file")
     p.add_argument("--init", required=True, help='e.g. "X1=2,X2=0"')
-    p.add_argument("--budget", type=int, default=6)
-    p.add_argument("--state-cap", type=int, default=200000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=6,
+        help="--check-extinction sweeps every initial state whose counts total at most this",
+    )
+    p.add_argument(
+        "--state-cap",
+        type=int,
+        default=200000,
+        help="most states to store: in the root's closure, and in the one closure "
+        "shared by all roots of the --check-extinction sweep (exit 3 beyond it)",
+    )
     p.add_argument("--check-extinction", help="comma-separated complexes")
     p.set_defaults(func=_cmd_oracle)
 

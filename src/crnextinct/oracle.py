@@ -5,16 +5,23 @@ the full closure under single reaction firings (finite for subconservative
 networks; a hard cap guards everything else), labels states recurrent or
 transient through terminal strongly connected components, and reads every
 recurrence and extinction answer off those labels (recurrent_complexes).
+
+The budgeted sweep over every root (find_recurrent_witness) builds one shared
+closure instead: each root adds only the states no earlier root reached, the
+new part is condensed once, and each component's recurrent complexes follow
+from its successor components' by a bitmask recurrence.  One hard cap bounds
+the shared closure.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
-from .domination import domination_set
-from .graphs import reaction_graph, scc_ids, sink_components, strong_linkage_classes
+from .graphs import scc_ids, sink_components
 from .model import Complex, ReactionNetwork, State, fire, is_charged
 
 
@@ -28,10 +35,6 @@ class StateCapExceeded(RuntimeError):
         self.cap = cap
 
 
-class RecurrenceLawViolation(AssertionError):
-    """A structural recurrence law failed: internal arithmetic or graph bug."""
-
-
 @dataclass
 class StateGraph:
     """Reachability closure of one root state, with SCC condensation labels."""
@@ -42,32 +45,48 @@ class StateGraph:
     index: dict[State, int]
     edges: list[tuple[int, int, int]]  # (state, reaction, state)
     succ: list[list[int]]
-    parent: list[Optional[tuple[int, int]]]  # BFS tree: (parent state, reaction)
     scc_of: list[int]
     scc_terminal: list[bool]
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A firing sequence from a start state, with its per-reaction count vector."""
+def _grow(
+    net: ReactionNetwork,
+    start: State,
+    states: list[State],
+    index: dict[State, int],
+    succ: list[list[int]],
+    edges: list[tuple[int, int, int]],
+    hard_cap: int,
+) -> None:
+    """Add a new state and every state reachable from it that is not stored yet.
 
-    start: State
-    reactions: tuple[int, ...]
+    The stored states must already be closed under firing, so only the new
+    ones are expanded, in breadth-first order: their ids run on from the old
+    length, and each gets its successors from one `fire` per reaction.
+    Raises StateCapExceeded when the store would pass `hard_cap` states.
+    """
 
-    def counts(self, r: int) -> tuple[int, ...]:
-        n = [0] * r
-        for k in self.reactions:
-            n[k] += 1
-        return tuple(n)
+    def add(state: State) -> int:
+        if len(states) >= hard_cap:
+            raise StateCapExceeded(hard_cap)
+        index[state] = len(states)
+        states.append(state)
+        succ.append([])
+        return index[state]
 
-    def replay(self, net: ReactionNetwork) -> State:
-        state = self.start
-        for k in self.reactions:
+    i = add(start)
+    while i < len(states):
+        state = states[i]
+        for k in range(net.r):
             nxt = fire(net, state, k)
             if nxt is None:
-                raise ValueError(f"trace fires uncharged reaction {k} at {state}")
-            state = nxt
-        return state
+                continue
+            j = index.get(nxt)
+            if j is None:
+                j = add(nxt)
+            edges.append((i, k, j))
+            succ[i].append(j)
+        i += 1
 
 
 def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -> StateGraph:
@@ -79,50 +98,20 @@ def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -
     start: State = tuple(int(x) for x in root)
     if len(start) != net.m or any(x < 0 for x in start):
         raise ValueError(f"root must be a nonnegative vector of length {net.m}")
-    states = [start]
-    index = {start: 0}
+    states: list[State] = []
+    index: dict[State, int] = {}
+    succ: list[list[int]] = []
     edges: list[tuple[int, int, int]] = []
-    succ: list[list[int]] = [[]]
-    parent: list[Optional[tuple[int, int]]] = [None]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        state = states[i]
-        for k in range(net.r):
-            nxt = fire(net, state, k)
-            if nxt is None:
-                continue
-            j = index.get(nxt)
-            if j is None:
-                if len(states) >= hard_cap:
-                    raise StateCapExceeded(hard_cap)
-                j = len(states)
-                index[nxt] = j
-                states.append(nxt)
-                succ.append([])
-                parent.append((i, k))
-                queue.append(j)
-            edges.append((i, k, j))
-            succ[i].append(j)
+    _grow(net, start, states, index, succ, edges, hard_cap)
     scc_of = scc_ids(succ)
     return StateGraph(
-        net, start, states, index, edges, succ, parent, scc_of, sink_components(succ, scc_of)
+        net, start, states, index, edges, succ, scc_of, sink_components(succ, scc_of)
     )
 
 
 def recurrent_states(g: StateGraph) -> list[bool]:
     """Per-state labels: recurrent iff the state's SCC is terminal."""
     return [g.scc_terminal[c] for c in g.scc_of]
-
-
-def trace_to(g: StateGraph, state: Sequence[int]) -> Trace:
-    """The BFS-tree firing sequence from the root to a stored state."""
-    i = g.index[tuple(state)]
-    seq: list[int] = []
-    while g.parent[i] is not None:
-        i, k = g.parent[i]
-        seq.append(k)
-    return Trace(g.root, tuple(reversed(seq)))
 
 
 def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
@@ -147,25 +136,27 @@ def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
     return all(can)
 
 
+def _charged_mask(net: ReactionNetwork, states: Sequence[State]) -> int:
+    """Bitmask of the complexes that some of the states charge (bit i: complex i)."""
+    return sum(
+        1 << ci
+        for ci, cpx in enumerate(net.complexes)
+        if any(is_charged(cpx, s) for s in states)
+    )
+
+
 def recurrent_complexes(net: ReactionNetwork, g: StateGraph) -> frozenset[int]:
     """Complex indices recurrent from the graph's root.
 
     A complex is recurrent iff every terminal SCC of explore's labels charges
     it somewhere; on finite graphs this agrees with complex_recurrent.
     """
-    alive: Optional[set[int]] = None
-    members: dict[int, list[int]] = {}
+    members: dict[int, list[State]] = {}
     for i, c in enumerate(g.scc_of):
         if g.scc_terminal[c]:
-            members.setdefault(c, []).append(i)
-    for group in members.values():
-        charged_here = {
-            ci
-            for ci, cpx in enumerate(g.net.complexes)
-            if any(is_charged(cpx, g.states[i]) for i in group)
-        }
-        alive = charged_here if alive is None else alive & charged_here
-    return frozenset(alive or set())
+            members.setdefault(c, []).append(g.states[i])
+    alive = reduce(and_, (_charged_mask(net, group) for group in members.values()))
+    return frozenset(ci for ci in range(net.n) if alive >> ci & 1)
 
 
 def _targets(net: ReactionNetwork, complexes: Iterable[int]) -> set[int]:
@@ -205,8 +196,9 @@ def guaranteed_extinction_on(
     """Extinction from every root with coordinate sum up to `budget`.
 
     A budgeted under-approximation of quantifying over the whole state space;
-    callers report the budget alongside the answer.  The roots are
-    find_recurrent_witness's, and the answer is True iff it finds none.
+    callers report the budget alongside the answer.  The answer is True iff
+    find_recurrent_witness finds no root, over the same shared closure and
+    under the same cap on all of it.
     """
     return find_recurrent_witness(net, complexes, budget, hard_cap) is None
 
@@ -221,59 +213,43 @@ def find_recurrent_witness(
 
     Roots go by total, then in states_with_total order; the complex is the
     least listed one recurrent from that root.  None when there is no such pair.
+
+    All roots share one closure.  A root not yet in it adds the states that are
+    new; since the old part is closed under firing, no new state shares an SCC
+    with an old one, so only the new part is condensed (scc_ids, whose ids are
+    reverse topological).  In id order, a terminal component's mask is the set
+    of complexes its states charge and any other's is the intersection of its
+    successor components' masks; a root's recurrent complexes are the mask of
+    its component.  The sweep stops at the first root that hits a target.
+    Raises StateCapExceeded when the shared closure passes `hard_cap` states.
     """
     targets = _targets(net, complexes)
+    wanted = sum(1 << ci for ci in targets)
+    states: list[State] = []
+    index: dict[State, int] = {}
+    succ: list[list[int]] = []
+    edges: list[tuple[int, int, int]] = []  # kept by _grow for explore; unread here
+    comp_of: list[int] = []
+    masks: list[int] = []  # per component, in scc_ids order
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):
-            g = explore(net, root, hard_cap)
-            hit = recurrent_complexes(net, g) & targets
+            if root not in index:
+                base = len(states)
+                _grow(net, root, states, index, succ, edges, hard_cap)
+                new = range(base, len(states))
+                local = scc_ids([[j - base for j in succ[i] if j >= base] for i in new])
+                groups: list[list[int]] = [[] for _ in range(max(local) + 1)]
+                for v, c in enumerate(local, start=base):
+                    groups[c].append(v)
+                    comp_of.append(len(masks) + c)
+                for group in groups:
+                    out = {comp_of[w] for v in group for w in succ[v]} - {len(masks)}
+                    masks.append(
+                        reduce(and_, (masks[d] for d in out))
+                        if out
+                        else _charged_mask(net, [states[v] for v in group])
+                    )
+            hit = masks[comp_of[index[root]]] & wanted
             if hit:
-                return g.root, min(hit)
+                return root, (hit & -hit).bit_length() - 1
     return None
-
-
-@dataclass(frozen=True)
-class SlcRecurrenceReport:
-    slc_labels: tuple[tuple[frozenset[int], bool], ...]  # (SLC, recurrent?)
-    recurrent_complexes: frozenset[int]
-
-
-def slc_recurrence_report(net: ReactionNetwork, g: StateGraph) -> SlcRecurrenceReport:
-    """Label each SLC recurrent/transient from the root and assert the structural laws.
-
-    Checks, raising RecurrenceLawViolation on failure:
-      (a) complexes within one SLC share a single recurrence label;
-      (b) along every edge of the fully expanded graph (all true reactions and
-          all domination relations), recurrence propagates forward, hence
-          transience backward;
-      (c) consequently the recurrent complex set is closed in that graph and
-          is a union of SLCs.
-    """
-    alive = recurrent_complexes(net, g)
-    slcs = strong_linkage_classes(reaction_graph(net))
-    labels = []
-    for block in slcs:
-        flags = {ci in alive for ci in block}
-        if len(flags) > 1:
-            raise RecurrenceLawViolation(f"SLC {sorted(block)} mixes recurrent and transient complexes")
-        labels.append((block, flags.pop()))
-    edges = [(net.source_index[k], net.target_index[k]) for k in range(net.r)]
-    edges += [(e.src, e.dst) for e in domination_set(net)]
-    for src, dst in edges:
-        if src in alive and dst not in alive:
-            raise RecurrenceLawViolation(
-                f"recurrence fails to propagate along edge {src}->{dst} "
-                "of the fully expanded graph"
-            )
-    return SlcRecurrenceReport(tuple(labels), alive)
-
-
-def subconservation_monotone(
-    net: ReactionNetwork, g: StateGraph, witness: Sequence
-) -> bool:
-    """Does c . X never increase along any explored edge?  (Constant for conservative c.)"""
-
-    def weight(state: State):
-        return sum(c * x for c, x in zip(witness, state))
-
-    return all(weight(g.states[j]) <= weight(g.states[i]) for i, _, j in g.edges)

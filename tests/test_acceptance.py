@@ -62,7 +62,6 @@ from crnextinct.oracle import (
     guaranteed_extinction_on,
     recurrent_complexes,
     recurrent_states,
-    slc_recurrence_report,
     states_with_total,
 )
 from crnextinct.parser import format_network, parse_crn
@@ -76,6 +75,7 @@ from conftest import (
     random_subconservative,
     state_of,
 )
+from oracle_reference import slc_recurrence_report
 
 RANDOM_SEED = 20260810
 RANDOM_COUNT = 200

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,22 @@ def test_oracle_state_cap_exit(capsys):
     code = main(["oracle", fixture("example22"), "--init", "X1=1", "--state-cap", "10"])
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_oracle_sweep_cap_is_shared():
+    # each intro root's own closure stays far below 500 states; the sweep's
+    # shared closure does not, so a huge budget must stop at the cap quickly
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    args = ["oracle", fixture("intro"), "--init", "X1=1", "--check-extinction", "2 X1"]
+    args += ["--budget", "1000000", "--state-cap", "500"]
+    done = subprocess.run(
+        [sys.executable, "-m", "crnextinct.cli", *args],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 3
+    assert "the reachable space may be infinite" in done.stderr
 
 
 def test_structure_output(capsys):

@@ -1,8 +1,11 @@
 from collections import deque
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crnextinct import engine
+from crnextinct import engine, oracle
 from crnextinct.model import Complex, build_network
 from crnextinct.oracle import (
     StateCapExceeded,
@@ -13,13 +16,11 @@ from crnextinct.oracle import (
     guaranteed_extinction_on,
     recurrent_complexes,
     recurrent_states,
-    slc_recurrence_report,
     states_with_total,
-    subconservation_monotone,
-    trace_to,
 )
 
-from conftest import bench_module, name_to_index, state_of
+from conftest import FIXTURE_NAMES, bench_module, name_to_index, state_of
+from oracle_reference import slc_recurrence_report, subconservation_monotone, trace_to
 
 
 def test_explore_intro(nets):
@@ -193,16 +194,104 @@ def test_guaranteed_extinction_example101_false(nets):
     assert complex_recurrent(net, g, net.complexes[ci])
 
 
+def _per_root_witnesses(net, budget, cap):
+    """Per complex, the first (root, complex) hit of a per-root explore + complex_recurrent loop."""
+    first = {}
+    for total in range(budget + 1):
+        for root in states_with_total(net.m, total):
+            g = explore(net, root, hard_cap=cap)
+            for ci in range(net.n):
+                if ci not in first and complex_recurrent(net, g, net.complexes[ci]):
+                    first[ci] = (root, ci)
+    return first
+
+
 def test_sweep_matches_per_root_definition(nets):
-    # guaranteed_extinction_on against explore + complex_recurrent, root by root
-    for name in ("intro", "example100", "example101"):
+    # the shared sweep against explore + complex_recurrent, root by root, on
+    # every fixture whose per-root closures stay under the reference cap
+    swept = 0
+    for name in FIXTURE_NAMES:
         net = nets[name]
-        graphs = [
-            explore(net, root) for total in range(4) for root in states_with_total(net.m, total)
-        ]
+        try:
+            first = _per_root_witnesses(net, 3, cap=2000)
+        except StateCapExceeded:
+            continue
+        swept += 1
+        cap = 2000 * comb(net.m + 3, 3)  # per-root cap times the number of roots
         for ci in range(net.n):
-            slow = all(not complex_recurrent(net, g, net.complexes[ci]) for g in graphs)
-            assert guaranteed_extinction_on(net, {ci}, budget=3) == slow, (name, ci)
+            want = first.get(ci)
+            assert find_recurrent_witness(net, {ci}, budget=3, hard_cap=cap) == want, (name, ci)
+            assert guaranteed_extinction_on(net, {ci}, budget=3, hard_cap=cap) == (want is None)
+    assert swept == len(FIXTURE_NAMES) - 1  # example22 grows without bound
+
+
+@st.composite
+def small_networks(draw):
+    m = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 2)] * m)
+    reactions = draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=5))
+    return build_network([f"X{i + 1}" for i in range(m)], reactions)
+
+
+@settings(max_examples=150)
+@given(net=small_networks(), data=st.data())
+def test_sweep_matches_per_root_definition_random(net, data):
+    targets = data.draw(st.sets(st.integers(0, net.n - 1), min_size=1))
+    try:
+        first = _per_root_witnesses(net, 3, cap=300)
+    except StateCapExceeded:
+        return
+    hits = [first[ci] for ci in targets if ci in first]
+    # roots in sweep order, then the least complex
+    order = [root for total in range(4) for root in states_with_total(net.m, total)]
+    want = min(hits, key=lambda h: (order.index(h[0]), h[1])) if hits else None
+    cap = 300 * len(order)
+    assert find_recurrent_witness(net, targets, budget=3, hard_cap=cap) == want
+
+
+def _count_fire(monkeypatch):
+    calls = [0]
+    real = oracle.fire
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "fire", counted)
+    return calls
+
+
+def test_sweep_fires_each_state_once(nets, monkeypatch):
+    net = nets["envz"]
+    names = name_to_index(net)
+    distinct = {
+        s for total in range(4) for root in states_with_total(net.m, total)
+        for s in explore(net, root).states
+    }
+    calls = _count_fire(monkeypatch)
+    assert guaranteed_extinction_on(net, set(range(net.n)) - {names["X4"]}, budget=3)
+    assert len(distinct) == 720
+    assert calls[0] == net.r * len(distinct)
+
+
+def test_witness_search_stops_at_first_hit(nets, monkeypatch):
+    net = nets["example101"]
+    names = name_to_index(net)
+    nonterminal = {names["X1"], names["X2 + X4"]}
+    calls = _count_fire(monkeypatch)
+    found = find_recurrent_witness(net, nonterminal, budget=2)
+    at_two, calls[0] = calls[0], 0
+    assert find_recurrent_witness(net, nonterminal, budget=6) == found
+    assert found[0] == (0, 1, 1, 0, 0)
+    assert calls[0] == at_two
+
+
+def test_sweep_cap_bounds_the_shared_closure(nets):
+    # every root's own closure in intro stays tiny; the roots together do not
+    net = nets["intro"]
+    names = name_to_index(net)
+    with pytest.raises(StateCapExceeded):
+        guaranteed_extinction_on(net, {names["2 X1"]}, budget=10**6, hard_cap=500)
 
 
 def test_target_indices_are_range_checked(nets):
@@ -284,7 +373,7 @@ def test_subconservation_monotone(nets):
 
 @pytest.mark.parametrize("workload", ["certify", "search"])
 def test_engine_agrees_with_oracle_on_bench_families(workload):
-    # every certified transient complex stays transient from every root up to budget 5
+    # every certified transient complex stays transient from every root up to budget 6
     workloads = bench_module("workloads")
     cfg = workloads.search_config(engine, workload)
     certified = 0
@@ -293,5 +382,5 @@ def test_engine_agrees_with_oracle_on_bench_families(workload):
         verdict = engine.analyze(net, cfg)
         if isinstance(verdict, engine.GuaranteedExtinction):
             certified += 1
-            assert find_recurrent_witness(net, verdict.transient, budget=5) is None, key
+            assert find_recurrent_witness(net, verdict.transient, budget=6) is None, key
     assert certified
