@@ -170,6 +170,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.budget < 0:
         raise InputError("--budget must be >= 0")
     state_cap = _positive_int(args.state_cap, "--state-cap")
+    targets = _complex_list(net, args.check_extinction) if args.check_extinction else None
     graph = explore(net, root, hard_cap=state_cap)
     names = net.species_names
     flags = recurrent_states(graph)
@@ -180,8 +181,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for i, cpx in enumerate(net.complexes):
         label = "recurrent" if i in alive else "transient"
         print(f"complex {format_complex(cpx, names)}: {label}")
-    if args.check_extinction:
-        targets = _complex_list(net, args.check_extinction)
+    if targets is not None:
         local = extinction_on(net, graph, targets)
         print(f"extinction event on listed complexes from root: {local}")
         swept = guaranteed_extinction_on(

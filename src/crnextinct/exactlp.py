@@ -6,16 +6,19 @@ certificate: multipliers, nonnegative on inequality rows, whose combination
 cancels every variable while combining the right-hand sides to something
 positive, i.e. the contradiction 0 >= 1.  No floating point enters any path.
 
-The solver is a dense two-phase simplex with Bland's rule, which terminates on
-every input.  Its tableau holds Python ints: each row is scaled to integers
-and kept primitive by integer-preserving pivots (Edmonds 1967), so it stands
-for exactly the rational tableau and takes the same pivots.  One path, _solve,
-runs phase 1 and then any cost stages; a Farkas certificate is read off the
-final phase-1 reduced costs.  Witnesses and certificates leave the solver as
-fractions.Fraction and are audited by check_feasible / check_farkas, which
-work in Fraction independently of the tableau.  The audit skips zero terms:
-a zero multiplier, coefficient or coordinate contributes nothing, and every
-term that remains is multiplied out exactly.
+Rows are Python ints from construction on.  make_row is the one place that
+accepts rationals: it scales such a row by the lcm of its denominators, which
+changes no solution set.  The solver is a dense two-phase simplex with
+Bland's rule, which terminates on every input.  Its tableau holds the integer
+rows as given, kept primitive by integer-preserving pivots (Edmonds 1967), so
+it stands for exactly the rational tableau and takes the same pivots.  One
+path, _solve, runs phase 1 and then any cost stages; a Farkas certificate is
+read off the final phase-1 reduced costs.  Witnesses and certificates leave
+the solver as fractions.Fraction and are audited by check_feasible /
+check_farkas independently of the tableau: the witness, or all multipliers,
+are scaled to integers by one lcm, and each row becomes an integer sum over
+the nonzero terms.  Scaling by a positive number changes no sign, so the
+audit is exact.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
-Row = tuple[tuple[Rat, ...], Rat]  # (coefficients, rhs)
+Row = tuple[tuple[int, ...], int]  # (coefficients, rhs)
 
 
 def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
@@ -35,13 +38,19 @@ def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
 
 
 def make_row(coeffs: Sequence, rhs) -> Row:
-    return (_rat_vec(coeffs), Fraction(rhs))
+    """An integer row; rational entries scale the row by the lcm of their denominators."""
+    row = [*coeffs, rhs]
+    if set(map(type, row)) != {int}:
+        row = scale_to_integers(_rat_vec(row))[0]
+    return tuple(row[:-1]), row[-1]
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """Constraints over `n` nonnegative variables: eq rows a.x = b, ge rows a.x >= b.
 
+    Every coefficient and right-hand side is an int (`make_row` turns a
+    rational row into one); any other type, bool included, is a ValueError.
     The implicit rows x >= 0 participate in Farkas certificates through
     `nonneg` multipliers.
     """
@@ -51,9 +60,15 @@ class LinearSystem:
     ge: tuple[Row, ...] = ()
 
     def __post_init__(self) -> None:
-        for coeffs, _ in self.eq + self.ge:
+        types = set()
+        for coeffs, rhs in self.eq + self.ge:
             if len(coeffs) != self.n:
                 raise ValueError(f"row has {len(coeffs)} coefficients, expected {self.n}")
+            types.update(map(type, coeffs))
+            types.add(type(rhs))
+        if not types <= {int}:
+            bad = ", ".join(sorted(t.__name__ for t in types - {int}))
+            raise ValueError(f"row entries must be int, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -78,32 +93,44 @@ class UnboundedError(ArithmeticError):
 
 
 def check_feasible(system: LinearSystem, x: Sequence) -> bool:
-    xv = _rat_vec(x)
-    if len(xv) != system.n:
+    """Is x (ints or Fractions) a nonnegative point satisfying every row exactly?
+
+    x is scaled to integers s*x by the lcm s of its denominators; each row
+    a.x = b (or >= b) is checked as the integer sum a.(s*x) against s*b.
+    """
+    if len(x) != system.n:
         return False
-    if any(v < 0 for v in xv):
+    xs, scale = scale_to_integers(x)
+    if any(v < 0 for v in xs):
         return False
-    support = [(j, v) for j, v in enumerate(xv) if v]
+    support = [(j, v) for j, v in enumerate(xs) if v]
     for coeffs, rhs in system.eq:
-        if sum(coeffs[j] * v for j, v in support) != rhs:
+        if sum(coeffs[j] * v for j, v in support) != rhs * scale:
             return False
     for coeffs, rhs in system.ge:
-        if sum(coeffs[j] * v for j, v in support) < rhs:
+        if sum(coeffs[j] * v for j, v in support) < rhs * scale:
             return False
     return True
 
 
 def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
-    """Re-derive the contradiction exactly; True only if every step checks."""
-    if len(cert.eq_mult) != len(system.eq) or len(cert.ge_mult) != len(system.ge):
+    """Re-derive the contradiction exactly; True only if every step checks.
+
+    All multipliers are scaled to integers by the lcm of their denominators,
+    so the combination and its right-hand side are integer sums over the
+    nonzero multipliers and coefficients.
+    """
+    n_eq, n_ge = len(system.eq), len(system.ge)
+    if len(cert.eq_mult) != n_eq or len(cert.ge_mult) != n_ge:
         return False
     if len(cert.nonneg_mult) != system.n:
         return False
-    if any(m < 0 for m in cert.ge_mult) or any(m < 0 for m in cert.nonneg_mult):
+    mults, _ = scale_to_integers([*cert.eq_mult, *cert.ge_mult, *cert.nonneg_mult])
+    if any(m < 0 for m in mults[n_eq:]):
         return False
-    combo = [Fraction(0)] * system.n
-    rhs_total = Fraction(0)
-    for m, (coeffs, rhs) in chain(zip(cert.eq_mult, system.eq), zip(cert.ge_mult, system.ge)):
+    combo = mults[n_eq + n_ge:]  # the rows x >= 0 contribute their multipliers
+    rhs_total = 0
+    for m, (coeffs, rhs) in zip(mults, chain(system.eq, system.ge)):
         if not m:
             continue
         for j, c in enumerate(coeffs):
@@ -111,14 +138,11 @@ def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
                 combo[j] += m * c
         if rhs:
             rhs_total += m * rhs
-    for j, m in enumerate(cert.nonneg_mult):
-        if m:
-            combo[j] += m
-    return all(c == 0 for c in combo) and rhs_total > 0
+    return not any(combo) and rhs_total > 0
 
 
-def scale_to_integers(values: Sequence[Rat]) -> tuple[list[int], int]:
-    """Scale rationals by the lcm of their denominators: (integers, lcm)."""
+def scale_to_integers(values: Sequence) -> tuple[list[int], int]:
+    """Scale ints or rationals by the lcm of their denominators: (integers, lcm)."""
     scale = 1
     for v in values:
         d = v.denominator
@@ -215,11 +239,11 @@ class _Tableau:
 
 
 def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], int, list[int], int]:
-    """Build phase-1 rows: [x | slacks | artificials | rhs], each scaled to integers.
+    """Build phase-1 rows [x | slacks | artificials | rhs] from the integer rows.
 
-    A row's scale (the lcm of its denominators) multiplies its slack and
-    artificial entries too, so each integer row stands for the rational row.
-    Returns (rows, flips, n_slack, art_cols, ncols).
+    A row with negative rhs is negated (its flip is -1) so that the
+    artificial basis starts feasible.  Returns (rows, flips, n_slack,
+    art_cols, ncols).
     """
     n = system.n
     rows_in = [(coeffs, rhs, False) for coeffs, rhs in system.eq]
@@ -232,12 +256,11 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], int,
     for i, (coeffs, rhs, is_ge) in enumerate(rows_in):
         flip = -1 if rhs < 0 else 1
         flips.append(flip)
-        ints, scale = scale_to_integers([*coeffs, rhs])
-        row = [flip * v for v in ints[:n]] + [0] * (ncols - n) + [flip * ints[n]]
+        row = [flip * v for v in coeffs] + [0] * (ncols - n) + [flip * rhs]
         if is_ge:
-            row[slack_at] = -flip * scale
+            row[slack_at] = -flip
             slack_at += 1
-        row[n + n_slack + i] = scale
+        row[n + n_slack + i] = 1
         rows.append(row)
     art_cols = list(range(n + n_slack, ncols))
     return rows, flips, n_slack, art_cols, ncols

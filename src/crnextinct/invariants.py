@@ -22,7 +22,6 @@ from .exactlp import (
     lexmin,
     make_row,
     primitive,
-    solve_feasibility,
 )
 
 Matrix = Sequence[Sequence[int]]
@@ -133,17 +132,3 @@ def p_invariants(gamma: Matrix) -> ConeGenerators:
 def t_invariants(gamma: Matrix) -> ConeGenerators:
     """Nonnegative generators of the right kernel (Petri-net T-invariants)."""
     return nonneg_kernel_generators(gamma)
-
-
-def in_cone(vector: Sequence, gens: ConeGenerators) -> bool:
-    """Is the vector a nonnegative combination of the generators?  Exact LP check."""
-    target = [Fraction(v) for v in vector]
-    k = len(gens.rays)
-    if k == 0:
-        return all(v == 0 for v in target)
-    dim = len(target)
-    eq = tuple(
-        make_row([gens.rays[j][i] for j in range(k)], target[i]) for i in range(dim)
-    )
-    system = LinearSystem(k, eq=eq)
-    return isinstance(solve_feasibility(system), Feasible)

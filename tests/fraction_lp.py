@@ -8,9 +8,10 @@ one: a fresh phase 1 per coordinate, with each optimum fixed by an equality
 row before the next coordinate is minimized.
 
 `dense_check_feasible` and `dense_check_farkas` are the audits as exactlp had
-them before they skipped zero terms: every multiplier times every
-coefficient, in Fraction.  The reference solver audits its own answers with
-them, and the sparse audit must agree with them on every input.
+them before they skipped zero terms and summed integers: every multiplier
+times every coefficient, in Fraction.  The reference solver audits its own
+answers with them, and the package's audits must agree with them on every
+input.
 """
 
 from __future__ import annotations
@@ -157,13 +158,13 @@ def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], int,
         flip = -1 if rhs < 0 else 1
         flips.append(flip)
         row = [Fraction(0)] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = flip * c
+        for j, c in enumerate(coeffs):  # int rows become Fraction rows here
+            row[j] = Fraction(flip * c)
         if kind == "ge":
             row[n + slack_at] = Fraction(-flip)
             slack_at += 1
         row[n + n_slack + i] = Fraction(1)
-        row[-1] = flip * rhs
+        row[-1] = Fraction(flip * rhs)
         rows.append(row)
     art_cols = list(range(n + n_slack, ncols))
     return rows, flips, n_slack, art_cols, ncols

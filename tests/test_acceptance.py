@@ -30,7 +30,7 @@ from crnextinct.engine import (
     analyze,
     verify_verdict,
 )
-from crnextinct.exactlp import Farkas, LinearSystem, check_feasible, solve_feasibility
+from crnextinct.exactlp import Farkas, LinearSystem, check_feasible, make_row, solve_feasibility
 from crnextinct.forests import (
     Balanced,
     Unbalanced,
@@ -213,8 +213,8 @@ def test_criterion_03_balance(nets):
     relaxation = LinearSystem(
         3,
         eq=tuple(
-            [((Fraction(0), Fraction(1), Fraction(0)), Fraction(0))]
-            + [(tuple(Fraction(v) for v in row), Fraction(0)) for row in gamma]
+            [make_row([0, 1, 0], 0)]
+            + [make_row(row, 0) for row in gamma]
         ),
     )
     assert check_feasible(relaxation, (2, 0, 1))

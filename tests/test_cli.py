@@ -98,6 +98,15 @@ def test_oracle_bad_init(capsys):
         assert "given twice" in capsys.readouterr().err
 
 
+def test_oracle_bad_target_prints_nothing(capsys):
+    # the targets are checked before the root is explored or reported
+    args = ["oracle", fixture("intro"), "--init", "X1=1", "--check-extinction", "X9"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown species 'X9'" in captured.err
+
+
 def test_oracle_state_cap_exit(capsys):
     code = main(["oracle", fixture("example22"), "--init", "X1=1", "--state-cap", "10"])
     assert code == 3

@@ -51,6 +51,39 @@ def test_minimize_value():
     assert isinstance(out, Feasible)
 
 
+def test_rows_must_be_ints():
+    for bad in (Fraction(1, 2), Fraction(2), 1.0, True):
+        with pytest.raises(ValueError, match="must be int"):
+            LinearSystem(2, eq=(((1, bad), 0),))
+        with pytest.raises(ValueError, match="must be int"):
+            LinearSystem(2, ge=(((1, 0), bad),))
+    assert LinearSystem(2, eq=(((1, -2), 3),)).eq == (((1, -2), 3),)
+
+
+def test_make_row_scales_rationals_to_ints():
+    # lcm(2, 3, 4) = 12
+    assert make_row([Fraction(1, 2), Fraction(-2, 3), 1], Fraction(5, 4)) == ((6, -8, 12), 15)
+    assert make_row([True, 0.5], 0) == ((2, 1), 0)
+    assert make_row([1, 2**64], -3) == ((1, 2**64), -3)
+    huge = Fraction(1, 2**64 + 1)
+    assert make_row([huge, 1], Fraction(1, 2)) == ((2, 2 * (2**64 + 1)), 2**64 + 1)
+
+
+def test_integer_rows_build_no_fraction(monkeypatch):
+    # int rows, points and multipliers stay ints in make_row, _standardize
+    # and both audits
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(exactlp, "Fraction", no_fraction)
+    feasible = LinearSystem(2, eq=(make_row([1, -1], 0),), ge=(make_row([1, 0], 1),))
+    exactlp._standardize(feasible)
+    assert check_feasible(feasible, (1, 1))
+    infeasible = LinearSystem(1, ge=(make_row([1], 1), make_row([-1], 0)))
+    exactlp._standardize(infeasible)
+    assert check_farkas(infeasible, Farkas((), (1, 1), (0,)))
+
+
 def test_primitive():
     assert primitive([4, -6, 0]) == (2, -3, 0)
     assert primitive([-3, 5]) == (-3, 5)
@@ -179,6 +212,16 @@ def test_integer_simplex_matches_fraction_reference(system, data):
 
 
 SMALL = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)))
+HUGE_RATIONAL = st.builds(Fraction, st.integers(HUGE, 4 * HUGE), st.integers(1, 4 * HUGE))
+ENTRY = st.one_of(SMALL, HUGE_RATIONAL, HUGE_RATIONAL.map(lambda v: -v))
+# positive factors for the solver's answers: a valid certificate stays valid,
+# and its entries get mixed denominators (3/6 and 5/6 reduce to 1/2 and 5/6)
+SCALE = st.one_of(
+    st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 12)),
+    HUGE_RATIONAL,
+    HUGE_RATIONAL.map(lambda v: 1 / v),
+)
 CORRUPTIONS = ("none", "perturb", "wake-zero", "flip", "length")
 
 
@@ -187,7 +230,7 @@ def _corrupt(data, vectors: list[list]) -> None:
     nonzero, a sign flipped or a length changed (or nothing)."""
     how = data.draw(st.sampled_from(CORRUPTIONS))
     slots = [(v, i) for v, vec in enumerate(vectors) for i in range(len(vec))]
-    nonzero = SMALL.filter(bool)
+    nonzero = ENTRY.filter(bool)
     if how == "perturb" and slots:
         v, i = data.draw(st.sampled_from(slots))
         vectors[v][i] += data.draw(nonzero)
@@ -212,15 +255,16 @@ def _corrupt(data, vectors: list[list]) -> None:
 @settings(max_examples=300)
 @given(differential_systems(), st.data())
 def test_sparse_audit_matches_dense_reference(system, data):
-    # the solver's own answer where it has one, random vectors otherwise (which
-    # no audit may accept), then perhaps corrupted
+    # the solver's own answer times a positive rational where it has one,
+    # random rational vectors otherwise, then perhaps corrupted
     out = solve_feasibility(system)
-    weight = st.one_of(st.just(0), SMALL.map(abs))
+    weight = st.one_of(st.just(0), ENTRY.map(abs))
     if isinstance(out, Farkas):
-        mults = [list(out.eq_mult), list(out.ge_mult), list(out.nonneg_mult)]
+        scale = data.draw(SCALE)
+        mults = [[scale * m for m in vec] for vec in (out.eq_mult, out.ge_mult, out.nonneg_mult)]
     else:
         mults = [
-            data.draw(st.lists(SMALL, min_size=len(system.eq), max_size=len(system.eq))),
+            data.draw(st.lists(ENTRY, min_size=len(system.eq), max_size=len(system.eq))),
             data.draw(st.lists(weight, min_size=len(system.ge), max_size=len(system.ge))),
             data.draw(st.lists(weight, min_size=system.n, max_size=system.n)),
         ]
@@ -229,7 +273,8 @@ def test_sparse_audit_matches_dense_reference(system, data):
     assert check_farkas(system, cert) == fraction_lp.dense_check_farkas(system, cert)
 
     if isinstance(out, Feasible):
-        point = [list(out.witness)]
+        scale = data.draw(SCALE)
+        point = [[scale * v for v in out.witness]]
     else:
         point = [data.draw(st.lists(weight, min_size=system.n, max_size=system.n))]
     _corrupt(data, point)

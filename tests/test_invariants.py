@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from crnextinct.invariants import (
-    in_cone,
     is_conservative,
     is_subconservative,
     nonneg_kernel_generators,
@@ -9,6 +8,8 @@ from crnextinct.invariants import (
     t_invariants,
 )
 from crnextinct.model import stoich_matrix
+
+from cone_reference import in_cone
 
 ENVZ_GENERATORS = sorted(
     [

@@ -40,6 +40,7 @@ from crnextinct.parser import format_network, parse_crn
 from crnextinct.petri import PetriFormatError, petri_export, petri_import
 from crnextinct.report import emit_report, verify_report
 
+from cone_reference import in_cone
 from conftest import FIXTURE_NAMES
 
 
@@ -234,7 +235,6 @@ def test_cone_generators_are_complete(net):
     # any point of the kernel-orthant polytope must decompose over the rays
     gamma = stoich_matrix(net)
     gens = nonneg_kernel_generators(gamma)
-    from crnextinct.invariants import in_cone
     from crnextinct.exactlp import lexmin, Feasible, make_row
 
     slice_system = LinearSystem(

@@ -116,6 +116,19 @@ def test_version2_reports_still_verify(nets, name):
     assert old["balance_refutations"] != new["balance_refutations"]
 
 
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version3_report_bytes_are_pinned(nets, name):
+    # emitted at version 3; a change to any byte, multipliers included, must
+    # come with a new REPORT_VERSION and new pinned reports
+    pinned = (REPORT_DIR / f"{name}-v3.json").read_bytes()
+    net = nets[name]
+    cfg = SearchConfig()
+    assert emit_report(net, analyze(net, cfg), cfg) == pinned
+    report = json.loads(pinned)
+    assert report["version"] == 3
+    assert verify_report(net, report)
+
+
 def _replace(report, path, value):
     *keys, last = path
     for key in keys:
