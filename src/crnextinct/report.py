@@ -3,7 +3,9 @@
 Rationals travel as {"num": "...", "den": "..."} strings so no precision is
 lost between tools.  A guaranteed-extinction report is self-contained: given
 the report and the network text alone, the certificate chain can be rebuilt
-and re-audited (see verify_report).
+and re-audited (see verify_report).  From version 4 the JSON report is one
+compact line (no indentation), so the C encoder writes it; every version
+from 1 on is read by the same decoder.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .domination import DominationEdge
 from .engine import (
@@ -35,10 +37,12 @@ REPORT_FORMAT = "crn-extinction-report"
 # Version 3: the per-candidate refutations are derived from one LP per forest
 # (the summed candidate row), so their multipliers differ; the fields are as
 # in version 2.
-REPORT_VERSION = 3
+# Version 4: compact layout, fields as in version 3.
+REPORT_VERSION = 4
 
 
-def encode_rational(x: Fraction) -> dict[str, str]:
+def encode_rational(x: int | Fraction) -> dict[str, str]:
+    """The exact encoding of an int or Fraction (both carry numerator/denominator)."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
@@ -69,11 +73,33 @@ def _exact(value: Any, kind: type) -> Any:
 
 
 def _rational_vector(values) -> list[dict[str, str]]:
-    return [encode_rational(Fraction(v)) for v in values]
+    return [encode_rational(v) for v in values]
 
 
-def _decode_vector(items) -> tuple[Fraction, ...]:
-    return tuple(decode_rational(v) for v in items)
+def _vector_decoder() -> Callable[[Any], tuple[Fraction, ...]]:
+    """decode_rational over vectors, checking each distinct (num, den) once.
+
+    Every entry still gets the exact-keys and string-type checks; the integer
+    syntax is checked and the Fraction built the first time a pair is seen,
+    and a repeat reuses that (immutable) Fraction.  Make one per report.
+    """
+    seen: dict[tuple[str, str], Fraction] = {}
+
+    def rational(obj: Any) -> Fraction:
+        if not isinstance(obj, dict) or obj.keys() != {"num", "den"}:
+            raise ValueError(f"not a rational encoding: {obj!r}")
+        key = (obj["num"], obj["den"])
+        if type(key[0]) is not str or type(key[1]) is not str:
+            raise ValueError(f"not a rational encoding: {obj!r}")
+        value = seen.get(key)
+        if value is None:
+            value = seen[key] = decode_rational(obj)
+        return value
+
+    def vector(items) -> tuple[Fraction, ...]:
+        return tuple(map(rational, items))
+
+    return vector
 
 
 def _complex_names(net: ReactionNetwork, indices) -> list[str]:
@@ -100,10 +126,8 @@ def _farkas_obj(cert: Farkas) -> dict[str, Any]:
     }
 
 
-def _decode_farkas(obj: Any) -> Farkas:
-    return Farkas(
-        _decode_vector(obj["eq"]), _decode_vector(obj["ge"]), _decode_vector(obj["nonneg"])
-    )
+def _decode_farkas(obj: Any, vector: Callable[[Any], tuple[Fraction, ...]]) -> Farkas:
+    return Farkas(vector(obj["eq"]), vector(obj["ge"]), vector(obj["nonneg"]))
 
 
 def _stats_obj(stats: SearchStats) -> dict[str, Any]:
@@ -210,14 +234,15 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     )
     interior = tuple(_exact(k, int) for k in report["forest"]["interior_reactions"])
     forest = ExteriorForest(choices=choices, interior=interior)
+    vector = _vector_decoder()
     outcome = Unbalanced(
         tuple(
-            (_exact(w["candidate_variable"], int), _decode_farkas(w["farkas"]))
+            (_exact(w["candidate_variable"], int), _decode_farkas(w["farkas"], vector))
             for w in report["balance_refutations"]
         )
     )
     certificate = ExtinctionCertificate(
-        subconservation=_decode_vector(report["subconservativity_witness"]),
+        subconservation=vector(report["subconservativity_witness"]),
         dom_edges=dom_edges,
         absorbing=absorbing,
         forest=forest,
@@ -311,7 +336,7 @@ def emit_report(
 ) -> bytes:
     if fmt == "json":
         return (
-            json.dumps(build_report(net, verdict, cfg), indent=2, sort_keys=False) + "\n"
+            json.dumps(build_report(net, verdict, cfg), separators=(",", ":")) + "\n"
         ).encode("utf-8")
     if fmt == "text":
         return render_text(net, verdict, cfg).encode("utf-8")

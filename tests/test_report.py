@@ -1,11 +1,15 @@
 import copy
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from crnextinct.domination import DomCRN
 from crnextinct.engine import SearchConfig, analyze
+from crnextinct.exactlp import Farkas
+from crnextinct.forests import Unbalanced, verify_balance_outcome
 from crnextinct.report import (
     REPORT_FORMAT,
     REPORT_VERSION,
@@ -97,7 +101,8 @@ def test_report_envelope_is_checked(nets):
         assert verify_report(net, not_a_report) is False
     # certificate fields are unchanged since version 1, so those reports still verify
     for version, ok in (
-        (1, True), (2, True), (3, True), (0, False), (4, False), (True, False), ("2", False)
+        (1, True), (2, True), (3, True), (4, True),
+        (0, False), (5, False), (True, False), ("2", False),
     ):
         assert verify_report(net, dict(report, version=version)) is ok, version
     assert not verify_report(net, dict(report, format="bogus"))
@@ -117,16 +122,120 @@ def test_version2_reports_still_verify(nets, name):
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
-def test_version3_report_bytes_are_pinned(nets, name):
-    # emitted at version 3; a change to any byte, multipliers included, must
+def test_version4_report_bytes_are_pinned(nets, name):
+    # emitted at version 4; a change to any byte, multipliers included, must
     # come with a new REPORT_VERSION and new pinned reports
-    pinned = (REPORT_DIR / f"{name}-v3.json").read_bytes()
+    pinned = (REPORT_DIR / f"{name}-v4.json").read_bytes()
     net = nets[name]
     cfg = SearchConfig()
     assert emit_report(net, analyze(net, cfg), cfg) == pinned
+    assert pinned.count(b"\n") == 1  # one compact line
     report = json.loads(pinned)
-    assert report["version"] == 3
+    assert report["version"] == 4
     assert verify_report(net, report)
+
+
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version3_report_bytes_are_pinned(nets, name):
+    # version 4 changed only the layout: the version-3 bytes are today's
+    # report at version 3, indented as version 3 wrote it
+    pinned = (REPORT_DIR / f"{name}-v3.json").read_bytes()
+    net = nets[name]
+    _, report = _extinction_report(net)
+    as_v3 = dict(report, version=3)
+    assert (json.dumps(as_v3, indent=2) + "\n").encode("utf-8") == pinned
+    old = json.loads(pinned)
+    assert old == json.loads(json.dumps(as_v3))
+    assert verify_report(net, old)
+
+
+def _rational_slots(obj):
+    """(container, key) of every rational encoding in obj, in document order."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, dict) and set(value) == {"num", "den"}:
+            yield obj, key
+        elif isinstance(value, (dict, list)):
+            yield from _rational_slots(value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"num": 0, "den": "1"},
+        {"num": "00", "den": "1"},
+        {"num": " 0", "den": "1"},
+        {"num": "0", "den": "1", "sign": "+"},
+        {"num": "0"},
+        {"num": "0", "den": 1.0},
+        ["0", "1"],
+    ],
+)
+def test_repeated_rational_is_checked_every_time(nets, bad):
+    # the decoder meets {"num": "0", "den": "1"} many times in one report and
+    # checks the pair's syntax once; each later entry must still be checked
+    net = nets["envz"]
+    report = json.loads((REPORT_DIR / "envz-v4.json").read_bytes())
+    zeros = [
+        (box, key)
+        for box, key in _rational_slots(report)
+        if box[key] == {"num": "0", "den": "1"}
+    ]
+    assert len(zeros) > 1
+    assert verify_report(net, report)
+    box, key = zeros[-1]
+    box[key] = bad
+    assert verify_report(net, report) is False
+
+
+def _decoded_one_by_one(report):
+    def vector(items):
+        return tuple(decode_rational(v) for v in items)
+
+    def farkas(obj):
+        return Farkas(vector(obj["eq"]), vector(obj["ge"]), vector(obj["nonneg"]))
+
+    witnesses = tuple(
+        (w["candidate_variable"], farkas(w["farkas"])) for w in report["balance_refutations"]
+    )
+    return witnesses, vector(report["subconservativity_witness"])
+
+
+@pytest.mark.parametrize("path", sorted(REPORT_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_memoized_decode_matches_decode_rational(nets, path):
+    report = json.loads(path.read_bytes())
+    net = nets[path.stem.rsplit("-", 1)[0]]
+    cert = report_certificate(net, report).certificate
+    assert (cert.outcome.witnesses, cert.subconservation) == _decoded_one_by_one(report)
+
+
+def _swapped(witnesses, i, j):
+    out = list(witnesses)
+    (ci, fi), (cj, fj) = out[i], out[j]
+    out[i], out[j] = (ci, fj), (cj, fi)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name, candidates", [("intro", 2), ("envz", 9)])
+def test_refutation_verifies_only_for_its_candidate(nets, name, candidates):
+    net = nets[name]
+    verdict, report = _extinction_report(net)
+    report = json.loads(json.dumps(report))
+    cert = verdict.certificate
+    dcrn = DomCRN(net, cert.dom_edges, cert.absorbing)
+    witnesses = cert.outcome.witnesses
+    assert len(witnesses) == candidates
+    assert verify_balance_outcome(dcrn, cert.forest, cert.outcome, cert.nontriviality)
+    for i, j in itertools.combinations(range(candidates), 2):
+        swapped = Unbalanced(_swapped(witnesses, i, j))
+        assert not verify_balance_outcome(dcrn, cert.forest, swapped, cert.nontriviality), (i, j)
+        doctored = copy.deepcopy(report)
+        refutations = doctored["balance_refutations"]
+        refutations[i]["farkas"], refutations[j]["farkas"] = (
+            refutations[j]["farkas"],
+            refutations[i]["farkas"],
+        )
+        assert verify_report(net, doctored) is False, (i, j)
 
 
 def _replace(report, path, value):
