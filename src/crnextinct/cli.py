@@ -265,6 +265,9 @@ def _cmd_forests(args: argparse.Namespace) -> int:
         + ", ".join(format_complex(net.complexes[i], names) for i in sorted(dcrn.absorbing))
         + "}"
     )
+    if len(dcrn.absorbing) == net.n:
+        print("every complex is absorbing: no transient complex, nothing to decide")
+        return EXIT_OK
     stream = enumerate_forests(dcrn)
     forests = list(islice(stream, cap))
     if next(stream, None) is not None:

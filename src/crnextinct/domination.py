@@ -80,6 +80,12 @@ def domination_set(net: ReactionNetwork) -> list[DominationEdge]:
     return edges
 
 
+def is_domination_edge(net: ReactionNetwork, e: DominationEdge) -> bool:
+    """Both ends lie in 0..n-1 and the source complex dominates the target."""
+    cs, ids = net.complexes, range(net.n)
+    return e.src in ids and e.dst in ids and cs[e.src].dominates(cs[e.dst])
+
+
 def dom_graph(net: ReactionNetwork, dom_edges: Sequence[DominationEdge]) -> ReactionGraph:
     """Reaction graph of the expanded network: true reactions plus domination edges."""
     base = reaction_graph(net).edges
@@ -89,13 +95,14 @@ def dom_graph(net: ReactionNetwork, dom_edges: Sequence[DominationEdge]) -> Reac
     return ReactionGraph(net.n, base + extra)
 
 
-def _reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
+def reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
+    """(source, target) complex index pairs of the true reactions."""
     return {(net.source_index[k], net.target_index[k]) for k in range(net.r)}
 
 
 def expansion_edges(net: ReactionNetwork) -> tuple[DominationEdge, ...]:
     """The domination relations that do not duplicate a true reaction, in domination_set order."""
-    pairs = _reaction_pairs(net)
+    pairs = reaction_pairs(net)
     return tuple(e for e in domination_set(net) if (e.src, e.dst) not in pairs)
 
 
@@ -114,11 +121,10 @@ def build_dom_crn(
     aset = frozenset(absorbing)
     if not aset <= set(range(net.n)):
         raise AdmissibilityError("absorbing", "absorbing set contains an invalid complex index")
-    full = set((e.src, e.dst) for e in domination_set(net))
-    pairs = _reaction_pairs(net)
+    pairs = reaction_pairs(net)
     kept: list[DominationEdge] = []
     for e in dom_edges:
-        if (e.src, e.dst) not in full:
+        if not is_domination_edge(net, e):
             raise AdmissibilityError(
                 "domination",
                 f"edge {e.src}->{e.dst} is not a domination relation of the network",

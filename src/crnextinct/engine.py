@@ -27,6 +27,8 @@ from .domination import (
     check_slc_coincidence,
     dom_graph,
     expansion_edges,
+    is_domination_edge,
+    reaction_pairs,
     shrink_to_terminal,
 )
 from .exactlp import check_feasible
@@ -236,8 +238,10 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     sub_system = conservation_system(stoich_matrix(net), equality=False)
     checks.append(("subconservativity-witness", check_feasible(sub_system, cert.subconservation)))
 
-    allowed = set(expansion_edges(net))
-    ok_edges = all(e in allowed for e in cert.dom_edges)
+    pairs = reaction_pairs(net)
+    ok_edges = all(
+        is_domination_edge(net, e) and (e.src, e.dst) not in pairs for e in cert.dom_edges
+    )
     checks.append(("domination-edges", ok_edges))
 
     aset = cert.absorbing

@@ -58,28 +58,12 @@ def reaction_graph(net: ReactionNetwork) -> ReactionGraph:
     return ReactionGraph(net.n, edges)
 
 
-def _sorted_blocks(blocks: Iterable[Iterable[int]]) -> list[frozenset[int]]:
-    return sorted((frozenset(b) for b in blocks), key=min)
-
-
 def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
-    """Weakly connected components of the graph (singletons for isolated vertices)."""
-    parent = list(range(g.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """Weakly connected components: the SCCs once every edge is also reversed."""
+    both = g.successors()
     for e in g.edges:
-        ra, rb = find(e.src), find(e.dst)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), set()).add(v)
-    return _sorted_blocks(groups.values())
+        both[e.dst].append(e.src)
+    return _blocks(scc_ids(both))
 
 
 def scc_ids(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -151,7 +135,7 @@ def _blocks(comp_of: Sequence[int]) -> list[frozenset[int]]:
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(comp_of):
         groups.setdefault(c, []).append(v)
-    return _sorted_blocks(groups.values())
+    return sorted((frozenset(b) for b in groups.values()), key=min)
 
 
 def strong_linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:

@@ -1,27 +1,28 @@
 """Exhaustive discrete state-space exploration: the ground truth the engine is judged against.
 
-States are tuples of molecular counts.  From a root state the oracle computes
-the full closure under single reaction firings (finite for subconservative
-networks; a hard cap guards everything else), labels states recurrent or
-transient through terminal strongly connected components, and reads every
-recurrence and extinction answer off those labels (recurrent_complexes).
+States are tuples of molecular counts.  A StateGraph holds states closed under
+single reaction firings (finite for subconservative networks; a hard cap
+guards everything else), condensed into strongly connected components.  One
+routine grows it (_grow): it adds the states a root reaches that are not
+stored yet, condenses only that new part, and gives each new component the
+bitmask of the complexes recurrent from it, read off terminal components.
+Every recurrence and extinction answer is read off those labels.
 
-The budgeted sweep over every root (find_recurrent_witness) builds one shared
-closure instead: each root adds only the states no earlier root reached, the
-new part is condensed once, and each component's recurrent complexes follow
-from its successor components' by a bitmask recurrence.  One hard cap bounds
-the shared closure.
+explore grows an empty graph from one root.  The budgeted sweep over every
+root (find_recurrent_witness) grows one shared graph root by root, so each
+reachable state is expanded once however many roots reach it; one hard cap
+bounds the shared graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
-from .graphs import scc_ids, sink_components
+from .graphs import scc_ids
 from .model import Complex, ReactionNetwork, State, fire, is_charged
 
 
@@ -37,34 +38,56 @@ class StateCapExceeded(RuntimeError):
 
 @dataclass
 class StateGraph:
-    """Reachability closure of one root state, with SCC condensation labels."""
+    """States closed under firing, condensed into strongly connected components.
+
+    Component ids are reverse topological (every edge between two components
+    points to the smaller id); masks[c] has bit i set when complex i is
+    recurrent from component c.
+    """
 
     net: ReactionNetwork
     root: State
-    states: list[State]
-    index: dict[State, int]
-    edges: list[tuple[int, int, int]]  # (state, reaction, state)
-    succ: list[list[int]]
-    scc_of: list[int]
-    scc_terminal: list[bool]
+    states: list[State] = field(default_factory=list)
+    index: dict[State, int] = field(default_factory=dict)
+    succ: list[list[int]] = field(default_factory=list)
+    scc_of: list[int] = field(default_factory=list)
+    scc_terminal: list[bool] = field(default_factory=list)
+    masks: list[int] = field(default_factory=list)
+
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """(state, reaction, state) triples in breadth-first order, fired again from the states."""
+        net, index = self.net, self.index
+        return [
+            (i, k, index[nxt])
+            for i, state in enumerate(self.states)
+            for k in range(net.r)
+            if (nxt := fire(net, state, k)) is not None
+        ]
 
 
-def _grow(
-    net: ReactionNetwork,
-    start: State,
-    states: list[State],
-    index: dict[State, int],
-    succ: list[list[int]],
-    edges: list[tuple[int, int, int]],
-    hard_cap: int,
-) -> None:
-    """Add a new state and every state reachable from it that is not stored yet.
+def _charged_mask(net: ReactionNetwork, states: Sequence[State]) -> int:
+    """Bitmask of the complexes that some of the states charge (bit i: complex i)."""
+    return sum(
+        1 << ci
+        for ci, cpx in enumerate(net.complexes)
+        if any(is_charged(cpx, s) for s in states)
+    )
+
+
+def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
+    """Add a state not stored yet and every new state it reaches, then condense them.
 
     The stored states must already be closed under firing, so only the new
     ones are expanded, in breadth-first order: their ids run on from the old
-    length, and each gets its successors from one `fire` per reaction.
+    length, and each gets its successors from one `fire` per reaction.  No
+    new state shares a component with an old one, so only the new part is
+    condensed (scc_ids), its component ids running on from the old ones.  In
+    id order, a terminal component's mask is the set of complexes its states
+    charge and any other's is the AND of its successor components' masks.
     Raises StateCapExceeded when the store would pass `hard_cap` states.
     """
+    net, states, index, succ = g.net, g.states, g.index, g.succ
 
     def add(state: State) -> int:
         if len(states) >= hard_cap:
@@ -74,23 +97,33 @@ def _grow(
         succ.append([])
         return index[state]
 
-    i = add(start)
+    base = i = add(start)
     while i < len(states):
         state = states[i]
         for k in range(net.r):
             nxt = fire(net, state, k)
-            if nxt is None:
-                continue
-            j = index.get(nxt)
-            if j is None:
-                j = add(nxt)
-            edges.append((i, k, j))
-            succ[i].append(j)
+            if nxt is not None:
+                j = index.get(nxt)
+                succ[i].append(add(nxt) if j is None else j)
         i += 1
+    first = len(g.masks)
+    local = scc_ids([[j - base for j in succ[v] if j >= base] for v in range(base, len(states))])
+    groups: list[list[int]] = [[] for _ in range(max(local) + 1)]
+    for v, c in enumerate(local, start=base):
+        groups[c].append(v)
+        g.scc_of.append(first + c)
+    for c, group in enumerate(groups, start=first):
+        out = {g.scc_of[w] for v in group for w in succ[v]} - {c}
+        g.scc_terminal.append(not out)
+        g.masks.append(
+            reduce(and_, (g.masks[d] for d in out))
+            if out
+            else _charged_mask(net, [states[v] for v in group])
+        )
 
 
 def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -> StateGraph:
-    """Breadth-first closure of the root under single firings.
+    """Breadth-first closure of the root under single firings, condensed.
 
     Raises StateCapExceeded when more than `hard_cap` states appear, which for
     non-subconservative networks is the only stopping guarantee.
@@ -98,15 +131,9 @@ def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -
     start: State = tuple(int(x) for x in root)
     if len(start) != net.m or any(x < 0 for x in start):
         raise ValueError(f"root must be a nonnegative vector of length {net.m}")
-    states: list[State] = []
-    index: dict[State, int] = {}
-    succ: list[list[int]] = []
-    edges: list[tuple[int, int, int]] = []
-    _grow(net, start, states, index, succ, edges, hard_cap)
-    scc_of = scc_ids(succ)
-    return StateGraph(
-        net, start, states, index, edges, succ, scc_of, sink_components(succ, scc_of)
-    )
+    g = StateGraph(net, start)
+    _grow(g, start, hard_cap)
+    return g
 
 
 def recurrent_states(g: StateGraph) -> list[bool]:
@@ -123,8 +150,9 @@ def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
     n = len(g.states)
     charged = [is_charged(y, s) for s in g.states]
     pred: list[list[int]] = [[] for _ in range(n)]
-    for i, _, j in g.edges:
-        pred[j].append(i)
+    for i, targets in enumerate(g.succ):
+        for j in targets:
+            pred[j].append(i)
     can = list(charged)
     queue = deque(i for i in range(n) if can[i])
     while queue:
@@ -136,26 +164,13 @@ def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
     return all(can)
 
 
-def _charged_mask(net: ReactionNetwork, states: Sequence[State]) -> int:
-    """Bitmask of the complexes that some of the states charge (bit i: complex i)."""
-    return sum(
-        1 << ci
-        for ci, cpx in enumerate(net.complexes)
-        if any(is_charged(cpx, s) for s in states)
-    )
-
-
 def recurrent_complexes(net: ReactionNetwork, g: StateGraph) -> frozenset[int]:
-    """Complex indices recurrent from the graph's root.
+    """Complex indices recurrent from the graph's root: the mask of its component.
 
-    A complex is recurrent iff every terminal SCC of explore's labels charges
-    it somewhere; on finite graphs this agrees with complex_recurrent.
+    A complex is recurrent iff every terminal SCC the root reaches charges it
+    somewhere; on finite graphs this agrees with complex_recurrent.
     """
-    members: dict[int, list[State]] = {}
-    for i, c in enumerate(g.scc_of):
-        if g.scc_terminal[c]:
-            members.setdefault(c, []).append(g.states[i])
-    alive = reduce(and_, (_charged_mask(net, group) for group in members.values()))
+    alive = g.masks[g.scc_of[g.index[g.root]]]
     return frozenset(ci for ci in range(net.n) if alive >> ci & 1)
 
 
@@ -197,7 +212,7 @@ def guaranteed_extinction_on(
 
     A budgeted under-approximation of quantifying over the whole state space;
     callers report the budget alongside the answer.  The answer is True iff
-    find_recurrent_witness finds no root, over the same shared closure and
+    find_recurrent_witness finds no root, over the same shared graph and
     under the same cap on all of it.
     """
     return find_recurrent_witness(net, complexes, budget, hard_cap) is None
@@ -214,42 +229,19 @@ def find_recurrent_witness(
     Roots go by total, then in states_with_total order; the complex is the
     least listed one recurrent from that root.  None when there is no such pair.
 
-    All roots share one closure.  A root not yet in it adds the states that are
-    new; since the old part is closed under firing, no new state shares an SCC
-    with an old one, so only the new part is condensed (scc_ids, whose ids are
-    reverse topological).  In id order, a terminal component's mask is the set
-    of complexes its states charge and any other's is the intersection of its
-    successor components' masks; a root's recurrent complexes are the mask of
-    its component.  The sweep stops at the first root that hits a target.
-    Raises StateCapExceeded when the shared closure passes `hard_cap` states.
+    All roots share one StateGraph: a root not yet in it grows it (_grow), and
+    its recurrent complexes are the mask of its component.  The sweep stops
+    at the first root that hits a target.  Raises StateCapExceeded when the
+    shared graph passes `hard_cap` states.
     """
     targets = _targets(net, complexes)
     wanted = sum(1 << ci for ci in targets)
-    states: list[State] = []
-    index: dict[State, int] = {}
-    succ: list[list[int]] = []
-    edges: list[tuple[int, int, int]] = []  # kept by _grow for explore; unread here
-    comp_of: list[int] = []
-    masks: list[int] = []  # per component, in scc_ids order
+    g = StateGraph(net, (0,) * net.m)
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):
-            if root not in index:
-                base = len(states)
-                _grow(net, root, states, index, succ, edges, hard_cap)
-                new = range(base, len(states))
-                local = scc_ids([[j - base for j in succ[i] if j >= base] for i in new])
-                groups: list[list[int]] = [[] for _ in range(max(local) + 1)]
-                for v, c in enumerate(local, start=base):
-                    groups[c].append(v)
-                    comp_of.append(len(masks) + c)
-                for group in groups:
-                    out = {comp_of[w] for v in group for w in succ[v]} - {len(masks)}
-                    masks.append(
-                        reduce(and_, (masks[d] for d in out))
-                        if out
-                        else _charged_mask(net, [states[v] for v in group])
-                    )
-            hit = masks[comp_of[index[root]]] & wanted
+            if root not in g.index:
+                _grow(g, root, hard_cap)
+            hit = g.masks[g.scc_of[g.index[root]]] & wanted
             if hit:
                 return root, (hit & -hit).bit_length() - 1
     return None

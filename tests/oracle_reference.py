@@ -47,8 +47,8 @@ class Trace:
 def trace_to(g: StateGraph, state: Sequence[int]) -> Trace:
     """A firing sequence from the root to a stored state.
 
-    explore stores edges in breadth-first order, so the first edge into each
-    state other than the root (id 0) is the one that discovered it.
+    StateGraph.edges lists edges in breadth-first order, so the first edge into
+    each state other than the root (id 0) is the one that discovered it.
     """
     parent: dict[int, tuple[int, int]] = {}
     for i, k, j in g.edges:

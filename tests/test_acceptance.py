@@ -333,14 +333,11 @@ def test_criterion_06_random_consistency(random_suite):
             assert verdict.stats.balanced == verdict.stats.forests
             continue
         assert verify_verdict(net, verdict)
-        # (a) soundness: extinction on the claimed transient complexes from
-        # every initial state with totals <= 5
-        # (b) contrapositive: equivalently, no complex outside the absorbing
-        # set is recurrent from any of those states
-        for total in range(6):
-            for root in states_with_total(net.m, total):
-                alive = recurrent_complexes(net, explore(net, root))
-                assert not (alive & verdict.transient), (root, alive)
+        # soundness: extinction on the claimed transient complexes from every
+        # initial state with totals <= 6, i.e. no complex outside the
+        # absorbing set is recurrent from any of those states
+        witness = find_recurrent_witness(net, verdict.transient, budget=6)
+        assert witness is None, witness
         soundness_checked += 1
     elapsed = time.time() - start
     assert soundness_checked > 0

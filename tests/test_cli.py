@@ -148,6 +148,11 @@ def test_forests_output(capsys):
     out = capsys.readouterr().out
     assert "balanced, alpha = [1, 0, 1, 0, 1]" in out
     assert "unbalanced" in out
+    # every complex absorbing: analyze skips this candidate as vacuous
+    assert main(["forests", fixture("example001")]) == 0
+    out = capsys.readouterr().out
+    assert "nothing to decide" in out
+    assert "forest 1" not in out and "unbalanced" not in out
 
 
 def test_petri_round_trip(tmp_path, capsys):

@@ -79,6 +79,9 @@ def test_non_domination_edge_rejected(nets):
     net = nets["example21"]
     with pytest.raises(AdmissibilityError, match="not a domination relation"):
         build_dom_crn(net, [DominationEdge(2, 0)], {3})
+    # index -4 would alias complex 0 (X1 + X2), which does dominate X2
+    with pytest.raises(AdmissibilityError, match="not a domination relation"):
+        build_dom_crn(net, [DominationEdge(-4, 2)], {3})
 
 
 def test_non_absorbing_set_rejected(nets):

@@ -52,3 +52,9 @@ def test_malformed_documents():
         petri_import({"places": ["A"], "transitions": [{"input": {"A": -1}}]})
     with pytest.raises(PetriFormatError, match="nonnegative integer"):
         petri_import({"places": ["A"], "transitions": [{"input": {"A": True}}]})
+    with pytest.raises(PetriFormatError, match="'transitions' must be a list"):
+        petri_import({"places": ["A"], "transitions": {"input": {"A": 1}}})
+    with pytest.raises(PetriFormatError, match="transition 0 must be an object"):
+        petri_import({"places": ["A"], "transitions": [["A"]]})
+    with pytest.raises(PetriFormatError, match="output must be an object of place multiplicities"):
+        petri_import({"places": ["A"], "transitions": [{"output": ["A"]}]})

@@ -3,7 +3,7 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crnextinct.exactlp import (
     Feasible,
@@ -16,6 +16,9 @@ from crnextinct.exactlp import (
 from crnextinct.forests import build_balancing_system, decide_balance, enumerate_forests, forest_is_valid
 from crnextinct.domination import domination_set, maximal_admissible
 from crnextinct.graphs import (
+    EdgeId,
+    GraphEdge,
+    ReactionGraph,
     is_absorbing_set,
     linkage_classes,
     reaction_graph,
@@ -41,6 +44,7 @@ from crnextinct.petri import PetriFormatError, petri_export, petri_import
 from crnextinct.report import emit_report, verify_report
 
 from cone_reference import in_cone
+from graphs_reference import union_find_linkage_classes
 from conftest import FIXTURE_NAMES
 
 
@@ -127,6 +131,25 @@ def test_graph_partition_invariants(net):
         assert sum(1 for lc in lcs if slc <= lc) == 1
     if net.n:
         assert is_absorbing_set(g, terminal_complexes(g))
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(0, 8))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+
+
+@given(edge_lists())
+@example((1, [(0, 0)]))  # a self-loop
+@example((3, [(0, 1), (0, 1), (1, 0)]))  # parallel and antiparallel edges, vertex 2 isolated
+@example((5, [(4, 2), (2, 2), (3, 4)]))  # vertices 0 and 1 isolated, edges toward smaller ids
+def test_linkage_classes_match_union_find(graph):
+    n, pairs = graph
+    g = ReactionGraph(n, tuple(GraphEdge(a, b, EdgeId("R", k)) for k, (a, b) in enumerate(pairs)))
+    assert linkage_classes(g) == union_find_linkage_classes(g)
 
 
 @given(networks())

@@ -91,6 +91,14 @@ def test_report_rejects_tampering(nets):
     dropped_edge["forest"]["choices"] = dropped_edge["forest"]["choices"][1:]
     assert not verify_report(net, dropped_edge)
 
+    for reading in ("bogus", 5, None):
+        assert verify_report(net, dict(report, nontriviality=reading)) is False, reading
+
+    aliased = copy.deepcopy(report)
+    assert aliased["dom_edges"][0]["from_index"] == 0
+    aliased["dom_edges"][0]["from_index"] = -4  # complex 0 under Python indexing
+    assert not verify_report(net, aliased)
+
 
 def test_report_envelope_is_checked(nets):
     net = nets["example21"]
@@ -315,3 +323,32 @@ def test_text_rendering(nets):
     assert "2 X2 -> X1 + X2" in text and "X2 -> X1" in text
     with pytest.raises(ValueError):
         emit_report(net, verdict, cfg, "yaml")
+    capped = SearchConfig(forest_cap=1)
+    text = emit_report(net, analyze(net, capped), capped, "text").decode()
+    assert "verdict: inconclusive" in text
+    assert "warning: forest enumeration truncated" in text
+
+
+@pytest.mark.parametrize(
+    "cfg, labels",
+    [
+        (SearchConfig(absorbing_strategy="explicit", explicit_absorbing=frozenset({3})), ["2", "3"]),
+        (SearchConfig(nontriviality="any-edge"), ["2", "3", "D1"]),
+        (
+            SearchConfig(
+                absorbing_strategy="explicit", explicit_absorbing=frozenset({3}), nontriviality="any-edge"
+            ),
+            ["2", "3", "D1"],
+        ),
+    ],
+    ids=["explicit-absorbing", "any-edge", "both"],
+)
+def test_report_round_trip_under_search_options(nets, cfg, labels):
+    net = nets["example21"]
+    verdict = analyze(net, cfg)
+    report = json.loads(emit_report(net, verdict, cfg))
+    assert report["search"]["nontriviality"] == cfg.nontriviality == report["nontriviality"]
+    if cfg.explicit_absorbing is not None:
+        assert report["search"]["explicit_absorbing"] == report["absorbing_set"] == ["X1"]
+    assert [w["label"] for w in report["balance_refutations"]] == labels
+    assert verify_report(net, report)
