@@ -12,8 +12,13 @@ changes no solution set.  The solver is a dense two-phase simplex with
 Bland's rule, which terminates on every input.  Its tableau holds the integer
 rows as given, kept primitive by integer-preserving pivots (Edmonds 1967), so
 it stands for exactly the rational tableau and takes the same pivots.  One
-path, _solve, runs phase 1 and then any cost stages; a Farkas certificate is
-read off the final phase-1 reduced costs.  Witnesses and certificates leave
+path, _solve, runs phase 1 and then any cost stages.  Phase 1 starts from the
+slack basis where it can: a row a.x >= b with b <= 0 holds at x = 0, so it is
+negated and its slack starts basic; only equality rows and rows with b > 0
+get an artificial column.  A Farkas certificate is read off the final phase-1
+reduced costs rc / den: an artificial row's multiplier is
+flip * (den - rc[artificial]), a slack-basic row's is rc[slack], and that of
+x_j >= 0 is rc[j].  Witnesses and certificates leave
 the solver as fractions.Fraction and are audited by check_feasible /
 check_farkas independently of the tableau: the witness, or all multipliers,
 are scaled to integers by one lcm, and each row becomes an integer sum over
@@ -238,32 +243,42 @@ class _Tableau:
             rc, den = self._eliminate(rc, den, leave, enter)
 
 
-def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], int, list[int], int]:
-    """Build phase-1 rows [x | slacks | artificials | rhs] from the integer rows.
+def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list[int], list[int], int]:
+    """Build phase-1 rows [x | slacks | artificials | rhs] and their start basis.
 
-    A row with negative rhs is negated (its flip is -1) so that the
-    artificial basis starts feasible.  Returns (rows, flips, n_slack,
+    A ge row a.x >= b with b <= 0 is negated to -a.x + s = -b (its flip is
+    -1): x = 0 satisfies it, so its slack starts basic and it gets no
+    artificial.  Every other row, an equality or a ge row with b > 0, gets an
+    artificial column that starts basic; an equality with b < 0 is negated
+    so that the start basis is feasible.  Returns (rows, flips, basis,
     art_cols, ncols).
     """
     n = system.n
     rows_in = [(coeffs, rhs, False) for coeffs, rhs in system.eq]
     rows_in += [(coeffs, rhs, True) for coeffs, rhs in system.ge]
     n_slack = len(system.ge)
-    ncols = n + n_slack + len(rows_in)
+    n_art = sum(1 for _, rhs, is_ge in rows_in if not (is_ge and rhs <= 0))
+    ncols = n + n_slack + n_art
     rows: list[list[int]] = []
     flips: list[int] = []
-    slack_at = n
-    for i, (coeffs, rhs, is_ge) in enumerate(rows_in):
-        flip = -1 if rhs < 0 else 1
+    basis: list[int] = []
+    slack_at, art_at = n, n + n_slack
+    for coeffs, rhs, is_ge in rows_in:
+        slack_basic = is_ge and rhs <= 0
+        flip = -1 if rhs < 0 or slack_basic else 1
         flips.append(flip)
         row = [flip * v for v in coeffs] + [0] * (ncols - n) + [flip * rhs]
         if is_ge:
             row[slack_at] = -flip
+            if slack_basic:
+                basis.append(slack_at)
             slack_at += 1
-        row[n + n_slack + i] = 1
+        if not slack_basic:
+            row[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
         rows.append(row)
-    art_cols = list(range(n + n_slack, ncols))
-    return rows, flips, n_slack, art_cols, ncols
+    return rows, flips, basis, list(range(n + n_slack, ncols)), ncols
 
 
 def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
@@ -275,16 +290,21 @@ def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
 
 
 def _extract_farkas(
-    system: LinearSystem, rc: list[int], den: int, flips: list[int], art_cols: list[int]
+    system: LinearSystem, rc: list[int], den: int, flips: list[int], start: list[int]
 ) -> Farkas:
     """The certificate in the optimal phase-1 reduced costs rc / den = c - yA.
 
-    Row i's multiplier is flip_i * (den - rc[artificial_i]) and the multiplier
-    of x_j >= 0 is rc[j], which cancels column j of the combined rows (LP
-    duality); the vector is made primitive and audited.
+    Row i started basic in column start[i].  If that is its artificial, the
+    row's multiplier is flip_i * (den - rc[artificial_i]); if it is the slack
+    of a negated ge row, the multiplier is the slack's reduced cost rc[s].
+    The multiplier of x_j >= 0 is rc[j], which cancels column j of the
+    combined rows (LP duality); the vector is made primitive and audited.
     """
     n_eq = len(system.eq)
-    y = [flip * (den - rc[c]) for flip, c in zip(flips, art_cols)]
+    first_art = system.n + len(system.ge)
+    y = [
+        flip * (den - rc[b]) if b >= first_art else rc[b] for flip, b in zip(flips, start)
+    ]
     n_rows = len(y)
     scaled = _rat_vec(primitive(y + rc[: system.n]))
     cert = Farkas(scaled[:n_eq], scaled[n_eq:n_rows], scaled[n_rows:])
@@ -294,23 +314,22 @@ def _extract_farkas(
 
 
 def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]:
-    rows, flips, n_slack, art_cols, ncols = _standardize(system)
-    tab = _Tableau(rows, list(art_cols), ncols)
+    rows, flips, start, art_cols, ncols = _standardize(system)
+    tab = _Tableau(rows, list(start), ncols)
     cost = [0] * ncols
     for c in art_cols:
         cost[c] = 1
     rc, den = tab.minimize(cost, banned=set())
     if rc[-1] < 0:  # the least sum of artificials, -rc[-1] / den, is positive
-        return None, _extract_farkas(system, rc, den, flips, art_cols)
+        return None, _extract_farkas(system, rc, den, flips, start)
     # drive leftover zero-level artificials out of the basis; drop redundant rows
     art_set = set(art_cols)
+    n_real = system.n + len(system.ge)
     r = 0
     while r < len(tab.rows):
         b = tab.basis[r]
         if b in art_set:
-            pivot_col = next(
-                (j for j in range(system.n + n_slack) if tab.rows[r][j] != 0), None
-            )
+            pivot_col = next((j for j in range(n_real) if tab.rows[r][j] != 0), None)
             if pivot_col is None:
                 del tab.rows[r]
                 del tab.basis[r]
@@ -332,7 +351,7 @@ def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, O
         return farkas, None
     ncols = tab.ncols
     pad = [0] * (ncols - system.n)
-    banned = set(range(system.n + len(system.ge), ncols))  # the artificials
+    banned = set(range(system.n + len(system.ge), ncols))  # the artificials built
     rc, den = [0], 1
     for cost in costs:
         rc, den = tab.minimize(cost + pad, banned=banned)

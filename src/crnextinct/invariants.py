@@ -2,9 +2,11 @@
 
 Conservation queries are answered with exact certificates: a strictly positive
 vector c (encoded as c >= 1, which loses nothing by homogeneity) or a Farkas
-refutation.  Kernel generators are the extreme rays of {v >= 0 : Gamma v = 0},
-computed by the double description method and normalized to coprime integers
-in lexicographic order.
+refutation.  The LP is solved over c' = c - 1 >= 0, and both answers are
+mapped back to the system over c that conservation_system builds.  Kernel
+generators are the extreme rays of {v >= 0 : Gamma v = 0}, computed by the
+double description method and normalized to coprime integers in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -42,11 +44,29 @@ class FeasibilityOutcome:
         return self.farkas is not None and check_farkas(self.system, self.farkas)
 
 
-def _decide(system: LinearSystem) -> FeasibilityOutcome:
-    outcome = lexmin(system)
+def _decide(gamma: Matrix, *, equality: bool) -> FeasibilityOutcome:
+    """Decide conservation_system(gamma, equality=...) over c' = c - 1 >= 0.
+
+    Each row a.c = 0 (or >= 0) becomes a.c' = -a.1 (or >= -a.1), and the
+    rows c >= 1 become the implicit c' >= 0, so phase 1 builds no artificial
+    for them.  lexmin commutes with the shift: the witness 1 + c' is the
+    point lexmin finds on the unshifted system.  A refutation (mu', nu') of
+    the shifted system is lifted to the unshifted one: the rows a keep mu',
+    the rows c >= 1 get nu', and c >= 0 gets 0.  The combination still
+    cancels, and its right-hand side 1.nu' equals the shifted one, which is
+    positive.  The outcome carries the unshifted system, which verify audits.
+    """
+    system = conservation_system(gamma, equality=equality)
+    m = system.n
+    rows = system.eq if equality else system.ge[: len(system.ge) - m]  # all but c >= 1
+    shifted = tuple((a, -sum(a)) for a, _ in rows)
+    outcome = lexmin(LinearSystem(m, eq=shifted) if equality else LinearSystem(m, ge=shifted))
     if isinstance(outcome, Feasible):
-        return FeasibilityOutcome(True, outcome.witness, None, system)
-    return FeasibilityOutcome(False, None, outcome, system)
+        witness = tuple(1 + v for v in outcome.witness)
+        return FeasibilityOutcome(True, witness, None, system)
+    mu, nu, zero = outcome.eq_mult + outcome.ge_mult, outcome.nonneg_mult, (Fraction(0),) * m
+    farkas = Farkas(mu, nu, zero) if equality else Farkas((), mu + nu, zero)
+    return FeasibilityOutcome(False, None, farkas, system)
 
 
 def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -70,13 +90,23 @@ def conservation_system(gamma: Matrix, *, equality: bool) -> LinearSystem:
 
 
 def is_conservative(gamma: Matrix) -> FeasibilityOutcome:
-    """Does some c >= 1 satisfy c^T Gamma = 0 exactly?"""
-    return _decide(conservation_system(gamma, equality=True))
+    """Does some c >= 1 satisfy c^T Gamma = 0 exactly?
+
+    Solved over c' = c - 1 (Gamma^T c' = -Gamma^T 1, c' >= 0); the witness is
+    1 + c', and a refutation is lifted back to conservation_system(gamma,
+    equality=True), whose c >= 1 rows take the multipliers of c' >= 0.
+    """
+    return _decide(gamma, equality=True)
 
 
 def is_subconservative(gamma: Matrix) -> FeasibilityOutcome:
-    """Does some c >= 1 satisfy c^T Gamma <= 0 componentwise?"""
-    return _decide(conservation_system(gamma, equality=False))
+    """Does some c >= 1 satisfy c^T Gamma <= 0 componentwise?
+
+    Solved over c' = c - 1 (-Gamma^T c' >= Gamma^T 1, c' >= 0); the witness is
+    1 + c', and a refutation is lifted back to conservation_system(gamma,
+    equality=False), whose c >= 1 rows take the multipliers of c' >= 0.
+    """
+    return _decide(gamma, equality=False)
 
 
 @dataclass(frozen=True)

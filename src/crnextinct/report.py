@@ -38,7 +38,9 @@ REPORT_FORMAT = "crn-extinction-report"
 # (the summed candidate row), so their multipliers differ; the fields are as
 # in version 2.
 # Version 4: compact layout, fields as in version 3.
-REPORT_VERSION = 4
+# Version 5: phase 1 starts from the slack basis and the subconservativity LP
+# is solved over c - 1, so Farkas multipliers differ; fields as in version 4.
+REPORT_VERSION = 5
 
 
 def encode_rational(x: int | Fraction) -> dict[str, str]:

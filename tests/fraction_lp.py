@@ -1,11 +1,13 @@
 """Reference exact simplex over `fractions.Fraction`, for differential tests.
 
 This is the dense two-phase Bland-rule simplex that `crnextinct.exactlp` ran
-before its tableau moved to Python ints.  Both walk the same rational tableau
-through the same pivots, so `solve_feasibility`, `minimize` and `lexmin` here
-must return results equal (`==`) to the package's.  `lexmin` is the original
-one: a fresh phase 1 per coordinate, with each optimum fixed by an equality
-row before the next coordinate is minimized.
+before its tableau moved to Python ints, started from the same basis: a ge
+row with rhs <= 0 is negated and its slack starts basic, every other row gets
+an artificial.  Both walk the same rational tableau through the same pivots,
+so `solve_feasibility`, `minimize` and `lexmin` here must return results
+equal (`==`) to the package's.  `lexmin` is the original one: a fresh phase 1
+per coordinate, with each optimum fixed by an equality row before the next
+coordinate is minimized.
 
 `dense_check_feasible` and `dense_check_farkas` are the audits as exactlp had
 them before they skipped zero terms and summed integers: every multiplier
@@ -143,31 +145,42 @@ class _Tableau:
             rc = [a - factor * row[j] for j, a in enumerate(rc)]
 
 
-def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], int, list[int], int]:
-    """Phase-1 rows [x | slacks | artificials | rhs]; (rows, flips, n_slack, art_cols, ncols)."""
+def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], list[int], list[int], int]:
+    """Phase-1 rows [x | slacks | artificials | rhs]; (rows, flips, basis, art_cols, ncols).
+
+    As in exactlp: a ge row with rhs <= 0 is negated and its slack starts
+    basic; every other row gets an artificial that starts basic.
+    """
     n = system.n
     rows_in = [(coeffs, rhs, "eq") for coeffs, rhs in system.eq]
     rows_in += [(coeffs, rhs, "ge") for coeffs, rhs in system.ge]
-    n_rows = len(rows_in)
     n_slack = len(system.ge)
-    ncols = n + n_slack + n_rows
+    slack_basic = [kind == "ge" and rhs <= 0 for _, rhs, kind in rows_in]
+    ncols = n + n_slack + slack_basic.count(False)
     rows: list[list[Rat]] = []
     flips: list[int] = []
+    basis: list[int] = []
     slack_at = 0
+    art_at = 0
     for i, (coeffs, rhs, kind) in enumerate(rows_in):
-        flip = -1 if rhs < 0 else 1
+        flip = -1 if rhs < 0 or slack_basic[i] else 1
         flips.append(flip)
         row = [Fraction(0)] * (ncols + 1)
         for j, c in enumerate(coeffs):  # int rows become Fraction rows here
             row[j] = Fraction(flip * c)
         if kind == "ge":
             row[n + slack_at] = Fraction(-flip)
+            if slack_basic[i]:
+                basis.append(n + slack_at)
             slack_at += 1
-        row[n + n_slack + i] = Fraction(1)
+        if not slack_basic[i]:
+            row[n + n_slack + art_at] = Fraction(1)
+            basis.append(n + n_slack + art_at)
+            art_at += 1
         row[-1] = Fraction(flip * rhs)
         rows.append(row)
     art_cols = list(range(n + n_slack, ncols))
-    return rows, flips, n_slack, art_cols, ncols
+    return rows, flips, basis, art_cols, ncols
 
 
 def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
@@ -177,9 +190,15 @@ def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
     return tuple(values[: system.n])
 
 
-def _extract_farkas(system: LinearSystem, rc: list[Rat], flips: list[int], art_cols: list[int]) -> Farkas:
+def _extract_farkas(
+    system: LinearSystem, rc: list[Rat], flips: list[int], start: list[int], art_cols: list[int]
+) -> Farkas:
+    """Artificial-basic row: flip * (1 - rc[artificial]); slack-basic row: rc[slack]."""
     n_eq = len(system.eq)
-    y = [flips[i] * (Fraction(1) - rc[art_cols[i]]) for i in range(len(flips))]
+    y = [
+        flips[i] * (Fraction(1) - rc[b]) if b in art_cols else rc[b]
+        for i, b in enumerate(start)
+    ]
     combo = [Fraction(0)] * system.n
     for m, (coeffs, _) in zip(y, list(system.eq) + list(system.ge)):
         for j, c in enumerate(coeffs):
@@ -194,21 +213,21 @@ def _extract_farkas(system: LinearSystem, rc: list[Rat], flips: list[int], art_c
 
 
 def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]:
-    rows, flips, n_slack, art_cols, ncols = _standardize(system)
-    tab = _Tableau(rows, list(art_cols), ncols)
+    rows, flips, start, art_cols, ncols = _standardize(system)
+    tab = _Tableau(rows, list(start), ncols)
     cost = [Fraction(0)] * ncols
     for c in art_cols:
         cost[c] = Fraction(1)
     z, rc = tab.minimize(cost, banned=set())
     if z > 0:
-        return None, _extract_farkas(system, rc, flips, art_cols)
+        return None, _extract_farkas(system, rc, flips, start, art_cols)
     art_set = set(art_cols)
     r = 0
     while r < len(tab.rows):
         b = tab.basis[r]
         if b in art_set:
             pivot_col = next(
-                (j for j in range(system.n + n_slack) if tab.rows[r][j] != 0), None
+                (j for j in range(system.n + len(system.ge)) if tab.rows[r][j] != 0), None
             )
             if pivot_col is None:
                 del tab.rows[r]

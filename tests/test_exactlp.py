@@ -112,6 +112,33 @@ def test_one_solve_path_per_public_call(monkeypatch):
         assert stages == [0, 1, 3]
 
 
+def test_phase1_starts_from_the_slack_basis(monkeypatch):
+    # x = 0 satisfies every row a.x >= b with b <= 0: its slack starts basic,
+    # so lexmin decides such a system without a single pivot
+    pivots = []
+    pivot = exactlp._Tableau.pivot
+
+    def counted(tab, r, c):
+        pivots.append((r, c))
+        return pivot(tab, r, c)
+
+    monkeypatch.setattr(exactlp._Tableau, "pivot", counted)
+    system = LinearSystem(
+        3, ge=(make_row([1, -1, 0], 0), make_row([-1, 0, -2], -3), make_row([0, 1, -1], 0))
+    )
+    assert lexmin(system) == Feasible((0, 0, 0))
+    assert pivots == []
+    # only equality rows and ge rows with b > 0 get an artificial column
+    mixed = LinearSystem(
+        2,
+        eq=(make_row([1, 1], 0), make_row([1, -1], -2)),
+        ge=(make_row([1, 0], 1), make_row([0, 1], 0), make_row([-1, 1], -1)),
+    )
+    _, flips, basis, art_cols, ncols = exactlp._standardize(mixed)
+    assert (art_cols, ncols) == ([5, 6, 7], 8)  # [x0 x1 | 3 slacks | 3 artificials]
+    assert basis == [5, 6, 7, 3, 4] and flips == [1, -1, 1, -1, -1]
+
+
 def test_lexmin_deterministic():
     system = LinearSystem(
         3,

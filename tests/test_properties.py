@@ -43,6 +43,7 @@ from crnextinct.parser import format_network, parse_crn
 from crnextinct.petri import PetriFormatError, petri_export, petri_import
 from crnextinct.report import emit_report, verify_report
 
+import fraction_lp
 from cone_reference import in_cone
 from graphs_reference import union_find_linkage_classes
 from conftest import FIXTURE_NAMES
@@ -167,6 +168,11 @@ def test_conservation_outcomes_self_verify(net):
     cons = is_conservative(gamma)
     sub = is_subconservative(gamma)
     assert cons.verify() and sub.verify()
+    # the LP runs over c - 1; the witness is the lexmin point over c >= 1
+    for equality, outcome in ((True, cons), (False, sub)):
+        if outcome.feasible:
+            unshifted = conservation_system(gamma, equality=equality)
+            assert outcome.witness == fraction_lp.lexmin(unshifted).witness
     if cons.feasible:
         assert sub.feasible
         # homogeneity: positive scalings remain conservation vectors

@@ -8,8 +8,10 @@ import pytest
 
 from crnextinct.domination import DomCRN
 from crnextinct.engine import SearchConfig, analyze
-from crnextinct.exactlp import Farkas
+from crnextinct.exactlp import Farkas, check_farkas
 from crnextinct.forests import Unbalanced, verify_balance_outcome
+from crnextinct.invariants import conservation_system
+from crnextinct.model import stoich_matrix
 from crnextinct.report import (
     REPORT_FORMAT,
     REPORT_VERSION,
@@ -41,11 +43,15 @@ def test_rational_encoding_round_trip(nets):
     net = nets["example21"]
     _, report = _extinction_report(net)
     report = json.loads(json.dumps(report))
-    assert report["balance_refutations"][0]["farkas"]["ge"][0] == {"num": "1", "den": "1"}
+    one = {"num": "1", "den": "1"}
+    box, key = next(
+        (box, key) for box, key in _rational_slots(report["balance_refutations"]) if box[key] == one
+    )
     for bad in (1.0, True, "0_1", " 1"):  # each would decode to the same 1
-        doctored = copy.deepcopy(report)
-        doctored["balance_refutations"][0]["farkas"]["ge"][0]["den"] = bad
-        assert verify_report(net, doctored) is False
+        box[key] = dict(one, den=bad)
+        assert verify_report(net, report) is False
+    box[key] = one
+    assert verify_report(net, report)
 
 
 def _extinction_report(net):
@@ -109,8 +115,8 @@ def test_report_envelope_is_checked(nets):
         assert verify_report(net, not_a_report) is False
     # certificate fields are unchanged since version 1, so those reports still verify
     for version, ok in (
-        (1, True), (2, True), (3, True), (4, True),
-        (0, False), (5, False), (True, False), ("2", False),
+        (1, True), (2, True), (3, True), (4, True), (5, True),
+        (0, False), (6, False), (True, False), ("2", False),
     ):
         assert verify_report(net, dict(report, version=version)) is ok, version
     assert not verify_report(net, dict(report, format="bogus"))
@@ -130,31 +136,57 @@ def test_version2_reports_still_verify(nets, name):
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
-def test_version4_report_bytes_are_pinned(nets, name):
-    # emitted at version 4; a change to any byte, multipliers included, must
+def test_version5_report_bytes_are_pinned(nets, name):
+    # emitted at version 5; a change to any byte, multipliers included, must
     # come with a new REPORT_VERSION and new pinned reports
-    pinned = (REPORT_DIR / f"{name}-v4.json").read_bytes()
+    pinned = (REPORT_DIR / f"{name}-v5.json").read_bytes()
     net = nets[name]
     cfg = SearchConfig()
     assert emit_report(net, analyze(net, cfg), cfg) == pinned
     assert pinned.count(b"\n") == 1  # one compact line
     report = json.loads(pinned)
-    assert report["version"] == 4
+    assert report["version"] == 5
     assert verify_report(net, report)
+    # the new phase-1 start moved multipliers only: lexmin points are unique
+    old = json.loads((REPORT_DIR / f"{name}-v4.json").read_bytes())
+    for field in ("subconservativity_witness", "transient_complexes"):
+        assert report[field] == old[field], field
+
+
+def _with_old_refutations(report, old, version):
+    """Today's report with the version and the balance refutations of an older one."""
+    return dict(report, version=version, balance_refutations=old["balance_refutations"])
+
+
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version4_report_bytes_are_pinned(nets, name):
+    # emitted at version 4, before phase 1 started from the slack basis: the
+    # report still verifies, and only its version and multipliers differ from
+    # today's report
+    pinned = (REPORT_DIR / f"{name}-v4.json").read_bytes()
+    net = nets[name]
+    old = json.loads(pinned)
+    assert old["version"] == 4
+    assert verify_report(net, old)
+    _, report = _extinction_report(net)
+    as_v4 = _with_old_refutations(report, old, 4)
+    assert (json.dumps(as_v4, separators=(",", ":")) + "\n").encode("utf-8") == pinned
+    assert old["balance_refutations"] != json.loads(json.dumps(report))["balance_refutations"]
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
 def test_version3_report_bytes_are_pinned(nets, name):
-    # version 4 changed only the layout: the version-3 bytes are today's
-    # report at version 3, indented as version 3 wrote it
+    # version 4 changed only the layout and version 5 only the multipliers:
+    # the version-3 bytes are today's report with the version-3 refutations,
+    # at version 3, indented as version 3 wrote it; the report still verifies
     pinned = (REPORT_DIR / f"{name}-v3.json").read_bytes()
     net = nets[name]
-    _, report = _extinction_report(net)
-    as_v3 = dict(report, version=3)
-    assert (json.dumps(as_v3, indent=2) + "\n").encode("utf-8") == pinned
     old = json.loads(pinned)
-    assert old == json.loads(json.dumps(as_v3))
+    assert old["version"] == 3
     assert verify_report(net, old)
+    _, report = _extinction_report(net)
+    as_v3 = _with_old_refutations(report, old, 3)
+    assert (json.dumps(as_v3, indent=2) + "\n").encode("utf-8") == pinned
 
 
 def _rational_slots(obj):
@@ -310,6 +342,12 @@ def test_not_applicable_report(nets):
     # the refutation is carried exactly: all multipliers rational-encoded
     for item in farkas["ge"]:
         decode_rational(item)
+    # and anyone can re-check it against the system over c >= 1
+    system = conservation_system(stoich_matrix(net), equality=False)
+    decoded = Farkas(*(tuple(map(decode_rational, farkas[k])) for k in ("eq", "ge", "nonneg")))
+    assert check_farkas(system, decoded)
+    doctored = Farkas(decoded.eq_mult, (decoded.ge_mult[0] + 1, *decoded.ge_mult[1:]), decoded.nonneg_mult)
+    assert not check_farkas(system, doctored)
 
 
 def test_text_rendering(nets):
