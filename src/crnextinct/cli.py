@@ -24,6 +24,7 @@ from .forests import (
     enumerate_forests,
 )
 from .graphs import (
+    EdgeId,
     enumerate_absorbing_sets,
     linkage_classes,
     reaction_graph,
@@ -277,7 +278,9 @@ def _cmd_forests(args: argparse.Namespace) -> int:
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"
         else:
-            status = f"unbalanced ({len(outcome.witnesses)} refutation(s))"
+            # candidates are true reactions under the default nontriviality
+            covered = [EdgeId("R", k).label() for cands, _ in outcome.witnesses for k in cands]
+            status = f"unbalanced, refuted on candidates {{{', '.join(covered)}}}"
         print(f"forest {idx}: edges {{{', '.join(forest.edge_labels())}}}: {status}")
     return EXIT_OK
 

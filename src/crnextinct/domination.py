@@ -203,19 +203,14 @@ def check_slc_coincidence(
     net: ReactionNetwork,
     dom_edges: Sequence[DominationEdge],
     *,
-    subconservative: Optional[bool] = None,
+    subconservative: bool,
 ) -> SlcCoincidenceReport:
     """Check SLC coincidence between base and expanded graphs.
 
-    `subconservative` may be passed by callers that already decided it;
-    otherwise it is computed here.  Not-applicable (and no verdict) when the
-    network is not subconservative.
+    `subconservative` is the caller's decision of the network's
+    subconservativity.  Not-applicable (and no verdict) when the network is
+    not subconservative.
     """
-    if subconservative is None:
-        from .invariants import is_subconservative
-        from .model import stoich_matrix
-
-        subconservative = is_subconservative(stoich_matrix(net)).feasible
     if not subconservative:
         return SlcCoincidenceReport(False, None, None)
     base = reaction_graph(net)

@@ -5,7 +5,7 @@ expansions and absorbing sets, enumerates exterior forests in canonical order,
 and stops at the first unbalanced one: that forest certifies a guaranteed
 extinction event on the complement of the absorbing set.  Every verdict
 carries the full certificate chain (subconservativity witness, expansion,
-forest, per-candidate refutations) and can be re-audited independently.
+forest, the forest's Farkas refutation) and can be re-audited independently.
 
 Candidates whose absorbing set is the whole complex set are skipped: the
 extinction claim on an empty complement is vacuous.

@@ -155,9 +155,10 @@ class BalancingSystem:
     edges.  The assembled LinearSystem lays rows out deterministically:
     equalities are the support zeros (ascending variable) followed by the
     kernel rows (species order); inequalities are the flow rows (ascending
-    exterior complex) followed by the candidate row: one candidate's weight,
-    or the sum of all candidates' weights, >= 1.  The shared rows are built
-    once per system; each assembled system only appends its candidate row.
+    exterior complex) followed by the candidate row: the sum of the weights
+    of a set of candidates >= 1.  Every other right-hand side is 0.  The
+    shared rows are built once per system; each assembled system only
+    appends its candidate row.
     """
 
     n_reactions: int
@@ -191,20 +192,13 @@ class BalancingSystem:
             ge.append(make_row(coeffs, 0))
         return tuple(eq), tuple(ge)
 
-    def _with_candidate_row(self, variables: tuple[int, ...]) -> LinearSystem:
+    def linear_system(self, candidates: tuple[int, ...]) -> LinearSystem:
+        """The shared rows with the candidate row sum of x_k over candidates >= 1."""
         coeffs = [0] * self.n_vars
-        for v in variables:
+        for v in candidates:
             coeffs[v] = 1
         eq, ge = self._shared_rows
         return LinearSystem(self.n_vars, eq=eq, ge=ge + (make_row(coeffs, 1),))
-
-    def linear_system(self, candidate: int) -> LinearSystem:
-        """The shared rows with the candidate row x_candidate >= 1."""
-        return self._with_candidate_row((candidate,))
-
-    def summed_system(self) -> LinearSystem:
-        """The shared rows with the candidate row sum of all candidates >= 1."""
-        return self._with_candidate_row(self.candidates)
 
 
 def _edge_var(dcrn: DomCRN, eid: EdgeId) -> int:
@@ -258,7 +252,9 @@ class Balanced:
 
 @dataclass(frozen=True)
 class Unbalanced:
-    witnesses: tuple[tuple[int, Farkas], ...]  # per-candidate refutations, ascending
+    # refutations, each of the candidate row over its candidate set; the sets
+    # joined in order are the system's candidates
+    witnesses: tuple[tuple[tuple[int, ...], Farkas], ...]
 
 
 BalanceOutcome = Union[Balanced, Unbalanced]
@@ -271,30 +267,18 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     candidate variables >= 1; every other right-hand side is 0, so the rows
     are a cone and the sum reaches 1 iff some single candidate does.  A
     feasible point, scaled to integers, is the canonical balancing vector
-    and its least positive candidate the positive edge.  A Farkas answer
-    (lambda, mu, mu0, nu) has mu0 > 0 on the summed row; candidate k's
-    refutation keeps lambda and mu, puts mu0 on its own row x_k >= 1 and
-    adds mu0 to the nonneg multipliers of the other candidates, so the
-    combination is unchanged.  One refutation per candidate, ascending.
-    An empty candidate set is unbalanced outright.
+    and its least positive candidate the positive edge.  A Farkas answer is
+    the forest's one refutation, covering all candidates.  An empty
+    candidate set is unbalanced outright.
     """
     if not system.candidates:
         return Unbalanced(())
-    best = lexmin(system.summed_system())
+    best = lexmin(system.linear_system(system.candidates))
     if isinstance(best, Farkas):
-        mu0 = best.ge_mult[-1]
-        nonneg = list(best.nonneg_mult)
-        for cand in system.candidates:
-            nonneg[cand] += mu0
-        refutations = []
-        for cand in system.candidates:
-            own = list(nonneg)
-            own[cand] -= mu0
-            refutations.append((cand, Farkas(best.eq_mult, best.ge_mult, tuple(own))))
-        return Unbalanced(tuple(refutations))
+        return Unbalanced(((system.candidates, best),))
     alpha = tuple(scale_to_integers(best.witness)[0])
     positive_edge = next(k for k in system.candidates if alpha[k] > 0)
-    assert check_feasible(system.linear_system(candidate=positive_edge), alpha)
+    assert check_feasible(system.linear_system((positive_edge,)), alpha)
     return Balanced(alpha=alpha, positive_edge=positive_edge)
 
 
@@ -313,14 +297,13 @@ def verify_balance_outcome(
             return False
         if any(a != int(a) for a in outcome.alpha):
             return False
-        return check_feasible(
-            system.linear_system(candidate=outcome.positive_edge), outcome.alpha
-        )
+        return check_feasible(system.linear_system((outcome.positive_edge,)), outcome.alpha)
     if isinstance(outcome, Unbalanced):
-        if tuple(c for c, _ in outcome.witnesses) != system.candidates:
+        covered = tuple(k for cands, _ in outcome.witnesses for k in cands)
+        if covered != system.candidates:
             return False
         return all(
-            check_farkas(system.linear_system(candidate=cand), cert)
-            for cand, cert in outcome.witnesses
+            check_farkas(system.linear_system(cands), cert)
+            for cands, cert in outcome.witnesses
         )
     return False

@@ -29,7 +29,10 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<arrow><->|->)|(?P<plus>\+)|(?P<bad>\S))")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a species name
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{IDENTIFIER.pattern})|(?P<arrow><->|->)|(?P<plus>\+)|(?P<bad>\S))"
+)
 
 
 @dataclass

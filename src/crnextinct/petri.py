@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from .model import ReactionNetwork, build_network
+from .parser import IDENTIFIER
 
 FORMAT_NAME = "petri-net"
 
@@ -43,6 +44,9 @@ def petri_import(doc: dict[str, Any]) -> ReactionNetwork:
     transitions = doc.get("transitions")
     if not isinstance(places, list) or not all(isinstance(p, str) for p in places):
         raise PetriFormatError("'places' must be a list of strings")
+    for p in places:
+        if not IDENTIFIER.fullmatch(p):
+            raise PetriFormatError(f"place name {p!r} is not a species name of the text format")
     if not isinstance(transitions, list):
         raise PetriFormatError("'transitions' must be a list")
     index = {p: i for i, p in enumerate(places)}

@@ -6,6 +6,13 @@ the report and the network text alone, the certificate chain can be rebuilt
 and re-audited (see verify_report).  From version 4 the JSON report is one
 compact line (no indentation), so the C encoder writes it; every version
 from 1 on is read by the same decoder.
+
+From version 6 an unbalanced forest carries one balance refutation, for the
+candidate row "sum of all candidates >= 1".  The rows form a cone, so a
+refutation of that row proves that no balancing vector puts positive weight
+on any candidate.  Versions 1-5 carry one refutation per candidate k; the
+decoder reads each as a refutation covering the set (k,), so every version
+goes through the same audit.
 """
 
 from __future__ import annotations
@@ -40,7 +47,10 @@ REPORT_FORMAT = "crn-extinction-report"
 # Version 4: compact layout, fields as in version 3.
 # Version 5: phase 1 starts from the slack basis and the subconservativity LP
 # is solved over c - 1, so Farkas multipliers differ; fields as in version 4.
-REPORT_VERSION = 5
+# Version 6: one balance refutation per unbalanced forest, covering the list
+# "candidate_variables"; the per-candidate "candidate_variable",
+# "candidate_reaction" and "label" fields are gone.
+REPORT_VERSION = 6
 
 
 def encode_rational(x: int | Fraction) -> dict[str, str]:
@@ -196,17 +206,8 @@ def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> d
     }
     report["nontriviality"] = cert.nontriviality
     report["balance_refutations"] = [
-        {
-            "candidate_reaction": cand if cand < net.r else None,
-            "candidate_variable": cand,
-            "label": (
-                EdgeId("R", cand).label()
-                if cand < net.r
-                else EdgeId("D", cand - net.r).label()
-            ),
-            "farkas": _farkas_obj(farkas),
-        }
-        for cand, farkas in cert.outcome.witnesses
+        {"candidate_variables": list(cands), "farkas": _farkas_obj(farkas)}
+        for cands, farkas in cert.outcome.witnesses
     ]
     report["subconservativity_witness"] = _rational_vector(cert.subconservation)
     report["statistics"] = _stats_obj(verdict.stats)
@@ -217,7 +218,9 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     """Rebuild a guaranteed-extinction verdict from its JSON report.
 
     Cross-checks the report's complex names against the network before
-    trusting any index.
+    trusting any index.  A refutation covers the list "candidate_variables"
+    from version 6 and the one "candidate_variable" before; each key is
+    rejected at the other versions.
     """
     if report.get("verdict") != "guaranteed-extinction":
         raise ValueError("report does not carry a guaranteed-extinction verdict")
@@ -236,13 +239,18 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     )
     interior = tuple(_exact(k, int) for k in report["forest"]["interior_reactions"])
     forest = ExteriorForest(choices=choices, interior=interior)
+    listed = _exact(report["version"], int) >= 6
+    stale = "candidate_variable" if listed else "candidate_variables"
     vector = _vector_decoder()
-    outcome = Unbalanced(
-        tuple(
-            (_exact(w["candidate_variable"], int), _decode_farkas(w["farkas"], vector))
-            for w in report["balance_refutations"]
+    witnesses = []
+    for w in report["balance_refutations"]:
+        if stale in w:
+            raise ValueError(f"{stale!r} is not a field of this report version")
+        cands = _exact(w["candidate_variables"], list) if listed else [w["candidate_variable"]]
+        witnesses.append(
+            (tuple(_exact(k, int) for k in cands), _decode_farkas(w["farkas"], vector))
         )
-    )
+    outcome = Unbalanced(tuple(witnesses))
     certificate = ExtinctionCertificate(
         subconservation=vector(report["subconservativity_witness"]),
         dom_edges=dom_edges,

@@ -183,7 +183,12 @@ def test_criterion_02_domination(nets):
             report = check_slc_coincidence(net, edges, subconservative=True)
             assert report.applicable and not report.violated, name
 
-    report22 = check_slc_coincidence(nets["example22"], domination_set(nets["example22"]))
+    net22 = nets["example22"]
+    report22 = check_slc_coincidence(
+        net22,
+        domination_set(net22),
+        subconservative=is_subconservative(stoich_matrix(net22)).feasible,
+    )
     assert not report22.applicable
 
 
@@ -197,7 +202,7 @@ def test_criterion_03_balance(nets):
     left_out = decide_balance(left_sys)
     assert isinstance(left_out, Balanced)
     assert verify_balance_outcome(dcrn, left, left_out)
-    assert check_feasible(left_sys.linear_system(candidate=0), (1, 0, 1, 0, 1))
+    assert check_feasible(left_sys.linear_system((0,)), (1, 0, 1, 0, 1))
 
     right_out = decide_balance(build_balancing_system(dcrn, right))
     assert isinstance(right_out, Unbalanced) and right_out.witnesses
@@ -224,7 +229,7 @@ def test_criterion_03_balance(nets):
     sys000 = build_balancing_system(d000, next(enumerate_forests(d000)))
     out000 = decide_balance(sys000)
     assert isinstance(out000, Balanced)
-    assert check_feasible(sys000.linear_system(candidate=1), (0, 2, 1, 0))
+    assert check_feasible(sys000.linear_system((1,)), (0, 2, 1, 0))
     names = name_to_index(net000)
     verdict = analyze(
         net000,
@@ -374,7 +379,7 @@ def test_criterion_07_certificate_audit(nets, extinction_verdicts):
         yield replace(
             verdict, certificate=replace(cert, outcome=Unbalanced(out.witnesses[1:]))
         )
-        cand0, farkas0 = out.witnesses[0]
+        cands0, farkas0 = out.witnesses[0]
         zeroed = Farkas(
             tuple(Fraction(0) for _ in farkas0.eq_mult),
             tuple(Fraction(0) for _ in farkas0.ge_mult),
@@ -383,7 +388,7 @@ def test_criterion_07_certificate_audit(nets, extinction_verdicts):
         yield replace(
             verdict,
             certificate=replace(
-                cert, outcome=Unbalanced(((cand0, zeroed),) + out.witnesses[1:])
+                cert, outcome=Unbalanced(((cands0, zeroed),) + out.witnesses[1:])
             ),
         )
         flipped = Farkas(
@@ -394,7 +399,7 @@ def test_criterion_07_certificate_audit(nets, extinction_verdicts):
         yield replace(
             verdict,
             certificate=replace(
-                cert, outcome=Unbalanced(((cand0, flipped),) + out.witnesses[1:])
+                cert, outcome=Unbalanced(((cands0, flipped),) + out.witnesses[1:])
             ),
         )
 
@@ -462,7 +467,7 @@ def test_criterion_09_exactness(nets):
     for forest in enumerate_forests(dcrn):
         system = build_balancing_system(dcrn, forest)
         for cand in system.candidates:
-            base = system.linear_system(candidate=cand)
+            base = system.linear_system((cand,))
             scaled = scale_system(base, factors)
             assert isinstance(solve_feasibility(base), Farkas) == isinstance(
                 solve_feasibility(scaled), Farkas
@@ -472,7 +477,7 @@ def test_criterion_09_exactness(nets):
     from crnextinct.exactlp import lexmin, Feasible
 
     left = next(enumerate_forests(dcrn))
-    sys_left = build_balancing_system(dcrn, left).linear_system(candidate=0)
+    sys_left = build_balancing_system(dcrn, left).linear_system((0,))
     rational = lexmin(sys_left)
     assert isinstance(rational, Feasible)
     lcm = 1

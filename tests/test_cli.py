@@ -147,7 +147,10 @@ def test_forests_output(capsys):
     assert main(["forests", fixture("example21")]) == 0
     out = capsys.readouterr().out
     assert "balanced, alpha = [1, 0, 1, 0, 1]" in out
-    assert "unbalanced" in out
+    # one refutation per unbalanced forest, covering its candidate reactions
+    assert "forest 2: edges {D1, 2, 3}: unbalanced, refuted on candidates {2, 3}" in out
+    assert "forest 3: edges {D1, D2, 3}: unbalanced, refuted on candidates {3}" in out
+    assert "refutation(s)" not in out
     # every complex absorbing: analyze skips this candidate as vacuous
     assert main(["forests", fixture("example001")]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,8 @@ from crnextinct.domination import (
     maximal_admissible,
 )
 from crnextinct.graphs import reaction_graph, terminal_complexes
-from crnextinct.model import build_network
+from crnextinct.invariants import is_subconservative
+from crnextinct.model import build_network, stoich_matrix
 
 from conftest import complex_names
 
@@ -132,27 +133,33 @@ def test_maximal_admissible_revalidates(nets):
 
 def test_slc_coincidence_example33(nets):
     net = nets["example21"]
-    report = check_slc_coincidence(net, (DominationEdge(0, 2), DominationEdge(1, 2)))
+    report = check_slc_coincidence(
+        net,
+        (DominationEdge(0, 2), DominationEdge(1, 2)),
+        subconservative=is_subconservative(stoich_matrix(net)).feasible,
+    )
     assert report.applicable and report.slcs_coincide and report.terminal_subset
     assert not report.violated
 
 
 def test_slc_coincidence_not_applicable_example22(nets):
     net = nets["example22"]
-    report = check_slc_coincidence(net, domination_set(net))
+    report = check_slc_coincidence(
+        net, domination_set(net), subconservative=is_subconservative(stoich_matrix(net)).feasible
+    )
     assert not report.applicable
     assert report.slcs_coincide is None and report.terminal_subset is None
 
 
 def test_slc_coincidence_trivial_empty(nets):
-    report = check_slc_coincidence(nets["example23"], ())
+    net = nets["example23"]
+    report = check_slc_coincidence(
+        net, (), subconservative=is_subconservative(stoich_matrix(net)).feasible
+    )
     assert report.applicable and not report.violated
 
 
 def test_slc_coincidence_all_subconservative_fixtures(nets):
-    from crnextinct.invariants import is_subconservative
-    from crnextinct.model import stoich_matrix
-
     for name, net in nets.items():
         if not is_subconservative(stoich_matrix(net)).feasible:
             continue

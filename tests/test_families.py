@@ -60,9 +60,9 @@ def per_candidate_balance(system: BalancingSystem):
     """The balance decision as one lexmin per candidate, in ascending order."""
     refutations = []
     for cand in system.candidates:
-        best = lexmin(system.linear_system(candidate=cand))
+        best = lexmin(system.linear_system((cand,)))
         if isinstance(best, Farkas):
-            refutations.append((cand, best))
+            refutations.append(((cand,), best))
             continue
         return Balanced(alpha=tuple(scale_to_integers(best.witness)[0]), positive_edge=cand)
     return Unbalanced(tuple(refutations))
@@ -73,12 +73,14 @@ def _check_against_reference(system: BalancingSystem) -> type:
     got, want = decide_balance(system), per_candidate_balance(system)
     assert type(got) is type(want)
     if isinstance(got, Unbalanced):
-        assert [c for c, _ in got.witnesses] == [c for c, _ in want.witnesses]
-        assert [c for c, _ in got.witnesses] == list(system.candidates)
-        for cand, cert in got.witnesses:
-            assert check_farkas(system.linear_system(candidate=cand), cert), cand
+        assert [c for c, _ in want.witnesses] == [(c,) for c in system.candidates]
+        # one refutation, covering every candidate (none for no candidates)
+        covering = [system.candidates] if system.candidates else []
+        assert [c for c, _ in got.witnesses] == covering
+        for cands, cert in got.witnesses:
+            assert check_farkas(system.linear_system(cands), cert), cands
     else:
-        assert check_feasible(system.linear_system(candidate=got.positive_edge), got.alpha)
+        assert check_feasible(system.linear_system((got.positive_edge,)), got.alpha)
         assert got.positive_edge == min(k for k in system.candidates if got.alpha[k] > 0)
     return type(got)
 

@@ -93,7 +93,7 @@ def test_decide_balance_left_forest(example33):
     assert outcome.alpha == (1, 0, 1, 0, 1)
     assert verify_balance_outcome(example33, forest, outcome)
     # the published balancing vector passes the same audit
-    assert check_feasible(system.linear_system(candidate=0), (1, 0, 1, 0, 1))
+    assert check_feasible(system.linear_system((0,)), (1, 0, 1, 0, 1))
 
 
 def test_decide_balance_one_lp_per_candidate(example33, monkeypatch):
@@ -128,7 +128,7 @@ def test_decide_balance_one_phase1_per_forest(example33, monkeypatch):
     forest = list(enumerate_forests(example33))[1]
     outcome = decide_balance(build_balancing_system(example33, forest))
     assert isinstance(outcome, Unbalanced)
-    assert [cand for cand, _ in outcome.witnesses] == [1, 2]
+    assert [cands for cands, _ in outcome.witnesses] == [(1, 2)]
     assert len(calls) == 1
 
 
@@ -136,8 +136,13 @@ def test_decide_balance_right_forest(example33):
     forest = list(enumerate_forests(example33))[1]
     outcome = decide_balance(build_balancing_system(example33, forest))
     assert isinstance(outcome, Unbalanced)
-    assert [cand for cand, _ in outcome.witnesses] == [1, 2]
+    assert [cands for cands, _ in outcome.witnesses] == [(1, 2)]
     assert verify_balance_outcome(example33, forest, outcome)
+    # the covered sets, joined in order, must be exactly the candidates
+    (_, farkas), = outcome.witnesses
+    for cands in ((1,), (2,), (2, 1), (1, 2, 2), (0, 1, 2), ()):
+        doctored = Unbalanced(((cands, farkas),))
+        assert not verify_balance_outcome(example33, forest, doctored), cands
 
 
 def test_decide_balance_example999(nets):
@@ -196,7 +201,7 @@ def test_example000_terminal_balanced(nets):
     system = build_balancing_system(dcrn, forest)
     outcome = decide_balance(system)
     assert isinstance(outcome, Balanced)
-    assert check_feasible(system.linear_system(candidate=1), (0, 2, 1, 0))
+    assert check_feasible(system.linear_system((1,)), (0, 2, 1, 0))
 
 
 def test_monotone_in_candidates(example33):

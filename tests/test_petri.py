@@ -46,6 +46,10 @@ def test_malformed_documents():
         petri_import({"places": [1], "transitions": []})
     with pytest.raises(PetriFormatError):
         petri_import({"places": ["A", "A"], "transitions": []})
+    # the text format could not read these back as species names
+    for name in ("a b", "->", "0", "", "2A", "A+B", "A\n", "É"):
+        with pytest.raises(PetriFormatError, match="not a species name"):
+            petri_import({"places": [name], "transitions": [{"input": {name: 1}}]})
     with pytest.raises(PetriFormatError, match="unknown place"):
         petri_import({"places": ["A"], "transitions": [{"input": {"B": 1}}]})
     with pytest.raises(PetriFormatError, match="nonnegative integer"):

@@ -113,12 +113,14 @@ def test_report_envelope_is_checked(nets):
     assert report["format"] == REPORT_FORMAT and report["version"] == REPORT_VERSION
     for not_a_report in ([], None, "report", 7):
         assert verify_report(net, not_a_report) is False
-    # certificate fields are unchanged since version 1, so those reports still verify
-    for version, ok in (
-        (1, True), (2, True), (3, True), (4, True), (5, True),
-        (0, False), (6, False), (True, False), ("2", False),
-    ):
+    for version, ok in ((6, True), (0, False), (7, False), (True, False), ("2", False)):
         assert verify_report(net, dict(report, version=version)) is ok, version
+    # certificate fields were unchanged from version 1 to 5, so a version-5
+    # report verifies at each of them; "candidate_variable" is no version-6 field
+    old = json.loads((REPORT_DIR / "example21-v5.json").read_bytes())
+    for version in range(1, 8):
+        assert verify_report(net, dict(old, version=version)) is (version <= 5), version
+        assert verify_report(net, dict(report, version=version)) is (version == 6), version
     assert not verify_report(net, dict(report, format="bogus"))
     assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
 
@@ -136,26 +138,47 @@ def test_version2_reports_still_verify(nets, name):
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
-def test_version5_report_bytes_are_pinned(nets, name):
-    # emitted at version 5; a change to any byte, multipliers included, must
+def test_version6_report_bytes_are_pinned(nets, name):
+    # emitted at version 6; a change to any byte, multipliers included, must
     # come with a new REPORT_VERSION and new pinned reports
-    pinned = (REPORT_DIR / f"{name}-v5.json").read_bytes()
+    pinned = (REPORT_DIR / f"{name}-v6.json").read_bytes()
     net = nets[name]
     cfg = SearchConfig()
-    assert emit_report(net, analyze(net, cfg), cfg) == pinned
+    verdict = analyze(net, cfg)
+    assert emit_report(net, verdict, cfg) == pinned
     assert pinned.count(b"\n") == 1  # one compact line
     report = json.loads(pinned)
-    assert report["version"] == 5
+    assert report["version"] == 6
     assert verify_report(net, report)
-    # the new phase-1 start moved multipliers only: lexmin points are unique
-    old = json.loads((REPORT_DIR / f"{name}-v4.json").read_bytes())
-    for field in ("subconservativity_witness", "transient_complexes"):
-        assert report[field] == old[field], field
+    # one refutation, covering the forest's candidates, which the version-5
+    # report refuted one by one
+    candidates = list(verdict.certificate.outcome.witnesses[0][0])
+    assert [w["candidate_variables"] for w in report["balance_refutations"]] == [candidates]
+    old = json.loads((REPORT_DIR / f"{name}-v5.json").read_bytes())
+    assert [w["candidate_variable"] for w in old["balance_refutations"]] == candidates
 
 
 def _with_old_refutations(report, old, version):
     """Today's report with the version and the balance refutations of an older one."""
     return dict(report, version=version, balance_refutations=old["balance_refutations"])
+
+
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version5_report_bytes_are_pinned(nets, name):
+    # emitted at version 5, with one refutation per candidate: the report
+    # still verifies, and only its version and refutations differ from today's
+    pinned = (REPORT_DIR / f"{name}-v5.json").read_bytes()
+    net = nets[name]
+    report = json.loads(pinned)
+    assert report["version"] == 5
+    assert verify_report(net, report)
+    _, today = _extinction_report(net)
+    as_v5 = _with_old_refutations(today, report, 5)
+    assert (json.dumps(as_v5, separators=(",", ":")) + "\n").encode("utf-8") == pinned
+    # the new phase-1 start moved multipliers only: lexmin points are unique
+    old = json.loads((REPORT_DIR / f"{name}-v4.json").read_bytes())
+    for field in ("subconservativity_witness", "transient_complexes"):
+        assert report[field] == old[field], field
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
@@ -235,9 +258,10 @@ def _decoded_one_by_one(report):
     def farkas(obj):
         return Farkas(vector(obj["eq"]), vector(obj["ge"]), vector(obj["nonneg"]))
 
-    witnesses = tuple(
-        (w["candidate_variable"], farkas(w["farkas"])) for w in report["balance_refutations"]
-    )
+    def covered(w):
+        return tuple(w["candidate_variables"]) if report["version"] >= 6 else (w["candidate_variable"],)
+
+    witnesses = tuple((covered(w), farkas(w["farkas"])) for w in report["balance_refutations"])
     return witnesses, vector(report["subconservativity_witness"])
 
 
@@ -258,10 +282,10 @@ def _swapped(witnesses, i, j):
 
 @pytest.mark.parametrize("name, candidates", [("intro", 2), ("envz", 9)])
 def test_refutation_verifies_only_for_its_candidate(nets, name, candidates):
+    # a version-5 report refutes each candidate on its own
     net = nets[name]
-    verdict, report = _extinction_report(net)
-    report = json.loads(json.dumps(report))
-    cert = verdict.certificate
+    report = json.loads((REPORT_DIR / f"{name}-v5.json").read_bytes())
+    cert = report_certificate(net, report).certificate
     dcrn = DomCRN(net, cert.dom_edges, cert.absorbing)
     witnesses = cert.outcome.witnesses
     assert len(witnesses) == candidates
@@ -295,7 +319,7 @@ def _replace(report, path, value):
         ("example21", ("dom_edges", 0, "to_index"), float),
         ("example23", ("forest", "interior_reactions"), lambda v: [True, 2]),
         ("example23", ("forest", "interior_reactions"), lambda v: [float(i) for i in v]),
-        ("example21", ("balance_refutations", 0, "candidate_variable"), float),
+        ("example21", ("balance_refutations", 0, "candidate_variables", 0), float),
         ("example21", ("statistics", "truncated"), lambda v: "no"),
         ("example21", ("statistics", "truncated"), lambda v: 0),
     ],
@@ -368,25 +392,52 @@ def test_text_rendering(nets):
 
 
 @pytest.mark.parametrize(
-    "cfg, labels",
+    "cfg, candidates",
     [
-        (SearchConfig(absorbing_strategy="explicit", explicit_absorbing=frozenset({3})), ["2", "3"]),
-        (SearchConfig(nontriviality="any-edge"), ["2", "3", "D1"]),
+        # reactions 2 and 3, and D1 as variable r + 0 = 3
+        (SearchConfig(absorbing_strategy="explicit", explicit_absorbing=frozenset({3})), [1, 2]),
+        (SearchConfig(nontriviality="any-edge"), [1, 2, 3]),
         (
             SearchConfig(
                 absorbing_strategy="explicit", explicit_absorbing=frozenset({3}), nontriviality="any-edge"
             ),
-            ["2", "3", "D1"],
+            [1, 2, 3],
         ),
     ],
     ids=["explicit-absorbing", "any-edge", "both"],
 )
-def test_report_round_trip_under_search_options(nets, cfg, labels):
+def test_report_round_trip_under_search_options(nets, cfg, candidates):
     net = nets["example21"]
     verdict = analyze(net, cfg)
     report = json.loads(emit_report(net, verdict, cfg))
     assert report["search"]["nontriviality"] == cfg.nontriviality == report["nontriviality"]
     if cfg.explicit_absorbing is not None:
         assert report["search"]["explicit_absorbing"] == report["absorbing_set"] == ["X1"]
-    assert [w["label"] for w in report["balance_refutations"]] == labels
+    assert [w["candidate_variables"] for w in report["balance_refutations"]] == [candidates]
     assert verify_report(net, report)
+
+
+@pytest.mark.parametrize(
+    "pin, doctor",
+    [
+        ("envz-v6", lambda w: w["candidate_variables"].pop(3)),
+        ("envz-v6", lambda w: w["candidate_variables"].insert(2, w["candidate_variables"][2])),
+        ("envz-v6", lambda w: w["candidate_variables"].append(max(w["candidate_variables"]) + 1)),
+        ("envz-v6", lambda w: w["candidate_variables"].reverse()),
+        ("envz-v6", lambda w: w["candidate_variables"].clear()),
+        ("envz-v6", lambda w: w["candidate_variables"].__setitem__(0, float(w["candidate_variables"][0]))),
+        ("envz-v6", lambda w: w["candidate_variables"].__setitem__(0, bool(w["candidate_variables"][0]))),
+        ("envz-v6", lambda w: w.__setitem__("candidate_variable", w.pop("candidate_variables"))),
+        ("envz-v5", lambda w: w.__setitem__("candidate_variables", [w["candidate_variable"]])),
+    ],
+    ids=[
+        "omitted", "repeated", "non-candidate", "reversed", "empty", "float", "bool",
+        "v5-key-in-v6", "v6-key-in-v5",
+    ],
+)
+def test_candidate_variables_are_strict(nets, pin, doctor):
+    net = nets["envz"]
+    report = json.loads((REPORT_DIR / f"{pin}.json").read_bytes())
+    assert verify_report(net, report)
+    doctor(report["balance_refutations"][0])
+    assert verify_report(net, report) is False
