@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: analyze, oracle, structure, invariants, forests, petri.
-Exit codes: 0 completed (any verdict), 2 input error, 3 cap exceeded.
+Exit codes: 0 completed (any verdict), 1 stdout closed before the output was
+written, 2 input error, 3 cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -46,6 +48,7 @@ from .petri import petri_export, petri_import
 from .report import emit_report
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
@@ -292,6 +295,11 @@ def _cmd_petri(args: argparse.Namespace) -> int:
     else:
         net = _read(args.file, lambda text: petri_import(json.loads(text)))
         text = format_network(net)
+        kept = parse_crn(text).network.species_names  # by first use, unused ones dropped
+        moved = [p for i, p in enumerate(net.species_names) if kept[i:i + 1] != [p]]
+        if moved:
+            fate = "moved" if moved[0] in kept else "lost"
+            raise InputError(f"{args.file}: place {moved[0]!r} would be {fate} in the text form")
     if args.out:
         _write(args.out, text.encode("utf-8"))
     else:
@@ -360,7 +368,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -4,13 +4,15 @@ A complex dominates another when it is componentwise at least as large and the
 two differ.  Adding some of these relations as extra directed edges yields a
 domination-expanded network.  Such an expansion is admissible for an absorbing
 complex set Y of the expanded graph when no added edge duplicates a true
-reaction and no added edge points into Y.
+reaction and no added edge points into Y.  A candidate's structural checks
+all read its one expanded graph, `DomCRN.graph`, condensed at most once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -49,13 +51,15 @@ class DomCRN:
 
     Construct through build_dom_crn (or maximal_admissible); direct
     construction skips validation, which the tests use to reproduce
-    deliberately inadmissible expansions.
+    deliberately inadmissible expansions.  `graph` (see dom_graph) is built
+    on first use and then shared, with its condensation.
     """
 
     net: ReactionNetwork
     dom_edges: tuple[DominationEdge, ...]
     absorbing: frozenset[int]
 
+    @cached_property
     def graph(self) -> ReactionGraph:
         return dom_graph(self.net, self.dom_edges)
 
@@ -87,7 +91,10 @@ def is_domination_edge(net: ReactionNetwork, e: DominationEdge) -> bool:
 
 
 def dom_graph(net: ReactionNetwork, dom_edges: Sequence[DominationEdge]) -> ReactionGraph:
-    """Reaction graph of the expanded network: true reactions plus domination edges."""
+    """Reaction graph of the expanded network: true reactions plus domination edges.
+
+    Reactions in index order, then domination edges: edge v is balancing variable v.
+    """
     base = reaction_graph(net).edges
     extra = tuple(
         GraphEdge(e.src, e.dst, EdgeId("D", j)) for j, e in enumerate(dom_edges)
@@ -144,39 +151,39 @@ def build_dom_crn(
                 f"domination edge {e.src}->{e.dst} targets the absorbing set",
                 e,
             )
-    dedup = tuple(dict.fromkeys(kept))
-    g = dom_graph(net, dedup)
-    if not is_absorbing_set(g, aset):
+    dcrn = DomCRN(net, tuple(dict.fromkeys(kept)), aset)
+    if not is_absorbing_set(dcrn.graph, aset):
         raise AdmissibilityError(
             "absorbing",
             "set is not absorbing on the expanded graph "
             "(must contain every terminal complex and have no outgoing edges)",
         )
-    return DomCRN(net, dedup, aset)
+    return dcrn
 
 
 def shrink_to_terminal(
     net: ReactionNetwork, dom_edges: Sequence[DominationEdge]
-) -> tuple[tuple[DominationEdge, ...], frozenset[int]]:
+) -> tuple[tuple[DominationEdge, ...], ReactionGraph]:
     """Delete every domination edge touching the terminal complexes, until stable.
 
     Each round recomputes terminality on the expanded graph.  The edge set
     shrinks monotonically, so this terminates; returns the surviving edges and
-    the final graph's terminal-complex set.
+    their expanded graph, whose terminal complexes no surviving edge touches.
     """
     edges = list(dom_edges)
     while True:
-        terminals = terminal_complexes(dom_graph(net, edges))
+        g = dom_graph(net, edges)
+        terminals = terminal_complexes(g)
         kept = [e for e in edges if e.dst not in terminals and e.src not in terminals]
         if kept == edges:
-            return tuple(edges), terminals
+            return tuple(edges), g
         edges = kept
 
 
 def maximal_admissible(net: ReactionNetwork) -> DomCRN:
     """The default expansion: all domination relations, shrunk to the terminal fixpoint."""
-    edges, terminals = shrink_to_terminal(net, expansion_edges(net))
-    return build_dom_crn(net, edges, terminals)
+    edges, g = shrink_to_terminal(net, expansion_edges(net))
+    return build_dom_crn(net, edges, terminal_complexes(g))
 
 
 @dataclass(frozen=True)
@@ -201,20 +208,19 @@ class SlcCoincidenceReport:
 
 def check_slc_coincidence(
     net: ReactionNetwork,
-    dom_edges: Sequence[DominationEdge],
+    expanded: ReactionGraph,
     *,
     subconservative: bool,
 ) -> SlcCoincidenceReport:
-    """Check SLC coincidence between base and expanded graphs.
+    """Check SLC coincidence between the network's graph and an expanded graph.
 
+    `expanded` is usually `DomCRN.graph`, condensed once per candidate.
     `subconservative` is the caller's decision of the network's
-    subconservativity.  Not-applicable (and no verdict) when the network is
-    not subconservative.
+    subconservativity.  Not-applicable (and no verdict) when that is False.
     """
     if not subconservative:
         return SlcCoincidenceReport(False, None, None)
     base = reaction_graph(net)
-    expanded = dom_graph(net, dom_edges)
     base_slcs = strong_linkage_classes(base)
     dom_slcs = strong_linkage_classes(expanded)
     coincide = base_slcs == dom_slcs

@@ -25,7 +25,6 @@ from .domination import (
     DominationEdge,
     build_dom_crn,
     check_slc_coincidence,
-    dom_graph,
     expansion_edges,
     is_domination_edge,
     reaction_pairs,
@@ -43,7 +42,7 @@ from .forests import (
     forest_is_valid,
     verify_balance_outcome,
 )
-from .graphs import enumerate_absorbing_sets, is_absorbing_set
+from .graphs import enumerate_absorbing_sets, is_absorbing_set, terminal_complexes
 from .invariants import FeasibilityOutcome, conservation_system, is_subconservative
 from .model import ReactionNetwork, stoich_matrix
 
@@ -158,10 +157,10 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
             aset = cfg.explicit_absorbing
             pairs.append((restrict(seed, aset), aset))
         else:
-            edges, terminals = shrink_to_terminal(net, seed)
-            pairs.append((edges, terminals))
+            edges, g = shrink_to_terminal(net, seed)
+            pairs.append((edges, terminal_complexes(g)))
             if cfg.absorbing_strategy == "enumerate":
-                for aset in enumerate_absorbing_sets(dom_graph(net, edges), cfg.absorbing_cap):
+                for aset in enumerate_absorbing_sets(g, cfg.absorbing_cap):
                     pairs.append((restrict(edges, aset), aset))
         for edges, aset in pairs:
             key = (edges, aset)
@@ -198,7 +197,7 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
             vacuous += 1
             continue
         candidates += 1
-        coincidence = check_slc_coincidence(net, dcrn.dom_edges, subconservative=True)
+        coincidence = check_slc_coincidence(net, dcrn.graph, subconservative=True)
         if coincidence.violated:
             raise InternalCheckError(
                 f"SLC coincidence failed for expansion {dcrn.dom_edges}: {coincidence}"
@@ -245,19 +244,18 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     checks.append(("domination-edges", ok_edges))
 
     aset = cert.absorbing
+    dcrn = DomCRN(net, cert.dom_edges, aset)
     ok_y = (
         aset <= frozenset(range(net.n))
         and len(aset) < net.n
         and all(e.dst not in aset and e.src not in aset for e in cert.dom_edges)
+        and is_absorbing_set(dcrn.graph, aset)
     )
-    if ok_y:
-        ok_y = is_absorbing_set(dom_graph(net, cert.dom_edges), aset)
     checks.append(("absorbing-set", ok_y))
 
     ok_t = verdict.transient == frozenset(range(net.n)) - aset
     checks.append(("transient-set", ok_t))
 
-    dcrn = DomCRN(net, cert.dom_edges, aset)
     ok_f = ok_y and forest_is_valid(dcrn, cert.forest)
     checks.append(("forest", ok_f))
 

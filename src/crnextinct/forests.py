@@ -54,16 +54,8 @@ class ExteriorForest:
         return labels
 
 
-def _edge_target(dcrn: DomCRN, eid: EdgeId) -> int:
-    if eid.kind == "R":
-        return dcrn.net.target_index[eid.index]
-    return dcrn.dom_edges[eid.index].dst
-
-
-def _edge_source(dcrn: DomCRN, eid: EdgeId) -> int:
-    if eid.kind == "R":
-        return dcrn.net.source_index[eid.index]
-    return dcrn.dom_edges[eid.index].src
+def _edge_var(dcrn: DomCRN, eid: EdgeId) -> int:
+    return eid.index if eid.kind == "R" else dcrn.net.r + eid.index
 
 
 def interior_reactions(dcrn: DomCRN) -> tuple[int, ...]:
@@ -80,7 +72,7 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
     are generated one at a time, so a caller that stops early pays only for
     the forests it took.
     """
-    g = dcrn.graph()
+    g = dcrn.graph
     absorbing = dcrn.absorbing
     exterior = dcrn.exterior_complexes()
     options: dict[int, list[GraphEdge]] = {y: [] for y in exterior}
@@ -126,15 +118,11 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
     if forest.interior != interior_reactions(dcrn):
         return False
     for y, eid in cmap.items():
-        if eid.kind == "R":
-            if not 0 <= eid.index < dcrn.net.r:
-                return False
-        elif eid.kind == "D":
-            if not 0 <= eid.index < dcrn.d:
-                return False
-        else:
+        limit = dcrn.net.r if eid.kind == "R" else dcrn.d if eid.kind == "D" else 0
+        if not 0 <= eid.index < limit:  # before the lookup: a negative index would alias
             return False
-        if _edge_source(dcrn, eid) != y or _edge_target(dcrn, eid) == y:
+        edge = dcrn.graph.edges[_edge_var(dcrn, eid)]
+        if edge.src != y or edge.dst == y:
             return False
     for y in exterior:
         seen = set()
@@ -143,7 +131,7 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
             if cur in seen:
                 return False
             seen.add(cur)
-            cur = _edge_target(dcrn, cmap[cur])
+            cur = dcrn.graph.edges[_edge_var(dcrn, cmap[cur])].dst
     return True
 
 
@@ -201,10 +189,6 @@ class BalancingSystem:
         return LinearSystem(self.n_vars, eq=eq, ge=ge + (make_row(coeffs, 1),))
 
 
-def _edge_var(dcrn: DomCRN, eid: EdgeId) -> int:
-    return eid.index if eid.kind == "R" else dcrn.net.r + eid.index
-
-
 def build_balancing_system(
     dcrn: DomCRN,
     forest: ExteriorForest,
@@ -213,17 +197,14 @@ def build_balancing_system(
     if nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
         raise ValueError(f"unknown nontriviality reading {nontriviality!r}")
     net = dcrn.net
-    support = {_edge_var(dcrn, eid) for _, eid in forest.choices}
-    support |= set(forest.interior)
+    support = {_edge_var(dcrn, eid) for _, eid in forest.choices} | set(forest.interior)
     zero_vars = tuple(v for v in range(net.r + dcrn.d) if v not in support)
     kernel_rows = stoich_matrix(net)
     incoming: dict[int, list[int]] = {y: [] for y, _ in forest.choices}
-    forest_edges = [eid for _, eid in forest.choices]
-    forest_edges.extend(EdgeId("R", k) for k in forest.interior)
-    for eid in forest_edges:
-        tgt = _edge_target(dcrn, eid)
+    for v in support:  # edge v of the expanded graph is variable v
+        tgt = dcrn.graph.edges[v].dst
         if tgt in incoming:
-            incoming[tgt].append(_edge_var(dcrn, eid))
+            incoming[tgt].append(v)
     flow_rows = tuple(
         (y, _edge_var(dcrn, eid), tuple(sorted(incoming[y])))
         for y, eid in forest.choices

@@ -6,12 +6,14 @@ so the same machinery serves plain networks and domination-expanded ones.
 Parallel edges and self-loops are permitted.
 
 Partitions are returned as lists of frozensets ordered by their smallest
-member, which keeps every derived object deterministic.
+member, which keeps every derived object deterministic.  Every strong-linkage
+answer reads `ReactionGraph.condensation`, computed once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,6 +35,11 @@ class GraphEdge(NamedTuple):
     eid: EdgeId
 
 
+class Condensation(NamedTuple):
+    comp_of: tuple[int, ...]  # scc_ids component id per vertex
+    sink: tuple[bool, ...]  # per component id, True when no edge leaves it
+
+
 @dataclass(frozen=True)
 class ReactionGraph:
     n: int
@@ -48,6 +55,16 @@ class ReactionGraph:
         for e in self.edges:
             out[e.src].append(e.dst)
         return out
+
+    @cached_property
+    def condensation(self) -> Condensation:
+        """The graph's strongly connected components, computed once and shared."""
+        comp_of = scc_ids(self.successors())
+        sink = [True] * (max(comp_of, default=-1) + 1)
+        for e in self.edges:
+            if comp_of[e.src] != comp_of[e.dst]:
+                sink[comp_of[e.src]] = False
+        return Condensation(tuple(comp_of), tuple(sink))
 
 
 def reaction_graph(net: ReactionNetwork) -> ReactionGraph:
@@ -120,17 +137,6 @@ def scc_ids(succ: Sequence[Sequence[int]]) -> list[int]:
     return comp_of
 
 
-def sink_components(succ: Sequence[Sequence[int]], comp_of: Sequence[int]) -> list[bool]:
-    """Per component id of scc_ids, True when no edge leaves the component."""
-    sink = [True] * (max(comp_of, default=-1) + 1)
-    for v, targets in enumerate(succ):
-        c = comp_of[v]
-        for w in targets:
-            if comp_of[w] != c:
-                sink[c] = False
-    return sink
-
-
 def _blocks(comp_of: Sequence[int]) -> list[frozenset[int]]:
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(comp_of):
@@ -140,22 +146,18 @@ def _blocks(comp_of: Sequence[int]) -> list[frozenset[int]]:
 
 def strong_linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
     """Strongly connected components, singletons allowed."""
-    return _blocks(scc_ids(g.successors()))
+    return _blocks(g.condensation.comp_of)
 
 
 def terminal_slcs(g: ReactionGraph) -> list[frozenset[int]]:
     """Strong linkage classes with no edge leaving them."""
-    succ = g.successors()
-    comp_of = scc_ids(succ)
-    sink = sink_components(succ, comp_of)
+    comp_of, sink = g.condensation
     return [block for block in _blocks(comp_of) if sink[comp_of[min(block)]]]
 
 
 def terminal_complexes(g: ReactionGraph) -> frozenset[int]:
-    out: set[int] = set()
-    for block in terminal_slcs(g):
-        out |= block
-    return frozenset(out)
+    comp_of, sink = g.condensation
+    return frozenset(v for v, c in enumerate(comp_of) if sink[c])
 
 
 def is_absorbing_set(g: ReactionGraph, absorbing: Iterable[int]) -> bool:
@@ -181,10 +183,7 @@ def enumerate_absorbing_sets(g: ReactionGraph, cap: int) -> list[frozenset[int]]
     if cap < 1:
         raise ValueError("cap must be >= 1")
     sccs = strong_linkage_classes(g)
-    block_of = {}
-    for i, block in enumerate(sccs):
-        for v in block:
-            block_of[v] = i
+    block_of = {v: i for i, block in enumerate(sccs) for v in block}
     succ: list[set[int]] = [set() for _ in sccs]
     for e in g.edges:
         a, b = block_of[e.src], block_of[e.dst]

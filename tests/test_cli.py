@@ -129,6 +129,24 @@ def test_oracle_sweep_cap_is_shared():
     assert "the reachable space may be infinite" in done.stderr
 
 
+@pytest.mark.parametrize("command", ["structure", "analyze"])
+def test_closed_stdout_exits_1_quietly(command):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "crnextinct.cli", command, fixture("envz")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
 def test_structure_output(capsys):
     assert main(["structure", fixture("example22")]) == 0
     out = capsys.readouterr().out
@@ -164,6 +182,30 @@ def test_petri_round_trip(tmp_path, capsys):
     assert main(["petri", "import", str(exported)]) == 0
     out = capsys.readouterr().out
     assert out == "X1 + X2 -> 2 X2\n2 X2 -> X1 + X2\nX2 -> X1\n"
+
+
+@pytest.mark.parametrize(
+    "doc, place",
+    [
+        # text lists A first, since A -> B is the first reaction
+        (
+            {
+                "places": ["B", "A"],
+                "transitions": [{"input": {"A": 1}, "output": {"B": 1}}, {"input": {"B": 1}}],
+            },
+            "B",
+        ),
+        # B occurs in no transition
+        ({"places": ["A", "B"], "transitions": [{"input": {"A": 1}}]}, "B"),
+    ],
+    ids=["reordered", "unused-place"],
+)
+def test_petri_import_refuses_lossy_text(doc, place, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["petri", "import", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"place {place!r}" in err
 
 
 def test_petri_import_malformed(tmp_path, capsys):

@@ -5,6 +5,7 @@ from crnextinct.domination import (
     DominationEdge,
     build_dom_crn,
     check_slc_coincidence,
+    dom_graph,
     domination_set,
     maximal_admissible,
 )
@@ -135,7 +136,7 @@ def test_slc_coincidence_example33(nets):
     net = nets["example21"]
     report = check_slc_coincidence(
         net,
-        (DominationEdge(0, 2), DominationEdge(1, 2)),
+        dom_graph(net, (DominationEdge(0, 2), DominationEdge(1, 2))),
         subconservative=is_subconservative(stoich_matrix(net)).feasible,
     )
     assert report.applicable and report.slcs_coincide and report.terminal_subset
@@ -145,7 +146,9 @@ def test_slc_coincidence_example33(nets):
 def test_slc_coincidence_not_applicable_example22(nets):
     net = nets["example22"]
     report = check_slc_coincidence(
-        net, domination_set(net), subconservative=is_subconservative(stoich_matrix(net)).feasible
+        net,
+        dom_graph(net, domination_set(net)),
+        subconservative=is_subconservative(stoich_matrix(net)).feasible,
     )
     assert not report.applicable
     assert report.slcs_coincide is None and report.terminal_subset is None
@@ -154,7 +157,7 @@ def test_slc_coincidence_not_applicable_example22(nets):
 def test_slc_coincidence_trivial_empty(nets):
     net = nets["example23"]
     report = check_slc_coincidence(
-        net, (), subconservative=is_subconservative(stoich_matrix(net)).feasible
+        net, dom_graph(net, ()), subconservative=is_subconservative(stoich_matrix(net)).feasible
     )
     assert report.applicable and not report.violated
 
@@ -164,8 +167,10 @@ def test_slc_coincidence_all_subconservative_fixtures(nets):
         if not is_subconservative(stoich_matrix(net)).feasible:
             continue
         dcrn = maximal_admissible(net)
-        report = check_slc_coincidence(net, dcrn.dom_edges, subconservative=True)
+        report = check_slc_coincidence(net, dom_graph(net, dcrn.dom_edges), subconservative=True)
         assert not report.violated, name
         # the full domination set also satisfies the coincidence property
-        full = check_slc_coincidence(net, domination_set(net), subconservative=True)
+        full = check_slc_coincidence(
+            net, dom_graph(net, domination_set(net)), subconservative=True
+        )
         assert not full.violated, name

@@ -1,6 +1,14 @@
 import pytest
 
-from crnextinct.domination import dom_graph, domination_set
+from crnextinct import graphs
+from crnextinct.domination import (
+    DominationEdge,
+    build_dom_crn,
+    check_slc_coincidence,
+    dom_graph,
+    domination_set,
+)
+from crnextinct.forests import enumerate_forests
 from crnextinct.graphs import (
     EdgeId,
     GraphEdge,
@@ -64,7 +72,7 @@ def test_terminal_of_admissible_expansion(nets):
 
     net = nets["example21"]
     dcrn = build_dom_crn(net, [DominationEdge(0, 2), DominationEdge(1, 2)], {3})
-    assert terminal_slcs(dcrn.graph()) == [frozenset({3})]
+    assert terminal_slcs(dcrn.graph) == [frozenset({3})]
 
 
 def test_is_absorbing_set(nets):
@@ -153,3 +161,39 @@ def test_condensation_acyclic(nets):
         for u in succ:
             if u not in seen:
                 dfs(u)
+
+
+@pytest.fixture
+def scc_calls(monkeypatch):
+    """The successor lists of every graphs.scc_ids call, in order."""
+    calls = []
+    real = graphs.scc_ids
+
+    def spy(succ):
+        calls.append(succ)
+        return real(succ)
+
+    monkeypatch.setattr(graphs, "scc_ids", spy)
+    return calls
+
+
+def test_one_condensation_per_graph(nets, scc_calls):
+    g = reaction_graph(nets["example21"])
+    strong_linkage_classes(g)
+    terminal_slcs(g)
+    assert is_absorbing_set(g, terminal_complexes(g))
+    enumerate_absorbing_sets(g, 64)
+    assert scc_calls == [g.successors()]
+
+
+def test_one_graph_per_expansion(nets, scc_calls):
+    net = nets["example21"]
+    dcrn = build_dom_crn(net, [DominationEdge(0, 2), DominationEdge(1, 2)], {3})
+    expanded = dcrn.graph
+    assert not check_slc_coincidence(net, dcrn.graph, subconservative=True).violated
+    assert list(enumerate_forests(dcrn))
+    assert dcrn.graph is expanded
+    base = reaction_graph(net).successors()
+    assert expanded.successors() != base
+    # the expanded graph once, and the network's own graph for the SLC check
+    assert scc_calls == [expanded.successors(), base]

@@ -24,6 +24,7 @@ from crnextinct.graphs import (
     reaction_graph,
     strong_linkage_classes,
     terminal_complexes,
+    terminal_slcs,
 )
 from crnextinct.invariants import (
     conservation_system,
@@ -130,6 +131,7 @@ def test_graph_partition_invariants(net):
     assert set().union(*slcs) == everything if slcs else net.n == 0
     for slc in slcs:
         assert sum(1 for lc in lcs if slc <= lc) == 1
+    assert terminal_complexes(g) == frozenset().union(*terminal_slcs(g))
     if net.n:
         assert is_absorbing_set(g, terminal_complexes(g))
 

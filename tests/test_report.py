@@ -105,6 +105,15 @@ def test_report_rejects_tampering(nets):
     aliased["dom_edges"][0]["from_index"] = -4  # complex 0 under Python indexing
     assert not verify_report(net, aliased)
 
+    # forest edges outside their index range, -1 included (it would alias the last edge)
+    for pos, kind in ((0, "D"), (1, "R")):
+        assert report["forest"]["choices"][pos]["edge"]["kind"] == kind
+        limit = len(report["dom_edges"]) if kind == "D" else net.r
+        for index in (-1, limit, limit + 5):
+            bad = copy.deepcopy(report)
+            bad["forest"]["choices"][pos]["edge"]["index"] = index
+            assert verify_report(net, bad) is False, (kind, index)
+
 
 def test_report_envelope_is_checked(nets):
     net = nets["example21"]
