@@ -49,26 +49,27 @@ class AdmissibilityError(ValueError):
 class DomCRN:
     """A validated domination-expanded network with its absorbing complex set.
 
-    Construct through build_dom_crn (or maximal_admissible); direct
+    `graph` (see dom_graph) is the expanded graph: the true reactions, then
+    the domination edges, condensed at most once.  Construct through
+    build_dom_crn, shrink_to_terminal or maximal_admissible; direct
     construction skips validation, which the tests use to reproduce
-    deliberately inadmissible expansions.  `graph` (see dom_graph) is built
-    on first use and then shared, with its condensation.
+    deliberately inadmissible expansions.
     """
 
     net: ReactionNetwork
-    dom_edges: tuple[DominationEdge, ...]
+    graph: ReactionGraph
     absorbing: frozenset[int]
 
     @cached_property
-    def graph(self) -> ReactionGraph:
-        return dom_graph(self.net, self.dom_edges)
+    def dom_edges(self) -> tuple[DominationEdge, ...]:
+        return tuple(DominationEdge(e.src, e.dst) for e in self.graph.edges[self.net.r :])
 
     def exterior_complexes(self) -> list[int]:
         return [i for i in range(self.net.n) if i not in self.absorbing]
 
     @property
     def d(self) -> int:
-        return len(self.dom_edges)
+        return len(self.graph.edges) - self.net.r
 
 
 def domination_set(net: ReactionNetwork) -> list[DominationEdge]:
@@ -151,7 +152,7 @@ def build_dom_crn(
                 f"domination edge {e.src}->{e.dst} targets the absorbing set",
                 e,
             )
-    dcrn = DomCRN(net, tuple(dict.fromkeys(kept)), aset)
+    dcrn = DomCRN(net, dom_graph(net, tuple(dict.fromkeys(kept))), aset)
     if not is_absorbing_set(dcrn.graph, aset):
         raise AdmissibilityError(
             "absorbing",
@@ -161,29 +162,28 @@ def build_dom_crn(
     return dcrn
 
 
-def shrink_to_terminal(
-    net: ReactionNetwork, dom_edges: Sequence[DominationEdge]
-) -> tuple[tuple[DominationEdge, ...], ReactionGraph]:
+def shrink_to_terminal(net: ReactionNetwork, dom_edges: Sequence[DominationEdge]) -> DomCRN:
     """Delete every domination edge touching the terminal complexes, until stable.
 
     Each round recomputes terminality on the expanded graph.  The edge set
-    shrinks monotonically, so this terminates; returns the surviving edges and
-    their expanded graph, whose terminal complexes no surviving edge touches.
+    shrinks monotonically, so this terminates.  Returns the fixpoint on the
+    last round's graph with its terminal complexes as the absorbing set,
+    which is admissible because no surviving edge touches a terminal complex.
+    The edges are expected to be distinct expansion edges (expansion_edges).
     """
-    edges = list(dom_edges)
+    edges = tuple(dom_edges)
     while True:
         g = dom_graph(net, edges)
         terminals = terminal_complexes(g)
-        kept = [e for e in edges if e.dst not in terminals and e.src not in terminals]
+        kept = tuple(e for e in edges if e.dst not in terminals and e.src not in terminals)
         if kept == edges:
-            return tuple(edges), g
+            return DomCRN(net, g, terminals)
         edges = kept
 
 
 def maximal_admissible(net: ReactionNetwork) -> DomCRN:
     """The default expansion: all domination relations, shrunk to the terminal fixpoint."""
-    edges, g = shrink_to_terminal(net, expansion_edges(net))
-    return build_dom_crn(net, edges, terminal_complexes(g))
+    return shrink_to_terminal(net, expansion_edges(net))
 
 
 @dataclass(frozen=True)
@@ -207,20 +207,20 @@ class SlcCoincidenceReport:
 
 
 def check_slc_coincidence(
-    net: ReactionNetwork,
+    base: ReactionGraph,
     expanded: ReactionGraph,
     *,
     subconservative: bool,
 ) -> SlcCoincidenceReport:
-    """Check SLC coincidence between the network's graph and an expanded graph.
+    """Check SLC coincidence between a network's graph and an expanded graph.
 
-    `expanded` is usually `DomCRN.graph`, condensed once per candidate.
+    `base` is the network's `reaction_graph`, built once per network;
+    `expanded` is usually `DomCRN.graph`.  Each is condensed at most once.
     `subconservative` is the caller's decision of the network's
     subconservativity.  Not-applicable (and no verdict) when that is False.
     """
     if not subconservative:
         return SlcCoincidenceReport(False, None, None)
-    base = reaction_graph(net)
     base_slcs = strong_linkage_classes(base)
     dom_slcs = strong_linkage_classes(expanded)
     coincide = base_slcs == dom_slcs

@@ -25,6 +25,7 @@ from .domination import (
     DominationEdge,
     build_dom_crn,
     check_slc_coincidence,
+    dom_graph,
     expansion_edges,
     is_domination_edge,
     reaction_pairs,
@@ -42,7 +43,7 @@ from .forests import (
     forest_is_valid,
     verify_balance_outcome,
 )
-from .graphs import enumerate_absorbing_sets, is_absorbing_set, terminal_complexes
+from .graphs import enumerate_absorbing_sets, is_absorbing_set, reaction_graph
 from .invariants import FeasibilityOutcome, conservation_system, is_subconservative
 from .model import ReactionNetwork, stoich_matrix
 
@@ -130,45 +131,35 @@ Verdict = Union[GuaranteedExtinction, Inconclusive, NotApplicable]
 
 
 def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN]:
-    """Validated (expansion, absorbing set) candidates in deterministic order."""
-    if cfg.absorbing_strategy == "explicit" and not cfg.explicit_absorbing <= set(range(net.n)):
+    """Validated (expansion, absorbing set) candidates in deterministic order.
+
+    Each seed (the full set first) shrinks to its fixpoint, whose absorbing
+    sets come terminal set first; "explicit" tries its set on the raw seed.
+    """
+    explicit = cfg.absorbing_strategy == "explicit"
+    if explicit and not cfg.explicit_absorbing <= set(range(net.n)):
         raise ValueError("absorbing set contains an invalid complex index")
     full = expansion_edges(net)
-
-    def seeds() -> Iterator[tuple[DominationEdge, ...]]:
-        if cfg.dom_strategy == "maximal":
-            yield full
-            return
-        count = 0
-        for size in range(len(full), -1, -1):
-            for combo in combinations(full, size):
-                yield combo
-                count += 1
-                if count >= cfg.dom_cap:
-                    return
-
-    def restrict(seed, absorbing: frozenset[int]) -> tuple[DominationEdge, ...]:
-        return tuple(e for e in seed if e.src not in absorbing and e.dst not in absorbing)
-
+    subsets = (c for size in range(len(full), -1, -1) for c in combinations(full, size))
+    dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
+    absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
     seen: set[tuple[tuple[DominationEdge, ...], frozenset[int]]] = set()
-    for seed in seeds():
-        pairs: list[tuple[tuple[DominationEdge, ...], frozenset[int]]] = []
-        if cfg.absorbing_strategy == "explicit":
-            aset = cfg.explicit_absorbing
-            pairs.append((restrict(seed, aset), aset))
+    for seed in islice(subsets, dom_cap):
+        if explicit:
+            fix, edges, asets = None, seed, [cfg.explicit_absorbing]
         else:
-            edges, g = shrink_to_terminal(net, seed)
-            pairs.append((edges, terminal_complexes(g)))
-            if cfg.absorbing_strategy == "enumerate":
-                for aset in enumerate_absorbing_sets(g, cfg.absorbing_cap):
-                    pairs.append((restrict(edges, aset), aset))
-        for edges, aset in pairs:
-            key = (edges, aset)
-            if key in seen:
+            fix = shrink_to_terminal(net, seed)
+            edges, asets = fix.dom_edges, enumerate_absorbing_sets(fix.graph, absorbing_cap)
+        for aset in asets:
+            kept = tuple(e for e in edges if e.src not in aset and e.dst not in aset)
+            if (kept, aset) in seen:
                 continue
-            seen.add(key)
+            seen.add((kept, aset))
+            if fix is not None and kept == edges:
+                yield DomCRN(net, fix.graph, aset)  # absorbing by enumeration
+                continue
             try:
-                yield build_dom_crn(net, edges, aset)
+                yield build_dom_crn(net, kept, aset)
             except AdmissibilityError:
                 continue
 
@@ -192,12 +183,13 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     def stats() -> SearchStats:
         return SearchStats(candidates, forests_seen, balanced_seen, truncated, vacuous)
 
+    base = reaction_graph(net)
     for dcrn in _candidate_pairs(net, cfg):
         if len(dcrn.absorbing) == net.n:
             vacuous += 1
             continue
         candidates += 1
-        coincidence = check_slc_coincidence(net, dcrn.graph, subconservative=True)
+        coincidence = check_slc_coincidence(base, dcrn.graph, subconservative=True)
         if coincidence.violated:
             raise InternalCheckError(
                 f"SLC coincidence failed for expansion {dcrn.dom_edges}: {coincidence}"
@@ -244,7 +236,7 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     checks.append(("domination-edges", ok_edges))
 
     aset = cert.absorbing
-    dcrn = DomCRN(net, cert.dom_edges, aset)
+    dcrn = DomCRN(net, dom_graph(net, cert.dom_edges), aset)
     ok_y = (
         aset <= frozenset(range(net.n))
         and len(aset) < net.n

@@ -112,9 +112,9 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
 def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
     """Direct path-walk check of the unique-path property and conventions."""
     exterior = dcrn.exterior_complexes()
-    cmap = forest.choice_map()
-    if sorted(cmap) != exterior:
+    if [y for y, _ in forest.choices] != exterior:  # each once, ascending
         return False
+    cmap = forest.choice_map()
     if forest.interior != interior_reactions(dcrn):
         return False
     for y, eid in cmap.items():

@@ -181,12 +181,14 @@ def test_criterion_02_domination(nets):
             continue
         dcrn = maximal_admissible(net)
         for edges in (dcrn.dom_edges, (), tuple(domination_set(net))):
-            report = check_slc_coincidence(net, dom_graph(net, edges), subconservative=True)
+            report = check_slc_coincidence(
+                reaction_graph(net), dom_graph(net, edges), subconservative=True
+            )
             assert report.applicable and not report.violated, name
 
     net22 = nets["example22"]
     report22 = check_slc_coincidence(
-        net22,
+        reaction_graph(net22),
         dom_graph(net22, domination_set(net22)),
         subconservative=is_subconservative(stoich_matrix(net22)).feasible,
     )

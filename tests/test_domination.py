@@ -135,7 +135,7 @@ def test_maximal_admissible_revalidates(nets):
 def test_slc_coincidence_example33(nets):
     net = nets["example21"]
     report = check_slc_coincidence(
-        net,
+        reaction_graph(net),
         dom_graph(net, (DominationEdge(0, 2), DominationEdge(1, 2))),
         subconservative=is_subconservative(stoich_matrix(net)).feasible,
     )
@@ -146,7 +146,7 @@ def test_slc_coincidence_example33(nets):
 def test_slc_coincidence_not_applicable_example22(nets):
     net = nets["example22"]
     report = check_slc_coincidence(
-        net,
+        reaction_graph(net),
         dom_graph(net, domination_set(net)),
         subconservative=is_subconservative(stoich_matrix(net)).feasible,
     )
@@ -157,7 +157,9 @@ def test_slc_coincidence_not_applicable_example22(nets):
 def test_slc_coincidence_trivial_empty(nets):
     net = nets["example23"]
     report = check_slc_coincidence(
-        net, dom_graph(net, ()), subconservative=is_subconservative(stoich_matrix(net)).feasible
+        reaction_graph(net),
+        dom_graph(net, ()),
+        subconservative=is_subconservative(stoich_matrix(net)).feasible,
     )
     assert report.applicable and not report.violated
 
@@ -167,10 +169,12 @@ def test_slc_coincidence_all_subconservative_fixtures(nets):
         if not is_subconservative(stoich_matrix(net)).feasible:
             continue
         dcrn = maximal_admissible(net)
-        report = check_slc_coincidence(net, dom_graph(net, dcrn.dom_edges), subconservative=True)
+        report = check_slc_coincidence(
+            reaction_graph(net), dom_graph(net, dcrn.dom_edges), subconservative=True
+        )
         assert not report.violated, name
         # the full domination set also satisfies the coincidence property
         full = check_slc_coincidence(
-            net, dom_graph(net, domination_set(net)), subconservative=True
+            reaction_graph(net), dom_graph(net, domination_set(net)), subconservative=True
         )
         assert not full.violated, name

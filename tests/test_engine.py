@@ -2,9 +2,12 @@ import sys
 
 import pytest
 
+from crnextinct import engine
+from crnextinct.domination import DomCRN, DominationEdge, dom_graph
 from crnextinct.engine import (
     GuaranteedExtinction,
     Inconclusive,
+    InternalCheckError,
     NotApplicable,
     SearchConfig,
     analyze,
@@ -146,6 +149,15 @@ def test_audit_names_failing_link(nets):
         "forest",
         "unbalanced-certificates",
     ]
+
+
+def test_slc_coincidence_failure_raises(nets, monkeypatch):
+    # D(2 -> 1) reverses reaction 3 and merges two SLCs of the network
+    net = nets["intro"]
+    merged = DomCRN(net, dom_graph(net, (DominationEdge(2, 1),)), frozenset({2}))
+    monkeypatch.setattr(engine, "_candidate_pairs", lambda net, cfg: iter([merged]))
+    with pytest.raises(InternalCheckError, match="SLC coincidence failed"):
+        analyze(net)
 
 
 def test_verify_verdict_rejects_wrong_kind(nets):

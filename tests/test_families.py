@@ -12,6 +12,7 @@ import pytest
 
 from conftest import BENCH_DIR, FIXTURE_DIR, bench_module
 from crnextinct import engine, model
+from crnextinct.domination import maximal_admissible
 from crnextinct.exactlp import Farkas, check_farkas, check_feasible, lexmin, scale_to_integers
 from crnextinct.forests import (
     ANY_EDGE,
@@ -98,3 +99,15 @@ def test_one_lp_per_forest_matches_per_candidate_loop(workloads):
                         system = build_balancing_system(dcrn, forest, reading)
                         kinds.add(_check_against_reference(system))
     assert kinds == {Balanced, Unbalanced}
+
+
+def test_caps_of_one_give_the_default_candidates(nets, workloads):
+    # "maximal" is the first subset and "terminal" the first absorbing set
+    ones = engine.SearchConfig(
+        dom_strategy="all-subsets", dom_cap=1, absorbing_strategy="enumerate", absorbing_cap=1
+    )
+    family = [net for w in ("certify", "search") for _, net in _networks(workloads, w)]
+    for net in list(nets.values()) + family:
+        default = list(engine._candidate_pairs(net, engine.SearchConfig()))
+        assert default == list(engine._candidate_pairs(net, ones))
+        assert default == [maximal_admissible(net)]

@@ -1,6 +1,15 @@
+from dataclasses import replace
+from itertools import islice
+
 import pytest
 
-from crnextinct.domination import DomCRN, DominationEdge, build_dom_crn, maximal_admissible
+from crnextinct.domination import (
+    DomCRN,
+    DominationEdge,
+    build_dom_crn,
+    dom_graph,
+    maximal_admissible,
+)
 from crnextinct.exactlp import LinearSystem, check_feasible, make_row
 from crnextinct.forests import (
     ANY_EDGE,
@@ -34,6 +43,17 @@ def test_enumerate_forests_example33(example33):
     ]
     for forest in forests:
         assert forest_is_valid(example33, forest)
+
+
+def test_forest_lists_each_exterior_complex_once_in_order(example33):
+    forest = next(enumerate_forests(example33))
+    (y0, e0), (y1, e1), (y2, e2) = forest.choices
+    # a second choice for one complex would add a flow row and a candidate
+    (_, other), *_ = next(islice(enumerate_forests(example33), 1, None)).choices
+    repeated = replace(forest, choices=((y0, e0), (y0, other), (y1, e1), (y2, e2)))
+    swapped = replace(forest, choices=((y1, e1), (y0, e0), (y2, e2)))
+    for bad in (repeated, swapped):
+        assert not forest_is_valid(example33, bad), bad.choices
 
 
 def test_enumerate_forests_all_interior(nets):
@@ -173,7 +193,7 @@ def test_nontriviality_readings(nets):
     # inadmissible expansion built directly: its only forest routes the
     # nonterminal pair through a domination edge
     net = nets["example001"]
-    dcrn = DomCRN(net, (DominationEdge(1, 2),), frozenset({2, 3}))
+    dcrn = DomCRN(net, dom_graph(net, (DominationEdge(1, 2),)), frozenset({2, 3}))
     forest = next(enumerate_forests(dcrn))
     assert _labels(forest) == ["1", "D1"]
     strict = decide_balance(build_balancing_system(dcrn, forest))

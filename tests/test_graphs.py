@@ -7,7 +7,9 @@ from crnextinct.domination import (
     check_slc_coincidence,
     dom_graph,
     domination_set,
+    maximal_admissible,
 )
+from crnextinct.engine import GuaranteedExtinction, analyze
 from crnextinct.forests import enumerate_forests
 from crnextinct.graphs import (
     EdgeId,
@@ -190,10 +192,29 @@ def test_one_graph_per_expansion(nets, scc_calls):
     net = nets["example21"]
     dcrn = build_dom_crn(net, [DominationEdge(0, 2), DominationEdge(1, 2)], {3})
     expanded = dcrn.graph
-    assert not check_slc_coincidence(net, dcrn.graph, subconservative=True).violated
+    assert not check_slc_coincidence(reaction_graph(net), dcrn.graph, subconservative=True).violated
     assert list(enumerate_forests(dcrn))
     assert dcrn.graph is expanded
     base = reaction_graph(net).successors()
     assert expanded.successors() != base
     # the expanded graph once, and the network's own graph for the SLC check
     assert scc_calls == [expanded.successors(), base]
+
+
+def test_one_condensation_per_shrink_round(nets, scc_calls):
+    net = nets["example21"]
+    dcrn = maximal_admissible(net)
+    rounds = [dom_graph(net, domination_set(net)).successors(), dcrn.graph.successors()]
+    assert scc_calls == rounds
+    # the fixpoint's graph is the candidate's: no further condensation
+    assert is_absorbing_set(dcrn.graph, dcrn.absorbing)
+    assert list(enumerate_forests(dcrn))
+    assert len(scc_calls) == 2
+
+
+def test_analyze_condenses_the_network_graph_once(nets, scc_calls):
+    net = nets["example21"]
+    assert isinstance(analyze(net), GuaranteedExtinction)
+    # two shrink rounds, then the network's own graph for the SLC check
+    assert len(scc_calls) == 3
+    assert scc_calls[-1] == reaction_graph(net).successors()

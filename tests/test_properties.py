@@ -19,6 +19,7 @@ from crnextinct.graphs import (
     EdgeId,
     GraphEdge,
     ReactionGraph,
+    enumerate_absorbing_sets,
     is_absorbing_set,
     linkage_classes,
     reaction_graph,
@@ -132,6 +133,8 @@ def test_graph_partition_invariants(net):
     for slc in slcs:
         assert sum(1 for lc in lcs if slc <= lc) == 1
     assert terminal_complexes(g) == frozenset().union(*terminal_slcs(g))
+    # the first absorbing set is the terminal one: the search's "terminal" strategy
+    assert enumerate_absorbing_sets(g, 1) == [terminal_complexes(g)]
     if net.n:
         assert is_absorbing_set(g, terminal_complexes(g))
 

@@ -1,17 +1,35 @@
 import copy
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from crnextinct.domination import DomCRN
-from crnextinct.engine import SearchConfig, analyze
+from crnextinct.domination import DomCRN, dom_graph, maximal_admissible
+from crnextinct.engine import (
+    ExtinctionCertificate,
+    GuaranteedExtinction,
+    Inconclusive,
+    SearchConfig,
+    SearchStats,
+    analyze,
+    verify_verdict,
+)
 from crnextinct.exactlp import Farkas, check_farkas
-from crnextinct.forests import Unbalanced, verify_balance_outcome
-from crnextinct.invariants import conservation_system
+from crnextinct.forests import (
+    Unbalanced,
+    build_balancing_system,
+    decide_balance,
+    enumerate_forests,
+    verify_balance_outcome,
+)
+from crnextinct.graphs import EdgeId
+from crnextinct.invariants import conservation_system, is_subconservative
 from crnextinct.model import stoich_matrix
+from crnextinct.oracle import find_recurrent_witness
+from crnextinct.parser import parse_crn
 from crnextinct.report import (
     REPORT_FORMAT,
     REPORT_VERSION,
@@ -113,6 +131,38 @@ def test_report_rejects_tampering(nets):
             bad = copy.deepcopy(report)
             bad["forest"]["choices"][pos]["edge"]["index"] = index
             assert verify_report(net, bad) is False, (kind, index)
+
+
+def test_report_with_a_repeated_choice_is_rejected():
+    # X2 stays recurrent from 2 X3, so no extinction of the complement of {X3}
+    # holds; choosing complex 2's edge twice made the forged forest unbalanced
+    net = parse_crn(
+        "X2 -> X1\nX1 + X3 -> X2 + X3\nX2 + X1 -> X2 + X3\n"
+        "2 X3 -> X1 + X3\nX1 + X3 -> 2 X1\nX1 -> X3\n"
+    ).network
+    cfg = SearchConfig()
+    assert isinstance(analyze(net, cfg), Inconclusive)
+    dcrn = maximal_admissible(net)
+    assert dcrn.absorbing == frozenset({7})
+    forest = next(enumerate_forests(dcrn))
+    at = [y for y, _ in forest.choices].index(2) + 1
+    choices = forest.choices[:at] + ((2, EdgeId("D", 0)),) + forest.choices[at:]
+    forged = replace(forest, choices=choices)
+    outcome = decide_balance(build_balancing_system(dcrn, forged))
+    assert isinstance(outcome, Unbalanced)
+    cert = ExtinctionCertificate(
+        is_subconservative(stoich_matrix(net)).witness,
+        dcrn.dom_edges,
+        dcrn.absorbing,
+        forged,
+        outcome,
+        cfg.nontriviality,
+    )
+    transient = frozenset(range(net.n)) - dcrn.absorbing
+    verdict = GuaranteedExtinction(transient, cert, SearchStats(1, 1, 0, False, 0))
+    assert find_recurrent_witness(net, transient, budget=4) == ((0, 0, 2), 0)
+    assert not verify_verdict(net, verdict)
+    assert verify_report(net, json.loads(emit_report(net, verdict, cfg))) is False
 
 
 def test_report_envelope_is_checked(nets):
@@ -295,7 +345,7 @@ def test_refutation_verifies_only_for_its_candidate(nets, name, candidates):
     net = nets[name]
     report = json.loads((REPORT_DIR / f"{name}-v5.json").read_bytes())
     cert = report_certificate(net, report).certificate
-    dcrn = DomCRN(net, cert.dom_edges, cert.absorbing)
+    dcrn = DomCRN(net, dom_graph(net, cert.dom_edges), cert.absorbing)
     witnesses = cert.outcome.witnesses
     assert len(witnesses) == candidates
     assert verify_balance_outcome(dcrn, cert.forest, cert.outcome, cert.nontriviality)
