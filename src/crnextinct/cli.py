@@ -23,10 +23,10 @@ from .forests import (
     Balanced,
     build_balancing_system,
     decide_balance,
+    edge_label,
     enumerate_forests,
 )
 from .graphs import (
-    EdgeId,
     enumerate_absorbing_sets,
     linkage_classes,
     reaction_graph,
@@ -281,10 +281,9 @@ def _cmd_forests(args: argparse.Namespace) -> int:
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"
         else:
-            # candidates are true reactions under the default nontriviality
-            covered = [EdgeId("R", k).label() for cands, _ in outcome.witnesses for k in cands]
+            covered = [edge_label(v, net.r) for cands, _ in outcome.witnesses for v in cands]
             status = f"unbalanced, refuted on candidates {{{', '.join(covered)}}}"
-        print(f"forest {idx}: edges {{{', '.join(forest.edge_labels())}}}: {status}")
+        print(f"forest {idx}: edges {{{', '.join(forest.edge_labels(net.r))}}}: {status}")
     return EXIT_OK
 
 

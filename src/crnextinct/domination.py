@@ -4,19 +4,18 @@ A complex dominates another when it is componentwise at least as large and the
 two differ.  Adding some of these relations as extra directed edges yields a
 domination-expanded network.  Such an expansion is admissible for an absorbing
 complex set Y of the expanded graph when no added edge duplicates a true
-reaction and no added edge points into Y.  A candidate's structural checks
-all read its one expanded graph, `DomCRN.graph`, condensed at most once.
+reaction or another added edge, and no added edge points into Y.  A
+candidate's structural checks all read its one expanded graph, `DomCRN.graph`,
+condensed at most once.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
-    EdgeId,
     GraphEdge,
     ReactionGraph,
     is_absorbing_set,
@@ -97,10 +96,7 @@ def dom_graph(net: ReactionNetwork, dom_edges: Sequence[DominationEdge]) -> Reac
     Reactions in index order, then domination edges: edge v is balancing variable v.
     """
     base = reaction_graph(net).edges
-    extra = tuple(
-        GraphEdge(e.src, e.dst, EdgeId("D", j)) for j, e in enumerate(dom_edges)
-    )
-    return ReactionGraph(net.n, base + extra)
+    return ReactionGraph(net.n, base + tuple(GraphEdge(e.src, e.dst) for e in dom_edges))
 
 
 def reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
@@ -121,38 +117,39 @@ def build_dom_crn(
 ) -> DomCRN:
     """Validate and assemble a domination-expanded network.
 
-    A domination edge that duplicates a true reaction is dropped with a
-    warning.  Raises AdmissibilityError when an edge is not a domination
-    relation, an edge targets the absorbing set, or the set is not absorbing
-    on the expanded graph.
+    Raises AdmissibilityError, checking the edges first: "domination" when an
+    edge is not a domination relation, duplicates a true reaction or repeats
+    an earlier edge; then "absorbing" when the set names a complex outside
+    0..n-1, "targets-absorbing" when an edge targets it, and "absorbing" when
+    it is not absorbing on the expanded graph.
     """
-    aset = frozenset(absorbing)
-    if not aset <= set(range(net.n)):
-        raise AdmissibilityError("absorbing", "absorbing set contains an invalid complex index")
-    pairs = reaction_pairs(net)
-    kept: list[DominationEdge] = []
-    for e in dom_edges:
+    edges = tuple(dom_edges)
+    taken = reaction_pairs(net)
+    for e in edges:
         if not is_domination_edge(net, e):
             raise AdmissibilityError(
                 "domination",
                 f"edge {e.src}->{e.dst} is not a domination relation of the network",
                 e,
             )
-        if (e.src, e.dst) in pairs:
-            warnings.warn(
-                f"domination edge {e.src}->{e.dst} duplicates a true reaction; dropped",
-                stacklevel=2,
+        if (e.src, e.dst) in taken:
+            raise AdmissibilityError(
+                "domination",
+                f"domination edge {e.src}->{e.dst} duplicates a true reaction or an earlier edge",
+                e,
             )
-            continue
-        kept.append(e)
-    for e in kept:
+        taken.add((e.src, e.dst))
+    aset = frozenset(absorbing)
+    if not aset <= set(range(net.n)):
+        raise AdmissibilityError("absorbing", "absorbing set contains an invalid complex index")
+    for e in edges:
         if e.dst in aset:
             raise AdmissibilityError(
                 "targets-absorbing",
                 f"domination edge {e.src}->{e.dst} targets the absorbing set",
                 e,
             )
-    dcrn = DomCRN(net, dom_graph(net, tuple(dict.fromkeys(kept))), aset)
+    dcrn = DomCRN(net, dom_graph(net, edges), aset)
     if not is_absorbing_set(dcrn.graph, aset):
         raise AdmissibilityError(
             "absorbing",

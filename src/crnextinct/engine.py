@@ -25,10 +25,7 @@ from .domination import (
     DominationEdge,
     build_dom_crn,
     check_slc_coincidence,
-    dom_graph,
     expansion_edges,
-    is_domination_edge,
-    reaction_pairs,
     shrink_to_terminal,
 )
 from .exactlp import check_feasible
@@ -43,7 +40,7 @@ from .forests import (
     forest_is_valid,
     verify_balance_outcome,
 )
-from .graphs import enumerate_absorbing_sets, is_absorbing_set, reaction_graph
+from .graphs import enumerate_absorbing_sets, reaction_graph
 from .invariants import FeasibilityOutcome, conservation_system, is_subconservative
 from .model import ReactionNetwork, stoich_matrix
 
@@ -220,8 +217,9 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
 def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> list[tuple[str, bool]]:
     """Re-verify every link of a guaranteed-extinction certificate, in order.
 
-    Returns (check name, passed) pairs; verification short-circuits nothing,
-    so the first False names the broken link.
+    Returns (check name, passed) pairs for every link; a link whose premise
+    failed reads False, so the first False names the broken link.  The
+    expansion and absorbing set are validated by build_dom_crn, as in the search.
     """
     cert = verdict.certificate
     checks: list[tuple[str, bool]] = []
@@ -229,20 +227,14 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     sub_system = conservation_system(stoich_matrix(net), equality=False)
     checks.append(("subconservativity-witness", check_feasible(sub_system, cert.subconservation)))
 
-    pairs = reaction_pairs(net)
-    ok_edges = all(
-        is_domination_edge(net, e) and (e.src, e.dst) not in pairs for e in cert.dom_edges
-    )
-    checks.append(("domination-edges", ok_edges))
-
     aset = cert.absorbing
-    dcrn = DomCRN(net, dom_graph(net, cert.dom_edges), aset)
-    ok_y = (
-        aset <= frozenset(range(net.n))
-        and len(aset) < net.n
-        and all(e.dst not in aset and e.src not in aset for e in cert.dom_edges)
-        and is_absorbing_set(dcrn.graph, aset)
-    )
+    try:
+        dcrn, failed = build_dom_crn(net, cert.dom_edges, aset), None
+    except AdmissibilityError as err:
+        dcrn, failed = None, err.condition
+    checks.append(("domination-edges", failed != "domination"))
+
+    ok_y = dcrn is not None and len(aset) < net.n
     checks.append(("absorbing-set", ok_y))
 
     ok_t = verdict.transient == frozenset(range(net.n)) - aset
@@ -251,10 +243,12 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     ok_f = ok_y and forest_is_valid(dcrn, cert.forest)
     checks.append(("forest", ok_f))
 
-    ok_u = isinstance(cert.outcome, Unbalanced)
-    if ok_u and ok_f:
-        ok_u = verify_balance_outcome(dcrn, cert.forest, cert.outcome, cert.nontriviality)
-    checks.append(("unbalanced-certificates", bool(ok_u)))
+    ok_u = (
+        ok_f
+        and isinstance(cert.outcome, Unbalanced)
+        and verify_balance_outcome(dcrn, cert.forest, cert.outcome, cert.nontriviality)
+    )
+    checks.append(("unbalanced-certificates", ok_u))
     return checks
 
 

@@ -31,7 +31,6 @@ from .exactlp import (
     make_row,
     scale_to_integers,
 )
-from .graphs import EdgeId, GraphEdge
 from .model import stoich_matrix
 
 TRUE_REACTIONS = "true-reactions"
@@ -40,22 +39,22 @@ ANY_EDGE = "any-edge"
 
 @dataclass(frozen=True)
 class ExteriorForest:
-    """One outgoing edge per exterior complex, plus all interior reactions."""
+    """One outgoing edge per exterior complex, plus all interior reactions.
 
-    choices: tuple[tuple[int, EdgeId], ...]  # (exterior complex, chosen edge), ascending
+    An edge is named by its index v in the expanded graph (`DomCRN.graph`).
+    """
+
+    choices: tuple[tuple[int, int], ...]  # (exterior complex, chosen edge v), ascending
     interior: tuple[int, ...]  # reaction indices whose source lies in the absorbing set
 
-    def choice_map(self) -> dict[int, EdgeId]:
-        return dict(self.choices)
-
-    def edge_labels(self) -> list[str]:
-        labels = [eid.label() for _, eid in self.choices]
-        labels.extend(EdgeId("R", k).label() for k in self.interior)
-        return labels
+    def edge_labels(self, r: int) -> list[str]:
+        edges = [v for _, v in self.choices] + list(self.interior)
+        return [edge_label(v, r) for v in edges]
 
 
-def _edge_var(dcrn: DomCRN, eid: EdgeId) -> int:
-    return eid.index if eid.kind == "R" else dcrn.net.r + eid.index
+def edge_label(v: int, r: int) -> str:
+    """1-based label of edge v over r reactions: "k+1" for reaction k, "Dk+1" for domination k."""
+    return str(v + 1) if v < r else f"D{v - r + 1}"
 
 
 def interior_reactions(dcrn: DomCRN) -> tuple[int, ...]:
@@ -72,15 +71,15 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
     are generated one at a time, so a caller that stops early pays only for
     the forests it took.
     """
-    g = dcrn.graph
+    edges = dcrn.graph.edges
     absorbing = dcrn.absorbing
     exterior = dcrn.exterior_complexes()
-    options: dict[int, list[GraphEdge]] = {y: [] for y in exterior}
-    for e in g.edges:
+    options: dict[int, list[int]] = {y: [] for y in exterior}
+    for v, e in enumerate(edges):
         if e.src in options and e.src != e.dst:
-            options[e.src].append(e)
+            options[e.src].append(v)
     interior = interior_reactions(dcrn)
-    choice: dict[int, GraphEdge] = {}
+    choice: dict[int, int] = {}
 
     def creates_cycle(start: int, assigning: int) -> bool:
         cur = start
@@ -89,20 +88,20 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
                 return True
             if cur in absorbing or cur not in choice:
                 return False
-            cur = choice[cur].dst
+            cur = edges[choice[cur]].dst
 
     def descend(i: int) -> Iterator[ExteriorForest]:
         if i == len(exterior):
             yield ExteriorForest(
-                choices=tuple((y, choice[y].eid) for y in exterior),
+                choices=tuple((y, choice[y]) for y in exterior),
                 interior=interior,
             )
             return
         y = exterior[i]
-        for e in options[y]:
-            if creates_cycle(e.dst, y):
+        for v in options[y]:
+            if creates_cycle(edges[v].dst, y):
                 continue
-            choice[y] = e
+            choice[y] = v
             yield from descend(i + 1)
             del choice[y]
 
@@ -114,16 +113,15 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
     exterior = dcrn.exterior_complexes()
     if [y for y, _ in forest.choices] != exterior:  # each once, ascending
         return False
-    cmap = forest.choice_map()
     if forest.interior != interior_reactions(dcrn):
         return False
-    for y, eid in cmap.items():
-        limit = dcrn.net.r if eid.kind == "R" else dcrn.d if eid.kind == "D" else 0
-        if not 0 <= eid.index < limit:  # before the lookup: a negative index would alias
+    edges = dcrn.graph.edges
+    for y, v in forest.choices:
+        if not 0 <= v < len(edges):  # before the lookup: a negative index would alias
             return False
-        edge = dcrn.graph.edges[_edge_var(dcrn, eid)]
-        if edge.src != y or edge.dst == y:
+        if edges[v].src != y or edges[v].dst == y:
             return False
+    step = {y: edges[v].dst for y, v in forest.choices}
     for y in exterior:
         seen = set()
         cur = y
@@ -131,7 +129,7 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
             if cur in seen:
                 return False
             seen.add(cur)
-            cur = dcrn.graph.edges[_edge_var(dcrn, cmap[cur])].dst
+            cur = step[cur]
     return True
 
 
@@ -197,7 +195,7 @@ def build_balancing_system(
     if nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
         raise ValueError(f"unknown nontriviality reading {nontriviality!r}")
     net = dcrn.net
-    support = {_edge_var(dcrn, eid) for _, eid in forest.choices} | set(forest.interior)
+    support = {v for _, v in forest.choices} | set(forest.interior)
     zero_vars = tuple(v for v in range(net.r + dcrn.d) if v not in support)
     kernel_rows = stoich_matrix(net)
     incoming: dict[int, list[int]] = {y: [] for y, _ in forest.choices}
@@ -205,16 +203,10 @@ def build_balancing_system(
         tgt = dcrn.graph.edges[v].dst
         if tgt in incoming:
             incoming[tgt].append(v)
-    flow_rows = tuple(
-        (y, _edge_var(dcrn, eid), tuple(sorted(incoming[y])))
-        for y, eid in forest.choices
+    flow_rows = tuple((y, v, tuple(sorted(incoming[y]))) for y, v in forest.choices)
+    candidates = tuple(
+        sorted(v for _, v in forest.choices if v < net.r or nontriviality == ANY_EDGE)
     )
-    if nontriviality == TRUE_REACTIONS:
-        candidates = tuple(
-            sorted(eid.index for _, eid in forest.choices if eid.kind == "R")
-        )
-    else:
-        candidates = tuple(sorted(_edge_var(dcrn, eid) for _, eid in forest.choices))
     return BalancingSystem(
         n_reactions=net.r,
         n_dom=dcrn.d,

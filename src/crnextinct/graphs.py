@@ -1,9 +1,9 @@
 """Reaction-graph analysis: linkage classes, strong linkage classes, absorbing sets.
 
-Vertices are complex indices.  Edges carry a label identifying either a true
-reaction ("R", reaction index) or a domination edge ("D", domination index),
-so the same machinery serves plain networks and domination-expanded ones.
-Parallel edges and self-loops are permitted.
+Vertices are complex indices and an edge is a (source, target) pair, named by
+its position in `ReactionGraph.edges`.  A network's graph lists its reactions
+in index order; a domination-expanded graph appends its domination edges, so
+the same machinery serves both.  Parallel edges and self-loops are permitted.
 
 Partitions are returned as lists of frozensets ordered by their smallest
 member, which keeps every derived object deterministic.  Every strong-linkage
@@ -20,19 +20,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .model import ReactionNetwork
 
 
-class EdgeId(NamedTuple):
-    kind: str  # "R" for a reaction, "D" for a domination edge
-    index: int
-
-    def label(self) -> str:
-        """1-based display label: reactions are bare numbers, dominations 'Dk'."""
-        return str(self.index + 1) if self.kind == "R" else f"D{self.index + 1}"
-
-
 class GraphEdge(NamedTuple):
     src: int
     dst: int
-    eid: EdgeId
 
 
 class Condensation(NamedTuple):
@@ -68,10 +58,7 @@ class ReactionGraph:
 
 
 def reaction_graph(net: ReactionNetwork) -> ReactionGraph:
-    edges = tuple(
-        GraphEdge(net.source_index[k], net.target_index[k], EdgeId("R", k))
-        for k in range(net.r)
-    )
+    edges = tuple(map(GraphEdge, net.source_index, net.target_index))
     return ReactionGraph(net.n, edges)
 
 

@@ -47,10 +47,6 @@ class Reaction:
     source: Complex
     target: Complex
 
-    @property
-    def is_self_loop(self) -> bool:
-        return self.source == self.target
-
     @cached_property
     def vector(self) -> tuple[int, ...]:
         return tuple(t - s for s, t in zip(self.source.coeffs, self.target.coeffs))

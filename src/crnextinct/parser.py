@@ -42,9 +42,6 @@ class CrnDocument:
     network: ReactionNetwork
     source: str
 
-    def normalized(self) -> str:
-        return format_network(self.network)
-
 
 def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
     tokens = []

@@ -34,8 +34,7 @@ from .engine import (
     verify_verdict,
 )
 from .exactlp import Farkas
-from .forests import ExteriorForest, Unbalanced
-from .graphs import EdgeId
+from .forests import ExteriorForest, Unbalanced, edge_label
 from .model import ReactionNetwork, format_complex
 
 REPORT_FORMAT = "crn-extinction-report"
@@ -122,12 +121,28 @@ def _complex_names(net: ReactionNetwork, indices) -> list[str]:
 def _edge_obj(net: ReactionNetwork, e: DominationEdge, j: int) -> dict[str, Any]:
     names = net.species_names
     return {
-        "label": EdgeId("D", j).label(),
+        "label": edge_label(net.r + j, net.r),
         "from": format_complex(net.complexes[e.src], names),
         "to": format_complex(net.complexes[e.dst], names),
         "from_index": e.src,
         "to_index": e.dst,
     }
+
+
+def _choice_edge(v: int, r: int) -> dict[str, Any]:
+    """A forest choice's edge v as {"kind", "index", "label"}: ("R", v) or ("D", v - r)."""
+    kind, index = ("R", v) if v < r else ("D", v - r)
+    return {"kind": kind, "index": index, "label": edge_label(v, r)}
+
+
+def _decode_choice_edge(obj: Any, r: int, d: int) -> int:
+    """Edge v of the expanded graph that a choice names; ValueError if it names none."""
+    kind, index = obj["kind"], _exact(obj["index"], int)
+    if kind == "R" and 0 <= index < r:
+        return index
+    if kind == "D" and 0 <= index < d:
+        return r + index
+    raise ValueError(f"forest choice {obj!r} names no edge")
 
 
 def _farkas_obj(cert: Farkas) -> dict[str, Any]:
@@ -198,9 +213,9 @@ def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> d
             {
                 "complex": format_complex(net.complexes[y], names),
                 "complex_index": y,
-                "edge": {"kind": eid.kind, "index": eid.index, "label": eid.label()},
+                "edge": _choice_edge(v, net.r),
             }
-            for y, eid in cert.forest.choices
+            for y, v in cert.forest.choices
         ],
         "interior_reactions": list(cert.forest.interior),
     }
@@ -234,7 +249,7 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     )
     absorbing = frozenset(_exact(i, int) for i in report["absorbing_indices"])
     choices = tuple(
-        (_exact(c["complex_index"], int), EdgeId(c["edge"]["kind"], _exact(c["edge"]["index"], int)))
+        (_exact(c["complex_index"], int), _decode_choice_edge(c["edge"], net.r, len(dom_edges)))
         for c in report["forest"]["choices"]
     )
     interior = tuple(_exact(k, int) for k in report["forest"]["interior_reactions"])
@@ -324,12 +339,12 @@ def render_text(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> st
             )
         )
     lines.append(
-        "unbalanced forest edges: " + ", ".join(cert.forest.edge_labels())
+        "unbalanced forest edges: " + ", ".join(cert.forest.edge_labels(net.r))
     )
     pathway = [
-        f"{cname(net.source_index[eid.index])} -> {cname(net.target_index[eid.index])}"
-        for _, eid in cert.forest.choices
-        if eid.kind == "R"
+        f"{cname(net.source_index[v])} -> {cname(net.target_index[v])}"
+        for _, v in cert.forest.choices
+        if v < net.r
     ]
     if pathway:
         lines.append("extinction pathway (true reactions of the forest): " + "; ".join(pathway))

@@ -67,14 +67,24 @@ def test_empty_expansion_always_valid(nets):
         assert dcrn.dom_edges == ()
 
 
-def test_reaction_duplicate_dropped_with_warning():
+def test_reaction_duplicate_rejected():
     # the single reaction X1+X2 -> X2 coincides with a domination relation
     net = build_network(["X1", "X2"], [((1, 1), (0, 1))])
     edges = domination_set(net)
     assert (0, 1) in [(e.src, e.dst) for e in edges]
-    with pytest.warns(UserWarning, match="duplicates a true reaction"):
-        dcrn = build_dom_crn(net, edges, {1})
-    assert dcrn.dom_edges == ()
+    with pytest.raises(AdmissibilityError, match="duplicates a true reaction") as err:
+        build_dom_crn(net, edges, {1})
+    assert err.value.condition == "domination"
+    assert (err.value.edge.src, err.value.edge.dst) == (0, 1)
+
+
+def test_repeated_edge_rejected(nets):
+    net = nets["example21"]
+    edges = [DominationEdge(0, 2), DominationEdge(1, 2), DominationEdge(0, 2)]
+    with pytest.raises(AdmissibilityError, match="an earlier edge") as err:
+        build_dom_crn(net, edges, {3})
+    assert err.value.condition == "domination"
+    assert err.value.edge == DominationEdge(0, 2)
 
 
 def test_non_domination_edge_rejected(nets):

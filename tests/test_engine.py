@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -148,6 +149,34 @@ def test_audit_names_failing_link(nets):
         "transient-set",
         "forest",
         "unbalanced-certificates",
+    ]
+
+
+def test_audit_reads_a_link_it_could_not_check_as_false(nets):
+    # without its first choice the forest is invalid, so its balance
+    # certificates are never evaluated and must not read True
+    net = nets["example21"]
+    verdict = analyze(net)
+    cert = verdict.certificate
+    forest = replace(cert.forest, choices=cert.forest.choices[1:])
+    checks = audit_extinction(net, replace(verdict, certificate=replace(cert, forest=forest)))
+    assert checks[-2:] == [("forest", False), ("unbalanced-certificates", False)]
+
+
+def test_audit_reads_an_out_of_range_edge_as_false(nets):
+    # index -4 would alias complex 0 (X1 + X2), which does dominate X2
+    net = nets["example21"]
+    verdict = analyze(net)
+    cert = verdict.certificate
+    edges = (DominationEdge(-4, 2),) + cert.dom_edges[1:]
+    checks = audit_extinction(net, replace(verdict, certificate=replace(cert, dom_edges=edges)))
+    assert checks == [
+        ("subconservativity-witness", True),
+        ("domination-edges", False),
+        ("absorbing-set", False),
+        ("transient-set", True),
+        ("forest", False),
+        ("unbalanced-certificates", False),
     ]
 
 

@@ -17,6 +17,7 @@ from crnextinct.forests import (
     Unbalanced,
     build_balancing_system,
     decide_balance,
+    edge_label,
     enumerate_forests,
     forest_is_valid,
     verify_balance_outcome,
@@ -30,13 +31,13 @@ def example33(nets):
     return build_dom_crn(net, [DominationEdge(0, 2), DominationEdge(1, 2)], {3})
 
 
-def _labels(forest):
-    return [eid.label() for _, eid in forest.choices]
+def _labels(dcrn, forest):
+    return [edge_label(v, dcrn.net.r) for _, v in forest.choices]
 
 
 def test_enumerate_forests_example33(example33):
     forests = list(enumerate_forests(example33))
-    assert [_labels(f) for f in forests] == [
+    assert [_labels(example33, f) for f in forests] == [
         ["1", "D2", "3"],
         ["D1", "2", "3"],
         ["D1", "D2", "3"],
@@ -67,14 +68,14 @@ def test_enumerate_forests_all_interior(nets):
 def test_enumerate_forests_example999(nets):
     dcrn = maximal_admissible(nets["example999"])
     (forest,) = enumerate_forests(dcrn)
-    assert _labels(forest) == ["1", "3"]
+    assert _labels(dcrn, forest) == ["1", "3"]
 
 
 def test_enumeration_is_lazy(example33):
     stream = enumerate_forests(example33)
-    assert _labels(next(stream)) == ["1", "D2", "3"]
+    assert _labels(example33, next(stream)) == ["1", "D2", "3"]
     # the forests not taken are still there, in order
-    assert [_labels(f) for f in stream] == [["D1", "2", "3"], ["D1", "D2", "3"]]
+    assert [_labels(example33, f) for f in stream] == [["D1", "2", "3"], ["D1", "D2", "3"]]
 
 
 def test_balancing_system_example35_left(example33):
@@ -195,7 +196,7 @@ def test_nontriviality_readings(nets):
     net = nets["example001"]
     dcrn = DomCRN(net, dom_graph(net, (DominationEdge(1, 2),)), frozenset({2, 3}))
     forest = next(enumerate_forests(dcrn))
-    assert _labels(forest) == ["1", "D1"]
+    assert _labels(dcrn, forest) == ["1", "D1"]
     strict = decide_balance(build_balancing_system(dcrn, forest))
     assert isinstance(strict, Unbalanced)
     wide = decide_balance(build_balancing_system(dcrn, forest, nontriviality=ANY_EDGE))
@@ -208,7 +209,7 @@ def test_example000_explicit_absorbing(nets):
     net = nets["example000"]
     dcrn = build_dom_crn(net, [], {1, 2, 3})
     forest = next(enumerate_forests(dcrn))
-    assert _labels(forest) == ["1"] and forest.interior == (1, 2, 3)
+    assert _labels(dcrn, forest) == ["1"] and forest.interior == (1, 2, 3)
     outcome = decide_balance(build_balancing_system(dcrn, forest))
     assert isinstance(outcome, Unbalanced)
     assert verify_balance_outcome(dcrn, forest, outcome)
@@ -242,28 +243,27 @@ def test_envz_paper_forest_unbalanced(nets):
     dcrn = maximal_admissible(net)
     by_pair = {(e.src, e.dst): j for j, e in enumerate(dcrn.dom_edges)}
     name = {i: c for i, c in enumerate(net.complexes)}
-    from crnextinct.graphs import EdgeId
     from crnextinct.model import format_complex
 
     idx = {
         format_complex(c, net.species_names): i for i, c in enumerate(net.complexes)
     }
     choices = []
-    for cname, eid in [
-        ("X1", ("R", 0)),
-        ("X2", ("R", 2)),
-        ("X3", ("R", 4)),
-        ("X4 + X5", ("R", 5)),
-        ("X6", ("R", 7)),
-        ("X2 + X7", ("D", by_pair[(idx["X2 + X7"], idx["X2"])])),
-        ("X3 + X7", ("D", by_pair[(idx["X3 + X7"], idx["X3"])])),
-        ("X8", ("R", 9)),
-        ("X3 + X5", ("D", by_pair[(idx["X3 + X5"], idx["X3"])])),
-        ("X1 + X7", ("D", by_pair[(idx["X1 + X7"], idx["X1"])])),
-        ("X9", ("R", 12)),
-        ("X1 + X5", ("D", by_pair[(idx["X1 + X5"], idx["X1"])])),
+    for cname, v in [
+        ("X1", 0),
+        ("X2", 2),
+        ("X3", 4),
+        ("X4 + X5", 5),
+        ("X6", 7),
+        ("X2 + X7", net.r + by_pair[(idx["X2 + X7"], idx["X2"])]),
+        ("X3 + X7", net.r + by_pair[(idx["X3 + X7"], idx["X3"])]),
+        ("X8", 9),
+        ("X3 + X5", net.r + by_pair[(idx["X3 + X5"], idx["X3"])]),
+        ("X1 + X7", net.r + by_pair[(idx["X1 + X7"], idx["X1"])]),
+        ("X9", 12),
+        ("X1 + X5", net.r + by_pair[(idx["X1 + X5"], idx["X1"])]),
     ]:
-        choices.append((idx[cname], EdgeId(*eid)))
+        choices.append((idx[cname], v))
     from crnextinct.forests import ExteriorForest, interior_reactions
 
     forest = ExteriorForest(

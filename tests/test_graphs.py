@@ -12,7 +12,6 @@ from crnextinct.domination import (
 from crnextinct.engine import GuaranteedExtinction, analyze
 from crnextinct.forests import enumerate_forests
 from crnextinct.graphs import (
-    EdgeId,
     GraphEdge,
     ReactionGraph,
     enumerate_absorbing_sets,
@@ -99,7 +98,7 @@ def test_enumerate_absorbing_sets_example22(nets):
 
 def test_enumerate_absorbing_sets_all_terminal():
     # every complex terminal: the only absorbing set is everything
-    g = ReactionGraph(3, (GraphEdge(0, 1, EdgeId("R", 0)), GraphEdge(1, 0, EdgeId("R", 1))))
+    g = ReactionGraph(3, (GraphEdge(0, 1), GraphEdge(1, 0)))
     assert enumerate_absorbing_sets(g, 8) == [frozenset({0, 1, 2})]
 
 

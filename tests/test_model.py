@@ -25,7 +25,8 @@ def test_build_network_empty():
 def test_build_network_self_loop():
     net = build_network(["X1"], [((1,), (1,))])
     assert net.n == 1
-    assert net.reactions[0].is_self_loop
+    rxn = net.reactions[0]
+    assert rxn.source == rxn.target
 
 
 def test_build_network_errors():

@@ -77,7 +77,7 @@ def test_parse_error_location():
 def test_round_trip_normalized(name):
     text = (FIXTURE_DIR / f"{name}.crn").read_text(encoding="utf-8")
     doc = parse_crn(text)
-    normalized = doc.normalized()
+    normalized = format_network(doc.network)
     again = parse_crn(normalized)
     assert again.network.species_names == doc.network.species_names
     assert [

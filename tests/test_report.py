@@ -25,7 +25,6 @@ from crnextinct.forests import (
     enumerate_forests,
     verify_balance_outcome,
 )
-from crnextinct.graphs import EdgeId
 from crnextinct.invariants import conservation_system, is_subconservative
 from crnextinct.model import stoich_matrix
 from crnextinct.oracle import find_recurrent_witness
@@ -132,6 +131,17 @@ def test_report_rejects_tampering(nets):
             bad["forest"]["choices"][pos]["edge"]["index"] = index
             assert verify_report(net, bad) is False, (kind, index)
 
+    # kinds that name no edge: unknown, not a string, and a D choice relabelled
+    # R whose index is a reaction (X1 + X2 -> 2 X2 leaves the same complex)
+    for kind in ("X", True):
+        bad = copy.deepcopy(report)
+        bad["forest"]["choices"][0]["edge"]["kind"] = kind
+        assert verify_report(net, bad) is False, kind
+    relabelled = copy.deepcopy(report)
+    assert relabelled["forest"]["choices"][0]["edge"] == {"kind": "D", "index": 0, "label": "D1"}
+    relabelled["forest"]["choices"][0]["edge"]["kind"] = "R"
+    assert verify_report(net, relabelled) is False
+
 
 def test_report_with_a_repeated_choice_is_rejected():
     # X2 stays recurrent from 2 X3, so no extinction of the complement of {X3}
@@ -146,7 +156,7 @@ def test_report_with_a_repeated_choice_is_rejected():
     assert dcrn.absorbing == frozenset({7})
     forest = next(enumerate_forests(dcrn))
     at = [y for y, _ in forest.choices].index(2) + 1
-    choices = forest.choices[:at] + ((2, EdgeId("D", 0)),) + forest.choices[at:]
+    choices = forest.choices[:at] + ((2, net.r),) + forest.choices[at:]
     forged = replace(forest, choices=choices)
     outcome = decide_balance(build_balancing_system(dcrn, forged))
     assert isinstance(outcome, Unbalanced)
