@@ -9,7 +9,6 @@ An exhaustive state-space oracle provides ground truth at desk scale.
 from .domination import (
     AdmissibilityError,
     DomCRN,
-    DominationEdge,
     build_dom_crn,
     check_slc_coincidence,
     domination_set,
@@ -34,6 +33,7 @@ from .forests import (
     verify_balance_outcome,
 )
 from .graphs import (
+    GraphEdge,
     enumerate_absorbing_sets,
     is_absorbing_set,
     linkage_classes,
@@ -42,7 +42,6 @@ from .graphs import (
     terminal_slcs,
 )
 from .invariants import (
-    ConeGenerators,
     is_conservative,
     is_subconservative,
     nonneg_kernel_generators,
@@ -53,7 +52,6 @@ from .model import (
     Complex,
     Reaction,
     ReactionNetwork,
-    Species,
     build_network,
     fire,
     format_complex,

@@ -17,6 +17,7 @@ from typing import Callable, TypeVar
 
 from .domination import maximal_admissible
 from .engine import SearchConfig, analyze
+from .exactlp import Feasible
 from .forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
@@ -237,15 +238,18 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     print("stoichiometric matrix (rows = species):")
     for name, row in zip(net.species_names, gamma):
         print(f"  {name}: {list(row)}")
-    cons = is_conservative(gamma)
-    sub = is_subconservative(gamma)
-    print(f"conservative: {cons.feasible}" + (f", witness c = {[str(c) for c in cons.witness]}" if cons.feasible else ""))
-    print(f"subconservative: {sub.feasible}" + (f", witness c = {[str(c) for c in sub.witness]}" if sub.feasible else ""))
+    deciders = {"conservative": is_conservative, "subconservative": is_subconservative}
+    for label, decide in deciders.items():
+        outcome = decide(gamma)
+        if isinstance(outcome, Feasible):
+            print(f"{label}: True, witness c = {[str(c) for c in outcome.witness]}")
+        else:
+            print(f"{label}: False")
     print("P-invariant generators:")
-    for ray in p_invariants(gamma).rays:
+    for ray in p_invariants(gamma):
         print(f"  {list(ray)}")
     print("T-invariant generators (nonnegative kernel rays):")
-    for ray in t_invariants(gamma).rays:
+    for ray in t_invariants(gamma):
         print(f"  {list(ray)}")
     return EXIT_OK
 
@@ -272,6 +276,8 @@ def _cmd_forests(args: argparse.Namespace) -> int:
     if len(dcrn.absorbing) == net.n:
         print("every complex is absorbing: no transient complex, nothing to decide")
         return EXIT_OK
+    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
+        print("the network is not subconservative: no forest below certifies an extinction event")
     stream = enumerate_forests(dcrn)
     forests = list(islice(stream, cap))
     if next(stream, None) is not None:

@@ -12,7 +12,6 @@ condensed at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -27,18 +26,10 @@ from .graphs import (
 from .model import ReactionNetwork
 
 
-@dataclass(frozen=True)
-class DominationEdge:
-    """Directed edge from a dominating complex to the complex it dominates."""
-
-    src: int
-    dst: int
-
-
 class AdmissibilityError(ValueError):
     """A proposed domination expansion violates one of the admissibility conditions."""
 
-    def __init__(self, condition: str, message: str, edge: Optional[DominationEdge] = None):
+    def __init__(self, condition: str, message: str, edge: Optional[GraphEdge] = None):
         super().__init__(message)
         self.condition = condition
         self.edge = edge
@@ -51,17 +42,20 @@ class DomCRN:
     `graph` (see dom_graph) is the expanded graph: the true reactions, then
     the domination edges, condensed at most once.  Construct through
     build_dom_crn, shrink_to_terminal or maximal_admissible; direct
-    construction skips validation, which the tests use to reproduce
-    deliberately inadmissible expansions.
+    construction skips validation.  The tests use it to reproduce
+    deliberately inadmissible expansions, and engine._candidate_pairs to
+    pair a fixpoint's graph with another absorbing set of that graph, which
+    is sound because no kept edge touches the set.
     """
 
     net: ReactionNetwork
     graph: ReactionGraph
     absorbing: frozenset[int]
 
-    @cached_property
-    def dom_edges(self) -> tuple[DominationEdge, ...]:
-        return tuple(DominationEdge(e.src, e.dst) for e in self.graph.edges[self.net.r :])
+    @property
+    def dom_edges(self) -> tuple[GraphEdge, ...]:
+        """The domination edges, from a dominating complex to one it dominates."""
+        return self.graph.edges[self.net.r :]
 
     def exterior_complexes(self) -> list[int]:
         return [i for i in range(self.net.n) if i not in self.absorbing]
@@ -71,7 +65,7 @@ class DomCRN:
         return len(self.graph.edges) - self.net.r
 
 
-def domination_set(net: ReactionNetwork) -> list[DominationEdge]:
+def domination_set(net: ReactionNetwork) -> list[GraphEdge]:
     """All ordered pairs (dominating, dominated) of distinct comparable complexes.
 
     Ordered lexicographically by (source index, target index).
@@ -80,23 +74,22 @@ def domination_set(net: ReactionNetwork) -> list[DominationEdge]:
     for i, big in enumerate(net.complexes):
         for j, small in enumerate(net.complexes):
             if i != j and big.dominates(small):
-                edges.append(DominationEdge(i, j))
+                edges.append(GraphEdge(i, j))
     return edges
 
 
-def is_domination_edge(net: ReactionNetwork, e: DominationEdge) -> bool:
+def is_domination_edge(net: ReactionNetwork, e: GraphEdge) -> bool:
     """Both ends lie in 0..n-1 and the source complex dominates the target."""
     cs, ids = net.complexes, range(net.n)
     return e.src in ids and e.dst in ids and cs[e.src].dominates(cs[e.dst])
 
 
-def dom_graph(net: ReactionNetwork, dom_edges: Sequence[DominationEdge]) -> ReactionGraph:
+def dom_graph(net: ReactionNetwork, dom_edges: Sequence[GraphEdge]) -> ReactionGraph:
     """Reaction graph of the expanded network: true reactions plus domination edges.
 
     Reactions in index order, then domination edges: edge v is balancing variable v.
     """
-    base = reaction_graph(net).edges
-    return ReactionGraph(net.n, base + tuple(GraphEdge(e.src, e.dst) for e in dom_edges))
+    return ReactionGraph(net.n, reaction_graph(net).edges + tuple(dom_edges))
 
 
 def reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
@@ -104,7 +97,7 @@ def reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
     return {(net.source_index[k], net.target_index[k]) for k in range(net.r)}
 
 
-def expansion_edges(net: ReactionNetwork) -> tuple[DominationEdge, ...]:
+def expansion_edges(net: ReactionNetwork) -> tuple[GraphEdge, ...]:
     """The domination relations that do not duplicate a true reaction, in domination_set order."""
     pairs = reaction_pairs(net)
     return tuple(e for e in domination_set(net) if (e.src, e.dst) not in pairs)
@@ -112,7 +105,7 @@ def expansion_edges(net: ReactionNetwork) -> tuple[DominationEdge, ...]:
 
 def build_dom_crn(
     net: ReactionNetwork,
-    dom_edges: Iterable[DominationEdge],
+    dom_edges: Iterable[GraphEdge],
     absorbing: Iterable[int],
 ) -> DomCRN:
     """Validate and assemble a domination-expanded network.
@@ -159,7 +152,7 @@ def build_dom_crn(
     return dcrn
 
 
-def shrink_to_terminal(net: ReactionNetwork, dom_edges: Sequence[DominationEdge]) -> DomCRN:
+def shrink_to_terminal(net: ReactionNetwork, dom_edges: Sequence[GraphEdge]) -> DomCRN:
     """Delete every domination edge touching the terminal complexes, until stable.
 
     Each round recomputes terminality on the expanded graph.  The edge set
@@ -183,48 +176,22 @@ def maximal_admissible(net: ReactionNetwork) -> DomCRN:
     return shrink_to_terminal(net, expansion_edges(net))
 
 
-@dataclass(frozen=True)
-class SlcCoincidenceReport:
-    """Structural coincidence check between a network and its expansion.
-
-    For subconservative networks the strong linkage classes must coincide and
-    every terminal SLC of the expansion must be terminal in the base network.
-    A False in either field on a subconservative input indicates an internal
-    bug, not a property of the model.
-    """
-
-    applicable: bool
-    slcs_coincide: Optional[bool]
-    terminal_subset: Optional[bool]
-    offending: tuple[frozenset[int], ...] = ()
-
-    @property
-    def violated(self) -> bool:
-        return self.applicable and not (self.slcs_coincide and self.terminal_subset)
-
-
 def check_slc_coincidence(
-    base: ReactionGraph,
-    expanded: ReactionGraph,
-    *,
-    subconservative: bool,
-) -> SlcCoincidenceReport:
-    """Check SLC coincidence between a network's graph and an expanded graph.
+    base: ReactionGraph, expanded: ReactionGraph
+) -> tuple[frozenset[int], ...]:
+    """The strong linkage classes of an expansion that break SLC coincidence.
 
     `base` is the network's `reaction_graph`, built once per network;
     `expanded` is usually `DomCRN.graph`.  Each is condensed at most once.
-    `subconservative` is the caller's decision of the network's
-    subconservativity.  Not-applicable (and no verdict) when that is False.
+    A class offends when it is no class of the base, or when it is terminal
+    in the expansion but not in the base.  For a subconservative network
+    none does, so the answer is empty.
     """
-    if not subconservative:
-        return SlcCoincidenceReport(False, None, None)
-    base_slcs = strong_linkage_classes(base)
-    dom_slcs = strong_linkage_classes(expanded)
-    coincide = base_slcs == dom_slcs
+    base_slcs = set(strong_linkage_classes(base))
     base_terminal = set(terminal_slcs(base))
-    dom_terminal = terminal_slcs(expanded)
-    subset = all(t in base_terminal for t in dom_terminal)
-    offending = tuple(
-        b for b in dom_slcs if b not in base_slcs
-    ) + tuple(t for t in dom_terminal if t not in base_terminal)
-    return SlcCoincidenceReport(True, coincide, subset, offending)
+    expanded_terminal = set(terminal_slcs(expanded))
+    return tuple(
+        b
+        for b in strong_linkage_classes(expanded)
+        if b not in base_slcs or (b in expanded_terminal and b not in base_terminal)
+    )

@@ -22,13 +22,12 @@ from typing import Iterator, Optional, Union
 from .domination import (
     AdmissibilityError,
     DomCRN,
-    DominationEdge,
     build_dom_crn,
     check_slc_coincidence,
     expansion_edges,
     shrink_to_terminal,
 )
-from .exactlp import check_feasible
+from .exactlp import Farkas, Feasible, check_feasible
 from .forests import (
     TRUE_REACTIONS,
     Balanced,
@@ -40,8 +39,8 @@ from .forests import (
     forest_is_valid,
     verify_balance_outcome,
 )
-from .graphs import enumerate_absorbing_sets, reaction_graph
-from .invariants import FeasibilityOutcome, conservation_system, is_subconservative
+from .graphs import GraphEdge, enumerate_absorbing_sets, reaction_graph
+from .invariants import conservation_system, is_subconservative
 from .model import ReactionNetwork, stoich_matrix
 
 
@@ -98,7 +97,7 @@ class ExtinctionCertificate:
     """Everything needed to re-verify a guaranteed-extinction verdict."""
 
     subconservation: tuple[Fraction, ...]
-    dom_edges: tuple[DominationEdge, ...]
+    dom_edges: tuple[GraphEdge, ...]
     absorbing: frozenset[int]
     forest: ExteriorForest
     outcome: Unbalanced
@@ -121,7 +120,7 @@ class Inconclusive:
 @dataclass(frozen=True)
 class NotApplicable:
     reason: str
-    refutation: FeasibilityOutcome  # infeasible subconservativity query with Farkas data
+    refutation: Farkas  # refutes conservation_system(stoich_matrix(net), equality=False)
 
 
 Verdict = Union[GuaranteedExtinction, Inconclusive, NotApplicable]
@@ -140,7 +139,7 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
     subsets = (c for size in range(len(full), -1, -1) for c in combinations(full, size))
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
     absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
-    seen: set[tuple[tuple[DominationEdge, ...], frozenset[int]]] = set()
+    seen: set[tuple[tuple[GraphEdge, ...], frozenset[int]]] = set()
     for seed in islice(subsets, dom_cap):
         if explicit:
             fix, edges, asets = None, seed, [cfg.explicit_absorbing]
@@ -169,7 +168,7 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     they are enumerated, at most cfg.forest_cap per candidate.
     """
     sub = is_subconservative(stoich_matrix(net))
-    if not sub.feasible:
+    if not isinstance(sub, Feasible):
         return NotApplicable("network is not subconservative", sub)
     candidates = 0
     forests_seen = 0
@@ -186,10 +185,10 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
             vacuous += 1
             continue
         candidates += 1
-        coincidence = check_slc_coincidence(base, dcrn.graph, subconservative=True)
-        if coincidence.violated:
+        offending = check_slc_coincidence(base, dcrn.graph)
+        if offending:
             raise InternalCheckError(
-                f"SLC coincidence failed for expansion {dcrn.dom_edges}: {coincidence}"
+                f"SLC coincidence failed for expansion {dcrn.dom_edges}: {offending}"
             )
         forests = enumerate_forests(dcrn)
         for forest in islice(forests, cfg.forest_cap):

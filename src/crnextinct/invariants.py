@@ -11,40 +11,15 @@ lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .exactlp import (
-    Farkas,
-    Feasible,
-    LinearSystem,
-    check_farkas,
-    check_feasible,
-    lexmin,
-    make_row,
-    primitive,
-)
+from .exactlp import Farkas, Feasible, LinearSystem, Outcome, lexmin, make_row, primitive
 
 Matrix = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    """A feasibility verdict bundled with its system so it can re-verify itself."""
-
-    feasible: bool
-    witness: Optional[tuple[Fraction, ...]]
-    farkas: Optional[Farkas]
-    system: LinearSystem
-
-    def verify(self) -> bool:
-        if self.feasible:
-            return self.witness is not None and check_feasible(self.system, self.witness)
-        return self.farkas is not None and check_farkas(self.system, self.farkas)
-
-
-def _decide(gamma: Matrix, *, equality: bool) -> FeasibilityOutcome:
+def _decide(gamma: Matrix, *, equality: bool) -> Outcome:
     """Decide conservation_system(gamma, equality=...) over c' = c - 1 >= 0.
 
     Each row a.c = 0 (or >= 0) becomes a.c' = -a.1 (or >= -a.1), and the
@@ -54,7 +29,8 @@ def _decide(gamma: Matrix, *, equality: bool) -> FeasibilityOutcome:
     the shifted system is lifted to the unshifted one: the rows a keep mu',
     the rows c >= 1 get nu', and c >= 0 gets 0.  The combination still
     cancels, and its right-hand side 1.nu' equals the shifted one, which is
-    positive.  The outcome carries the unshifted system, which verify audits.
+    positive.  Either answer is checked against the unshifted system, with
+    check_feasible or check_farkas.
     """
     system = conservation_system(gamma, equality=equality)
     m = system.n
@@ -62,11 +38,9 @@ def _decide(gamma: Matrix, *, equality: bool) -> FeasibilityOutcome:
     shifted = tuple((a, -sum(a)) for a, _ in rows)
     outcome = lexmin(LinearSystem(m, eq=shifted) if equality else LinearSystem(m, ge=shifted))
     if isinstance(outcome, Feasible):
-        witness = tuple(1 + v for v in outcome.witness)
-        return FeasibilityOutcome(True, witness, None, system)
+        return Feasible(tuple(1 + v for v in outcome.witness))
     mu, nu, zero = outcome.eq_mult + outcome.ge_mult, outcome.nonneg_mult, (Fraction(0),) * m
-    farkas = Farkas(mu, nu, zero) if equality else Farkas((), mu + nu, zero)
-    return FeasibilityOutcome(False, None, farkas, system)
+    return Farkas(mu, nu, zero) if equality else Farkas((), mu + nu, zero)
 
 
 def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -89,7 +63,7 @@ def conservation_system(gamma: Matrix, *, equality: bool) -> LinearSystem:
     return LinearSystem(m, ge=tuple(neg) + tuple(unit))
 
 
-def is_conservative(gamma: Matrix) -> FeasibilityOutcome:
+def is_conservative(gamma: Matrix) -> Outcome:
     """Does some c >= 1 satisfy c^T Gamma = 0 exactly?
 
     Solved over c' = c - 1 (Gamma^T c' = -Gamma^T 1, c' >= 0); the witness is
@@ -99,7 +73,7 @@ def is_conservative(gamma: Matrix) -> FeasibilityOutcome:
     return _decide(gamma, equality=True)
 
 
-def is_subconservative(gamma: Matrix) -> FeasibilityOutcome:
+def is_subconservative(gamma: Matrix) -> Outcome:
     """Does some c >= 1 satisfy c^T Gamma <= 0 componentwise?
 
     Solved over c' = c - 1 (-Gamma^T c' >= Gamma^T 1, c' >= 0); the witness is
@@ -109,15 +83,10 @@ def is_subconservative(gamma: Matrix) -> FeasibilityOutcome:
     return _decide(gamma, equality=False)
 
 
-@dataclass(frozen=True)
-class ConeGenerators:
-    """Extreme rays of a cone {v >= 0 : M v = 0}, coprime integers, lex-sorted."""
-
-    rays: tuple[tuple[int, ...], ...]
-
-
-def nonneg_kernel_generators(gamma: Matrix) -> ConeGenerators:
+def nonneg_kernel_generators(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of {v >= 0 : Gamma v = 0} via double description.
+
+    The rays are coprime integer vectors in lexicographic order.
 
     Starts from the nonnegative orthant and intersects with one kernel
     hyperplane at a time; the combinatorial adjacency test over coordinate
@@ -126,7 +95,7 @@ def nonneg_kernel_generators(gamma: Matrix) -> ConeGenerators:
     rows = [tuple(row) for row in gamma]
     r = len(rows[0]) if rows else 0
     if r == 0:
-        return ConeGenerators(())
+        return ()
     rays: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
     ]
@@ -151,14 +120,14 @@ def nonneg_kernel_generators(gamma: Matrix) -> ConeGenerators:
                         primitive([pu * wi - pw * ui for ui, wi in zip(u, w)])
                     )
         rays = zero + combined
-    return ConeGenerators(tuple(sorted(set(rays))))
+    return tuple(sorted(set(rays)))
 
 
-def p_invariants(gamma: Matrix) -> ConeGenerators:
+def p_invariants(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
     """Nonnegative generators of the left kernel (Petri-net P-invariants)."""
     return nonneg_kernel_generators(transpose(gamma))
 
 
-def t_invariants(gamma: Matrix) -> ConeGenerators:
+def t_invariants(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
     """Nonnegative generators of the right kernel (Petri-net T-invariants)."""
     return nonneg_kernel_generators(gamma)

@@ -1,7 +1,7 @@
-"""Core data model: species, complexes, reactions, networks, and discrete states.
+"""Core data model: complexes, reactions, networks, and discrete states.
 
-A network is a finite set of named species together with an indexed list of
-reactions between complexes (nonnegative integer combinations of species).
+A network is a list of species names together with a list of reactions
+between complexes (nonnegative integer combinations of species).
 The complex list is derived from the reactions in first-appearance order
 (source before target), which fixes a deterministic complex indexing used
 everywhere else in the package.
@@ -12,12 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class Species:
-    index: int
-    name: str
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,6 @@ class Complex:
 
 @dataclass(frozen=True)
 class Reaction:
-    index: int
     source: Complex
     target: Complex
 
@@ -58,15 +51,17 @@ State = tuple  # nonnegative integer counts, one per species
 class ReactionNetwork:
     """A reaction network with derived, deterministically indexed complex list.
 
+    Species and reactions are indexed by list position.
+
     Attributes:
-        species: list of Species, index equals list position.
-        reactions: list of Reaction, index equals list position.
+        species: tuple of species names.
+        reactions: list of Reaction.
         complexes: deduplicated complexes in first-appearance order
             (per reaction: source then target, reactions in input order).
     """
 
-    def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction]):
-        self.species = list(species)
+    def __init__(self, species_names: Sequence[str], reactions: Sequence[Reaction]):
+        self.species = tuple(species_names)
         self.reactions = list(reactions)
         self.complexes: list[Complex] = []
         self._complex_index: dict[tuple[int, ...], int] = {}
@@ -93,7 +88,7 @@ class ReactionNetwork:
 
     @property
     def species_names(self) -> list[str]:
-        return [s.name for s in self.species]
+        return list(self.species)
 
     def complex_index(self, cpx: Complex) -> int:
         try:
@@ -122,15 +117,14 @@ def build_network(
             raise ValueError(f"duplicate species name {name!r}")
         seen.add(name)
     m = len(names)
-    species = [Species(i, name) for i, name in enumerate(names)]
     built: list[Reaction] = []
     for k, (src, tgt) in enumerate(reactions):
         if len(src) != m or len(tgt) != m:
             raise ValueError(
                 f"reaction {k}: coefficient vector length must equal species count {m}"
             )
-        built.append(Reaction(k, Complex(tuple(src)), Complex(tuple(tgt))))
-    return ReactionNetwork(species, built)
+        built.append(Reaction(Complex(tuple(src)), Complex(tuple(tgt))))
+    return ReactionNetwork(names, built)
 
 
 def stoich_matrix(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:

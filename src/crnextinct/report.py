@@ -22,7 +22,6 @@ import re
 from fractions import Fraction
 from typing import Any, Callable
 
-from .domination import DominationEdge
 from .engine import (
     ExtinctionCertificate,
     GuaranteedExtinction,
@@ -35,6 +34,7 @@ from .engine import (
 )
 from .exactlp import Farkas
 from .forests import ExteriorForest, Unbalanced, edge_label
+from .graphs import GraphEdge
 from .model import ReactionNetwork, format_complex
 
 REPORT_FORMAT = "crn-extinction-report"
@@ -108,7 +108,7 @@ def _vector_decoder() -> Callable[[Any], tuple[Fraction, ...]]:
         return value
 
     def vector(items) -> tuple[Fraction, ...]:
-        return tuple(map(rational, items))
+        return tuple(map(rational, _exact(items, list)))
 
     return vector
 
@@ -118,7 +118,7 @@ def _complex_names(net: ReactionNetwork, indices) -> list[str]:
     return [format_complex(net.complexes[i], names) for i in sorted(indices)]
 
 
-def _edge_obj(net: ReactionNetwork, e: DominationEdge, j: int) -> dict[str, Any]:
+def _edge_obj(net: ReactionNetwork, e: GraphEdge, j: int) -> dict[str, Any]:
     names = net.species_names
     return {
         "label": edge_label(net.r + j, net.r),
@@ -129,10 +129,15 @@ def _edge_obj(net: ReactionNetwork, e: DominationEdge, j: int) -> dict[str, Any]
     }
 
 
-def _choice_edge(v: int, r: int) -> dict[str, Any]:
-    """A forest choice's edge v as {"kind", "index", "label"}: ("R", v) or ("D", v - r)."""
+def _choice_obj(net: ReactionNetwork, y: int, v: int) -> dict[str, Any]:
+    """Complex y's choice of edge v, whose kind and index are ("R", v) or ("D", v - r)."""
+    r = net.r
     kind, index = ("R", v) if v < r else ("D", v - r)
-    return {"kind": kind, "index": index, "label": edge_label(v, r)}
+    return {
+        "complex": format_complex(net.complexes[y], net.species_names),
+        "complex_index": y,
+        "edge": {"kind": kind, "index": index, "label": edge_label(v, r)},
+    }
 
 
 def _decode_choice_edge(obj: Any, r: int, d: int) -> int:
@@ -195,7 +200,7 @@ def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> d
     if isinstance(verdict, NotApplicable):
         report["verdict"] = "not-applicable"
         report["reason"] = verdict.reason
-        report["subconservativity_refutation"] = _farkas_obj(verdict.refutation.farkas)
+        report["subconservativity_refutation"] = _farkas_obj(verdict.refutation)
         return report
     if isinstance(verdict, Inconclusive):
         report["verdict"] = "inconclusive"
@@ -209,14 +214,7 @@ def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> d
     report["absorbing_indices"] = sorted(cert.absorbing)
     report["dom_edges"] = [_edge_obj(net, e, j) for j, e in enumerate(cert.dom_edges)]
     report["forest"] = {
-        "choices": [
-            {
-                "complex": format_complex(net.complexes[y], names),
-                "complex_index": y,
-                "edge": _choice_edge(v, net.r),
-            }
-            for y, v in cert.forest.choices
-        ],
+        "choices": [_choice_obj(net, y, v) for y, v in cert.forest.choices],
         "interior_reactions": list(cert.forest.interior),
     }
     report["nontriviality"] = cert.nontriviality
@@ -233,9 +231,12 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     """Rebuild a guaranteed-extinction verdict from its JSON report.
 
     Cross-checks the report's complex names against the network before
-    trusting any index.  A refutation covers the list "candidate_variables"
-    from version 6 and the one "candidate_variable" before; each key is
-    rejected at the other versions.
+    trusting any index, then every other name against the index it names:
+    the transient and absorbing sets, each domination edge's ends and label,
+    and each forest choice's complex and edge label.  Every list field must
+    be a JSON list.  A refutation covers the list "candidate_variables" from
+    version 6 and the one "candidate_variable" before; each key is rejected
+    at the other versions.
     """
     if report.get("verdict") != "guaranteed-extinction":
         raise ValueError("report does not carry a guaranteed-extinction verdict")
@@ -244,21 +245,23 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     if report.get("complexes") != expected or report.get("species") != names:
         raise ValueError("report does not match this network")
     dom_edges = tuple(
-        DominationEdge(_exact(e["from_index"], int), _exact(e["to_index"], int))
-        for e in report["dom_edges"]
+        GraphEdge(_exact(e["from_index"], int), _exact(e["to_index"], int))
+        for e in _exact(report["dom_edges"], list)
     )
-    absorbing = frozenset(_exact(i, int) for i in report["absorbing_indices"])
+    absorbing = frozenset(_exact(i, int) for i in _exact(report["absorbing_indices"], list))
     choices = tuple(
         (_exact(c["complex_index"], int), _decode_choice_edge(c["edge"], net.r, len(dom_edges)))
-        for c in report["forest"]["choices"]
+        for c in _exact(report["forest"]["choices"], list)
     )
-    interior = tuple(_exact(k, int) for k in report["forest"]["interior_reactions"])
+    interior = tuple(
+        _exact(k, int) for k in _exact(report["forest"]["interior_reactions"], list)
+    )
     forest = ExteriorForest(choices=choices, interior=interior)
     listed = _exact(report["version"], int) >= 6
     stale = "candidate_variable" if listed else "candidate_variables"
     vector = _vector_decoder()
     witnesses = []
-    for w in report["balance_refutations"]:
+    for w in _exact(report["balance_refutations"], list):
         if stale in w:
             raise ValueError(f"{stale!r} is not a field of this report version")
         cands = _exact(w["candidate_variables"], list) if listed else [w["candidate_variable"]]
@@ -276,10 +279,15 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     )
     transient = frozenset(range(net.n)) - absorbing
     stats = SearchStats(0, 0, 0, _exact(report["statistics"]["truncated"], bool), 0)
-    verdict = GuaranteedExtinction(transient, certificate, stats)
-    if report.get("transient_complexes") != _complex_names(net, transient):
-        raise ValueError("transient complex names disagree with the absorbing set")
-    return verdict
+    named = (
+        report["transient_complexes"] == _complex_names(net, transient)
+        and report["absorbing_set"] == _complex_names(net, absorbing)
+        and report["dom_edges"] == [_edge_obj(net, e, j) for j, e in enumerate(dom_edges)]
+        and report["forest"]["choices"] == [_choice_obj(net, y, v) for y, v in choices]
+    )
+    if not named:
+        raise ValueError("a name in the report disagrees with the index it names")
+    return GuaranteedExtinction(transient, certificate, stats)
 
 
 def verify_report(net: ReactionNetwork, report: Any) -> bool:
@@ -295,12 +303,12 @@ def verify_report(net: ReactionNetwork, report: Any) -> bool:
         return False
     try:
         verdict = report_certificate(net, report)
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, LookupError, TypeError):
         return False
     return verify_verdict(net, verdict)
 
 
-def render_text(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> str:
+def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
     names = net.species_names
 
     def cname(i: int) -> str:
@@ -364,5 +372,5 @@ def emit_report(
             json.dumps(build_report(net, verdict, cfg), separators=(",", ":")) + "\n"
         ).encode("utf-8")
     if fmt == "text":
-        return render_text(net, verdict, cfg).encode("utf-8")
+        return render_text(net, verdict).encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

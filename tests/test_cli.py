@@ -176,6 +176,16 @@ def test_forests_output(capsys):
     assert "forest 1" not in out and "unbalanced" not in out
 
 
+def test_forests_caveat_without_subconservativity(capsys):
+    caveat = "the network is not subconservative: no forest below certifies an extinction event"
+    assert main(["forests", fixture("example22")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert caveat in lines
+    assert lines.index(caveat) < next(i for i, line in enumerate(lines) if line.startswith("forest 1:"))
+    assert main(["forests", fixture("example21")]) == 0
+    assert caveat not in capsys.readouterr().out
+
+
 def test_petri_round_trip(tmp_path, capsys):
     exported = tmp_path / "net.json"
     assert main(["petri", "export", fixture("example21"), "--out", str(exported)]) == 0

@@ -2,14 +2,19 @@ import pytest
 
 from crnextinct.domination import (
     AdmissibilityError,
-    DominationEdge,
     build_dom_crn,
     check_slc_coincidence,
     dom_graph,
     domination_set,
     maximal_admissible,
 )
-from crnextinct.graphs import reaction_graph, terminal_complexes
+from crnextinct.exactlp import Farkas, Feasible
+from crnextinct.graphs import (
+    GraphEdge,
+    reaction_graph,
+    strong_linkage_classes,
+    terminal_complexes,
+)
 from crnextinct.invariants import is_subconservative
 from crnextinct.model import build_network, stoich_matrix
 
@@ -55,7 +60,7 @@ def test_full_set_rejected_example33(nets):
 
 def test_two_edge_expansion_accepted(nets):
     net = nets["example21"]
-    dcrn = build_dom_crn(net, [DominationEdge(0, 2), DominationEdge(1, 2)], {3})
+    dcrn = build_dom_crn(net, [GraphEdge(0, 2), GraphEdge(1, 2)], {3})
     assert dcrn.absorbing == frozenset({3})
     assert dcrn.exterior_complexes() == [0, 1, 2]
 
@@ -80,20 +85,20 @@ def test_reaction_duplicate_rejected():
 
 def test_repeated_edge_rejected(nets):
     net = nets["example21"]
-    edges = [DominationEdge(0, 2), DominationEdge(1, 2), DominationEdge(0, 2)]
+    edges = [GraphEdge(0, 2), GraphEdge(1, 2), GraphEdge(0, 2)]
     with pytest.raises(AdmissibilityError, match="an earlier edge") as err:
         build_dom_crn(net, edges, {3})
     assert err.value.condition == "domination"
-    assert err.value.edge == DominationEdge(0, 2)
+    assert err.value.edge == GraphEdge(0, 2)
 
 
 def test_non_domination_edge_rejected(nets):
     net = nets["example21"]
     with pytest.raises(AdmissibilityError, match="not a domination relation"):
-        build_dom_crn(net, [DominationEdge(2, 0)], {3})
+        build_dom_crn(net, [GraphEdge(2, 0)], {3})
     # index -4 would alias complex 0 (X1 + X2), which does dominate X2
     with pytest.raises(AdmissibilityError, match="not a domination relation"):
-        build_dom_crn(net, [DominationEdge(-4, 2)], {3})
+        build_dom_crn(net, [GraphEdge(-4, 2)], {3})
 
 
 def test_non_absorbing_set_rejected(nets):
@@ -144,47 +149,33 @@ def test_maximal_admissible_revalidates(nets):
 
 def test_slc_coincidence_example33(nets):
     net = nets["example21"]
-    report = check_slc_coincidence(
-        reaction_graph(net),
-        dom_graph(net, (DominationEdge(0, 2), DominationEdge(1, 2))),
-        subconservative=is_subconservative(stoich_matrix(net)).feasible,
-    )
-    assert report.applicable and report.slcs_coincide and report.terminal_subset
-    assert not report.violated
+    assert isinstance(is_subconservative(stoich_matrix(net)), Feasible)
+    expanded = dom_graph(net, (GraphEdge(0, 2), GraphEdge(1, 2)))
+    assert check_slc_coincidence(reaction_graph(net), expanded) == ()
 
 
-def test_slc_coincidence_not_applicable_example22(nets):
+def test_slc_coincidence_needs_subconservativity_example22(nets):
+    # example22 is not subconservative, and its full domination expansion
+    # merges all four complexes into one strong linkage class
     net = nets["example22"]
-    report = check_slc_coincidence(
-        reaction_graph(net),
-        dom_graph(net, domination_set(net)),
-        subconservative=is_subconservative(stoich_matrix(net)).feasible,
-    )
-    assert not report.applicable
-    assert report.slcs_coincide is None and report.terminal_subset is None
+    assert isinstance(is_subconservative(stoich_matrix(net)), Farkas)
+    expanded = dom_graph(net, domination_set(net))
+    assert strong_linkage_classes(expanded) == [frozenset({0, 1, 2, 3})]
+    assert check_slc_coincidence(reaction_graph(net), expanded) == (frozenset({0, 1, 2, 3}),)
 
 
 def test_slc_coincidence_trivial_empty(nets):
     net = nets["example23"]
-    report = check_slc_coincidence(
-        reaction_graph(net),
-        dom_graph(net, ()),
-        subconservative=is_subconservative(stoich_matrix(net)).feasible,
-    )
-    assert report.applicable and not report.violated
+    assert isinstance(is_subconservative(stoich_matrix(net)), Feasible)
+    assert check_slc_coincidence(reaction_graph(net), dom_graph(net, ())) == ()
 
 
 def test_slc_coincidence_all_subconservative_fixtures(nets):
     for name, net in nets.items():
-        if not is_subconservative(stoich_matrix(net)).feasible:
+        if isinstance(is_subconservative(stoich_matrix(net)), Farkas):
             continue
+        base = reaction_graph(net)
         dcrn = maximal_admissible(net)
-        report = check_slc_coincidence(
-            reaction_graph(net), dom_graph(net, dcrn.dom_edges), subconservative=True
-        )
-        assert not report.violated, name
+        assert check_slc_coincidence(base, dom_graph(net, dcrn.dom_edges)) == (), name
         # the full domination set also satisfies the coincidence property
-        full = check_slc_coincidence(
-            reaction_graph(net), dom_graph(net, domination_set(net)), subconservative=True
-        )
-        assert not full.violated, name
+        assert check_slc_coincidence(base, dom_graph(net, domination_set(net))) == (), name

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from crnextinct import engine
-from crnextinct.domination import DomCRN, DominationEdge, dom_graph
+from crnextinct.domination import DomCRN, dom_graph
 from crnextinct.engine import (
     GuaranteedExtinction,
     Inconclusive,
@@ -15,7 +15,11 @@ from crnextinct.engine import (
     audit_extinction,
     verify_verdict,
 )
+from crnextinct.exactlp import Farkas, check_farkas
 from crnextinct.forests import Unbalanced
+from crnextinct.graphs import GraphEdge
+from crnextinct.invariants import conservation_system
+from crnextinct.model import stoich_matrix
 
 from conftest import complex_names, name_to_index
 
@@ -55,10 +59,12 @@ def test_example999_extinction(nets):
 
 
 def test_example22_not_applicable(nets):
-    verdict = analyze(nets["example22"])
+    net = nets["example22"]
+    verdict = analyze(net)
     assert isinstance(verdict, NotApplicable)
-    assert not verdict.refutation.feasible
-    assert verdict.refutation.verify()
+    assert isinstance(verdict.refutation, Farkas)
+    system = conservation_system(stoich_matrix(net), equality=False)
+    assert check_farkas(system, verdict.refutation)
 
 
 def test_example100_inconclusive(nets):
@@ -168,7 +174,7 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
     net = nets["example21"]
     verdict = analyze(net)
     cert = verdict.certificate
-    edges = (DominationEdge(-4, 2),) + cert.dom_edges[1:]
+    edges = (GraphEdge(-4, 2),) + cert.dom_edges[1:]
     checks = audit_extinction(net, replace(verdict, certificate=replace(cert, dom_edges=edges)))
     assert checks == [
         ("subconservativity-witness", True),
@@ -183,7 +189,7 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
 def test_slc_coincidence_failure_raises(nets, monkeypatch):
     # D(2 -> 1) reverses reaction 3 and merges two SLCs of the network
     net = nets["intro"]
-    merged = DomCRN(net, dom_graph(net, (DominationEdge(2, 1),)), frozenset({2}))
+    merged = DomCRN(net, dom_graph(net, (GraphEdge(2, 1),)), frozenset({2}))
     monkeypatch.setattr(engine, "_candidate_pairs", lambda net, cfg: iter([merged]))
     with pytest.raises(InternalCheckError, match="SLC coincidence failed"):
         analyze(net)

@@ -5,7 +5,6 @@ import pytest
 
 from crnextinct.domination import (
     DomCRN,
-    DominationEdge,
     build_dom_crn,
     dom_graph,
     maximal_admissible,
@@ -22,13 +21,14 @@ from crnextinct.forests import (
     forest_is_valid,
     verify_balance_outcome,
 )
+from crnextinct.graphs import GraphEdge
 from crnextinct.model import stoich_matrix
 
 
 @pytest.fixture()
 def example33(nets):
     net = nets["example21"]
-    return build_dom_crn(net, [DominationEdge(0, 2), DominationEdge(1, 2)], {3})
+    return build_dom_crn(net, [GraphEdge(0, 2), GraphEdge(1, 2)], {3})
 
 
 def _labels(dcrn, forest):
@@ -194,7 +194,7 @@ def test_nontriviality_readings(nets):
     # inadmissible expansion built directly: its only forest routes the
     # nonterminal pair through a domination edge
     net = nets["example001"]
-    dcrn = DomCRN(net, dom_graph(net, (DominationEdge(1, 2),)), frozenset({2, 3}))
+    dcrn = DomCRN(net, dom_graph(net, (GraphEdge(1, 2),)), frozenset({2, 3}))
     forest = next(enumerate_forests(dcrn))
     assert _labels(dcrn, forest) == ["1", "D1"]
     strict = decide_balance(build_balancing_system(dcrn, forest))

@@ -171,14 +171,16 @@ def test_conservation_outcomes_self_verify(net):
     gamma = stoich_matrix(net)
     cons = is_conservative(gamma)
     sub = is_subconservative(gamma)
-    assert cons.verify() and sub.verify()
     # the LP runs over c - 1; the witness is the lexmin point over c >= 1
     for equality, outcome in ((True, cons), (False, sub)):
-        if outcome.feasible:
-            unshifted = conservation_system(gamma, equality=equality)
+        unshifted = conservation_system(gamma, equality=equality)
+        if isinstance(outcome, Feasible):
+            assert check_feasible(unshifted, outcome.witness)
             assert outcome.witness == fraction_lp.lexmin(unshifted).witness
-    if cons.feasible:
-        assert sub.feasible
+        else:
+            assert check_farkas(unshifted, outcome)
+    if isinstance(cons, Feasible):
+        assert isinstance(sub, Feasible)
         # homogeneity: positive scalings remain conservation vectors
         doubled = [2 * c for c in cons.witness]
         assert check_feasible(conservation_system(gamma, equality=True), doubled)
@@ -188,14 +190,14 @@ def test_conservation_outcomes_self_verify(net):
 def test_kernel_rays_lie_in_cone(net):
     gamma = stoich_matrix(net)
     gens = nonneg_kernel_generators(gamma)
-    for ray in gens.rays:
+    for ray in gens:
         assert all(v >= 0 for v in ray)
         assert all(sum(g * v for g, v in zip(row, ray)) == 0 for row in gamma)
 
 
 @given(networks())
 def test_forests_of_maximal_expansion_are_valid(net):
-    if not is_subconservative(stoich_matrix(net)).feasible:
+    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
         return
     dcrn = maximal_admissible(net)
     for forest in islice(enumerate_forests(dcrn), 64):
@@ -209,7 +211,7 @@ def test_forests_of_maximal_expansion_are_valid(net):
 @given(networks_with_state(), st.data())
 def test_complex_recurrence_characterizations_agree(case, data):
     net, state = case
-    if not is_subconservative(stoich_matrix(net)).feasible:
+    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
         return
     try:
         g = explore(net, state, hard_cap=5000)
@@ -281,7 +283,7 @@ def test_cone_generators_are_complete(net):
     if isinstance(outcome, Feasible):
         assert in_cone(outcome.witness, gens)
     else:
-        assert gens.rays == ()
+        assert gens == ()
 
 
 @given(st.text(max_size=60))
@@ -300,7 +302,7 @@ def test_any_edge_reading_claims_are_sound(net):
     from crnextinct.forests import ANY_EDGE
     from crnextinct.oracle import explore, recurrent_complexes, states_with_total
 
-    if not is_subconservative(stoich_matrix(net)).feasible:
+    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
         return
     verdict = analyze(net, SearchConfig(nontriviality=ANY_EDGE))
     if not isinstance(verdict, GuaranteedExtinction):

@@ -404,6 +404,31 @@ def test_report_fields_are_strictly_typed(nets, name, path, value):
         report_certificate(net, report)
 
 
+@pytest.mark.parametrize(
+    "pin, path, value",
+    [
+        ("envz-v6", ("absorbing_set",), ["X1"]),  # a transient complex
+        ("envz-v6", ("absorbing_set",), []),
+        ("envz-v6", ("dom_edges", 0, "label"), "D99"),
+        ("envz-v6", ("dom_edges", 0, "from"), "X1"),
+        ("envz-v6", ("dom_edges", 0, "to"), "X3"),
+        ("envz-v6", ("forest", "choices", 0, "complex"), "bogus"),
+        ("envz-v6", ("forest", "choices", 0, "edge", "label"), "2"),
+        ("envz-v6", ("forest", "choices", 5, "edge", "label"), "D99"),
+        ("envz-v6", ("forest", "interior_reactions"), {}),
+        ("example21-v2", ("dom_edges", 1, "label"), "D1"),
+        ("example21-v2", ("absorbing_set",), ["X2"]),
+        ("intro-v5", ("dom_edges",), {}),
+    ],
+)
+def test_every_name_is_checked_against_its_index(nets, pin, path, value):
+    report = json.loads((REPORT_DIR / f"{pin}.json").read_bytes())
+    net = nets[pin.split("-")[0]]
+    assert verify_report(net, report)
+    _replace(report, path, lambda _: value)
+    assert verify_report(net, report) is False
+
+
 def test_envz_report_contents(nets):
     net = nets["envz"]
     verdict, report = _extinction_report(net)
