@@ -29,6 +29,7 @@ from .forests import (
     Unbalanced,
     build_balancing_system,
     decide_balance,
+    decide_forests,
     enumerate_forests,
     verify_balance_outcome,
 )

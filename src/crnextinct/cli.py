@@ -22,8 +22,7 @@ from .forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
     Balanced,
-    build_balancing_system,
-    decide_balance,
+    decide_forests,
     edge_label,
     enumerate_forests,
 )
@@ -282,8 +281,7 @@ def _cmd_forests(args: argparse.Namespace) -> int:
     forests = list(islice(stream, cap))
     if next(stream, None) is not None:
         print(f"(enumeration truncated at {cap})")
-    for idx, forest in enumerate(forests, start=1):
-        outcome = decide_balance(build_balancing_system(dcrn, forest))
+    for idx, (forest, outcome) in enumerate(decide_forests(dcrn, forests), start=1):
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"
         else:

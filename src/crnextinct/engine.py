@@ -33,8 +33,8 @@ from .forests import (
     Balanced,
     ExteriorForest,
     Unbalanced,
-    build_balancing_system,
-    decide_balance,
+    decide_balance,  # unused here; bench/test_bench.py looks it up on this module
+    decide_forests,
     enumerate_forests,
     forest_is_valid,
     verify_balance_outcome,
@@ -86,8 +86,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchStats:
     candidates: int
-    forests: int  # forests decided
-    balanced: int
+    forests: int  # forests decided, by an LP or by a reused balancing vector
+    balanced: int  # of those, balanced (every reused one is)
     truncated: bool  # some candidate had more forests than forest_cap
     vacuous_skipped: int
 
@@ -165,7 +165,9 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
 
     Deterministic for a fixed config: the first unbalanced forest in canonical
     candidate-then-forest order is the one reported.  Forests are decided as
-    they are enumerated, at most cfg.forest_cap per candidate.
+    they are enumerated, at most cfg.forest_cap per candidate, by
+    decide_forests: one that keeps the positive choices of an earlier
+    balanced forest of its candidate reuses that balancing vector.
     """
     sub = is_subconservative(stoich_matrix(net))
     if not isinstance(sub, Feasible):
@@ -191,10 +193,9 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
                 f"SLC coincidence failed for expansion {dcrn.dom_edges}: {offending}"
             )
         forests = enumerate_forests(dcrn)
-        for forest in islice(forests, cfg.forest_cap):
+        decided = decide_forests(dcrn, islice(forests, cfg.forest_cap), cfg.nontriviality)
+        for forest, outcome in decided:
             forests_seen += 1
-            system = build_balancing_system(dcrn, forest, cfg.nontriviality)
-            outcome = decide_balance(system)
             if isinstance(outcome, Balanced):
                 balanced_seen += 1
                 continue

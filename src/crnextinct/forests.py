@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .domination import DomCRN
 from .exactlp import (
@@ -27,9 +27,9 @@ from .exactlp import (
     Row,
     check_farkas,
     check_feasible,
-    lexmin,
     make_row,
     scale_to_integers,
+    solve_feasibility,
 )
 from .model import stoich_matrix
 
@@ -236,23 +236,54 @@ BalanceOutcome = Union[Balanced, Unbalanced]
 def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     """Balanced iff the summed system is feasible; certificates either way.
 
-    One lexmin decides the forest.  Its candidate row is the sum of all
+    One phase 1 decides the forest.  Its candidate row is the sum of all
     candidate variables >= 1; every other right-hand side is 0, so the rows
     are a cone and the sum reaches 1 iff some single candidate does.  A
-    feasible point, scaled to integers, is the canonical balancing vector
-    and its least positive candidate the positive edge.  A Farkas answer is
-    the forest's one refutation, covering all candidates.  An empty
-    candidate set is unbalanced outright.
+    feasible point, scaled to integers, is the balancing vector and its
+    least positive candidate the positive edge.  A Farkas answer is the
+    forest's one refutation, covering all candidates.  An empty candidate
+    set is unbalanced outright.  Forests that decide_forests settles by
+    reusing an earlier vector are decided, and balanced, without this call.
     """
     if not system.candidates:
         return Unbalanced(())
-    best = lexmin(system.linear_system(system.candidates))
-    if isinstance(best, Farkas):
-        return Unbalanced(((system.candidates, best),))
-    alpha = tuple(scale_to_integers(best.witness)[0])
+    found = solve_feasibility(system.linear_system(system.candidates))
+    if isinstance(found, Farkas):
+        return Unbalanced(((system.candidates, found),))
+    alpha = tuple(scale_to_integers(found.witness)[0])
     positive_edge = next(k for k in system.candidates if alpha[k] > 0)
     assert check_feasible(system.linear_system((positive_edge,)), alpha)
     return Balanced(alpha=alpha, positive_edge=positive_edge)
+
+
+def decide_forests(
+    dcrn: DomCRN,
+    forests: Iterable[ExteriorForest],
+    nontriviality: str = TRUE_REACTIONS,
+) -> Iterator[tuple[ExteriorForest, BalanceOutcome]]:
+    """Each forest with its balance outcome, in order, lazily.
+
+    Let alpha balance forest F, and let F' make F's choice at every exterior
+    complex whose chosen edge has alpha > 0.  Then alpha balances F' too.
+    supp(alpha) lies in F', so (C1) and (C2) hold.  alpha is zero off its
+    support, so every complex has the same inflow under F' as under F; F'
+    keeps each positive outflow, and where F's choice has alpha = 0, (C3)
+    for F forced the inflow to 0, so (C3) holds.  The positive edge is a
+    choice F' keeps, so it is a candidate of F' under either reading.  A
+    forest whose choices contain the positive choices of an earlier balanced
+    forest is therefore decided as that Balanced by a set inclusion, with no
+    LP; every other forest gets one decide_balance.
+    """
+    known: list[tuple[frozenset[tuple[int, int]], Balanced]] = []
+    for forest in forests:
+        choices = set(forest.choices)
+        outcome = next((b for pinned, b in known if pinned <= choices), None)
+        if outcome is None:
+            outcome = decide_balance(build_balancing_system(dcrn, forest, nontriviality))
+            if isinstance(outcome, Balanced):
+                pinned = frozenset((y, v) for y, v in forest.choices if outcome.alpha[v] > 0)
+                known.append((pinned, outcome))
+        yield forest, outcome
 
 
 def verify_balance_outcome(

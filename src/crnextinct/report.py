@@ -83,6 +83,13 @@ def _exact(value: Any, kind: type) -> Any:
     return value
 
 
+def _count(value: Any) -> int:
+    """A nonnegative JSON int, as build_report writes each count."""
+    if _exact(value, int) < 0:
+        raise ValueError(f"negative count: {value!r}")
+    return value
+
+
 def _rational_vector(values) -> list[dict[str, str]]:
     return [encode_rational(v) for v in values]
 
@@ -234,9 +241,10 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     trusting any index, then every other name against the index it names:
     the transient and absorbing sets, each domination edge's ends and label,
     and each forest choice's complex and edge label.  Every list field must
-    be a JSON list.  A refutation covers the list "candidate_variables" from
-    version 6 and the one "candidate_variable" before; each key is rejected
-    at the other versions.
+    be a JSON list, "absorbing_indices" strictly ascending, and each count of
+    "statistics" a nonnegative JSON int.  A refutation covers the list
+    "candidate_variables" from version 6 and the one "candidate_variable"
+    before; each key is rejected at the other versions.
     """
     if report.get("verdict") != "guaranteed-extinction":
         raise ValueError("report does not carry a guaranteed-extinction verdict")
@@ -248,7 +256,10 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         GraphEdge(_exact(e["from_index"], int), _exact(e["to_index"], int))
         for e in _exact(report["dom_edges"], list)
     )
-    absorbing = frozenset(_exact(i, int) for i in _exact(report["absorbing_indices"], list))
+    indices = [_exact(i, int) for i in _exact(report["absorbing_indices"], list)]
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError("absorbing_indices is not strictly ascending")
+    absorbing = frozenset(indices)
     choices = tuple(
         (_exact(c["complex_index"], int), _decode_choice_edge(c["edge"], net.r, len(dom_edges)))
         for c in _exact(report["forest"]["choices"], list)
@@ -278,7 +289,14 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         nontriviality=report["nontriviality"],
     )
     transient = frozenset(range(net.n)) - absorbing
-    stats = SearchStats(0, 0, 0, _exact(report["statistics"]["truncated"], bool), 0)
+    counts = report["statistics"]
+    stats = SearchStats(
+        _count(counts["candidates"]),
+        _count(counts["forests"]),
+        _count(counts["balanced"]),
+        _exact(counts["truncated"], bool),
+        _count(counts["vacuous_skipped"]),
+    )
     named = (
         report["transient_complexes"] == _complex_names(net, transient)
         and report["absorbing_set"] == _complex_names(net, absorbing)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from crnextinct import forests
 from crnextinct.cli import main
+from crnextinct.forests import decide_balance
 from crnextinct.parser import parse_crn
 from crnextinct.report import verify_report
 
@@ -174,6 +176,28 @@ def test_forests_output(capsys):
     out = capsys.readouterr().out
     assert "nothing to decide" in out
     assert "forest 1" not in out and "unbalanced" not in out
+
+
+def test_forests_prints_a_reused_alpha(tmp_path, capsys, monkeypatch):
+    # every forest keeps the first forest's positive choices {1, 2, 3, D1},
+    # so one balance LP decides all seven and each prints its alpha
+    path = tmp_path / "reuse.crn"
+    path.write_text(
+        "X2 -> X3\nX1 + X3 -> 2 X1\n2 X1 -> X1 + X2\n"
+        "X2 + 2 X3 -> X1 + X2 + X3\nX1 + X2 + X3 -> X2 + 2 X3\n"
+    )
+    decided = []
+
+    def counted(system):
+        decided.append(system)
+        return decide_balance(system)
+
+    monkeypatch.setattr(forests, "decide_balance", counted)
+    assert main(["forests", str(path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("forest ")]
+    assert len(lines) == 7 and len(decided) == 1
+    assert lines[0] == "forest 1: edges {1, 2, 3, D1, 4, D3}: balanced, alpha = [1, 1, 1, 0, 0, 1, 0, 0, 0, 0]"
+    assert all(line.endswith(": balanced, alpha = [1, 1, 1, 0, 0, 1, 0, 0, 0, 0]") for line in lines)
 
 
 def test_forests_caveat_without_subconservativity(capsys):

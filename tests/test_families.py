@@ -2,16 +2,19 @@
 
 Every verdict must match `bench/reference.json`, and the one-LP-per-forest
 balance decision must agree with the per-candidate loop it replaced on the
-forests of every fixture and family network.
+forests of every fixture and family network.  A reused balancing vector must
+balance the forest it decides, and the search that reuses them must agree
+with one balance LP per forest (`search_reference`) while solving fewer.
 """
 
 import json
+from dataclasses import replace
 from itertools import islice
 
 import pytest
 
 from conftest import BENCH_DIR, FIXTURE_DIR, bench_module
-from crnextinct import engine, model
+from crnextinct import engine, exactlp, forests, model
 from crnextinct.domination import maximal_admissible
 from crnextinct.exactlp import Farkas, check_farkas, check_feasible, lexmin, scale_to_integers
 from crnextinct.forests import (
@@ -22,9 +25,13 @@ from crnextinct.forests import (
     Unbalanced,
     build_balancing_system,
     decide_balance,
+    decide_forests,
     enumerate_forests,
+    verify_balance_outcome,
 )
 from crnextinct.parser import parse_crn
+from crnextinct.report import emit_report
+from search_reference import analyze_per_forest
 
 FOREST_CAP = 3  # forests per (expansion, absorbing set) candidate
 
@@ -111,3 +118,70 @@ def test_caps_of_one_give_the_default_candidates(nets, workloads):
         default = list(engine._candidate_pairs(net, engine.SearchConfig()))
         assert default == list(engine._candidate_pairs(net, ones))
         assert default == [maximal_admissible(net)]
+
+
+def _fixtures_and_families(workloads):
+    """The certify family, then the fixtures and the search family."""
+    return _networks(workloads, "certify") + _networks(workloads, "search")
+
+
+def test_reused_balancing_vectors_balance_their_forests(workloads, monkeypatch):
+    # the widened search with more forests per candidate, so that more are reused
+    cfg = replace(workloads.search_config(engine, "search"), forest_cap=8)
+    lp_decided = []
+
+    def counted(system):
+        lp_decided.append(system)
+        return decide_balance(system)
+
+    monkeypatch.setattr(forests, "decide_balance", counted)
+    reused = 0
+    for _, net in _fixtures_and_families(workloads):
+        for dcrn in engine._candidate_pairs(net, cfg):
+            for reading in (TRUE_REACTIONS, ANY_EDGE):
+                stream = islice(enumerate_forests(dcrn), cfg.forest_cap)
+                for forest, outcome in decide_forests(dcrn, stream, reading):
+                    if lp_decided:
+                        lp_decided.clear()
+                        continue
+                    reused += 1
+                    assert verify_balance_outcome(dcrn, forest, outcome, reading)
+                    fresh = decide_balance(build_balancing_system(dcrn, forest, reading))
+                    assert isinstance(fresh, Balanced)
+    assert reused >= 50
+
+
+@pytest.mark.parametrize("config", ["certify", "search"])  # the default and widened searches
+def test_reuse_keeps_verdicts_counts_and_report_bytes(workloads, config):
+    cfg = workloads.search_config(engine, config)
+    for key, net in _fixtures_and_families(workloads):
+        got, want = engine.analyze(net, cfg), analyze_per_forest(net, cfg)
+        assert type(got) is type(want), key
+        assert getattr(got, "stats", None) == getattr(want, "stats", None), key
+        for fmt in ("json", "text"):
+            assert emit_report(net, got, cfg, fmt) == emit_report(net, want, cfg, fmt), (key, fmt)
+
+
+def test_reuse_solves_fewer_lps_and_no_balance_cost_stage(workloads, monkeypatch):
+    net = dict(_networks(workloads, "search"))["gen-3x5-4"]
+    phase1, solve = exactlp._phase1, exactlp._solve
+    phase1_systems, staged_systems = [], []
+
+    def counted_phase1(system):
+        phase1_systems.append(system)
+        return phase1(system)
+
+    def recorded_solve(system, costs):
+        costs = list(costs)
+        if costs:
+            staged_systems.append(system)
+        return solve(system, costs)
+
+    monkeypatch.setattr(exactlp, "_phase1", counted_phase1)
+    monkeypatch.setattr(exactlp, "_solve", recorded_solve)
+    stats = engine.analyze(net, workloads.search_config(engine, "search")).stats
+    assert stats.balanced > 1
+    # one phase 1 for subconservativity and one per forest an LP decided
+    assert len(phase1_systems) < stats.forests
+    # the only cost stages are the subconservativity lexmin's, over the species
+    assert [system.n for system in staged_systems] == [net.m]

@@ -142,6 +142,21 @@ def test_report_rejects_tampering(nets):
     relabelled["forest"]["choices"][0]["edge"]["kind"] = "R"
     assert verify_report(net, relabelled) is False
 
+    # absorbing indices repeated or out of order, which build_report never writes
+    for indices in ([3, 3], [3, 3, 3]):
+        assert verify_report(net, dict(report, absorbing_indices=indices)) is False, indices
+    net23 = nets["example23"]
+    _, report23 = _extinction_report(net23)
+    report23 = json.loads(json.dumps(report23))
+    assert report23["absorbing_indices"] == [1, 2] and verify_report(net23, report23)
+    assert verify_report(net23, dict(report23, absorbing_indices=[2, 1])) is False
+
+    # each count of the statistics is a nonnegative JSON int, never a bool
+    for field in ("candidates", "forests", "balanced", "vacuous_skipped"):
+        for value in ("x", -1, True, 1.0, None):
+            counts = dict(report["statistics"], **{field: value})
+            assert verify_report(net, dict(report, statistics=counts)) is False, (field, value)
+
 
 def test_report_with_a_repeated_choice_is_rejected():
     # X2 stays recurrent from 2 X3, so no extinction of the complement of {X3}
