@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 
@@ -46,6 +47,7 @@ class Reaction:
 
 
 State = tuple  # nonnegative integer counts, one per species
+Need = tuple  # the nonzero (species, count) pairs of a complex
 
 
 class ReactionNetwork:
@@ -58,6 +60,7 @@ class ReactionNetwork:
         reactions: list of Reaction.
         complexes: deduplicated complexes in first-appearance order
             (per reaction: source then target, reactions in input order).
+        needs, firing: the firing table, built on first use.
     """
 
     def __init__(self, species_names: Sequence[str], reactions: Sequence[Reaction]):
@@ -85,6 +88,26 @@ class ReactionNetwork:
     @property
     def n(self) -> int:
         return len(self.complexes)
+
+    @cached_property
+    def needs(self) -> tuple[Need, ...]:
+        """Per complex, its nonzero (species, count) pairs: what a state must hold to charge it."""
+        return tuple(
+            tuple((i, c) for i, c in enumerate(cpx.coeffs) if c) for cpx in self.complexes
+        )
+
+    @cached_property
+    def firing(self) -> tuple[tuple[Need, tuple[int, ...]], ...]:
+        """Per reaction, the need of its source complex and its reaction vector.
+
+        The one firing rule: a state fires reaction k iff it holds every count
+        of the need, and the next state adds the vector.  Built on first use,
+        so parsing does not pay for it.
+        """
+        needs = self.needs
+        return tuple(
+            (needs[ci], rxn.vector) for ci, rxn in zip(self.source_index, self.reactions)
+        )
 
     @property
     def species_names(self) -> list[str]:
@@ -141,13 +164,18 @@ def is_charged(y: Complex, state: State) -> bool:
 
 
 def fire(net: ReactionNetwork, state: State, k: int) -> Optional[State]:
-    """Apply reaction k to the state, or return None when the source is not charged."""
+    """Apply reaction k to the state, or return None when the source is not charged.
+
+    Reads the network's firing table (ReactionNetwork.firing).
+    """
     if not 0 <= k < net.r:
         raise IndexError(f"reaction index {k} out of range for r={net.r}")
-    rxn = net.reactions[k]
-    if not is_charged(rxn.source, state):
+    if len(state) != net.m:
+        raise ValueError("complex and state have different lengths")
+    need, delta = net.firing[k]
+    if any(state[i] < c for i, c in need):
         return None
-    return tuple(x + d for x, d in zip(state, rxn.vector))
+    return tuple(map(add, state, delta))
 
 
 def format_complex(cpx: Complex, species_names: Sequence[str]) -> str:

@@ -6,7 +6,10 @@ guards everything else), condensed into strongly connected components.  One
 routine grows it (_grow): it adds the states a root reaches that are not
 stored yet, condenses only that new part, and gives each new component the
 bitmask of the complexes recurrent from it, read off terminal components.
-Every recurrence and extinction answer is read off those labels.
+Every recurrence and extinction answer is read off those labels.  States are
+expanded, and terminal components' charged complexes found, with the
+network's firing table (ReactionNetwork.firing and .needs), built once per
+network; the public `fire` reads the same table.
 
 explore grows an empty graph from one root.  The budgeted sweep over every
 root (find_recurrent_witness) grows one shared graph root by root, so each
@@ -19,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from itertools import combinations_with_replacement
+from operator import add, and_, sub
 from typing import Iterable, Optional, Sequence
 
 from .graphs import scc_ids
@@ -70,8 +74,8 @@ def _charged_mask(net: ReactionNetwork, states: Sequence[State]) -> int:
     """Bitmask of the complexes that some of the states charge (bit i: complex i)."""
     return sum(
         1 << ci
-        for ci, cpx in enumerate(net.complexes)
-        if any(is_charged(cpx, s) for s in states)
+        for ci, need in enumerate(net.needs)
+        if any(all(s[i] >= c for i, c in need) for s in states)
     )
 
 
@@ -80,7 +84,10 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
 
     The stored states must already be closed under firing, so only the new
     ones are expanded, in breadth-first order: their ids run on from the old
-    length, and each gets its successors from one `fire` per reaction.  No
+    length, and each gets its successors in reaction order from one pass over
+    the network's firing table (ReactionNetwork.firing, which `fire` reads
+    too): a reaction fires when the state holds every count of its source's
+    need, and the next state adds its vector.  No
     new state shares a component with an old one, so only the new part is
     condensed (scc_ids), its component ids running on from the old ones.  In
     id order, a terminal component's mask is the set of complexes its states
@@ -88,8 +95,9 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
     Raises StateCapExceeded when the store would pass `hard_cap` states.
     """
     net, states, index, succ = g.net, g.states, g.index, g.succ
+    firing = net.firing
 
-    def add(state: State) -> int:
+    def store(state: State) -> int:
         if len(states) >= hard_cap:
             raise StateCapExceeded(hard_cap)
         index[state] = len(states)
@@ -97,14 +105,17 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
         succ.append([])
         return index[state]
 
-    base = i = add(start)
+    base = i = store(start)
     while i < len(states):
-        state = states[i]
-        for k in range(net.r):
-            nxt = fire(net, state, k)
-            if nxt is not None:
+        state, out = states[i], succ[i]
+        for need, delta in firing:
+            for s, c in need:
+                if state[s] < c:
+                    break
+            else:
+                nxt = tuple(map(add, state, delta))
                 j = index.get(nxt)
-                succ[i].append(add(nxt) if j is None else j)
+                out.append(store(nxt) if j is None else j)
         i += 1
     first = len(g.masks)
     local = scc_ids([[j - base for j in succ[v] if j >= base] for v in range(base, len(states))])
@@ -122,12 +133,20 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
         )
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """ValueError unless the value is an int (a bool is not) of at least `least`."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -> StateGraph:
     """Breadth-first closure of the root under single firings, condensed.
 
     Raises StateCapExceeded when more than `hard_cap` states appear, which for
-    non-subconservative networks is the only stopping guarantee.
+    non-subconservative networks is the only stopping guarantee, and
+    ValueError when `hard_cap` is not an int of at least 1.
     """
+    _check_count("hard_cap", hard_cap, 1)
     start: State = tuple(int(x) for x in root)
     if len(start) != net.m or any(x < 0 for x in start):
         raise ValueError(f"root must be a nonnegative vector of length {net.m}")
@@ -189,17 +208,19 @@ def extinction_on(net: ReactionNetwork, g: StateGraph, complexes: Iterable[int])
 
 
 def states_with_total(m: int, total: int) -> Iterable[State]:
-    """All length-m nonnegative integer vectors with the given coordinate sum."""
+    """All length-m nonnegative integer vectors with the given coordinate sum, in lexicographic order.
+
+    Stars and bars: cuts c1 <= ... <= c(m-1) in 0..total give the vector
+    (c1, c2 - c1, ..., total - c(m-1)), and cuts in lexicographic order give
+    vectors in lexicographic order.
+    """
     if m == 0:
         if total == 0:
             yield ()
         return
-    if m == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in states_with_total(m - 1, total - head):
-            yield (head,) + rest
+    ends = (total,)
+    for cuts in combinations_with_replacement(range(total + 1), m - 1):
+        yield tuple(map(sub, cuts + ends, (0,) + cuts))
 
 
 def guaranteed_extinction_on(
@@ -213,7 +234,7 @@ def guaranteed_extinction_on(
     A budgeted under-approximation of quantifying over the whole state space;
     callers report the budget alongside the answer.  The answer is True iff
     find_recurrent_witness finds no root, over the same shared graph and
-    under the same cap on all of it.
+    under the same cap on all of it, and it raises the same errors.
     """
     return find_recurrent_witness(net, complexes, budget, hard_cap) is None
 
@@ -232,8 +253,11 @@ def find_recurrent_witness(
     All roots share one StateGraph: a root not yet in it grows it (_grow), and
     its recurrent complexes are the mask of its component.  The sweep stops
     at the first root that hits a target.  Raises StateCapExceeded when the
-    shared graph passes `hard_cap` states.
+    shared graph passes `hard_cap` states, and ValueError when `budget` is
+    not an int of at least 0 or `hard_cap` not one of at least 1.
     """
+    _check_count("budget", budget, 0)
+    _check_count("hard_cap", hard_cap, 1)
     targets = _targets(net, complexes)
     wanted = sum(1 << ci for ci in targets)
     g = StateGraph(net, (0,) * net.m)

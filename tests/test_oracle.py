@@ -194,12 +194,28 @@ def test_guaranteed_extinction_example101_false(nets):
     assert complex_recurrent(net, g, net.complexes[ci])
 
 
+def _check_successors(net, g):
+    """g.succ and g.edges against firing computed from the reactions' coefficients."""
+    for i, state in enumerate(g.states):
+        want = []
+        for rxn in net.reactions:
+            src, tgt = rxn.source.coeffs, rxn.target.coeffs
+            if all(x >= a for x, a in zip(state, src)):
+                want.append(g.index[tuple(x - a + b for x, a, b in zip(state, src, tgt))])
+        assert g.succ[i] == want, (state, g.succ[i], want)
+    assert [(i, j) for i, _, j in g.edges] == [(i, j) for i, out in enumerate(g.succ) for j in out]
+
+
 def _per_root_witnesses(net, budget, cap):
-    """Per complex, the first (root, complex) hit of a per-root explore + complex_recurrent loop."""
+    """Per complex, the first (root, complex) hit of a per-root explore + complex_recurrent loop.
+
+    Each root's graph has its successor lists checked on the way.
+    """
     first = {}
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):
             g = explore(net, root, hard_cap=cap)
+            _check_successors(net, g)
             for ci in range(net.n):
                 if ci not in first and complex_recurrent(net, g, net.complexes[ci]):
                     first[ci] = (root, ci)
@@ -249,41 +265,87 @@ def test_sweep_matches_per_root_definition_random(net, data):
     assert find_recurrent_witness(net, targets, budget=3, hard_cap=cap) == want
 
 
-def _count_fire(monkeypatch):
-    calls = [0]
-    real = oracle.fire
+def _count_grown(monkeypatch):
+    """The states each `_grow` call adds to its graph, in order: the states it expands."""
+    grown = []
+    real = oracle._grow
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(g, start, hard_cap):
+        before = len(g.states)
+        real(g, start, hard_cap)
+        grown.extend(g.states[before:])
 
-    monkeypatch.setattr(oracle, "fire", counted)
-    return calls
+    monkeypatch.setattr(oracle, "_grow", counted)
+    return grown
 
 
-def test_sweep_fires_each_state_once(nets, monkeypatch):
+def test_sweep_expands_each_state_once(nets, monkeypatch):
     net = nets["envz"]
     names = name_to_index(net)
     distinct = {
         s for total in range(4) for root in states_with_total(net.m, total)
         for s in explore(net, root).states
     }
-    calls = _count_fire(monkeypatch)
+    grown = _count_grown(monkeypatch)
     assert guaranteed_extinction_on(net, set(range(net.n)) - {names["X4"]}, budget=3)
     assert len(distinct) == 720
-    assert calls[0] == net.r * len(distinct)
+    assert len(grown) == len(distinct) and set(grown) == distinct
 
 
 def test_witness_search_stops_at_first_hit(nets, monkeypatch):
     net = nets["example101"]
     names = name_to_index(net)
     nonterminal = {names["X1"], names["X2 + X4"]}
-    calls = _count_fire(monkeypatch)
+    grown = _count_grown(monkeypatch)
     found = find_recurrent_witness(net, nonterminal, budget=2)
-    at_two, calls[0] = calls[0], 0
+    at_two = list(grown)
+    grown.clear()
     assert find_recurrent_witness(net, nonterminal, budget=6) == found
     assert found[0] == (0, 1, 1, 0, 0)
-    assert calls[0] == at_two
+    assert grown == at_two
+
+
+def test_sweep_successors_match_reaction_coefficients(nets, monkeypatch):
+    # the shared sweep graph of every fixture; _per_root_witnesses checks per-root graphs
+    graphs = []
+    real = oracle._grow
+
+    def kept(g, start, hard_cap):
+        real(g, start, hard_cap)
+        if not graphs or graphs[-1] is not g:
+            graphs.append(g)
+
+    monkeypatch.setattr(oracle, "_grow", kept)
+    for name in FIXTURE_NAMES:
+        net = nets[name]
+        try:
+            find_recurrent_witness(net, range(net.n), budget=3, hard_cap=20000)
+        except StateCapExceeded:
+            assert name == "example22"  # grows without bound
+            graphs = [g for g in graphs if g.net is not net]  # a capped graph is partial
+    assert len(graphs) == len(FIXTURE_NAMES) - 1
+    for g in graphs:
+        _check_successors(g.net, g)
+
+
+def test_budget_and_cap_are_checked(nets):
+    net = nets["example101"]
+    everything = range(net.n)
+    assert find_recurrent_witness(net, everything, budget=2) is not None
+    for budget in (-1, True, False, 2.5, "3", None):
+        with pytest.raises(ValueError, match="budget"):
+            find_recurrent_witness(net, everything, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            guaranteed_extinction_on(net, everything, budget=budget)
+    for cap in (0, -5, True, 10.0, "100"):
+        with pytest.raises(ValueError, match="hard_cap"):
+            find_recurrent_witness(net, everything, budget=2, hard_cap=cap)
+        with pytest.raises(ValueError, match="hard_cap"):
+            guaranteed_extinction_on(net, everything, budget=2, hard_cap=cap)
+        with pytest.raises(ValueError, match="hard_cap"):
+            explore(net, (1,) * net.m, hard_cap=cap)
+    assert guaranteed_extinction_on(net, everything, budget=0)  # no listed complex is 0
+    assert len(explore(net, (0,) * net.m, hard_cap=1).states) == 1
 
 
 def test_sweep_cap_bounds_the_shared_closure(nets):
