@@ -12,6 +12,7 @@ condensed at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -68,14 +69,17 @@ class DomCRN:
 def domination_set(net: ReactionNetwork) -> list[GraphEdge]:
     """All ordered pairs (dominating, dominated) of distinct comparable complexes.
 
-    Ordered lexicographically by (source index, target index).
+    Ordered lexicographically by (source index, target index).  The network's
+    complexes are deduplicated, so two distinct indices name two different
+    complexes and domination is a componentwise comparison.
     """
-    edges = []
-    for i, big in enumerate(net.complexes):
-        for j, small in enumerate(net.complexes):
-            if i != j and big.dominates(small):
-                edges.append(GraphEdge(i, j))
-    return edges
+    coeffs = [c.coeffs for c in net.complexes]
+    return [
+        GraphEdge(i, j)
+        for i, big in enumerate(coeffs)
+        for j, small in enumerate(coeffs)
+        if i != j and all(map(ge, big, small))
+    ]
 
 
 def is_domination_edge(net: ReactionNetwork, e: GraphEdge) -> bool:

@@ -8,6 +8,11 @@ the same machinery serves both.  Parallel edges and self-loops are permitted.
 Partitions are returned as lists of frozensets ordered by their smallest
 member, which keeps every derived object deterministic.  Every strong-linkage
 answer reads `ReactionGraph.condensation`, computed once per graph.
+
+scc_ids is the package's one SCC routine.  A reaction graph is condensed
+whole (floor 0, ids from 0); the oracle condenses only the states a root adds
+to its state graph, in the stored successor lists: the floor is the first new
+state, edges below it are skipped, and ids run on from the old components.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class ReactionGraph:
     @cached_property
     def condensation(self) -> Condensation:
         """The graph's strongly connected components, computed once and shared."""
-        comp_of = scc_ids(self.successors())
+        comp_of, _ = scc_ids(self.successors())
         sink = [True] * (max(comp_of, default=-1) + 1)
         for e in self.edges:
             if comp_of[e.src] != comp_of[e.dst]:
@@ -67,61 +72,67 @@ def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
     both = g.successors()
     for e in g.edges:
         both[e.dst].append(e.src)
-    return _blocks(scc_ids(both))
+    return _blocks(scc_ids(both)[0])
 
 
-def scc_ids(succ: Sequence[Sequence[int]]) -> list[int]:
-    """Strongly connected components by iterative Tarjan: a component id per vertex.
+def scc_ids(
+    succ: Sequence[Sequence[int]], floor: int = 0, first: int = 0
+) -> tuple[list[int], list[list[int]]]:
+    """Strongly connected components by iterative Tarjan, of the vertices from `floor` up.
 
-    Ids count up in the order components complete, which is a reverse
-    topological order: every edge between two components points to the
-    smaller id.
+    Vertices below `floor` are taken as already condensed: the search starts
+    at none of them and skips every edge into them.  Returns the component id
+    of each vertex v >= floor (at position v - floor) and each component's
+    members, in the order the components complete.  Ids count up from
+    `first` in that order, which is a reverse topological order: every edge
+    between two components points to the smaller id.
     """
-    n = len(succ)
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    size = len(succ) - floor
+    comp = [-1] * size  # component id, per vertex from floor up
+    num = [0] * size  # 1 + discovery order; 0 while unvisited
+    low = [0] * size
     stack: list[int] = []
-    comp_of = [-1] * n
-    comp_count = 0
+    members: list[list[int]] = []
     counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
+    for root in range(floor, len(succ)):
+        if num[root - floor]:
             continue
-        work = [(root, 0)]
+        counter += 1
+        num[root - floor] = low[root - floor] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, edges = work[-1]
+            lv = v - floor
+            for w in edges:
+                lw = w - floor
+                if lw < 0:
+                    continue
+                if not num[lw]:
+                    counter += 1
+                    num[lw] = low[lw] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = comp_count
-                    if w == v:
-                        break
-                comp_count += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp_of
+                if comp[lw] < 0 and num[lw] < low[lv]:
+                    low[lv] = num[lw]  # w is still on the stack
+            else:
+                work.pop()
+                if low[lv] == num[lv]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    block = stack[at:]
+                    del stack[at:]
+                    c = first + len(members)
+                    for w in block:
+                        comp[w - floor] = c
+                    members.append(block)
+                if work:
+                    lu = work[-1][0] - floor
+                    if low[lv] < low[lu]:
+                        low[lu] = low[lv]
+    return comp, members
 
 
 def _blocks(comp_of: Sequence[int]) -> list[frozenset[int]]:

@@ -4,8 +4,10 @@ States are tuples of molecular counts.  A StateGraph holds states closed under
 single reaction firings (finite for subconservative networks; a hard cap
 guards everything else), condensed into strongly connected components.  One
 routine grows it (_grow): it adds the states a root reaches that are not
-stored yet, condenses only that new part, and gives each new component the
-bitmask of the complexes recurrent from it, read off terminal components.
+stored yet, condenses only that new part, in place in the stored successor
+lists (graphs.scc_ids from a floor, with no copy of them), and gives each new
+component the bitmask of the complexes recurrent from it, read off terminal
+components.
 Every recurrence and extinction answer is read off those labels.  States are
 expanded, and terminal components' charged complexes found, with the
 network's firing table (ReactionNetwork.firing and .needs), built once per
@@ -21,9 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations_with_replacement
-from operator import add, and_, sub
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .graphs import scc_ids
@@ -72,11 +73,16 @@ class StateGraph:
 
 def _charged_mask(net: ReactionNetwork, states: Sequence[State]) -> int:
     """Bitmask of the complexes that some of the states charge (bit i: complex i)."""
-    return sum(
-        1 << ci
-        for ci, need in enumerate(net.needs)
-        if any(all(s[i] >= c for i, c in need) for s in states)
-    )
+    mask = 0
+    for ci, need in enumerate(net.needs):
+        for state in states:
+            for s, c in need:
+                if state[s] < c:
+                    break
+            else:
+                mask |= 1 << ci
+                break
+    return mask
 
 
 def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
@@ -87,27 +93,23 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
     length, and each gets its successors in reaction order from one pass over
     the network's firing table (ReactionNetwork.firing, which `fire` reads
     too): a reaction fires when the state holds every count of its source's
-    need, and the next state adds its vector.  No
-    new state shares a component with an old one, so only the new part is
-    condensed (scc_ids), its component ids running on from the old ones.  In
-    id order, a terminal component's mask is the set of complexes its states
-    charge and any other's is the AND of its successor components' masks.
+    need, and the next state adds its vector.  No new state shares a
+    component with an old one, so scc_ids condenses the new part in place,
+    with the first new state as its floor: it skips the edges into old
+    states, and its component ids run on from the old ones.  In id order, a
+    terminal component's mask is the set of complexes its states charge and
+    any other's is the AND of its successor components' masks.
     Raises StateCapExceeded when the store would pass `hard_cap` states.
     """
     net, states, index, succ = g.net, g.states, g.index, g.succ
     firing = net.firing
-
-    def store(state: State) -> int:
-        if len(states) >= hard_cap:
-            raise StateCapExceeded(hard_cap)
-        index[state] = len(states)
-        states.append(state)
-        succ.append([])
-        return index[state]
-
-    base = i = store(start)
+    base = i = len(states)
+    if base >= hard_cap:
+        raise StateCapExceeded(hard_cap)
+    index[start] = base
+    states.append(start)
     while i < len(states):
-        state, out = states[i], succ[i]
+        state, out = states[i], []
         for need, delta in firing:
             for s, c in need:
                 if state[s] < c:
@@ -115,22 +117,28 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
             else:
                 nxt = tuple(map(add, state, delta))
                 j = index.get(nxt)
-                out.append(store(nxt) if j is None else j)
+                if j is None:
+                    j = len(states)
+                    if j >= hard_cap:
+                        raise StateCapExceeded(hard_cap)
+                    index[nxt] = j
+                    states.append(nxt)
+                out.append(j)
+        succ.append(out)
         i += 1
-    first = len(g.masks)
-    local = scc_ids([[j - base for j in succ[v] if j >= base] for v in range(base, len(states))])
-    groups: list[list[int]] = [[] for _ in range(max(local) + 1)]
-    for v, c in enumerate(local, start=base):
-        groups[c].append(v)
-        g.scc_of.append(first + c)
-    for c, group in enumerate(groups, start=first):
-        out = {g.scc_of[w] for v in group for w in succ[v]} - {c}
-        g.scc_terminal.append(not out)
-        g.masks.append(
-            reduce(and_, (g.masks[d] for d in out))
-            if out
-            else _charged_mask(net, [states[v] for v in group])
-        )
+    scc_of, terminal, masks = g.scc_of, g.scc_terminal, g.masks
+    ids, members = scc_ids(succ, base, len(masks))
+    scc_of += ids
+    for c, block in enumerate(members, start=len(masks)):
+        mask, sink = -1, True
+        for v in block:
+            for w in succ[v]:
+                d = scc_of[w]
+                if d != c:
+                    mask &= masks[d]
+                    sink = False
+        terminal.append(sink)
+        masks.append(_charged_mask(net, [states[v] for v in block]) if sink else mask)
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -144,12 +152,15 @@ def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -
 
     Raises StateCapExceeded when more than `hard_cap` states appear, which for
     non-subconservative networks is the only stopping guarantee, and
-    ValueError when `hard_cap` is not an int of at least 1.
+    ValueError when `hard_cap` is not an int of at least 1 or the root is not
+    a vector of net.m ints (a bool is not one) of at least 0.
     """
     _check_count("hard_cap", hard_cap, 1)
-    start: State = tuple(int(x) for x in root)
-    if len(start) != net.m or any(x < 0 for x in start):
+    start: State = tuple(root)
+    if len(start) != net.m:
         raise ValueError(f"root must be a nonnegative vector of length {net.m}")
+    for x in start:
+        _check_count("root entry", x, 0)
     g = StateGraph(net, start)
     _grow(g, start, hard_cap)
     return g

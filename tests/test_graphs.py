@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crnextinct import graphs
 from crnextinct.domination import (
@@ -17,6 +19,7 @@ from crnextinct.graphs import (
     is_absorbing_set,
     linkage_classes,
     reaction_graph,
+    scc_ids,
     strong_linkage_classes,
     terminal_complexes,
     terminal_slcs,
@@ -167,9 +170,9 @@ def scc_calls(monkeypatch):
     calls = []
     real = graphs.scc_ids
 
-    def spy(succ):
+    def spy(succ, floor=0, first=0):
         calls.append(succ)
-        return real(succ)
+        return real(succ, floor, first)
 
     monkeypatch.setattr(graphs, "scc_ids", spy)
     return calls
@@ -214,3 +217,40 @@ def test_analyze_condenses_the_network_graph_once(nets, scc_calls):
     # two shrink rounds, then the network's own graph for the SLC check
     assert len(scc_calls) == 3
     assert scc_calls[-1] == reaction_graph(net).successors()
+
+
+@st.composite
+def floored_graphs(draw):
+    """Successor lists over 0..n-1, with a floor in 0..n and a first id."""
+    n = draw(st.integers(0, 9))
+    vertex = st.integers(0, max(n - 1, 0))
+    succ = draw(st.lists(st.lists(vertex, max_size=4), min_size=n, max_size=n))
+    return succ, draw(st.integers(0, n)), draw(st.integers(0, 5))
+
+
+@given(floored_graphs())
+def test_scc_ids_from_floor_is_the_induced_subgraph(graph):
+    # edges into vertices below the floor are skipped: the answer is the
+    # induced subgraph's from 0, its vertices shifted up and its ids by `first`
+    succ, floor, first = graph
+    ids, members = scc_ids(succ, floor, first)
+    induced = [[w - floor for w in out if w >= floor] for out in succ[floor:]]
+    want_ids, want_members = scc_ids(induced)
+    assert ids == [first + c for c in want_ids]
+    assert members == [[v + floor for v in block] for block in want_members]
+    # each member list is one component, listed under its id
+    assert sorted(v for block in members for v in block) == list(range(floor, len(succ)))
+    for c, block in enumerate(members, start=first):
+        assert all(ids[v - floor] == c for v in block)
+    # against the definition: same component iff mutually reachable, and
+    # every edge between components points to the smaller id
+    reach = [{v} for v in range(len(induced))]
+    for _ in induced:
+        for v, out in enumerate(induced):
+            for w in out:
+                reach[v] |= reach[w]
+    for v, out in enumerate(induced):
+        for w in range(len(induced)):
+            assert (want_ids[v] == want_ids[w]) == (w in reach[v] and v in reach[w])
+        for w in out:
+            assert want_ids[w] <= want_ids[v]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnextinct import engine, oracle
-from crnextinct.model import Complex, build_network
+from crnextinct.model import Complex, build_network, is_charged
 from crnextinct.oracle import (
     StateCapExceeded,
     complex_recurrent,
@@ -57,6 +57,11 @@ def test_explore_invalid_root(nets):
         explore(nets["intro"], (1,))
     with pytest.raises(ValueError):
         explore(nets["intro"], (-1, 0))
+    # no coercion: a float, a string or a bool is refused, not rounded or read
+    for root in [(1.7, "2"), (True, 0)]:
+        with pytest.raises(ValueError, match="int"):
+            explore(nets["intro"], root)
+    assert explore(nets["intro"], (1, 2)).root == (1, 2)
 
 
 def test_cap_exceeded():
@@ -263,6 +268,34 @@ def test_sweep_matches_per_root_definition_random(net, data):
     want = min(hits, key=lambda h: (order.index(h[0]), h[1])) if hits else None
     cap = 300 * len(order)
     assert find_recurrent_witness(net, targets, budget=3, hard_cap=cap) == want
+
+
+def _charged_by_definition(net, states):
+    """OR over the states of 1 << ci for each complex ci the state charges."""
+    return sum(
+        1 << ci
+        for ci, y in enumerate(net.complexes)
+        if any(is_charged(y, state) for state in states)
+    )
+
+
+def test_charged_mask_matches_definition(nets):
+    for name in FIXTURE_NAMES:
+        net = nets[name]
+        states = [s for total in range(4) for s in states_with_total(net.m, total)]
+        assert oracle._charged_mask(net, []) == 0
+        assert oracle._charged_mask(net, states) == _charged_by_definition(net, states)
+        for state in states:
+            assert oracle._charged_mask(net, [state]) == _charged_by_definition(net, [state]), (
+                name,
+                state,
+            )
+
+
+@given(net=small_networks(), data=st.data())
+def test_charged_mask_matches_definition_random(net, data):
+    states = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * net.m), max_size=4))
+    assert oracle._charged_mask(net, states) == _charged_by_definition(net, states)
 
 
 def _count_grown(monkeypatch):
