@@ -4,6 +4,7 @@ An exterior forest picks exactly one outgoing edge (true reaction or
 domination edge, never a self-loop) for every complex outside the absorbing
 set, such that following the choices always reaches the absorbing set without
 revisiting a complex.  Every interior reaction is included by convention.
+The chosen edges and the interior reactions are the forest's support.
 
 A forest is balanced when a nonnegative vector over all edges exists that
 (C1) is supported on the forest, (C2) has its reaction part in the kernel of
@@ -11,14 +12,16 @@ the stoichiometric matrix, and (C3) at every exterior complex weighs the
 outgoing edge at least as much as the sum of the incoming forest edges, with
 strictly positive weight on at least one nontriviality candidate.  By default
 the candidates are the exterior true reactions of the forest; a switch widens
-them to include domination edges for comparison.
+them to include domination edges for comparison.  The balance LP has one
+variable per support edge, so (C1) holds by construction; a balancing vector
+is widened back to all edges, zero off the support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .domination import DomCRN
 from .exactlp import (
@@ -31,7 +34,7 @@ from .exactlp import (
     scale_to_integers,
     solve_feasibility,
 )
-from .model import stoich_matrix
+from .model import ReactionNetwork, stoich_matrix
 
 TRUE_REACTIONS = "true-reactions"
 ANY_EDGE = "any-edge"
@@ -50,6 +53,11 @@ class ExteriorForest:
     def edge_labels(self, r: int) -> list[str]:
         edges = [v for _, v in self.choices] + list(self.interior)
         return [edge_label(v, r) for v in edges]
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The chosen edges and the interior reactions, ascending."""
+        return tuple(sorted({v for _, v in self.choices}.union(self.interior)))
 
 
 def edge_label(v: int, r: int) -> str:
@@ -135,56 +143,52 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
 
 @dataclass(frozen=True)
 class BalancingSystem:
-    """The constraint system a balancing vector must satisfy.
+    """The constraint system a balancing vector must satisfy, over the forest's support.
 
-    Variables are indexed 0..r-1 for reactions and r..r+d-1 for domination
-    edges.  The assembled LinearSystem lays rows out deterministically:
-    equalities are the support zeros (ascending variable) followed by the
-    kernel rows (species order); inequalities are the flow rows (ascending
-    exterior complex) followed by the candidate row: the sum of the weights
-    of a set of candidates >= 1.  Every other right-hand side is 0.  The
-    shared rows are built once per system; each assembled system only
-    appends its candidate row.
+    Edges are named as in the expanded graph: 0..r-1 for reactions and
+    r..r+d-1 for domination edges.  The variables are the support edges, in
+    ascending order: variable i is edge support[i], so (C1) holds by
+    construction.  The assembled LinearSystem lays rows out
+    deterministically: equalities are the kernel rows (species order, over
+    the support); inequalities are the flow rows (ascending exterior
+    complex) followed by the candidate row: the sum of the weights of a set
+    of candidate edges >= 1.  Every other right-hand side is 0.  The shared
+    rows are built once per system; each assembled system only appends its
+    candidate row.  A Farkas refutation has one `eq` entry per species and
+    one `nonneg` entry per support edge.
     """
 
-    n_reactions: int
-    n_dom: int
-    zero_vars: tuple[int, ...]
-    kernel_rows: tuple[tuple[int, ...], ...]  # width r, one per species
+    n_edges: int  # r + d, the width of a balancing vector
+    support: tuple[int, ...]  # the forest's edges, ascending
+    kernel_rows: tuple[tuple[int, ...], ...]  # one per species, one entry per support edge
     flow_rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (complex, out var, in vars)
-    candidates: tuple[int, ...]
-
-    @property
-    def n_vars(self) -> int:
-        return self.n_reactions + self.n_dom
+    candidates: tuple[int, ...]  # edges, ascending
 
     @cached_property
     def _shared_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
         """(equality rows, flow rows): every row but the candidate row."""
-        n = self.n_vars
-        eq = []
-        for v in self.zero_vars:
-            coeffs = [0] * n
-            coeffs[v] = 1
-            eq.append(make_row(coeffs, 0))
-        for row in self.kernel_rows:
-            eq.append(make_row(list(row) + [0] * self.n_dom, 0))
+        n = len(self.support)
+        eq = tuple(make_row(row, 0) for row in self.kernel_rows)
         ge = []
         for _, out_var, in_vars in self.flow_rows:
             coeffs = [0] * n
             coeffs[out_var] += 1
-            for v in in_vars:
-                coeffs[v] -= 1
+            for i in in_vars:
+                coeffs[i] -= 1
             ge.append(make_row(coeffs, 0))
-        return tuple(eq), tuple(ge)
+        return eq, tuple(ge)
 
     def linear_system(self, candidates: tuple[int, ...]) -> LinearSystem:
-        """The shared rows with the candidate row sum of x_k over candidates >= 1."""
-        coeffs = [0] * self.n_vars
+        """The shared rows with the candidate row sum of x_v over candidate edges v >= 1."""
+        coeffs = [0] * len(self.support)
         for v in candidates:
-            coeffs[v] = 1
+            coeffs[self.support.index(v)] = 1
         eq, ge = self._shared_rows
-        return LinearSystem(self.n_vars, eq=eq, ge=ge + (make_row(coeffs, 1),))
+        return LinearSystem(len(self.support), eq=eq, ge=ge + (make_row(coeffs, 1),))
+
+    def on_support(self, alpha: Sequence) -> list:
+        """The entries of a vector over all edges at the support edges, in order."""
+        return [alpha[v] for v in self.support]
 
 
 def build_balancing_system(
@@ -194,23 +198,24 @@ def build_balancing_system(
 ) -> BalancingSystem:
     if nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
         raise ValueError(f"unknown nontriviality reading {nontriviality!r}")
-    net = dcrn.net
-    support = {v for _, v in forest.choices} | set(forest.interior)
-    zero_vars = tuple(v for v in range(net.r + dcrn.d) if v not in support)
-    kernel_rows = stoich_matrix(net)
+    r = dcrn.net.r
+    support = forest.support
+    kernel_rows = tuple(
+        tuple(row[v] if v < r else 0 for v in support) for row in stoich_matrix(dcrn.net)
+    )
     incoming: dict[int, list[int]] = {y: [] for y, _ in forest.choices}
-    for v in support:  # edge v of the expanded graph is variable v
-        tgt = dcrn.graph.edges[v].dst
+    edges = dcrn.graph.edges
+    for i, v in enumerate(support):
+        tgt = edges[v].dst
         if tgt in incoming:
-            incoming[tgt].append(v)
-    flow_rows = tuple((y, v, tuple(sorted(incoming[y]))) for y, v in forest.choices)
+            incoming[tgt].append(i)
+    flow_rows = tuple((y, support.index(v), tuple(incoming[y])) for y, v in forest.choices)
     candidates = tuple(
-        sorted(v for _, v in forest.choices if v < net.r or nontriviality == ANY_EDGE)
+        sorted(v for _, v in forest.choices if v < r or nontriviality == ANY_EDGE)
     )
     return BalancingSystem(
-        n_reactions=net.r,
-        n_dom=dcrn.d,
-        zero_vars=zero_vars,
+        n_edges=r + dcrn.d,
+        support=support,
         kernel_rows=kernel_rows,
         flow_rows=flow_rows,
         candidates=candidates,
@@ -239,21 +244,25 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     One phase 1 decides the forest.  Its candidate row is the sum of all
     candidate variables >= 1; every other right-hand side is 0, so the rows
     are a cone and the sum reaches 1 iff some single candidate does.  A
-    feasible point, scaled to integers, is the balancing vector and its
-    least positive candidate the positive edge.  A Farkas answer is the
-    forest's one refutation, covering all candidates.  An empty candidate
-    set is unbalanced outright.  Forests that decide_forests settles by
-    reusing an earlier vector are decided, and balanced, without this call.
+    feasible point, scaled to integers and widened to all r + d edges with
+    zeros off the support, is the balancing vector and its least positive
+    candidate the positive edge.  A Farkas answer is the forest's one
+    refutation, over the support, covering all candidates.  An empty
+    candidate set is unbalanced outright.  Forests that decide_forests
+    settles by reusing an earlier vector are decided, and balanced, without
+    this call.
     """
     if not system.candidates:
         return Unbalanced(())
     found = solve_feasibility(system.linear_system(system.candidates))
     if isinstance(found, Farkas):
         return Unbalanced(((system.candidates, found),))
-    alpha = tuple(scale_to_integers(found.witness)[0])
+    alpha = [0] * system.n_edges
+    for v, a in zip(system.support, scale_to_integers(found.witness)[0]):
+        alpha[v] = a
     positive_edge = next(k for k in system.candidates if alpha[k] > 0)
-    assert check_feasible(system.linear_system((positive_edge,)), alpha)
-    return Balanced(alpha=alpha, positive_edge=positive_edge)
+    assert check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha))
+    return Balanced(alpha=tuple(alpha), positive_edge=positive_edge)
 
 
 def decide_forests(
@@ -292,16 +301,26 @@ def verify_balance_outcome(
     outcome: BalanceOutcome,
     nontriviality: str = TRUE_REACTIONS,
 ) -> bool:
-    """Audit a balance outcome by direct exact evaluation, independent of the solver."""
+    """Audit a balance outcome by direct exact evaluation, independent of the solver.
+
+    A balancing vector spans all r + d edges and must be 0 off the support,
+    since the system over the support cannot say so; a refutation is in the
+    support layout.
+    """
     if not forest_is_valid(dcrn, forest):
         return False
     system = build_balancing_system(dcrn, forest, nontriviality)
     if isinstance(outcome, Balanced):
-        if outcome.positive_edge not in system.candidates:
+        alpha = outcome.alpha
+        if outcome.positive_edge not in system.candidates or len(alpha) != system.n_edges:
             return False
-        if any(a != int(a) for a in outcome.alpha):
+        if any(a != int(a) for a in alpha):
             return False
-        return check_feasible(system.linear_system((outcome.positive_edge,)), outcome.alpha)
+        inside = set(system.support)
+        if any(a for v, a in enumerate(alpha) if v not in inside):
+            return False
+        positive = system.linear_system((outcome.positive_edge,))
+        return check_feasible(positive, system.on_support(alpha))
     if isinstance(outcome, Unbalanced):
         covered = tuple(k for cands, _ in outcome.witnesses for k in cands)
         if covered != system.candidates:
@@ -311,3 +330,35 @@ def verify_balance_outcome(
             for cands, cert in outcome.witnesses
         )
     return False
+
+
+def support_refutation(
+    net: ReactionNetwork, n_dom: int, forest: ExteriorForest, cert: Farkas
+) -> Farkas:
+    """A refutation in the edge layout of report versions 1-6, moved to the support layout.
+
+    That layout has one variable per edge, r + d in all, and writes (C1) as
+    one row x_v = 0 per edge v off the support, ascending, ahead of the
+    kernel rows.  Only that row, the kernel rows and x_v >= 0 touch such a
+    column v; the flow and candidate rows touch support edges alone.  So the
+    refutation holds iff, at every off-support v, its x_v >= 0 multiplier is
+    >= 0 and its x_v = 0 multiplier closes column v, and its other entries
+    refute the system over the support.  Checks the first two and returns
+    the other entries; ValueError when a check or a vector length fails.
+    """
+    edges = net.r + n_dom
+    support = forest.support
+    if not all(0 <= v < edges for v in support):
+        raise ValueError("forest names an edge outside the expanded graph")
+    inside = set(support)
+    off = [v for v in range(edges) if v not in inside]
+    if len(cert.eq_mult) != len(off) + net.m or len(cert.nonneg_mult) != edges:
+        raise ValueError("refutation does not have one entry per edge")
+    zeros, kernel = cert.eq_mult[: len(off)], cert.eq_mult[len(off) :]
+    gamma = stoich_matrix(net)
+    for z, v in zip(zeros, off):
+        s = cert.nonneg_mult[v]
+        through = sum(y * row[v] for y, row in zip(kernel, gamma)) if v < net.r else 0
+        if s < 0 or z + through + s != 0:
+            raise ValueError(f"refutation does not close the column of edge {v}")
+    return Farkas(kernel, cert.ge_mult, tuple(cert.nonneg_mult[v] for v in support))

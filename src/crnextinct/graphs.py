@@ -7,7 +7,9 @@ the same machinery serves both.  Parallel edges and self-loops are permitted.
 
 Partitions are returned as lists of frozensets ordered by their smallest
 member, which keeps every derived object deterministic.  Every strong-linkage
-answer reads `ReactionGraph.condensation`, computed once per graph.
+answer reads `ReactionGraph.condensation`, computed once per graph: it keeps
+the blocks in that order, numbered by their place in it, and each caller gets
+a fresh list.
 
 scc_ids is the package's one SCC routine.  A reaction graph is condensed
 whole (floor 0, ids from 0); the oracle condenses only the states a root adds
@@ -31,8 +33,9 @@ class GraphEdge(NamedTuple):
 
 
 class Condensation(NamedTuple):
-    comp_of: tuple[int, ...]  # scc_ids component id per vertex
-    sink: tuple[bool, ...]  # per component id, True when no edge leaves it
+    comp_of: tuple[int, ...]  # per vertex, the index of its block
+    sink: tuple[bool, ...]  # per block, True when no edge leaves it
+    blocks: tuple[frozenset[int], ...]  # the SCCs, ordered by smallest member
 
 
 @dataclass(frozen=True)
@@ -53,13 +56,25 @@ class ReactionGraph:
 
     @cached_property
     def condensation(self) -> Condensation:
-        """The graph's strongly connected components, computed once and shared."""
-        comp_of, _ = scc_ids(self.successors())
-        sink = [True] * (max(comp_of, default=-1) + 1)
+        """The graph's strongly connected components, computed once and shared.
+
+        scc_ids numbers the components in completion order; they are
+        renumbered by smallest member, the order in which a scan of the
+        vertices first meets them.
+        """
+        ids, members = scc_ids(self.successors())
+        rank = [-1] * len(members)
+        blocks = []
+        for c in ids:
+            if rank[c] < 0:
+                rank[c] = len(blocks)
+                blocks.append(frozenset(members[c]))
+        comp_of = tuple(rank[c] for c in ids)
+        sink = [True] * len(blocks)
         for e in self.edges:
             if comp_of[e.src] != comp_of[e.dst]:
                 sink[comp_of[e.src]] = False
-        return Condensation(tuple(comp_of), tuple(sink))
+        return Condensation(comp_of, tuple(sink), tuple(blocks))
 
 
 def reaction_graph(net: ReactionNetwork) -> ReactionGraph:
@@ -72,7 +87,7 @@ def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
     both = g.successors()
     for e in g.edges:
         both[e.dst].append(e.src)
-    return _blocks(scc_ids(both)[0])
+    return sorted(map(frozenset, scc_ids(both)[1]), key=min)
 
 
 def scc_ids(
@@ -135,26 +150,19 @@ def scc_ids(
     return comp, members
 
 
-def _blocks(comp_of: Sequence[int]) -> list[frozenset[int]]:
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(comp_of):
-        groups.setdefault(c, []).append(v)
-    return sorted((frozenset(b) for b in groups.values()), key=min)
-
-
 def strong_linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
     """Strongly connected components, singletons allowed."""
-    return _blocks(g.condensation.comp_of)
+    return list(g.condensation.blocks)
 
 
 def terminal_slcs(g: ReactionGraph) -> list[frozenset[int]]:
     """Strong linkage classes with no edge leaving them."""
-    comp_of, sink = g.condensation
-    return [block for block in _blocks(comp_of) if sink[comp_of[min(block)]]]
+    _, sink, blocks = g.condensation
+    return [block for block, terminal in zip(blocks, sink) if terminal]
 
 
 def terminal_complexes(g: ReactionGraph) -> frozenset[int]:
-    comp_of, sink = g.condensation
+    comp_of, sink, _ = g.condensation
     return frozenset(v for v, c in enumerate(comp_of) if sink[c])
 
 
@@ -180,14 +188,13 @@ def enumerate_absorbing_sets(g: ReactionGraph, cap: int) -> list[frozenset[int]]
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    sccs = strong_linkage_classes(g)
-    block_of = {v: i for i, block in enumerate(sccs) for v in block}
+    comp_of, sink, sccs = g.condensation
     succ: list[set[int]] = [set() for _ in sccs]
     for e in g.edges:
-        a, b = block_of[e.src], block_of[e.dst]
+        a, b = comp_of[e.src], comp_of[e.dst]
         if a != b:
             succ[a].add(b)
-    sinks = frozenset(i for i in range(len(sccs)) if not succ[i])
+    sinks = frozenset(i for i, terminal in enumerate(sink) if terminal)
 
     def members(chosen: frozenset[int]) -> frozenset[int]:
         return frozenset(v for i in chosen for v in sccs[i])

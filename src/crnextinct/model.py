@@ -61,6 +61,7 @@ class ReactionNetwork:
         complexes: deduplicated complexes in first-appearance order
             (per reaction: source then target, reactions in input order).
         needs, firing: the firing table, built on first use.
+        complex_names: each complex in the text format, built on first use.
     """
 
     def __init__(self, species_names: Sequence[str], reactions: Sequence[Reaction]):
@@ -108,6 +109,11 @@ class ReactionNetwork:
         return tuple(
             (needs[ci], rxn.vector) for ci, rxn in zip(self.source_index, self.reactions)
         )
+
+    @cached_property
+    def complex_names(self) -> tuple[str, ...]:
+        """Per complex, its text form (format_complex), formatted once per network."""
+        return tuple(format_complex(cpx, self.species) for cpx in self.complexes)
 
     @property
     def species_names(self) -> list[str]:

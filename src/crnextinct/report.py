@@ -11,8 +11,10 @@ From version 6 an unbalanced forest carries one balance refutation, for the
 candidate row "sum of all candidates >= 1".  The rows form a cone, so a
 refutation of that row proves that no balancing vector puts positive weight
 on any candidate.  Versions 1-5 carry one refutation per candidate k; the
-decoder reads each as a refutation covering the set (k,), so every version
-goes through the same audit.
+decoder reads each as a refutation covering the set (k,).  From version 7 a
+refutation is over the forest's support; the decoder checks the entries that
+versions 1-6 add for the edges off the support and drops them, so every
+version goes through the same audit.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .engine import (
     verify_verdict,
 )
 from .exactlp import Farkas
-from .forests import ExteriorForest, Unbalanced, edge_label
+from .forests import ExteriorForest, Unbalanced, edge_label, support_refutation
 from .graphs import GraphEdge
-from .model import ReactionNetwork, format_complex
+from .model import ReactionNetwork
 
 REPORT_FORMAT = "crn-extinction-report"
 # Version 2: statistics.truncated is set only when a candidate had forests
@@ -49,7 +51,11 @@ REPORT_FORMAT = "crn-extinction-report"
 # Version 6: one balance refutation per unbalanced forest, covering the list
 # "candidate_variables"; the per-candidate "candidate_variable",
 # "candidate_reaction" and "label" fields are gone.
-REPORT_VERSION = 6
+# Version 7: the balance LP is over the forest's support, so a refutation has
+# one "eq" entry per species and one "nonneg" entry per support edge
+# (ascending); versions 1-6 add one "eq" entry per off-support edge, ahead of
+# the species, and one "nonneg" entry per edge.  Fields as in version 6.
+REPORT_VERSION = 7
 
 
 def encode_rational(x: int | Fraction) -> dict[str, str]:
@@ -121,16 +127,16 @@ def _vector_decoder() -> Callable[[Any], tuple[Fraction, ...]]:
 
 
 def _complex_names(net: ReactionNetwork, indices) -> list[str]:
-    names = net.species_names
-    return [format_complex(net.complexes[i], names) for i in sorted(indices)]
+    names = net.complex_names
+    return [names[i] for i in sorted(indices)]
 
 
 def _edge_obj(net: ReactionNetwork, e: GraphEdge, j: int) -> dict[str, Any]:
-    names = net.species_names
+    names = net.complex_names
     return {
         "label": edge_label(net.r + j, net.r),
-        "from": format_complex(net.complexes[e.src], names),
-        "to": format_complex(net.complexes[e.dst], names),
+        "from": names[e.src],
+        "to": names[e.dst],
         "from_index": e.src,
         "to_index": e.dst,
     }
@@ -141,7 +147,7 @@ def _choice_obj(net: ReactionNetwork, y: int, v: int) -> dict[str, Any]:
     r = net.r
     kind, index = ("R", v) if v < r else ("D", v - r)
     return {
-        "complex": format_complex(net.complexes[y], net.species_names),
+        "complex": net.complex_names[y],
         "complex_index": y,
         "edge": {"kind": kind, "index": index, "label": edge_label(v, r)},
     }
@@ -196,12 +202,11 @@ def _config_obj(cfg: SearchConfig, net: ReactionNetwork) -> dict[str, Any]:
 
 
 def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> dict[str, Any]:
-    names = net.species_names
     report: dict[str, Any] = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
-        "species": names,
-        "complexes": [format_complex(c, names) for c in net.complexes],
+        "species": net.species_names,
+        "complexes": list(net.complex_names),
         "search": _config_obj(cfg, net),
     }
     if isinstance(verdict, NotApplicable):
@@ -244,13 +249,14 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     be a JSON list, "absorbing_indices" strictly ascending, and each count of
     "statistics" a nonnegative JSON int.  A refutation covers the list
     "candidate_variables" from version 6 and the one "candidate_variable"
-    before; each key is rejected at the other versions.
+    before; each key is rejected at the other versions.  A refutation of
+    versions 1-6 is moved to the support layout of version 7 by
+    forests.support_refutation, which first checks the entries it drops.
     """
     if report.get("verdict") != "guaranteed-extinction":
         raise ValueError("report does not carry a guaranteed-extinction verdict")
-    names = net.species_names
-    expected = [format_complex(c, names) for c in net.complexes]
-    if report.get("complexes") != expected or report.get("species") != names:
+    expected = list(net.complex_names)
+    if report.get("complexes") != expected or report.get("species") != net.species_names:
         raise ValueError("report does not match this network")
     dom_edges = tuple(
         GraphEdge(_exact(e["from_index"], int), _exact(e["to_index"], int))
@@ -268,7 +274,8 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         _exact(k, int) for k in _exact(report["forest"]["interior_reactions"], list)
     )
     forest = ExteriorForest(choices=choices, interior=interior)
-    listed = _exact(report["version"], int) >= 6
+    version = _exact(report["version"], int)
+    listed = version >= 6
     stale = "candidate_variable" if listed else "candidate_variables"
     vector = _vector_decoder()
     witnesses = []
@@ -276,9 +283,10 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         if stale in w:
             raise ValueError(f"{stale!r} is not a field of this report version")
         cands = _exact(w["candidate_variables"], list) if listed else [w["candidate_variable"]]
-        witnesses.append(
-            (tuple(_exact(k, int) for k in cands), _decode_farkas(w["farkas"], vector))
-        )
+        farkas = _decode_farkas(w["farkas"], vector)
+        if version < 7:
+            farkas = support_refutation(net, len(dom_edges), forest, farkas)
+        witnesses.append((tuple(_exact(k, int) for k in cands), farkas))
     outcome = Unbalanced(tuple(witnesses))
     certificate = ExtinctionCertificate(
         subconservation=vector(report["subconservativity_witness"]),
@@ -327,10 +335,7 @@ def verify_report(net: ReactionNetwork, report: Any) -> bool:
 
 
 def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
-    names = net.species_names
-
-    def cname(i: int) -> str:
-        return format_complex(net.complexes[i], names)
+    names = net.complex_names
 
     lines: list[str] = []
     if isinstance(verdict, NotApplicable):
@@ -360,7 +365,7 @@ def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
         lines.append(
             "domination edges: "
             + ", ".join(
-                f"D{j + 1}: {cname(e.src)} -> {cname(e.dst)}"
+                f"D{j + 1}: {names[e.src]} -> {names[e.dst]}"
                 for j, e in enumerate(cert.dom_edges)
             )
         )
@@ -368,7 +373,7 @@ def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
         "unbalanced forest edges: " + ", ".join(cert.forest.edge_labels(net.r))
     )
     pathway = [
-        f"{cname(net.source_index[v])} -> {cname(net.target_index[v])}"
+        f"{names[net.source_index[v]]} -> {names[net.target_index[v]]}"
         for _, v in cert.forest.choices
         if v < net.r
     ]

@@ -16,7 +16,14 @@ import pytest
 from conftest import BENCH_DIR, FIXTURE_DIR, bench_module
 from crnextinct import engine, exactlp, forests, model
 from crnextinct.domination import maximal_admissible
-from crnextinct.exactlp import Farkas, check_farkas, check_feasible, lexmin, scale_to_integers
+from crnextinct.exactlp import (
+    Farkas,
+    LinearSystem,
+    lexmin,
+    make_row,
+    scale_to_integers,
+    solve_feasibility,
+)
 from crnextinct.forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
@@ -27,6 +34,7 @@ from crnextinct.forests import (
     decide_balance,
     decide_forests,
     enumerate_forests,
+    support_refutation,
     verify_balance_outcome,
 )
 from crnextinct.parser import parse_crn
@@ -72,39 +80,93 @@ def per_candidate_balance(system: BalancingSystem):
         if isinstance(best, Farkas):
             refutations.append(((cand,), best))
             continue
-        return Balanced(alpha=tuple(scale_to_integers(best.witness)[0]), positive_edge=cand)
+        alpha = [0] * system.n_edges
+        for v, a in zip(system.support, scale_to_integers(best.witness)[0]):
+            alpha[v] = a
+        return Balanced(alpha=tuple(alpha), positive_edge=cand)
     return Unbalanced(tuple(refutations))
 
 
-def _check_against_reference(system: BalancingSystem) -> type:
+def _check_against_reference(dcrn, forest, reading) -> type:
     """Assert that decide_balance agrees with the per-candidate loop; its kind."""
+    system = build_balancing_system(dcrn, forest, reading)
     got, want = decide_balance(system), per_candidate_balance(system)
     assert type(got) is type(want)
+    assert verify_balance_outcome(dcrn, forest, got, reading)
+    assert verify_balance_outcome(dcrn, forest, want, reading)
     if isinstance(got, Unbalanced):
         assert [c for c, _ in want.witnesses] == [(c,) for c in system.candidates]
         # one refutation, covering every candidate (none for no candidates)
         covering = [system.candidates] if system.candidates else []
         assert [c for c, _ in got.witnesses] == covering
-        for cands, cert in got.witnesses:
-            assert check_farkas(system.linear_system(cands), cert), cands
     else:
-        assert check_feasible(system.linear_system((got.positive_edge,)), got.alpha)
         assert got.positive_edge == min(k for k in system.candidates if got.alpha[k] > 0)
     return type(got)
 
 
-def test_one_lp_per_forest_matches_per_candidate_loop(workloads):
-    # the widened search on both families: more expansions, absorbing sets and
-    # forests than either bench workload decides
+def _family_forests(workloads):
+    """(expansion, forest, reading) over the widened search of both families.
+
+    More expansions, absorbing sets and forests than either bench workload
+    decides, each under both nontriviality readings.
+    """
     cfg = workloads.search_config(engine, "search")
-    kinds = set()
     for workload in ("certify", "search"):
         for _, net in _networks(workloads, workload):
             for dcrn in engine._candidate_pairs(net, cfg):
                 for forest in islice(enumerate_forests(dcrn), FOREST_CAP):
                     for reading in (TRUE_REACTIONS, ANY_EDGE):
-                        system = build_balancing_system(dcrn, forest, reading)
-                        kinds.add(_check_against_reference(system))
+                        yield dcrn, forest, reading
+
+
+def test_one_lp_per_forest_matches_per_candidate_loop(workloads):
+    kinds = {_check_against_reference(*case) for case in _family_forests(workloads)}
+    assert kinds == {Balanced, Unbalanced}
+
+
+def edge_layout_system(dcrn, forest, candidates) -> LinearSystem:
+    """The balance LP as report versions 1-6 built it, a variable per edge.
+
+    (C1) is one row x_v = 0 per edge off the support, ascending, ahead of the
+    kernel rows; the flow rows and the candidate row follow.
+    """
+    net, n = dcrn.net, dcrn.net.r + dcrn.d
+    support = set(forest.support)
+    eq = [make_row([int(j == v) for j in range(n)], 0) for v in range(n) if v not in support]
+    eq += [make_row(list(row) + [0] * dcrn.d, 0) for row in model.stoich_matrix(net)]
+    ge = []
+    for y, out in forest.choices:
+        coeffs = [0] * n
+        coeffs[out] += 1
+        for v in support:
+            if dcrn.graph.edges[v].dst == y:
+                coeffs[v] -= 1
+        ge.append(make_row(coeffs, 0))
+    ge.append(make_row([int(v in candidates) for v in range(n)], 1))
+    return LinearSystem(n, tuple(eq), tuple(ge))
+
+
+def test_support_system_matches_edge_layout(workloads):
+    # the same kind from both layouts; the edge layout's refutation, moved to
+    # the support as an old report's is, and its point both pass the audit
+    kinds = set()
+    for dcrn, forest, reading in _family_forests(workloads):
+        system = build_balancing_system(dcrn, forest, reading)
+        got = decide_balance(system)
+        kinds.add(type(got))
+        if not system.candidates:
+            assert got == Unbalanced(())
+            continue
+        old = solve_feasibility(edge_layout_system(dcrn, forest, system.candidates))
+        assert isinstance(old, Farkas) == isinstance(got, Unbalanced)
+        if isinstance(old, Farkas):
+            moved = support_refutation(dcrn.net, dcrn.d, forest, old)
+            outcome = Unbalanced(((system.candidates, moved),))
+        else:
+            alpha = tuple(scale_to_integers(old.witness)[0])
+            positive = min(k for k in system.candidates if alpha[k] > 0)
+            outcome = Balanced(alpha, positive)
+        assert verify_balance_outcome(dcrn, forest, outcome, reading)
     assert kinds == {Balanced, Unbalanced}
 
 

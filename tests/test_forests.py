@@ -81,20 +81,23 @@ def test_enumeration_is_lazy(example33):
 def test_balancing_system_example35_left(example33):
     forest = next(enumerate_forests(example33))
     system = build_balancing_system(example33, forest)
-    # support zeros: the unused reaction 2 and domination edge D1
-    assert system.zero_vars == (1, 3)
-    assert system.kernel_rows == ((-1, 1, 1), (1, -1, -1))
-    assert system.flow_rows == ((0, 0, ()), (1, 4, (0,)), (2, 2, (4,)))
+    # the unused reaction 2 and domination edge D1 have no variable: the
+    # variables are reactions 1 and 3 and D2, and the rows index them 0, 1, 2
+    assert system.n_edges == 5 and system.support == (0, 2, 4)
+    assert system.kernel_rows == ((-1, 1, 0), (1, -1, 0))
+    assert system.flow_rows == ((0, 0, ()), (1, 2, (0,)), (2, 1, (2,)))
     assert system.candidates == (0, 2)
+    assert system.linear_system((2,)).ge[-1] == ((0, 1, 0), 1)
 
 
 def test_balancing_system_example999(nets):
     dcrn = maximal_admissible(nets["example999"])
     forest = next(enumerate_forests(dcrn))
     system = build_balancing_system(dcrn, forest)
-    assert system.zero_vars == (1,)
-    assert system.kernel_rows == ((1, -1, -2), (-1, 1, 2))
-    assert system.flow_rows == ((0, 0, ()), (1, 2, (0,)))
+    # reaction 2 is off the forest, so the support is reactions 1 and 3
+    assert system.n_edges == 3 and system.support == (0, 2)
+    assert system.kernel_rows == ((1, -2), (-1, 2))
+    assert system.flow_rows == ((0, 0, ()), (1, 1, (0,)))
     assert system.candidates == (0, 2)
 
 
@@ -113,8 +116,10 @@ def test_decide_balance_left_forest(example33):
     assert isinstance(outcome, Balanced)
     assert outcome.alpha == (1, 0, 1, 0, 1)
     assert verify_balance_outcome(example33, forest, outcome)
-    # the published balancing vector passes the same audit
-    assert check_feasible(system.linear_system((0,)), (1, 0, 1, 0, 1))
+    # the published balancing vector passes the same audit, and over the
+    # support it is the vector of the system's three variables
+    assert verify_balance_outcome(example33, forest, Balanced((1, 0, 1, 0, 1), 0))
+    assert check_feasible(system.linear_system((0,)), system.on_support((1, 0, 1, 0, 1)))
 
 
 def test_decide_balance_one_lp_per_candidate(example33, monkeypatch):
@@ -188,6 +193,14 @@ def test_verify_rejects_corruption(example33):
     assert not verify_balance_outcome(example33, forest, broken)
     wrong_candidate = Balanced(alpha=good.alpha, positive_edge=4)
     assert not verify_balance_outcome(example33, forest, wrong_candidate)
+    # weight off the support: reaction 2 and D1 carry no variable, so only the
+    # explicit check sees it (the system over the support is still satisfied)
+    system = build_balancing_system(example33, forest)
+    for off in ((1, 1, 1, 0, 1), (1, 0, 1, 1, 1)):
+        assert check_feasible(system.linear_system((0,)), system.on_support(off))
+        assert not verify_balance_outcome(example33, forest, Balanced(off, 0)), off
+    for width in ((1, 0, 1, 0), (1, 0, 1, 0, 1, 0)):
+        assert not verify_balance_outcome(example33, forest, Balanced(width, 0)), width
 
 
 def test_nontriviality_readings(nets):
@@ -222,7 +235,7 @@ def test_example000_terminal_balanced(nets):
     system = build_balancing_system(dcrn, forest)
     outcome = decide_balance(system)
     assert isinstance(outcome, Balanced)
-    assert check_feasible(system.linear_system((1,)), (0, 2, 1, 0))
+    assert verify_balance_outcome(dcrn, forest, Balanced((0, 2, 1, 0), 1))
 
 
 def test_monotone_in_candidates(example33):

@@ -23,6 +23,7 @@ from crnextinct.forests import (
     build_balancing_system,
     decide_balance,
     enumerate_forests,
+    support_refutation,
     verify_balance_outcome,
 )
 from crnextinct.invariants import conservation_system, is_subconservative
@@ -197,14 +198,17 @@ def test_report_envelope_is_checked(nets):
     assert report["format"] == REPORT_FORMAT and report["version"] == REPORT_VERSION
     for not_a_report in ([], None, "report", 7):
         assert verify_report(net, not_a_report) is False
-    for version, ok in ((6, True), (0, False), (7, False), (True, False), ("2", False)):
+    for version, ok in ((7, True), (0, False), (8, False), (True, False), ("2", False)):
         assert verify_report(net, dict(report, version=version)) is ok, version
     # certificate fields were unchanged from version 1 to 5, so a version-5
-    # report verifies at each of them; "candidate_variable" is no version-6 field
+    # report verifies at each of them; "candidate_variable" is no version-6
+    # field, and a version-7 refutation is over the support alone
     old = json.loads((REPORT_DIR / "example21-v5.json").read_bytes())
-    for version in range(1, 8):
+    v6 = json.loads((REPORT_DIR / "example21-v6.json").read_bytes())
+    for version in range(1, 9):
         assert verify_report(net, dict(old, version=version)) is (version <= 5), version
-        assert verify_report(net, dict(report, version=version)) is (version == 6), version
+        assert verify_report(net, dict(v6, version=version)) is (version == 6), version
+        assert verify_report(net, dict(report, version=version)) is (version == 7), version
     assert not verify_report(net, dict(report, format="bogus"))
     assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
 
@@ -221,30 +225,110 @@ def test_version2_reports_still_verify(nets, name):
     assert old["balance_refutations"] != new["balance_refutations"]
 
 
+def _with_old_refutations(report, old, version):
+    """Today's report with the version and the balance refutations of an older one."""
+    return dict(report, version=version, balance_refutations=old["balance_refutations"])
+
+
 @pytest.mark.parametrize("name", ["example21", "envz"])
-def test_version6_report_bytes_are_pinned(nets, name):
-    # emitted at version 6; a change to any byte, multipliers included, must
+def test_version7_report_bytes_are_pinned(nets, name):
+    # emitted at version 7; a change to any byte, multipliers included, must
     # come with a new REPORT_VERSION and new pinned reports
-    pinned = (REPORT_DIR / f"{name}-v6.json").read_bytes()
+    pinned = (REPORT_DIR / f"{name}-v7.json").read_bytes()
     net = nets[name]
     cfg = SearchConfig()
     verdict = analyze(net, cfg)
     assert emit_report(net, verdict, cfg) == pinned
     assert pinned.count(b"\n") == 1  # one compact line
     report = json.loads(pinned)
+    assert report["version"] == 7
+    assert verify_report(net, report)
+    # one refutation over the forest's support: one eq entry per species and
+    # one nonneg entry per support edge
+    cert = verdict.certificate
+    (refutation,) = report["balance_refutations"]
+    assert len(refutation["farkas"]["eq"]) == net.m
+    assert len(refutation["farkas"]["nonneg"]) == len(cert.forest.support)
+    assert len(cert.forest.support) < net.r + len(cert.dom_edges)
+    candidates = list(cert.outcome.witnesses[0][0])
+    assert refutation["candidate_variables"] == candidates
+
+
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version6_report_bytes_are_pinned(nets, name):
+    # emitted at version 6, with a variable per edge: the report still
+    # verifies, and only its version and refutations differ from today's
+    pinned = (REPORT_DIR / f"{name}-v6.json").read_bytes()
+    net = nets[name]
+    report = json.loads(pinned)
     assert report["version"] == 6
     assert verify_report(net, report)
+    _, today = _extinction_report(net)
+    as_v6 = _with_old_refutations(today, report, 6)
+    assert (json.dumps(as_v6, separators=(",", ":")) + "\n").encode("utf-8") == pinned
     # one refutation, covering the forest's candidates, which the version-5
     # report refuted one by one
-    candidates = list(verdict.certificate.outcome.witnesses[0][0])
+    candidates = today["balance_refutations"][0]["candidate_variables"]
     assert [w["candidate_variables"] for w in report["balance_refutations"]] == [candidates]
     old = json.loads((REPORT_DIR / f"{name}-v5.json").read_bytes())
     assert [w["candidate_variable"] for w in old["balance_refutations"]] == candidates
 
 
-def _with_old_refutations(report, old, version):
-    """Today's report with the version and the balance refutations of an older one."""
-    return dict(report, version=version, balance_refutations=old["balance_refutations"])
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version6_dropped_entries_are_checked(nets, name):
+    # moving a version-6 refutation to the support drops one x_v = 0 row and
+    # one x_v >= 0 multiplier per edge v off the support; each is checked first
+    net = nets[name]
+    pinned = json.loads((REPORT_DIR / f"{name}-v6.json").read_bytes())
+    cert = report_certificate(net, pinned).certificate
+    off = [v for v in range(net.r + len(cert.dom_edges)) if v not in cert.forest.support]
+    farkas = pinned["balance_refutations"][0]["farkas"]
+    assert off and len(farkas["eq"]) == len(off) + net.m
+    for i, v in enumerate(off):  # x_v = 0 is equality row i
+        # an x_v = 0 multiplier that no longer closes its column
+        changed = copy.deepcopy(pinned)
+        eq = changed["balance_refutations"][0]["farkas"]["eq"]
+        eq[i] = encode_rational(decode_rational(eq[i]) + 1)
+        assert verify_report(net, changed) is False, (i, v)
+        # an x_v >= 0 multiplier made negative, its column still closed by x_v = 0
+        negative = copy.deepcopy(pinned)
+        doctored = negative["balance_refutations"][0]["farkas"]
+        s = decode_rational(doctored["nonneg"][v])
+        doctored["nonneg"][v] = encode_rational(Fraction(-1))
+        doctored["eq"][i] = encode_rational(decode_rational(doctored["eq"][i]) + s + 1)
+        assert verify_report(net, negative) is False, (i, v)
+
+
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_refutation_widths_follow_the_version(nets, name):
+    # a version-7 refutation over all edges, and a version-6 one over the
+    # support alone, are rejected; each verifies at its own version
+    net = nets[name]
+    v6 = json.loads((REPORT_DIR / f"{name}-v6.json").read_bytes())
+    v7 = json.loads((REPORT_DIR / f"{name}-v7.json").read_bytes())
+    assert verify_report(net, v6) and verify_report(net, v7)
+    assert verify_report(net, _with_old_refutations(v7, v6, 7)) is False
+    assert verify_report(net, _with_old_refutations(v6, v7, 6)) is False
+
+
+@pytest.mark.parametrize("version", range(2, REPORT_VERSION + 1))
+def test_every_version_has_pins_that_verify(nets, version):
+    # every report version from 2 on has a pin, every pin verifies, and the
+    # newest version's pins are today's bytes
+    pins = sorted(REPORT_DIR.glob(f"*-v{version}.json"))
+    assert pins, f"no pinned report of version {version}"
+    cfg = SearchConfig()
+    for path in pins:
+        name = path.stem.rsplit("-", 1)[0]
+        net = nets[name]
+        pinned = path.read_bytes()
+        report = json.loads(pinned)
+        assert report["version"] == version, path.name
+        assert verify_report(net, report), path.name
+        if version == REPORT_VERSION:
+            assert emit_report(net, analyze(net, cfg), cfg) == pinned, path.name
+    named = {int(p.stem.rsplit("-v", 1)[1]) for p in REPORT_DIR.glob("*.json")}
+    assert named == set(range(2, REPORT_VERSION + 1))
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
@@ -335,12 +419,15 @@ def test_repeated_rational_is_checked_every_time(nets, bad):
     assert verify_report(net, report) is False
 
 
-def _decoded_one_by_one(report):
+def _decoded_one_by_one(net, report, forest):
     def vector(items):
         return tuple(decode_rational(v) for v in items)
 
     def farkas(obj):
-        return Farkas(vector(obj["eq"]), vector(obj["ge"]), vector(obj["nonneg"]))
+        cert = Farkas(vector(obj["eq"]), vector(obj["ge"]), vector(obj["nonneg"]))
+        if report["version"] >= 7:
+            return cert
+        return support_refutation(net, len(report["dom_edges"]), forest, cert)
 
     def covered(w):
         return tuple(w["candidate_variables"]) if report["version"] >= 6 else (w["candidate_variable"],)
@@ -354,7 +441,8 @@ def test_memoized_decode_matches_decode_rational(nets, path):
     report = json.loads(path.read_bytes())
     net = nets[path.stem.rsplit("-", 1)[0]]
     cert = report_certificate(net, report).certificate
-    assert (cert.outcome.witnesses, cert.subconservation) == _decoded_one_by_one(report)
+    decoded = _decoded_one_by_one(net, report, cert.forest)
+    assert (cert.outcome.witnesses, cert.subconservation) == decoded
 
 
 def _swapped(witnesses, i, j):
