@@ -7,6 +7,12 @@ extinction event on the complement of the absorbing set.  Every verdict
 carries the full certificate chain (subconservativity witness, expansion,
 forest, the forest's Farkas refutation) and can be re-audited independently.
 
+When the network is strictly subconservative (some c >= 1 has c^T Gamma <=
+-1 on every reaction), c itself refutes every forest under the
+true-reactions reading, so the first forest is reported with that
+refutation and no balance LP is solved; the subconservativity witness is c
+(up to a positive scale).  Every other network runs the LP search.
+
 Candidates whose absorbing set is the whole complex set are skipped: the
 extinction claim on an empty complement is vacuous.
 """
@@ -27,16 +33,18 @@ from .domination import (
     expansion_edges,
     shrink_to_terminal,
 )
-from .exactlp import Farkas, Feasible, check_feasible
+from .exactlp import Farkas, Feasible, check_feasible, scale_to_integers
 from .forests import (
     TRUE_REACTIONS,
     Balanced,
     ExteriorForest,
     Unbalanced,
+    build_balancing_system,
     decide_balance,  # unused here; bench/test_bench.py looks it up on this module
     decide_forests,
     enumerate_forests,
     forest_is_valid,
+    subconservation_refutation,
     verify_balance_outcome,
 )
 from .graphs import GraphEdge, enumerate_absorbing_sets, reaction_graph
@@ -168,10 +176,21 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     they are enumerated, at most cfg.forest_cap per candidate, by
     decide_forests: one that keeps the positive choices of an earlier
     balanced forest of its candidate reuses that balancing vector.
+
+    When the subconservativity witness, scaled to integers c, is strict
+    (s = -c^T Gamma >= 1 on every reaction) and the reading is
+    true-reactions, c refutes every forest's balance system
+    (forests.subconservation_refutation), so every forest is unbalanced,
+    the first one is reported as the LP search would report it, and no
+    balance LP runs.
     """
-    sub = is_subconservative(stoich_matrix(net))
+    gamma = stoich_matrix(net)
+    sub = is_subconservative(gamma)
     if not isinstance(sub, Feasible):
         return NotApplicable("network is not subconservative", sub)
+    c = scale_to_integers(sub.witness)[0]
+    slack = [-sum(ci * row[k] for ci, row in zip(c, gamma)) for k in range(net.r)]
+    strict = cfg.nontriviality == TRUE_REACTIONS and all(s >= 1 for s in slack)
     candidates = 0
     forests_seen = 0
     balanced_seen = 0
@@ -193,7 +212,14 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
                 f"SLC coincidence failed for expansion {dcrn.dom_edges}: {offending}"
             )
         forests = enumerate_forests(dcrn)
-        decided = decide_forests(dcrn, islice(forests, cfg.forest_cap), cfg.nontriviality)
+        capped = islice(forests, cfg.forest_cap)
+        if strict:
+            decided = (
+                (f, subconservation_refutation(build_balancing_system(dcrn, f), c, slack))
+                for f in capped
+            )
+        else:
+            decided = decide_forests(dcrn, capped, cfg.nontriviality)
         for forest, outcome in decided:
             forests_seen += 1
             if isinstance(outcome, Balanced):

@@ -15,15 +15,17 @@ it stands for exactly the rational tableau and takes the same pivots.  One
 path, _solve, runs phase 1 and then any cost stages.  Phase 1 starts from the
 slack basis where it can: a row a.x >= b with b <= 0 holds at x = 0, so it is
 negated and its slack starts basic; only equality rows and rows with b > 0
-get an artificial column.  A Farkas certificate is read off the final phase-1
-reduced costs rc / den: an artificial row's multiplier is
-flip * (den - rc[artificial]), a slack-basic row's is rc[slack], and that of
-x_j >= 0 is rc[j].  Witnesses and certificates leave
-the solver as fractions.Fraction and are audited by check_feasible /
-check_farkas independently of the tableau: the witness, or all multipliers,
-are scaled to integers by one lcm, and each row becomes an integer sum over
-the nonzero terms.  Scaling by a positive number changes no sign, so the
-audit is exact.
+get an artificial column.  So a system with no equality row and every
+right-hand side <= 0 holds at the origin, and solve_feasibility returns
+that point, as phase 1 would, without building a tableau.  A Farkas
+certificate is read off the final phase-1 reduced costs rc / den: an
+artificial row's multiplier is flip * (den - rc[artificial]), a slack-basic
+row's is rc[slack], and that of x_j >= 0 is rc[j].  Witnesses and
+certificates leave the solver as fractions.Fraction and are audited by
+check_feasible / check_farkas independently of the tableau: the witness, or
+all multipliers, are scaled to integers by one lcm, and each row becomes an
+integer sum over the nonzero terms.  Scaling by a positive number changes
+no sign, so the audit is exact.
 """
 
 from __future__ import annotations
@@ -83,7 +85,11 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Farkas:
-    """Multipliers proving infeasibility: sum of scaled rows collapses to 0 >= positive."""
+    """Multipliers proving infeasibility: sum of scaled rows collapses to 0 >= positive.
+
+    The solver's multipliers are Fractions; a refutation built outside it
+    may hold ints, which every audit and the report encoding read alike.
+    """
 
     eq_mult: tuple[Rat, ...]
     ge_mult: tuple[Rat, ...]
@@ -362,7 +368,15 @@ def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, O
 
 
 def solve_feasibility(system: LinearSystem) -> Outcome:
-    """Decide the system exactly, returning a checkable witness either way."""
+    """Decide the system exactly, returning a checkable witness either way.
+
+    A system with no equality row and every right-hand side <= 0 holds at
+    the origin, which is where phase 1 stops on it (every slack starts
+    basic, and there is no artificial to drive out); it is returned without
+    building a tableau.
+    """
+    if not system.eq and all(rhs <= 0 for _, rhs in system.ge):
+        return Feasible((Fraction(0),) * system.n)
     return _solve(system, ())[0]
 
 

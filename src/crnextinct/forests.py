@@ -77,7 +77,9 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
     come before domination edges, each in index order.  Any selection whose
     functional graph would cycle among exterior complexes is pruned.  Forests
     are generated one at a time, so a caller that stops early pays only for
-    the forests it took.
+    the forests it took.  The backtracking keeps an explicit stack, the
+    number of options tried at each exterior position, so no recursion
+    depth grows with the number of exterior complexes.
     """
     edges = dcrn.graph.edges
     absorbing = dcrn.absorbing
@@ -98,22 +100,31 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
                 return False
             cur = edges[choice[cur]].dst
 
-    def descend(i: int) -> Iterator[ExteriorForest]:
-        if i == len(exterior):
-            yield ExteriorForest(
-                choices=tuple((y, choice[y]) for y in exterior),
-                interior=interior,
-            )
-            return
-        y = exterior[i]
-        for v in options[y]:
-            if creates_cycle(edges[v].dst, y):
+    def walk() -> Iterator[ExteriorForest]:
+        tried = [0] * len(exterior)  # options of exterior[i] tried so far
+        i = 0
+        while i >= 0:
+            if i == len(exterior):
+                yield ExteriorForest(
+                    choices=tuple((y, choice[y]) for y in exterior),
+                    interior=interior,
+                )
+                i -= 1
                 continue
-            choice[y] = v
-            yield from descend(i + 1)
-            del choice[y]
+            y = exterior[i]
+            choice.pop(y, None)  # undo the choice made when last at this position
+            opts, k = options[y], tried[i]
+            while k < len(opts) and creates_cycle(edges[opts[k]].dst, y):
+                k += 1
+            if k < len(opts):
+                choice[y] = opts[k]
+                tried[i] = k + 1
+                i += 1
+            else:
+                tried[i] = 0
+                i -= 1
 
-    return descend(0)
+    return walk()
 
 
 def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
@@ -263,6 +274,33 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     positive_edge = next(k for k in system.candidates if alpha[k] > 0)
     assert check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha))
     return Balanced(alpha=tuple(alpha), positive_edge=positive_edge)
+
+
+def subconservation_refutation(
+    system: BalancingSystem, c: Sequence[int], slack: Sequence[int]
+) -> Unbalanced:
+    """The refutation that a strict subconservation vector gives any forest.
+
+    c is an integer vector, c >= 1, with slack s = -c^T Gamma >= 1 on every
+    reaction (one entry per reaction).  The multipliers are c on the kernel
+    rows, 0 on the flow rows, 1 on the candidate row, and s_v - [v is a
+    candidate] on x_v >= 0 for each support edge v, with s_v = 0 for a
+    domination edge.  Column v then sums to (c^T Gamma)_v + [v is a
+    candidate] + s_v - [v is a candidate] = 0, and the right-hand sides to
+    the candidate row's 1.  Every x_v >= 0 multiplier is >= 0 when every
+    candidate is a true reaction, so the system must be built under the
+    true-reactions reading.  All entries are ints; the refutation is audited
+    with check_farkas, as _extract_farkas audits the solver's.
+    """
+    if not system.candidates:
+        return Unbalanced(())
+    r = len(slack)
+    candidates = set(system.candidates)
+    nonneg = tuple((slack[v] if v < r else 0) - (v in candidates) for v in system.support)
+    cert = Farkas(tuple(c), (0,) * len(system.flow_rows) + (1,), nonneg)
+    if not check_farkas(system.linear_system(system.candidates), cert):
+        raise AssertionError("internal error: subconservation refutation fails its audit")
+    return Unbalanced(((system.candidates, cert),))
 
 
 def decide_forests(

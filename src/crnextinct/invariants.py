@@ -2,11 +2,15 @@
 
 Conservation queries are answered with exact certificates: a strictly positive
 vector c (encoded as c >= 1, which loses nothing by homogeneity) or a Farkas
-refutation.  The LP is solved over c' = c - 1 >= 0, and both answers are
-mapped back to the system over c that conservation_system builds.  Kernel
-generators are the extreme rays of {v >= 0 : Gamma v = 0}, computed by the
-double description method and normalized to coprime integers in
-lexicographic order.
+refutation.  Each is one phase 1 (solve_feasibility) over c' = c - 1 >= 0,
+and both answers are mapped back to the unshifted system that
+conservation_system or strict_subconservation_system builds.  The witness is
+a checkable point, not a canonical one.  is_subconservative first looks for
+a strict vector, c^T Gamma <= -1 on every reaction: such a c refutes the
+balance system of every exterior forest at once (engine.analyze), so the
+search needs no balance LP.  Kernel generators are the extreme rays of
+{v >= 0 : Gamma v = 0}, computed by the double description method and
+normalized to coprime integers in lexicographic order.
 """
 
 from __future__ import annotations
@@ -14,33 +18,44 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlp import Farkas, Feasible, LinearSystem, Outcome, lexmin, make_row, primitive
+from .exactlp import (
+    Farkas,
+    Feasible,
+    LinearSystem,
+    Outcome,
+    Row,
+    make_row,
+    primitive,
+    solve_feasibility,
+)
 
 Matrix = Sequence[Sequence[int]]
 
 
-def _decide(gamma: Matrix, *, equality: bool) -> Outcome:
-    """Decide conservation_system(gamma, equality=...) over c' = c - 1 >= 0.
+def _decide(system: LinearSystem) -> Outcome:
+    """Decide a system built here, whose last n ge rows are c >= 1, over c' = c - 1 >= 0.
 
-    Each row a.c = 0 (or >= 0) becomes a.c' = -a.1 (or >= -a.1), and the
-    rows c >= 1 become the implicit c' >= 0, so phase 1 builds no artificial
-    for them.  lexmin commutes with the shift: the witness 1 + c' is the
-    point lexmin finds on the unshifted system.  A refutation (mu', nu') of
+    Each other row a.c = b (or >= b) becomes a.c' = b - a.1 (or >= b - a.1),
+    and the rows c >= 1 become the implicit c' >= 0, so phase 1 builds no
+    artificial for them; the witness is 1 + c'.  A refutation (mu', nu') of
     the shifted system is lifted to the unshifted one: the rows a keep mu',
     the rows c >= 1 get nu', and c >= 0 gets 0.  The combination still
-    cancels, and its right-hand side 1.nu' equals the shifted one, which is
+    cancels, and its right-hand side equals the shifted one, which is
     positive.  Either answer is checked against the unshifted system, with
     check_feasible or check_farkas.
     """
-    system = conservation_system(gamma, equality=equality)
     m = system.n
-    rows = system.eq if equality else system.ge[: len(system.ge) - m]  # all but c >= 1
-    shifted = tuple((a, -sum(a)) for a, _ in rows)
-    outcome = lexmin(LinearSystem(m, eq=shifted) if equality else LinearSystem(m, ge=shifted))
+
+    def shift(rows: Sequence[Row]) -> tuple[Row, ...]:
+        return tuple((a, b - sum(a)) for a, b in rows)
+
+    outcome = solve_feasibility(
+        LinearSystem(m, eq=shift(system.eq), ge=shift(system.ge[: len(system.ge) - m]))
+    )
     if isinstance(outcome, Feasible):
         return Feasible(tuple(1 + v for v in outcome.witness))
-    mu, nu, zero = outcome.eq_mult + outcome.ge_mult, outcome.nonneg_mult, (Fraction(0),) * m
-    return Farkas(mu, nu, zero) if equality else Farkas((), mu + nu, zero)
+    zero = (Fraction(0),) * m
+    return Farkas(outcome.eq_mult, outcome.ge_mult + outcome.nonneg_mult, zero)
 
 
 def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -51,16 +66,38 @@ def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[k] for row in rows) for k in range(len(rows[0])))
 
 
+def _unit_rows(m: int) -> tuple[Row, ...]:
+    """The rows c >= 1 over m species."""
+    return tuple(make_row([1 if j == i else 0 for j in range(m)], 1) for i in range(m))
+
+
 def conservation_system(gamma: Matrix, *, equality: bool) -> LinearSystem:
     """The system for c >= 1 with c^T Gamma = 0 (equality) or <= 0 (subconservative)."""
-    rows = [tuple(row) for row in gamma]
-    m = len(rows)
+    m = len(gamma)
     cols = transpose(gamma)
-    unit = [make_row([1 if j == i else 0 for j in range(m)], 1) for i in range(m)]
     if equality:
-        return LinearSystem(m, eq=tuple(make_row(col, 0) for col in cols), ge=tuple(unit))
-    neg = [make_row([-c for c in col], 0) for col in cols]
-    return LinearSystem(m, ge=tuple(neg) + tuple(unit))
+        return LinearSystem(m, eq=tuple(make_row(col, 0) for col in cols), ge=_unit_rows(m))
+    neg = tuple(make_row([-c for c in col], 0) for col in cols)
+    return LinearSystem(m, ge=neg + _unit_rows(m))
+
+
+def strict_subconservation_system(gamma: Matrix) -> LinearSystem:
+    """The system for c >= 1 with a.c <= -1 for every distinct reaction vector a.
+
+    One row -a.c >= 1 per distinct column of Gamma, in order of first
+    occurrence, then the rows c >= 1.  Equal reaction vectors give equal rows,
+    so each is kept once.
+    """
+    m = len(gamma)
+    distinct = dict.fromkeys(transpose(gamma))
+    strict = tuple(make_row([-c for c in a], 1) for a in distinct)
+    return LinearSystem(m, ge=strict + _unit_rows(m))
+
+
+def _has_opposite_vectors(gamma: Matrix) -> bool:
+    """Are two reaction vectors opposite, a and -a?  A zero vector is its own opposite."""
+    vectors = set(transpose(gamma))
+    return any(tuple(-v for v in a) in vectors for a in vectors)
 
 
 def is_conservative(gamma: Matrix) -> Outcome:
@@ -70,17 +107,25 @@ def is_conservative(gamma: Matrix) -> Outcome:
     1 + c', and a refutation is lifted back to conservation_system(gamma,
     equality=True), whose c >= 1 rows take the multipliers of c' >= 0.
     """
-    return _decide(gamma, equality=True)
+    return _decide(conservation_system(gamma, equality=True))
 
 
 def is_subconservative(gamma: Matrix) -> Outcome:
     """Does some c >= 1 satisfy c^T Gamma <= 0 componentwise?
 
-    Solved over c' = c - 1 (-Gamma^T c' >= Gamma^T 1, c' >= 0); the witness is
-    1 + c', and a refutation is lifted back to conservation_system(gamma,
-    equality=False), whose c >= 1 rows take the multipliers of c' >= 0.
+    First one phase 1 on strict_subconservation_system: a feasible point is
+    a strict witness, c^T Gamma <= -1 on every reaction.  It is skipped when
+    two reaction vectors are opposite, since a.c <= -1 and -a.c <= -1 cannot
+    both hold.  Otherwise, or when it is infeasible, one phase 1 on
+    conservation_system(gamma, equality=False) decides.  Both are solved over
+    c' = c - 1; a witness of either satisfies conservation_system(gamma,
+    equality=False), and a refutation is of that system.
     """
-    return _decide(gamma, equality=False)
+    if not _has_opposite_vectors(gamma):
+        strict = _decide(strict_subconservation_system(gamma))
+        if isinstance(strict, Feasible):
+            return strict
+    return _decide(conservation_system(gamma, equality=False))
 
 
 def nonneg_kernel_generators(gamma: Matrix) -> tuple[tuple[int, ...], ...]:

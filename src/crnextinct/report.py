@@ -14,7 +14,8 @@ on any candidate.  Versions 1-5 carry one refutation per candidate k; the
 decoder reads each as a refutation covering the set (k,).  From version 7 a
 refutation is over the forest's support; the decoder checks the entries that
 versions 1-6 add for the edges off the support and drops them, so every
-version goes through the same audit.
+version goes through the same audit.  Version 8 changed only which witness
+and multipliers a report carries, so versions 7 and 8 decode alike.
 """
 
 from __future__ import annotations
@@ -55,7 +56,11 @@ REPORT_FORMAT = "crn-extinction-report"
 # one "eq" entry per species and one "nonneg" entry per support edge
 # (ascending); versions 1-6 add one "eq" entry per off-support edge, ahead of
 # the species, and one "nonneg" entry per edge.  Fields as in version 6.
-REPORT_VERSION = 7
+# Version 8: a strictly subconservative network's subconservativity witness is
+# its strict vector c, and its forest's refutation is the one c gives (c on
+# the kernel rows, 1 on the candidate row); other witnesses are phase-1
+# points, no longer lexicographically least.  Fields as in version 7.
+REPORT_VERSION = 8
 
 
 def encode_rational(x: int | Fraction) -> dict[str, str]:

@@ -1,12 +1,23 @@
 import importlib.util
 import random
 import sys
+from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from crnextinct.exactlp import Feasible
+from crnextinct import engine
+from crnextinct.exactlp import Feasible, check_farkas, scale_to_integers
+from crnextinct.forests import (
+    Unbalanced,
+    build_balancing_system,
+    decide_balance,
+    enumerate_forests,
+    subconservation_refutation,
+    verify_balance_outcome,
+)
 from crnextinct.invariants import is_subconservative
 from crnextinct.model import ReactionNetwork, build_network, stoich_matrix
 from crnextinct.parser import parse_crn
@@ -40,6 +51,22 @@ FIXTURE_NAMES = [
     "example100",
     "example101",
 ]
+
+
+def chain_text(n: int) -> str:
+    """Chain n: k X + (n - k) Y -> (k - 1) X + (n - k + 1) Y for k = n ... 1.
+
+    Its n + 1 complexes form one path, none dominates another, and c = (2, 1)
+    lowers along every reaction, so the network is strictly subconservative.
+    """
+
+    def term(count: int, name: str) -> list[str]:
+        return [] if count == 0 else [name if count == 1 else f"{count} {name}"]
+
+    def cpx(x: int, y: int) -> str:
+        return " + ".join(term(x, "X") + term(y, "Y")) or "0"
+
+    return "".join(f"{cpx(k, n - k)} -> {cpx(k - 1, n - k + 1)}\n" for k in range(n, 0, -1))
 
 
 def load_fixture(name: str) -> ReactionNetwork:
@@ -94,3 +121,62 @@ def random_subconservative(seed: int, count: int) -> list[ReactionNetwork]:
         if isinstance(is_subconservative(stoich_matrix(net)), Feasible):
             found.append(net)
     return found
+
+
+def strict_subconservation(net: ReactionNetwork):
+    """(c, s) when is_subconservative's witness, scaled to integers c, is strict; else None.
+
+    s = -c^T Gamma, one entry per reaction, and strict means every s_k >= 1.
+    """
+    gamma = stoich_matrix(net)
+    sub = is_subconservative(gamma)
+    if not isinstance(sub, Feasible):
+        return None
+    c = scale_to_integers(sub.witness)[0]
+    slack = [-sum(ci * row[k] for ci, row in zip(c, gamma)) for k in range(net.r)]
+    return (c, slack) if all(s >= 1 for s in slack) else None
+
+
+def check_network_refutations(net: ReactionNetwork, configs, forest_cap: int) -> int:
+    """Audit the strict vector's refutation on the first forests of every candidate.
+
+    For a strictly subconservative network, each of the first forest_cap
+    forests of every candidate of every config: the refutation passes
+    check_farkas, decide_balance also finds the forest unbalanced, and
+    verify_balance_outcome accepts it.  Changing any one multiplier by +1 or
+    -1 breaks it, except on an equality row that is zero over the support,
+    whose multiplier is free.  Returns the number of forests checked.
+    """
+    strict = strict_subconservation(net)
+    if strict is None:
+        return 0
+    c, slack = strict
+    checked = 0
+    for cfg in configs:
+        for dcrn in engine._candidate_pairs(net, cfg):
+            for forest in islice(enumerate_forests(dcrn), forest_cap):
+                system = build_balancing_system(dcrn, forest)
+                outcome = subconservation_refutation(system, c, slack)
+                assert isinstance(decide_balance(system), Unbalanced)
+                assert verify_balance_outcome(dcrn, forest, outcome)
+                checked += 1
+                for candidates, cert in outcome.witnesses:
+                    lin = system.linear_system(candidates)
+                    assert check_farkas(lin, cert)
+                    _assert_every_multiplier_matters(lin, cert)
+    return checked
+
+
+def _assert_every_multiplier_matters(system, cert) -> None:
+    fields = ("eq_mult", "ge_mult", "nonneg_mult")
+    zero_eq = [not any(coeffs) for coeffs, _ in system.eq]
+    for field in fields:
+        values = getattr(cert, field)
+        for i in range(len(values)):
+            if field == "eq_mult" and zero_eq[i]:
+                continue
+            for delta in (1, -1):
+                changed = list(values)
+                changed[i] += delta
+                mutant = replace(cert, **{field: tuple(changed)})
+                assert not check_farkas(system, mutant), (field, i, delta)

@@ -1,0 +1,50 @@
+"""The recursive exterior-forest enumeration, for differential tests.
+
+This is `crnextinct.forests.enumerate_forests` as it was before it kept an
+explicit stack: one generator frame per exterior complex, so its depth grows
+with the number of exterior complexes.  Both must yield the same forests in
+the same canonical order.
+"""
+
+from typing import Iterator
+
+from crnextinct.domination import DomCRN
+from crnextinct.forests import ExteriorForest, interior_reactions
+
+
+def recursive_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
+    edges = dcrn.graph.edges
+    absorbing = dcrn.absorbing
+    exterior = dcrn.exterior_complexes()
+    options: dict[int, list[int]] = {y: [] for y in exterior}
+    for v, e in enumerate(edges):
+        if e.src in options and e.src != e.dst:
+            options[e.src].append(v)
+    interior = interior_reactions(dcrn)
+    choice: dict[int, int] = {}
+
+    def creates_cycle(start: int, assigning: int) -> bool:
+        cur = start
+        while True:
+            if cur == assigning:
+                return True
+            if cur in absorbing or cur not in choice:
+                return False
+            cur = edges[choice[cur]].dst
+
+    def descend(i: int) -> Iterator[ExteriorForest]:
+        if i == len(exterior):
+            yield ExteriorForest(
+                choices=tuple((y, choice[y]) for y in exterior),
+                interior=interior,
+            )
+            return
+        y = exterior[i]
+        for v in options[y]:
+            if creates_cycle(edges[v].dst, y):
+                continue
+            choice[y] = v
+            yield from descend(i + 1)
+            del choice[y]
+
+    return descend(0)

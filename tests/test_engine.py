@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from crnextinct import engine
+from crnextinct import engine, forests
 from crnextinct.domination import DomCRN, dom_graph
 from crnextinct.engine import (
     GuaranteedExtinction,
@@ -16,12 +16,13 @@ from crnextinct.engine import (
     verify_verdict,
 )
 from crnextinct.exactlp import Farkas, check_farkas
-from crnextinct.forests import Unbalanced
+from crnextinct.forests import ANY_EDGE, Unbalanced
 from crnextinct.graphs import GraphEdge
 from crnextinct.invariants import conservation_system
 from crnextinct.model import stoich_matrix
+from crnextinct.parser import parse_crn
 
-from conftest import complex_names, name_to_index
+from conftest import chain_text, complex_names, name_to_index, strict_subconservation
 
 
 def test_example21_extinction(nets):
@@ -233,3 +234,32 @@ def test_widened_search_claims_survive_oracle():
             for root in states_with_total(net.m, total):
                 alive = recurrent_complexes(net, explore(net, root))
                 assert not (alive & verdict.transient), (root, alive)
+
+
+@pytest.mark.parametrize(
+    "text, reading, lps",
+    [
+        (chain_text(6), "true-reactions", 0),
+        # strict, but under any-edge its forest has a domination candidate,
+        # whose x_v >= 0 multiplier the strict vector would make -1
+        ("X1 -> 2 X2\nX2 -> 0\n2 X1 -> 2 X2\n", "true-reactions", 0),
+        ("X1 -> 2 X2\nX2 -> 0\n2 X1 -> 2 X2\n", ANY_EDGE, 1),
+    ],
+)
+def test_strict_networks_run_a_balance_lp_only_under_any_edge(text, reading, lps, monkeypatch):
+    net = parse_crn(text).network
+    assert strict_subconservation(net) is not None
+    solved = []
+
+    def counted(system):
+        solved.append(system)
+        return decide_balance(system)
+
+    decide_balance = forests.decide_balance
+    monkeypatch.setattr(forests, "decide_balance", counted)
+    verdict = analyze(net, SearchConfig(nontriviality=reading))
+    assert isinstance(verdict, GuaranteedExtinction)
+    assert len(solved) == lps
+    assert verify_verdict(net, verdict)
+    candidates = verdict.certificate.outcome.witnesses[0][0]
+    assert any(v >= net.r for v in candidates) == (reading == ANY_EDGE)

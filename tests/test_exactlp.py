@@ -228,6 +228,42 @@ def differential_systems(draw):
     )
 
 
+@st.composite
+def origin_systems(draw):
+    """Systems with no equality row and every right-hand side <= 0."""
+    n = draw(st.integers(0, 4))
+    row = st.tuples(
+        st.lists(st.one_of(st.integers(-3, 3), st.integers(-HUGE, HUGE)), min_size=n, max_size=n),
+        st.integers(-5, 0),
+    )
+    rows = draw(st.lists(row, max_size=5))
+    return LinearSystem(n, ge=tuple(make_row(a, b) for a, b in rows))
+
+
+@given(origin_systems())
+def test_origin_answer_matches_fraction_reference(system):
+    # the origin satisfies every such row, and phase 1 stops there at once
+    out = solve_feasibility(system)
+    assert out == Feasible((Fraction(0),) * system.n)
+    assert out == fraction_lp.solve_feasibility(system)
+
+
+def test_origin_answer_builds_no_tableau(monkeypatch):
+    def no_tableau(system):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(exactlp, "_standardize", no_tableau)
+    system = LinearSystem(2, ge=(make_row([1, -1], 0), make_row([-2, 3], -4)))
+    assert solve_feasibility(system) == Feasible((0, 0))
+    # an equality row, or a positive right-hand side, still goes to phase 1
+    for other in (
+        LinearSystem(2, eq=(make_row([1, -1], 0),)),
+        LinearSystem(2, ge=(make_row([1, -1], 1),)),
+    ):
+        with pytest.raises(AssertionError, match="tableau"):
+            solve_feasibility(other)
+
+
 @settings(max_examples=300)
 @given(differential_systems(), st.data())
 def test_integer_simplex_matches_fraction_reference(system, data):

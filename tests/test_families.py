@@ -13,7 +13,13 @@ from itertools import islice
 
 import pytest
 
-from conftest import BENCH_DIR, FIXTURE_DIR, bench_module
+from conftest import (
+    BENCH_DIR,
+    FIXTURE_DIR,
+    bench_module,
+    check_network_refutations,
+    strict_subconservation,
+)
 from crnextinct import engine, exactlp, forests, model
 from crnextinct.domination import maximal_admissible
 from crnextinct.exactlp import (
@@ -38,7 +44,8 @@ from crnextinct.forests import (
     verify_balance_outcome,
 )
 from crnextinct.parser import parse_crn
-from crnextinct.report import emit_report
+from crnextinct.report import emit_report, verify_report
+from forests_reference import recursive_forests
 from search_reference import analyze_per_forest
 
 FOREST_CAP = 3  # forests per (expansion, absorbing set) candidate
@@ -215,13 +222,26 @@ def test_reused_balancing_vectors_balance_their_forests(workloads, monkeypatch):
 
 @pytest.mark.parametrize("config", ["certify", "search"])  # the default and widened searches
 def test_reuse_keeps_verdicts_counts_and_report_bytes(workloads, config):
+    # a strictly subconservative network's forest is refuted by its strict
+    # vector, not by an LP: the same verdict, counts and forest, with other
+    # multipliers, and both reports verify; every other network's report
+    # bytes are the LP search's
     cfg = workloads.search_config(engine, config)
+    strict_seen = 0
     for key, net in _fixtures_and_families(workloads):
         got, want = engine.analyze(net, cfg), analyze_per_forest(net, cfg)
         assert type(got) is type(want), key
         assert getattr(got, "stats", None) == getattr(want, "stats", None), key
+        if strict_subconservation(net) is not None:
+            strict_seen += 1
+            assert got.certificate.forest == want.certificate.forest, key
+            assert got.transient == want.transient, key
+            for verdict in (got, want):
+                assert verify_report(net, json.loads(emit_report(net, verdict, cfg))), key
+            continue
         for fmt in ("json", "text"):
             assert emit_report(net, got, cfg, fmt) == emit_report(net, want, cfg, fmt), (key, fmt)
+    assert strict_seen == 10  # the certify family
 
 
 def test_reuse_solves_fewer_lps_and_no_balance_cost_stage(workloads, monkeypatch):
@@ -245,5 +265,23 @@ def test_reuse_solves_fewer_lps_and_no_balance_cost_stage(workloads, monkeypatch
     assert stats.balanced > 1
     # one phase 1 for subconservativity and one per forest an LP decided
     assert len(phase1_systems) < stats.forests
-    # the only cost stages are the subconservativity lexmin's, over the species
-    assert [system.n for system in staged_systems] == [net.m]
+    # subconservativity is decided by phase 1 too, so no LP has a cost stage
+    assert staged_systems == []
+
+
+def test_forest_order_matches_recursive_reference(workloads):
+    # the first forests of every default and widened candidate of both families
+    configs = [workloads.search_config(engine, w) for w in ("certify", "search")]
+    for workload in ("certify", "search"):
+        for key, net in _networks(workloads, workload):
+            for cfg in configs:
+                for dcrn in engine._candidate_pairs(net, cfg):
+                    got = list(islice(enumerate_forests(dcrn), 200))
+                    assert got == list(islice(recursive_forests(dcrn), 200)), key
+
+
+def test_strict_vector_refutes_every_certify_forest(workloads):
+    configs = [workloads.search_config(engine, w) for w in ("certify", "search")]
+    nets = _networks(workloads, "certify")
+    checked = [check_network_refutations(net, configs, FOREST_CAP) for _, net in nets]
+    assert all(checked), checked  # every certify network is strictly subconservative

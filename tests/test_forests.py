@@ -23,6 +23,10 @@ from crnextinct.forests import (
 )
 from crnextinct.graphs import GraphEdge
 from crnextinct.model import stoich_matrix
+from crnextinct.parser import parse_crn
+
+from conftest import chain_text
+from forests_reference import recursive_forests
 
 
 @pytest.fixture()
@@ -76,6 +80,18 @@ def test_enumeration_is_lazy(example33):
     assert _labels(example33, next(stream)) == ["1", "D2", "3"]
     # the forests not taken are still there, in order
     assert [_labels(example33, f) for f in stream] == [["D1", "2", "3"], ["D1", "D2", "3"]]
+
+
+def test_enumerate_chain_1500_without_recursion():
+    # 1,500 exterior complexes in one path: one generator frame per complex,
+    # as the recursive walk takes, is past the default recursion limit
+    net = parse_crn(chain_text(1500)).network
+    dcrn = build_dom_crn(net, [], {net.n - 1})
+    (forest,) = enumerate_forests(dcrn)
+    assert forest.choices == tuple((k, k) for k in range(1500))
+    assert forest_is_valid(dcrn, forest)
+    with pytest.raises(RecursionError):
+        next(recursive_forests(dcrn))
 
 
 def test_balancing_system_example35_left(example33):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from crnextinct.exactlp import Farkas, Feasible, check_farkas, check_feasible
+from crnextinct import invariants
+from crnextinct.exactlp import Farkas, Feasible, check_farkas, check_feasible, solve_feasibility
 from crnextinct.invariants import (
     conservation_system,
     is_conservative,
@@ -10,8 +11,10 @@ from crnextinct.invariants import (
     t_invariants,
 )
 from crnextinct.model import stoich_matrix
+from crnextinct.parser import parse_crn
 
 from cone_reference import in_cone
+from conftest import chain_text
 
 ENVZ_GENERATORS = sorted(
     [
@@ -65,6 +68,25 @@ def test_envz_subconservative(nets):
     assert isinstance(sub, Feasible)
     assert check_feasible(conservation_system(gamma, equality=False), sub.witness)
     assert all(ci >= 1 for ci in sub.witness)
+
+
+def test_strict_lp_is_skipped_for_opposite_vectors(nets, monkeypatch):
+    # chain 6: the strict LP decides; example21 has the reversible pair
+    # X1 + X2 <-> 2 X2, so no strict vector exists and only today's system
+    # is solved; example22 has no opposite vectors, and its strict LP is
+    # infeasible before today's system is
+    solved = []
+
+    def counted(system):
+        solved.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(invariants, "solve_feasibility", counted)
+    chain6 = parse_crn(chain_text(6)).network
+    for net, calls in ((chain6, 1), (nets["example21"], 1), (nets["example22"], 2)):
+        solved.clear()
+        is_subconservative(stoich_matrix(net))
+        assert len(solved) == calls
 
 
 def test_conservative_implies_subconservative(nets):

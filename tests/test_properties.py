@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crnextinct.exactlp import (
+    Farkas,
     Feasible,
     LinearSystem,
     check_farkas,
@@ -26,11 +27,13 @@ from crnextinct.graphs import (
     terminal_complexes,
     terminal_slcs,
 )
+from crnextinct.engine import SearchConfig, _candidate_pairs
 from crnextinct.invariants import (
     conservation_system,
     is_conservative,
     is_subconservative,
     nonneg_kernel_generators,
+    strict_subconservation_system,
 )
 from crnextinct.model import build_network, fire, is_charged, stoich_matrix
 from crnextinct.oracle import (
@@ -46,8 +49,9 @@ from crnextinct.report import emit_report, verify_report
 
 import fraction_lp
 from cone_reference import in_cone
+from conftest import FIXTURE_NAMES, check_network_refutations, strict_subconservation
+from forests_reference import recursive_forests
 from graphs_reference import union_find_linkage_classes
-from conftest import FIXTURE_NAMES
 
 
 @st.composite
@@ -171,12 +175,14 @@ def test_conservation_outcomes_self_verify(net):
     gamma = stoich_matrix(net)
     cons = is_conservative(gamma)
     sub = is_subconservative(gamma)
-    # the LP runs over c - 1; the witness is the lexmin point over c >= 1
+    # the LP runs over c - 1; the answer decides the system over c >= 1 as
+    # the reference solver does, and re-checks against it
     for equality, outcome in ((True, cons), (False, sub)):
         unshifted = conservation_system(gamma, equality=equality)
+        reference = fraction_lp.solve_feasibility(unshifted)
+        assert isinstance(outcome, Feasible) == isinstance(reference, Feasible)
         if isinstance(outcome, Feasible):
             assert check_feasible(unshifted, outcome.witness)
-            assert outcome.witness == fraction_lp.lexmin(unshifted).witness
         else:
             assert check_farkas(unshifted, outcome)
     if isinstance(cons, Feasible):
@@ -184,6 +190,47 @@ def test_conservation_outcomes_self_verify(net):
         # homogeneity: positive scalings remain conservation vectors
         doubled = [2 * c for c in cons.witness]
         assert check_feasible(conservation_system(gamma, equality=True), doubled)
+
+
+@given(networks())
+def test_strict_witness_iff_strict_system_feasible(net):
+    gamma = stoich_matrix(net)
+    strict = strict_subconservation_system(gamma)
+    feasible = isinstance(fraction_lp.solve_feasibility(strict), Feasible)
+    assert (strict_subconservation(net) is not None) == feasible
+    if feasible:
+        assert check_feasible(strict, is_subconservative(gamma).witness)
+
+
+@given(networks(), st.integers(0, 3), st.booleans())
+def test_opposite_reaction_vectors_refute_the_strict_system(net, k, zero):
+    # add the reverse of a reaction, or a reaction that changes nothing
+    pairs = [(rxn.source.coeffs, rxn.target.coeffs) for rxn in net.reactions]
+    src, tgt = pairs[k % net.r]
+    pairs.append((src, src) if zero else (tgt, src))
+    net = build_network(net.species_names, pairs)
+    strict = strict_subconservation_system(stoich_matrix(net))
+    out = solve_feasibility(strict)
+    assert isinstance(out, Farkas) and check_farkas(strict, out)
+    assert out == fraction_lp.solve_feasibility(strict)
+    assert strict_subconservation(net) is None
+
+
+WIDENED = SearchConfig(
+    dom_strategy="all-subsets", dom_cap=4, absorbing_strategy="enumerate", absorbing_cap=2
+)
+
+
+@given(networks())
+def test_strict_vector_refutes_every_forest(net):
+    check_network_refutations(net, (SearchConfig(), WIDENED), forest_cap=10)
+
+
+@given(networks())
+def test_forest_order_matches_recursive_reference(net):
+    for cfg in (SearchConfig(), WIDENED):
+        for dcrn in _candidate_pairs(net, cfg):
+            assert list(enumerate_forests(dcrn)) == list(recursive_forests(dcrn))
 
 
 @given(networks())

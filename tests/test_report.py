@@ -198,17 +198,17 @@ def test_report_envelope_is_checked(nets):
     assert report["format"] == REPORT_FORMAT and report["version"] == REPORT_VERSION
     for not_a_report in ([], None, "report", 7):
         assert verify_report(net, not_a_report) is False
-    for version, ok in ((7, True), (0, False), (8, False), (True, False), ("2", False)):
+    for version, ok in ((8, True), (0, False), (9, False), (True, False), ("2", False)):
         assert verify_report(net, dict(report, version=version)) is ok, version
     # certificate fields were unchanged from version 1 to 5, so a version-5
     # report verifies at each of them; "candidate_variable" is no version-6
-    # field, and a version-7 refutation is over the support alone
+    # field, and a refutation of versions 7 and 8 is over the support alone
     old = json.loads((REPORT_DIR / "example21-v5.json").read_bytes())
     v6 = json.loads((REPORT_DIR / "example21-v6.json").read_bytes())
-    for version in range(1, 9):
+    for version in range(1, 10):
         assert verify_report(net, dict(old, version=version)) is (version <= 5), version
         assert verify_report(net, dict(v6, version=version)) is (version == 6), version
-        assert verify_report(net, dict(report, version=version)) is (version == 7), version
+        assert verify_report(net, dict(report, version=version)) is (version in (7, 8)), version
     assert not verify_report(net, dict(report, format="bogus"))
     assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
 
@@ -230,18 +230,25 @@ def _with_old_refutations(report, old, version):
     return dict(report, version=version, balance_refutations=old["balance_refutations"])
 
 
-@pytest.mark.parametrize("name", ["example21", "envz"])
-def test_version7_report_bytes_are_pinned(nets, name):
-    # emitted at version 7; a change to any byte, multipliers included, must
+def _pin_network(nets, name):
+    """A pin's network: a fixture, or the network text stored beside the pins."""
+    if name in nets:
+        return nets[name]
+    return parse_crn((REPORT_DIR / f"{name}.crn").read_text(encoding="utf-8")).network
+
+
+@pytest.mark.parametrize("name", ["example21", "envz", "chain6"])
+def test_version8_report_bytes_are_pinned(nets, name):
+    # emitted at version 8; a change to any byte, multipliers included, must
     # come with a new REPORT_VERSION and new pinned reports
-    pinned = (REPORT_DIR / f"{name}-v7.json").read_bytes()
-    net = nets[name]
+    pinned = (REPORT_DIR / f"{name}-v8.json").read_bytes()
+    net = _pin_network(nets, name)
     cfg = SearchConfig()
     verdict = analyze(net, cfg)
     assert emit_report(net, verdict, cfg) == pinned
     assert pinned.count(b"\n") == 1  # one compact line
     report = json.loads(pinned)
-    assert report["version"] == 7
+    assert report["version"] == 8
     assert verify_report(net, report)
     # one refutation over the forest's support: one eq entry per species and
     # one nonneg entry per support edge
@@ -249,9 +256,34 @@ def test_version7_report_bytes_are_pinned(nets, name):
     (refutation,) = report["balance_refutations"]
     assert len(refutation["farkas"]["eq"]) == net.m
     assert len(refutation["farkas"]["nonneg"]) == len(cert.forest.support)
-    assert len(cert.forest.support) < net.r + len(cert.dom_edges)
     candidates = list(cert.outcome.witnesses[0][0])
     assert refutation["candidate_variables"] == candidates
+
+
+def test_chain6_is_refuted_by_its_strict_vector():
+    # c = (2, 1) lowers every reaction of chain 6 by exactly 1: the refutation
+    # is c on the kernel rows, 1 on the candidate row and 0 elsewhere, and
+    # c is also the subconservativity witness
+    report = json.loads((REPORT_DIR / "chain6-v8.json").read_bytes())
+    (refutation,) = report["balance_refutations"]
+    farkas = {k: [decode_rational(v) for v in vs] for k, vs in refutation["farkas"].items()}
+    assert farkas == {"eq": [2, 1], "ge": [0] * 6 + [1], "nonneg": [0] * 6}
+    assert [decode_rational(v) for v in report["subconservativity_witness"]] == [2, 1]
+
+
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_version7_report_bytes_are_pinned(nets, name):
+    # emitted at version 7, before the strict refutation: the fixtures are not
+    # strictly subconservative, so only the version differs from today's bytes
+    pinned = (REPORT_DIR / f"{name}-v7.json").read_bytes()
+    net = nets[name]
+    report = json.loads(pinned)
+    assert report["version"] == 7
+    assert verify_report(net, report)
+    today = (REPORT_DIR / f"{name}-v8.json").read_bytes()
+    assert pinned.replace(b'"version":7', b'"version":8', 1) == today
+    cert = report_certificate(net, report).certificate
+    assert len(cert.forest.support) < net.r + len(cert.dom_edges)
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
@@ -320,7 +352,7 @@ def test_every_version_has_pins_that_verify(nets, version):
     cfg = SearchConfig()
     for path in pins:
         name = path.stem.rsplit("-", 1)[0]
-        net = nets[name]
+        net = _pin_network(nets, name)
         pinned = path.read_bytes()
         report = json.loads(pinned)
         assert report["version"] == version, path.name
@@ -439,7 +471,7 @@ def _decoded_one_by_one(net, report, forest):
 @pytest.mark.parametrize("path", sorted(REPORT_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_memoized_decode_matches_decode_rational(nets, path):
     report = json.loads(path.read_bytes())
-    net = nets[path.stem.rsplit("-", 1)[0]]
+    net = _pin_network(nets, path.stem.rsplit("-", 1)[0])
     cert = report_certificate(net, report).certificate
     decoded = _decoded_one_by_one(net, report, cert.forest)
     assert (cert.outcome.witnesses, cert.subconservation) == decoded
