@@ -6,13 +6,15 @@ domination-expanded network.  Such an expansion is admissible for an absorbing
 complex set Y of the expanded graph when no added edge duplicates a true
 reaction or another added edge, and no added edge points into Y.  A
 candidate's structural checks all read its one expanded graph, `DomCRN.graph`,
-condensed at most once.
+condensed at most once.  The shrink rounds take each graph as a `subgraph` of
+the one before, so in a subconservative network, where a domination edge lies
+on no cycle, every round reuses the first graph's condensation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import ge
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -71,15 +73,36 @@ def domination_set(net: ReactionNetwork) -> list[GraphEdge]:
 
     Ordered lexicographically by (source index, target index).  The network's
     complexes are deduplicated, so two distinct indices name two different
-    complexes and domination is a componentwise comparison.
+    complexes and domination is a componentwise comparison, which makes the
+    dominating complex's molecule count strictly larger: only complexes of
+    smaller count are compared.  A comparison is one integer subtraction:
+    each complex packs its coefficients into one int, a field per species of
+    `width` bits whose top bit is a guard, 0 in every packed complex.  With
+    every guard set in the larger operand, no field borrows from the next,
+    and a field keeps its guard iff its coefficient is at least the other's.
     """
     coeffs = [c.coeffs for c in net.complexes]
-    return [
-        GraphEdge(i, j)
-        for i, big in enumerate(coeffs)
-        for j, small in enumerate(coeffs)
-        if i != j and all(map(ge, big, small))
-    ]
+    width = max((max(c, default=0) for c in coeffs), default=0).bit_length() + 1
+
+    def pack(cs: Sequence[int]) -> int:
+        p = 0
+        for c in reversed(cs):
+            p = p << width | c
+        return p
+
+    guards = pack([1 << (width - 1)] * net.m)
+    packed = list(map(pack, coeffs))
+    total = list(map(sum, coeffs))
+    by_total = sorted(range(net.n), key=total.__getitem__)
+    totals = [total[j] for j in by_total]
+    edges: list[GraphEdge] = []
+    for i, big in enumerate(packed):
+        top = big | guards
+        smaller = by_total[: bisect_left(totals, total[i])]
+        below = [j for j in smaller if (top - packed[j]) & guards == guards]
+        below.sort()
+        edges += [GraphEdge(i, j) for j in below]
+    return edges
 
 
 def is_domination_edge(net: ReactionNetwork, e: GraphEdge) -> bool:
@@ -156,28 +179,32 @@ def build_dom_crn(
     return dcrn
 
 
-def shrink_to_terminal(net: ReactionNetwork, dom_edges: Sequence[GraphEdge]) -> DomCRN:
+def shrink_to_terminal(net: ReactionNetwork, g: ReactionGraph) -> DomCRN:
     """Delete every domination edge touching the terminal complexes, until stable.
 
-    Each round recomputes terminality on the expanded graph.  The edge set
+    `g` is an expanded graph of the network (dom_graph) whose domination
+    edges are distinct expansion edges (expansion_edges).  Each round
+    recomputes terminality on the graph; the next round's graph is a
+    `subgraph` of this one, so it inherits the condensation whenever every
+    deleted edge joins two different blocks, as in every subconservative
+    network, where a domination edge lies on no cycle.  The edge set
     shrinks monotonically, so this terminates.  Returns the fixpoint on the
     last round's graph with its terminal complexes as the absorbing set,
     which is admissible because no surviving edge touches a terminal complex.
-    The edges are expected to be distinct expansion edges (expansion_edges).
     """
-    edges = tuple(dom_edges)
+    reactions = g.edges[: net.r]
     while True:
-        g = dom_graph(net, edges)
         terminals = terminal_complexes(g)
+        edges = g.edges[net.r :]
         kept = tuple(e for e in edges if e.dst not in terminals and e.src not in terminals)
-        if kept == edges:
+        if len(kept) == len(edges):
             return DomCRN(net, g, terminals)
-        edges = kept
+        g = g.subgraph(reactions + kept)
 
 
 def maximal_admissible(net: ReactionNetwork) -> DomCRN:
     """The default expansion: all domination relations, shrunk to the terminal fixpoint."""
-    return shrink_to_terminal(net, expansion_edges(net))
+    return shrink_to_terminal(net, dom_graph(net, expansion_edges(net)))
 
 
 def check_slc_coincidence(

@@ -30,6 +30,7 @@ from .domination import (
     DomCRN,
     build_dom_crn,
     check_slc_coincidence,
+    dom_graph,
     expansion_edges,
     shrink_to_terminal,
 )
@@ -139,11 +140,15 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
 
     Each seed (the full set first) shrinks to its fixpoint, whose absorbing
     sets come terminal set first; "explicit" tries its set on the raw seed.
+    A seed's graph is a subgraph of the whole expansion's graph, so the
+    family shares that graph's one condensation wherever the dropped edges
+    join two blocks (graphs.ReactionGraph.subgraph).
     """
     explicit = cfg.absorbing_strategy == "explicit"
     if explicit and not cfg.explicit_absorbing <= set(range(net.n)):
         raise ValueError("absorbing set contains an invalid complex index")
-    full = expansion_edges(net)
+    whole = dom_graph(net, expansion_edges(net))
+    reactions, full = whole.edges[: net.r], whole.edges[net.r :]
     subsets = (c for size in range(len(full), -1, -1) for c in combinations(full, size))
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
     absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
@@ -152,7 +157,7 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
         if explicit:
             fix, edges, asets = None, seed, [cfg.explicit_absorbing]
         else:
-            fix = shrink_to_terminal(net, seed)
+            fix = shrink_to_terminal(net, whole.subgraph(reactions + seed))
             edges, asets = fix.dom_edges, enumerate_absorbing_sets(fix.graph, absorbing_cap)
         for aset in asets:
             kept = tuple(e for e in edges if e.src not in aset and e.dst not in aset)

@@ -128,7 +128,13 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
 
 
 def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
-    """Direct path-walk check of the unique-path property and conventions."""
+    """Check the conventions and that every chosen path reaches the absorbing set.
+
+    Each walk follows the choices until it meets a complex known to reach
+    the absorbing set (absorbing, or marked by an earlier walk), then marks
+    every complex it passed; meeting its own path again is a cycle.  So
+    every complex is walked once.
+    """
     exterior = dcrn.exterior_complexes()
     if [y for y, _ in forest.choices] != exterior:  # each once, ascending
         return False
@@ -141,14 +147,16 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
         if edges[v].src != y or edges[v].dst == y:
             return False
     step = {y: edges[v].dst for y, v in forest.choices}
+    reaches = set(dcrn.absorbing)
     for y in exterior:
-        seen = set()
+        path: set[int] = set()
         cur = y
-        while cur not in dcrn.absorbing:
-            if cur in seen:
+        while cur not in reaches:
+            if cur in path:
                 return False
-            seen.add(cur)
+            path.add(cur)
             cur = step[cur]
+        reaches |= path
     return True
 
 

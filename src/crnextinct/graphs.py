@@ -9,7 +9,16 @@ Partitions are returned as lists of frozensets ordered by their smallest
 member, which keeps every derived object deterministic.  Every strong-linkage
 answer reads `ReactionGraph.condensation`, computed once per graph: it keeps
 the blocks in that order, numbered by their place in it, and each caller gets
-a fresh list.
+a fresh list.  A network's own graph is one of its tables
+(`ReactionNetwork.graph`), so it is condensed at most once per network.
+
+A graph made by `ReactionGraph.subgraph` from a subsequence of another's
+edges inherits the other's blocks when every dropped edge joins two
+different blocks: an edge between two SCCs lies on no cycle, so dropping it
+splits no SCC, and dropping edges merges none.  Only the sink flags are
+recomputed.  When a dropped edge lies inside a block, the subgraph is
+condensed afresh on first use.  `is_absorbing_set` needs no condensation: a
+set is absorbing iff no edge leaves it and every complex reaches it.
 
 scc_ids is the package's one SCC routine.  A reaction graph is condensed
 whole (floor 0, ids from 0); the oracle condenses only the states a root adds
@@ -22,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .model import ReactionNetwork
+if TYPE_CHECKING:
+    from .model import ReactionNetwork  # the network holds its graph, so model imports this module
 
 
 class GraphEdge(NamedTuple):
@@ -76,10 +86,37 @@ class ReactionGraph:
                 sink[comp_of[e.src]] = False
         return Condensation(comp_of, tuple(sink), tuple(blocks))
 
+    def subgraph(self, edges: Sequence[GraphEdge]) -> ReactionGraph:
+        """The graph on the same vertices with `edges`, a subsequence of this graph's edges.
+
+        When every dropped edge joins two different blocks of this graph's
+        condensation, the subgraph inherits the blocks and only its sink
+        flags are computed; otherwise (also when `edges` is no subsequence)
+        it is condensed afresh on first use.  Condenses this graph if it is
+        not yet condensed.
+        """
+        sub = ReactionGraph(self.n, tuple(edges))
+        comp_of, _, blocks = self.condensation
+        kept, k = sub.edges, 0
+        for e in self.edges:
+            if k < len(kept) and kept[k] == e:
+                k += 1
+            elif comp_of[e.src] == comp_of[e.dst]:
+                return sub  # a dropped edge inside a block may break it
+        if k < len(kept):
+            return sub
+        sink = [True] * len(blocks)
+        for e in kept:
+            if comp_of[e.src] != comp_of[e.dst]:
+                sink[comp_of[e.src]] = False
+        # the instance slot that cached_property would otherwise fill on first use
+        sub.__dict__["condensation"] = Condensation(comp_of, tuple(sink), blocks)
+        return sub
+
 
 def reaction_graph(net: ReactionNetwork) -> ReactionGraph:
-    edges = tuple(map(GraphEdge, net.source_index, net.target_index))
-    return ReactionGraph(net.n, edges)
+    """The network's graph, its reactions in index order: the table ReactionNetwork.graph."""
+    return net.graph
 
 
 def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
@@ -167,13 +204,30 @@ def terminal_complexes(g: ReactionGraph) -> frozenset[int]:
 
 
 def is_absorbing_set(g: ReactionGraph, absorbing: Iterable[int]) -> bool:
-    """True when the set contains every terminal complex and no edge leaves it."""
+    """True when the set contains every terminal complex and no edge leaves it.
+
+    Read without a condensation: a set that no edge leaves contains every
+    terminal complex iff every complex reaches it.  Every complex reaches
+    some terminal class; and a terminal class that reaches the set has a
+    member in it, so the closed set holds the whole class.  So the test is
+    closure, then one search backwards from the set.
+    """
     aset = set(absorbing)
     if not aset <= set(range(g.n)):
         raise ValueError("absorbing set contains an invalid complex index")
-    if not terminal_complexes(g) <= aset:
-        return False
-    return all(e.dst in aset for e in g.edges if e.src in aset)
+    pred: list[list[int]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        if e.src in aset and e.dst not in aset:
+            return False
+        pred[e.dst].append(e.src)
+    reached = [v in aset for v in range(g.n)]
+    stack = [v for v, inside in enumerate(reached) if inside]
+    while stack:
+        for u in pred[stack.pop()]:
+            if not reached[u]:
+                reached[u] = True
+                stack.append(u)
+    return all(reached)
 
 
 def enumerate_absorbing_sets(g: ReactionGraph, cap: int) -> list[frozenset[int]]:

@@ -14,6 +14,8 @@ from functools import cached_property
 from operator import add
 from typing import Iterable, Optional, Sequence
 
+from .graphs import GraphEdge, ReactionGraph
+
 
 @dataclass(frozen=True)
 class Complex:
@@ -62,6 +64,9 @@ class ReactionNetwork:
             (per reaction: source then target, reactions in input order).
         needs, firing: the firing table, built on first use.
         complex_names: each complex in the text format, built on first use.
+        stoich, graph: the stoichiometric matrix and the reaction graph,
+            built on first use (read them through stoich_matrix and
+            graphs.reaction_graph).
     """
 
     def __init__(self, species_names: Sequence[str], reactions: Sequence[Reaction]):
@@ -115,6 +120,21 @@ class ReactionNetwork:
         """Per complex, its text form (format_complex), formatted once per network."""
         return tuple(format_complex(cpx, self.species) for cpx in self.complexes)
 
+    @cached_property
+    def stoich(self) -> tuple[tuple[int, ...], ...]:
+        """The m-by-r matrix whose column k is the reaction vector of reaction k."""
+        cols = [rxn.vector for rxn in self.reactions]
+        return tuple(tuple(col[i] for col in cols) for i in range(self.m))
+
+    @cached_property
+    def graph(self) -> ReactionGraph:
+        """The reaction graph: the reactions as edges, in index order.
+
+        Built once per network, so it is condensed at most once.
+        """
+        edges = tuple(map(GraphEdge, self.source_index, self.target_index))
+        return ReactionGraph(self.n, edges)
+
     @property
     def species_names(self) -> list[str]:
         return list(self.species)
@@ -157,9 +177,11 @@ def build_network(
 
 
 def stoich_matrix(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
-    """The m-by-r matrix whose column k is the reaction vector of reaction k."""
-    cols = [rxn.vector for rxn in net.reactions]
-    return tuple(tuple(col[i] for col in cols) for i in range(net.m))
+    """The m-by-r matrix whose column k is the reaction vector of reaction k.
+
+    The network's own table (ReactionNetwork.stoich), built once per network.
+    """
+    return net.stoich
 
 
 def is_charged(y: Complex, state: State) -> bool:

@@ -1,9 +1,11 @@
-"""The recursive exterior-forest enumeration, for differential tests.
+"""Earlier forms of the forest routines, for differential tests.
 
-This is `crnextinct.forests.enumerate_forests` as it was before it kept an
-explicit stack: one generator frame per exterior complex, so its depth grows
-with the number of exterior complexes.  Both must yield the same forests in
-the same canonical order.
+`recursive_forests` is `crnextinct.forests.enumerate_forests` as it was
+before it kept an explicit stack: one generator frame per exterior complex,
+so its depth grows with the number of exterior complexes.  Both must yield
+the same forests in the same canonical order.  `path_walk_forest_is_valid`
+is `forest_is_valid` before it marked the complexes known to reach the
+absorbing set; both must give the same answer on every forest.
 """
 
 from typing import Iterator
@@ -48,3 +50,28 @@ def recursive_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
             del choice[y]
 
     return descend(0)
+
+
+def path_walk_forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
+    """`forest_is_valid` as it was: a fresh walk from every exterior complex, quadratic on a path."""
+    exterior = dcrn.exterior_complexes()
+    if [y for y, _ in forest.choices] != exterior:  # each once, ascending
+        return False
+    if forest.interior != interior_reactions(dcrn):
+        return False
+    edges = dcrn.graph.edges
+    for y, v in forest.choices:
+        if not 0 <= v < len(edges):  # before the lookup: a negative index would alias
+            return False
+        if edges[v].src != y or edges[v].dst == y:
+            return False
+    step = {y: edges[v].dst for y, v in forest.choices}
+    for y in exterior:
+        seen = set()
+        cur = y
+        while cur not in dcrn.absorbing:
+            if cur in seen:
+                return False
+            seen.add(cur)
+            cur = step[cur]
+    return True

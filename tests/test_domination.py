@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from crnextinct import graphs
 from crnextinct.domination import (
     AdmissibilityError,
     build_dom_crn,
     check_slc_coincidence,
     dom_graph,
     domination_set,
+    expansion_edges,
     maximal_admissible,
+    shrink_to_terminal,
 )
 from crnextinct.exactlp import Farkas, Feasible
 from crnextinct.graphs import (
@@ -17,8 +22,10 @@ from crnextinct.graphs import (
 )
 from crnextinct.invariants import is_subconservative
 from crnextinct.model import build_network, stoich_matrix
+from crnextinct.parser import parse_crn
 
-from conftest import complex_names
+from conftest import chain_text, complex_names
+from domination_reference import all_pairs_domination_set, shrink_rounds
 
 
 def test_domination_set_example21(nets):
@@ -179,3 +186,75 @@ def test_slc_coincidence_all_subconservative_fixtures(nets):
         assert check_slc_coincidence(base, dom_graph(net, dcrn.dom_edges)) == (), name
         # the full domination set also satisfies the coincidence property
         assert check_slc_coincidence(base, dom_graph(net, domination_set(net))) == (), name
+
+
+@st.composite
+def networks(draw, top=2):
+    """Small networks with coefficients in 0..top; many are not subconservative."""
+    m = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, top)] * m)
+    reactions = draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=5))
+    return build_network([f"X{i + 1}" for i in range(m)], reactions)
+
+
+@given(networks(), st.data())
+@example(build_network(["X"], [((1,), (2,))]), None)  # X -> 2 X: X -> ... -> X closes a cycle
+@example(build_network(["X", "Y"], [((1, 0), (0, 1)), ((0, 2), (1, 0))]), None)
+def test_shrink_to_terminal_matches_the_round_by_round_loop(net, data):
+    full = expansion_edges(net)
+    seeds = [full]
+    if data is not None:
+        seeds.append(tuple(e for e in full if data.draw(st.booleans())))
+    whole = dom_graph(net, full)
+    for seed in seeds:
+        want = shrink_rounds(net, seed)
+        for g in (whole.subgraph(whole.edges[: net.r] + seed), dom_graph(net, seed)):
+            got = shrink_to_terminal(net, g)
+            assert got.graph.edges == want.graph.edges
+            assert got.absorbing == want.absorbing
+            got_c, want_c = got.graph.condensation, want.graph.condensation
+            assert got_c.comp_of == want_c.comp_of
+            assert got_c.sink == want_c.sink
+            assert got_c.blocks == want_c.blocks
+    assert maximal_admissible(net) == shrink_rounds(net, full)
+
+
+def test_shrink_condenses_afresh_after_dropping_a_cycle_edge(monkeypatch):
+    # X -> 2 X is not subconservative: the domination edge 2 X -> X closes a
+    # cycle, so the round that drops it cannot inherit the blocks
+    net = build_network(["X"], [((1,), (2,))])
+    calls = []
+    real = graphs.scc_ids
+    monkeypatch.setattr(graphs, "scc_ids", lambda succ, *a: calls.append(succ) or real(succ, *a))
+    dcrn = maximal_admissible(net)
+    assert calls == [[[1], [0]], [[1], []]]
+    assert dcrn.dom_edges == ()
+    assert dcrn.absorbing == frozenset({1})
+    assert dcrn.graph.condensation.blocks == (frozenset({0}), frozenset({1}))
+
+
+def _packed_edge_cases():
+    big = 1 << 20
+    yield build_network(["A", "B"], [((big, 3), (big - 1, 3)), ((big, 2), (0, 0))])
+    yield build_network(["A", "B"], [((big + 5, 0), (1, big + 5)), ((0, 0), (big + 5, big))])
+    yield build_network(["A"], [((3,), (0,)), ((1,), (2,)), ((0,), (5,))])  # one species
+    yield build_network(["A", "B", "C"], [((0, 0, 0), (1, 0, 2)), ((1, 1, 2), (0, 0, 0))])
+    yield parse_crn(chain_text(60)).network  # no comparable pair
+
+
+def test_domination_set_matches_all_pairs_on_edge_cases():
+    for net in _packed_edge_cases():
+        assert domination_set(net) == all_pairs_domination_set(net), net
+    assert domination_set(parse_crn(chain_text(60)).network) == []
+
+
+@given(networks(top=(1 << 21) + 3))
+def test_domination_set_matches_all_pairs_on_large_coefficients(net):
+    assert domination_set(net) == all_pairs_domination_set(net)
+
+
+@given(networks())
+def test_domination_set_matches_all_pairs(net):
+    got = domination_set(net)
+    assert got == all_pairs_domination_set(net)
+    assert got is not domination_set(net)  # a fresh list on every call

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from dataclasses import replace
 from itertools import islice
 
@@ -9,6 +11,7 @@ from crnextinct.domination import (
     dom_graph,
     maximal_admissible,
 )
+from crnextinct.engine import SearchConfig, _candidate_pairs
 from crnextinct.exactlp import LinearSystem, check_feasible, make_row
 from crnextinct.forests import (
     ANY_EDGE,
@@ -25,8 +28,8 @@ from crnextinct.graphs import GraphEdge
 from crnextinct.model import stoich_matrix
 from crnextinct.parser import parse_crn
 
-from conftest import chain_text
-from forests_reference import recursive_forests
+from conftest import chain_text, random_network
+from forests_reference import path_walk_forest_is_valid, recursive_forests
 
 
 @pytest.fixture()
@@ -302,3 +305,59 @@ def test_envz_paper_forest_unbalanced(nets):
     outcome = decide_balance(build_balancing_system(dcrn, forest))
     assert isinstance(outcome, Unbalanced)
     assert verify_balance_outcome(dcrn, forest, outcome)
+
+
+def _corrupted(dcrn, forest):
+    """(kind, forest) for every one-choice change, drop and repeat of a valid forest."""
+    edges = dcrn.graph.edges
+    choices = forest.choices
+    for i, (y, v) in enumerate(choices):
+        for w in range(-2, len(edges) + 2):
+            if w == v:
+                continue
+            if not 0 <= w < len(edges):
+                kind = "edge index out of range"
+            elif edges[w].src != y:
+                kind = "wrong source"
+            elif edges[w].dst == y:
+                kind = "self-loop"
+            else:
+                kind = "other choice"  # valid, or an exterior cycle
+            yield kind, replace(forest, choices=choices[:i] + ((y, w),) + choices[i + 1 :])
+        yield "missing complex", replace(forest, choices=choices[:i] + choices[i + 1 :])
+        yield "repeated complex", replace(forest, choices=choices[: i + 1] + choices[i:])
+
+
+def test_forest_is_valid_matches_the_path_walk():
+    wide = SearchConfig(
+        dom_strategy="all-subsets", absorbing_strategy="enumerate", dom_cap=4, absorbing_cap=4
+    )
+    rng = random.Random(2017)
+    seen = Counter()
+    for _ in range(60):
+        net = random_network(rng)
+        for dcrn in islice(_candidate_pairs(net, wide), 6):
+            for forest in islice(enumerate_forests(dcrn), 4):
+                assert forest_is_valid(dcrn, forest)
+                assert path_walk_forest_is_valid(dcrn, forest)
+                for kind, bad in _corrupted(dcrn, forest):
+                    want = path_walk_forest_is_valid(dcrn, bad)
+                    assert forest_is_valid(dcrn, bad) == want, (kind, bad)
+                    seen[kind, want] += 1
+    for kind in ("edge index out of range", "wrong source", "missing complex", "repeated complex"):
+        assert seen[kind, False] and not seen[kind, True], kind
+    assert seen["other choice", True] and seen["other choice", False]  # the latter: cycles
+    assert seen["self-loop", False] and not seen["self-loop", True]
+
+
+def test_forest_is_valid_rejects_an_exterior_cycle():
+    # A -> B, B -> A, B -> C: choosing both reactions between A and B cycles
+    net = parse_crn("A -> B\nB -> A\nB -> C\n").network
+    dcrn = build_dom_crn(net, [], {2})
+    forest = next(enumerate_forests(dcrn))
+    assert forest.choices == ((0, 0), (1, 2))
+    cycle = replace(forest, choices=((0, 0), (1, 1)))
+    assert not forest_is_valid(dcrn, cycle)
+    assert not path_walk_forest_is_valid(dcrn, cycle)
+    # an interior that is not the absorbing set's reactions
+    assert not forest_is_valid(dcrn, replace(forest, interior=(1,)))

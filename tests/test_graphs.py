@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crnextinct import graphs
@@ -8,9 +10,10 @@ from crnextinct.domination import (
     check_slc_coincidence,
     dom_graph,
     domination_set,
+    expansion_edges,
     maximal_admissible,
 )
-from crnextinct.engine import GuaranteedExtinction, analyze
+from crnextinct.engine import GuaranteedExtinction, SearchConfig, analyze
 from crnextinct.forests import enumerate_forests
 from crnextinct.graphs import (
     GraphEdge,
@@ -24,8 +27,10 @@ from crnextinct.graphs import (
     terminal_complexes,
     terminal_slcs,
 )
+from crnextinct.report import emit_report, verify_report
 
-from conftest import complex_names
+from conftest import complex_names, load_fixture
+from graphs_reference import definition_is_absorbing_set
 
 
 def test_linkage_classes_example21(nets):
@@ -178,45 +183,66 @@ def scc_calls(monkeypatch):
     return calls
 
 
-def test_one_condensation_per_graph(nets, scc_calls):
-    g = reaction_graph(nets["example21"])
+# The counting tests parse their network afresh: the network graph is a table
+# built once per network, so a session fixture's would already be condensed.
+
+
+def test_one_condensation_per_graph(scc_calls):
+    net = load_fixture("example21")
+    g = reaction_graph(net)
     strong_linkage_classes(g)
     terminal_slcs(g)
     assert is_absorbing_set(g, terminal_complexes(g))
     enumerate_absorbing_sets(g, 64)
+    assert reaction_graph(net) is g  # the network's own table
+    strong_linkage_classes(reaction_graph(net))
     assert scc_calls == [g.successors()]
 
 
-def test_one_graph_per_expansion(nets, scc_calls):
-    net = nets["example21"]
+def test_one_graph_per_expansion(scc_calls):
+    net = load_fixture("example21")
     dcrn = build_dom_crn(net, [GraphEdge(0, 2), GraphEdge(1, 2)], {3})
+    assert scc_calls == []  # the absorbing-set test reads no condensation
     expanded = dcrn.graph
     assert check_slc_coincidence(reaction_graph(net), dcrn.graph) == ()
     assert list(enumerate_forests(dcrn))
     assert dcrn.graph is expanded
     base = reaction_graph(net).successors()
     assert expanded.successors() != base
-    # the expanded graph once, and the network's own graph for the SLC check
-    assert scc_calls == [expanded.successors(), base]
-
-
-def test_one_condensation_per_shrink_round(nets, scc_calls):
-    net = nets["example21"]
-    dcrn = maximal_admissible(net)
-    rounds = [dom_graph(net, domination_set(net)).successors(), dcrn.graph.successors()]
-    assert scc_calls == rounds
-    # the fixpoint's graph is the candidate's: no further condensation
-    assert is_absorbing_set(dcrn.graph, dcrn.absorbing)
-    assert list(enumerate_forests(dcrn))
+    # the SLC check condenses the network's own graph, then the expanded one
+    assert scc_calls == [base, expanded.successors()]
+    assert check_slc_coincidence(reaction_graph(net), dcrn.graph) == ()
     assert len(scc_calls) == 2
 
 
-def test_analyze_condenses_the_network_graph_once(nets, scc_calls):
-    net = nets["example21"]
-    assert isinstance(analyze(net), GuaranteedExtinction)
-    # two shrink rounds, then the network's own graph for the SLC check
+def test_one_condensation_per_shrink_round(scc_calls):
+    # one condensation for all the rounds: each round drops only edges
+    # between blocks, so its graph inherits the whole expansion's blocks
+    net = load_fixture("example21")
+    dcrn = maximal_admissible(net)
+    whole = dom_graph(net, expansion_edges(net))
+    assert dcrn.graph.edges != whole.edges  # the fixpoint took more than one round
+    # the fixpoint's graph is the candidate's: no further condensation
+    assert is_absorbing_set(dcrn.graph, dcrn.absorbing)
+    assert list(enumerate_forests(dcrn))
+    assert scc_calls == [whole.successors()]
+    assert dcrn.graph.condensation == ReactionGraph(net.n, dcrn.graph.edges).condensation
+
+
+def test_analyze_condenses_the_network_graph_once(scc_calls):
+    net = load_fixture("example21")
+    verdict = analyze(net)
+    assert isinstance(verdict, GuaranteedExtinction)
+    # the whole expansion once for every shrink round, then the network's
+    # own graph for the SLC check
+    whole = dom_graph(net, expansion_edges(net))
+    assert scc_calls == [whole.successors(), reaction_graph(net).successors()]
+    # the auditor's absorbing-set test reads no condensation, and a second
+    # analyze finds the network graph condensed
+    assert verify_report(net, json.loads(emit_report(net, verdict, SearchConfig())))
+    assert len(scc_calls) == 2
+    assert analyze(net) == verdict
     assert len(scc_calls) == 3
-    assert scc_calls[-1] == reaction_graph(net).successors()
 
 
 @st.composite
@@ -254,3 +280,75 @@ def test_scc_ids_from_floor_is_the_induced_subgraph(graph):
             assert (want_ids[v] == want_ids[w]) == (w in reach[v] and v in reach[w])
         for w in out:
             assert want_ids[w] <= want_ids[v]
+
+
+@st.composite
+def graphs_with_subsequences(draw):
+    """A graph over 0..n-1 and a mask choosing the kept subsequence of its edges."""
+    n = draw(st.integers(0, 7))
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=14)) if n else []
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, pairs, keep
+
+
+@given(graphs_with_subsequences())
+@example((3, [(0, 1), (1, 0), (1, 2)], [True, True, False]))  # drops an edge between blocks
+@example((3, [(0, 1), (1, 0), (1, 2)], [True, False, True]))  # breaks the block {0, 1}
+@example((2, [(0, 1), (0, 1), (1, 0)], [False, True, True]))  # one of two parallel edges
+@example((1, [(0, 0)], [False]))  # a self-loop lies inside its block
+def test_subgraph_condensation_matches_a_fresh_search(case):
+    n, pairs, keep = case
+    g = ReactionGraph(n, tuple(GraphEdge(a, b) for a, b in pairs))
+    kept = tuple(e for e, k in zip(g.edges, keep) if k)
+    sub = g.subgraph(kept)
+    fresh = ReactionGraph(n, kept)
+    comp_of = g.condensation.comp_of
+    inherits = all(comp_of[e.src] != comp_of[e.dst] for e, k in zip(g.edges, keep) if not k)
+    # the blocks are inherited exactly when every dropped edge joins two blocks
+    assert ("condensation" in vars(sub)) == inherits
+    assert sub.edges == fresh.edges
+    assert sub.condensation == fresh.condensation  # every field, against scc_ids
+    # a subgraph of a subgraph inherits through the chain
+    again = sub.subgraph(kept[1:])
+    assert again.condensation == ReactionGraph(n, kept[1:]).condensation
+
+
+def test_subgraph_of_no_subsequence_is_condensed_afresh():
+    cycle = ReactionGraph(3, (GraphEdge(0, 1), GraphEdge(1, 2), GraphEdge(2, 0)))
+    path = ReactionGraph(3, (GraphEdge(0, 1), GraphEdge(1, 2)))
+    cases = [
+        (cycle, (GraphEdge(1, 2), GraphEdge(0, 1))),  # out of order
+        (cycle, (GraphEdge(0, 2),)),  # an edge the graph lacks
+        (path, (GraphEdge(1, 2), GraphEdge(0, 1))),
+        (path, (GraphEdge(0, 1), GraphEdge(1, 2), GraphEdge(2, 0))),  # closes a cycle
+    ]
+    for g, edges in cases:
+        sub = g.subgraph(edges)
+        assert "condensation" not in vars(sub)
+        assert sub.condensation == ReactionGraph(3, edges).condensation
+
+
+@st.composite
+def graphs_with_sets(draw):
+    n = draw(st.integers(0, 7))
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=14)) if n else []
+    chosen = draw(st.sets(vertex, max_size=n)) if n else set()
+    return n, pairs, chosen
+
+
+@given(graphs_with_sets())
+@example((0, [], set()))  # the empty graph: the empty set is absorbing
+@example((2, [(0, 1), (1, 0)], {0}))  # holds part of a terminal class
+@example((3, [(0, 1), (1, 2), (2, 1)], {1, 2}))  # the terminal class, reached by all
+def test_is_absorbing_set_matches_the_definition(case):
+    n, pairs, chosen = case
+    g = ReactionGraph(n, tuple(GraphEdge(a, b) for a, b in pairs))
+    assert is_absorbing_set(g, chosen) == definition_is_absorbing_set(g, chosen)
+    # the terminal set and the whole vertex set are always absorbing
+    assert is_absorbing_set(g, terminal_complexes(g))
+    assert is_absorbing_set(g, range(n))
+    for bad in (-1, n):
+        with pytest.raises(ValueError):
+            is_absorbing_set(g, chosen | {bad})

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crnextinct.domination import DomCRN, dom_graph, maximal_admissible
+from crnextinct.domination import DomCRN, dom_graph, domination_set, maximal_admissible
 from crnextinct.engine import (
     ExtinctionCertificate,
     GuaranteedExtinction,
@@ -26,6 +26,7 @@ from crnextinct.forests import (
     support_refutation,
     verify_balance_outcome,
 )
+from crnextinct.graphs import reaction_graph
 from crnextinct.invariants import conservation_system, is_subconservative
 from crnextinct.model import stoich_matrix
 from crnextinct.oracle import find_recurrent_witness
@@ -40,6 +41,8 @@ from crnextinct.report import (
     report_certificate,
     verify_report,
 )
+
+from conftest import FIXTURE_NAMES, load_fixture
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
 
@@ -670,3 +673,38 @@ def test_candidate_variables_are_strict(nets, pin, doctor):
     assert verify_report(net, report)
     doctor(report["balance_refutations"][0])
     assert verify_report(net, report) is False
+
+
+def _certify(net, cfg):
+    """analyze -> emit_report -> verify_report: the verdict, the bytes and the audit."""
+    verdict = analyze(net, cfg)
+    data = emit_report(net, verdict, cfg)
+    verified = None
+    if isinstance(verdict, GuaranteedExtinction):
+        verified = verify_report(net, json.loads(data))
+    return verdict, data, verified
+
+
+@pytest.mark.parametrize("reading", ["true-reactions", "any-edge"])
+def test_a_warm_network_answers_as_a_fresh_one(reading):
+    # the network's tables (stoich, graph and its condensation) are built by
+    # the first call and read by every later one: they must not carry state
+    cfg = SearchConfig(nontriviality=reading)
+    other = SearchConfig(nontriviality="any-edge" if reading == "true-reactions" else "true-reactions")
+    for name in FIXTURE_NAMES:
+        warm = load_fixture(name)
+        _certify(warm, cfg)
+        _certify(warm, other)
+        # callers get fresh lists: changing them changes no table
+        domination_set(warm).clear()
+        for out in reaction_graph(warm).successors():
+            out.append(0)
+        assert isinstance(stoich_matrix(warm), tuple)
+        assert all(isinstance(row, tuple) for row in stoich_matrix(warm))
+        g = reaction_graph(warm)
+        assert isinstance(g.edges, tuple)
+        assert all(isinstance(field, tuple) for field in g.condensation)
+        got = _certify(warm, cfg)
+        want = _certify(load_fixture(name), cfg)
+        assert got == want, name
+        assert got[2] in (True, None), name
