@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import GraphEdge, ReactionGraph
 
@@ -24,8 +24,11 @@ class Complex:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError(f"negative stoichiometric coefficient in {self.coeffs}")
+        for c in self.coeffs:
+            if type(c) is not int:  # a bool, float or Fraction is not one
+                raise ValueError(f"coefficient {c!r} in {self.coeffs} is not an int")
+            if c < 0:
+                raise ValueError(f"negative stoichiometric coefficient in {self.coeffs}")
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -63,6 +66,10 @@ class ReactionNetwork:
         complexes: deduplicated complexes in first-appearance order
             (per reaction: source then target, reactions in input order).
         needs, firing: the firing table, built on first use.
+        next_states: the successor kernel, compiled once per network from
+            `firing` on first use (O(m * r), about 1 ms for EnvZ); the oracle
+            expands every state through it, and `fire` stays the
+            per-reaction reference it is tested against.
         complex_names: each complex in the text format, built on first use.
         stoich, graph: the stoichiometric matrix and the reaction graph,
             built on first use (read them through stoich_matrix and
@@ -114,6 +121,40 @@ class ReactionNetwork:
         return tuple(
             (needs[ci], rxn.vector) for ci, rxn in zip(self.source_index, self.reactions)
         )
+
+    @cached_property
+    def next_states(self) -> Callable[[State], list[State]]:
+        """The successors of a state, one per reaction it fires, in reaction order.
+
+        One function compiled with exec from `firing` on first use, as
+        dataclasses and namedtuple compile their methods: it unpacks the state
+        into locals x0, x1, ..., tests each need on them and appends each
+        successor as a tuple literal (a zero-vector reaction gives the state
+        again).  Only int indices and counts enter the source, never a
+        species name; counts are written in hex, which has no digit limit.
+        Compiling costs O(m * r): about 1 ms for EnvZ (9 x 14), 50 ms for
+        chain 1,500.  Whole tuple literals (not a copied list with the
+        changed entries set) are the fastest per state, and the oracle only
+        affords networks whose compile is small.  `fire` is the reference.
+        """
+        xs = [f"x{i}" for i in range(self.m)]
+        lines = [
+            "def next_states(state):",
+            f"    ({''.join(x + ', ' for x in xs)}) = state",
+            "    out = []",
+            "    append = out.append",
+        ]
+        for need, delta in self.firing:
+            test = " and ".join(f"x{i} >= {c:#x}" for i, c in need) or "True"
+            succ = "".join(
+                f"{x} + {d:#x}, " if d > 0 else f"{x} - {-d:#x}, " if d else f"{x}, "
+                for x, d in zip(xs, delta)
+            )
+            lines.append(f"    if {test}:\n        append(({succ}))")
+        lines.append("    return out")
+        namespace: dict = {}
+        exec("\n".join(lines), {"__builtins__": {}}, namespace)
+        return namespace["next_states"]
 
     @cached_property
     def complex_names(self) -> tuple[str, ...]:

@@ -9,9 +9,11 @@ lists (graphs.scc_ids from a floor, with no copy of them), and gives each new
 component the bitmask of the complexes recurrent from it, read off terminal
 components.
 Every recurrence and extinction answer is read off those labels.  States are
-expanded, and terminal components' charged complexes found, with the
-network's firing table (ReactionNetwork.firing and .needs), built once per
-network; the public `fire` reads the same table.
+expanded by the network's successor kernel (ReactionNetwork.next_states), one
+function compiled once per network from its firing table, at O(m * r) cost
+(about 1 ms for EnvZ); terminal components' charged complexes are found from
+ReactionNetwork.needs.  The public `fire` reads the firing table per reaction
+and stays the reference the kernel is tested against.
 
 explore grows an empty graph from one root.  The budgeted sweep over every
 root (find_recurrent_witness) grows one shared graph root by root, so each
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .graphs import scc_ids
@@ -90,10 +92,11 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
 
     The stored states must already be closed under firing, so only the new
     ones are expanded, in breadth-first order: their ids run on from the old
-    length, and each gets its successors in reaction order from one pass over
-    the network's firing table (ReactionNetwork.firing, which `fire` reads
-    too): a reaction fires when the state holds every count of its source's
-    need, and the next state adds its vector.  No new state shares a
+    length, and each gets its successors in reaction order from one call of
+    the network's successor kernel (ReactionNetwork.next_states, compiled
+    once per network from the firing table that `fire` reads): a reaction
+    fires when the state holds every count of its source's need, and the
+    next state adds its vector.  No new state shares a
     component with an old one, so scc_ids condenses the new part in place,
     with the first new state as its floor: it skips the edges into old
     states, and its component ids run on from the old ones.  In id order, a
@@ -102,28 +105,23 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
     Raises StateCapExceeded when the store would pass `hard_cap` states.
     """
     net, states, index, succ = g.net, g.states, g.index, g.succ
-    firing = net.firing
+    next_states = net.next_states
     base = i = len(states)
     if base >= hard_cap:
         raise StateCapExceeded(hard_cap)
     index[start] = base
     states.append(start)
     while i < len(states):
-        state, out = states[i], []
-        for need, delta in firing:
-            for s, c in need:
-                if state[s] < c:
-                    break
-            else:
-                nxt = tuple(map(add, state, delta))
-                j = index.get(nxt)
-                if j is None:
-                    j = len(states)
-                    if j >= hard_cap:
-                        raise StateCapExceeded(hard_cap)
-                    index[nxt] = j
-                    states.append(nxt)
-                out.append(j)
+        out = []
+        for nxt in next_states(states[i]):
+            j = index.get(nxt)
+            if j is None:
+                j = len(states)
+                if j >= hard_cap:
+                    raise StateCapExceeded(hard_cap)
+                index[nxt] = j
+                states.append(nxt)
+            out.append(j)
         succ.append(out)
         i += 1
     scc_of, terminal, masks = g.scc_of, g.scc_terminal, g.masks
@@ -274,9 +272,11 @@ def find_recurrent_witness(
     g = StateGraph(net, (0,) * net.m)
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):
-            if root not in g.index:
+            i = g.index.get(root)
+            if i is None:
+                i = len(g.states)  # _grow numbers the root first
                 _grow(g, root, hard_cap)
-            hit = g.masks[g.scc_of[g.index[root]]] & wanted
+            hit = g.masks[g.scc_of[i]] & wanted
             if hit:
                 return root, (hit & -hit).bit_length() - 1
     return None

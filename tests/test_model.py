@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from crnextinct.model import (
@@ -36,6 +38,18 @@ def test_build_network_errors():
         build_network(["A", "B"], [((1,), (0, 1))])
     with pytest.raises(ValueError, match="negative"):
         build_network(["A"], [((-1,), (0,))])
+
+
+def test_coefficients_must_be_ints():
+    # only ints reach the compiled successor kernel: nothing is coerced
+    for bad in [True, False, 1.5, 2.0, "1", Fraction(1)]:
+        with pytest.raises(ValueError, match="not an int"):
+            Complex((0, bad))
+        with pytest.raises(ValueError, match="not an int"):
+            build_network(["A", "B"], [((bad, 0), (0, 1))])
+    with pytest.raises(ValueError, match="not an int"):
+        build_network(["A", "B"], [((1.5, 0), (0, True))])
+    assert Complex((0, 2**70)).coeffs == (0, 2**70)
 
 
 def test_complex_indexing_deterministic():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnextinct import engine, oracle
-from crnextinct.model import Complex, build_network, is_charged
+from crnextinct.model import Complex, build_network, fire, is_charged
+from crnextinct.parser import parse_crn
 from crnextinct.oracle import (
     StateCapExceeded,
     complex_recurrent,
@@ -268,6 +269,68 @@ def test_sweep_matches_per_root_definition_random(net, data):
     want = min(hits, key=lambda h: (order.index(h[0]), h[1])) if hits else None
     cap = 300 * len(order)
     assert find_recurrent_witness(net, targets, budget=3, hard_cap=cap) == want
+
+
+def _fired(net, state):
+    """The successors `fire` gives, one per reaction the state fires, in reaction order."""
+    return [t for k in range(net.r) if (t := fire(net, state, k)) is not None]
+
+
+@given(net=small_networks(), data=st.data())
+def test_next_states_matches_fire_random(net, data):
+    assert net.next_states is net.next_states
+    for _ in range(5):
+        state = data.draw(st.tuples(*[st.integers(0, 4)] * net.m))
+        assert net.next_states(state) == _fired(net, state)
+
+
+def test_next_states_matches_fire_edge_cases():
+    big = 2**64
+    cases = [
+        # m = 0: the empty state fires every reaction of the empty complex
+        (build_network([], [((), ()), ((), ())]), [()]),
+        # m = 1: one-tuple successors
+        (build_network(["A"], [((1,), (0,)), ((0,), (2,)), ((2,), (1,))]), [(0,), (1,), (3,)]),
+        # a zero-vector reaction and one whose source is the empty complex
+        (build_network(["A", "B"], [((1, 1), (1, 1)), ((0, 0), (1, 0)), ((0, 2), (0, 0))]),
+         [(0, 0), (1, 1), (0, 2), (3, 3)]),
+        # coefficients above 2**64
+        (build_network(["A", "B"], [((big + 1, 0), (0, 2 * big)), ((0, 1), (big, 0))]),
+         [(0, 0), (big, 1), (big + 1, 0), (big + 1, 5), (2**70, 0)]),
+    ]
+    for net, states in cases:
+        for state in states:
+            assert net.next_states(state) == _fired(net, state), (net, state)
+    net, _ = cases[2]
+    assert net.next_states((1, 1)) == [(1, 1), (2, 1)]
+    assert net.next_states((0, 0)) == [(1, 0)]
+    net, _ = cases[3]
+    assert net.next_states((big + 1, 0)) == [(0, 2 * big)]
+
+
+def test_next_states_built_once_and_not_at_parse():
+    net = parse_crn("X1 + X2 -> 2 X2\nX2 -> X1\n").network
+    assert "next_states" not in vars(net)
+    assert "next_states" not in vars(build_network(["A"], [((1,), (0,))]))
+    kernel = net.next_states
+    assert net.next_states is kernel
+    assert kernel((1, 1)) == [(0, 2), (2, 0)]
+
+
+def test_next_states_ignores_species_names():
+    # names that would mean something inside the kernel's source never enter it
+    names = ["x0", "state", "out", "__import__('os').getcwd()"]
+    net = build_network(names, [
+        ((1, 0, 0, 0), (0, 1, 0, 0)),
+        ((0, 1, 1, 0), (0, 0, 0, 2)),
+        ((0, 0, 0, 2), (1, 0, 1, 0)),
+    ])
+    for total in range(4):
+        for state in states_with_total(net.m, total):
+            assert net.next_states(state) == _fired(net, state)
+    g = explore(net, (2, 1, 1, 1))
+    assert len(g.states) > 1
+    _check_successors(net, g)
 
 
 def _charged_by_definition(net, states):
