@@ -12,9 +12,13 @@ the stoichiometric matrix, and (C3) at every exterior complex weighs the
 outgoing edge at least as much as the sum of the incoming forest edges, with
 strictly positive weight on at least one nontriviality candidate.  By default
 the candidates are the exterior true reactions of the forest; a switch widens
-them to include domination edges for comparison.  The balance LP has one
+them to include domination edges for comparison.  The balance system has one
 variable per support edge, so (C1) holds by construction; a balancing vector
-is widened back to all edges, zero off the support.
+is widened back to all edges, zero off the support.  decide_balance solves
+it in forest coordinates, where each chosen edge's weight is its complex's
+flow surplus plus its inflow, so every flow row becomes a sign constraint
+and leaves the LP; its answers are mapped back to the support layout and
+audited there.
 """
 
 from __future__ import annotations
@@ -174,7 +178,9 @@ class BalancingSystem:
     of candidate edges >= 1.  Every other right-hand side is 0.  The shared
     rows are built once per system; each assembled system only appends its
     candidate row.  A Farkas refutation has one `eq` entry per species and
-    one `nonneg` entry per support edge.
+    one `nonneg` entry per support edge.  This is the layout in which
+    outcomes are audited and reported; decide_balance solves the same
+    system in forest coordinates and maps its answer back.
     """
 
     n_edges: int  # r + d, the width of a balancing vector
@@ -182,6 +188,11 @@ class BalancingSystem:
     kernel_rows: tuple[tuple[int, ...], ...]  # one per species, one entry per support edge
     flow_rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (complex, out var, in vars)
     candidates: tuple[int, ...]  # edges, ascending
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """Each support edge's variable: _position[support[i]] == i."""
+        return {v: i for i, v in enumerate(self.support)}
 
     @cached_property
     def _shared_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
@@ -197,13 +208,19 @@ class BalancingSystem:
             ge.append(make_row(coeffs, 0))
         return eq, tuple(ge)
 
+    def _candidate_row(self, candidates: tuple[int, ...]) -> list[int]:
+        """1 at the variable of each candidate edge, 0 elsewhere."""
+        coeffs = [0] * len(self.support)
+        position = self._position
+        for v in candidates:
+            coeffs[position[v]] = 1
+        return coeffs
+
     def linear_system(self, candidates: tuple[int, ...]) -> LinearSystem:
         """The shared rows with the candidate row sum of x_v over candidate edges v >= 1."""
-        coeffs = [0] * len(self.support)
-        for v in candidates:
-            coeffs[self.support.index(v)] = 1
         eq, ge = self._shared_rows
-        return LinearSystem(len(self.support), eq=eq, ge=ge + (make_row(coeffs, 1),))
+        row = make_row(self._candidate_row(candidates), 1)
+        return LinearSystem(len(self.support), eq=eq, ge=ge + (row,))
 
     def on_support(self, alpha: Sequence) -> list:
         """The entries of a vector over all edges at the support edges, in order."""
@@ -228,7 +245,8 @@ def build_balancing_system(
         tgt = edges[v].dst
         if tgt in incoming:
             incoming[tgt].append(i)
-    flow_rows = tuple((y, support.index(v), tuple(incoming[y])) for y, v in forest.choices)
+    position = {v: i for i, v in enumerate(support)}
+    flow_rows = tuple((y, position[v], tuple(incoming[y])) for y, v in forest.choices)
     candidates = tuple(
         sorted(v for _, v in forest.choices if v < r or nontriviality == ANY_EDGE)
     )
@@ -257,27 +275,105 @@ class Unbalanced:
 BalanceOutcome = Union[Balanced, Unbalanced]
 
 
+def _forest_links(system: BalancingSystem) -> list[tuple[int, int]]:
+    """The pairs (i, o), one per in var i of the flow row with out var o, downstream first.
+
+    Flow row k reads x_o - sum of x_i over its in vars i >= 0.  A variable
+    that is no row's out var is free.  The pairs come in an order in which
+    every pair (o, o') that leaves o comes before every pair (i, o) that
+    enters it: a variable is taken once every row it feeds has been taken.
+    ValueError when two rows share an out var or the rows cycle, since
+    neither comes from a forest.
+    """
+    n = len(system.support)
+    row_of: list[tuple[int, ...] | None] = [None] * n  # each out var's in vars
+    feeds = [0] * n  # how many in-var slots each variable fills
+    for _, out_var, in_vars in system.flow_rows:
+        if row_of[out_var] is not None:
+            raise ValueError("two flow rows share an out-edge: not a forest")
+        row_of[out_var] = in_vars
+        for i in in_vars:
+            feeds[i] += 1
+    ready = [i for i in range(n) if not feeds[i]]
+    links: list[tuple[int, int]] = []
+    for o in ready:  # appended to while it is walked
+        for i in row_of[o] or ():
+            links.append((i, o))
+            feeds[i] -= 1
+            if not feeds[i]:
+                ready.append(i)
+    if len(ready) < n:
+        raise ValueError("flow rows are cyclic: not a forest")
+    return links
+
+
 def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     """Balanced iff the summed system is feasible; certificates either way.
 
     One phase 1 decides the forest.  Its candidate row is the sum of all
     candidate variables >= 1; every other right-hand side is 0, so the rows
-    are a cone and the sum reaches 1 iff some single candidate does.  A
-    feasible point, scaled to integers and widened to all r + d edges with
-    zeros off the support, is the balancing vector and its least positive
-    candidate the positive edge.  A Farkas answer is the forest's one
-    refutation, over the support, covering all candidates.  An empty
-    candidate set is unbalanced outright.  Forests that decide_forests
+    are a cone and the sum reaches 1 iff some single candidate does.  An
+    empty candidate set is unbalanced outright.  Forests that decide_forests
     settles by reusing an earlier vector are decided, and balanced, without
     this call.
+
+    The LP is solved in forest coordinates.  Each out var is rewritten as
+    its row's surplus plus its inflow, x_o = z_o + sum of x_i over the row's
+    in vars i, and a free variable (an interior reaction) as x_i = z_i.
+    This is x = T z with T nonnegative and unit-triangular in the forest's
+    order (_forest_links), so T is invertible: z_o is flow row o's value at
+    x, and z_i = x_i.  The flow rows become z >= 0, and the LP handed to
+    solve_feasibility is {(A T) z = 0, (cand T) z >= 1, z >= 0}: one row per
+    species and one candidate row.  T's columns are accumulated along the
+    links, downstream first: column i of A T is column i of A plus column o
+    of A T for each link (i, o), and likewise for the candidate row.
+
+    A feasible z, scaled to integers, gives alpha = T z, accumulated
+    upstream first; alpha is widened to all r + d edges with zeros off the
+    support, its least positive candidate is the positive edge, and it is
+    audited by check_feasible on the one-candidate system.  A refutation
+    (y, t, w) of the z system, y^T A T + t cand T + w = 0 with t > 0 and
+    w >= 0, maps to y on the kernel rows, w_o on the flow row whose out var
+    is o, t on the candidate row, and on x_i >= 0 the multiplier 0 at an out
+    var and w_i at a free variable.  Its combination c = y^T A + t cand +
+    sum over rows of w_o (flow row o) + sum over free i of w_i e_i takes
+    T z to y^T A T z + t cand T z + w.z, since flow row o at T z is z_o.
+    So c T = 0, hence c = 0 as T is invertible; the right-hand sides
+    combine to t > 0 as before, and every inequality multiplier is an entry
+    of w or t.  The mapped refutation is audited by check_farkas on the
+    support-layout system, and is the forest's one refutation, covering all
+    candidates.  ValueError when the flow rows do not come from a forest
+    (_forest_links).
     """
     if not system.candidates:
         return Unbalanced(())
-    found = solve_feasibility(system.linear_system(system.candidates))
+    links = _forest_links(system)
+    rows = []
+    for row in (*system.kernel_rows, system._candidate_row(system.candidates)):
+        acc = list(row)
+        for i, o in links:
+            acc[i] += acc[o]
+        rows.append(acc)
+    cand = rows.pop()
+    n = len(system.support)
+    found = solve_feasibility(
+        LinearSystem(n, eq=tuple((tuple(a), 0) for a in rows), ge=((tuple(cand), 1),))
+    )
     if isinstance(found, Farkas):
-        return Unbalanced(((system.candidates, found),))
+        w = found.nonneg_mult
+        outs = [o for _, o, _ in system.flow_rows]
+        nonneg = list(w)
+        for o in outs:
+            nonneg[o] = 0
+        cert = Farkas(found.eq_mult, (*(w[o] for o in outs), *found.ge_mult), tuple(nonneg))
+        if not check_farkas(system.linear_system(system.candidates), cert):
+            raise AssertionError("internal error: mapped balance refutation fails its audit")
+        return Unbalanced(((system.candidates, cert),))
+    x = scale_to_integers(found.witness)[0]
+    for i, o in reversed(links):
+        x[o] += x[i]
     alpha = [0] * system.n_edges
-    for v, a in zip(system.support, scale_to_integers(found.witness)[0]):
+    for v, a in zip(system.support, x):
         alpha[v] = a
     positive_edge = next(k for k in system.candidates if alpha[k] > 0)
     assert check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha))

@@ -14,8 +14,9 @@ on any candidate.  Versions 1-5 carry one refutation per candidate k; the
 decoder reads each as a refutation covering the set (k,).  From version 7 a
 refutation is over the forest's support; the decoder checks the entries that
 versions 1-6 add for the edges off the support and drops them, so every
-version goes through the same audit.  Version 8 changed only which witness
-and multipliers a report carries, so versions 7 and 8 decode alike.
+version goes through the same audit.  Versions 8 and 9 changed only which
+witness and multipliers a report carries, so versions 7, 8 and 9 decode
+alike.
 """
 
 from __future__ import annotations
@@ -60,7 +61,11 @@ REPORT_FORMAT = "crn-extinction-report"
 # its strict vector c, and its forest's refutation is the one c gives (c on
 # the kernel rows, 1 on the candidate row); other witnesses are phase-1
 # points, no longer lexicographically least.  Fields as in version 7.
-REPORT_VERSION = 8
+# Version 9: the balance LP is solved in forest coordinates (each chosen
+# edge's weight is its complex's flow surplus plus its inflow), so the
+# multipliers of a refutation the LP finds differ; it is mapped back to the
+# support layout of version 7, whose fields are unchanged.
+REPORT_VERSION = 9
 
 
 def encode_rational(x: int | Fraction) -> dict[str, str]:

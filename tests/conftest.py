@@ -69,6 +69,17 @@ def chain_text(n: int) -> str:
     return "".join(f"{cpx(k, n - k)} -> {cpx(k - 1, n - k + 1)}\n" for k in range(n, 0, -1))
 
 
+def reversible_chain_text(n: int, k: int) -> str:
+    """Chain n with its step k (0-based, from n X) also run backwards.
+
+    The step and its reverse cancel, so no c >= 1 lowers both: the network
+    is conservative, c = (1, 1), but not strictly subconservative.
+    """
+    step = chain_text(n).splitlines()[k]
+    src, tgt = step.split(" -> ")
+    return chain_text(n) + f"{tgt} -> {src}\n"
+
+
 def load_fixture(name: str) -> ReactionNetwork:
     text = (FIXTURE_DIR / f"{name}.crn").read_text(encoding="utf-8")
     return parse_crn(text).network

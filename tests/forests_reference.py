@@ -6,12 +6,24 @@ so its depth grows with the number of exterior complexes.  Both must yield
 the same forests in the same canonical order.  `path_walk_forest_is_valid`
 is `forest_is_valid` before it marked the complexes known to reach the
 absorbing set; both must give the same answer on every forest.
+`support_layout_balance` is `decide_balance` as it was before it solved in
+forest coordinates: one phase 1 on the support-layout system itself, with a
+flow row and a slack per exterior complex.  Both must decide every forest
+alike, Balanced or Unbalanced.
 """
 
 from typing import Iterator
 
 from crnextinct.domination import DomCRN
-from crnextinct.forests import ExteriorForest, interior_reactions
+from crnextinct.exactlp import Farkas, check_feasible, scale_to_integers, solve_feasibility
+from crnextinct.forests import (
+    BalanceOutcome,
+    Balanced,
+    BalancingSystem,
+    ExteriorForest,
+    Unbalanced,
+    interior_reactions,
+)
 
 
 def recursive_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
@@ -75,3 +87,18 @@ def path_walk_forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
             seen.add(cur)
             cur = step[cur]
     return True
+
+
+def support_layout_balance(system: BalancingSystem) -> BalanceOutcome:
+    """The summed-candidate phase 1 over the support layout, flow rows and all."""
+    if not system.candidates:
+        return Unbalanced(())
+    found = solve_feasibility(system.linear_system(system.candidates))
+    if isinstance(found, Farkas):
+        return Unbalanced(((system.candidates, found),))
+    alpha = [0] * system.n_edges
+    for v, a in zip(system.support, scale_to_integers(found.witness)[0]):
+        alpha[v] = a
+    positive_edge = next(k for k in system.candidates if alpha[k] > 0)
+    assert check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha))
+    return Balanced(alpha=tuple(alpha), positive_edge=positive_edge)

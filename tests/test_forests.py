@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -5,14 +6,15 @@ from itertools import islice
 
 import pytest
 
+from crnextinct import forests
 from crnextinct.domination import (
     DomCRN,
     build_dom_crn,
     dom_graph,
     maximal_admissible,
 )
-from crnextinct.engine import SearchConfig, _candidate_pairs
-from crnextinct.exactlp import LinearSystem, check_feasible, make_row
+from crnextinct.engine import GuaranteedExtinction, SearchConfig, _candidate_pairs, analyze
+from crnextinct.exactlp import LinearSystem, check_feasible, make_row, solve_feasibility
 from crnextinct.forests import (
     ANY_EDGE,
     Balanced,
@@ -27,8 +29,9 @@ from crnextinct.forests import (
 from crnextinct.graphs import GraphEdge
 from crnextinct.model import stoich_matrix
 from crnextinct.parser import parse_crn
+from crnextinct.report import emit_report, verify_report
 
-from conftest import chain_text, random_network
+from conftest import chain_text, random_network, reversible_chain_text
 from forests_reference import path_walk_forest_is_valid, recursive_forests
 
 
@@ -361,3 +364,55 @@ def test_forest_is_valid_rejects_an_exterior_cycle():
     assert not path_walk_forest_is_valid(dcrn, cycle)
     # an interior that is not the absorbing set's reactions
     assert not forest_is_valid(dcrn, replace(forest, interior=(1,)))
+
+
+def test_cyclic_flow_rows_raise():
+    # choosing both reactions between A and B: each flow row's out-edge is
+    # the other's in-edge, so no forest coordinates exist
+    net = parse_crn("A -> B\nB -> A\nB -> C\n").network
+    dcrn = build_dom_crn(net, [], {2})
+    cycle = replace(next(enumerate_forests(dcrn)), choices=((0, 0), (1, 1)))
+    system = build_balancing_system(dcrn, cycle)
+    assert system.flow_rows == ((0, 0, (1,)), (1, 1, (0,)))
+    with pytest.raises(ValueError, match="cyclic"):
+        decide_balance(system)
+    # two flow rows with one out-edge
+    shared = replace(system, flow_rows=((0, 0, ()), (1, 0, ())))
+    with pytest.raises(ValueError, match="share"):
+        decide_balance(shared)
+
+
+@pytest.fixture()
+def balance_lps(monkeypatch):
+    """Every system that `forests` hands to solve_feasibility, in order."""
+    systems = []
+
+    def counted(system):
+        systems.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(forests, "solve_feasibility", counted)
+    return systems
+
+
+def test_balance_lp_has_no_flow_rows(nets, balance_lps):
+    # envz is not strictly subconservative, so its forests run balance LPs:
+    # each has one row per species and the one candidate row
+    net = nets["envz"]
+    assert isinstance(analyze(net, SearchConfig()), GuaranteedExtinction)
+    assert balance_lps
+    for system in balance_lps:
+        assert len(system.eq) == net.m and len(system.ge) == 1
+
+
+def test_long_chain_with_a_reversible_step_takes_one_balance_lp(balance_lps):
+    # reversing the middle step of chain 300 makes it not strictly
+    # subconservative, so its first forest, a path of 300 exterior
+    # complexes, is refuted by a balance LP with 2 + 1 rows
+    net = parse_crn(reversible_chain_text(300, 150)).network
+    cfg = SearchConfig()
+    verdict = analyze(net, cfg)
+    assert isinstance(verdict, GuaranteedExtinction)
+    assert len(verdict.certificate.forest.choices) == 300
+    assert [(len(s.eq), len(s.ge)) for s in balance_lps] == [(2, 1)]
+    assert verify_report(net, json.loads(emit_report(net, verdict, cfg)))

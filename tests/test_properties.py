@@ -14,7 +14,15 @@ from crnextinct.exactlp import (
     make_row,
     solve_feasibility,
 )
-from crnextinct.forests import build_balancing_system, decide_balance, enumerate_forests, forest_is_valid
+from crnextinct.forests import (
+    ANY_EDGE,
+    TRUE_REACTIONS,
+    Balanced,
+    build_balancing_system,
+    decide_balance,
+    enumerate_forests,
+    forest_is_valid,
+)
 from crnextinct.domination import domination_set, maximal_admissible
 from crnextinct.graphs import (
     GraphEdge,
@@ -49,8 +57,8 @@ from crnextinct.report import emit_report, verify_report
 
 import fraction_lp
 from cone_reference import in_cone
-from conftest import FIXTURE_NAMES, check_network_refutations, strict_subconservation
-from forests_reference import recursive_forests
+from conftest import FIXTURE_NAMES, check_network_refutations, random_network, strict_subconservation
+from forests_reference import recursive_forests, support_layout_balance
 from graphs_reference import union_find_linkage_classes
 
 
@@ -224,6 +232,26 @@ WIDENED = SearchConfig(
 @given(networks())
 def test_strict_vector_refutes_every_forest(net):
     check_network_refutations(net, (SearchConfig(), WIDENED), forest_cap=10)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_forest_coordinates_decide_as_the_support_layout(seed):
+    # every forest of every widened candidate, under both readings: the solve
+    # in forest coordinates and the support-layout reference agree on the
+    # kind, and each answer passes the audit of the support-layout system
+    net = random_network(random.Random(seed))
+    for dcrn in _candidate_pairs(net, WIDENED):
+        for forest in enumerate_forests(dcrn):
+            for reading in (TRUE_REACTIONS, ANY_EDGE):
+                system = build_balancing_system(dcrn, forest, reading)
+                got = decide_balance(system)
+                assert type(got) is type(support_layout_balance(system))
+                if isinstance(got, Balanced):
+                    positive = system.linear_system((got.positive_edge,))
+                    assert check_feasible(positive, system.on_support(got.alpha))
+                else:
+                    for candidates, cert in got.witnesses:
+                        assert check_farkas(system.linear_system(candidates), cert)
 
 
 @given(networks())

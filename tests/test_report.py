@@ -42,7 +42,7 @@ from crnextinct.report import (
     verify_report,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, load_fixture, reversible_chain_text
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
 
@@ -201,17 +201,17 @@ def test_report_envelope_is_checked(nets):
     assert report["format"] == REPORT_FORMAT and report["version"] == REPORT_VERSION
     for not_a_report in ([], None, "report", 7):
         assert verify_report(net, not_a_report) is False
-    for version, ok in ((8, True), (0, False), (9, False), (True, False), ("2", False)):
+    for version, ok in ((9, True), (0, False), (10, False), (True, False), ("2", False)):
         assert verify_report(net, dict(report, version=version)) is ok, version
     # certificate fields were unchanged from version 1 to 5, so a version-5
     # report verifies at each of them; "candidate_variable" is no version-6
-    # field, and a refutation of versions 7 and 8 is over the support alone
+    # field, and a refutation of versions 7 to 9 is over the support alone
     old = json.loads((REPORT_DIR / "example21-v5.json").read_bytes())
     v6 = json.loads((REPORT_DIR / "example21-v6.json").read_bytes())
-    for version in range(1, 10):
+    for version in range(1, 11):
         assert verify_report(net, dict(old, version=version)) is (version <= 5), version
         assert verify_report(net, dict(v6, version=version)) is (version == 6), version
-        assert verify_report(net, dict(report, version=version)) is (version in (7, 8)), version
+        assert verify_report(net, dict(report, version=version)) is (7 <= version <= 9), version
     assert not verify_report(net, dict(report, format="bogus"))
     assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
 
@@ -240,18 +240,18 @@ def _pin_network(nets, name):
     return parse_crn((REPORT_DIR / f"{name}.crn").read_text(encoding="utf-8")).network
 
 
-@pytest.mark.parametrize("name", ["example21", "envz", "chain6"])
-def test_version8_report_bytes_are_pinned(nets, name):
-    # emitted at version 8; a change to any byte, multipliers included, must
+@pytest.mark.parametrize("name", ["example21", "envz", "chain6", "chain6-reversible"])
+def test_version9_report_bytes_are_pinned(nets, name):
+    # emitted at version 9; a change to any byte, multipliers included, must
     # come with a new REPORT_VERSION and new pinned reports
-    pinned = (REPORT_DIR / f"{name}-v8.json").read_bytes()
+    pinned = (REPORT_DIR / f"{name}-v9.json").read_bytes()
     net = _pin_network(nets, name)
     cfg = SearchConfig()
     verdict = analyze(net, cfg)
     assert emit_report(net, verdict, cfg) == pinned
     assert pinned.count(b"\n") == 1  # one compact line
     report = json.loads(pinned)
-    assert report["version"] == 8
+    assert report["version"] == 9
     assert verify_report(net, report)
     # one refutation over the forest's support: one eq entry per species and
     # one nonneg entry per support edge
@@ -263,15 +263,46 @@ def test_version8_report_bytes_are_pinned(nets, name):
     assert refutation["candidate_variables"] == candidates
 
 
+@pytest.mark.parametrize("name", ["example21", "envz", "chain6"])
+def test_version8_report_bytes_are_pinned(nets, name):
+    # emitted at version 8, when the balance LP kept one flow row per
+    # exterior complex: envz's refutation came from that LP, so it alone
+    # differs from today's; example21's LP found the same multipliers, and
+    # chain6 is refuted by its strict vector with no LP
+    pinned = (REPORT_DIR / f"{name}-v8.json").read_bytes()
+    net = _pin_network(nets, name)
+    report = json.loads(pinned)
+    assert report["version"] == 8
+    assert verify_report(net, report)
+    today = json.loads((REPORT_DIR / f"{name}-v9.json").read_bytes())
+    as_v8 = _with_old_refutations(today, report, 8)
+    assert (json.dumps(as_v8, separators=(",", ":")) + "\n").encode("utf-8") == pinned
+    changed = report["balance_refutations"] != today["balance_refutations"]
+    assert changed == (name == "envz")
+
+
 def test_chain6_is_refuted_by_its_strict_vector():
     # c = (2, 1) lowers every reaction of chain 6 by exactly 1: the refutation
     # is c on the kernel rows, 1 on the candidate row and 0 elsewhere, and
     # c is also the subconservativity witness
-    report = json.loads((REPORT_DIR / "chain6-v8.json").read_bytes())
+    report = json.loads((REPORT_DIR / "chain6-v9.json").read_bytes())
     (refutation,) = report["balance_refutations"]
     farkas = {k: [decode_rational(v) for v in vs] for k, vs in refutation["farkas"].items()}
     assert farkas == {"eq": [2, 1], "ge": [0] * 6 + [1], "nonneg": [0] * 6}
     assert [decode_rational(v) for v in report["subconservativity_witness"]] == [2, 1]
+
+
+def test_chain6_with_a_reversible_step_is_refuted_by_its_balance_lp():
+    # reversing one step makes chain 6 conservative, c = (1, 1), but not
+    # strictly subconservative, so its forest is refuted by the balance LP:
+    # y = (1, 0) counts X, which each candidate lowers by 1
+    text = (REPORT_DIR / "chain6-reversible.crn").read_text(encoding="utf-8")
+    assert text == reversible_chain_text(6, 3)
+    report = json.loads((REPORT_DIR / "chain6-reversible-v9.json").read_bytes())
+    (refutation,) = report["balance_refutations"]
+    farkas = {k: [decode_rational(v) for v in vs] for k, vs in refutation["farkas"].items()}
+    assert farkas == {"eq": [1, 0], "ge": [0] * 6 + [1], "nonneg": [0] * 6}
+    assert [decode_rational(v) for v in report["subconservativity_witness"]] == [1, 1]
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])
