@@ -34,7 +34,7 @@ from .graphs import (
     terminal_slcs,
 )
 from .invariants import is_conservative, is_subconservative, p_invariants, t_invariants
-from .model import ReactionNetwork, format_complex, stoich_matrix
+from .model import ReactionNetwork, stoich_matrix
 from .oracle import (
     StateCapExceeded,
     explore,
@@ -146,6 +146,11 @@ def _search_config(net: ReactionNetwork, args: argparse.Namespace) -> SearchConf
     return SearchConfig(**kwargs)
 
 
+def _complex_set(net: ReactionNetwork, indices) -> str:
+    """The complexes at the indices, ascending, as {a, b}."""
+    return "{" + ", ".join(net.complex_names[i] for i in sorted(indices)) + "}"
+
+
 def _positive_int(text: str, what: str) -> int:
     try:
         value = int(text)
@@ -176,15 +181,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     state_cap = _positive_int(args.state_cap, "--state-cap")
     targets = _complex_list(net, args.check_extinction) if args.check_extinction else None
     graph = explore(net, root, hard_cap=state_cap)
-    names = net.species_names
     flags = recurrent_states(graph)
     print(f"root: {root}")
     print(f"reachable states: {len(graph.states)}")
     print(f"recurrent states: {sum(flags)}")
     alive = recurrent_complexes(net, graph)
-    for i, cpx in enumerate(net.complexes):
+    for i, name in enumerate(net.complex_names):
         label = "recurrent" if i in alive else "transient"
-        print(f"complex {format_complex(cpx, names)}: {label}")
+        print(f"complex {name}: {label}")
     if targets is not None:
         local = extinction_on(net, graph, targets)
         print(f"extinction event on listed complexes from root: {local}")
@@ -200,34 +204,26 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_structure(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
     cap = _positive_int(args.cap, "--cap")
-    names = net.species_names
+    names = net.complex_names
     g = reaction_graph(net)
 
     def fmt_blocks(blocks) -> str:
-        return "; ".join(
-            "{" + ", ".join(format_complex(net.complexes[i], names) for i in sorted(b)) + "}"
-            for b in blocks
-        )
+        return "; ".join(_complex_set(net, b) for b in blocks)
 
-    print(f"species ({net.m}): " + ", ".join(names))
+    print(f"species ({net.m}): " + ", ".join(net.species_names))
     print(f"reactions ({net.r}):")
-    for k, rxn in enumerate(net.reactions):
-        print(
-            f"  {k + 1}: {format_complex(rxn.source, names)} -> "
-            f"{format_complex(rxn.target, names)}"
-        )
+    for k, (src, dst) in enumerate(zip(net.source_index, net.target_index)):
+        print(f"  {k + 1}: {names[src]} -> {names[dst]}")
     print(f"complexes ({net.n}):")
-    for i, cpx in enumerate(net.complexes):
-        print(f"  c{i}: {format_complex(cpx, names)}")
+    for i, name in enumerate(names):
+        print(f"  c{i}: {name}")
     print("linkage classes: " + fmt_blocks(linkage_classes(g)))
     print("strong linkage classes: " + fmt_blocks(strong_linkage_classes(g)))
     print("terminal SLCs: " + fmt_blocks(terminal_slcs(g)))
     sets = enumerate_absorbing_sets(g, cap)
     print(f"absorbing complex sets (first {len(sets)}):")
     for s in sets:
-        print(
-            "  {" + ", ".join(format_complex(net.complexes[i], names) for i in sorted(s)) + "}"
-        )
+        print("  " + _complex_set(net, s))
     return EXIT_OK
 
 
@@ -256,22 +252,15 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_forests(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
     cap = _positive_int(args.forest_cap, "--forest-cap")
-    names = net.species_names
+    names = net.complex_names
     dcrn = maximal_admissible(net)
     print("maximal admissible domination expansion:")
     if dcrn.dom_edges:
         for j, e in enumerate(dcrn.dom_edges):
-            print(
-                f"  D{j + 1}: {format_complex(net.complexes[e.src], names)} -> "
-                f"{format_complex(net.complexes[e.dst], names)}"
-            )
+            print(f"  D{j + 1}: {names[e.src]} -> {names[e.dst]}")
     else:
         print("  (no domination edges)")
-    print(
-        "absorbing set: {"
-        + ", ".join(format_complex(net.complexes[i], names) for i in sorted(dcrn.absorbing))
-        + "}"
-    )
+    print("absorbing set: " + _complex_set(net, dcrn.absorbing))
     if len(dcrn.absorbing) == net.n:
         print("every complex is absorbing: no transient complex, nothing to decide")
         return EXIT_OK

@@ -36,6 +36,7 @@ from .domination import (
 )
 from .exactlp import Farkas, Feasible, check_feasible, scale_to_integers
 from .forests import (
+    ANY_EDGE,
     TRUE_REACTIONS,
     Balanced,
     ExteriorForest,
@@ -66,7 +67,8 @@ class SearchConfig:
         visiting at most dom_cap of them.
     absorbing_strategy: "terminal" uses each expansion's terminal complexes;
         "enumerate" additionally tries absorbing sets of the expanded graph
-        (up to absorbing_cap); "explicit" uses exactly explicit_absorbing.
+        (up to absorbing_cap); "explicit" uses exactly explicit_absorbing,
+        which is set with this strategy and with no other.
     forest_cap: at most this many forests are decided per candidate.
     nontriviality: which edges may carry the required positive weight in a
         balancing vector ("true-reactions" or "any-edge").
@@ -85,8 +87,10 @@ class SearchConfig:
             raise ValueError(f"unknown dom_strategy {self.dom_strategy!r}")
         if self.absorbing_strategy not in ("terminal", "enumerate", "explicit"):
             raise ValueError(f"unknown absorbing_strategy {self.absorbing_strategy!r}")
-        if self.absorbing_strategy == "explicit" and self.explicit_absorbing is None:
-            raise ValueError("explicit absorbing strategy needs explicit_absorbing")
+        if (self.absorbing_strategy == "explicit") != (self.explicit_absorbing is not None):
+            raise ValueError('explicit_absorbing is set exactly when absorbing_strategy is "explicit"')
+        if self.nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
+            raise ValueError(f"unknown nontriviality {self.nontriviality!r}")
         caps = (self.dom_cap, self.absorbing_cap, self.forest_cap)
         if min(caps) < 1 or max(caps) > sys.maxsize:
             raise ValueError(f"caps must be between 1 and {sys.maxsize}")

@@ -6,26 +6,27 @@ certificate: multipliers, nonnegative on inequality rows, whose combination
 cancels every variable while combining the right-hand sides to something
 positive, i.e. the contradiction 0 >= 1.  No floating point enters any path.
 
-Rows are Python ints from construction on.  make_row is the one place that
-accepts rationals: it scales such a row by the lcm of its denominators, which
-changes no solution set.  The solver is a dense two-phase simplex with
-Bland's rule, which terminates on every input.  Its tableau holds the integer
-rows as given, kept primitive by integer-preserving pivots (Edmonds 1967), so
-it stands for exactly the rational tableau and takes the same pivots.  One
-path, _solve, runs phase 1 and then any cost stages.  Phase 1 starts from the
-slack basis where it can: a row a.x >= b with b <= 0 holds at x = 0, so it is
-negated and its slack starts basic; only equality rows and rows with b > 0
-get an artificial column.  So a system with no equality row and every
-right-hand side <= 0 holds at the origin, and solve_feasibility returns
-that point, as phase 1 would, without building a tableau.  A Farkas
-certificate is read off the final phase-1 reduced costs rc / den: an
-artificial row's multiplier is flip * (den - rc[artificial]), a slack-basic
-row's is rc[slack], and that of x_j >= 0 is rc[j].  Witnesses and
+Rows are Python ints from construction on: every caller builds its rows as
+(tuple of ints, int), scaling a rational row by the lcm of its denominators
+itself (scale_to_integers), which changes no solution set, and LinearSystem
+is the one check of a row's length and entry types.  The solver is a dense
+two-phase simplex with Bland's rule, which terminates on every input.  Its
+tableau holds the integer rows as given, kept primitive by integer-preserving
+pivots (Edmonds 1967), so it stands for exactly the rational tableau and
+takes the same pivots.  One path, _solve, runs phase 1 and then any cost
+stages.  Phase 1 starts from the slack basis where it can: a row a.x >= b
+with b <= 0 holds at x = 0, so it is negated and its slack starts basic; only
+equality rows and rows with b > 0 get an artificial column.  So a system with
+no equality row and every right-hand side <= 0 holds at the origin, and
+solve_feasibility returns that point, as phase 1 would, without building a
+tableau.  A Farkas certificate is read off the final phase-1 reduced costs
+rc / den: an artificial row's multiplier is flip * (den - rc[artificial]), a
+slack-basic row's is rc[slack], and that of x_j >= 0 is rc[j].  Witnesses and
 certificates leave the solver as fractions.Fraction and are audited by
 check_feasible / check_farkas independently of the tableau: the witness, or
 all multipliers, are scaled to integers by one lcm, and each row becomes an
-integer sum over the nonzero terms.  Scaling by a positive number changes
-no sign, so the audit is exact.
+integer sum over the nonzero terms.  Scaling by a positive number changes no
+sign, so the audit is exact.
 """
 
 from __future__ import annotations
@@ -44,22 +45,15 @@ def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-def make_row(coeffs: Sequence, rhs) -> Row:
-    """An integer row; rational entries scale the row by the lcm of their denominators."""
-    row = [*coeffs, rhs]
-    if set(map(type, row)) != {int}:
-        row = scale_to_integers(_rat_vec(row))[0]
-    return tuple(row[:-1]), row[-1]
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """Constraints over `n` nonnegative variables: eq rows a.x = b, ge rows a.x >= b.
 
-    Every coefficient and right-hand side is an int (`make_row` turns a
-    rational row into one); any other type, bool included, is a ValueError.
-    The implicit rows x >= 0 participate in Farkas certificates through
-    `nonneg` multipliers.
+    Every coefficient and right-hand side is an int (scale_to_integers turns
+    a rational row into one); a row of the wrong length, or an entry of any
+    other type, bool included, is a ValueError.  This is the only check of
+    a row.  The implicit rows x >= 0 participate in Farkas certificates
+    through `nonneg` multipliers.
     """
 
     n: int
@@ -363,7 +357,8 @@ def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, O
         rc, den = tab.minimize(cost + pad, banned=banned)
         banned.update(j for j in range(ncols) if rc[j] > 0)
     point = _extract_point(system, tab)
-    assert check_feasible(system, point)
+    if not check_feasible(system, point):
+        raise AssertionError("internal error: produced point fails its own audit")
     return Feasible(point), Fraction(-rc[-1], den)
 
 

@@ -34,7 +34,6 @@ from .exactlp import (
     Row,
     check_farkas,
     check_feasible,
-    make_row,
     scale_to_integers,
     solve_feasibility,
 )
@@ -190,36 +189,28 @@ class BalancingSystem:
     candidates: tuple[int, ...]  # edges, ascending
 
     @cached_property
-    def _position(self) -> dict[int, int]:
-        """Each support edge's variable: _position[support[i]] == i."""
-        return {v: i for i, v in enumerate(self.support)}
-
-    @cached_property
     def _shared_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
         """(equality rows, flow rows): every row but the candidate row."""
         n = len(self.support)
-        eq = tuple(make_row(row, 0) for row in self.kernel_rows)
+        eq = tuple((row, 0) for row in self.kernel_rows)
         ge = []
         for _, out_var, in_vars in self.flow_rows:
             coeffs = [0] * n
             coeffs[out_var] += 1
             for i in in_vars:
                 coeffs[i] -= 1
-            ge.append(make_row(coeffs, 0))
+            ge.append((tuple(coeffs), 0))
         return eq, tuple(ge)
 
-    def _candidate_row(self, candidates: tuple[int, ...]) -> list[int]:
+    def _candidate_row(self, candidates: tuple[int, ...]) -> tuple[int, ...]:
         """1 at the variable of each candidate edge, 0 elsewhere."""
-        coeffs = [0] * len(self.support)
-        position = self._position
-        for v in candidates:
-            coeffs[position[v]] = 1
-        return coeffs
+        chosen = set(candidates)
+        return tuple(int(v in chosen) for v in self.support)
 
     def linear_system(self, candidates: tuple[int, ...]) -> LinearSystem:
         """The shared rows with the candidate row sum of x_v over candidate edges v >= 1."""
         eq, ge = self._shared_rows
-        row = make_row(self._candidate_row(candidates), 1)
+        row = (self._candidate_row(candidates), 1)
         return LinearSystem(len(self.support), eq=eq, ge=ge + (row,))
 
     def on_support(self, alpha: Sequence) -> list:
@@ -376,7 +367,8 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     for v, a in zip(system.support, x):
         alpha[v] = a
     positive_edge = next(k for k in system.candidates if alpha[k] > 0)
-    assert check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha))
+    if not check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha)):
+        raise AssertionError("internal error: mapped balancing vector fails its audit")
     return Balanced(alpha=tuple(alpha), positive_edge=positive_edge)
 
 

@@ -24,7 +24,8 @@ from .exactlp import (
     LinearSystem,
     Outcome,
     Row,
-    make_row,
+    check_farkas,
+    check_feasible,
     primitive,
     solve_feasibility,
 )
@@ -42,7 +43,7 @@ def _decide(system: LinearSystem) -> Outcome:
     the rows c >= 1 get nu', and c >= 0 gets 0.  The combination still
     cancels, and its right-hand side equals the shifted one, which is
     positive.  Either answer is checked against the unshifted system, with
-    check_feasible or check_farkas.
+    check_feasible or check_farkas; AssertionError when the check fails.
     """
     m = system.n
 
@@ -53,9 +54,15 @@ def _decide(system: LinearSystem) -> Outcome:
         LinearSystem(m, eq=shift(system.eq), ge=shift(system.ge[: len(system.ge) - m]))
     )
     if isinstance(outcome, Feasible):
-        return Feasible(tuple(1 + v for v in outcome.witness))
+        lifted = Feasible(tuple(1 + v for v in outcome.witness))
+        if not check_feasible(system, lifted.witness):
+            raise AssertionError("internal error: lifted witness fails its audit")
+        return lifted
     zero = (Fraction(0),) * m
-    return Farkas(outcome.eq_mult, outcome.ge_mult + outcome.nonneg_mult, zero)
+    cert = Farkas(outcome.eq_mult, outcome.ge_mult + outcome.nonneg_mult, zero)
+    if not check_farkas(system, cert):
+        raise AssertionError("internal error: lifted refutation fails its audit")
+    return cert
 
 
 def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -68,7 +75,7 @@ def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
 
 def _unit_rows(m: int) -> tuple[Row, ...]:
     """The rows c >= 1 over m species."""
-    return tuple(make_row([1 if j == i else 0 for j in range(m)], 1) for i in range(m))
+    return tuple((tuple(int(j == i) for j in range(m)), 1) for i in range(m))
 
 
 def conservation_system(gamma: Matrix, *, equality: bool) -> LinearSystem:
@@ -76,8 +83,8 @@ def conservation_system(gamma: Matrix, *, equality: bool) -> LinearSystem:
     m = len(gamma)
     cols = transpose(gamma)
     if equality:
-        return LinearSystem(m, eq=tuple(make_row(col, 0) for col in cols), ge=_unit_rows(m))
-    neg = tuple(make_row([-c for c in col], 0) for col in cols)
+        return LinearSystem(m, eq=tuple((col, 0) for col in cols), ge=_unit_rows(m))
+    neg = tuple((tuple(-c for c in col), 0) for col in cols)
     return LinearSystem(m, ge=neg + _unit_rows(m))
 
 
@@ -90,7 +97,7 @@ def strict_subconservation_system(gamma: Matrix) -> LinearSystem:
     """
     m = len(gamma)
     distinct = dict.fromkeys(transpose(gamma))
-    strict = tuple(make_row([-c for c in a], 1) for a in distinct)
+    strict = tuple((tuple(-c for c in a), 1) for a in distinct)
     return LinearSystem(m, ge=strict + _unit_rows(m))
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import random
 import sys
 from dataclasses import replace
@@ -29,6 +30,13 @@ settings.load_profile("suite")
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a Python subprocess, with this checkout's src/ on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def bench_module(name: str):

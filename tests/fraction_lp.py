@@ -28,7 +28,7 @@ from crnextinct.exactlp import (
     LinearSystem,
     Outcome,
     UnboundedError,
-    make_row,
+    scale_to_integers,
 )
 
 Rat = Fraction
@@ -36,6 +36,12 @@ Rat = Fraction
 
 def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
     return tuple(Fraction(v) for v in values)
+
+
+def int_row(coeffs: Sequence, rhs) -> tuple[tuple[int, ...], int]:
+    """A row of ints or Fractions, scaled to integers by the lcm of its denominators."""
+    *scaled, b = scale_to_integers([*coeffs, rhs])[0]
+    return tuple(scaled), b
 
 
 def dense_check_feasible(system: LinearSystem, x: Sequence) -> bool:
@@ -271,7 +277,7 @@ def lexmin(system: LinearSystem) -> Outcome:
             assert not values
             return outcome
         values.append(opt)
-        current = LinearSystem(current.n, current.eq + (make_row(direction, opt),), current.ge)
+        current = LinearSystem(current.n, current.eq + (int_row(direction, opt),), current.ge)
     witness = tuple(values)
     assert dense_check_feasible(system, witness)
     return Feasible(witness)

@@ -35,7 +35,6 @@ from crnextinct.exactlp import (
     Feasible,
     LinearSystem,
     check_feasible,
-    make_row,
     solve_feasibility,
 )
 from crnextinct.forests import (
@@ -224,8 +223,8 @@ def test_criterion_03_balance(nets):
     relaxation = LinearSystem(
         3,
         eq=tuple(
-            [make_row([0, 1, 0], 0)]
-            + [make_row(row, 0) for row in gamma]
+            [((0, 1, 0), 0)]
+            + [(row, 0) for row in gamma]
         ),
     )
     assert check_feasible(relaxation, (2, 0, 1))

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,18 +11,11 @@ from crnextinct.forests import decide_balance
 from crnextinct.parser import parse_crn
 from crnextinct.report import verify_report
 
-from conftest import FIXTURE_DIR, chain_text
+from conftest import FIXTURE_DIR, chain_text, subprocess_env
 
 
 def fixture(name: str) -> str:
     return str(FIXTURE_DIR / f"{name}.crn")
-
-
-def _cli_env() -> dict[str, str]:
-    """The environment for a CLI subprocess, with this checkout's src/ on the path."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def test_analyze_json_report(tmp_path, capsys):
@@ -69,7 +61,7 @@ def test_analyze_nontriviality_flag(capsys):
 def test_analyze_chain_1500_exits_0(tmp_path):
     # 1,500 exterior complexes in one path: no recursion depth follows them,
     # and the strict subconservation vector refutes the forest with no LP
-    env = _cli_env()
+    env = subprocess_env()
     network, report = tmp_path / "chain1500.crn", tmp_path / "chain1500.json"
     network.write_text(chain_text(1500), encoding="utf-8")
     done = subprocess.run(
@@ -141,7 +133,7 @@ def test_oracle_state_cap_exit(capsys):
 def test_oracle_sweep_cap_is_shared():
     # each intro root's own closure stays far below 500 states; the sweep's
     # shared closure does not, so a huge budget must stop at the cap quickly
-    env = _cli_env()
+    env = subprocess_env()
     args = ["oracle", fixture("intro"), "--init", "X1=1", "--check-extinction", "2 X1"]
     args += ["--budget", "1000000", "--state-cap", "500"]
     done = subprocess.run(
@@ -154,7 +146,7 @@ def test_oracle_sweep_cap_is_shared():
 
 @pytest.mark.parametrize("command", ["structure", "analyze"])
 def test_closed_stdout_exits_1_quietly(command):
-    env = _cli_env()
+    env = subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to stdout fails with EPIPE
     try:

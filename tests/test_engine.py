@@ -214,6 +214,21 @@ def test_invalid_config():
         SearchConfig(**{cap: sys.maxsize})
 
 
+def test_config_rejects_unknown_nontriviality():
+    # otherwise it fails deep in build_balancing_system, or enters the report
+    with pytest.raises(ValueError, match="nontriviality"):
+        SearchConfig(nontriviality="bogus")
+
+
+def test_config_rejects_explicit_absorbing_without_its_strategy(nets):
+    # otherwise the set is ignored, and example000 stays Inconclusive
+    names = name_to_index(nets["example000"])
+    explicit = frozenset({names["X2 + X3"], names["2 X3"], names["2 X2"]})
+    for strategy in ("terminal", "enumerate"):
+        with pytest.raises(ValueError, match="explicit_absorbing"):
+            SearchConfig(absorbing_strategy=strategy, explicit_absorbing=explicit)
+
+
 def test_widened_search_claims_survive_oracle():
     from crnextinct.oracle import explore, recurrent_complexes, states_with_total
 

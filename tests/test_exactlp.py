@@ -12,7 +12,6 @@ from crnextinct.exactlp import (
     check_farkas,
     check_feasible,
     lexmin,
-    make_row,
     minimize,
     primitive,
     solve_feasibility,
@@ -22,7 +21,7 @@ import fraction_lp
 
 
 def test_direct_contradiction():
-    system = LinearSystem(1, ge=(make_row([1], 1), make_row([-1], 0)))
+    system = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
     out = solve_feasibility(system)
     assert isinstance(out, Farkas)
     assert out.ge_mult == (Fraction(1), Fraction(1))
@@ -30,7 +29,7 @@ def test_direct_contradiction():
 
 
 def test_simple_feasible():
-    system = LinearSystem(2, eq=(make_row([1, -1], 0),), ge=(make_row([1, 0], 1),))
+    system = LinearSystem(2, eq=(((1, -1), 0),), ge=(((1, 0), 1),))
     out = lexmin(system)
     assert isinstance(out, Feasible)
     assert out.witness == (Fraction(1), Fraction(1))
@@ -39,13 +38,13 @@ def test_simple_feasible():
 
 def test_unbounded_direction():
     # x1 >= x2 >= 0 lets x1 grow without bound
-    system = LinearSystem(2, ge=(make_row([1, -1], 0),))
+    system = LinearSystem(2, ge=(((1, -1), 0),))
     with pytest.raises(UnboundedError):
         minimize(system, [-1, 0])
 
 
 def test_minimize_value():
-    system = LinearSystem(2, ge=(make_row([1, 1], 4), make_row([1, -1], 0)))
+    system = LinearSystem(2, ge=(((1, 1), 4), ((1, -1), 0)))
     value, out = minimize(system, [1, 0])
     assert value == Fraction(2)
     assert isinstance(out, Feasible)
@@ -60,26 +59,17 @@ def test_rows_must_be_ints():
     assert LinearSystem(2, eq=(((1, -2), 3),)).eq == (((1, -2), 3),)
 
 
-def test_make_row_scales_rationals_to_ints():
-    # lcm(2, 3, 4) = 12
-    assert make_row([Fraction(1, 2), Fraction(-2, 3), 1], Fraction(5, 4)) == ((6, -8, 12), 15)
-    assert make_row([True, 0.5], 0) == ((2, 1), 0)
-    assert make_row([1, 2**64], -3) == ((1, 2**64), -3)
-    huge = Fraction(1, 2**64 + 1)
-    assert make_row([huge, 1], Fraction(1, 2)) == ((2, 2 * (2**64 + 1)), 2**64 + 1)
-
-
 def test_integer_rows_build_no_fraction(monkeypatch):
-    # int rows, points and multipliers stay ints in make_row, _standardize
-    # and both audits
+    # int rows, points and multipliers stay ints in _standardize and both
+    # audits
     def no_fraction(*args):
         raise AssertionError("Fraction built")
 
     monkeypatch.setattr(exactlp, "Fraction", no_fraction)
-    feasible = LinearSystem(2, eq=(make_row([1, -1], 0),), ge=(make_row([1, 0], 1),))
+    feasible = LinearSystem(2, eq=(((1, -1), 0),), ge=(((1, 0), 1),))
     exactlp._standardize(feasible)
     assert check_feasible(feasible, (1, 1))
-    infeasible = LinearSystem(1, ge=(make_row([1], 1), make_row([-1], 0)))
+    infeasible = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
     exactlp._standardize(infeasible)
     assert check_farkas(infeasible, Farkas((), (1, 1), (0,)))
 
@@ -102,8 +92,8 @@ def test_one_solve_path_per_public_call(monkeypatch):
         return solve(system, costs)
 
     monkeypatch.setattr(exactlp, "_solve", spy)
-    feasible = LinearSystem(3, eq=(make_row([1, 1, 1], 6),))
-    infeasible = LinearSystem(3, ge=(make_row([-1, 0, 0], 1),))
+    feasible = LinearSystem(3, eq=(((1, 1, 1), 6),))
+    infeasible = LinearSystem(3, ge=(((-1, 0, 0), 1),))
     for system in (feasible, infeasible):
         stages.clear()
         solve_feasibility(system)
@@ -124,15 +114,15 @@ def test_phase1_starts_from_the_slack_basis(monkeypatch):
 
     monkeypatch.setattr(exactlp._Tableau, "pivot", counted)
     system = LinearSystem(
-        3, ge=(make_row([1, -1, 0], 0), make_row([-1, 0, -2], -3), make_row([0, 1, -1], 0))
+        3, ge=(((1, -1, 0), 0), ((-1, 0, -2), -3), ((0, 1, -1), 0))
     )
     assert lexmin(system) == Feasible((0, 0, 0))
     assert pivots == []
     # only equality rows and ge rows with b > 0 get an artificial column
     mixed = LinearSystem(
         2,
-        eq=(make_row([1, 1], 0), make_row([1, -1], -2)),
-        ge=(make_row([1, 0], 1), make_row([0, 1], 0), make_row([-1, 1], -1)),
+        eq=(((1, 1), 0), ((1, -1), -2)),
+        ge=(((1, 0), 1), ((0, 1), 0), ((-1, 1), -1)),
     )
     _, flips, basis, art_cols, ncols = exactlp._standardize(mixed)
     assert (art_cols, ncols) == ([5, 6, 7], 8)  # [x0 x1 | 3 slacks | 3 artificials]
@@ -142,8 +132,8 @@ def test_phase1_starts_from_the_slack_basis(monkeypatch):
 def test_lexmin_deterministic():
     system = LinearSystem(
         3,
-        eq=(make_row([1, 1, 1], 6),),
-        ge=(make_row([0, 1, 0], 1),),
+        eq=(((1, 1, 1), 6),),
+        ge=(((0, 1, 0), 1),),
     )
     a = lexmin(system)
     b = lexmin(system)
@@ -152,7 +142,7 @@ def test_lexmin_deterministic():
 
 
 def test_check_rejects_corrupted_certificates():
-    system = LinearSystem(1, ge=(make_row([1], 1), make_row([-1], 0)))
+    system = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
     out = solve_feasibility(system)
     assert isinstance(out, Farkas)
     corrupted = Farkas(out.eq_mult, (Fraction(1), Fraction(0)), out.nonneg_mult)
@@ -165,21 +155,21 @@ def test_check_rejects_corrupted_certificates():
 def test_row_scaling_preserves_verdicts():
     base = LinearSystem(
         2,
-        eq=(make_row([1, -2], 0),),
-        ge=(make_row([1, 0], 1), make_row([0, 1], 1)),
+        eq=(((1, -2), 0),),
+        ge=(((1, 0), 1), ((0, 1), 1)),
     )
     scaled = LinearSystem(
         2,
-        eq=(make_row([3, -6], 0),),
-        ge=(make_row([5, 0], 5), make_row([0, 7], 7)),
+        eq=(((3, -6), 0),),
+        ge=(((5, 0), 5), ((0, 7), 7)),
     )
     a = solve_feasibility(base)
     b = solve_feasibility(scaled)
     assert isinstance(a, Feasible) and isinstance(b, Feasible)
     assert check_feasible(scaled, a.witness)
 
-    base_inf = LinearSystem(1, ge=(make_row([1], 1), make_row([-1], 0)))
-    scaled_inf = LinearSystem(1, ge=(make_row([4], 4), make_row([-9], 0)))
+    base_inf = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
+    scaled_inf = LinearSystem(1, ge=(((4,), 4), ((-9,), 0)))
     assert isinstance(solve_feasibility(base_inf), Farkas)
     out = solve_feasibility(scaled_inf)
     assert isinstance(out, Farkas) and check_farkas(scaled_inf, out)
@@ -187,10 +177,10 @@ def test_row_scaling_preserves_verdicts():
 
 def test_empty_and_degenerate_systems():
     assert solve_feasibility(LinearSystem(0)) == Feasible(())
-    out = solve_feasibility(LinearSystem(0, eq=(make_row([], 1),)))
+    out = solve_feasibility(LinearSystem(0, eq=(((), 1),)))
     assert isinstance(out, Farkas)
     with pytest.raises(ValueError):
-        LinearSystem(2, eq=(make_row([1], 0),))
+        LinearSystem(2, eq=(((1,), 0),))
 
 
 HUGE = 2**64
@@ -223,8 +213,8 @@ def differential_systems(draw):
         ge_rhs = [draw(rhs) for _ in ge]
     return LinearSystem(
         n,
-        eq=tuple(make_row(c, b) for c, b in zip(eq, eq_rhs)),
-        ge=tuple(make_row(c, b) for c, b in zip(ge, ge_rhs)),
+        eq=tuple(fraction_lp.int_row(c, b) for c, b in zip(eq, eq_rhs)),
+        ge=tuple(fraction_lp.int_row(c, b) for c, b in zip(ge, ge_rhs)),
     )
 
 
@@ -237,7 +227,7 @@ def origin_systems(draw):
         st.integers(-5, 0),
     )
     rows = draw(st.lists(row, max_size=5))
-    return LinearSystem(n, ge=tuple(make_row(a, b) for a, b in rows))
+    return LinearSystem(n, ge=tuple((tuple(a), b) for a, b in rows))
 
 
 @given(origin_systems())
@@ -253,12 +243,12 @@ def test_origin_answer_builds_no_tableau(monkeypatch):
         raise AssertionError("a tableau was built")
 
     monkeypatch.setattr(exactlp, "_standardize", no_tableau)
-    system = LinearSystem(2, ge=(make_row([1, -1], 0), make_row([-2, 3], -4)))
+    system = LinearSystem(2, ge=(((1, -1), 0), ((-2, 3), -4)))
     assert solve_feasibility(system) == Feasible((0, 0))
     # an equality row, or a positive right-hand side, still goes to phase 1
     for other in (
-        LinearSystem(2, eq=(make_row([1, -1], 0),)),
-        LinearSystem(2, ge=(make_row([1, -1], 1),)),
+        LinearSystem(2, eq=(((1, -1), 0),)),
+        LinearSystem(2, ge=(((1, -1), 1),)),
     ):
         with pytest.raises(AssertionError, match="tableau"):
             solve_feasibility(other)

@@ -26,7 +26,6 @@ from crnextinct.exactlp import (
     Farkas,
     LinearSystem,
     lexmin,
-    make_row,
     scale_to_integers,
     solve_feasibility,
 )
@@ -139,8 +138,8 @@ def edge_layout_system(dcrn, forest, candidates) -> LinearSystem:
     """
     net, n = dcrn.net, dcrn.net.r + dcrn.d
     support = set(forest.support)
-    eq = [make_row([int(j == v) for j in range(n)], 0) for v in range(n) if v not in support]
-    eq += [make_row(list(row) + [0] * dcrn.d, 0) for row in model.stoich_matrix(net)]
+    eq = [(tuple(int(j == v) for j in range(n)), 0) for v in range(n) if v not in support]
+    eq += [(row + (0,) * dcrn.d, 0) for row in model.stoich_matrix(net)]
     ge = []
     for y, out in forest.choices:
         coeffs = [0] * n
@@ -148,8 +147,8 @@ def edge_layout_system(dcrn, forest, candidates) -> LinearSystem:
         for v in support:
             if dcrn.graph.edges[v].dst == y:
                 coeffs[v] -= 1
-        ge.append(make_row(coeffs, 0))
-    ge.append(make_row([int(v in candidates) for v in range(n)], 1))
+        ge.append((tuple(coeffs), 0))
+    ge.append((tuple(int(v in candidates) for v in range(n)), 1))
     return LinearSystem(n, tuple(eq), tuple(ge))
 
 

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
@@ -14,7 +16,7 @@ from crnextinct.domination import (
     maximal_admissible,
 )
 from crnextinct.engine import GuaranteedExtinction, SearchConfig, _candidate_pairs, analyze
-from crnextinct.exactlp import LinearSystem, check_feasible, make_row, solve_feasibility
+from crnextinct.exactlp import LinearSystem, check_feasible, solve_feasibility
 from crnextinct.forests import (
     ANY_EDGE,
     Balanced,
@@ -31,7 +33,13 @@ from crnextinct.model import stoich_matrix
 from crnextinct.parser import parse_crn
 from crnextinct.report import emit_report, verify_report
 
-from conftest import chain_text, random_network, reversible_chain_text
+from conftest import (
+    FIXTURE_DIR,
+    chain_text,
+    random_network,
+    reversible_chain_text,
+    subprocess_env,
+)
 from forests_reference import path_walk_forest_is_valid, recursive_forests
 
 
@@ -203,7 +211,7 @@ def test_decide_balance_example999(nets):
     gamma = stoich_matrix(nets["example999"])
     relaxed = LinearSystem(
         3,
-        eq=tuple([make_row([0, 1, 0], 0)] + [make_row(list(r), 0) for r in gamma]),
+        eq=tuple([((0, 1, 0), 0)] + [(r, 0) for r in gamma]),
     )
     assert check_feasible(relaxed, (2, 0, 1))
 
@@ -258,6 +266,45 @@ def test_example000_terminal_balanced(nets):
     outcome = decide_balance(system)
     assert isinstance(outcome, Balanced)
     assert verify_balance_outcome(dcrn, forest, Balanced((0, 2, 1, 0), 1))
+
+
+AUDITS_UNDER_O = """
+import sys
+from crnextinct import exactlp, forests
+from crnextinct.domination import maximal_admissible
+from crnextinct.parser import parse_crn
+
+print("optimize", sys.flags.optimize)
+dcrn = maximal_admissible(parse_crn(open(sys.argv[1]).read()).network)
+system = forests.build_balancing_system(dcrn, next(forests.enumerate_forests(dcrn)))
+feasible = exactlp.LinearSystem(1, eq=(((1,), 1),))
+for module, decide in ((forests, lambda: forests.decide_balance(system)),
+                       (exactlp, lambda: exactlp.solve_feasibility(feasible))):
+    real, module.check_feasible = module.check_feasible, lambda *args: False
+    try:
+        print("returned", decide())
+    except AssertionError as exc:
+        print("raised", exc)
+    module.check_feasible = real
+"""
+
+
+def test_self_audits_survive_python_O():
+    # example000's first forest is balanced; with its audit failing, both the
+    # solver's and decide_balance's self-audit must still raise under -O
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", AUDITS_UNDER_O, str(FIXTURE_DIR / "example000.crn")],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "optimize 1",
+        "raised internal error: mapped balancing vector fails its audit",
+        "raised internal error: produced point fails its own audit",
+    ]
 
 
 def test_monotone_in_candidates(example33):

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from crnextinct import invariants
 from crnextinct.exactlp import Farkas, Feasible, check_farkas, check_feasible, solve_feasibility
 from crnextinct.invariants import (
@@ -87,6 +89,24 @@ def test_strict_lp_is_skipped_for_opposite_vectors(nets, monkeypatch):
         solved.clear()
         is_subconservative(stoich_matrix(net))
         assert len(solved) == calls
+
+
+def test_decide_audits_both_lifted_answers(monkeypatch):
+    # a wrong solver answer must not leave _decide, or analyze would emit it
+    # unaudited: the point 0 lifts to c = 1, which no strict vector of 0 -> X
+    # is, and an all-zero refutation proves nothing
+    def wrong_point(system):
+        return Feasible((Fraction(0),) * system.n)
+
+    def empty_refutation(system):
+        return Farkas((0,) * len(system.eq), (0,) * len(system.ge), (0,) * system.n)
+
+    monkeypatch.setattr(invariants, "solve_feasibility", wrong_point)
+    with pytest.raises(AssertionError, match="lifted witness fails"):
+        is_subconservative(((1,),))
+    monkeypatch.setattr(invariants, "solve_feasibility", empty_refutation)
+    with pytest.raises(AssertionError, match="lifted refutation fails"):
+        is_conservative(((-1,),))
 
 
 def test_conservative_implies_subconservative(nets):

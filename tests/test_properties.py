@@ -11,7 +11,6 @@ from crnextinct.exactlp import (
     LinearSystem,
     check_farkas,
     check_feasible,
-    make_row,
     solve_feasibility,
 )
 from crnextinct.forests import (
@@ -308,8 +307,8 @@ def small_systems(draw):
     ge = draw(st.lists(row, max_size=4))
     return LinearSystem(
         n,
-        eq=tuple(make_row(list(c), b) for c, b in eq),
-        ge=tuple(make_row(list(c), b) for c, b in ge),
+        eq=tuple(eq),
+        ge=tuple(ge),
     )
 
 
@@ -345,13 +344,13 @@ def test_cone_generators_are_complete(net):
     # any point of the kernel-orthant polytope must decompose over the rays
     gamma = stoich_matrix(net)
     gens = nonneg_kernel_generators(gamma)
-    from crnextinct.exactlp import lexmin, Feasible, make_row
+    from crnextinct.exactlp import lexmin, Feasible
 
     slice_system = LinearSystem(
         net.r,
         eq=tuple(
-            [make_row(list(row), 0) for row in gamma]
-            + [make_row([1] * net.r, 1)]
+            [(row, 0) for row in gamma]
+            + [((1,) * net.r, 1)]
         ),
     )
     outcome = lexmin(slice_system)
