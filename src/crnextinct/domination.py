@@ -101,7 +101,7 @@ def domination_set(net: ReactionNetwork) -> list[GraphEdge]:
         smaller = by_total[: bisect_left(totals, total[i])]
         below = [j for j in smaller if (top - packed[j]) & guards == guards]
         below.sort()
-        edges += [GraphEdge(i, j) for j in below]
+        edges += [GraphEdge._make((i, j)) for j in below]  # skips the Python-level __new__
     return edges
 
 

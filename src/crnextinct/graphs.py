@@ -20,18 +20,19 @@ recomputed.  When a dropped edge lies inside a block, the subgraph is
 condensed afresh on first use.  `is_absorbing_set` needs no condensation: a
 set is absorbing iff no edge leaves it and every complex reaches it.
 
-scc_ids is the package's one SCC routine.  A reaction graph is condensed
-whole (floor 0, ids from 0); the oracle condenses only the states a root adds
-to its state graph, in the stored successor lists: the floor is the first new
-state, edges below it are skipped, and ids run on from the old components.
+condense is the package's one SCC routine: a depth-first search that
+discovers vertices through a callback and condenses them as it goes.  A
+reaction graph is condensed from every vertex in turn; the oracle grows its
+state graph with it, root by root.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .model import ReactionNetwork  # the network holds its graph, so model imports this module
@@ -60,30 +61,30 @@ class ReactionGraph:
 
     def successors(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            out[e.src].append(e.dst)
+        for src, dst in self.edges:
+            out[src].append(dst)
         return out
 
     @cached_property
     def condensation(self) -> Condensation:
         """The graph's strongly connected components, computed once and shared.
 
-        scc_ids numbers the components in completion order; they are
+        One condense call from every vertex in turn; its components are
         renumbered by smallest member, the order in which a scan of the
-        vertices first meets them.
+        vertices first meets them, and a block is a sink iff it has no exit.
         """
-        ids, members = scc_ids(self.successors())
-        rank = [-1] * len(members)
-        blocks = []
+        index, keys, comp = {}, [], []
+        found = condense(range(self.n), self.successors().__getitem__, index, keys, [], comp)
+        ids = list(map(comp.__getitem__, map(index.__getitem__, range(self.n))))  # per vertex
+        rank = [-1] * len(found)
+        blocks, sink = [], []
         for c in ids:
             if rank[c] < 0:
                 rank[c] = len(blocks)
-                blocks.append(frozenset(members[c]))
-        comp_of = tuple(rank[c] for c in ids)
-        sink = [True] * len(blocks)
-        for e in self.edges:
-            if comp_of[e.src] != comp_of[e.dst]:
-                sink[comp_of[e.src]] = False
+                members, exits = found[c]
+                blocks.append(frozenset(map(keys.__getitem__, members)))
+                sink.append(not exits)
+        comp_of = tuple(map(rank.__getitem__, ids))
         return Condensation(comp_of, tuple(sink), tuple(blocks))
 
     def subgraph(self, edges: Sequence[GraphEdge]) -> ReactionGraph:
@@ -122,69 +123,92 @@ def reaction_graph(net: ReactionNetwork) -> ReactionGraph:
 def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
     """Weakly connected components: the SCCs once every edge is also reversed."""
     both = g.successors()
-    for e in g.edges:
-        both[e.dst].append(e.src)
-    return sorted(map(frozenset, scc_ids(both)[1]), key=min)
+    for src, dst in g.edges:
+        both[dst].append(src)
+    keys: list[int] = []
+    found = condense(range(g.n), both.__getitem__, {}, keys, [], [])
+    return sorted((frozenset(map(keys.__getitem__, block)) for block, _ in found), key=min)
 
 
-def scc_ids(
-    succ: Sequence[Sequence[int]], floor: int = 0, first: int = 0
-) -> tuple[list[int], list[list[int]]]:
-    """Strongly connected components by iterative Tarjan, of the vertices from `floor` up.
+def condense(
+    roots: Iterable[Hashable], expand: Callable[[Any], Iterable[Hashable]], index: dict, keys: list,
+    succ: list[list[int]], comp: list[int], first: int = 0,
+) -> list[tuple[list[int], list[int]]]:
+    """Discover what the roots reach beyond `index` and condense it, in one iterative Tarjan search.
 
-    Vertices below `floor` are taken as already condensed: the search starts
-    at none of them and skips every edge into them.  Returns the component id
-    of each vertex v >= floor (at position v - floor) and each component's
-    members, in the order the components complete.  Ids count up from
-    `first` in that order, which is a reverse topological order: every edge
-    between two components points to the smaller id.
+    `expand(key)` lists a vertex's successor keys.  A new vertex gets the next
+    id, len(keys), when first met, so every one but a root is discovered
+    along an edge from a smaller id.  Its key goes to `index` and `keys`, its
+    successor ids to `succ` and its component id to `comp`; a vertex already
+    in `index` must have its component.  Components are numbered from `first`
+    as they complete, a reverse topological order.  Returns, per new
+    component, its members (ids ascending) and its exits: the components its
+    edges enter, with repeats, empty iff no edge leaves it.
     """
-    size = len(succ) - floor
-    comp = [-1] * size  # component id, per vertex from floor up
-    num = [0] * size  # 1 + discovery order; 0 while unvisited
-    low = [0] * size
-    stack: list[int] = []
-    members: list[list[int]] = []
-    counter = 0
-    for root in range(floor, len(succ)):
-        if num[root - floor]:
+    found: list[tuple[list[int], list[int]]] = []
+    stack: list[int] = []  # Tarjan's stack: ids ascend along it
+    exits: list[int] = []  # the exits met by the vertices on the stack, in order
+    work = []  # the suspended vertices of the search path
+    get = index.get
+    for root in roots:
+        if root in index:
             continue
-        counter += 1
-        num[root - floor] = low[root - floor] = counter
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            lv = v - floor
-            for w in edges:
-                lw = w - floor
-                if lw < 0:
-                    continue
-                if not num[lw]:
-                    counter += 1
-                    num[lw] = low[lw] = counter
+        v = low = len(keys)
+        index[root] = v
+        keys.append(root)
+        comp.append(-1)
+        stack.append(v)
+        succ.append(out := [])
+        edges = iter(expand(root))
+        mark = 0
+        while True:
+            for key in edges:
+                w = get(key)
+                if w is None:
+                    w = len(keys)
+                    index[key] = w
+                    keys.append(key)
+                    comp.append(-1)
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    out.append(w)
+                    work.append((v, low, mark, out, edges))
+                    v = low = w
+                    mark = len(exits)
+                    succ.append(out := [])
+                    edges = iter(expand(key))
                     break
-                if comp[lw] < 0 and num[lw] < low[lv]:
-                    low[lv] = num[lw]  # w is still on the stack
+                out.append(w)
+                c = comp[w]
+                if c < 0:  # w is on the stack: v's component is w's
+                    if w < low:
+                        low = w
+                else:
+                    exits.append(c)
             else:
-                work.pop()
-                if low[lv] == num[lv]:
-                    at = len(stack) - 1
-                    while stack[at] != v:
-                        at -= 1
-                    block = stack[at:]
-                    del stack[at:]
-                    c = first + len(members)
-                    for w in block:
-                        comp[w - floor] = c
-                    members.append(block)
-                if work:
-                    lu = work[-1][0] - floor
-                    if low[lv] < low[lu]:
-                        low[lu] = low[lv]
-    return comp, members
+                if low == v:
+                    c = first + len(found)
+                    if stack[-1] == v:  # most blocks are single vertices
+                        block = [stack.pop()]
+                        comp[v] = c
+                    else:
+                        at = bisect_left(stack, v)
+                        block = stack[at:]
+                        del stack[at:]
+                        for w in block:
+                            comp[w] = c
+                    found.append((block, exits[mark:]))
+                    del exits[mark:]
+                if not work:
+                    break
+                w, below = v, low
+                v, low, mark, out, edges = work.pop()
+                c = comp[w]
+                if c < 0:
+                    if below < low:
+                        low = below
+                else:
+                    exits.append(c)
+    return found
 
 
 def strong_linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:

@@ -3,11 +3,11 @@
 States are tuples of molecular counts.  A StateGraph holds states closed under
 single reaction firings (finite for subconservative networks; a hard cap
 guards everything else), condensed into strongly connected components.  One
-routine grows it (_grow): it adds the states a root reaches that are not
-stored yet, condenses only that new part, in place in the stored successor
-lists (graphs.scc_ids from a floor, with no copy of them), and gives each new
-component the bitmask of the complexes recurrent from it, read off terminal
-components.
+routine grows it (_grow): one graphs.condense search from a root discovers
+the states it reaches that are not stored yet, numbering them in depth-first
+discovery order, and condenses them as it goes; each new component gets the
+bitmask of the complexes recurrent from it, from the components its edges
+enter, or, for a terminal one, from the complexes its states charge.
 Every recurrence and extinction answer is read off those labels.  States are
 expanded by the network's successor kernel (ReactionNetwork.next_states), one
 function compiled once per network from its firing table, at O(m * r) cost
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations_with_replacement
-from operator import sub
+from operator import and_, sub
 from typing import Iterable, Optional, Sequence
 
-from .graphs import scc_ids
+from .graphs import condense
 from .model import Complex, ReactionNetwork, State, fire, is_charged
 
 
@@ -63,7 +64,7 @@ class StateGraph:
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
-        """(state, reaction, state) triples in breadth-first order, fired again from the states."""
+        """(state, reaction, state) triples by source id, a depth-first discovery number."""
         net, index = self.net, self.index
         return [
             (i, k, index[nxt])
@@ -88,55 +89,29 @@ def _charged_mask(net: ReactionNetwork, states: Sequence[State]) -> int:
 
 
 def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
-    """Add a state not stored yet and every new state it reaches, then condense them.
+    """Add a state not stored yet and every new state it reaches, condensed and labelled.
 
-    The stored states must already be closed under firing, so only the new
-    ones are expanded, in breadth-first order: their ids run on from the old
-    length, and each gets its successors in reaction order from one call of
-    the network's successor kernel (ReactionNetwork.next_states, compiled
-    once per network from the firing table that `fire` reads): a reaction
-    fires when the state holds every count of its source's need, and the
-    next state adds its vector.  No new state shares a
-    component with an old one, so scc_ids condenses the new part in place,
-    with the first new state as its floor: it skips the edges into old
-    states, and its component ids run on from the old ones.  In id order, a
-    terminal component's mask is the set of complexes its states charge and
-    any other's is the AND of its successor components' masks.
-    Raises StateCapExceeded when the store would pass `hard_cap` states.
+    The stored states are closed under firing and condensed, so one
+    graphs.condense search from `start`, expanding states with the network's
+    successor kernel, discovers exactly the new ones.  A new component with
+    no exit is terminal, its mask the complexes its states charge; any
+    other's mask is the AND of its exits'.  Raises StateCapExceeded when the
+    store would pass `hard_cap` states, each new one expanded once stored.
     """
-    net, states, index, succ = g.net, g.states, g.index, g.succ
+    net, states, masks, terminal = g.net, g.states, g.masks, g.scc_terminal
     next_states = net.next_states
-    base = i = len(states)
-    if base >= hard_cap:
-        raise StateCapExceeded(hard_cap)
-    index[start] = base
-    states.append(start)
-    while i < len(states):
-        out = []
-        for nxt in next_states(states[i]):
-            j = index.get(nxt)
-            if j is None:
-                j = len(states)
-                if j >= hard_cap:
-                    raise StateCapExceeded(hard_cap)
-                index[nxt] = j
-                states.append(nxt)
-            out.append(j)
-        succ.append(out)
-        i += 1
-    scc_of, terminal, masks = g.scc_of, g.scc_terminal, g.masks
-    ids, members = scc_ids(succ, base, len(masks))
-    scc_of += ids
-    for c, block in enumerate(members, start=len(masks)):
-        mask, sink = -1, True
-        for v in block:
-            for w in succ[v]:
-                d = scc_of[w]
-                if d != c:
-                    mask &= masks[d]
-                    sink = False
-        terminal.append(sink)
-        masks.append(_charged_mask(net, [states[v] for v in block]) if sink else mask)
+
+    def expand(state: State) -> list[State]:
+        if len(states) > hard_cap:
+            raise StateCapExceeded(hard_cap)
+        return next_states(state)
+
+    for block, exits in condense((start,), expand, g.index, states, g.succ, g.scc_of, len(masks)):
+        terminal.append(not exits)
+        masks.append(
+            reduce(and_, map(masks.__getitem__, exits)) if exits
+            else _charged_mask(net, [states[v] for v in block])
+        )
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -146,7 +121,7 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 
 def explore(net: ReactionNetwork, root: Sequence[int], hard_cap: int = 200000) -> StateGraph:
-    """Breadth-first closure of the root under single firings, condensed.
+    """The closure of the root under single firings, condensed; the root is state 0.
 
     Raises StateCapExceeded when more than `hard_cap` states appear, which for
     non-subconservative networks is the only stopping guarantee, and
@@ -270,13 +245,14 @@ def find_recurrent_witness(
     targets = _targets(net, complexes)
     wanted = sum(1 << ci for ci in targets)
     g = StateGraph(net, (0,) * net.m)
+    index, masks, scc_of = g.index, g.masks, g.scc_of
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):
-            i = g.index.get(root)
+            i = index.get(root)
             if i is None:
                 i = len(g.states)  # _grow numbers the root first
                 _grow(g, root, hard_cap)
-            hit = g.masks[g.scc_of[i]] & wanted
+            hit = masks[scc_of[i]] & wanted
             if hit:
                 return root, (hit & -hit).bit_length() - 1
     return None

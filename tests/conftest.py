@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from crnextinct import engine
+from crnextinct import engine, graphs
 from crnextinct.exactlp import Feasible, check_farkas, scale_to_integers
 from crnextinct.forests import (
     Unbalanced,
@@ -96,6 +96,25 @@ def load_fixture(name: str) -> ReactionNetwork:
 @pytest.fixture(scope="session")
 def nets() -> dict[str, ReactionNetwork]:
     return {name: load_fixture(name) for name in FIXTURE_NAMES}
+
+
+@pytest.fixture
+def condense_calls(monkeypatch) -> list[list[list[int]]]:
+    """Per graphs.condense call, in order, the successor lists it read, per vertex key.
+
+    For a reaction graph the keys are its vertices, so a call over a whole
+    graph reads back as the graph's successors().
+    """
+    calls = []
+    real = graphs.condense
+
+    def spy(roots, expand, index, keys, succ, comp, first=0):
+        found = real(roots, expand, index, keys, succ, comp, first)
+        calls.append([[keys[w] for w in succ[index[v]]] for v in sorted(index)])
+        return found
+
+    monkeypatch.setattr(graphs, "condense", spy)
+    return calls
 
 
 def complex_names(net: ReactionNetwork, indices) -> list[str]:

@@ -2,8 +2,9 @@
 
 The package reads weak components off its one SCC routine (every edge also
 reversed); this module keeps the classical disjoint-set computation beside
-it.  `is_absorbing_set` tests closure and reachability; this module keeps
-the definition, terminal complexes from transitive closure.
+it, and strong components from reach sets, the definition the routine is
+tested against.  `is_absorbing_set` tests closure and reachability; this
+module keeps the definition, terminal complexes from transitive closure.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ def reach_sets(g: ReactionGraph) -> list[set[int]]:
                 reach[e.src] |= reach[e.dst]
                 changed = True
     return reach
+
+
+def reach_set_sccs(g: ReactionGraph) -> list[frozenset[int]]:
+    """Per vertex, its strongly connected component: the vertices it reaches that reach it back."""
+    reach = reach_sets(g)
+    return [frozenset(w for w in reach[v] if v in reach[w]) for v in range(g.n)]
 
 
 def definition_is_absorbing_set(g: ReactionGraph, absorbing) -> bool:

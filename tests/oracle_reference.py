@@ -47,8 +47,10 @@ class Trace:
 def trace_to(g: StateGraph, state: Sequence[int]) -> Trace:
     """A firing sequence from the root to a stored state.
 
-    StateGraph.edges lists edges in breadth-first order, so the first edge into
-    each state other than the root (id 0) is the one that discovered it.
+    Needs only that every state but the root (id 0) has an edge in from a
+    smaller id, as its discoverer gives it.  StateGraph.edges lists edges by
+    source id, so the first edge into a state comes from a smaller id, and
+    following first edges back strictly lowers the id until the root.
     """
     parent: dict[int, tuple[int, int]] = {}
     for i, k, j in g.edges:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crnextinct import graphs
 from crnextinct.domination import (
     build_dom_crn,
     check_slc_coincidence,
@@ -18,11 +17,11 @@ from crnextinct.forests import enumerate_forests
 from crnextinct.graphs import (
     GraphEdge,
     ReactionGraph,
+    condense,
     enumerate_absorbing_sets,
     is_absorbing_set,
     linkage_classes,
     reaction_graph,
-    scc_ids,
     strong_linkage_classes,
     terminal_complexes,
     terminal_slcs,
@@ -30,7 +29,7 @@ from crnextinct.graphs import (
 from crnextinct.report import emit_report, verify_report
 
 from conftest import complex_names, load_fixture
-from graphs_reference import definition_is_absorbing_set
+from graphs_reference import definition_is_absorbing_set, reach_set_sccs, reach_sets
 
 
 def test_linkage_classes_example21(nets):
@@ -169,25 +168,11 @@ def test_condensation_acyclic(nets):
                 dfs(u)
 
 
-@pytest.fixture
-def scc_calls(monkeypatch):
-    """The successor lists of every graphs.scc_ids call, in order."""
-    calls = []
-    real = graphs.scc_ids
-
-    def spy(succ, floor=0, first=0):
-        calls.append(succ)
-        return real(succ, floor, first)
-
-    monkeypatch.setattr(graphs, "scc_ids", spy)
-    return calls
-
-
 # The counting tests parse their network afresh: the network graph is a table
 # built once per network, so a session fixture's would already be condensed.
 
 
-def test_one_condensation_per_graph(scc_calls):
+def test_one_condensation_per_graph(condense_calls):
     net = load_fixture("example21")
     g = reaction_graph(net)
     strong_linkage_classes(g)
@@ -196,13 +181,13 @@ def test_one_condensation_per_graph(scc_calls):
     enumerate_absorbing_sets(g, 64)
     assert reaction_graph(net) is g  # the network's own table
     strong_linkage_classes(reaction_graph(net))
-    assert scc_calls == [g.successors()]
+    assert condense_calls == [g.successors()]
 
 
-def test_one_graph_per_expansion(scc_calls):
+def test_one_graph_per_expansion(condense_calls):
     net = load_fixture("example21")
     dcrn = build_dom_crn(net, [GraphEdge(0, 2), GraphEdge(1, 2)], {3})
-    assert scc_calls == []  # the absorbing-set test reads no condensation
+    assert condense_calls == []  # the absorbing-set test reads no condensation
     expanded = dcrn.graph
     assert check_slc_coincidence(reaction_graph(net), dcrn.graph) == ()
     assert list(enumerate_forests(dcrn))
@@ -210,12 +195,12 @@ def test_one_graph_per_expansion(scc_calls):
     base = reaction_graph(net).successors()
     assert expanded.successors() != base
     # the SLC check condenses the network's own graph, then the expanded one
-    assert scc_calls == [base, expanded.successors()]
+    assert condense_calls == [base, expanded.successors()]
     assert check_slc_coincidence(reaction_graph(net), dcrn.graph) == ()
-    assert len(scc_calls) == 2
+    assert len(condense_calls) == 2
 
 
-def test_one_condensation_per_shrink_round(scc_calls):
+def test_one_condensation_per_shrink_round(condense_calls):
     # one condensation for all the rounds: each round drops only edges
     # between blocks, so its graph inherits the whole expansion's blocks
     net = load_fixture("example21")
@@ -225,61 +210,66 @@ def test_one_condensation_per_shrink_round(scc_calls):
     # the fixpoint's graph is the candidate's: no further condensation
     assert is_absorbing_set(dcrn.graph, dcrn.absorbing)
     assert list(enumerate_forests(dcrn))
-    assert scc_calls == [whole.successors()]
+    assert condense_calls == [whole.successors()]
     assert dcrn.graph.condensation == ReactionGraph(net.n, dcrn.graph.edges).condensation
 
 
-def test_analyze_condenses_the_network_graph_once(scc_calls):
+def test_analyze_condenses_the_network_graph_once(condense_calls):
     net = load_fixture("example21")
     verdict = analyze(net)
     assert isinstance(verdict, GuaranteedExtinction)
     # the whole expansion once for every shrink round, then the network's
     # own graph for the SLC check
     whole = dom_graph(net, expansion_edges(net))
-    assert scc_calls == [whole.successors(), reaction_graph(net).successors()]
+    assert condense_calls == [whole.successors(), reaction_graph(net).successors()]
     # the auditor's absorbing-set test reads no condensation, and a second
     # analyze finds the network graph condensed
     assert verify_report(net, json.loads(emit_report(net, verdict, SearchConfig())))
-    assert len(scc_calls) == 2
+    assert len(condense_calls) == 2
     assert analyze(net) == verdict
-    assert len(scc_calls) == 3
+    assert len(condense_calls) == 3
 
 
 @st.composite
-def floored_graphs(draw):
-    """Successor lists over 0..n-1, with a floor in 0..n and a first id."""
+def graphs_with_roots(draw):
+    """Successor lists over 0..n-1 and a sequence of roots, repeats allowed."""
     n = draw(st.integers(0, 9))
     vertex = st.integers(0, max(n - 1, 0))
     succ = draw(st.lists(st.lists(vertex, max_size=4), min_size=n, max_size=n))
-    return succ, draw(st.integers(0, n)), draw(st.integers(0, 5))
+    return succ, draw(st.lists(vertex, max_size=6)) if n else []
 
 
-@given(floored_graphs())
-def test_scc_ids_from_floor_is_the_induced_subgraph(graph):
-    # edges into vertices below the floor are skipped: the answer is the
-    # induced subgraph's from 0, its vertices shifted up and its ids by `first`
-    succ, floor, first = graph
-    ids, members = scc_ids(succ, floor, first)
-    induced = [[w - floor for w in out if w >= floor] for out in succ[floor:]]
-    want_ids, want_members = scc_ids(induced)
-    assert ids == [first + c for c in want_ids]
-    assert members == [[v + floor for v in block] for block in want_members]
-    # each member list is one component, listed under its id
-    assert sorted(v for block in members for v in block) == list(range(floor, len(succ)))
-    for c, block in enumerate(members, start=first):
-        assert all(ids[v - floor] == c for v in block)
-    # against the definition: same component iff mutually reachable, and
-    # every edge between components points to the smaller id
-    reach = [{v} for v in range(len(induced))]
-    for _ in induced:
-        for v, out in enumerate(induced):
-            for w in out:
-                reach[v] |= reach[w]
-    for v, out in enumerate(induced):
-        for w in range(len(induced)):
-            assert (want_ids[v] == want_ids[w]) == (w in reach[v] and v in reach[w])
-        for w in out:
-            assert want_ids[w] <= want_ids[v]
+@given(graphs_with_roots())
+@example(([[1], [0, 2], [], [2, 3]], [2, 0, 3, 1]))  # later roots enter older components
+def test_growing_root_by_root_is_one_condense_call(case):
+    # the oracle's sweep grows its graph one root at a time, numbering the
+    # new components on from the old ones
+    succ, roots = case
+    index, keys, targets, comp = stores = {}, [], [], []
+    found = []
+    for root in roots:
+        found += condense((root,), succ.__getitem__, index, keys, targets, comp, len(found))
+    whole = {}, [], [], []
+    assert condense(roots, succ.__getitem__, *whole) == found
+    assert whole == stores
+    # against the reach-set reference: the reached vertices, each numbered
+    # when first met, so every one but a root has an in-edge from a smaller id
+    g = ReactionGraph(len(succ), tuple(GraphEdge(v, w) for v, out in enumerate(succ) for w in out))
+    reach, scc = reach_sets(g), reach_set_sccs(g)
+    assert set(keys) == set().union(*(reach[r] for r in roots))
+    assert index == {v: i for i, v in enumerate(keys)}
+    for i, v in enumerate(keys):
+        assert [keys[j] for j in targets[i]] == succ[v]
+        assert v in roots or any(i in targets[j] for j in range(i))
+    # each block is one SCC, its ids ascending; the ids are reverse
+    # topological, and the exits are the other components its edges enter
+    assert sorted(i for block, _ in found for i in block) == list(range(len(keys)))
+    for c, (block, exits) in enumerate(found):
+        assert block == sorted(block)
+        assert {keys[i] for i in block} == scc[keys[block[0]]]
+        assert all(comp[i] == c for i in block)
+        assert set(exits) == {comp[j] for i in block for j in targets[i]} - {c}
+        assert all(d < c for d in exits)
 
 
 @st.composite
@@ -308,7 +298,7 @@ def test_subgraph_condensation_matches_a_fresh_search(case):
     # the blocks are inherited exactly when every dropped edge joins two blocks
     assert ("condensation" in vars(sub)) == inherits
     assert sub.edges == fresh.edges
-    assert sub.condensation == fresh.condensation  # every field, against scc_ids
+    assert sub.condensation == fresh.condensation  # every field, against a fresh search
     # a subgraph of a subgraph inherits through the chain
     again = sub.subgraph(kept[1:])
     assert again.condensation == ReactionGraph(n, kept[1:]).condensation

@@ -71,6 +71,28 @@ def test_cap_exceeded():
         explore(growing, (0,), hard_cap=10)
 
 
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if n != "example22"])
+def test_caps_are_honest_at_the_boundary(nets, name):
+    # a closure of exactly N states fits a cap of N and not one of N - 1,
+    # for one root's graph and for the sweep's shared graph
+    net = nets[name]
+    for root in [(1,) * net.m, (2,) + (0,) * (net.m - 1), (0,) * (net.m - 1) + (2,)]:
+        size = len(explore(net, root).states)
+        assert len(explore(net, root, hard_cap=size).states) == size
+        if size > 1:  # a cap must be at least 1
+            with pytest.raises(StateCapExceeded):
+                explore(net, root, hard_cap=size - 1)
+    budget = 3
+    closure = {
+        s for total in range(budget + 1) for root in states_with_total(net.m, total)
+        for s in explore(net, root).states
+    }
+    size = len(closure)
+    assert find_recurrent_witness(net, [], budget, hard_cap=size) is None  # sweeps every root
+    with pytest.raises(StateCapExceeded):
+        find_recurrent_witness(net, [], budget, hard_cap=size - 1)
+
+
 def test_recurrent_states_intro(nets):
     g = explore(nets["intro"], (1, 1))
     labels = dict(zip(g.states, recurrent_states(g)))

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -17,12 +18,19 @@ from crnextinct.forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
     Balanced,
+    Unbalanced,
     build_balancing_system,
     decide_balance,
     enumerate_forests,
     forest_is_valid,
 )
-from crnextinct.domination import domination_set, maximal_admissible
+from crnextinct.domination import (
+    AdmissibilityError,
+    build_dom_crn,
+    dom_graph,
+    domination_set,
+    maximal_admissible,
+)
 from crnextinct.graphs import (
     GraphEdge,
     ReactionGraph,
@@ -34,7 +42,7 @@ from crnextinct.graphs import (
     terminal_complexes,
     terminal_slcs,
 )
-from crnextinct.engine import SearchConfig, _candidate_pairs
+from crnextinct.engine import GuaranteedExtinction, SearchConfig, _candidate_pairs, analyze
 from crnextinct.invariants import (
     conservation_system,
     is_conservative,
@@ -48,6 +56,7 @@ from crnextinct.oracle import (
     complex_recurrent,
     explore,
     extinction_on,
+    find_recurrent_witness,
     recurrent_complexes,
 )
 from crnextinct.parser import format_network, parse_crn
@@ -443,3 +452,106 @@ def test_petri_import_survives_leaf_mutations(nets, data):
         petri_import(mutated)
     except (PetriFormatError, ValueError):
         pass
+
+
+@pytest.fixture(scope="module")
+def certified(nets):
+    """Every fixture's guaranteed-extinction verdict, under the default and the widened search."""
+    wide = SearchConfig(dom_strategy="all-subsets", absorbing_strategy="enumerate")
+    return [
+        (name, cfg, verdict)
+        for name in FIXTURE_NAMES
+        for cfg in (SearchConfig(), wide)
+        if isinstance(verdict := analyze(nets[name], cfg), GuaranteedExtinction)
+    ]
+
+
+def _forge(net, verdict: GuaranteedExtinction, data) -> GuaranteedExtinction:
+    """The verdict with one link forged.
+
+    Another absorbing set (the transient set its complement), a domination
+    edge dropped or added, a forest choice re-pointed at another edge, or
+    one Farkas multiplier moved.  A forger who can run the search may also
+    take another forest of the forged expansion, or the balance LP's own
+    refutation of the forged forest, so stacked forgeries can be consistent
+    everywhere the verifier does not look.
+    """
+    cert = verdict.certificate
+    kinds = ["absorbing", "drop", "add", "choice", "multiplier", "forest", "refute"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "absorbing":
+        closed = enumerate_absorbing_sets(dom_graph(net, cert.dom_edges), 16)
+        closed += enumerate_absorbing_sets(reaction_graph(net), 16)
+        anywhere = st.frozensets(st.integers(0, net.n - 1), min_size=1)
+        absorbing = data.draw(st.sampled_from(closed) | anywhere)
+        transient = frozenset(range(net.n)) - absorbing
+        return replace(verdict, transient=transient, certificate=replace(cert, absorbing=absorbing))
+    edges = cert.dom_edges
+    if kind == "drop" and edges:
+        j = data.draw(st.integers(0, len(edges) - 1))
+        return replace(verdict, certificate=replace(cert, dom_edges=edges[:j] + edges[j + 1 :]))
+    if kind == "add":
+        vertex = st.integers(0, net.n - 1)
+        pair = st.builds(GraphEdge, vertex, vertex)
+        fresh = [e for e in domination_set(net) if e not in edges]
+        e = data.draw(st.sampled_from(fresh) | pair if fresh else pair)
+        j = data.draw(st.integers(0, len(edges)))
+        return replace(verdict, certificate=replace(cert, dom_edges=edges[:j] + (e,) + edges[j:]))
+    choices = cert.forest.choices
+    if kind == "choice" and choices:
+        j = data.draw(st.integers(0, len(choices) - 1))
+        y, _ = choices[j]
+        v = data.draw(st.integers(0, net.r + len(edges) - 1))
+        forest = replace(cert.forest, choices=choices[:j] + ((y, v),) + choices[j + 1 :])
+        return replace(verdict, certificate=replace(cert, forest=forest))
+    if kind in ("forest", "refute"):
+        try:
+            dcrn = build_dom_crn(net, edges, cert.absorbing)
+        except AdmissibilityError:
+            return verdict
+        if kind == "forest":
+            forests = list(islice(enumerate_forests(dcrn), 8))
+            if forests:
+                cert = replace(cert, forest=data.draw(st.sampled_from(forests)))
+        elif forest_is_valid(dcrn, cert.forest):
+            system = build_balancing_system(dcrn, cert.forest, cert.nontriviality)
+            outcome = decide_balance(system)
+            if isinstance(outcome, Unbalanced):
+                cert = replace(cert, outcome=outcome)
+        return replace(verdict, certificate=cert)
+    witnesses = cert.outcome.witnesses
+    spots = [
+        (i, field, k)
+        for i, (_, farkas) in enumerate(witnesses)
+        for field in ("eq_mult", "ge_mult", "nonneg_mult")
+        for k in range(len(getattr(farkas, field)))
+    ]
+    if kind != "multiplier" or not spots:
+        return verdict  # nothing of that kind to forge
+    i, field, k = data.draw(st.sampled_from(spots))
+    cands, farkas = witnesses[i]
+    mult = getattr(farkas, field)
+    moved = mult[k] + data.draw(st.fractions(-3, 3).filter(bool))
+    farkas = replace(farkas, **{field: mult[:k] + (moved,) + mult[k + 1 :]})
+    outcome = replace(cert.outcome, witnesses=witnesses[:i] + ((cands, farkas),) + witnesses[i + 1 :])
+    return replace(verdict, certificate=replace(cert, outcome=outcome))
+
+
+@pytest.fixture(scope="module")
+def oracle_witnesses() -> dict:
+    """find_recurrent_witness at budget 4, per (fixture, transient set) asked so far."""
+    return {}
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_every_forged_report_that_verifies_makes_a_true_claim(nets, certified, oracle_witnesses, data):
+    name, cfg, verdict = data.draw(st.sampled_from(certified))
+    net = nets[name]
+    for _ in range(data.draw(st.integers(1, 4))):
+        verdict = _forge(net, verdict, data)
+    if verify_report(net, json.loads(emit_report(net, verdict, cfg))):
+        key = name, verdict.transient
+        if key not in oracle_witnesses:
+            oracle_witnesses[key] = find_recurrent_witness(net, verdict.transient, budget=4)
+        assert oracle_witnesses[key] is None
