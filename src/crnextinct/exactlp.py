@@ -14,9 +14,11 @@ two-phase simplex with Bland's rule, which terminates on every input.  Its
 tableau holds the integer rows as given, kept primitive by integer-preserving
 pivots (Edmonds 1967), so it stands for exactly the rational tableau and
 takes the same pivots.  One path, _solve, runs phase 1 and then any cost
-stages.  Phase 1 starts from the slack basis where it can: a row a.x >= b
-with b <= 0 holds at x = 0, so it is negated and its slack starts basic; only
-equality rows and rows with b > 0 get an artificial column.  So a system with
+stages; only a cost stage needs the zero-level artificials pivoted out of
+the basis, so a feasibility query skips those pivots.  Phase 1 starts from
+the slack basis where it can: a row a.x >= b with b <= 0 holds at x = 0, so
+it is negated and its slack starts basic; only equality rows and rows with
+b > 0 get an artificial column.  So a system with
 no equality row and every right-hand side <= 0 holds at the origin, and
 solve_feasibility returns that point, as phase 1 would, without building a
 tableau.  A Farkas certificate is read off the final phase-1 reduced costs
@@ -193,6 +195,19 @@ class _Tableau:
                 self.rows[i] = [v // g for v in new] if g > 1 else new
         self.basis[r] = c
 
+    def drive_out(self, first_art: int) -> None:
+        """Pivot each basic artificial (column >= first_art, at level 0) out; drop redundant rows."""
+        r = 0
+        while r < len(self.rows):
+            if self.basis[r] >= first_art:
+                row = self.rows[r]
+                col = next((j for j in range(first_art) if row[j]), None)
+                if col is None:
+                    del self.rows[r], self.basis[r]
+                    continue
+                self.pivot(r, col)
+            r += 1
+
     def _eliminate(self, rc: list[int], den: int, r: int, c: int) -> tuple[list[int], int]:
         """Clear column c of the reduced costs rc / den with row r (basic in c)."""
         row = self.rows[r]
@@ -322,26 +337,13 @@ def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]
     rc, den = tab.minimize(cost, banned=set())
     if rc[-1] < 0:  # the least sum of artificials, -rc[-1] / den, is positive
         return None, _extract_farkas(system, rc, den, flips, start)
-    # drive leftover zero-level artificials out of the basis; drop redundant rows
-    art_set = set(art_cols)
-    n_real = system.n + len(system.ge)
-    r = 0
-    while r < len(tab.rows):
-        b = tab.basis[r]
-        if b in art_set:
-            pivot_col = next((j for j in range(n_real) if tab.rows[r][j] != 0), None)
-            if pivot_col is None:
-                del tab.rows[r]
-                del tab.basis[r]
-                continue
-            tab.pivot(r, pivot_col)
-        r += 1
-    return tab, None
+    return tab, None  # artificials may stay basic, at level 0
 
 
 def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, Optional[Rat]]:
     """Phase 1, then each integer cost minimized over the optimal face of the last.
 
+    The artificials are driven out of the basis before the first stage.
     After a stage every column with positive reduced cost is banned and the
     next stage continues from the same basis.  Returns (Farkas, None) or the
     final point with the last stage's optimal value (0 with no stages).
@@ -349,11 +351,13 @@ def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, O
     tab, farkas = _phase1(system)
     if farkas is not None:
         return farkas, None
-    ncols = tab.ncols
+    ncols, first_art = tab.ncols, system.n + len(system.ge)
     pad = [0] * (ncols - system.n)
-    banned = set(range(system.n + len(system.ge), ncols))  # the artificials built
+    banned = set(range(first_art, ncols))  # the artificials built
     rc, den = [0], 1
-    for cost in costs:
+    for stage, cost in enumerate(costs):
+        if not stage:
+            tab.drive_out(first_art)
         rc, den = tab.minimize(cost + pad, banned=banned)
         banned.update(j for j in range(ncols) if rc[j] > 0)
     point = _extract_point(system, tab)
@@ -367,8 +371,7 @@ def solve_feasibility(system: LinearSystem) -> Outcome:
 
     A system with no equality row and every right-hand side <= 0 holds at
     the origin, which is where phase 1 stops on it (every slack starts
-    basic, and there is no artificial to drive out); it is returned without
-    building a tableau.
+    basic); it is returned without building a tableau.
     """
     if not system.eq and all(rhs <= 0 for _, rhs in system.ge):
         return Feasible((Fraction(0),) * system.n)

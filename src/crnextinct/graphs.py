@@ -21,13 +21,14 @@ condensed afresh on first use.  `is_absorbing_set` needs no condensation: a
 set is absorbing iff no edge leaves it and every complex reaches it.
 
 condense is the package's one SCC routine: a depth-first search that
-discovers vertices through a callback and condenses them as it goes.  A
-reaction graph is condensed from every vertex in turn; the oracle grows its
-state graph with it, root by root.
+discovers vertices through a callback and condenses them as it goes, keeping
+only their keys, ids and components.  A reaction graph is condensed from
+every vertex in turn; the oracle grows its capped state graph root by root.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,6 +37,14 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, NamedTuple,
 
 if TYPE_CHECKING:
     from .model import ReactionNetwork  # the network holds its graph, so model imports this module
+
+
+class StateCapExceeded(RuntimeError):
+    """A search found more states (vertices) than its cap allows."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"state count exceeded cap {cap}; the reachable space may be infinite")
+        self.cap = cap
 
 
 class GraphEdge(NamedTuple):
@@ -74,7 +83,7 @@ class ReactionGraph:
         vertices first meets them, and a block is a sink iff it has no exit.
         """
         index, keys, comp = {}, [], []
-        found = condense(range(self.n), self.successors().__getitem__, index, keys, [], comp)
+        found = condense(range(self.n), self.successors().__getitem__, index, keys, comp)
         ids = list(map(comp.__getitem__, map(index.__getitem__, range(self.n))))  # per vertex
         rank = [-1] * len(found)
         blocks, sink = [], []
@@ -126,24 +135,25 @@ def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
     for src, dst in g.edges:
         both[dst].append(src)
     keys: list[int] = []
-    found = condense(range(g.n), both.__getitem__, {}, keys, [], [])
+    found = condense(range(g.n), both.__getitem__, {}, keys, [])
     return sorted((frozenset(map(keys.__getitem__, block)) for block, _ in found), key=min)
 
 
 def condense(
     roots: Iterable[Hashable], expand: Callable[[Any], Iterable[Hashable]], index: dict, keys: list,
-    succ: list[list[int]], comp: list[int], first: int = 0,
+    comp: list[int], first: int = 0, cap: int = sys.maxsize,
 ) -> list[tuple[list[int], list[int]]]:
     """Discover what the roots reach beyond `index` and condense it, in one iterative Tarjan search.
 
-    `expand(key)` lists a vertex's successor keys.  A new vertex gets the next
-    id, len(keys), when first met, so every one but a root is discovered
-    along an edge from a smaller id.  Its key goes to `index` and `keys`, its
-    successor ids to `succ` and its component id to `comp`; a vertex already
-    in `index` must have its component.  Components are numbered from `first`
-    as they complete, a reverse topological order.  Returns, per new
-    component, its members (ids ascending) and its exits: the components its
-    edges enter, with repeats, empty iff no edge leaves it.
+    `expand(key)` lists a vertex's successor keys, called once per new vertex
+    as soon as it is met.  That vertex gets the next id, len(keys), so every
+    one but a root is discovered along an edge from a smaller id.  Its key
+    goes to `index` and `keys`, its component id to `comp`; a vertex already
+    in `index` must have its component.  A new vertex that would make the
+    stores pass `cap` vertices raises StateCapExceeded(cap).  Components are
+    numbered from `first` as they complete, a reverse topological order.
+    Returns, per new component, its members (ids ascending) and its exits:
+    the components its edges enter, with repeats, empty iff none leaves it.
     """
     found: list[tuple[list[int], list[int]]] = []
     stack: list[int] = []  # Tarjan's stack: ids ascend along it
@@ -154,11 +164,12 @@ def condense(
         if root in index:
             continue
         v = low = len(keys)
+        if v >= cap:
+            raise StateCapExceeded(cap)
         index[root] = v
         keys.append(root)
         comp.append(-1)
         stack.append(v)
-        succ.append(out := [])
         edges = iter(expand(root))
         mark = 0
         while True:
@@ -166,18 +177,17 @@ def condense(
                 w = get(key)
                 if w is None:
                     w = len(keys)
+                    if w >= cap:
+                        raise StateCapExceeded(cap)
                     index[key] = w
                     keys.append(key)
                     comp.append(-1)
                     stack.append(w)
-                    out.append(w)
-                    work.append((v, low, mark, out, edges))
+                    work.append((v, low, mark, edges))
                     v = low = w
                     mark = len(exits)
-                    succ.append(out := [])
                     edges = iter(expand(key))
                     break
-                out.append(w)
                 c = comp[w]
                 if c < 0:  # w is on the stack: v's component is w's
                     if w < low:
@@ -201,7 +211,7 @@ def condense(
                 if not work:
                     break
                 w, below = v, low
-                v, low, mark, out, edges = work.pop()
+                v, low, mark, edges = work.pop()
                 c = comp[w]
                 if c < 0:
                     if below < low:

@@ -8,10 +8,12 @@ the states it reaches that are not stored yet, numbering them in depth-first
 discovery order, and condenses them as it goes; each new component gets the
 bitmask of the complexes recurrent from it, from the components its edges
 enter, or, for a terminal one, from the complexes its states charge.
-Every recurrence and extinction answer is read off those labels.  States are
-expanded by the network's successor kernel (ReactionNetwork.next_states), one
-function compiled once per network from its firing table, at O(m * r) cost
-(about 1 ms for EnvZ); terminal components' charged complexes are found from
+Every recurrence and extinction answer is read off those labels, so no
+successor list is stored; StateGraph.edges fires the stored states again.
+The search counts the hard cap itself, so the network's successor kernel
+(ReactionNetwork.next_states, one function compiled once per network from
+its firing table, at O(m * r) cost, about 1 ms for EnvZ) is its expansion
+callback as it stands; terminal components' charged complexes are found from
 ReactionNetwork.needs.  The public `fire` reads the firing table per reaction
 and stays the reference the kernel is tested against.
 
@@ -30,18 +32,8 @@ from itertools import combinations_with_replacement
 from operator import and_, sub
 from typing import Iterable, Optional, Sequence
 
-from .graphs import condense
+from .graphs import StateCapExceeded, condense  # condense raises it; callers import it from here
 from .model import Complex, ReactionNetwork, State, fire, is_charged
-
-
-class StateCapExceeded(RuntimeError):
-    """Exploration found more states than the safety cap allows."""
-
-    def __init__(self, cap: int):
-        super().__init__(
-            f"state count exceeded cap {cap}; the reachable space may be infinite"
-        )
-        self.cap = cap
 
 
 @dataclass
@@ -50,21 +42,21 @@ class StateGraph:
 
     Component ids are reverse topological (every edge between two components
     points to the smaller id); masks[c] has bit i set when complex i is
-    recurrent from component c.
+    recurrent from component c.  Edges are not stored: `edges` fires the
+    states again.
     """
 
     net: ReactionNetwork
     root: State
     states: list[State] = field(default_factory=list)
     index: dict[State, int] = field(default_factory=dict)
-    succ: list[list[int]] = field(default_factory=list)
     scc_of: list[int] = field(default_factory=list)
     scc_terminal: list[bool] = field(default_factory=list)
     masks: list[int] = field(default_factory=list)
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
-        """(state, reaction, state) triples by source id, a depth-first discovery number."""
+        """(state, reaction, state) triples by source id, fired by `fire` (not the kernel)."""
         net, index = self.net, self.index
         return [
             (i, k, index[nxt])
@@ -95,18 +87,12 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
     graphs.condense search from `start`, expanding states with the network's
     successor kernel, discovers exactly the new ones.  A new component with
     no exit is terminal, its mask the complexes its states charge; any
-    other's mask is the AND of its exits'.  Raises StateCapExceeded when the
-    store would pass `hard_cap` states, each new one expanded once stored.
+    other's mask is the AND of its exits'.  Raises StateCapExceeded when a
+    new state would pass `hard_cap` stored states, counted by the search.
     """
     net, states, masks, terminal = g.net, g.states, g.masks, g.scc_terminal
-    next_states = net.next_states
-
-    def expand(state: State) -> list[State]:
-        if len(states) > hard_cap:
-            raise StateCapExceeded(hard_cap)
-        return next_states(state)
-
-    for block, exits in condense((start,), expand, g.index, states, g.succ, g.scc_of, len(masks)):
+    grown = condense((start,), net.next_states, g.index, states, g.scc_of, len(masks), hard_cap)
+    for block, exits in grown:
         terminal.append(not exits)
         masks.append(
             reduce(and_, map(masks.__getitem__, exits)) if exits
@@ -153,9 +139,8 @@ def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
     n = len(g.states)
     charged = [is_charged(y, s) for s in g.states]
     pred: list[list[int]] = [[] for _ in range(n)]
-    for i, targets in enumerate(g.succ):
-        for j in targets:
-            pred[j].append(i)
+    for i, _, j in g.edges:
+        pred[j].append(i)
     can = list(charged)
     queue = deque(i for i in range(n) if can[i])
     while queue:

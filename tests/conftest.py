@@ -100,7 +100,7 @@ def nets() -> dict[str, ReactionNetwork]:
 
 @pytest.fixture
 def condense_calls(monkeypatch) -> list[list[list[int]]]:
-    """Per graphs.condense call, in order, the successor lists it read, per vertex key.
+    """Per graphs.condense call, in order, what `expand` returned for each key, by key.
 
     For a reaction graph the keys are its vertices, so a call over a whole
     graph reads back as the graph's successors().
@@ -108,9 +108,15 @@ def condense_calls(monkeypatch) -> list[list[list[int]]]:
     calls = []
     real = graphs.condense
 
-    def spy(roots, expand, index, keys, succ, comp, first=0):
-        found = real(roots, expand, index, keys, succ, comp, first)
-        calls.append([[keys[w] for w in succ[index[v]]] for v in sorted(index)])
+    def spy(roots, expand, *stores, **options):
+        listed = {}
+
+        def recorded(key):
+            listed[key] = list(expand(key))
+            return listed[key]
+
+        found = real(roots, recorded, *stores, **options)
+        calls.append([listed[key] for key in sorted(listed)])
         return found
 
     monkeypatch.setattr(graphs, "condense", spy)

@@ -144,6 +144,24 @@ def test_oracle_sweep_cap_is_shared():
     assert "the reachable space may be infinite" in done.stderr
 
 
+def test_package_runs_as_a_module():
+    # `python -m crnextinct` and `python -m crnextinct.cli` are one command line
+    env = subprocess_env()
+
+    def run(module, *args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args], env=env, capture_output=True, timeout=60
+        )
+
+    for args in (["analyze", fixture("envz")], ["structure", fixture("envz")]):
+        package, cli = run("crnextinct", *args), run("crnextinct.cli", *args)
+        assert package.returncode == cli.returncode == 0
+        assert package.stdout == cli.stdout and package.stdout
+    missing = run("crnextinct", "analyze", str(FIXTURE_DIR / "no-such-network.crn"))
+    assert missing.returncode == 2
+    assert missing.stdout == b""
+
+
 @pytest.mark.parametrize("command", ["structure", "analyze"])
 def test_closed_stdout_exits_1_quietly(command):
     env = subprocess_env()

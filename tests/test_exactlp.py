@@ -92,14 +92,26 @@ def test_one_solve_path_per_public_call(monkeypatch):
         return solve(system, costs)
 
     monkeypatch.setattr(exactlp, "_solve", spy)
+    # the artificials are driven out only before a first cost stage
+    drives = []
+    drive_out = exactlp._Tableau.drive_out
+
+    def counted(tab, first_art):
+        drives.append(first_art)
+        return drive_out(tab, first_art)
+
+    monkeypatch.setattr(exactlp._Tableau, "drive_out", counted)
     feasible = LinearSystem(3, eq=(((1, 1, 1), 6),))
     infeasible = LinearSystem(3, ge=(((-1, 0, 0), 1),))
     for system in (feasible, infeasible):
         stages.clear()
+        drives.clear()
         solve_feasibility(system)
+        assert drives == []
         minimize(system, [1, 0, 2])
         lexmin(system)
         assert stages == [0, 1, 3]
+        assert drives == ([3, 3] if system is feasible else [])
 
 
 def test_phase1_starts_from_the_slack_basis(monkeypatch):

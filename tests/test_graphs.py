@@ -17,6 +17,7 @@ from crnextinct.forests import enumerate_forests
 from crnextinct.graphs import (
     GraphEdge,
     ReactionGraph,
+    StateCapExceeded,
     condense,
     enumerate_absorbing_sets,
     is_absorbing_set,
@@ -245,22 +246,35 @@ def test_growing_root_by_root_is_one_condense_call(case):
     # the oracle's sweep grows its graph one root at a time, numbering the
     # new components on from the old ones
     succ, roots = case
-    index, keys, targets, comp = stores = {}, [], [], []
+    expanded = []
+
+    def expand(v):
+        expanded.append(v)
+        return succ[v]
+
+    index, keys, comp = stores = {}, [], []
     found = []
     for root in roots:
-        found += condense((root,), succ.__getitem__, index, keys, targets, comp, len(found))
-    whole = {}, [], [], []
+        found += condense((root,), expand, index, keys, comp, len(found))
+    whole = {}, [], []
     assert condense(roots, succ.__getitem__, *whole) == found
     assert whole == stores
+    # a cap of the vertices reached holds them; one fewer raises
+    assert condense(roots, succ.__getitem__, {}, [], [], 0, len(keys)) == found
+    if keys:
+        with pytest.raises(StateCapExceeded) as raised:
+            condense(roots, succ.__getitem__, {}, [], [], 0, len(keys) - 1)
+        assert raised.value.cap == len(keys) - 1
     # against the reach-set reference: the reached vertices, each numbered
-    # when first met, so every one but a root has an in-edge from a smaller id
+    # and expanded once when first met, so every one but a root has an
+    # in-edge from a smaller id
     g = ReactionGraph(len(succ), tuple(GraphEdge(v, w) for v, out in enumerate(succ) for w in out))
     reach, scc = reach_sets(g), reach_set_sccs(g)
     assert set(keys) == set().union(*(reach[r] for r in roots))
     assert index == {v: i for i, v in enumerate(keys)}
+    assert expanded == keys
     for i, v in enumerate(keys):
-        assert [keys[j] for j in targets[i]] == succ[v]
-        assert v in roots or any(i in targets[j] for j in range(i))
+        assert v in roots or any(v in succ[keys[j]] for j in range(i))
     # each block is one SCC, its ids ascending; the ids are reverse
     # topological, and the exits are the other components its edges enter
     assert sorted(i for block, _ in found for i in block) == list(range(len(keys)))
@@ -268,7 +282,7 @@ def test_growing_root_by_root_is_one_condense_call(case):
         assert block == sorted(block)
         assert {keys[i] for i in block} == scc[keys[block[0]]]
         assert all(comp[i] == c for i in block)
-        assert set(exits) == {comp[j] for i in block for j in targets[i]} - {c}
+        assert set(exits) == {comp[index[w]] for i in block for w in succ[keys[i]]} - {c}
         assert all(d < c for d in exits)
 
 

@@ -1,5 +1,6 @@
 from collections import deque
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -114,13 +115,16 @@ def test_recurrent_states_example23(nets):
 def _definitional_recurrence(g):
     # brute-force pairwise reachability: X recurrent iff X ~> Y implies Y ~> X
     n = len(g.states)
+    succ = [[] for _ in range(n)]
+    for i, _, j in g.edges:
+        succ[i].append(j)
     reach = []
     for i in range(n):
         seen = {i}
         queue = deque([i])
         while queue:
             u = queue.popleft()
-            for v in g.succ[u]:
+            for v in succ[u]:
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
@@ -223,29 +227,36 @@ def test_guaranteed_extinction_example101_false(nets):
 
 
 def _check_successors(net, g):
-    """g.succ and g.edges against firing computed from the reactions' coefficients."""
+    """g.edges against firing computed from the reactions' coefficients.
+
+    Every edge lands on a stored state: the states are closed under firing.
+    """
+    want = []
     for i, state in enumerate(g.states):
-        want = []
-        for rxn in net.reactions:
+        for k, rxn in enumerate(net.reactions):
             src, tgt = rxn.source.coeffs, rxn.target.coeffs
             if all(x >= a for x, a in zip(state, src)):
-                want.append(g.index[tuple(x - a + b for x, a, b in zip(state, src, tgt))])
-        assert g.succ[i] == want, (state, g.succ[i], want)
-    assert [(i, j) for i, _, j in g.edges] == [(i, j) for i, out in enumerate(g.succ) for j in out]
+                nxt = tuple(x - a + b for x, a, b in zip(state, src, tgt))
+                assert nxt in g.index, (state, k, nxt)
+                want.append((i, k, g.index[nxt]))
+    assert g.edges == want
 
 
 def _per_root_witnesses(net, budget, cap):
     """Per complex, the first (root, complex) hit of a per-root explore + complex_recurrent loop.
 
-    Each root's graph has its successor lists checked on the way.
+    Each root's graph has its edges checked on the way.
     """
     first = {}
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):
             g = explore(net, root, hard_cap=cap)
             _check_successors(net, g)
+            # complex_recurrent reads the states and the edges, which the
+            # property fires anew on every read: fire them once per root
+            fired = SimpleNamespace(states=g.states, edges=g.edges)
             for ci in range(net.n):
-                if ci not in first and complex_recurrent(net, g, net.complexes[ci]):
+                if ci not in first and complex_recurrent(net, fired, net.complexes[ci]):
                     first[ci] = (root, ci)
     return first
 
