@@ -264,13 +264,15 @@ def _cmd_forests(args: argparse.Namespace) -> int:
     if len(dcrn.absorbing) == net.n:
         print("every complex is absorbing: no transient complex, nothing to decide")
         return EXIT_OK
-    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
+    sub = is_subconservative(stoich_matrix(net))
+    witness = sub.witness if isinstance(sub, Feasible) else None
+    if witness is None:
         print("the network is not subconservative: no forest below certifies an extinction event")
     stream = enumerate_forests(dcrn)
     forests = list(islice(stream, cap))
     if next(stream, None) is not None:
         print(f"(enumeration truncated at {cap})")
-    for idx, (forest, outcome) in enumerate(decide_forests(dcrn, forests), start=1):
+    for idx, (forest, outcome) in enumerate(decide_forests(dcrn, forests, witness=witness), start=1):
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"
         else:

@@ -6,12 +6,7 @@ and stops at the first unbalanced one: that forest certifies a guaranteed
 extinction event on the complement of the absorbing set.  Every verdict
 carries the full certificate chain (subconservativity witness, expansion,
 forest, the forest's Farkas refutation) and can be re-audited independently.
-
-When the network is strictly subconservative (some c >= 1 has c^T Gamma <=
--1 on every reaction), c itself refutes every forest under the
-true-reactions reading, so the first forest is reported with that
-refutation and no balance LP is solved; the subconservativity witness is c
-(up to a positive scale).  Every other network runs the LP search.
+Every forest is decided by forests.decide_forests, handed the witness.
 
 Candidates whose absorbing set is the whole complex set are skipped: the
 extinction claim on an empty complement is vacuous.
@@ -34,19 +29,17 @@ from .domination import (
     expansion_edges,
     shrink_to_terminal,
 )
-from .exactlp import Farkas, Feasible, check_feasible, scale_to_integers
+from .exactlp import Farkas, Feasible, check_feasible
 from .forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
     Balanced,
     ExteriorForest,
     Unbalanced,
-    build_balancing_system,
     decide_balance,  # unused here; bench/test_bench.py looks it up on this module
     decide_forests,
     enumerate_forests,
     forest_is_valid,
-    subconservation_refutation,
     verify_balance_outcome,
 )
 from .graphs import GraphEdge, enumerate_absorbing_sets, reaction_graph
@@ -183,28 +176,16 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     Deterministic for a fixed config: the first unbalanced forest in canonical
     candidate-then-forest order is the one reported.  Forests are decided as
     they are enumerated, at most cfg.forest_cap per candidate, by
-    decide_forests: one that keeps the positive choices of an earlier
-    balanced forest of its candidate reuses that balancing vector.
-
-    When the subconservativity witness, scaled to integers c, is strict
-    (s = -c^T Gamma >= 1 on every reaction) and the reading is
-    true-reactions, c refutes every forest's balance system
-    (forests.subconservation_refutation), so every forest is unbalanced,
-    the first one is reported as the LP search would report it, and no
-    balance LP runs.
+    decide_forests, handed the subconservativity witness.  A forest it
+    decides with no LP (by a reused balancing vector, or refuted by the
+    witness) is balanced exactly when a balance LP finds it so, so the
+    verdict, the counts and the reported forest are the LP search's.
     """
-    gamma = stoich_matrix(net)
-    sub = is_subconservative(gamma)
+    sub = is_subconservative(stoich_matrix(net))
     if not isinstance(sub, Feasible):
         return NotApplicable("network is not subconservative", sub)
-    c = scale_to_integers(sub.witness)[0]
-    slack = [-sum(ci * row[k] for ci, row in zip(c, gamma)) for k in range(net.r)]
-    strict = cfg.nontriviality == TRUE_REACTIONS and all(s >= 1 for s in slack)
-    candidates = 0
-    forests_seen = 0
-    balanced_seen = 0
+    candidates = forests_seen = balanced_seen = vacuous = 0
     truncated = False
-    vacuous = 0
 
     def stats() -> SearchStats:
         return SearchStats(candidates, forests_seen, balanced_seen, truncated, vacuous)
@@ -222,14 +203,7 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
             )
         forests = enumerate_forests(dcrn)
         capped = islice(forests, cfg.forest_cap)
-        if strict:
-            decided = (
-                (f, subconservation_refutation(build_balancing_system(dcrn, f), c, slack))
-                for f in capped
-            )
-        else:
-            decided = decide_forests(dcrn, capped, cfg.nontriviality)
-        for forest, outcome in decided:
+        for forest, outcome in decide_forests(dcrn, capped, cfg.nontriviality, sub.witness):
             forests_seen += 1
             if isinstance(outcome, Balanced):
                 balanced_seen += 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .domination import DomCRN
 from .exactlp import (
@@ -372,27 +372,38 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     return Balanced(alpha=tuple(alpha), positive_edge=positive_edge)
 
 
+def subconservation_slack(net: ReactionNetwork, witness: Sequence) -> tuple[list[int], list[int]]:
+    """(c, s): a subconservativity witness scaled to integers, and s = -c^T Gamma >= 0."""
+    c, gamma = scale_to_integers(witness)[0], stoich_matrix(net)
+    return c, [-sum(ci * row[k] for ci, row in zip(c, gamma)) for k in range(net.r)]
+
+
 def subconservation_refutation(
     system: BalancingSystem, c: Sequence[int], slack: Sequence[int]
 ) -> Unbalanced:
-    """The refutation that a strict subconservation vector gives any forest.
+    """The refutation that a subconservation vector c gives a forest.
 
-    c is an integer vector, c >= 1, with slack s = -c^T Gamma >= 1 on every
-    reaction (one entry per reaction).  The multipliers are c on the kernel
-    rows, 0 on the flow rows, 1 on the candidate row, and s_v - [v is a
-    candidate] on x_v >= 0 for each support edge v, with s_v = 0 for a
-    domination edge.  Column v then sums to (c^T Gamma)_v + [v is a
-    candidate] + s_v - [v is a candidate] = 0, and the right-hand sides to
-    the candidate row's 1.  Every x_v >= 0 multiplier is >= 0 when every
-    candidate is a true reaction, so the system must be built under the
-    true-reactions reading.  All entries are ints; the refutation is audited
-    with check_farkas, as _extract_farkas audits the solver's.
+    c is an integer vector whose slack s = -c^T Gamma (subconservation_slack)
+    is >= 0 on every support reaction and >= 1 on every candidate, each a
+    true reaction.  The multipliers are c on the kernel rows, 0 on the flow
+    rows, 1 on the candidate row, and s_v - [v is a candidate] on x_v >= 0
+    for each support edge v, with s_v = 0 for a domination edge.  Column v
+    then sums to (c^T Gamma)_v + [v is a candidate] + s_v - [v is a
+    candidate] = 0, and the right-hand sides to the candidate row's 1.  The
+    premise makes every multiplier on x_v >= 0 nonnegative; ValueError,
+    naming the edge, when it does not.  All entries are ints; the
+    refutation is audited with check_farkas, as _extract_farkas audits the
+    solver's.
     """
     if not system.candidates:
         return Unbalanced(())
     r = len(slack)
     candidates = set(system.candidates)
     nonneg = tuple((slack[v] if v < r else 0) - (v in candidates) for v in system.support)
+    low = next((v for v, x in zip(system.support, nonneg) if x < 0), None)
+    if low is not None:
+        kind = "candidate" if low in candidates else "support edge"
+        raise ValueError(f"c does not refute this forest: too little slack at {kind} {low}")
     cert = Farkas(tuple(c), (0,) * len(system.flow_rows) + (1,), nonneg)
     if not check_farkas(system.linear_system(system.candidates), cert):
         raise AssertionError("internal error: subconservation refutation fails its audit")
@@ -403,6 +414,7 @@ def decide_forests(
     dcrn: DomCRN,
     forests: Iterable[ExteriorForest],
     nontriviality: str = TRUE_REACTIONS,
+    witness: Optional[Sequence] = None,
 ) -> Iterator[tuple[ExteriorForest, BalanceOutcome]]:
     """Each forest with its balance outcome, in order, lazily.
 
@@ -415,14 +427,22 @@ def decide_forests(
     choice F' keeps, so it is a candidate of F' under either reading.  A
     forest whose choices contain the positive choices of an earlier balanced
     forest is therefore decided as that Balanced by a set inclusion, with no
-    LP; every other forest gets one decide_balance.
+    LP.  A given subconservativity witness is scaled once to integers c with
+    slack s (subconservation_slack); a forest whose candidates are all true
+    reactions with s >= 1 is refuted by c (subconservation_refutation), with
+    no LP, and no reused vector balances it.  Every other forest gets one
+    decide_balance.
     """
+    r = dcrn.net.r
+    c, slack = (None, None) if witness is None else subconservation_slack(dcrn.net, witness)
     known: list[tuple[frozenset[tuple[int, int]], Balanced]] = []
     for forest in forests:
         choices = set(forest.choices)
         outcome = next((b for pinned, b in known if pinned <= choices), None)
         if outcome is None:
-            outcome = decide_balance(build_balancing_system(dcrn, forest, nontriviality))
+            system = build_balancing_system(dcrn, forest, nontriviality)
+            refuted = c is not None and all(v < r and slack[v] >= 1 for v in system.candidates)
+            outcome = subconservation_refutation(system, c, slack) if refuted else decide_balance(system)
             if isinstance(outcome, Balanced):
                 pinned = frozenset((y, v) for y, v in forest.choices if outcome.alpha[v] > 0)
                 known.append((pinned, outcome))

@@ -14,9 +14,8 @@ on any candidate.  Versions 1-5 carry one refutation per candidate k; the
 decoder reads each as a refutation covering the set (k,).  From version 7 a
 refutation is over the forest's support; the decoder checks the entries that
 versions 1-6 add for the edges off the support and drops them, so every
-version goes through the same audit.  Versions 8 and 9 changed only which
-witness and multipliers a report carries, so versions 7, 8 and 9 decode
-alike.
+version goes through the same audit.  Versions 8 to 10 changed only which
+witness and multipliers a report carries, so versions 7 to 10 decode alike.
 """
 
 from __future__ import annotations
@@ -65,7 +64,11 @@ REPORT_FORMAT = "crn-extinction-report"
 # edge's weight is its complex's flow surplus plus its inflow), so the
 # multipliers of a refutation the LP finds differ; it is mapped back to the
 # support layout of version 7, whose fields are unchanged.
-REPORT_VERSION = 9
+# Version 10: every forest whose candidates are all true reactions that the
+# subconservativity witness c lowers by at least 1 carries the refutation c
+# gives, also under the any-edge reading and in networks that are not
+# strictly subconservative.  Fields as in version 7.
+REPORT_VERSION = 10
 
 
 def encode_rational(x: int | Fraction) -> dict[str, str]:

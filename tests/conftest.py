@@ -10,13 +10,14 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from crnextinct import engine, graphs
-from crnextinct.exactlp import Feasible, check_farkas, scale_to_integers
+from crnextinct.exactlp import Feasible, check_farkas
 from crnextinct.forests import (
     Unbalanced,
     build_balancing_system,
     decide_balance,
     enumerate_forests,
     subconservation_refutation,
+    subconservation_slack,
     verify_balance_outcome,
 )
 from crnextinct.invariants import is_subconservative
@@ -170,14 +171,13 @@ def random_subconservative(seed: int, count: int) -> list[ReactionNetwork]:
 def strict_subconservation(net: ReactionNetwork):
     """(c, s) when is_subconservative's witness, scaled to integers c, is strict; else None.
 
-    s = -c^T Gamma, one entry per reaction, and strict means every s_k >= 1.
+    s = -c^T Gamma (forests.subconservation_slack), one entry per reaction,
+    and strict means every s_k >= 1.
     """
-    gamma = stoich_matrix(net)
-    sub = is_subconservative(gamma)
+    sub = is_subconservative(stoich_matrix(net))
     if not isinstance(sub, Feasible):
         return None
-    c = scale_to_integers(sub.witness)[0]
-    slack = [-sum(ci * row[k] for ci, row in zip(c, gamma)) for k in range(net.r)]
+    c, slack = subconservation_slack(net, sub.witness)
     return (c, slack) if all(s >= 1 for s in slack) else None
 
 

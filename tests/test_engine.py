@@ -278,3 +278,25 @@ def test_strict_networks_run_a_balance_lp_only_under_any_edge(text, reading, lps
     assert verify_verdict(net, verdict)
     candidates = verdict.certificate.outcome.witnesses[0][0]
     assert any(v >= net.r for v in candidates) == (reading == ANY_EDGE)
+
+
+@pytest.mark.parametrize("reading", ["true-reactions", ANY_EDGE])
+def test_a_forest_whose_candidates_the_witness_lowers_runs_no_balance_lp(reading, monkeypatch):
+    # X2 <-> X3 is a T-invariant cycle, so no witness is strict, but the
+    # witness lowers both reactions of X1, the forest's candidates, by at
+    # least 1 each: it refutes the forest under either reading, with no LP
+    net = parse_crn("2 X1 -> X1\nX1 -> 0\nX2 -> X3\nX3 -> X2\n").network
+    assert strict_subconservation(net) is None
+    solved = []
+
+    def counted(system):
+        solved.append(system)
+        return decide_balance(system)
+
+    decide_balance = forests.decide_balance
+    monkeypatch.setattr(forests, "decide_balance", counted)
+    verdict = analyze(net, SearchConfig(nontriviality=reading))
+    assert isinstance(verdict, GuaranteedExtinction)
+    assert solved == []
+    assert verify_verdict(net, verdict)
+    assert complex_names(net, verdict.transient) == ["2 X1", "X1"]

@@ -18,7 +18,6 @@ from conftest import (
     FIXTURE_DIR,
     bench_module,
     check_network_refutations,
-    strict_subconservation,
 )
 from crnextinct import engine, exactlp, forests, model
 from crnextinct.domination import maximal_admissible
@@ -39,6 +38,7 @@ from crnextinct.forests import (
     decide_balance,
     decide_forests,
     enumerate_forests,
+    subconservation_slack,
     support_refutation,
     verify_balance_outcome,
 )
@@ -219,28 +219,45 @@ def test_reused_balancing_vectors_balance_their_forests(workloads, monkeypatch):
     assert reused >= 50
 
 
+def _refuted_by_witness(net, verdict) -> bool:
+    """Whether the witness lowers each candidate of the reported forest by >= 1."""
+    _, slack = subconservation_slack(net, verdict.certificate.subconservation)
+    candidates = [v for cands, _ in verdict.certificate.outcome.witnesses for v in cands]
+    return all(v < net.r and slack[v] >= 1 for v in candidates)
+
+
 @pytest.mark.parametrize("config", ["certify", "search"])  # the default and widened searches
 def test_reuse_keeps_verdicts_counts_and_report_bytes(workloads, config):
-    # a strictly subconservative network's forest is refuted by its strict
-    # vector, not by an LP: the same verdict, counts and forest, with other
-    # multipliers, and both reports verify; every other network's report
-    # bytes are the LP search's
-    cfg = workloads.search_config(engine, config)
-    strict_seen = 0
-    for key, net in _fixtures_and_families(workloads):
-        got, want = engine.analyze(net, cfg), analyze_per_forest(net, cfg)
-        assert type(got) is type(want), key
-        assert getattr(got, "stats", None) == getattr(want, "stats", None), key
-        if strict_subconservation(net) is not None:
-            strict_seen += 1
-            assert got.certificate.forest == want.certificate.forest, key
-            assert got.transient == want.transient, key
-            for verdict in (got, want):
-                assert verify_report(net, json.loads(emit_report(net, verdict, cfg))), key
-            continue
-        for fmt in ("json", "text"):
-            assert emit_report(net, got, cfg, fmt) == emit_report(net, want, cfg, fmt), (key, fmt)
-    assert strict_seen == 10  # the certify family
+    # the verdict, counts and reported forest are always the LP search's; a
+    # forest whose candidates the witness lowers by at least 1 each is
+    # refuted by the witness, not by an LP, so only its report's multipliers
+    # may differ, and both reports verify; every other report's bytes are
+    # the LP search's
+    refuted = {}
+    for reading in (TRUE_REACTIONS, ANY_EDGE):
+        cfg = replace(workloads.search_config(engine, config), nontriviality=reading)
+        for key, net in _fixtures_and_families(workloads):
+            got, want = engine.analyze(net, cfg), analyze_per_forest(net, cfg)
+            assert type(got) is type(want), key
+            assert getattr(got, "stats", None) == getattr(want, "stats", None), key
+            if isinstance(got, engine.GuaranteedExtinction):
+                assert got.certificate.forest == want.certificate.forest, key
+                assert got.transient == want.transient, key
+                if _refuted_by_witness(net, got):
+                    refuted.setdefault(reading, []).append(key)
+                    for verdict in (got, want):
+                        assert verify_report(net, json.loads(emit_report(net, verdict, cfg))), key
+                    continue
+            for fmt in ("json", "text"):
+                assert emit_report(net, got, cfg, fmt) == emit_report(net, want, cfg, fmt), (key, fmt)
+    # the certify family is strictly subconservative, and example23's
+    # candidates are lowered too; under any-edge the reported forests of the
+    # other certify networks have a domination candidate, and keep their LP
+    certify = [key for key, _ in _networks(workloads, "certify")]
+    assert refuted == {
+        TRUE_REACTIONS: certify + ["example23"],
+        ANY_EDGE: ["gen-4x8-4", "gen-6x12-0", "gen-8x16-0", "example23"],
+    }
 
 
 def test_reuse_solves_fewer_lps_and_no_balance_cost_stage(workloads, monkeypatch):

@@ -26,6 +26,8 @@ from crnextinct.forests import (
     edge_label,
     enumerate_forests,
     forest_is_valid,
+    subconservation_refutation,
+    subconservation_slack,
     verify_balance_outcome,
 )
 from crnextinct.graphs import GraphEdge
@@ -38,6 +40,7 @@ from conftest import (
     chain_text,
     random_network,
     reversible_chain_text,
+    strict_subconservation,
     subprocess_env,
 )
 from forests_reference import path_walk_forest_is_valid, recursive_forests
@@ -443,8 +446,8 @@ def balance_lps(monkeypatch):
 
 
 def test_balance_lp_has_no_flow_rows(nets, balance_lps):
-    # envz is not strictly subconservative, so its forests run balance LPs:
-    # each has one row per species and the one candidate row
+    # envz's forests have candidates that its witness does not lower, so
+    # they run balance LPs: each has one row per species and the candidate row
     net = nets["envz"]
     assert isinstance(analyze(net, SearchConfig()), GuaranteedExtinction)
     assert balance_lps
@@ -453,8 +456,8 @@ def test_balance_lp_has_no_flow_rows(nets, balance_lps):
 
 
 def test_long_chain_with_a_reversible_step_takes_one_balance_lp(balance_lps):
-    # reversing the middle step of chain 300 makes it not strictly
-    # subconservative, so its first forest, a path of 300 exterior
+    # reversing the middle step of chain 300 makes it conservative, c = (1, 1),
+    # which lowers no candidate, so its first forest, a path of 300 exterior
     # complexes, is refuted by a balance LP with 2 + 1 rows
     net = parse_crn(reversible_chain_text(300, 150)).network
     cfg = SearchConfig()
@@ -463,3 +466,29 @@ def test_long_chain_with_a_reversible_step_takes_one_balance_lp(balance_lps):
     assert len(verdict.certificate.forest.choices) == 300
     assert [(len(s.eq), len(s.ge)) for s in balance_lps] == [(2, 1)]
     assert verify_report(net, json.loads(emit_report(net, verdict, cfg)))
+
+
+def test_subconservation_refutation_names_a_candidate_it_cannot_cover():
+    # c = (1, 1) keeps chain 6's molecule count, so every candidate has slack
+    # 0: the premise fails, a ValueError naming the first candidate, not the
+    # audit's internal error
+    net = parse_crn(chain_text(6)).network
+    dcrn = maximal_admissible(net)
+    system = build_balancing_system(dcrn, next(enumerate_forests(dcrn)))
+    c, slack = subconservation_slack(net, (1, 1))
+    assert slack == [0] * net.r and system.candidates[0] == 0
+    with pytest.raises(ValueError, match="candidate 0$"):
+        subconservation_refutation(system, c, slack)
+    # under any-edge, the domination edge 2 X2 -> X2 (edge 3) is a candidate,
+    # whose slack is 0 even for a strict c; its true-reaction candidates are
+    # covered, so the strict c refutes the same forest under true-reactions
+    net = parse_crn("X1 -> 2 X2\nX2 -> 0\n2 X1 -> 2 X2\n").network
+    dcrn = maximal_admissible(net)
+    forest = next(enumerate_forests(dcrn))
+    c, slack = strict_subconservation(net)
+    system = build_balancing_system(dcrn, forest, ANY_EDGE)
+    assert system.candidates == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="candidate 3$"):
+        subconservation_refutation(system, c, slack)
+    outcome = subconservation_refutation(build_balancing_system(dcrn, forest), c, slack)
+    assert verify_balance_outcome(dcrn, forest, outcome)

@@ -201,17 +201,17 @@ def test_report_envelope_is_checked(nets):
     assert report["format"] == REPORT_FORMAT and report["version"] == REPORT_VERSION
     for not_a_report in ([], None, "report", 7):
         assert verify_report(net, not_a_report) is False
-    for version, ok in ((9, True), (0, False), (10, False), (True, False), ("2", False)):
+    for version, ok in ((9, True), (10, True), (0, False), (11, False), (True, False), ("2", False)):
         assert verify_report(net, dict(report, version=version)) is ok, version
     # certificate fields were unchanged from version 1 to 5, so a version-5
     # report verifies at each of them; "candidate_variable" is no version-6
-    # field, and a refutation of versions 7 to 9 is over the support alone
+    # field, and a refutation of versions 7 to 10 is over the support alone
     old = json.loads((REPORT_DIR / "example21-v5.json").read_bytes())
     v6 = json.loads((REPORT_DIR / "example21-v6.json").read_bytes())
-    for version in range(1, 11):
+    for version in range(1, 12):
         assert verify_report(net, dict(old, version=version)) is (version <= 5), version
         assert verify_report(net, dict(v6, version=version)) is (version == 6), version
-        assert verify_report(net, dict(report, version=version)) is (7 <= version <= 9), version
+        assert verify_report(net, dict(report, version=version)) is (7 <= version <= 10), version
     assert not verify_report(net, dict(report, format="bogus"))
     assert not verify_report(net, {k: v for k, v in report.items() if k != "format"})
 
@@ -234,24 +234,32 @@ def _with_old_refutations(report, old, version):
 
 
 def _pin_network(nets, name):
-    """A pin's network: a fixture, or the network text stored beside the pins."""
+    """A pin's network: a fixture, or the network text stored beside the pins.
+
+    A pin named "<network>-any" is that network's report under the any-edge
+    reading.
+    """
+    name = name.removesuffix("-any")
     if name in nets:
         return nets[name]
     return parse_crn((REPORT_DIR / f"{name}.crn").read_text(encoding="utf-8")).network
 
 
-@pytest.mark.parametrize("name", ["example21", "envz", "chain6", "chain6-reversible"])
-def test_version9_report_bytes_are_pinned(nets, name):
-    # emitted at version 9; a change to any byte, multipliers included, must
+PINS_V10 = ["example21", "envz", "chain6", "chain6-reversible", "chain6-any"]
+
+
+@pytest.mark.parametrize("name", PINS_V10)
+def test_version10_report_bytes_are_pinned(nets, name):
+    # emitted at version 10; a change to any byte, multipliers included, must
     # come with a new REPORT_VERSION and new pinned reports
-    pinned = (REPORT_DIR / f"{name}-v9.json").read_bytes()
+    pinned = (REPORT_DIR / f"{name}-v10.json").read_bytes()
     net = _pin_network(nets, name)
-    cfg = SearchConfig()
+    cfg = SearchConfig(nontriviality="any-edge" if name.endswith("-any") else "true-reactions")
     verdict = analyze(net, cfg)
     assert emit_report(net, verdict, cfg) == pinned
     assert pinned.count(b"\n") == 1  # one compact line
     report = json.loads(pinned)
-    assert report["version"] == 9
+    assert report["version"] == 10
     assert verify_report(net, report)
     # one refutation over the forest's support: one eq entry per species and
     # one nonneg entry per support edge
@@ -261,6 +269,23 @@ def test_version9_report_bytes_are_pinned(nets, name):
     assert len(refutation["farkas"]["nonneg"]) == len(cert.forest.support)
     candidates = list(cert.outcome.witnesses[0][0])
     assert refutation["candidate_variables"] == candidates
+
+
+@pytest.mark.parametrize("name", PINS_V10)
+def test_version9_report_bytes_are_pinned(nets, name):
+    # emitted at version 9, when only a strictly subconservative network
+    # under the true-reactions reading was refuted by its witness: chain6
+    # under any-edge was refuted by its balance LP, so it alone differs
+    pinned = (REPORT_DIR / f"{name}-v9.json").read_bytes()
+    net = _pin_network(nets, name)
+    report = json.loads(pinned)
+    assert report["version"] == 9
+    assert verify_report(net, report)
+    today = json.loads((REPORT_DIR / f"{name}-v10.json").read_bytes())
+    as_v9 = _with_old_refutations(today, report, 9)
+    assert (json.dumps(as_v9, separators=(",", ":")) + "\n").encode("utf-8") == pinned
+    changed = report["balance_refutations"] != today["balance_refutations"]
+    assert changed == (name == "chain6-any")
 
 
 @pytest.mark.parametrize("name", ["example21", "envz", "chain6"])
@@ -284,12 +309,14 @@ def test_version8_report_bytes_are_pinned(nets, name):
 def test_chain6_is_refuted_by_its_strict_vector():
     # c = (2, 1) lowers every reaction of chain 6 by exactly 1: the refutation
     # is c on the kernel rows, 1 on the candidate row and 0 elsewhere, and
-    # c is also the subconservativity witness
-    report = json.loads((REPORT_DIR / "chain6-v9.json").read_bytes())
-    (refutation,) = report["balance_refutations"]
-    farkas = {k: [decode_rational(v) for v in vs] for k, vs in refutation["farkas"].items()}
-    assert farkas == {"eq": [2, 1], "ge": [0] * 6 + [1], "nonneg": [0] * 6}
-    assert [decode_rational(v) for v in report["subconservativity_witness"]] == [2, 1]
+    # c is also the subconservativity witness; chain 6 has no domination
+    # edge, so its candidates are true reactions under either reading
+    for name in ("chain6", "chain6-any"):
+        report = json.loads((REPORT_DIR / f"{name}-v10.json").read_bytes())
+        (refutation,) = report["balance_refutations"]
+        farkas = {k: [decode_rational(v) for v in vs] for k, vs in refutation["farkas"].items()}
+        assert farkas == {"eq": [2, 1], "ge": [0] * 6 + [1], "nonneg": [0] * 6}, name
+        assert [decode_rational(v) for v in report["subconservativity_witness"]] == [2, 1]
 
 
 def test_chain6_with_a_reversible_step_is_refuted_by_its_balance_lp():
@@ -298,7 +325,7 @@ def test_chain6_with_a_reversible_step_is_refuted_by_its_balance_lp():
     # y = (1, 0) counts X, which each candidate lowers by 1
     text = (REPORT_DIR / "chain6-reversible.crn").read_text(encoding="utf-8")
     assert text == reversible_chain_text(6, 3)
-    report = json.loads((REPORT_DIR / "chain6-reversible-v9.json").read_bytes())
+    report = json.loads((REPORT_DIR / "chain6-reversible-v10.json").read_bytes())
     (refutation,) = report["balance_refutations"]
     farkas = {k: [decode_rational(v) for v in vs] for k, vs in refutation["farkas"].items()}
     assert farkas == {"eq": [1, 0], "ge": [0] * 6 + [1], "nonneg": [0] * 6}
@@ -380,10 +407,9 @@ def test_refutation_widths_follow_the_version(nets, name):
 @pytest.mark.parametrize("version", range(2, REPORT_VERSION + 1))
 def test_every_version_has_pins_that_verify(nets, version):
     # every report version from 2 on has a pin, every pin verifies, and the
-    # newest version's pins are today's bytes
+    # newest version's pins are today's bytes, each under its own reading
     pins = sorted(REPORT_DIR.glob(f"*-v{version}.json"))
     assert pins, f"no pinned report of version {version}"
-    cfg = SearchConfig()
     for path in pins:
         name = path.stem.rsplit("-", 1)[0]
         net = _pin_network(nets, name)
@@ -391,6 +417,7 @@ def test_every_version_has_pins_that_verify(nets, version):
         report = json.loads(pinned)
         assert report["version"] == version, path.name
         assert verify_report(net, report), path.name
+        cfg = SearchConfig(nontriviality=report["nontriviality"])
         if version == REPORT_VERSION:
             assert emit_report(net, analyze(net, cfg), cfg) == pinned, path.name
     named = {int(p.stem.rsplit("-v", 1)[1]) for p in REPORT_DIR.glob("*.json")}

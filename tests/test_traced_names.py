@@ -1,4 +1,4 @@
-"""The benchmark's tracer wraps package functions by name; each must exist."""
+"""The benchmark wraps and looks up package functions by name; each must exist."""
 
 import importlib
 
@@ -13,3 +13,12 @@ def test_every_traced_name_exists():
         home, attr = name.split(".")
         module = importlib.import_module(f"{spans.PACKAGE}.{home}")
         assert callable(getattr(module, attr, None)), name
+
+
+def test_every_name_the_bench_reads_off_the_engine_exists():
+    # bench/test_bench.py checks that these names on crnextinct.engine are
+    # unwrapped after a traced pass, so each must stay importable from there
+    from crnextinct import engine
+
+    for name in ("analyze", "decide_balance", "enumerate_forests", "is_subconservative"):
+        assert callable(getattr(engine, name, None)), name
