@@ -22,6 +22,7 @@ from .forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
     Balanced,
+    BalanceStore,
     decide_forests,
     edge_label,
     enumerate_forests,
@@ -272,7 +273,8 @@ def _cmd_forests(args: argparse.Namespace) -> int:
     forests = list(islice(stream, cap))
     if next(stream, None) is not None:
         print(f"(enumeration truncated at {cap})")
-    for idx, (forest, outcome) in enumerate(decide_forests(dcrn, forests, witness=witness), start=1):
+    decided = decide_forests(dcrn, forests, store=BalanceStore(net, witness))
+    for idx, (forest, outcome) in enumerate(decided, start=1):
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"
         else:

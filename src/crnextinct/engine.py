@@ -6,7 +6,8 @@ and stops at the first unbalanced one: that forest certifies a guaranteed
 extinction event on the complement of the absorbing set.  Every verdict
 carries the full certificate chain (subconservativity witness, expansion,
 forest, the forest's Farkas refutation) and can be re-audited independently.
-Every forest is decided by forests.decide_forests, handed the witness.
+Every forest is decided by forests.decide_forests, handed one store per
+network that holds the witness and every balancing vector found so far.
 
 Candidates whose absorbing set is the whole complex set are skipped: the
 extinction claim on an empty complement is vacuous.
@@ -34,6 +35,7 @@ from .forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
     Balanced,
+    BalanceStore,
     ExteriorForest,
     Unbalanced,
     decide_balance,  # unused here; bench/test_bench.py looks it up on this module
@@ -137,6 +139,9 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
 
     Each seed (the full set first) shrinks to its fixpoint, whose absorbing
     sets come terminal set first; "explicit" tries its set on the raw seed.
+    A seed that shrinks to an earlier seed's fixpoint is skipped before its
+    absorbing sets are enumerated: the fixpoint's graph is fixed by its
+    edges, so every pair it would yield is already in seen.
     A seed's graph is a subgraph of the whole expansion's graph, so the
     family shares that graph's one condensation wherever the dropped edges
     join two blocks (graphs.ReactionGraph.subgraph).
@@ -150,11 +155,15 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
     absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
     seen: set[tuple[tuple[GraphEdge, ...], frozenset[int]]] = set()
+    fixpoints: set[tuple[GraphEdge, ...]] = set()
     for seed in islice(subsets, dom_cap):
         if explicit:
             fix, edges, asets = None, seed, [cfg.explicit_absorbing]
         else:
             fix = shrink_to_terminal(net, whole.subgraph(reactions + seed))
+            if fix.dom_edges in fixpoints:
+                continue  # its pairs are all in seen
+            fixpoints.add(fix.dom_edges)
             edges, asets = fix.dom_edges, enumerate_absorbing_sets(fix.graph, absorbing_cap)
         for aset in asets:
             kept = tuple(e for e in edges if e.src not in aset and e.dst not in aset)
@@ -176,10 +185,12 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     Deterministic for a fixed config: the first unbalanced forest in canonical
     candidate-then-forest order is the one reported.  Forests are decided as
     they are enumerated, at most cfg.forest_cap per candidate, by
-    decide_forests, handed the subconservativity witness.  A forest it
-    decides with no LP (by a reused balancing vector, or refuted by the
-    witness) is balanced exactly when a balance LP finds it so, so the
-    verdict, the counts and the reported forest are the LP search's.
+    decide_forests, handed one BalanceStore for every candidate of the
+    network: it holds the subconservativity witness, scaled once, and every
+    balancing vector found so far in any candidate.  A forest it decides
+    with no LP (by a stored balancing vector, or refuted by the witness) is
+    balanced exactly when a balance LP finds it so, so the verdict, the
+    counts and the reported forest are the LP search's.
     """
     sub = is_subconservative(stoich_matrix(net))
     if not isinstance(sub, Feasible):
@@ -191,6 +202,7 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
         return SearchStats(candidates, forests_seen, balanced_seen, truncated, vacuous)
 
     base = reaction_graph(net)
+    store = BalanceStore(net, sub.witness)
     for dcrn in _candidate_pairs(net, cfg):
         if len(dcrn.absorbing) == net.n:
             vacuous += 1
@@ -203,7 +215,7 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
             )
         forests = enumerate_forests(dcrn)
         capped = islice(forests, cfg.forest_cap)
-        for forest, outcome in decide_forests(dcrn, capped, cfg.nontriviality, sub.witness):
+        for forest, outcome in decide_forests(dcrn, capped, cfg.nontriviality, store):
             forests_seen += 1
             if isinstance(outcome, Balanced):
                 balanced_seen += 1

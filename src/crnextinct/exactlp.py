@@ -13,7 +13,10 @@ is the one check of a row's length and entry types.  The solver is a dense
 two-phase simplex with Bland's rule, which terminates on every input.  Its
 tableau holds the integer rows as given, kept primitive by integer-preserving
 pivots (Edmonds 1967), so it stands for exactly the rational tableau and
-takes the same pivots.  One path, _solve, runs phase 1 and then any cost
+takes the same pivots.  Phase 1's start reduced costs are built in one
+pass: each row that starts basic in an artificial column has a 1 there and
+that column costs 1, so they are the cost minus those rows, with
+denominator 1.  One path, _solve, runs phase 1 and then any cost
 stages; only a cost stage needs the zero-level artificials pivoted out of
 the basis, so a feasibility query skips those pivots.  Phase 1 starts from
 the slack basis where it can: a row a.x >= b with b <= 0 holds at x = 0, so
@@ -219,21 +222,26 @@ class _Tableau:
             return [v // g for v in rc], den // g
         return rc, den
 
-    def minimize(self, cost: list[int], banned: set[int]) -> tuple[list[int], int]:
-        """Run Bland-rule simplex for an integer cost vector.
+    def reduced_costs(self, cost: list[int]) -> tuple[list[int], int]:
+        """The reduced costs of an integer cost vector in the current basis, as (rc, den)."""
+        rc, den = list(cost) + [0], 1
+        for r, b in enumerate(self.basis):
+            if rc[b]:
+                rc, den = self._eliminate(rc, den, r, b)
+        return rc, den
 
-        The tableau must be canonical for its current basis.  Returns the
-        reduced-cost row as (integers, positive denominator); its last slot is
-        minus the optimal value.  Raises UnboundedError when the objective is
-        unbounded below.  Bland's rule (lowest eligible entering column,
-        lowest basic index on ratio ties) guarantees termination.
+    def minimize(self, rc: list[int], den: int, banned: set[int]) -> tuple[list[int], int]:
+        """Run Bland-rule simplex from the reduced costs rc / den of the current basis.
+
+        The tableau must be canonical for its current basis, and rc must be
+        0 at every basic column.  Returns the final reduced-cost row as
+        (integers, positive denominator); its last slot is minus the optimal
+        value.  Raises UnboundedError when the objective is unbounded below.
+        Bland's rule (lowest eligible entering column, lowest basic index on
+        ratio ties) guarantees termination.
         """
         ncols = self.ncols
         rows, basis = self.rows, self.basis
-        rc, den = list(cost) + [0], 1
-        for r, b in enumerate(basis):
-            if rc[b]:
-                rc, den = self._eliminate(rc, den, r, b)
         while True:
             enter = -1
             for j in range(ncols):
@@ -329,12 +337,21 @@ def _extract_farkas(
 
 
 def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]:
+    """Minimize the sum of the artificials from the start basis.
+
+    Each artificial column costs 1 and holds a 1 in the one row that starts
+    basic in it, and 0 in every other row, so the start reduced costs are
+    the cost minus the sum of those rows, with den = 1: the same integers
+    that clearing each artificial column in turn gives, in one pass.
+    """
     rows, flips, start, art_cols, ncols = _standardize(system)
     tab = _Tableau(rows, list(start), ncols)
-    cost = [0] * ncols
+    cost = [0] * (ncols + 1)
     for c in art_cols:
         cost[c] = 1
-    rc, den = tab.minimize(cost, banned=set())
+    art_rows = [row for row, b in zip(rows, start) if b >= system.n + len(system.ge)]
+    rc = [c - sum(col) for c, col in zip(cost, zip(*art_rows))] if art_rows else cost
+    rc, den = tab.minimize(rc, 1, banned=set())
     if rc[-1] < 0:  # the least sum of artificials, -rc[-1] / den, is positive
         return None, _extract_farkas(system, rc, den, flips, start)
     return tab, None  # artificials may stay basic, at level 0
@@ -358,7 +375,7 @@ def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, O
     for stage, cost in enumerate(costs):
         if not stage:
             tab.drive_out(first_art)
-        rc, den = tab.minimize(cost + pad, banned=banned)
+        rc, den = tab.minimize(*tab.reduced_costs(cost + pad), banned=banned)
         banned.update(j for j in range(ncols) if rc[j] > 0)
     point = _extract_point(system, tab)
     if not check_feasible(system, point):

@@ -12,13 +12,16 @@ the stoichiometric matrix, and (C3) at every exterior complex weighs the
 outgoing edge at least as much as the sum of the incoming forest edges, with
 strictly positive weight on at least one nontriviality candidate.  By default
 the candidates are the exterior true reactions of the forest; a switch widens
-them to include domination edges for comparison.  The balance system has one
-variable per support edge, so (C1) holds by construction; a balancing vector
-is widened back to all edges, zero off the support.  decide_balance solves
-it in forest coordinates, where each chosen edge's weight is its complex's
-flow surplus plus its inflow, so every flow row becomes a sign constraint
-and leaves the LP; its answers are mapped back to the support layout and
-audited there.
+them to include domination edges for comparison.  decide_forests decides a
+network's forests, candidate after candidate, and keeps every balancing
+vector it finds in one store (BalanceStore) by edge identity, so a vector
+found in one candidate settles, with no LP, a forest of any candidate that
+it balances.  The balance system has one variable per support edge, so
+(C1) holds by construction; a balancing vector is widened back to all
+edges, zero off the support.  decide_balance solves it in forest
+coordinates, where each chosen edge's weight is its complex's flow surplus
+plus its inflow, so every flow row becomes a sign constraint and leaves the
+LP; its answers are mapped back to the support layout and audited there.
 """
 
 from __future__ import annotations
@@ -183,6 +186,7 @@ class BalancingSystem:
     """
 
     n_edges: int  # r + d, the width of a balancing vector
+    r: int  # reactions: edges 0..r-1
     support: tuple[int, ...]  # the forest's edges, ascending
     kernel_rows: tuple[tuple[int, ...], ...]  # one per species, one entry per support edge
     flow_rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (complex, out var, in vars)
@@ -243,6 +247,7 @@ def build_balancing_system(
     )
     return BalancingSystem(
         n_edges=r + dcrn.d,
+        r=r,
         support=support,
         kernel_rows=kernel_rows,
         flow_rows=flow_rows,
@@ -305,8 +310,8 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     candidate variables >= 1; every other right-hand side is 0, so the rows
     are a cone and the sum reaches 1 iff some single candidate does.  An
     empty candidate set is unbalanced outright.  Forests that decide_forests
-    settles by reusing an earlier vector are decided, and balanced, without
-    this call.
+    settles with a stored vector (BalanceStore) are decided, and balanced,
+    without this call.
 
     The LP is solved in forest coordinates.  Each out var is rewritten as
     its row's surplus plus its inflow, x_o = z_o + sum of x_i over the row's
@@ -383,21 +388,28 @@ def subconservation_refutation(
 ) -> Unbalanced:
     """The refutation that a subconservation vector c gives a forest.
 
-    c is an integer vector whose slack s = -c^T Gamma (subconservation_slack)
-    is >= 0 on every support reaction and >= 1 on every candidate, each a
-    true reaction.  The multipliers are c on the kernel rows, 0 on the flow
-    rows, 1 on the candidate row, and s_v - [v is a candidate] on x_v >= 0
-    for each support edge v, with s_v = 0 for a domination edge.  Column v
-    then sums to (c^T Gamma)_v + [v is a candidate] + s_v - [v is a
-    candidate] = 0, and the right-hand sides to the candidate row's 1.  The
-    premise makes every multiplier on x_v >= 0 nonnegative; ValueError,
-    naming the edge, when it does not.  All entries are ints; the
-    refutation is audited with check_farkas, as _extract_farkas audits the
-    solver's.
+    c is an integer vector, one entry per species, whose slack s = -c^T
+    Gamma (subconservation_slack), one entry per reaction, is >= 0 on every
+    support reaction and >= 1 on every candidate, each a true reaction.  The
+    multipliers are c on the kernel rows, 0 on the flow rows, 1 on the
+    candidate row, and s_v - [v is a candidate] on x_v >= 0 for each
+    support edge v, with s_v = 0 for a domination edge.  Column v then sums
+    to (c^T Gamma)_v + [v is a candidate] + s_v - [v is a candidate] = 0,
+    and the right-hand sides to the candidate row's 1.  The premise makes
+    every multiplier on x_v >= 0 nonnegative; ValueError, naming the edge,
+    when it does not, and ValueError when c or s has the wrong length.  All
+    entries are ints; the refutation is audited with check_farkas, as
+    _extract_farkas audits the solver's, so its AssertionError means an
+    internal fault.
     """
+    if len(c) != len(system.kernel_rows) or len(slack) != system.r:
+        raise ValueError(
+            f"c has {len(c)} entries and s {len(slack)}, expected "
+            f"{len(system.kernel_rows)} (species) and {system.r} (reactions)"
+        )
     if not system.candidates:
         return Unbalanced(())
-    r = len(slack)
+    r = system.r
     candidates = set(system.candidates)
     nonneg = tuple((slack[v] if v < r else 0) - (v in candidates) for v in system.support)
     low = next((v for v, x in zip(system.support, nonneg) if x < 0), None)
@@ -410,42 +422,129 @@ def subconservation_refutation(
     return Unbalanced(((system.candidates, cert),))
 
 
+class BalanceStore:
+    """What decide_forests keeps for one network, across all its candidates.
+
+    slack is the subconservativity witness scaled once to integers c, with
+    s = -c^T Gamma (subconservation_slack), computed on first use; it is
+    (None, None) without a witness.  Every balancing vector a balance LP
+    finds is kept by edge identity, which is the same in every candidate of
+    the network where an edge's index is not: reaction k by k, a domination
+    edge by its GraphEdge (src, dst).  A vector is kept as its positive
+    weights, the (identity, source complex) of each positive edge, and the
+    weight entering each complex.  analyze owns one store per call; a store
+    serves one network only.
+    """
+
+    def __init__(self, net: ReactionNetwork, witness: Optional[Sequence] = None):
+        self.net, self.witness = net, witness
+        self._vectors: list[tuple[dict, tuple[tuple[object, int], ...], dict[int, int]]] = []
+
+    @cached_property
+    def slack(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
+        """(c, s) of the witness, or (None, None) without one."""
+        return (None, None) if self.witness is None else subconservation_slack(self.net, self.witness)
+
+    def add(self, dcrn: DomCRN, alpha: Sequence[int]) -> None:
+        """Keep a balancing vector over dcrn's r + d edges."""
+        r, edges = dcrn.net.r, dcrn.graph.edges
+        weights, sources, inflow = {}, [], {}
+        for v, a in enumerate(alpha):
+            if a:
+                key = v if v < r else edges[v]
+                weights[key] = a
+                sources.append((key, edges[v].src))
+                inflow[edges[v].dst] = inflow.get(edges[v].dst, 0) + a
+        self._vectors.append((weights, tuple(sources), inflow))
+
+    def balance(self, dcrn: DomCRN, forest: ExteriorForest, nontriviality: str) -> Optional[Balanced]:
+        """The first kept vector that balances the forest, over dcrn's edges, or None.
+
+        A kept vector alpha balances forest F' when (i) every positive edge
+        lies in F''s support: it is F''s choice at its source, or a reaction
+        whose source is absorbing (interior); (ii) at every exterior complex
+        y, alpha on y's chosen edge is at least the weight of the positive
+        edges entering y; and (iii) some candidate of F' has alpha > 0.  The
+        answer is alpha re-indexed to F''s edges, positive on the same
+        edges, with its least positive candidate as the positive edge.
+        """
+        if not self._vectors:
+            return None
+        r, edges, absorbing = dcrn.net.r, dcrn.graph.edges, dcrn.absorbing
+        index = dict(forest.choices)
+        chosen = {y: v if v < r else edges[v] for y, v in index.items()}
+        any_edge = nontriviality == ANY_EDGE
+        for weights, sources, inflow in self._vectors:
+            if not all(
+                chosen.get(src) == key if src not in absorbing else type(key) is int
+                for key, src in sources
+            ):
+                continue  # (i)
+            if any(
+                y not in absorbing and weights.get(chosen[y], 0) < flow for y, flow in inflow.items()
+            ):
+                continue  # (ii)
+            alpha = [0] * (r + dcrn.d)
+            positive = []
+            for key, src in sources:
+                if src in absorbing:
+                    alpha[key] = weights[key]
+                else:
+                    v = index[src]
+                    alpha[v] = weights[key]
+                    if v < r or any_edge:
+                        positive.append(v)
+            if positive:  # (iii)
+                return Balanced(alpha=tuple(alpha), positive_edge=min(positive))
+        return None
+
+
 def decide_forests(
     dcrn: DomCRN,
     forests: Iterable[ExteriorForest],
     nontriviality: str = TRUE_REACTIONS,
-    witness: Optional[Sequence] = None,
+    store: Optional[BalanceStore] = None,
 ) -> Iterator[tuple[ExteriorForest, BalanceOutcome]]:
     """Each forest with its balance outcome, in order, lazily.
 
-    Let alpha balance forest F, and let F' make F's choice at every exterior
-    complex whose chosen edge has alpha > 0.  Then alpha balances F' too.
-    supp(alpha) lies in F', so (C1) and (C2) hold.  alpha is zero off its
-    support, so every complex has the same inflow under F' as under F; F'
-    keeps each positive outflow, and where F's choice has alpha = 0, (C3)
-    for F forced the inflow to 0, so (C3) holds.  The positive edge is a
-    choice F' keeps, so it is a candidate of F' under either reading.  A
-    forest whose choices contain the positive choices of an earlier balanced
-    forest is therefore decided as that Balanced by a set inclusion, with no
-    LP.  A given subconservativity witness is scaled once to integers c with
-    slack s (subconservation_slack); a forest whose candidates are all true
-    reactions with s >= 1 is refuted by c (subconservation_refutation), with
-    no LP, and no reused vector balances it.  Every other forest gets one
-    decide_balance.
+    A forest that a vector in the store balances (BalanceStore.balance) is
+    decided as Balanced with no LP.  The vector is right: (C1) holds by (i),
+    as the re-indexed vector is zero off F''s support.  (C2) holds because
+    a domination edge's column of Gamma is zero and the vector's reaction
+    part is the same in every candidate, in the kernel of Gamma.  At an
+    exterior complex y the inflow of F' is the weight of the positive edges
+    entering y, as every positive edge lies in the support, so (ii) is the
+    flow row of y and (iii) the candidate row.  The rule decides every
+    forest that keeps the positive choices of an earlier balanced forest F
+    of the same candidate (its choices where alpha > 0): (i) holds, as
+    F''s interior reactions are F's; at a complex where F' keeps F's choice
+    the inflow and the chosen weight are F's, and where it does not, F's
+    choice has alpha = 0 and F's flow row forced the inflow to 0, so (ii)
+    holds; and F's positive edge is a choice F' keeps, so (iii) holds.
+    Within one candidate (i) forces F' to keep each positive choice, so
+    there the rule decides exactly those forests; across candidates it
+    decides more.
+
+    The store's witness refutes, with no LP, a forest whose candidates are
+    all true reactions with s >= 1 (subconservation_refutation); no stored
+    vector balances such a forest.  Every other forest gets one
+    decide_balance, and a vector it finds joins the store.  Without a store,
+    a fresh one with no witness serves this call alone; analyze passes one
+    store for all candidates of a network.  ValueError when the store was
+    made for another network.
     """
-    r = dcrn.net.r
-    c, slack = (None, None) if witness is None else subconservation_slack(dcrn.net, witness)
-    known: list[tuple[frozenset[tuple[int, int]], Balanced]] = []
+    store = BalanceStore(dcrn.net) if store is None else store
+    if store.net is not dcrn.net:
+        raise ValueError("the balance store belongs to another network")
+    r, (c, slack) = dcrn.net.r, store.slack
     for forest in forests:
-        choices = set(forest.choices)
-        outcome = next((b for pinned, b in known if pinned <= choices), None)
+        outcome = store.balance(dcrn, forest, nontriviality)
         if outcome is None:
             system = build_balancing_system(dcrn, forest, nontriviality)
             refuted = c is not None and all(v < r and slack[v] >= 1 for v in system.candidates)
             outcome = subconservation_refutation(system, c, slack) if refuted else decide_balance(system)
             if isinstance(outcome, Balanced):
-                pinned = frozenset((y, v) for y, v in forest.choices if outcome.alpha[v] > 0)
-                known.append((pinned, outcome))
+                store.add(dcrn, outcome.alpha)
         yield forest, outcome
 
 

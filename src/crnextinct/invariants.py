@@ -7,8 +7,8 @@ and both answers are mapped back to the unshifted system that
 conservation_system or strict_subconservation_system builds.  The witness is
 a checkable point, not a canonical one.  is_subconservative first looks for
 a strict vector, c^T Gamma <= -1 on every reaction: such a c refutes the
-balance system of every exterior forest at once (engine.analyze), so the
-search needs no balance LP.  Kernel generators are the extreme rays of
+balance system of every exterior forest at once (forests.decide_forests),
+so the search needs no balance LP.  Kernel generators are the extreme rays of
 {v >= 0 : Gamma v = 0}, computed by the double description method and
 normalized to coprime integers in lexicographic order.
 """
@@ -66,11 +66,11 @@ def _decide(system: LinearSystem) -> Outcome:
 
 
 def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Columns of the matrix as rows; empty for a matrix with no rows."""
-    rows = [tuple(row) for row in gamma]
-    if not rows:
-        return ()
-    return tuple(tuple(row[k] for row in rows) for k in range(len(rows[0])))
+    """Columns of the matrix as rows; empty for a matrix with no rows.
+
+    ValueError when the rows differ in length.
+    """
+    return tuple(zip(*gamma, strict=True))
 
 
 def _unit_rows(m: int) -> tuple[Row, ...]:

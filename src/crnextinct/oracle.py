@@ -56,7 +56,12 @@ class StateGraph:
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
-        """(state, reaction, state) triples by source id, fired by `fire` (not the kernel)."""
+        """(state, reaction, state) triples by source id, fired by `fire` (not the kernel).
+
+        Nothing is stored: each read fires every stored state with every
+        reaction again, so a caller that reads the edges several times
+        should take one snapshot (`edges = g.edges`) and reuse it.
+        """
         net, index = self.net, self.index
         return [
             (i, k, index[nxt])
@@ -135,6 +140,10 @@ def complex_recurrent(net: ReactionNetwork, g: StateGraph, y: Complex) -> bool:
 
     The definition, kept as the reference that recurrent_complexes is tested
     against: reverse reachability from the charging states covers the graph.
+    Each call reads `g.edges`, which fires every stored state again, so
+    checking several complexes this way refires the graph once per complex;
+    a caller that checks many should build the predecessor lists from one
+    snapshot of `g.edges`.
     """
     n = len(g.states)
     charged = [is_charged(y, s) for s in g.states]

@@ -4,11 +4,23 @@ A reference for `engine.analyze`: the same candidates, the same forests in
 the same order and the same first unbalanced forest, but every forest goes
 through `decide_balance`.  The engine must return the same verdict, counts
 and report bytes while solving fewer LPs.
+
+`candidate_pairs` is a reference for `engine._candidate_pairs`: it
+enumerates the absorbing sets of every seed's fixpoint, also when an earlier
+seed shrank to the same one, and relies on `seen` alone to drop the repeats.
 """
 
-from itertools import islice
+from itertools import combinations, islice
 
 from crnextinct import engine
+from crnextinct.domination import (
+    AdmissibilityError,
+    DomCRN,
+    build_dom_crn,
+    dom_graph,
+    expansion_edges,
+    shrink_to_terminal,
+)
 from crnextinct.engine import (
     ExtinctionCertificate,
     GuaranteedExtinction,
@@ -17,6 +29,7 @@ from crnextinct.engine import (
     SearchStats,
 )
 from crnextinct.exactlp import Feasible
+from crnextinct.graphs import enumerate_absorbing_sets
 from crnextinct.forests import (
     Balanced,
     build_balancing_system,
@@ -52,3 +65,33 @@ def analyze_per_forest(net, cfg):
             return GuaranteedExtinction(frozenset(range(net.n)) - dcrn.absorbing, cert, stats)
         truncated = truncated or next(stream, None) is not None
     return Inconclusive(SearchStats(candidates, decided, balanced, truncated, vacuous), sub.witness)
+
+
+def candidate_pairs(net, cfg):
+    explicit = cfg.absorbing_strategy == "explicit"
+    if explicit and not cfg.explicit_absorbing <= set(range(net.n)):
+        raise ValueError("absorbing set contains an invalid complex index")
+    whole = dom_graph(net, expansion_edges(net))
+    reactions, full = whole.edges[: net.r], whole.edges[net.r :]
+    subsets = (c for size in range(len(full), -1, -1) for c in combinations(full, size))
+    dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
+    absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
+    seen = set()
+    for seed in islice(subsets, dom_cap):
+        if explicit:
+            fix, edges, asets = None, seed, [cfg.explicit_absorbing]
+        else:
+            fix = shrink_to_terminal(net, whole.subgraph(reactions + seed))
+            edges, asets = fix.dom_edges, enumerate_absorbing_sets(fix.graph, absorbing_cap)
+        for aset in asets:
+            kept = tuple(e for e in edges if e.src not in aset and e.dst not in aset)
+            if (kept, aset) in seen:
+                continue
+            seen.add((kept, aset))
+            if fix is not None and kept == edges:
+                yield DomCRN(net, fix.graph, aset)
+                continue
+            try:
+                yield build_dom_crn(net, kept, aset)
+            except AdmissibilityError:
+                continue

@@ -3,15 +3,19 @@
 Every verdict must match `bench/reference.json`, and the one-LP-per-forest
 balance decision must agree with the per-candidate loop it replaced on the
 forests of every fixture and family network.  A reused balancing vector must
-balance the forest it decides, and the search that reuses them must agree
-with one balance LP per forest (`search_reference`) while solving fewer.
+balance the forest it decides, also in another candidate of the network,
+and the search that reuses them must agree with one balance LP per forest
+(`search_reference`) while solving fewer, over the candidates that the
+reference enumeration gives.
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
 from itertools import islice
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
     BENCH_DIR,
@@ -23,6 +27,7 @@ from crnextinct import engine, exactlp, forests, model
 from crnextinct.domination import maximal_admissible
 from crnextinct.exactlp import (
     Farkas,
+    Feasible,
     LinearSystem,
     lexmin,
     scale_to_integers,
@@ -32,6 +37,7 @@ from crnextinct.forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
     Balanced,
+    BalanceStore,
     BalancingSystem,
     Unbalanced,
     build_balancing_system,
@@ -42,10 +48,11 @@ from crnextinct.forests import (
     support_refutation,
     verify_balance_outcome,
 )
+from crnextinct.invariants import is_subconservative
 from crnextinct.parser import parse_crn
 from crnextinct.report import emit_report, verify_report
 from forests_reference import recursive_forests
-from search_reference import analyze_per_forest
+from search_reference import analyze_per_forest, candidate_pairs
 
 FOREST_CAP = 3  # forests per (expansion, absorbing set) candidate
 
@@ -193,8 +200,14 @@ def _fixtures_and_families(workloads):
     return _networks(workloads, "certify") + _networks(workloads, "search")
 
 
+def _witness(net):
+    sub = is_subconservative(model.stoich_matrix(net))
+    return sub.witness if isinstance(sub, Feasible) else None
+
+
 def test_reused_balancing_vectors_balance_their_forests(workloads, monkeypatch):
-    # the widened search with more forests per candidate, so that more are reused
+    # the widened search with more forests per candidate, so that more are
+    # reused; one store serves every candidate of a network, as in analyze
     cfg = replace(workloads.search_config(engine, "search"), forest_cap=8)
     lp_decided = []
 
@@ -203,20 +216,81 @@ def test_reused_balancing_vectors_balance_their_forests(workloads, monkeypatch):
         return decide_balance(system)
 
     monkeypatch.setattr(forests, "decide_balance", counted)
-    reused = 0
+
+    def reuses(decided):
+        """The forests decided Balanced with no LP, with their outcomes."""
+        for forest, outcome in decided:
+            if not lp_decided and isinstance(outcome, Balanced):
+                yield forest, outcome
+            lp_decided.clear()
+
+    reused = within = 0
     for _, net in _fixtures_and_families(workloads):
-        for dcrn in engine._candidate_pairs(net, cfg):
-            for reading in (TRUE_REACTIONS, ANY_EDGE):
-                stream = islice(enumerate_forests(dcrn), cfg.forest_cap)
-                for forest, outcome in decide_forests(dcrn, stream, reading):
-                    if lp_decided:
-                        lp_decided.clear()
-                        continue
+        witness = _witness(net)
+        for reading in (TRUE_REACTIONS, ANY_EDGE):
+            store = BalanceStore(net, witness)
+            for dcrn in engine._candidate_pairs(net, cfg):
+                forests_of = list(islice(enumerate_forests(dcrn), cfg.forest_cap))
+                # a store of this candidate's vectors alone reuses fewer
+                own = decide_forests(dcrn, forests_of, reading, BalanceStore(net, witness))
+                within += sum(1 for _ in reuses(own))
+                for forest, outcome in reuses(decide_forests(dcrn, forests_of, reading, store)):
                     reused += 1
                     assert verify_balance_outcome(dcrn, forest, outcome, reading)
                     fresh = decide_balance(build_balancing_system(dcrn, forest, reading))
                     assert isinstance(fresh, Balanced)
-    assert reused >= 50
+    assert within >= 50 and reused > within
+
+
+def test_a_search_pass_runs_at_most_31_balance_lps(workloads, monkeypatch):
+    # the bench's search inputs under its widened search: a store shared by
+    # every candidate of a network, and one absorbing-set enumeration per
+    # distinct fixpoint; the per-candidate stores ran 44 balance LPs and
+    # enumerated absorbing sets 56 times
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(forests, "decide_balance", counted("lp", decide_balance))
+    enumerate_sets = engine.enumerate_absorbing_sets
+    monkeypatch.setattr(engine, "enumerate_absorbing_sets", counted("absorbing", enumerate_sets))
+    cfg = workloads.search_config(engine, "search")
+    for key, net in _networks(workloads, "search"):
+        before = calls["lp"]
+        stats = getattr(engine.analyze(net, cfg), "stats", None)
+        assert calls["lp"] - before <= (stats.forests if stats else 0), key
+    assert calls["lp"] <= 31
+    assert calls["absorbing"] <= 31
+
+
+def test_candidate_pairs_match_reference(workloads):
+    configs = [workloads.search_config(engine, w) for w in ("certify", "search")]
+    for _, net in _fixtures_and_families(workloads):
+        for cfg in configs:
+            assert list(engine._candidate_pairs(net, cfg)) == list(candidate_pairs(net, cfg))
+
+
+@pytest.fixture(scope="module")
+def family_networks(workloads):
+    return [net for _, net in _fixtures_and_families(workloads)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_candidate_pairs_match_reference_under_any_caps(family_networks, dom_cap, absorbing_cap, data):
+    net = data.draw(st.sampled_from(family_networks))
+    cfg = engine.SearchConfig(
+        dom_strategy="all-subsets",
+        dom_cap=dom_cap,
+        absorbing_strategy="enumerate",
+        absorbing_cap=absorbing_cap,
+    )
+    assert list(engine._candidate_pairs(net, cfg)) == list(candidate_pairs(net, cfg))
 
 
 def _refuted_by_witness(net, verdict) -> bool:

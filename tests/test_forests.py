@@ -479,6 +479,15 @@ def test_subconservation_refutation_names_a_candidate_it_cannot_cover():
     assert slack == [0] * net.r and system.candidates[0] == 0
     with pytest.raises(ValueError, match="candidate 0$"):
         subconservation_refutation(system, c, slack)
+    # a c or s of the wrong length is the caller's fault too, checked before
+    # the audit: a c over one species, and an s one reaction short, which
+    # would read reaction 5 as a domination edge
+    c, slack = strict_subconservation(net)
+    assert len(c) == net.m == 2 and len(slack) == net.r == 6
+    subconservation_refutation(system, c, slack)
+    for short_c, short_slack in (((2,), slack), (c, slack[:5])):
+        with pytest.raises(ValueError, match=r"expected 2 \(species\) and 6 \(reactions\)"):
+            subconservation_refutation(system, short_c, short_slack)
     # under any-edge, the domination edge 2 X2 -> X2 (edge 3) is a candidate,
     # whose slack is 0 even for a strict c; its true-reaction candidates are
     # covered, so the strict c refutes the same forest under true-reactions

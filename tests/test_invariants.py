@@ -31,6 +31,16 @@ ENVZ_GENERATORS = sorted(
 )
 
 
+def test_transpose_rejects_ragged_rows():
+    assert invariants.transpose(((1, 2), (3, 4), (5, 6))) == ((1, 3, 5), (2, 4, 6))
+    assert invariants.transpose(()) == ()
+    assert invariants.transpose([[1, 2]]) == ((1,), (2,))
+    # a short row anywhere is a ValueError, not an IndexError or a cut matrix
+    for ragged in (((1, 2), (3,)), ((1,), (2, 3))):
+        with pytest.raises(ValueError):
+            invariants.transpose(ragged)
+
+
 def test_conservative_example21(nets):
     gamma = stoich_matrix(nets["example21"])
     outcome = is_conservative(gamma)
