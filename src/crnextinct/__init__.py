@@ -38,7 +38,6 @@ from .graphs import (
     enumerate_absorbing_sets,
     is_absorbing_set,
     linkage_classes,
-    reaction_graph,
     strong_linkage_classes,
     terminal_slcs,
 )
@@ -57,7 +56,6 @@ from .model import (
     fire,
     format_complex,
     is_charged,
-    stoich_matrix,
 )
 from .oracle import (
     StateGraph,

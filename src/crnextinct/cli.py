@@ -30,12 +30,11 @@ from .forests import (
 from .graphs import (
     enumerate_absorbing_sets,
     linkage_classes,
-    reaction_graph,
     strong_linkage_classes,
     terminal_slcs,
 )
 from .invariants import is_conservative, is_subconservative, p_invariants, t_invariants
-from .model import ReactionNetwork, stoich_matrix
+from .model import ReactionNetwork
 from .oracle import (
     StateCapExceeded,
     explore,
@@ -206,7 +205,7 @@ def _cmd_structure(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
     cap = _positive_int(args.cap, "--cap")
     names = net.complex_names
-    g = reaction_graph(net)
+    g = net.graph
 
     def fmt_blocks(blocks) -> str:
         return "; ".join(_complex_set(net, b) for b in blocks)
@@ -230,7 +229,7 @@ def _cmd_structure(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
-    gamma = stoich_matrix(net)
+    gamma = net.stoich
     print("stoichiometric matrix (rows = species):")
     for name, row in zip(net.species_names, gamma):
         print(f"  {name}: {list(row)}")
@@ -265,7 +264,7 @@ def _cmd_forests(args: argparse.Namespace) -> int:
     if len(dcrn.absorbing) == net.n:
         print("every complex is absorbing: no transient complex, nothing to decide")
         return EXIT_OK
-    sub = is_subconservative(stoich_matrix(net))
+    sub = is_subconservative(net.stoich)
     witness = sub.witness if isinstance(sub, Feasible) else None
     if witness is None:
         print("the network is not subconservative: no forest below certifies an extinction event")
@@ -273,7 +272,7 @@ def _cmd_forests(args: argparse.Namespace) -> int:
     forests = list(islice(stream, cap))
     if next(stream, None) is not None:
         print(f"(enumeration truncated at {cap})")
-    decided = decide_forests(dcrn, forests, store=BalanceStore(net, witness))
+    decided = decide_forests(dcrn, forests, TRUE_REACTIONS, BalanceStore(net, witness))
     for idx, (forest, outcome) in enumerate(decided, start=1):
         if isinstance(outcome, Balanced):
             status = f"balanced, alpha = {list(outcome.alpha)}"

@@ -21,7 +21,6 @@ from .graphs import (
     GraphEdge,
     ReactionGraph,
     is_absorbing_set,
-    reaction_graph,
     strong_linkage_classes,
     terminal_complexes,
     terminal_slcs,
@@ -116,7 +115,7 @@ def dom_graph(net: ReactionNetwork, dom_edges: Sequence[GraphEdge]) -> ReactionG
 
     Reactions in index order, then domination edges: edge v is balancing variable v.
     """
-    return ReactionGraph(net.n, reaction_graph(net).edges + tuple(dom_edges))
+    return ReactionGraph(net.n, net.graph.edges + tuple(dom_edges))
 
 
 def reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
@@ -212,7 +211,7 @@ def check_slc_coincidence(
 ) -> tuple[frozenset[int], ...]:
     """The strong linkage classes of an expansion that break SLC coincidence.
 
-    `base` is the network's `reaction_graph`, built once per network;
+    `base` is the network's graph (`ReactionNetwork.graph`), built once;
     `expanded` is usually `DomCRN.graph`.  Each is condensed at most once.
     A class offends when it is no class of the base, or when it is terminal
     in the expansion but not in the base.  For a subconservative network

@@ -44,9 +44,9 @@ from .forests import (
     forest_is_valid,
     verify_balance_outcome,
 )
-from .graphs import GraphEdge, enumerate_absorbing_sets, reaction_graph
+from .graphs import GraphEdge, enumerate_absorbing_sets
 from .invariants import conservation_system, is_subconservative
-from .model import ReactionNetwork, stoich_matrix
+from .model import ReactionNetwork
 
 
 class InternalCheckError(AssertionError):
@@ -67,6 +67,9 @@ class SearchConfig:
     forest_cap: at most this many forests are decided per candidate.
     nontriviality: which edges may carry the required positive weight in a
         balancing vector ("true-reactions" or "any-edge").
+
+    Every cap and every member of explicit_absorbing is an int (a bool is
+    not one); anything else is a ValueError.
     """
 
     dom_strategy: str = "maximal"
@@ -87,8 +90,11 @@ class SearchConfig:
         if self.nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
             raise ValueError(f"unknown nontriviality {self.nontriviality!r}")
         caps = (self.dom_cap, self.absorbing_cap, self.forest_cap)
-        if min(caps) < 1 or max(caps) > sys.maxsize:
-            raise ValueError(f"caps must be between 1 and {sys.maxsize}")
+        if any(type(v) is not int for v in caps) or min(caps) < 1 or max(caps) > sys.maxsize:
+            raise ValueError(f"caps must be ints between 1 and {sys.maxsize}, got {caps}")
+        bad = [v for v in self.explicit_absorbing or () if type(v) is not int]
+        if bad:
+            raise ValueError(f"explicit_absorbing members must be ints, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,7 @@ class Inconclusive:
 @dataclass(frozen=True)
 class NotApplicable:
     reason: str
-    refutation: Farkas  # refutes conservation_system(stoich_matrix(net), equality=False)
+    refutation: Farkas  # refutes conservation_system(net.stoich, equality=False)
 
 
 Verdict = Union[GuaranteedExtinction, Inconclusive, NotApplicable]
@@ -192,7 +198,7 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     balanced exactly when a balance LP finds it so, so the verdict, the
     counts and the reported forest are the LP search's.
     """
-    sub = is_subconservative(stoich_matrix(net))
+    sub = is_subconservative(net.stoich)
     if not isinstance(sub, Feasible):
         return NotApplicable("network is not subconservative", sub)
     candidates = forests_seen = balanced_seen = vacuous = 0
@@ -201,7 +207,7 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     def stats() -> SearchStats:
         return SearchStats(candidates, forests_seen, balanced_seen, truncated, vacuous)
 
-    base = reaction_graph(net)
+    base = net.graph
     store = BalanceStore(net, sub.witness)
     for dcrn in _candidate_pairs(net, cfg):
         if len(dcrn.absorbing) == net.n:
@@ -245,7 +251,7 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     cert = verdict.certificate
     checks: list[tuple[str, bool]] = []
 
-    sub_system = conservation_system(stoich_matrix(net), equality=False)
+    sub_system = conservation_system(net.stoich, equality=False)
     checks.append(("subconservativity-witness", check_feasible(sub_system, cert.subconservation)))
 
     aset = cert.absorbing

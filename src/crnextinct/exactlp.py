@@ -42,12 +42,7 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-Rat = Fraction
 Row = tuple[tuple[int, ...], int]  # (coefficients, rhs)
-
-
-def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
-    return tuple(Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Feasible:
-    witness: tuple[Rat, ...]
+    witness: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -90,9 +85,9 @@ class Farkas:
     may hold ints, which every audit and the report encoding read alike.
     """
 
-    eq_mult: tuple[Rat, ...]
-    ge_mult: tuple[Rat, ...]
-    nonneg_mult: tuple[Rat, ...]  # one per variable, for the rows x >= 0
+    eq_mult: tuple[Fraction, ...]
+    ge_mult: tuple[Fraction, ...]
+    nonneg_mult: tuple[Fraction, ...]  # one per variable, for the rows x >= 0
 
 
 Outcome = Union[Feasible, Farkas]
@@ -304,7 +299,7 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list
     return rows, flips, basis, list(range(n + n_slack, ncols)), ncols
 
 
-def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Rat, ...]:
+def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Fraction, ...]:
     values = [Fraction(0)] * system.n
     for row, b in zip(tab.rows, tab.basis):
         if b < system.n:
@@ -329,7 +324,7 @@ def _extract_farkas(
         flip * (den - rc[b]) if b >= first_art else rc[b] for flip, b in zip(flips, start)
     ]
     n_rows = len(y)
-    scaled = _rat_vec(primitive(y + rc[: system.n]))
+    scaled = tuple(map(Fraction, primitive(y + rc[: system.n])))
     cert = Farkas(scaled[:n_eq], scaled[n_eq:n_rows], scaled[n_rows:])
     if not check_farkas(system, cert):
         raise AssertionError("internal error: produced Farkas certificate fails its own audit")
@@ -357,7 +352,7 @@ def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]
     return tab, None  # artificials may stay basic, at level 0
 
 
-def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, Optional[Rat]]:
+def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, Optional[Fraction]]:
     """Phase 1, then each integer cost minimized over the optimal face of the last.
 
     The artificials are driven out of the basis before the first stage.
@@ -395,13 +390,13 @@ def solve_feasibility(system: LinearSystem) -> Outcome:
     return _solve(system, ())[0]
 
 
-def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Rat], Outcome]:
+def minimize(system: LinearSystem, direction: Sequence) -> tuple[Optional[Fraction], Outcome]:
     """Minimize direction.x over the system.
 
     Returns (optimal value, Feasible minimizer) or (None, Farkas) when the
     system is infeasible.  Raises UnboundedError for unbounded directions.
     """
-    d = _rat_vec(direction)
+    d = tuple(map(Fraction, direction))
     if len(d) != system.n:
         raise ValueError("direction length mismatch")
     cost, scale = scale_to_integers(d)

@@ -40,7 +40,7 @@ from .exactlp import (
     scale_to_integers,
     solve_feasibility,
 )
-from .model import ReactionNetwork, stoich_matrix
+from .model import ReactionNetwork
 
 TRUE_REACTIONS = "true-reactions"
 ANY_EDGE = "any-edge"
@@ -232,7 +232,7 @@ def build_balancing_system(
     r = dcrn.net.r
     support = forest.support
     kernel_rows = tuple(
-        tuple(row[v] if v < r else 0 for v in support) for row in stoich_matrix(dcrn.net)
+        tuple(row[v] if v < r else 0 for v in support) for row in dcrn.net.stoich
     )
     incoming: dict[int, list[int]] = {y: [] for y, _ in forest.choices}
     edges = dcrn.graph.edges
@@ -379,7 +379,7 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
 
 def subconservation_slack(net: ReactionNetwork, witness: Sequence) -> tuple[list[int], list[int]]:
     """(c, s): a subconservativity witness scaled to integers, and s = -c^T Gamma >= 0."""
-    c, gamma = scale_to_integers(witness)[0], stoich_matrix(net)
+    c, gamma = scale_to_integers(witness)[0], net.stoich
     return c, [-sum(ci * row[k] for ci, row in zip(c, gamma)) for k in range(net.r)]
 
 
@@ -427,16 +427,17 @@ class BalanceStore:
 
     slack is the subconservativity witness scaled once to integers c, with
     s = -c^T Gamma (subconservation_slack), computed on first use; it is
-    (None, None) without a witness.  Every balancing vector a balance LP
-    finds is kept by edge identity, which is the same in every candidate of
-    the network where an edge's index is not: reaction k by k, a domination
-    edge by its GraphEdge (src, dst).  A vector is kept as its positive
-    weights, the (identity, source complex) of each positive edge, and the
-    weight entering each complex.  analyze owns one store per call; a store
-    serves one network only.
+    (None, None) when the witness is None, as for a network that is not
+    subconservative.  Every balancing vector a balance LP finds is kept by
+    edge identity, which is the same in every candidate of the network
+    where an edge's index is not: reaction k by k, a domination edge by its
+    GraphEdge (src, dst).  A vector is kept as its positive weights, the
+    (identity, source complex) of each positive edge, and the weight
+    entering each complex.  analyze owns one store per call; a store serves
+    one network only.
     """
 
-    def __init__(self, net: ReactionNetwork, witness: Optional[Sequence] = None):
+    def __init__(self, net: ReactionNetwork, witness: Optional[Sequence]):
         self.net, self.witness = net, witness
         self._vectors: list[tuple[dict, tuple[tuple[object, int], ...], dict[int, int]]] = []
 
@@ -502,8 +503,8 @@ class BalanceStore:
 def decide_forests(
     dcrn: DomCRN,
     forests: Iterable[ExteriorForest],
-    nontriviality: str = TRUE_REACTIONS,
-    store: Optional[BalanceStore] = None,
+    nontriviality: str,
+    store: BalanceStore,
 ) -> Iterator[tuple[ExteriorForest, BalanceOutcome]]:
     """Each forest with its balance outcome, in order, lazily.
 
@@ -528,12 +529,10 @@ def decide_forests(
     The store's witness refutes, with no LP, a forest whose candidates are
     all true reactions with s >= 1 (subconservation_refutation); no stored
     vector balances such a forest.  Every other forest gets one
-    decide_balance, and a vector it finds joins the store.  Without a store,
-    a fresh one with no witness serves this call alone; analyze passes one
-    store for all candidates of a network.  ValueError when the store was
-    made for another network.
+    decide_balance, and a vector it finds joins the store.  analyze passes
+    one store for all candidates of a network.  ValueError when the store
+    was made for another network.
     """
-    store = BalanceStore(dcrn.net) if store is None else store
     if store.net is not dcrn.net:
         raise ValueError("the balance store belongs to another network")
     r, (c, slack) = dcrn.net.r, store.slack
@@ -584,34 +583,3 @@ def verify_balance_outcome(
         )
     return False
 
-
-def support_refutation(
-    net: ReactionNetwork, n_dom: int, forest: ExteriorForest, cert: Farkas
-) -> Farkas:
-    """A refutation in the edge layout of report versions 1-6, moved to the support layout.
-
-    That layout has one variable per edge, r + d in all, and writes (C1) as
-    one row x_v = 0 per edge v off the support, ascending, ahead of the
-    kernel rows.  Only that row, the kernel rows and x_v >= 0 touch such a
-    column v; the flow and candidate rows touch support edges alone.  So the
-    refutation holds iff, at every off-support v, its x_v >= 0 multiplier is
-    >= 0 and its x_v = 0 multiplier closes column v, and its other entries
-    refute the system over the support.  Checks the first two and returns
-    the other entries; ValueError when a check or a vector length fails.
-    """
-    edges = net.r + n_dom
-    support = forest.support
-    if not all(0 <= v < edges for v in support):
-        raise ValueError("forest names an edge outside the expanded graph")
-    inside = set(support)
-    off = [v for v in range(edges) if v not in inside]
-    if len(cert.eq_mult) != len(off) + net.m or len(cert.nonneg_mult) != edges:
-        raise ValueError("refutation does not have one entry per edge")
-    zeros, kernel = cert.eq_mult[: len(off)], cert.eq_mult[len(off) :]
-    gamma = stoich_matrix(net)
-    for z, v in zip(zeros, off):
-        s = cert.nonneg_mult[v]
-        through = sum(y * row[v] for y, row in zip(kernel, gamma)) if v < net.r else 0
-        if s < 0 or z + through + s != 0:
-            raise ValueError(f"refutation does not close the column of edge {v}")
-    return Farkas(kernel, cert.ge_mult, tuple(cert.nonneg_mult[v] for v in support))

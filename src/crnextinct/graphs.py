@@ -11,6 +11,8 @@ answer reads `ReactionGraph.condensation`, computed once per graph: it keeps
 the blocks in that order, numbered by their place in it, and each caller gets
 a fresh list.  A network's own graph is one of its tables
 (`ReactionNetwork.graph`), so it is condensed at most once per network.
+This module does not know the network type: model imports it, never the
+reverse.
 
 A graph made by `ReactionGraph.subgraph` from a subsequence of another's
 edges inherits the other's blocks when every dropped edge joins two
@@ -33,10 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .model import ReactionNetwork  # the network holds its graph, so model imports this module
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 
 class StateCapExceeded(RuntimeError):
@@ -122,11 +121,6 @@ class ReactionGraph:
         # the instance slot that cached_property would otherwise fill on first use
         sub.__dict__["condensation"] = Condensation(comp_of, tuple(sink), blocks)
         return sub
-
-
-def reaction_graph(net: ReactionNetwork) -> ReactionGraph:
-    """The network's graph, its reactions in index order: the table ReactionNetwork.graph."""
-    return net.graph
 
 
 def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:

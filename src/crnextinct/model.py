@@ -72,8 +72,7 @@ class ReactionNetwork:
             per-reaction reference it is tested against.
         complex_names: each complex in the text format, built on first use.
         stoich, graph: the stoichiometric matrix and the reaction graph,
-            built on first use (read them through stoich_matrix and
-            graphs.reaction_graph).
+            built on first use; every caller reads them here.
     """
 
     def __init__(self, species_names: Sequence[str], reactions: Sequence[Reaction]):
@@ -215,14 +214,6 @@ def build_network(
             )
         built.append(Reaction(Complex(tuple(src)), Complex(tuple(tgt))))
     return ReactionNetwork(names, built)
-
-
-def stoich_matrix(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
-    """The m-by-r matrix whose column k is the reaction vector of reaction k.
-
-    The network's own table (ReactionNetwork.stoich), built once per network.
-    """
-    return net.stoich
 
 
 def is_charged(y: Complex, state: State) -> bool:

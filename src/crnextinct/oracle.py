@@ -172,8 +172,12 @@ def recurrent_complexes(net: ReactionNetwork, g: StateGraph) -> frozenset[int]:
 
 
 def _targets(net: ReactionNetwork, complexes: Iterable[int]) -> set[int]:
-    """The listed complex indices, each checked to lie in 0..n-1."""
-    targets = set(complexes)
+    """The listed complex indices, each checked to be an int (a bool is not one) in 0..n-1."""
+    listed = list(complexes)
+    wrong = [ci for ci in listed if type(ci) is not int]
+    if wrong:
+        raise ValueError(f"complex indices {wrong} are not ints")
+    targets = set(listed)
     bad = [ci for ci in targets if ci not in range(net.n)]
     if bad:
         raise ValueError(f"complex indices {bad} out of range 0..{net.n - 1}")
@@ -232,7 +236,8 @@ def find_recurrent_witness(
     its recurrent complexes are the mask of its component.  The sweep stops
     at the first root that hits a target.  Raises StateCapExceeded when the
     shared graph passes `hard_cap` states, and ValueError when `budget` is
-    not an int of at least 0 or `hard_cap` not one of at least 1.
+    not an int of at least 0, `hard_cap` not one of at least 1, or a
+    listed complex not an int index in 0..n-1.
     """
     _check_count("budget", budget, 0)
     _check_count("hard_cap", hard_cap, 1)

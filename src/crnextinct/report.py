@@ -36,7 +36,7 @@ from .engine import (
     verify_verdict,
 )
 from .exactlp import Farkas
-from .forests import ExteriorForest, Unbalanced, edge_label, support_refutation
+from .forests import ExteriorForest, Unbalanced, edge_label
 from .graphs import GraphEdge
 from .model import ReactionNetwork
 
@@ -252,6 +252,38 @@ def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> d
     return report
 
 
+def support_refutation(
+    net: ReactionNetwork, n_dom: int, forest: ExteriorForest, cert: Farkas
+) -> Farkas:
+    """A refutation in the edge layout of report versions 1-6, moved to the support layout.
+
+    That layout has one variable per edge, r + d in all, and writes (C1) as
+    one row x_v = 0 per edge v off the support, ascending, ahead of the
+    kernel rows.  Only that row, the kernel rows and x_v >= 0 touch such a
+    column v; the flow and candidate rows touch support edges alone.  So the
+    refutation holds iff, at every off-support v, its x_v >= 0 multiplier is
+    >= 0 and its x_v = 0 multiplier closes column v, and its other entries
+    refute the system over the support.  Checks the first two and returns
+    the other entries; ValueError when a check or a vector length fails.
+    """
+    edges = net.r + n_dom
+    support = forest.support
+    if not all(0 <= v < edges for v in support):
+        raise ValueError("forest names an edge outside the expanded graph")
+    inside = set(support)
+    off = [v for v in range(edges) if v not in inside]
+    if len(cert.eq_mult) != len(off) + net.m or len(cert.nonneg_mult) != edges:
+        raise ValueError("refutation does not have one entry per edge")
+    zeros, kernel = cert.eq_mult[: len(off)], cert.eq_mult[len(off) :]
+    gamma = net.stoich
+    for z, v in zip(zeros, off):
+        s = cert.nonneg_mult[v]
+        through = sum(y * row[v] for y, row in zip(kernel, gamma)) if v < net.r else 0
+        if s < 0 or z + through + s != 0:
+            raise ValueError(f"refutation does not close the column of edge {v}")
+    return Farkas(kernel, cert.ge_mult, tuple(cert.nonneg_mult[v] for v in support))
+
+
 def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> GuaranteedExtinction:
     """Rebuild a guaranteed-extinction verdict from its JSON report.
 
@@ -264,7 +296,7 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     "candidate_variables" from version 6 and the one "candidate_variable"
     before; each key is rejected at the other versions.  A refutation of
     versions 1-6 is moved to the support layout of version 7 by
-    forests.support_refutation, which first checks the entries it drops.
+    support_refutation, which first checks the entries it drops.
     """
     if report.get("verdict") != "guaranteed-extinction":
         raise ValueError("report does not carry a guaranteed-extinction verdict")

@@ -21,7 +21,7 @@ from crnextinct.forests import (
     verify_balance_outcome,
 )
 from crnextinct.invariants import is_subconservative
-from crnextinct.model import ReactionNetwork, build_network, stoich_matrix
+from crnextinct.model import ReactionNetwork, build_network
 from crnextinct.parser import parse_crn
 
 settings.register_profile(
@@ -163,7 +163,7 @@ def random_subconservative(seed: int, count: int) -> list[ReactionNetwork]:
     found: list[ReactionNetwork] = []
     while len(found) < count:
         net = random_network(rng)
-        if isinstance(is_subconservative(stoich_matrix(net)), Feasible):
+        if isinstance(is_subconservative(net.stoich), Feasible):
             found.append(net)
     return found
 
@@ -174,7 +174,7 @@ def strict_subconservation(net: ReactionNetwork):
     s = -c^T Gamma (forests.subconservation_slack), one entry per reaction,
     and strict means every s_k >= 1.
     """
-    sub = is_subconservative(stoich_matrix(net))
+    sub = is_subconservative(net.stoich)
     if not isinstance(sub, Feasible):
         return None
     c, slack = subconservation_slack(net, sub.witness)

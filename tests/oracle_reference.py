@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from crnextinct.domination import domination_set
-from crnextinct.graphs import reaction_graph, strong_linkage_classes
+from crnextinct.graphs import strong_linkage_classes
 from crnextinct.model import ReactionNetwork, State, fire
 from crnextinct.oracle import StateGraph, recurrent_complexes
 
@@ -91,7 +91,7 @@ def slc_recurrence_report(net: ReactionNetwork, g: StateGraph) -> SlcRecurrenceR
           is a union of SLCs.
     """
     alive = recurrent_complexes(net, g)
-    slcs = strong_linkage_classes(reaction_graph(net))
+    slcs = strong_linkage_classes(net.graph)
     labels = []
     for block in slcs:
         flags = {ci in alive for ci in block}

@@ -37,11 +37,10 @@ from crnextinct.forests import (
     enumerate_forests,
 )
 from crnextinct.invariants import is_subconservative
-from crnextinct.model import stoich_matrix
 
 
 def analyze_per_forest(net, cfg):
-    sub = is_subconservative(stoich_matrix(net))
+    sub = is_subconservative(net.stoich)
     if not isinstance(sub, Feasible):
         return NotApplicable("network is not subconservative", sub)
     candidates = decided = balanced = vacuous = 0

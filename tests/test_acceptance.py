@@ -48,7 +48,6 @@ from crnextinct.forests import (
 from crnextinct.graphs import (
     GraphEdge,
     linkage_classes,
-    reaction_graph,
     strong_linkage_classes,
     terminal_slcs,
 )
@@ -60,7 +59,6 @@ from crnextinct.invariants import (
     p_invariants,
     t_invariants,
 )
-from crnextinct.model import stoich_matrix
 from crnextinct.oracle import (
     explore,
     extinction_on,
@@ -134,29 +132,29 @@ def extinction_verdicts(nets):
 def test_criterion_01_structural(nets):
     start = time.time()
     net21 = nets["example21"]
-    g21 = reaction_graph(net21)
+    g21 = net21.graph
     assert linkage_classes(g21) == [frozenset({0, 1}), frozenset({2, 3})]
     assert strong_linkage_classes(g21) == [frozenset({0, 1}), frozenset({2}), frozenset({3})]
     assert terminal_slcs(g21) == [frozenset({0, 1}), frozenset({3})]
     # per the definition (column = target - source); the worked balance display
     # and the incidence matrix print this matrix, the in-text display flips one sign
-    assert stoich_matrix(net21) == ((-1, 1, 1), (1, -1, -1))
-    cons = is_conservative(stoich_matrix(net21))
+    assert net21.stoich == ((-1, 1, 1), (1, -1, -1))
+    cons = is_conservative(net21.stoich)
     assert isinstance(cons, Feasible) and cons.witness == (Fraction(1), Fraction(1))
     assert time.time() - start < 1.0
 
     start = time.time()
     net22 = nets["example22"]
-    assert stoich_matrix(net22) == ((-1, 2), (2, -1))
-    assert isinstance(is_conservative(stoich_matrix(net22)), Farkas)
-    assert isinstance(is_subconservative(stoich_matrix(net22)), Farkas)
+    assert net22.stoich == ((-1, 2), (2, -1))
+    assert isinstance(is_conservative(net22.stoich), Farkas)
+    assert isinstance(is_subconservative(net22.stoich), Farkas)
     assert time.time() - start < 1.0
 
     start = time.time()
     net23 = nets["example23"]
-    assert stoich_matrix(net23) == ((0, -1, 1), (-1, 1, -1))
-    assert isinstance(is_conservative(stoich_matrix(net23)), Farkas)
-    sub = is_subconservative(stoich_matrix(net23))
+    assert net23.stoich == ((0, -1, 1), (-1, 1, -1))
+    assert isinstance(is_conservative(net23.stoich), Farkas)
+    sub = is_subconservative(net23.stoich)
     assert isinstance(sub, Feasible) and sub.witness == (Fraction(1), Fraction(1))
     assert time.time() - start < 1.0
 
@@ -182,18 +180,18 @@ def test_criterion_02_domination(nets):
 
     for name in FIXTURE_NAMES:
         net = nets[name]
-        if isinstance(is_subconservative(stoich_matrix(net)), Farkas):
+        if isinstance(is_subconservative(net.stoich), Farkas):
             continue
         dcrn = maximal_admissible(net)
         for edges in (dcrn.dom_edges, (), tuple(domination_set(net))):
-            assert check_slc_coincidence(reaction_graph(net), dom_graph(net, edges)) == (), name
+            assert check_slc_coincidence(net.graph, dom_graph(net, edges)) == (), name
 
     # the coincidence law needs subconservativity: example22's full expansion
     # merges its four complexes into one (terminal) class
     net22 = nets["example22"]
     full22 = dom_graph(net22, domination_set(net22))
     assert strong_linkage_classes(full22) == [frozenset({0, 1, 2, 3})]
-    assert check_slc_coincidence(reaction_graph(net22), full22) == (frozenset({0, 1, 2, 3}),)
+    assert check_slc_coincidence(net22.graph, full22) == (frozenset({0, 1, 2, 3}),)
 
 
 @criterion(3, "balance fixtures: published vectors verify, refutations audit")
@@ -219,7 +217,7 @@ def test_criterion_03_balance(nets):
     out999 = decide_balance(build_balancing_system(d999, forest999))
     assert isinstance(out999, Unbalanced)
     assert verify_balance_outcome(d999, forest999, out999)
-    gamma = stoich_matrix(net999)
+    gamma = net999.stoich
     relaxation = LinearSystem(
         3,
         eq=tuple(
@@ -265,7 +263,7 @@ ENVZ_GENERATORS = sorted(
 @criterion(4, "signaling pathway: generators, extinction verdict, oracle absorption")
 def test_criterion_04_envz(nets):
     net = nets["envz"]
-    rays = nonneg_kernel_generators(stoich_matrix(net))
+    rays = nonneg_kernel_generators(net.stoich)
     assert sorted(rays) == ENVZ_GENERATORS
 
     start = time.time()
@@ -456,7 +454,7 @@ def test_criterion_09_exactness(nets):
 
     factors = [2, 3, 5, 7, 11]
     for name in FIXTURE_NAMES:
-        gamma = stoich_matrix(nets[name])
+        gamma = nets[name].stoich
         for equality in (True, False):
             base = conservation_system(gamma, equality=equality)
             scaled = scale_system(base, factors)
@@ -505,10 +503,10 @@ def test_criterion_10_io(nets):
         net = doc.network
         back = petri_import(petri_export(net))
         assert back.species_names == net.species_names, name
-        assert stoich_matrix(back) == stoich_matrix(net), name
+        assert back.stoich == net.stoich, name
         assert [c.coeffs for c in back.complexes] == [c.coeffs for c in net.complexes]
 
-    gamma = stoich_matrix(nets["example21"])
+    gamma = nets["example21"].stoich
     assert gamma == ((-1, 1, 1), (1, -1, -1))
     assert p_invariants(gamma) == ((1, 1),)
     assert sorted(t_invariants(gamma)) == [(1, 0, 1), (1, 1, 0)]

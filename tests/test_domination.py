@@ -15,12 +15,11 @@ from crnextinct.domination import (
 from crnextinct.exactlp import Farkas, Feasible
 from crnextinct.graphs import (
     GraphEdge,
-    reaction_graph,
     strong_linkage_classes,
     terminal_complexes,
 )
 from crnextinct.invariants import is_subconservative
-from crnextinct.model import build_network, stoich_matrix
+from crnextinct.model import build_network
 from crnextinct.parser import parse_crn
 
 from conftest import chain_text, complex_names
@@ -73,7 +72,7 @@ def test_two_edge_expansion_accepted(nets):
 
 def test_empty_expansion_always_valid(nets):
     for net in nets.values():
-        terminals = terminal_complexes(reaction_graph(net))
+        terminals = terminal_complexes(net.graph)
         dcrn = build_dom_crn(net, [], terminals)
         assert dcrn.dom_edges == ()
 
@@ -143,7 +142,7 @@ def test_maximal_admissible_empty_domination(nets):
     net = nets["example999"]
     dcrn = maximal_admissible(net)
     assert dcrn.dom_edges == ()
-    assert dcrn.absorbing == terminal_complexes(reaction_graph(net))
+    assert dcrn.absorbing == terminal_complexes(net.graph)
 
 
 def test_maximal_admissible_revalidates(nets):
@@ -155,32 +154,32 @@ def test_maximal_admissible_revalidates(nets):
 
 def test_slc_coincidence_example33(nets):
     net = nets["example21"]
-    assert isinstance(is_subconservative(stoich_matrix(net)), Feasible)
+    assert isinstance(is_subconservative(net.stoich), Feasible)
     expanded = dom_graph(net, (GraphEdge(0, 2), GraphEdge(1, 2)))
-    assert check_slc_coincidence(reaction_graph(net), expanded) == ()
+    assert check_slc_coincidence(net.graph, expanded) == ()
 
 
 def test_slc_coincidence_needs_subconservativity_example22(nets):
     # example22 is not subconservative, and its full domination expansion
     # merges all four complexes into one strong linkage class
     net = nets["example22"]
-    assert isinstance(is_subconservative(stoich_matrix(net)), Farkas)
+    assert isinstance(is_subconservative(net.stoich), Farkas)
     expanded = dom_graph(net, domination_set(net))
     assert strong_linkage_classes(expanded) == [frozenset({0, 1, 2, 3})]
-    assert check_slc_coincidence(reaction_graph(net), expanded) == (frozenset({0, 1, 2, 3}),)
+    assert check_slc_coincidence(net.graph, expanded) == (frozenset({0, 1, 2, 3}),)
 
 
 def test_slc_coincidence_trivial_empty(nets):
     net = nets["example23"]
-    assert isinstance(is_subconservative(stoich_matrix(net)), Feasible)
-    assert check_slc_coincidence(reaction_graph(net), dom_graph(net, ())) == ()
+    assert isinstance(is_subconservative(net.stoich), Feasible)
+    assert check_slc_coincidence(net.graph, dom_graph(net, ())) == ()
 
 
 def test_slc_coincidence_all_subconservative_fixtures(nets):
     for name, net in nets.items():
-        if isinstance(is_subconservative(stoich_matrix(net)), Farkas):
+        if isinstance(is_subconservative(net.stoich), Farkas):
             continue
-        base = reaction_graph(net)
+        base = net.graph
         dcrn = maximal_admissible(net)
         assert check_slc_coincidence(base, dom_graph(net, dcrn.dom_edges)) == (), name
         # the full domination set also satisfies the coincidence property

@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,6 @@ from crnextinct.exactlp import Farkas, check_farkas
 from crnextinct.forests import ANY_EDGE, Unbalanced
 from crnextinct.graphs import GraphEdge
 from crnextinct.invariants import conservation_system
-from crnextinct.model import stoich_matrix
 from crnextinct.parser import parse_crn
 
 from conftest import chain_text, complex_names, name_to_index, strict_subconservation
@@ -64,7 +64,7 @@ def test_example22_not_applicable(nets):
     verdict = analyze(net)
     assert isinstance(verdict, NotApplicable)
     assert isinstance(verdict.refutation, Farkas)
-    system = conservation_system(stoich_matrix(net), equality=False)
+    system = conservation_system(net.stoich, equality=False)
     assert check_farkas(system, verdict.refutation)
 
 
@@ -227,6 +227,25 @@ def test_config_rejects_explicit_absorbing_without_its_strategy(nets):
     for strategy in ("terminal", "enumerate"):
         with pytest.raises(ValueError, match="explicit_absorbing"):
             SearchConfig(absorbing_strategy=strategy, explicit_absorbing=explicit)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"forest_cap": True},
+        {"forest_cap": 3.0},
+        {"absorbing_strategy": "enumerate", "absorbing_cap": 2.0},
+        {"dom_strategy": "all-subsets", "dom_cap": 1.5},
+        {"absorbing_strategy": "explicit", "explicit_absorbing": frozenset({2.0})},
+        {"absorbing_strategy": "explicit", "explicit_absorbing": frozenset({True})},
+        {"absorbing_strategy": "explicit", "explicit_absorbing": frozenset({0, Fraction(2)})},
+    ],
+)
+def test_config_rejects_caps_and_absorbing_members_that_are_not_ints(fields):
+    # each passes the range checks, so it would surface later: in the report's
+    # search block, in islice, or as a float index in emit_report
+    with pytest.raises(ValueError, match="ints"):
+        SearchConfig(**fields)
 
 
 def test_widened_search_claims_survive_oracle():

@@ -45,12 +45,11 @@ from crnextinct.forests import (
     decide_forests,
     enumerate_forests,
     subconservation_slack,
-    support_refutation,
     verify_balance_outcome,
 )
 from crnextinct.invariants import is_subconservative
 from crnextinct.parser import parse_crn
-from crnextinct.report import emit_report, verify_report
+from crnextinct.report import emit_report, support_refutation, verify_report
 from forests_reference import recursive_forests
 from search_reference import analyze_per_forest, candidate_pairs
 
@@ -146,7 +145,7 @@ def edge_layout_system(dcrn, forest, candidates) -> LinearSystem:
     net, n = dcrn.net, dcrn.net.r + dcrn.d
     support = set(forest.support)
     eq = [(tuple(int(j == v) for j in range(n)), 0) for v in range(n) if v not in support]
-    eq += [(row + (0,) * dcrn.d, 0) for row in model.stoich_matrix(net)]
+    eq += [(row + (0,) * dcrn.d, 0) for row in net.stoich]
     ge = []
     for y, out in forest.choices:
         coeffs = [0] * n
@@ -201,7 +200,7 @@ def _fixtures_and_families(workloads):
 
 
 def _witness(net):
-    sub = is_subconservative(model.stoich_matrix(net))
+    sub = is_subconservative(net.stoich)
     return sub.witness if isinstance(sub, Feasible) else None
 
 

@@ -31,7 +31,6 @@ from crnextinct.forests import (
     verify_balance_outcome,
 )
 from crnextinct.graphs import GraphEdge
-from crnextinct.model import stoich_matrix
 from crnextinct.parser import parse_crn
 from crnextinct.report import emit_report, verify_report
 
@@ -211,7 +210,7 @@ def test_decide_balance_example999(nets):
     assert isinstance(outcome, Unbalanced)
     assert verify_balance_outcome(dcrn, forest, outcome)
     # dropping the flow rows leaves the kernel system, satisfied by (2, 0, 1)
-    gamma = stoich_matrix(nets["example999"])
+    gamma = nets["example999"].stoich
     relaxed = LinearSystem(
         3,
         eq=tuple([((0, 1, 0), 0)] + [(r, 0) for r in gamma]),

@@ -22,7 +22,6 @@ from crnextinct.graphs import (
     enumerate_absorbing_sets,
     is_absorbing_set,
     linkage_classes,
-    reaction_graph,
     strong_linkage_classes,
     terminal_complexes,
     terminal_slcs,
@@ -34,7 +33,7 @@ from graphs_reference import definition_is_absorbing_set, reach_set_sccs, reach_
 
 
 def test_linkage_classes_example21(nets):
-    g = reaction_graph(nets["example21"])
+    g = nets["example21"].graph
     assert linkage_classes(g) == [frozenset({0, 1}), frozenset({2, 3})]
 
 
@@ -44,12 +43,12 @@ def test_linkage_classes_edgeless():
 
 
 def test_linkage_classes_example23(nets):
-    g = reaction_graph(nets["example23"])
+    g = nets["example23"].graph
     assert linkage_classes(g) == [frozenset({0, 1, 2})]
 
 
 def test_slcs_example21(nets):
-    g = reaction_graph(nets["example21"])
+    g = nets["example21"].graph
     assert strong_linkage_classes(g) == [
         frozenset({0, 1}),
         frozenset({2}),
@@ -58,7 +57,7 @@ def test_slcs_example21(nets):
 
 
 def test_slcs_example22(nets):
-    g = reaction_graph(nets["example22"])
+    g = nets["example22"].graph
     assert strong_linkage_classes(g) == [frozenset({i}) for i in range(4)]
 
 
@@ -69,9 +68,9 @@ def test_slcs_maximal_expansion_example22(nets):
 
 
 def test_terminal_slcs(nets):
-    g21 = reaction_graph(nets["example21"])
+    g21 = nets["example21"].graph
     assert terminal_slcs(g21) == [frozenset({0, 1}), frozenset({3})]
-    g22 = reaction_graph(nets["example22"])
+    g22 = nets["example22"].graph
     assert terminal_complexes(g22) == frozenset({1, 3})
 
 
@@ -82,7 +81,7 @@ def test_terminal_of_admissible_expansion(nets):
 
 
 def test_is_absorbing_set(nets):
-    g = reaction_graph(nets["example22"])
+    g = nets["example22"].graph
     assert is_absorbing_set(g, {0, 1, 3})
     assert is_absorbing_set(g, {0, 1, 2, 3})
     assert not is_absorbing_set(g, {1})
@@ -91,7 +90,7 @@ def test_is_absorbing_set(nets):
 
 
 def test_enumerate_absorbing_sets_example22(nets):
-    g = reaction_graph(nets["example22"])
+    g = nets["example22"].graph
     sets = enumerate_absorbing_sets(g, 16)
     assert sets == [
         frozenset({1, 3}),
@@ -109,7 +108,7 @@ def test_enumerate_absorbing_sets_all_terminal():
 
 def test_enumerate_absorbing_sets_example000(nets):
     net = nets["example000"]
-    g = reaction_graph(net)
+    g = net.graph
     sets = enumerate_absorbing_sets(g, 16)
     wanted = {complex_names(net, s) == ["2 X2", "2 X3", "X2 + X3"] for s in sets}
     assert True in wanted
@@ -117,7 +116,7 @@ def test_enumerate_absorbing_sets_example000(nets):
 
 
 def test_enumerate_cap_truncates(nets):
-    g = reaction_graph(nets["example22"])
+    g = nets["example22"].graph
     sets = enumerate_absorbing_sets(g, 2)
     assert len(sets) == 2
     assert sets[0] == frozenset({1, 3})
@@ -127,7 +126,7 @@ def test_enumerate_cap_truncates(nets):
 
 def test_every_slc_inside_one_linkage_class(nets):
     for net in nets.values():
-        g = reaction_graph(net)
+        g = net.graph
         lcs = linkage_classes(g)
         for slc in strong_linkage_classes(g):
             assert sum(1 for lc in lcs if slc <= lc) == 1
@@ -135,7 +134,7 @@ def test_every_slc_inside_one_linkage_class(nets):
 
 def test_terminal_set_is_minimal_absorbing(nets):
     for net in nets.values():
-        g = reaction_graph(net)
+        g = net.graph
         terminals = terminal_complexes(g)
         if net.n == 0:
             continue
@@ -146,7 +145,7 @@ def test_terminal_set_is_minimal_absorbing(nets):
 
 def test_condensation_acyclic(nets):
     for net in nets.values():
-        g = reaction_graph(net)
+        g = net.graph
         sccs = strong_linkage_classes(g)
         block_of = {v: i for i, block in enumerate(sccs) for v in block}
         succ = {i: set() for i in range(len(sccs))}
@@ -175,13 +174,13 @@ def test_condensation_acyclic(nets):
 
 def test_one_condensation_per_graph(condense_calls):
     net = load_fixture("example21")
-    g = reaction_graph(net)
+    g = net.graph
     strong_linkage_classes(g)
     terminal_slcs(g)
     assert is_absorbing_set(g, terminal_complexes(g))
     enumerate_absorbing_sets(g, 64)
-    assert reaction_graph(net) is g  # the network's own table
-    strong_linkage_classes(reaction_graph(net))
+    assert net.graph is g  # the network's own table
+    strong_linkage_classes(net.graph)
     assert condense_calls == [g.successors()]
 
 
@@ -190,14 +189,14 @@ def test_one_graph_per_expansion(condense_calls):
     dcrn = build_dom_crn(net, [GraphEdge(0, 2), GraphEdge(1, 2)], {3})
     assert condense_calls == []  # the absorbing-set test reads no condensation
     expanded = dcrn.graph
-    assert check_slc_coincidence(reaction_graph(net), dcrn.graph) == ()
+    assert check_slc_coincidence(net.graph, dcrn.graph) == ()
     assert list(enumerate_forests(dcrn))
     assert dcrn.graph is expanded
-    base = reaction_graph(net).successors()
+    base = net.graph.successors()
     assert expanded.successors() != base
     # the SLC check condenses the network's own graph, then the expanded one
     assert condense_calls == [base, expanded.successors()]
-    assert check_slc_coincidence(reaction_graph(net), dcrn.graph) == ()
+    assert check_slc_coincidence(net.graph, dcrn.graph) == ()
     assert len(condense_calls) == 2
 
 
@@ -222,7 +221,7 @@ def test_analyze_condenses_the_network_graph_once(condense_calls):
     # the whole expansion once for every shrink round, then the network's
     # own graph for the SLC check
     whole = dom_graph(net, expansion_edges(net))
-    assert condense_calls == [whole.successors(), reaction_graph(net).successors()]
+    assert condense_calls == [whole.successors(), net.graph.successors()]
     # the auditor's absorbing-set test reads no condensation, and a second
     # analyze finds the network graph condensed
     assert verify_report(net, json.loads(emit_report(net, verdict, SearchConfig())))

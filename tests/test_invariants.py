@@ -12,7 +12,6 @@ from crnextinct.invariants import (
     p_invariants,
     t_invariants,
 )
-from crnextinct.model import stoich_matrix
 from crnextinct.parser import parse_crn
 
 from cone_reference import in_cone
@@ -42,7 +41,7 @@ def test_transpose_rejects_ragged_rows():
 
 
 def test_conservative_example21(nets):
-    gamma = stoich_matrix(nets["example21"])
+    gamma = nets["example21"].stoich
     outcome = is_conservative(gamma)
     assert isinstance(outcome, Feasible)
     assert outcome.witness == (Fraction(1), Fraction(1))
@@ -50,7 +49,7 @@ def test_conservative_example21(nets):
 
 
 def test_example22_neither(nets):
-    gamma = stoich_matrix(nets["example22"])
+    gamma = nets["example22"].stoich
     cons = is_conservative(gamma)
     sub = is_subconservative(gamma)
     assert isinstance(cons, Farkas)
@@ -60,7 +59,7 @@ def test_example22_neither(nets):
 
 
 def test_example23_subconservative_only(nets):
-    gamma = stoich_matrix(nets["example23"])
+    gamma = nets["example23"].stoich
     assert isinstance(is_conservative(gamma), Farkas)
     sub = is_subconservative(gamma)
     assert isinstance(sub, Feasible)
@@ -75,7 +74,7 @@ def test_example23_subconservative_only(nets):
 
 
 def test_envz_subconservative(nets):
-    gamma = stoich_matrix(nets["envz"])
+    gamma = nets["envz"].stoich
     sub = is_subconservative(gamma)
     assert isinstance(sub, Feasible)
     assert check_feasible(conservation_system(gamma, equality=False), sub.witness)
@@ -97,7 +96,7 @@ def test_strict_lp_is_skipped_for_opposite_vectors(nets, monkeypatch):
     chain6 = parse_crn(chain_text(6)).network
     for net, calls in ((chain6, 1), (nets["example21"], 1), (nets["example22"], 2)):
         solved.clear()
-        is_subconservative(stoich_matrix(net))
+        is_subconservative(net.stoich)
         assert len(solved) == calls
 
 
@@ -121,13 +120,13 @@ def test_decide_audits_both_lifted_answers(monkeypatch):
 
 def test_conservative_implies_subconservative(nets):
     for net in nets.values():
-        gamma = stoich_matrix(net)
+        gamma = net.stoich
         if isinstance(is_conservative(gamma), Feasible):
             assert isinstance(is_subconservative(gamma), Feasible)
 
 
 def test_homogeneity(nets):
-    gamma = stoich_matrix(nets["example21"])
+    gamma = nets["example21"].stoich
     c = is_conservative(gamma).witness
     for lam in (2, 3, Fraction(7, 2)):
         scaled = [lam * ci for ci in c]
@@ -137,18 +136,18 @@ def test_homogeneity(nets):
 
 
 def test_envz_kernel_generators(nets):
-    rays = nonneg_kernel_generators(stoich_matrix(nets["envz"]))
+    rays = nonneg_kernel_generators(nets["envz"].stoich)
     assert list(rays) == ENVZ_GENERATORS
 
 
 def test_example21_kernel_rays(nets):
-    rays = nonneg_kernel_generators(stoich_matrix(nets["example21"]))
+    rays = nonneg_kernel_generators(nets["example21"].stoich)
     assert rays == ((1, 0, 1), (1, 1, 0))
 
 
 def test_kernel_ray_properties(nets):
     for net in nets.values():
-        gamma = stoich_matrix(net)
+        gamma = net.stoich
         gens = nonneg_kernel_generators(gamma)
         for ray in gens:
             assert all(v >= 0 for v in ray) and any(v > 0 for v in ray)
@@ -173,6 +172,6 @@ def test_self_loop_unit_invariant():
 
 
 def test_appendix_petri_invariants(nets):
-    gamma = stoich_matrix(nets["example21"])
+    gamma = nets["example21"].stoich
     assert p_invariants(gamma) == ((1, 1),)
     assert t_invariants(gamma) == ((1, 0, 1), (1, 1, 0))

@@ -8,7 +8,6 @@ from crnextinct.model import (
     fire,
     format_complex,
     is_charged,
-    stoich_matrix,
 )
 
 
@@ -62,9 +61,11 @@ def test_complex_indexing_deterministic():
 def test_stoich_matrix_fixtures(nets):
     # Example 2.1 per the definition (the reversible pair plus X2 -> X1);
     # this matches the balance-system display and the incidence matrix later on.
-    assert stoich_matrix(nets["example21"]) == ((-1, 1, 1), (1, -1, -1))
-    assert stoich_matrix(nets["example22"]) == ((-1, 2), (2, -1))
-    assert stoich_matrix(nets["example23"]) == ((0, -1, 1), (-1, 1, -1))
+    assert nets["example21"].stoich == ((-1, 1, 1), (1, -1, -1))
+    assert nets["example22"].stoich == ((-1, 2), (2, -1))
+    assert nets["example23"].stoich == ((0, -1, 1), (-1, 1, -1))
+    net = nets["example21"]
+    assert net.stoich is net.stoich  # a table built once per network
 
 
 def test_is_charged():

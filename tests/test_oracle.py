@@ -1,4 +1,5 @@
 from collections import deque
+from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
@@ -497,6 +498,21 @@ def test_target_indices_are_range_checked(nets):
             find_recurrent_witness(net, bad, budget=3)
 
 
+@pytest.mark.parametrize("entry", [True, False, 1.0, Fraction(1)])
+def test_target_indices_must_be_ints(nets, entry):
+    # each equals complex index 0 or 1 and would be read as it, except that a
+    # float breaks the sweep's bit mask with a TypeError
+    net = nets["envz"]
+    g = explore(net, (0,) * net.m)
+    for listed in ([entry], [1, entry]):
+        with pytest.raises(ValueError, match="not ints"):
+            extinction_on(net, g, listed)
+        with pytest.raises(ValueError, match="not ints"):
+            guaranteed_extinction_on(net, listed, budget=2)
+        with pytest.raises(ValueError, match="not ints"):
+            find_recurrent_witness(net, listed, budget=2)
+
+
 def test_states_with_total():
     assert sorted(states_with_total(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(states_with_total(1, 3)) == [(3,)]
@@ -530,11 +546,10 @@ def test_slc_recurrence_report_envz(nets):
 
 
 def test_trace_replay(nets):
-    from crnextinct.model import stoich_matrix
 
     net = nets["example23"]
     g = explore(net, (2, 1))
-    gamma = stoich_matrix(net)
+    gamma = net.stoich
     for state in g.states:
         trace = trace_to(g, state)
         assert trace.replay(net) == state
@@ -548,14 +563,13 @@ def test_trace_replay(nets):
 
 def test_subconservation_monotone(nets):
     from crnextinct.invariants import is_conservative, is_subconservative
-    from crnextinct.model import stoich_matrix
 
     net = nets["example23"]
-    witness = is_subconservative(stoich_matrix(net)).witness
+    witness = is_subconservative(net.stoich).witness
     g = explore(net, (2, 2))
     assert subconservation_monotone(net, g, witness)
     net21 = nets["example21"]
-    c = is_conservative(stoich_matrix(net21)).witness
+    c = is_conservative(net21.stoich).witness
     g21 = explore(net21, (2, 1))
     total = sum(ci * x for ci, x in zip(c, g21.root))
     for state in g21.states:

@@ -1,6 +1,5 @@
 import pytest
 
-from crnextinct.model import stoich_matrix
 from crnextinct.parser import format_network
 from crnextinct.petri import PetriFormatError, petri_export, petri_import
 
@@ -15,14 +14,14 @@ def test_export_example21(nets):
     }
     # incidence matrix rows X1: (-1, 1, 1), X2: (1, -1, -1)
     net = petri_import(doc)
-    assert stoich_matrix(net) == ((-1, 1, 1), (1, -1, -1))
+    assert net.stoich == ((-1, 1, 1), (1, -1, -1))
 
 
 def test_round_trip_all_fixtures(nets):
     for name, net in nets.items():
         again = petri_import(petri_export(net))
         assert again.species_names == net.species_names, name
-        assert stoich_matrix(again) == stoich_matrix(net), name
+        assert again.stoich == net.stoich, name
         assert [c.coeffs for c in again.complexes] == [
             c.coeffs for c in net.complexes
         ], name

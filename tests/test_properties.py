@@ -37,7 +37,6 @@ from crnextinct.graphs import (
     enumerate_absorbing_sets,
     is_absorbing_set,
     linkage_classes,
-    reaction_graph,
     strong_linkage_classes,
     terminal_complexes,
     terminal_slcs,
@@ -50,7 +49,7 @@ from crnextinct.invariants import (
     nonneg_kernel_generators,
     strict_subconservation_system,
 )
-from crnextinct.model import build_network, fire, is_charged, stoich_matrix
+from crnextinct.model import build_network, fire, is_charged
 from crnextinct.oracle import (
     StateCapExceeded,
     complex_recurrent,
@@ -101,7 +100,7 @@ def test_fire_iff_charged(case):
 def test_random_walk_satisfies_count_equation(case):
     net, state = case
     rng = random.Random(1234)
-    gamma = stoich_matrix(net)
+    gamma = net.stoich
     counts = [0] * net.r
     current = state
     for _ in range(12):
@@ -143,7 +142,7 @@ def test_parser_round_trip(net):
 
 @given(networks())
 def test_graph_partition_invariants(net):
-    g = reaction_graph(net)
+    g = net.graph
     lcs = linkage_classes(g)
     slcs = strong_linkage_classes(g)
     everything = set(range(net.n))
@@ -188,7 +187,7 @@ def test_domination_edges_are_strict(net):
 
 @given(networks())
 def test_conservation_outcomes_self_verify(net):
-    gamma = stoich_matrix(net)
+    gamma = net.stoich
     cons = is_conservative(gamma)
     sub = is_subconservative(gamma)
     # the LP runs over c - 1; the answer decides the system over c >= 1 as
@@ -210,7 +209,7 @@ def test_conservation_outcomes_self_verify(net):
 
 @given(networks())
 def test_strict_witness_iff_strict_system_feasible(net):
-    gamma = stoich_matrix(net)
+    gamma = net.stoich
     strict = strict_subconservation_system(gamma)
     feasible = isinstance(fraction_lp.solve_feasibility(strict), Feasible)
     assert (strict_subconservation(net) is not None) == feasible
@@ -225,7 +224,7 @@ def test_opposite_reaction_vectors_refute_the_strict_system(net, k, zero):
     src, tgt = pairs[k % net.r]
     pairs.append((src, src) if zero else (tgt, src))
     net = build_network(net.species_names, pairs)
-    strict = strict_subconservation_system(stoich_matrix(net))
+    strict = strict_subconservation_system(net.stoich)
     out = solve_feasibility(strict)
     assert isinstance(out, Farkas) and check_farkas(strict, out)
     assert out == fraction_lp.solve_feasibility(strict)
@@ -271,7 +270,7 @@ def test_forest_order_matches_recursive_reference(net):
 
 @given(networks())
 def test_kernel_rays_lie_in_cone(net):
-    gamma = stoich_matrix(net)
+    gamma = net.stoich
     gens = nonneg_kernel_generators(gamma)
     for ray in gens:
         assert all(v >= 0 for v in ray)
@@ -280,7 +279,7 @@ def test_kernel_rays_lie_in_cone(net):
 
 @given(networks())
 def test_forests_of_maximal_expansion_are_valid(net):
-    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
+    if not isinstance(is_subconservative(net.stoich), Feasible):
         return
     dcrn = maximal_admissible(net)
     for forest in islice(enumerate_forests(dcrn), 64):
@@ -294,7 +293,7 @@ def test_forests_of_maximal_expansion_are_valid(net):
 @given(networks_with_state(), st.data())
 def test_complex_recurrence_characterizations_agree(case, data):
     net, state = case
-    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
+    if not isinstance(is_subconservative(net.stoich), Feasible):
         return
     try:
         g = explore(net, state, hard_cap=5000)
@@ -351,7 +350,7 @@ def test_row_scaling_invariance(system, scales):
 @given(networks())
 def test_cone_generators_are_complete(net):
     # any point of the kernel-orthant polytope must decompose over the rays
-    gamma = stoich_matrix(net)
+    gamma = net.stoich
     gens = nonneg_kernel_generators(gamma)
     from crnextinct.exactlp import lexmin, Feasible
 
@@ -385,7 +384,7 @@ def test_any_edge_reading_claims_are_sound(net):
     from crnextinct.forests import ANY_EDGE
     from crnextinct.oracle import explore, recurrent_complexes, states_with_total
 
-    if not isinstance(is_subconservative(stoich_matrix(net)), Feasible):
+    if not isinstance(is_subconservative(net.stoich), Feasible):
         return
     verdict = analyze(net, SearchConfig(nontriviality=ANY_EDGE))
     if not isinstance(verdict, GuaranteedExtinction):
@@ -481,7 +480,7 @@ def _forge(net, verdict: GuaranteedExtinction, data) -> GuaranteedExtinction:
     kind = data.draw(st.sampled_from(kinds))
     if kind == "absorbing":
         closed = enumerate_absorbing_sets(dom_graph(net, cert.dom_edges), 16)
-        closed += enumerate_absorbing_sets(reaction_graph(net), 16)
+        closed += enumerate_absorbing_sets(net.graph, 16)
         anywhere = st.frozensets(st.integers(0, net.n - 1), min_size=1)
         absorbing = data.draw(st.sampled_from(closed) | anywhere)
         transient = frozenset(range(net.n)) - absorbing

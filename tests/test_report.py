@@ -23,12 +23,9 @@ from crnextinct.forests import (
     build_balancing_system,
     decide_balance,
     enumerate_forests,
-    support_refutation,
     verify_balance_outcome,
 )
-from crnextinct.graphs import reaction_graph
 from crnextinct.invariants import conservation_system, is_subconservative
-from crnextinct.model import stoich_matrix
 from crnextinct.oracle import find_recurrent_witness
 from crnextinct.parser import parse_crn
 from crnextinct.report import (
@@ -39,6 +36,7 @@ from crnextinct.report import (
     emit_report,
     encode_rational,
     report_certificate,
+    support_refutation,
     verify_report,
 )
 
@@ -180,7 +178,7 @@ def test_report_with_a_repeated_choice_is_rejected():
     outcome = decide_balance(build_balancing_system(dcrn, forged))
     assert isinstance(outcome, Unbalanced)
     cert = ExtinctionCertificate(
-        is_subconservative(stoich_matrix(net)).witness,
+        is_subconservative(net.stoich).witness,
         dcrn.dom_edges,
         dcrn.absorbing,
         forged,
@@ -657,7 +655,7 @@ def test_not_applicable_report(nets):
     for item in farkas["ge"]:
         decode_rational(item)
     # and anyone can re-check it against the system over c >= 1
-    system = conservation_system(stoich_matrix(net), equality=False)
+    system = conservation_system(net.stoich, equality=False)
     decoded = Farkas(*(tuple(map(decode_rational, farkas[k])) for k in ("eq", "ge", "nonneg")))
     assert check_farkas(system, decoded)
     doctored = Farkas(decoded.eq_mult, (decoded.ge_mult[0] + 1, *decoded.ge_mult[1:]), decoded.nonneg_mult)
@@ -755,11 +753,11 @@ def test_a_warm_network_answers_as_a_fresh_one(reading):
         _certify(warm, other)
         # callers get fresh lists: changing them changes no table
         domination_set(warm).clear()
-        for out in reaction_graph(warm).successors():
+        for out in warm.graph.successors():
             out.append(0)
-        assert isinstance(stoich_matrix(warm), tuple)
-        assert all(isinstance(row, tuple) for row in stoich_matrix(warm))
-        g = reaction_graph(warm)
+        assert isinstance(warm.stoich, tuple)
+        assert all(isinstance(row, tuple) for row in warm.stoich)
+        g = warm.graph
         assert isinstance(g.edges, tuple)
         assert all(isinstance(field, tuple) for field in g.condensation)
         got = _certify(warm, cfg)
