@@ -80,12 +80,14 @@ def _load_network(path: str) -> ReactionNetwork:
     return _read(path, lambda text: parse_crn(text).network)
 
 
+def _pieces(text: str) -> list[str]:
+    """The comma-separated pieces of a flag, stripped, empty ones dropped."""
+    return [piece.strip() for piece in text.split(",") if piece.strip()]
+
+
 def _complex_list(net: ReactionNetwork, text: str) -> list[int]:
     indices = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _pieces(text):
         try:
             cpx = parse_complex(piece, net)
             indices.append(net.complex_index(cpx))
@@ -99,10 +101,7 @@ def _complex_list(net: ReactionNetwork, text: str) -> list[int]:
 def _parse_init(net: ReactionNetwork, text: str) -> tuple[int, ...]:
     names = net.species_names
     counts: dict[str, int] = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _pieces(text):
         name, _, value = piece.partition("=")
         name = name.strip()
         if name not in names:
@@ -121,24 +120,20 @@ def _parse_init(net: ReactionNetwork, text: str) -> tuple[int, ...]:
 
 def _search_config(net: ReactionNetwork, args: argparse.Namespace) -> SearchConfig:
     kwargs: dict = {"forest_cap": _positive_int(args.forest_cap, "--forest-cap")}
-    dom = args.dom
-    if dom == "maximal":
-        kwargs["dom_strategy"] = "maximal"
-    elif dom.startswith("all:"):
+    dom = args.dom  # "maximal" and "terminal" are the defaults
+    if dom.startswith("all:"):
         kwargs["dom_strategy"] = "all-subsets"
         kwargs["dom_cap"] = _positive_int(dom[4:], "--dom all:N")
-    else:
+    elif dom != "maximal":
         raise InputError("--dom expects 'maximal' or 'all:N'")
     absorbing = args.absorbing
-    if absorbing == "terminal":
-        kwargs["absorbing_strategy"] = "terminal"
-    elif absorbing.startswith("enumerate:"):
+    if absorbing.startswith("enumerate:"):
         kwargs["absorbing_strategy"] = "enumerate"
         kwargs["absorbing_cap"] = _positive_int(absorbing[10:], "--absorbing enumerate:N")
     elif absorbing.startswith("set:"):
         kwargs["absorbing_strategy"] = "explicit"
-        kwargs["explicit_absorbing"] = frozenset(_complex_list(net, absorbing[4:]))
-    else:
+        kwargs["explicit_absorbing"] = _complex_list(net, absorbing[4:])
+    elif absorbing != "terminal":
         raise InputError("--absorbing expects 'terminal', 'enumerate:N', or 'set:...'")
     kwargs["nontriviality"] = (
         ANY_EDGE if args.nontriviality == "any" else TRUE_REACTIONS

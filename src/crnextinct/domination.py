@@ -6,9 +6,14 @@ domination-expanded network.  Such an expansion is admissible for an absorbing
 complex set Y of the expanded graph when no added edge duplicates a true
 reaction or another added edge, and no added edge points into Y.  A
 candidate's structural checks all read its one expanded graph, `DomCRN.graph`,
-condensed at most once.  The shrink rounds take each graph as a `subgraph` of
-the one before, so in a subconservative network, where a domination edge lies
-on no cycle, every round reuses the first graph's condensation.
+condensed at most once.
+
+In a subconservative network, with witness c >= 1, the potential c.y never
+rises along a reaction and strictly falls along every domination edge, so no
+domination edge lies on a cycle: every expansion has the strong linkage
+classes of the network graph.  So the search hands every seed the network
+graph's one condensation, and `shrink_to_terminal` reaches the fixpoint in
+one pass of rounds over those blocks, with no further SCC search.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
+    Condensation,
     GraphEdge,
     ReactionGraph,
     is_absorbing_set,
@@ -118,15 +124,10 @@ def dom_graph(net: ReactionNetwork, dom_edges: Sequence[GraphEdge]) -> ReactionG
     return ReactionGraph(net.n, net.graph.edges + tuple(dom_edges))
 
 
-def reaction_pairs(net: ReactionNetwork) -> set[tuple[int, int]]:
-    """(source, target) complex index pairs of the true reactions."""
-    return {(net.source_index[k], net.target_index[k]) for k in range(net.r)}
-
-
 def expansion_edges(net: ReactionNetwork) -> tuple[GraphEdge, ...]:
     """The domination relations that do not duplicate a true reaction, in domination_set order."""
-    pairs = reaction_pairs(net)
-    return tuple(e for e in domination_set(net) if (e.src, e.dst) not in pairs)
+    reactions = set(net.graph.edges)
+    return tuple(e for e in domination_set(net) if e not in reactions)
 
 
 def build_dom_crn(
@@ -143,7 +144,7 @@ def build_dom_crn(
     it is not absorbing on the expanded graph.
     """
     edges = tuple(dom_edges)
-    taken = reaction_pairs(net)
+    taken = set(net.graph.edges)
     for e in edges:
         if not is_domination_edge(net, e):
             raise AdmissibilityError(
@@ -151,13 +152,13 @@ def build_dom_crn(
                 f"edge {e.src}->{e.dst} is not a domination relation of the network",
                 e,
             )
-        if (e.src, e.dst) in taken:
+        if e in taken:
             raise AdmissibilityError(
                 "domination",
                 f"domination edge {e.src}->{e.dst} duplicates a true reaction or an earlier edge",
                 e,
             )
-        taken.add((e.src, e.dst))
+        taken.add(e)
     aset = frozenset(absorbing)
     if not aset <= set(range(net.n)):
         raise AdmissibilityError("absorbing", "absorbing set contains an invalid complex index")
@@ -178,32 +179,57 @@ def build_dom_crn(
     return dcrn
 
 
-def shrink_to_terminal(net: ReactionNetwork, g: ReactionGraph) -> DomCRN:
+def shrink_to_terminal(
+    net: ReactionNetwork, dom_edges: Sequence[GraphEdge], blocks: Optional[Condensation] = None
+) -> DomCRN:
     """Delete every domination edge touching the terminal complexes, until stable.
 
-    `g` is an expanded graph of the network (dom_graph) whose domination
-    edges are distinct expansion edges (expansion_edges).  Each round
-    recomputes terminality on the graph; the next round's graph is a
-    `subgraph` of this one, so it inherits the condensation whenever every
-    deleted edge joins two different blocks, as in every subconservative
-    network, where a domination edge lies on no cycle.  The edge set
-    shrinks monotonically, so this terminates.  Returns the fixpoint on the
-    last round's graph with its terminal complexes as the absorbing set,
-    which is admissible because no surviving edge touches a terminal complex.
+    `dom_edges` are distinct expansion edges (expansion_edges).  `blocks`,
+    when given, holds the expanded graph's SCCs, not its sink flags: in a
+    subconservative network, the network graph's.  Without it, the
+    expanded graph is condensed.
+
+    One pass of rounds over the blocks.  Each block counts the edges leaving
+    it and is a sink at 0; an edge from a sink stays inside it, so the edges
+    touching a terminal complex are those entering a sink.  A round drops
+    the domination edges entering the blocks that became sinks in the round
+    before (the first round, every sink), and a block whose count reaches 0
+    is a sink in the next round.  This is the fixpoint of the loop that
+    condenses each round's graph afresh: a dropped edge inside a block (one
+    that closes a cycle, never in a subconservative network) may split it,
+    but every edge entering it is dropped with it and every other block
+    keeps its exits.  Only then is the fixpoint's graph condensed afresh.
+    The absorbing set is its terminal complexes, which no kept edge touches.
     """
-    reactions = g.edges[: net.r]
-    while True:
-        terminals = terminal_complexes(g)
-        edges = g.edges[net.r :]
-        kept = tuple(e for e in edges if e.dst not in terminals and e.src not in terminals)
-        if len(kept) == len(edges):
-            return DomCRN(net, g, terminals)
-        g = g.subgraph(reactions + kept)
+    reactions, edges = net.graph.edges, tuple(dom_edges)
+    if blocks is None:
+        blocks = dom_graph(net, edges).condensation
+    comp_of, _, members = blocks
+    exits, entering = [0] * len(members), [[] for _ in members]
+    for e in reactions + edges:
+        if comp_of[e.src] != comp_of[e.dst]:
+            exits[comp_of[e.src]] += 1
+    for e in edges:
+        entering[comp_of[e.dst]].append(e)
+    sinks, dropped = [b for b, count in enumerate(exits) if not count], set()
+    for b in sinks:  # the list grows by a round at a time, each after the one before
+        for e in entering[b]:
+            dropped.add(e)
+            a = comp_of[e.src]
+            if a != b:
+                exits[a] -= 1
+                if not exits[a]:
+                    sinks.append(a)
+    g = ReactionGraph(net.n, reactions + tuple(e for e in edges if e not in dropped))
+    if all(comp_of[e.src] != comp_of[e.dst] for e in dropped):  # no block split
+        # fill the slot that cached_property would fill on first use
+        g.__dict__["condensation"] = Condensation(comp_of, tuple(not n for n in exits), members)
+    return DomCRN(net, g, terminal_complexes(g))
 
 
 def maximal_admissible(net: ReactionNetwork) -> DomCRN:
     """The default expansion: all domination relations, shrunk to the terminal fixpoint."""
-    return shrink_to_terminal(net, dom_graph(net, expansion_edges(net)))
+    return shrink_to_terminal(net, expansion_edges(net))
 
 
 def check_slc_coincidence(

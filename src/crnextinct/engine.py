@@ -19,14 +19,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .domination import (
     AdmissibilityError,
     DomCRN,
     build_dom_crn,
     check_slc_coincidence,
-    dom_graph,
     expansion_edges,
     shrink_to_terminal,
 )
@@ -69,7 +68,8 @@ class SearchConfig:
         balancing vector ("true-reactions" or "any-edge").
 
     Every cap and every member of explicit_absorbing is an int (a bool is
-    not one); anything else is a ValueError.
+    not one); anything else is a ValueError.  explicit_absorbing is kept as
+    a frozenset, so a config given a list or a set is hashable too.
     """
 
     dom_strategy: str = "maximal"
@@ -85,6 +85,11 @@ class SearchConfig:
             raise ValueError(f"unknown dom_strategy {self.dom_strategy!r}")
         if self.absorbing_strategy not in ("terminal", "enumerate", "explicit"):
             raise ValueError(f"unknown absorbing_strategy {self.absorbing_strategy!r}")
+        if self.explicit_absorbing is not None:
+            try:  # the dataclass is frozen, so its own field is set through object
+                object.__setattr__(self, "explicit_absorbing", frozenset(self.explicit_absorbing))
+            except TypeError as err:  # not iterable, or an unhashable member
+                raise ValueError(f"explicit_absorbing must be a set of ints: {err}") from None
         if (self.absorbing_strategy == "explicit") != (self.explicit_absorbing is not None):
             raise ValueError('explicit_absorbing is set exactly when absorbing_strategy is "explicit"')
         if self.nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
@@ -140,7 +145,9 @@ class NotApplicable:
 Verdict = Union[GuaranteedExtinction, Inconclusive, NotApplicable]
 
 
-def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN]:
+def _candidate_pairs(
+    net: ReactionNetwork, cfg: SearchConfig, c: Optional[Sequence[int]] = None
+) -> Iterator[DomCRN]:
     """Validated (expansion, absorbing set) candidates in deterministic order.
 
     Each seed (the full set first) shrinks to its fixpoint, whose absorbing
@@ -148,16 +155,26 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
     A seed that shrinks to an earlier seed's fixpoint is skipped before its
     absorbing sets are enumerated: the fixpoint's graph is fixed by its
     edges, so every pair it would yield is already in seen.
-    A seed's graph is a subgraph of the whole expansion's graph, so the
-    family shares that graph's one condensation wherever the dropped edges
-    join two blocks (graphs.ReactionGraph.subgraph).
+
+    `c` is the network's subconservativity witness scaled to integers
+    (BalanceStore.slack), so c >= 1.  The potential c.y never rises along a
+    reaction and strictly falls along a domination edge, so none lies on a
+    cycle and every seed shrinks on the network graph's blocks, condensed
+    once per network.  That order is checked once, on every expansion
+    edge: InternalCheckError when it fails.  Without c (no witness at hand,
+    as for a network that is not subconservative), each seed's expansion is
+    condensed.
     """
     explicit = cfg.absorbing_strategy == "explicit"
     if explicit and not cfg.explicit_absorbing <= set(range(net.n)):
         raise ValueError("absorbing set contains an invalid complex index")
-    whole = dom_graph(net, expansion_edges(net))
-    reactions, full = whole.edges[: net.r], whole.edges[net.r :]
-    subsets = (c for size in range(len(full), -1, -1) for c in combinations(full, size))
+    full, blocks = expansion_edges(net), None
+    if c is not None:
+        p = [sum(a * b for a, b in zip(c, y.coeffs)) for y in net.complexes]
+        if any(p[s] < p[d] for s, d in net.graph.edges) or any(p[s] <= p[d] for s, d in full):
+            raise InternalCheckError(f"the witness {tuple(c)} does not order every expansion edge")
+        blocks = net.graph.condensation
+    subsets = (sub for size in range(len(full), -1, -1) for sub in combinations(full, size))
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
     absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
     seen: set[tuple[tuple[GraphEdge, ...], frozenset[int]]] = set()
@@ -166,7 +183,7 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig) -> Iterator[DomCRN
         if explicit:
             fix, edges, asets = None, seed, [cfg.explicit_absorbing]
         else:
-            fix = shrink_to_terminal(net, whole.subgraph(reactions + seed))
+            fix = shrink_to_terminal(net, seed, blocks)
             if fix.dom_edges in fixpoints:
                 continue  # its pairs are all in seen
             fixpoints.add(fix.dom_edges)
@@ -207,14 +224,13 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     def stats() -> SearchStats:
         return SearchStats(candidates, forests_seen, balanced_seen, truncated, vacuous)
 
-    base = net.graph
     store = BalanceStore(net, sub.witness)
-    for dcrn in _candidate_pairs(net, cfg):
+    for dcrn in _candidate_pairs(net, cfg, store.slack[0]):
         if len(dcrn.absorbing) == net.n:
             vacuous += 1
             continue
         candidates += 1
-        offending = check_slc_coincidence(base, dcrn.graph)
+        offending = check_slc_coincidence(net.graph, dcrn.graph)
         if offending:
             raise InternalCheckError(
                 f"SLC coincidence failed for expansion {dcrn.dom_edges}: {offending}"

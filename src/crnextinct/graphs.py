@@ -14,13 +14,11 @@ a fresh list.  A network's own graph is one of its tables
 This module does not know the network type: model imports it, never the
 reverse.
 
-A graph made by `ReactionGraph.subgraph` from a subsequence of another's
-edges inherits the other's blocks when every dropped edge joins two
-different blocks: an edge between two SCCs lies on no cycle, so dropping it
-splits no SCC, and dropping edges merges none.  Only the sink flags are
-recomputed.  When a dropped edge lies inside a block, the subgraph is
-condensed afresh on first use.  `is_absorbing_set` needs no condensation: a
-set is absorbing iff no edge leaves it and every complex reaches it.
+A graph whose strong linkage classes are known without a search, as every
+domination expansion of a subconservative network has its network graph's
+(see domination.shrink_to_terminal), may be handed its condensation in that
+cache slot.  `is_absorbing_set` needs no condensation: a set is absorbing
+iff no edge leaves it and every complex reaches it.
 
 condense is the package's one SCC routine: a depth-first search that
 discovers vertices through a callback and condenses them as it goes, keeping
@@ -35,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 
 class StateCapExceeded(RuntimeError):
@@ -94,33 +92,6 @@ class ReactionGraph:
                 sink.append(not exits)
         comp_of = tuple(map(rank.__getitem__, ids))
         return Condensation(comp_of, tuple(sink), tuple(blocks))
-
-    def subgraph(self, edges: Sequence[GraphEdge]) -> ReactionGraph:
-        """The graph on the same vertices with `edges`, a subsequence of this graph's edges.
-
-        When every dropped edge joins two different blocks of this graph's
-        condensation, the subgraph inherits the blocks and only its sink
-        flags are computed; otherwise (also when `edges` is no subsequence)
-        it is condensed afresh on first use.  Condenses this graph if it is
-        not yet condensed.
-        """
-        sub = ReactionGraph(self.n, tuple(edges))
-        comp_of, _, blocks = self.condensation
-        kept, k = sub.edges, 0
-        for e in self.edges:
-            if k < len(kept) and kept[k] == e:
-                k += 1
-            elif comp_of[e.src] == comp_of[e.dst]:
-                return sub  # a dropped edge inside a block may break it
-        if k < len(kept):
-            return sub
-        sink = [True] * len(blocks)
-        for e in kept:
-            if comp_of[e.src] != comp_of[e.dst]:
-                sink[comp_of[e.src]] = False
-        # the instance slot that cached_property would otherwise fill on first use
-        sub.__dict__["condensation"] = Condensation(comp_of, tuple(sink), blocks)
-        return sub
 
 
 def linkage_classes(g: ReactionGraph) -> list[frozenset[int]]:
@@ -266,10 +237,14 @@ def enumerate_absorbing_sets(g: ReactionGraph, cap: int) -> list[frozenset[int]]
     sets grow one addable SLC at a time from the terminal set, so a best-first
     search over the lattice emits them in nondecreasing complex count and the
     cap bounds both the output and the work.  The terminal-complex set and the
-    full vertex set always appear (cap permitting).
+    full vertex set always appear (cap permitting).  The terminal set comes
+    first, so under cap 1 it is the answer, and the condensation edges are
+    collected only when a second set is asked for.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if cap == 1:
+        return [terminal_complexes(g)]
     comp_of, sink, sccs = g.condensation
     succ: list[set[int]] = [set() for _ in sccs]
     for e in g.edges:
@@ -281,12 +256,9 @@ def enumerate_absorbing_sets(g: ReactionGraph, cap: int) -> list[frozenset[int]]
     def members(chosen: frozenset[int]) -> frozenset[int]:
         return frozenset(v for i in chosen for v in sccs[i])
 
-    def weight(chosen: frozenset[int]) -> int:
-        return sum(len(sccs[i]) for i in chosen)
-
     found: list[frozenset[int]] = []
     heap: list[tuple[int, tuple[int, ...], frozenset[int]]] = [
-        (weight(sinks), tuple(sorted(sinks)), sinks)
+        (sum(len(sccs[i]) for i in sinks), tuple(sorted(sinks)), sinks)
     ]
     seen = {sinks}
     while heap and len(found) < cap:

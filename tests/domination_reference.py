@@ -3,9 +3,10 @@
 `domination_set` compares only complexes of smaller molecule count, each
 comparison one subtraction of packed coefficients; `all_pairs_domination_set`
 compares every ordered pair coefficient by coefficient.  `shrink_to_terminal`
-condenses one graph per family and lets later rounds inherit its blocks;
-`shrink_rounds` is the loop as it was before, building and condensing a
-fresh expanded graph every round.  Each pair must give the same answer.
+makes one pass of rounds over blocks it is handed or condenses once, and
+condenses afresh only after dropping an edge inside a block; `shrink_rounds`
+builds and condenses a fresh expanded graph every round.  Each pair must
+give the same answer.
 """
 
 from operator import ge

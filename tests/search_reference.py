@@ -8,6 +8,9 @@ and report bytes while solving fewer LPs.
 `candidate_pairs` is a reference for `engine._candidate_pairs`: it
 enumerates the absorbing sets of every seed's fixpoint, also when an earlier
 seed shrank to the same one, and relies on `seen` alone to drop the repeats.
+It reaches each fixpoint by `domination_reference.shrink_rounds`, which
+condenses every round's graph afresh, where the engine hands every seed the
+network graph's blocks.
 """
 
 from itertools import combinations, islice
@@ -17,9 +20,7 @@ from crnextinct.domination import (
     AdmissibilityError,
     DomCRN,
     build_dom_crn,
-    dom_graph,
     expansion_edges,
-    shrink_to_terminal,
 )
 from crnextinct.engine import (
     ExtinctionCertificate,
@@ -37,6 +38,7 @@ from crnextinct.forests import (
     enumerate_forests,
 )
 from crnextinct.invariants import is_subconservative
+from domination_reference import shrink_rounds
 
 
 def analyze_per_forest(net, cfg):
@@ -70,8 +72,7 @@ def candidate_pairs(net, cfg):
     explicit = cfg.absorbing_strategy == "explicit"
     if explicit and not cfg.explicit_absorbing <= set(range(net.n)):
         raise ValueError("absorbing set contains an invalid complex index")
-    whole = dom_graph(net, expansion_edges(net))
-    reactions, full = whole.edges[: net.r], whole.edges[net.r :]
+    full = expansion_edges(net)
     subsets = (c for size in range(len(full), -1, -1) for c in combinations(full, size))
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
     absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
@@ -80,7 +81,7 @@ def candidate_pairs(net, cfg):
         if explicit:
             fix, edges, asets = None, seed, [cfg.explicit_absorbing]
         else:
-            fix = shrink_to_terminal(net, whole.subgraph(reactions + seed))
+            fix = shrink_rounds(net, seed)
             edges, asets = fix.dom_edges, enumerate_absorbing_sets(fix.graph, absorbing_cap)
         for aset in asets:
             kept = tuple(e for e in edges if e.src not in aset and e.dst not in aset)

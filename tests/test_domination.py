@@ -203,11 +203,13 @@ def test_shrink_to_terminal_matches_the_round_by_round_loop(net, data):
     seeds = [full]
     if data is not None:
         seeds.append(tuple(e for e in full if data.draw(st.booleans())))
-    whole = dom_graph(net, full)
+    # condensed afresh, handed the expansion's own blocks, and, in a
+    # subconservative network, handed the network graph's blocks
+    shared = [net.graph.condensation] if isinstance(is_subconservative(net.stoich), Feasible) else []
     for seed in seeds:
         want = shrink_rounds(net, seed)
-        for g in (whole.subgraph(whole.edges[: net.r] + seed), dom_graph(net, seed)):
-            got = shrink_to_terminal(net, g)
+        for blocks in [None, dom_graph(net, seed).condensation] + shared:
+            got = shrink_to_terminal(net, seed, blocks)
             assert got.graph.edges == want.graph.edges
             assert got.absorbing == want.absorbing
             got_c, want_c = got.graph.condensation, want.graph.condensation

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crnextinct import engine, forests
 from crnextinct.domination import DomCRN, dom_graph
@@ -17,7 +19,7 @@ from crnextinct.engine import (
     verify_verdict,
 )
 from crnextinct.exactlp import Farkas, check_farkas
-from crnextinct.forests import ANY_EDGE, Unbalanced
+from crnextinct.forests import ANY_EDGE, TRUE_REACTIONS, Unbalanced
 from crnextinct.graphs import GraphEdge
 from crnextinct.invariants import conservation_system
 from crnextinct.parser import parse_crn
@@ -191,8 +193,23 @@ def test_slc_coincidence_failure_raises(nets, monkeypatch):
     # D(2 -> 1) reverses reaction 3 and merges two SLCs of the network
     net = nets["intro"]
     merged = DomCRN(net, dom_graph(net, (GraphEdge(2, 1),)), frozenset({2}))
-    monkeypatch.setattr(engine, "_candidate_pairs", lambda net, cfg: iter([merged]))
+    monkeypatch.setattr(engine, "_candidate_pairs", lambda net, cfg, c: iter([merged]))
     with pytest.raises(InternalCheckError, match="SLC coincidence failed"):
+        analyze(net)
+
+
+def test_a_witness_that_does_not_order_the_expansion_raises(nets, monkeypatch):
+    # every expansion shares the network graph's blocks only because the
+    # witness lowers c.y along each domination edge; a forged one is caught
+    net = nets["example21"]
+    c, _ = forests.BalanceStore(net, analyze(net).certificate.subconservation).slack
+    assert list(engine._candidate_pairs(net, SearchConfig(), c))
+    for forged in ([0] * net.m, [-v for v in c]):
+        with pytest.raises(InternalCheckError, match="does not order"):
+            list(engine._candidate_pairs(net, SearchConfig(), forged))
+    forged_slack = property(lambda store: ([0] * net.m, [0] * net.r))
+    monkeypatch.setattr(forests.BalanceStore, "slack", forged_slack)
+    with pytest.raises(InternalCheckError, match="does not order"):
         analyze(net)
 
 
@@ -246,6 +263,48 @@ def test_config_rejects_caps_and_absorbing_members_that_are_not_ints(fields):
     # search block, in islice, or as a float index in emit_report
     with pytest.raises(ValueError, match="ints"):
         SearchConfig(**fields)
+
+
+_ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.floats(allow_nan=False), st.text(max_size=2)
+)
+_MEMBERS = st.one_of(st.integers(0, 2), _ANY)  # intro has complexes 0..2
+_CONFIG_FIELDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "dom_strategy": st.one_of(st.sampled_from(["maximal", "all-subsets"]), _ANY),
+        "dom_cap": st.one_of(st.integers(1, 4), _ANY),
+        "absorbing_strategy": st.one_of(st.sampled_from(["terminal", "enumerate", "explicit"]), _ANY),
+        "absorbing_cap": st.one_of(st.integers(1, 4), _ANY),
+        "explicit_absorbing": st.one_of(
+            st.lists(_MEMBERS, max_size=3),
+            st.sets(_MEMBERS, max_size=3),
+            st.lists(_MEMBERS, max_size=3).map(tuple),
+            st.frozensets(_MEMBERS, max_size=3),
+            st.lists(st.lists(st.integers(0, 2), max_size=2), min_size=1, max_size=2),
+            _ANY,
+        ),
+        "forest_cap": st.one_of(st.integers(1, 4), _ANY),
+        "nontriviality": st.one_of(st.sampled_from([TRUE_REACTIONS, ANY_EDGE]), _ANY),
+    },
+)
+
+
+@given(_CONFIG_FIELDS)
+@example({"absorbing_strategy": "explicit", "explicit_absorbing": [2]})
+@example({"absorbing_strategy": "explicit", "explicit_absorbing": {2}})
+def test_every_config_is_refused_or_hashable_and_searchable(nets, fields):
+    # a list or a set of members used to construct, and then analyze raised
+    # TypeError (a set also made the frozen config unhashable)
+    try:
+        cfg = SearchConfig(**fields)
+    except ValueError:
+        return
+    assert hash(cfg) == hash(replace(cfg))
+    verdict = analyze(nets["intro"], cfg)
+    assert isinstance(verdict, (GuaranteedExtinction, Inconclusive))
+    if cfg.explicit_absorbing is not None:
+        assert cfg.explicit_absorbing == frozenset(fields["explicit_absorbing"])
 
 
 def test_widened_search_claims_survive_oracle():

@@ -267,11 +267,38 @@ def test_a_search_pass_runs_at_most_31_balance_lps(workloads, monkeypatch):
     assert calls["absorbing"] <= 31
 
 
+@pytest.mark.parametrize("workload, most", [("certify", 19), ("search", 22)])
+def test_a_first_pass_condenses_each_network_graph_once(workloads, condense_calls, workload, most):
+    # seed 1's inputs, parsed afresh so that no network graph is condensed
+    # yet.  Every expansion shares its network graph's blocks, so a pass
+    # condenses each searched network's graph once (19 on certify, 21 on
+    # search) and, on search, one candidate that drops an edge of its
+    # fixpoint; each analyze condensed its whole expansion too: 37 and 42
+    cfg = workloads.search_config(engine, workload)
+    for _, text, _ in workloads.network_texts(workload, 1, FIXTURE_DIR):
+        engine.analyze(parse_crn(text).network, cfg)
+    assert len(condense_calls) <= most
+
+
+def _analyzed_pairs(net, cfg):
+    """engine._candidate_pairs as analyze calls it: with the scaled witness, if any.
+
+    Every seed of a subconservative network then shrinks on the network
+    graph's blocks, and the reference condenses every graph afresh.
+    """
+    return list(engine._candidate_pairs(net, cfg, BalanceStore(net, _witness(net)).slack[0]))
+
+
 def test_candidate_pairs_match_reference(workloads):
     configs = [workloads.search_config(engine, w) for w in ("certify", "search")]
     for _, net in _fixtures_and_families(workloads):
         for cfg in configs:
-            assert list(engine._candidate_pairs(net, cfg)) == list(candidate_pairs(net, cfg))
+            want = list(candidate_pairs(net, cfg))
+            assert list(engine._candidate_pairs(net, cfg)) == want
+            got = _analyzed_pairs(net, cfg)
+            assert got == want
+            for dcrn, fresh in zip(got, want):
+                assert dcrn.graph.condensation == fresh.graph.condensation
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +316,12 @@ def test_candidate_pairs_match_reference_under_any_caps(family_networks, dom_cap
         absorbing_strategy="enumerate",
         absorbing_cap=absorbing_cap,
     )
-    assert list(engine._candidate_pairs(net, cfg)) == list(candidate_pairs(net, cfg))
+    want = list(candidate_pairs(net, cfg))
+    assert list(engine._candidate_pairs(net, cfg)) == want
+    got = _analyzed_pairs(net, cfg)
+    assert got == want
+    for dcrn, fresh in zip(got, want):
+        assert dcrn.graph.condensation == fresh.graph.condensation
 
 
 def _refuted_by_witness(net, verdict) -> bool:

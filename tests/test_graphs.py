@@ -11,6 +11,7 @@ from crnextinct.domination import (
     domination_set,
     expansion_edges,
     maximal_admissible,
+    shrink_to_terminal,
 )
 from crnextinct.engine import GuaranteedExtinction, SearchConfig, analyze
 from crnextinct.forests import enumerate_forests
@@ -201,8 +202,8 @@ def test_one_graph_per_expansion(condense_calls):
 
 
 def test_one_condensation_per_shrink_round(condense_calls):
-    # one condensation for all the rounds: each round drops only edges
-    # between blocks, so its graph inherits the whole expansion's blocks
+    # one condensation for all the rounds: a pass over the whole expansion's
+    # blocks, each round dropping only edges between blocks
     net = load_fixture("example21")
     dcrn = maximal_admissible(net)
     whole = dom_graph(net, expansion_edges(net))
@@ -211,6 +212,12 @@ def test_one_condensation_per_shrink_round(condense_calls):
     assert is_absorbing_set(dcrn.graph, dcrn.absorbing)
     assert list(enumerate_forests(dcrn))
     assert condense_calls == [whole.successors()]
+    # on the network graph's blocks, which a subconservative network's
+    # expansions share, the pass condenses only the network graph
+    again = shrink_to_terminal(net, expansion_edges(net), net.graph.condensation)
+    assert condense_calls == [whole.successors(), net.graph.successors()]
+    assert again == dcrn
+    assert again.graph.condensation == dcrn.graph.condensation
     assert dcrn.graph.condensation == ReactionGraph(net.n, dcrn.graph.edges).condensation
 
 
@@ -218,16 +225,14 @@ def test_analyze_condenses_the_network_graph_once(condense_calls):
     net = load_fixture("example21")
     verdict = analyze(net)
     assert isinstance(verdict, GuaranteedExtinction)
-    # the whole expansion once for every shrink round, then the network's
-    # own graph for the SLC check
-    whole = dom_graph(net, expansion_edges(net))
-    assert condense_calls == [whole.successors(), net.graph.successors()]
+    # the network's own graph, whose blocks every expansion shares; no
+    # expansion is condensed
+    assert condense_calls == [net.graph.successors()]
     # the auditor's absorbing-set test reads no condensation, and a second
     # analyze finds the network graph condensed
     assert verify_report(net, json.loads(emit_report(net, verdict, SearchConfig())))
-    assert len(condense_calls) == 2
     assert analyze(net) == verdict
-    assert len(condense_calls) == 3
+    assert len(condense_calls) == 1
 
 
 @st.composite
@@ -283,53 +288,6 @@ def test_growing_root_by_root_is_one_condense_call(case):
         assert all(comp[i] == c for i in block)
         assert set(exits) == {comp[index[w]] for i in block for w in succ[keys[i]]} - {c}
         assert all(d < c for d in exits)
-
-
-@st.composite
-def graphs_with_subsequences(draw):
-    """A graph over 0..n-1 and a mask choosing the kept subsequence of its edges."""
-    n = draw(st.integers(0, 7))
-    vertex = st.integers(0, max(n - 1, 0))
-    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=14)) if n else []
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return n, pairs, keep
-
-
-@given(graphs_with_subsequences())
-@example((3, [(0, 1), (1, 0), (1, 2)], [True, True, False]))  # drops an edge between blocks
-@example((3, [(0, 1), (1, 0), (1, 2)], [True, False, True]))  # breaks the block {0, 1}
-@example((2, [(0, 1), (0, 1), (1, 0)], [False, True, True]))  # one of two parallel edges
-@example((1, [(0, 0)], [False]))  # a self-loop lies inside its block
-def test_subgraph_condensation_matches_a_fresh_search(case):
-    n, pairs, keep = case
-    g = ReactionGraph(n, tuple(GraphEdge(a, b) for a, b in pairs))
-    kept = tuple(e for e, k in zip(g.edges, keep) if k)
-    sub = g.subgraph(kept)
-    fresh = ReactionGraph(n, kept)
-    comp_of = g.condensation.comp_of
-    inherits = all(comp_of[e.src] != comp_of[e.dst] for e, k in zip(g.edges, keep) if not k)
-    # the blocks are inherited exactly when every dropped edge joins two blocks
-    assert ("condensation" in vars(sub)) == inherits
-    assert sub.edges == fresh.edges
-    assert sub.condensation == fresh.condensation  # every field, against a fresh search
-    # a subgraph of a subgraph inherits through the chain
-    again = sub.subgraph(kept[1:])
-    assert again.condensation == ReactionGraph(n, kept[1:]).condensation
-
-
-def test_subgraph_of_no_subsequence_is_condensed_afresh():
-    cycle = ReactionGraph(3, (GraphEdge(0, 1), GraphEdge(1, 2), GraphEdge(2, 0)))
-    path = ReactionGraph(3, (GraphEdge(0, 1), GraphEdge(1, 2)))
-    cases = [
-        (cycle, (GraphEdge(1, 2), GraphEdge(0, 1))),  # out of order
-        (cycle, (GraphEdge(0, 2),)),  # an edge the graph lacks
-        (path, (GraphEdge(1, 2), GraphEdge(0, 1))),
-        (path, (GraphEdge(0, 1), GraphEdge(1, 2), GraphEdge(2, 0))),  # closes a cycle
-    ]
-    for g, edges in cases:
-        sub = g.subgraph(edges)
-        assert "condensation" not in vars(sub)
-        assert sub.condensation == ReactionGraph(3, edges).condensation
 
 
 @st.composite
