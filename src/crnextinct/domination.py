@@ -13,7 +13,10 @@ rises along a reaction and strictly falls along every domination edge, so no
 domination edge lies on a cycle: every expansion has the strong linkage
 classes of the network graph.  So the search hands every seed the network
 graph's one condensation, and `shrink_to_terminal` reaches the fixpoint in
-one pass of rounds over those blocks, with no further SCC search.
+one pass of rounds over those blocks, with no further SCC search.  The
+search checks that order once per network (engine._candidate_pairs); it is
+its one structural guard, and `check_slc_coincidence` is the definition the
+tests check every candidate against.
 """
 
 from __future__ import annotations
@@ -241,7 +244,9 @@ def check_slc_coincidence(
     `expanded` is usually `DomCRN.graph`.  Each is condensed at most once.
     A class offends when it is no class of the base, or when it is terminal
     in the expansion but not in the base.  For a subconservative network
-    none does, so the answer is empty.
+    none does, so the answer is empty.  The search no longer calls it: the
+    witness's order on the expansion edges, checked once per network in
+    engine._candidate_pairs, implies it.
     """
     base_slcs = set(strong_linkage_classes(base))
     base_terminal = set(terminal_slcs(base))

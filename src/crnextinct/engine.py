@@ -8,6 +8,9 @@ carries the full certificate chain (subconservativity witness, expansion,
 forest, the forest's Farkas refutation) and can be re-audited independently.
 Every forest is decided by forests.decide_forests, handed one store per
 network that holds the witness and every balancing vector found so far.
+The witness's order on the expansion edges, checked once per network, is
+the search's one structural guard: it gives every expansion the network
+graph's strong linkage classes, so no candidate is checked again.
 
 Candidates whose absorbing set is the whole complex set are skipped: the
 extinction claim on an empty complement is vacuous.
@@ -25,7 +28,6 @@ from .domination import (
     AdmissibilityError,
     DomCRN,
     build_dom_crn,
-    check_slc_coincidence,
     expansion_edges,
     shrink_to_terminal,
 )
@@ -49,7 +51,11 @@ from .model import ReactionNetwork
 
 
 class InternalCheckError(AssertionError):
-    """A structural identity that must hold for subconservative networks failed; a bug."""
+    """The scaled witness does not order every expansion edge; a bug.
+
+    Raised by the search's one structural guard (_candidate_pairs), which
+    would otherwise hand every expansion the network graph's blocks.
+    """
 
 
 @dataclass(frozen=True)
@@ -145,9 +151,7 @@ class NotApplicable:
 Verdict = Union[GuaranteedExtinction, Inconclusive, NotApplicable]
 
 
-def _candidate_pairs(
-    net: ReactionNetwork, cfg: SearchConfig, c: Optional[Sequence[int]] = None
-) -> Iterator[DomCRN]:
+def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig, c: Sequence[int]) -> Iterator[DomCRN]:
     """Validated (expansion, absorbing set) candidates in deterministic order.
 
     Each seed (the full set first) shrinks to its fixpoint, whose absorbing
@@ -158,32 +162,31 @@ def _candidate_pairs(
 
     `c` is the network's subconservativity witness scaled to integers
     (BalanceStore.slack), so c >= 1.  The potential c.y never rises along a
-    reaction and strictly falls along a domination edge, so none lies on a
-    cycle and every seed shrinks on the network graph's blocks, condensed
-    once per network.  That order is checked once, on every expansion
-    edge: InternalCheckError when it fails.  Without c (no witness at hand,
-    as for a network that is not subconservative), each seed's expansion is
-    condensed.
+    reaction and strictly falls along a domination edge.  Along a cycle the
+    drops sum to zero, so every reaction on it drops c.y by zero and no
+    domination edge lies on it: every expansion has the strong linkage
+    classes of the network graph.  A class terminal in an expansion is
+    terminal in the network graph too, whose edges are a subset of the
+    expansion's.  So every seed shrinks on the network graph's blocks,
+    condensed once per network.  That order is checked once, on every
+    expansion edge, and is the search's one structural guard:
+    InternalCheckError when it fails.
     """
-    explicit = cfg.absorbing_strategy == "explicit"
-    if explicit and not cfg.explicit_absorbing <= set(range(net.n)):
-        raise ValueError("absorbing set contains an invalid complex index")
-    full, blocks = expansion_edges(net), None
-    if c is not None:
-        p = [sum(a * b for a, b in zip(c, y.coeffs)) for y in net.complexes]
-        if any(p[s] < p[d] for s, d in net.graph.edges) or any(p[s] <= p[d] for s, d in full):
-            raise InternalCheckError(f"the witness {tuple(c)} does not order every expansion edge")
-        blocks = net.graph.condensation
+    full = expansion_edges(net)
+    p = [sum(a * b for a, b in zip(c, y.coeffs)) for y in net.complexes]
+    if any(p[s] < p[d] for s, d in net.graph.edges) or any(p[s] <= p[d] for s, d in full):
+        raise InternalCheckError(f"the witness {tuple(c)} does not order every expansion edge")
     subsets = (sub for size in range(len(full), -1, -1) for sub in combinations(full, size))
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
     absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1
     seen: set[tuple[tuple[GraphEdge, ...], frozenset[int]]] = set()
     fixpoints: set[tuple[GraphEdge, ...]] = set()
+    explicit = cfg.absorbing_strategy == "explicit"
     for seed in islice(subsets, dom_cap):
         if explicit:
             fix, edges, asets = None, seed, [cfg.explicit_absorbing]
         else:
-            fix = shrink_to_terminal(net, seed, blocks)
+            fix = shrink_to_terminal(net, seed, net.graph.condensation)
             if fix.dom_edges in fixpoints:
                 continue  # its pairs are all in seen
             fixpoints.add(fix.dom_edges)
@@ -215,6 +218,8 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
     balanced exactly when a balance LP finds it so, so the verdict, the
     counts and the reported forest are the LP search's.
     """
+    if not (cfg.explicit_absorbing or set()) <= set(range(net.n)):
+        raise ValueError("absorbing set contains an invalid complex index")
     sub = is_subconservative(net.stoich)
     if not isinstance(sub, Feasible):
         return NotApplicable("network is not subconservative", sub)
@@ -230,11 +235,6 @@ def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict
             vacuous += 1
             continue
         candidates += 1
-        offending = check_slc_coincidence(net.graph, dcrn.graph)
-        if offending:
-            raise InternalCheckError(
-                f"SLC coincidence failed for expansion {dcrn.dom_edges}: {offending}"
-            )
         forests = enumerate_forests(dcrn)
         capped = islice(forests, cfg.forest_cap)
         for forest, outcome in decide_forests(dcrn, capped, cfg.nontriviality, store):

@@ -17,8 +17,11 @@ reverse.
 A graph whose strong linkage classes are known without a search, as every
 domination expansion of a subconservative network has its network graph's
 (see domination.shrink_to_terminal), may be handed its condensation in that
-cache slot.  `is_absorbing_set` needs no condensation: a set is absorbing
-iff no edge leaves it and every complex reaches it.
+cache slot.  The search trusts this on the strength of one check per
+network, that the scaled witness orders every expansion edge
+(engine._candidate_pairs); no candidate's graph is condensed to confirm
+it.  `is_absorbing_set` needs no condensation: a set is absorbing iff no
+edge leaves it and every complex reaches it.
 
 condense is the package's one SCC routine: a depth-first search that
 discovers vertices through a callback and condenses them as it goes, keeping

@@ -185,7 +185,8 @@ def check_network_refutations(net: ReactionNetwork, configs, forest_cap: int) ->
     """Audit the strict vector's refutation on the first forests of every candidate.
 
     For a strictly subconservative network, each of the first forest_cap
-    forests of every candidate of every config: the refutation passes
+    forests of every candidate of every config, which the search finds with
+    the scaled witness c as analyze does: the refutation passes
     check_farkas, decide_balance also finds the forest unbalanced, and
     verify_balance_outcome accepts it.  Changing any one multiplier by +1 or
     -1 breaks it, except on an equality row that is zero over the support,
@@ -197,7 +198,7 @@ def check_network_refutations(net: ReactionNetwork, configs, forest_cap: int) ->
     c, slack = strict
     checked = 0
     for cfg in configs:
-        for dcrn in engine._candidate_pairs(net, cfg):
+        for dcrn in engine._candidate_pairs(net, cfg, c):
             for forest in islice(enumerate_forests(dcrn), forest_cap):
                 system = build_balancing_system(dcrn, forest)
                 outcome = subconservation_refutation(system, c, slack)

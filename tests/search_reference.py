@@ -10,7 +10,8 @@ enumerates the absorbing sets of every seed's fixpoint, also when an earlier
 seed shrank to the same one, and relies on `seen` alone to drop the repeats.
 It reaches each fixpoint by `domination_reference.shrink_rounds`, which
 condenses every round's graph afresh, where the engine hands every seed the
-network graph's blocks.
+network graph's blocks.  So it needs no witness, and gives the candidates
+of any network, subconservative or not.
 """
 
 from itertools import combinations, islice
@@ -36,6 +37,7 @@ from crnextinct.forests import (
     build_balancing_system,
     decide_balance,
     enumerate_forests,
+    subconservation_slack,
 )
 from crnextinct.invariants import is_subconservative
 from domination_reference import shrink_rounds
@@ -47,7 +49,8 @@ def analyze_per_forest(net, cfg):
         return NotApplicable("network is not subconservative", sub)
     candidates = decided = balanced = vacuous = 0
     truncated = False
-    for dcrn in engine._candidate_pairs(net, cfg):
+    c, _ = subconservation_slack(net, sub.witness)  # scaled as analyze scales it
+    for dcrn in engine._candidate_pairs(net, cfg, c):
         if len(dcrn.absorbing) == net.n:
             vacuous += 1
             continue
@@ -70,8 +73,6 @@ def analyze_per_forest(net, cfg):
 
 def candidate_pairs(net, cfg):
     explicit = cfg.absorbing_strategy == "explicit"
-    if explicit and not cfg.explicit_absorbing <= set(range(net.n)):
-        raise ValueError("absorbing set contains an invalid complex index")
     full = expansion_edges(net)
     subsets = (c for size in range(len(full), -1, -1) for c in combinations(full, size))
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1

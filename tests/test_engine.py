@@ -7,7 +7,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crnextinct import engine, forests
-from crnextinct.domination import DomCRN, dom_graph
 from crnextinct.engine import (
     GuaranteedExtinction,
     Inconclusive,
@@ -189,15 +188,6 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
     ]
 
 
-def test_slc_coincidence_failure_raises(nets, monkeypatch):
-    # D(2 -> 1) reverses reaction 3 and merges two SLCs of the network
-    net = nets["intro"]
-    merged = DomCRN(net, dom_graph(net, (GraphEdge(2, 1),)), frozenset({2}))
-    monkeypatch.setattr(engine, "_candidate_pairs", lambda net, cfg, c: iter([merged]))
-    with pytest.raises(InternalCheckError, match="SLC coincidence failed"):
-        analyze(net)
-
-
 def test_a_witness_that_does_not_order_the_expansion_raises(nets, monkeypatch):
     # every expansion shares the network graph's blocks only because the
     # witness lowers c.y along each domination edge; a forged one is caught
@@ -244,6 +234,17 @@ def test_config_rejects_explicit_absorbing_without_its_strategy(nets):
     for strategy in ("terminal", "enumerate"):
         with pytest.raises(ValueError, match="explicit_absorbing"):
             SearchConfig(absorbing_strategy=strategy, explicit_absorbing=explicit)
+
+
+@pytest.mark.parametrize("name", ["example22", "intro"])
+def test_analyze_refuses_an_absorbing_index_out_of_range(nets, name):
+    # refused before the subconservativity LP, so also on example22, which
+    # is not subconservative: its report cannot name an index out of range
+    net = nets[name]
+    for index in (net.n + 5, -1):
+        cfg = SearchConfig(absorbing_strategy="explicit", explicit_absorbing=[index])
+        with pytest.raises(ValueError, match="invalid complex index"):
+            analyze(net, cfg)
 
 
 @pytest.mark.parametrize(
@@ -293,18 +294,24 @@ _CONFIG_FIELDS = st.fixed_dictionaries(
 @given(_CONFIG_FIELDS)
 @example({"absorbing_strategy": "explicit", "explicit_absorbing": [2]})
 @example({"absorbing_strategy": "explicit", "explicit_absorbing": {2}})
+@example({"absorbing_strategy": "explicit", "explicit_absorbing": [3]})
+@example({"absorbing_strategy": "explicit", "explicit_absorbing": [-1]})
 def test_every_config_is_refused_or_hashable_and_searchable(nets, fields):
     # a list or a set of members used to construct, and then analyze raised
-    # TypeError (a set also made the frozen config unhashable)
+    # TypeError (a set also made the frozen config unhashable); analyze
+    # refuses exactly the sets with a member outside intro's complexes 0..2
     try:
         cfg = SearchConfig(**fields)
     except ValueError:
         return
     assert hash(cfg) == hash(replace(cfg))
-    verdict = analyze(nets["intro"], cfg)
-    assert isinstance(verdict, (GuaranteedExtinction, Inconclusive))
     if cfg.explicit_absorbing is not None:
         assert cfg.explicit_absorbing == frozenset(fields["explicit_absorbing"])
+    if any(v not in range(3) for v in cfg.explicit_absorbing or ()):
+        with pytest.raises(ValueError, match="invalid complex index"):
+            analyze(nets["intro"], cfg)
+    else:
+        assert isinstance(analyze(nets["intro"], cfg), (GuaranteedExtinction, Inconclusive))
 
 
 def test_widened_search_claims_survive_oracle():

@@ -15,7 +15,7 @@ from crnextinct.domination import (
     dom_graph,
     maximal_admissible,
 )
-from crnextinct.engine import GuaranteedExtinction, SearchConfig, _candidate_pairs, analyze
+from crnextinct.engine import GuaranteedExtinction, SearchConfig, analyze
 from crnextinct.exactlp import LinearSystem, check_feasible, solve_feasibility
 from crnextinct.forests import (
     ANY_EDGE,
@@ -43,6 +43,7 @@ from conftest import (
     subprocess_env,
 )
 from forests_reference import path_walk_forest_is_valid, recursive_forests
+from search_reference import candidate_pairs
 
 
 @pytest.fixture()
@@ -388,7 +389,7 @@ def test_forest_is_valid_matches_the_path_walk():
     seen = Counter()
     for _ in range(60):
         net = random_network(rng)
-        for dcrn in islice(_candidate_pairs(net, wide), 6):
+        for dcrn in islice(candidate_pairs(net, wide), 6):
             for forest in islice(enumerate_forests(dcrn), 4):
                 assert forest_is_valid(dcrn, forest)
                 assert path_walk_forest_is_valid(dcrn, forest)

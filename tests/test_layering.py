@@ -1,4 +1,8 @@
-"""The package's import graph is one-way: no module hides an import under TYPE_CHECKING."""
+"""The package's import graph is one-way: no module hides an import under TYPE_CHECKING.
+
+Every name a module imports from the package is read in that module, but
+for the two that other code looks up on the module.
+"""
 
 import ast
 from pathlib import Path
@@ -42,3 +46,28 @@ def test_imports_are_one_way_and_none_is_under_type_checking():
     # model imports graphs (a network holds its reaction graph), never the reverse
     assert "graphs" in _imports("model")
     assert "model" not in _imports("graphs")
+
+
+# imported and never read: each is looked up on its module from outside it
+_REEXPORTED = {
+    ("engine", "decide_balance"),  # bench/test_bench.py reads it off the engine
+    ("oracle", "StateCapExceeded"),  # the CLI catches it as oracle.StateCapExceeded
+}
+
+
+def test_every_name_imported_from_the_package_is_used():
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "crnextinct")
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update((path.stem, name) for name in imported - read)
+    assert unused == _REEXPORTED

@@ -23,10 +23,12 @@ from crnextinct.forests import (
     decide_balance,
     enumerate_forests,
     forest_is_valid,
+    subconservation_slack,
 )
 from crnextinct.domination import (
     AdmissibilityError,
     build_dom_crn,
+    check_slc_coincidence,
     dom_graph,
     domination_set,
     maximal_admissible,
@@ -66,6 +68,7 @@ import fraction_lp
 from cone_reference import in_cone
 from conftest import FIXTURE_NAMES, check_network_refutations, random_network, strict_subconservation
 from forests_reference import recursive_forests, support_layout_balance
+from search_reference import candidate_pairs
 from graphs_reference import union_find_linkage_classes
 
 
@@ -247,7 +250,7 @@ def test_forest_coordinates_decide_as_the_support_layout(seed):
     # in forest coordinates and the support-layout reference agree on the
     # kind, and each answer passes the audit of the support-layout system
     net = random_network(random.Random(seed))
-    for dcrn in _candidate_pairs(net, WIDENED):
+    for dcrn in candidate_pairs(net, WIDENED):
         for forest in enumerate_forests(dcrn):
             for reading in (TRUE_REACTIONS, ANY_EDGE):
                 system = build_balancing_system(dcrn, forest, reading)
@@ -263,9 +266,24 @@ def test_forest_coordinates_decide_as_the_support_layout(seed):
 
 @given(networks())
 def test_forest_order_matches_recursive_reference(net):
+    # on a subconservative draw, the search's own candidates too, found with
+    # the scaled witness as analyze finds them: each has the strong linkage
+    # classes of the network graph and the condensation of its expansion
+    # built afresh, which no runtime check confirms
+    sub = is_subconservative(net.stoich)
+    c = subconservation_slack(net, sub.witness)[0] if isinstance(sub, Feasible) else None
     for cfg in (SearchConfig(), WIDENED):
-        for dcrn in _candidate_pairs(net, cfg):
+        want = list(candidate_pairs(net, cfg))
+        for dcrn in want:
             assert list(enumerate_forests(dcrn)) == list(recursive_forests(dcrn))
+        if c is None:
+            continue
+        got = list(_candidate_pairs(net, cfg, c))
+        assert got == want
+        for dcrn in got:
+            fresh = dom_graph(net, dcrn.dom_edges)
+            assert check_slc_coincidence(net.graph, fresh) == ()
+            assert dcrn.graph.condensation == fresh.condensation
 
 
 @given(networks())
