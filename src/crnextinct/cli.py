@@ -45,7 +45,7 @@ from .oracle import (
 )
 from .parser import ParseError, parse_complex, parse_crn, format_network
 from .petri import petri_export, petri_import
-from .report import emit_report
+from .report import emit_report, render_text
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -163,8 +163,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _search_config(net, args)
     verdict = analyze(net, cfg)
     if args.json:  # before any output, so a failed write prints no verdict
-        _write(args.json, emit_report(net, verdict, cfg, "json"))
-    sys.stdout.write(emit_report(net, verdict, cfg, "text").decode("utf-8"))
+        _write(args.json, emit_report(net, verdict, cfg))
+    sys.stdout.write(render_text(net, verdict))
     return EXIT_OK
 
 

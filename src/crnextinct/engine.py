@@ -50,14 +50,6 @@ from .invariants import conservation_system, is_subconservative
 from .model import ReactionNetwork
 
 
-class InternalCheckError(AssertionError):
-    """The scaled witness does not order every expansion edge; a bug.
-
-    Raised by the search's one structural guard (_candidate_pairs), which
-    would otherwise hand every expansion the network graph's blocks.
-    """
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the candidate search.
@@ -169,13 +161,15 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig, c: Sequence[int]) 
     terminal in the network graph too, whose edges are a subset of the
     expansion's.  So every seed shrinks on the network graph's blocks,
     condensed once per network.  That order is checked once, on every
-    expansion edge, and is the search's one structural guard:
-    InternalCheckError when it fails.
+    expansion edge, and is the search's one structural guard: an
+    AssertionError ("internal error: ...") when it fails.
     """
     full = expansion_edges(net)
     p = [sum(a * b for a, b in zip(c, y.coeffs)) for y in net.complexes]
     if any(p[s] < p[d] for s, d in net.graph.edges) or any(p[s] <= p[d] for s, d in full):
-        raise InternalCheckError(f"the witness {tuple(c)} does not order every expansion edge")
+        raise AssertionError(
+            f"internal error: the witness {tuple(c)} does not order every expansion edge"
+        )
     subsets = (sub for size in range(len(full), -1, -1) for sub in combinations(full, size))
     dom_cap = cfg.dom_cap if cfg.dom_strategy == "all-subsets" else 1
     absorbing_cap = cfg.absorbing_cap if cfg.absorbing_strategy == "enumerate" else 1

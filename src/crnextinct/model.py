@@ -30,9 +30,6 @@ class Complex:
             if c < 0:
                 raise ValueError(f"negative stoichiometric coefficient in {self.coeffs}")
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def dominates(self, other: "Complex") -> bool:
         """True when every coefficient of `other` is <= ours and the two differ."""
         return (

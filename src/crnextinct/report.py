@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .engine import (
     ExtinctionCertificate,
@@ -113,30 +113,8 @@ def _rational_vector(values) -> list[dict[str, str]]:
     return [encode_rational(v) for v in values]
 
 
-def _vector_decoder() -> Callable[[Any], tuple[Fraction, ...]]:
-    """decode_rational over vectors, checking each distinct (num, den) once.
-
-    Every entry still gets the exact-keys and string-type checks; the integer
-    syntax is checked and the Fraction built the first time a pair is seen,
-    and a repeat reuses that (immutable) Fraction.  Make one per report.
-    """
-    seen: dict[tuple[str, str], Fraction] = {}
-
-    def rational(obj: Any) -> Fraction:
-        if not isinstance(obj, dict) or obj.keys() != {"num", "den"}:
-            raise ValueError(f"not a rational encoding: {obj!r}")
-        key = (obj["num"], obj["den"])
-        if type(key[0]) is not str or type(key[1]) is not str:
-            raise ValueError(f"not a rational encoding: {obj!r}")
-        value = seen.get(key)
-        if value is None:
-            value = seen[key] = decode_rational(obj)
-        return value
-
-    def vector(items) -> tuple[Fraction, ...]:
-        return tuple(map(rational, _exact(items, list)))
-
-    return vector
+def _rationals(items: Any) -> tuple[Fraction, ...]:
+    return tuple(map(decode_rational, _exact(items, list)))
 
 
 def _complex_names(net: ReactionNetwork, indices) -> list[str]:
@@ -184,8 +162,8 @@ def _farkas_obj(cert: Farkas) -> dict[str, Any]:
     }
 
 
-def _decode_farkas(obj: Any, vector: Callable[[Any], tuple[Fraction, ...]]) -> Farkas:
-    return Farkas(vector(obj["eq"]), vector(obj["ge"]), vector(obj["nonneg"]))
+def _decode_farkas(obj: Any) -> Farkas:
+    return Farkas(_rationals(obj["eq"]), _rationals(obj["ge"]), _rationals(obj["nonneg"]))
 
 
 def _stats_obj(stats: SearchStats) -> dict[str, Any]:
@@ -322,19 +300,18 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     version = _exact(report["version"], int)
     listed = version >= 6
     stale = "candidate_variable" if listed else "candidate_variables"
-    vector = _vector_decoder()
     witnesses = []
     for w in _exact(report["balance_refutations"], list):
         if stale in w:
             raise ValueError(f"{stale!r} is not a field of this report version")
         cands = _exact(w["candidate_variables"], list) if listed else [w["candidate_variable"]]
-        farkas = _decode_farkas(w["farkas"], vector)
+        farkas = _decode_farkas(w["farkas"])
         if version < 7:
             farkas = support_refutation(net, len(dom_edges), forest, farkas)
         witnesses.append((tuple(_exact(k, int) for k in cands), farkas))
     outcome = Unbalanced(tuple(witnesses))
     certificate = ExtinctionCertificate(
-        subconservation=vector(report["subconservativity_witness"]),
+        subconservation=_rationals(report["subconservativity_witness"]),
         dom_edges=dom_edges,
         absorbing=absorbing,
         forest=forest,
@@ -432,13 +409,6 @@ def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(
-    net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig, fmt: str = "json"
-) -> bytes:
-    if fmt == "json":
-        return (
-            json.dumps(build_report(net, verdict, cfg), separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-    if fmt == "text":
-        return render_text(net, verdict).encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> bytes:
+    """The report as one compact line of UTF-8 JSON; render_text gives the text view."""
+    return (json.dumps(build_report(net, verdict, cfg), separators=(",", ":")) + "\n").encode("utf-8")

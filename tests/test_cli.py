@@ -7,11 +7,12 @@ import pytest
 
 from crnextinct import forests
 from crnextinct.cli import main
-from crnextinct.forests import decide_balance
+from crnextinct.engine import SearchConfig, analyze
+from crnextinct.forests import ANY_EDGE, decide_balance
 from crnextinct.parser import parse_crn
-from crnextinct.report import verify_report
+from crnextinct.report import emit_report, render_text, verify_report
 
-from conftest import FIXTURE_DIR, chain_text, subprocess_env
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, chain_text, load_fixture, subprocess_env
 
 
 def fixture(name: str) -> str:
@@ -304,6 +305,31 @@ def test_analyze_widened_search(tmp_path, capsys):
     assert report["search"]["absorbing_cap"] == 8
     net = parse_crn((FIXTURE_DIR / "example000.crn").read_text()).network
     assert verify_report(net, report)
+
+
+ANALYZE_FLAGS = {
+    "default": ([], SearchConfig()),
+    "widened": (
+        ["--dom", "all:4", "--absorbing", "enumerate:2", "--forest-cap", "3"],
+        SearchConfig(
+            dom_strategy="all-subsets", dom_cap=4,
+            absorbing_strategy="enumerate", absorbing_cap=2, forest_cap=3,
+        ),
+    ),
+    "any-edge": (["--nontriviality", "any"], SearchConfig(nontriviality=ANY_EDGE)),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(ANALYZE_FLAGS))
+def test_analyze_prints_the_text_view_and_writes_the_report_bytes(flags, tmp_path, capsys):
+    argv, cfg = ANALYZE_FLAGS[flags]
+    for name in FIXTURE_NAMES:
+        out = tmp_path / f"{name}.json"
+        assert main(["analyze", fixture(name), "--json", str(out), *argv]) == 0, name
+        net = load_fixture(name)
+        verdict = analyze(net, cfg)
+        assert capsys.readouterr().out == render_text(net, verdict), name
+        assert out.read_bytes() == emit_report(net, verdict, cfg), name
 
 
 def test_analyze_bad_strategy_values(capsys):

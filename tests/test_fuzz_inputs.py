@@ -26,7 +26,7 @@ JUNK = [None, True, False, 0.5, -2.0, 2**70, -(2**70), 0, -1, "", "9" * 5000,
 def _report(name: str) -> tuple[ReactionNetwork, str]:
     """A fixture's network and its default-search report, as JSON text."""
     net = load_fixture(name)
-    return net, emit_report(net, analyze(net, SearchConfig()), SearchConfig(), "json").decode()
+    return net, emit_report(net, analyze(net, SearchConfig()), SearchConfig()).decode()
 
 
 def _slots(doc, path=()):

@@ -35,6 +35,7 @@ from crnextinct.report import (
     decode_rational,
     emit_report,
     encode_rational,
+    render_text,
     report_certificate,
     support_refutation,
     verify_report,
@@ -494,8 +495,8 @@ def _rational_slots(obj):
     ],
 )
 def test_repeated_rational_is_checked_every_time(nets, bad):
-    # the decoder meets {"num": "0", "den": "1"} many times in one report and
-    # checks the pair's syntax once; each later entry must still be checked
+    # one report holds {"num": "0", "den": "1"} many times; a bad entry after
+    # the first must still be caught
     net = nets["envz"]
     report = json.loads((REPORT_DIR / "envz-v4.json").read_bytes())
     zeros = [
@@ -529,6 +530,8 @@ def _decoded_one_by_one(net, report, forest):
 
 @pytest.mark.parametrize("path", sorted(REPORT_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_memoized_decode_matches_decode_rational(nets, path):
+    # every pin's rationals decode as decode_rational gives them, one entry
+    # at a time (the name dates from a per-report decode memo, since removed)
     report = json.loads(path.read_bytes())
     net = _pin_network(nets, path.stem.rsplit("-", 1)[0])
     cert = report_certificate(net, report).certificate
@@ -666,15 +669,13 @@ def test_text_rendering(nets):
     net = nets["example21"]
     cfg = SearchConfig()
     verdict = analyze(net, cfg)
-    text = emit_report(net, verdict, cfg, "text").decode()
+    text = render_text(net, verdict)
     assert "guaranteed extinction" in text
     assert "X1 + X2" in text
     assert "extinction pathway" in text
     assert "2 X2 -> X1 + X2" in text and "X2 -> X1" in text
-    with pytest.raises(ValueError):
-        emit_report(net, verdict, cfg, "yaml")
     capped = SearchConfig(forest_cap=1)
-    text = emit_report(net, analyze(net, capped), capped, "text").decode()
+    text = render_text(net, analyze(net, capped))
     assert "verdict: inconclusive" in text
     assert "warning: forest enumeration truncated" in text
 
