@@ -1,10 +1,13 @@
 """Domination relations, domination-expanded networks, and admissibility.
 
 A complex dominates another when it is componentwise at least as large and the
-two differ.  Adding some of these relations as extra directed edges yields a
-domination-expanded network.  Such an expansion is admissible for an absorbing
-complex set Y of the expanded graph when no added edge duplicates a true
-reaction or another added edge, and no added edge points into Y.  A
+two differ.  The relation is a table of the network,
+`ReactionNetwork.domination`, built once per network: the expansion
+(expansion_edges) and the admissibility check (build_dom_crn) both read it.
+Adding some of these relations as extra directed edges yields a
+domination-expanded network.  Such an expansion is admissible for an
+absorbing complex set Y of the expanded graph when no added edge duplicates a
+true reaction or another added edge, and no added edge points into Y.  A
 candidate's structural checks all read its one expanded graph, `DomCRN.graph`,
 condensed at most once.
 
@@ -21,7 +24,6 @@ tests check every candidate against.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -77,46 +79,8 @@ class DomCRN:
 
 
 def domination_set(net: ReactionNetwork) -> list[GraphEdge]:
-    """All ordered pairs (dominating, dominated) of distinct comparable complexes.
-
-    Ordered lexicographically by (source index, target index).  The network's
-    complexes are deduplicated, so two distinct indices name two different
-    complexes and domination is a componentwise comparison, which makes the
-    dominating complex's molecule count strictly larger: only complexes of
-    smaller count are compared.  A comparison is one integer subtraction:
-    each complex packs its coefficients into one int, a field per species of
-    `width` bits whose top bit is a guard, 0 in every packed complex.  With
-    every guard set in the larger operand, no field borrows from the next,
-    and a field keeps its guard iff its coefficient is at least the other's.
-    """
-    coeffs = [c.coeffs for c in net.complexes]
-    width = max((max(c, default=0) for c in coeffs), default=0).bit_length() + 1
-
-    def pack(cs: Sequence[int]) -> int:
-        p = 0
-        for c in reversed(cs):
-            p = p << width | c
-        return p
-
-    guards = pack([1 << (width - 1)] * net.m)
-    packed = list(map(pack, coeffs))
-    total = list(map(sum, coeffs))
-    by_total = sorted(range(net.n), key=total.__getitem__)
-    totals = [total[j] for j in by_total]
-    edges: list[GraphEdge] = []
-    for i, big in enumerate(packed):
-        top = big | guards
-        smaller = by_total[: bisect_left(totals, total[i])]
-        below = [j for j in smaller if (top - packed[j]) & guards == guards]
-        below.sort()
-        edges += [GraphEdge._make((i, j)) for j in below]  # skips the Python-level __new__
-    return edges
-
-
-def is_domination_edge(net: ReactionNetwork, e: GraphEdge) -> bool:
-    """Both ends lie in 0..n-1 and the source complex dominates the target."""
-    cs, ids = net.complexes, range(net.n)
-    return e.src in ids and e.dst in ids and cs[e.src].dominates(cs[e.dst])
+    """The network's domination relation (ReactionNetwork.domination), as a fresh list."""
+    return list(net.domination)
 
 
 def dom_graph(net: ReactionNetwork, dom_edges: Sequence[GraphEdge]) -> ReactionGraph:
@@ -128,9 +92,9 @@ def dom_graph(net: ReactionNetwork, dom_edges: Sequence[GraphEdge]) -> ReactionG
 
 
 def expansion_edges(net: ReactionNetwork) -> tuple[GraphEdge, ...]:
-    """The domination relations that do not duplicate a true reaction, in domination_set order."""
+    """The domination relations that do not duplicate a true reaction, in the relation's order."""
     reactions = set(net.graph.edges)
-    return tuple(e for e in domination_set(net) if e not in reactions)
+    return tuple(e for e in net.domination if e not in reactions)
 
 
 def build_dom_crn(
@@ -147,9 +111,9 @@ def build_dom_crn(
     it is not absorbing on the expanded graph.
     """
     edges = tuple(dom_edges)
-    taken = set(net.graph.edges)
+    relation, taken = set(net.domination), set(net.graph.edges)
     for e in edges:
-        if not is_domination_edge(net, e):
+        if e not in relation:
             raise AdmissibilityError(
                 "domination",
                 f"edge {e.src}->{e.dst} is not a domination relation of the network",

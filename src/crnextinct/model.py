@@ -9,9 +9,10 @@ everywhere else in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, ge
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import GraphEdge, ReactionGraph
@@ -29,13 +30,6 @@ class Complex:
                 raise ValueError(f"coefficient {c!r} in {self.coeffs} is not an int")
             if c < 0:
                 raise ValueError(f"negative stoichiometric coefficient in {self.coeffs}")
-
-    def dominates(self, other: "Complex") -> bool:
-        """True when every coefficient of `other` is <= ours and the two differ."""
-        return (
-            self.coeffs != other.coeffs
-            and all(a <= b for a, b in zip(other.coeffs, self.coeffs))
-        )
 
 
 @dataclass(frozen=True)
@@ -70,6 +64,8 @@ class ReactionNetwork:
         complex_names: each complex in the text format, built on first use.
         stoich, graph: the stoichiometric matrix and the reaction graph,
             built on first use; every caller reads them here.
+        domination: the domination relation, built on first use; the
+            expansion and the admissibility check both read it here.
     """
 
     def __init__(self, species_names: Sequence[str], reactions: Sequence[Reaction]):
@@ -171,6 +167,27 @@ class ReactionNetwork:
         """
         edges = tuple(map(GraphEdge, self.source_index, self.target_index))
         return ReactionGraph(self.n, edges)
+
+    @cached_property
+    def domination(self) -> tuple[GraphEdge, ...]:
+        """The domination relation: each (i, j) where complex i dominates complex j.
+
+        Complex i dominates j when every coefficient of i is at least j's and
+        the two differ.  The complexes are deduplicated, so two indices name
+        two different complexes and the dominating one has the larger
+        molecule count: each complex is compared only with those of smaller
+        count.  In (source, target) order.
+        """
+        coeffs = [c.coeffs for c in self.complexes]
+        total = list(map(sum, coeffs))
+        by_total = sorted(range(self.n), key=total.__getitem__)
+        totals = [total[j] for j in by_total]
+        return tuple(sorted(
+            GraphEdge(i, j)
+            for i, big in enumerate(coeffs)
+            for j in by_total[: bisect_left(totals, total[i])]
+            if all(map(ge, big, coeffs[j]))
+        ))
 
     @property
     def species_names(self) -> list[str]:

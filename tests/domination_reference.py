@@ -1,8 +1,9 @@
 """References for the domination set and the shrink-to-terminal fixpoint.
 
-`domination_set` compares only complexes of smaller molecule count, each
-comparison one subtraction of packed coefficients; `all_pairs_domination_set`
-compares every ordered pair coefficient by coefficient.  `shrink_to_terminal`
+`ReactionNetwork.domination` compares each complex only with those of
+smaller molecule count; `all_pairs_domination_set` compares every ordered
+pair, and the admissibility test of `build_dom_crn` checks its edges
+against it.  `shrink_to_terminal`
 makes one pass of rounds over blocks it is handed or condenses once, and
 condenses afresh only after dropping an edge inside a block; `shrink_rounds`
 builds and condenses a fresh expanded graph every round.  Each pair must

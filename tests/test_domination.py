@@ -1,7 +1,12 @@
+import json
+from collections import Counter
+from functools import cached_property
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from crnextinct import engine
 from crnextinct.domination import (
     AdmissibilityError,
     build_dom_crn,
@@ -19,10 +24,11 @@ from crnextinct.graphs import (
     terminal_complexes,
 )
 from crnextinct.invariants import is_subconservative
-from crnextinct.model import build_network
+from crnextinct.model import ReactionNetwork, build_network
 from crnextinct.parser import parse_crn
+from crnextinct.report import emit_report, verify_report
 
-from conftest import chain_text, complex_names
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, bench_module, chain_text, complex_names, load_fixture
 from domination_reference import all_pairs_domination_set, shrink_rounds
 
 
@@ -230,7 +236,7 @@ def test_shrink_condenses_afresh_after_dropping_a_cycle_edge(condense_calls):
     assert dcrn.graph.condensation.blocks == (frozenset({0}), frozenset({1}))
 
 
-def _packed_edge_cases():
+def _edge_cases():
     big = 1 << 20
     yield build_network(["A", "B"], [((big, 3), (big - 1, 3)), ((big, 2), (0, 0))])
     yield build_network(["A", "B"], [((big + 5, 0), (1, big + 5)), ((0, 0), (big + 5, big))])
@@ -240,7 +246,7 @@ def _packed_edge_cases():
 
 
 def test_domination_set_matches_all_pairs_on_edge_cases():
-    for net in _packed_edge_cases():
+    for net in _edge_cases():
         assert domination_set(net) == all_pairs_domination_set(net), net
     assert domination_set(parse_crn(chain_text(60)).network) == []
 
@@ -255,3 +261,59 @@ def test_domination_set_matches_all_pairs(net):
     got = domination_set(net)
     assert got == all_pairs_domination_set(net)
     assert got is not domination_set(net)  # a fresh list on every call
+
+
+@given(networks(), st.data())
+def test_admissibility_check_matches_the_all_pairs_reference(net, data):
+    # the first offending edge decides the error; its message is pinned
+    # word for word, since callers and reports show it to users
+    ids = st.integers(-2, net.n + 1)
+    relation, taken = set(all_pairs_domination_set(net)), set(net.graph.edges)
+    edge = st.builds(GraphEdge, ids, ids)
+    if relation:  # also relations, which may duplicate a reaction or each other
+        edge |= st.sampled_from(sorted(relation))
+    edges = data.draw(st.lists(edge, max_size=4))
+    want = None
+    for e in edges:
+        if e not in relation:
+            want = (f"edge {e.src}->{e.dst} is not a domination relation of the network", e)
+        elif e in taken:
+            want = (f"domination edge {e.src}->{e.dst} duplicates a true reaction or an earlier edge", e)
+        if want:
+            break
+        taken.add(e)
+    try:
+        build_dom_crn(net, edges, terminal_complexes(net.graph))
+    except AdmissibilityError as err:
+        got = (str(err), err.edge) if err.condition == "domination" else None
+    else:
+        got = None
+    assert got == want
+
+
+def test_each_network_builds_its_domination_table_once(monkeypatch):
+    builds = Counter()
+    real = ReactionNetwork.domination.func
+
+    def counted(net):
+        builds[net] += 1
+        return real(net)
+
+    spy = cached_property(counted)
+    spy.__set_name__(ReactionNetwork, "domination")
+    monkeypatch.setattr(ReactionNetwork, "domination", spy)
+    workloads = bench_module("workloads")
+    nets = [load_fixture(name) for name in FIXTURE_NAMES]
+    for workload in ("certify", "search"):
+        nets += [parse_crn(text).network for _, text, _ in workloads.network_texts(workload, 1, FIXTURE_DIR)]
+    for cfg in (engine.SearchConfig(), workloads.search_config(engine, "search")):
+        for net in nets:
+            verdict = engine.analyze(net, cfg)
+            data = emit_report(net, verdict, cfg)
+            if isinstance(verdict, engine.GuaranteedExtinction):
+                assert verify_report(net, json.loads(data))
+    for net in nets:
+        got = domination_set(net)
+        assert got == list(net.domination)
+        assert got is not domination_set(net)  # a fresh list on every call
+    assert builds == Counter(dict.fromkeys(nets, 1))

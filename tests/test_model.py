@@ -1,14 +1,19 @@
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
+from crnextinct.graphs import ReactionGraph
 from crnextinct.model import (
     Complex,
+    ReactionNetwork,
     build_network,
     fire,
     format_complex,
     is_charged,
 )
+
+from conftest import FIXTURE_NAMES, load_fixture
 
 
 def test_build_network_complex_order(nets):
@@ -103,3 +108,19 @@ def test_fire_iff_charged(nets):
 def test_format_complex():
     assert format_complex(Complex((0, 0)), ["A", "B"]) == "0"
     assert format_complex(Complex((1, 2)), ["A", "B"]) == "A + 2 B"
+
+
+def _tables(cls) -> list[str]:
+    return [name for name, attr in vars(cls).items() if isinstance(attr, cached_property)]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_table_is_hashable(name):
+    # a table is built once and shared by every analysis of the network, so
+    # it must be a value (a tuple, a frozen dataclass or a function), never
+    # a mutable list that could carry state from one analysis to the next
+    assert "domination" in _tables(ReactionNetwork) and "condensation" in _tables(ReactionGraph)
+    net = load_fixture(name)
+    for owner in (net, net.graph):
+        for table in _tables(type(owner)):
+            hash(getattr(owner, table))
