@@ -207,7 +207,7 @@ def _cmd_structure(args: argparse.Namespace) -> int:
 
     print(f"species ({net.m}): " + ", ".join(net.species_names))
     print(f"reactions ({net.r}):")
-    for k, (src, dst) in enumerate(zip(net.source_index, net.target_index)):
+    for k, (src, dst) in enumerate(g.edges):
         print(f"  {k + 1}: {names[src]} -> {names[dst]}")
     print(f"complexes ({net.n}):")
     for i, name in enumerate(names):

@@ -39,11 +39,11 @@ from .forests import (
     BalanceStore,
     ExteriorForest,
     Unbalanced,
+    build_balancing_system,
     decide_balance,  # unused here; bench/test_bench.py looks it up on this module
     decide_forests,
     enumerate_forests,
     forest_is_valid,
-    verify_balance_outcome,
 )
 from .graphs import GraphEdge, enumerate_absorbing_sets
 from .invariants import conservation_system, is_subconservative
@@ -257,6 +257,8 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     Returns (check name, passed) pairs for every link; a link whose premise
     failed reads False, so the first False names the broken link.  The
     expansion and absorbing set are validated by build_dom_crn, as in the search.
+    The forest is validated once, for its own link; the outcome is then checked
+    by its balancing system's audit (BalancingSystem.audit).
     """
     cert = verdict.certificate
     checks: list[tuple[str, bool]] = []
@@ -283,7 +285,7 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
     ok_u = (
         ok_f
         and isinstance(cert.outcome, Unbalanced)
-        and verify_balance_outcome(dcrn, cert.forest, cert.outcome, cert.nontriviality)
+        and build_balancing_system(dcrn, cert.forest, cert.nontriviality).audit(cert.outcome)
     )
     checks.append(("unbalanced-certificates", ok_u))
     return checks

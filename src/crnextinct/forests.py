@@ -72,8 +72,7 @@ def edge_label(v: int, r: int) -> str:
 
 
 def interior_reactions(dcrn: DomCRN) -> tuple[int, ...]:
-    net = dcrn.net
-    return tuple(k for k in range(net.r) if net.source_index[k] in dcrn.absorbing)
+    return tuple(k for k, e in enumerate(dcrn.net.graph.edges) if e.src in dcrn.absorbing)
 
 
 def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
@@ -167,6 +166,22 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
 
 
 @dataclass(frozen=True)
+class Balanced:
+    alpha: tuple[int, ...]  # integer balancing vector over all r+d edges
+    positive_edge: int  # candidate variable with weight >= 1
+
+
+@dataclass(frozen=True)
+class Unbalanced:
+    # refutations, each of the candidate row over its candidate set; the sets
+    # joined in order are the system's candidates
+    witnesses: tuple[tuple[tuple[int, ...], Farkas], ...]
+
+
+BalanceOutcome = Union[Balanced, Unbalanced]
+
+
+@dataclass(frozen=True)
 class BalancingSystem:
     """The constraint system a balancing vector must satisfy, over the forest's support.
 
@@ -181,15 +196,16 @@ class BalancingSystem:
     rows are built once per system; each assembled system only appends its
     candidate row.  A Farkas refutation has one `eq` entry per species and
     one `nonneg` entry per support edge.  This is the layout in which
-    outcomes are audited and reported; decide_balance solves the same
-    system in forest coordinates and maps its answer back.
+    outcomes are audited (audit, the one exact check of an outcome) and
+    reported; decide_balance solves the same system in forest coordinates
+    and maps its answer back.
     """
 
     n_edges: int  # r + d, the width of a balancing vector
     r: int  # reactions: edges 0..r-1
     support: tuple[int, ...]  # the forest's edges, ascending
     kernel_rows: tuple[tuple[int, ...], ...]  # one per species, one entry per support edge
-    flow_rows: tuple[tuple[int, int, tuple[int, ...]], ...]  # (complex, out var, in vars)
+    flow_rows: tuple[tuple[int, tuple[int, ...]], ...]  # (out var, in vars), ascending complex
     candidates: tuple[int, ...]  # edges, ascending
 
     @cached_property
@@ -198,7 +214,7 @@ class BalancingSystem:
         n = len(self.support)
         eq = tuple((row, 0) for row in self.kernel_rows)
         ge = []
-        for _, out_var, in_vars in self.flow_rows:
+        for out_var, in_vars in self.flow_rows:
             coeffs = [0] * n
             coeffs[out_var] += 1
             for i in in_vars:
@@ -221,6 +237,39 @@ class BalancingSystem:
         """The entries of a vector over all edges at the support edges, in order."""
         return [alpha[v] for v in self.support]
 
+    def audit(self, outcome: BalanceOutcome) -> bool:
+        """Whether an outcome holds for this system, by direct exact evaluation.
+
+        Balanced: the positive edge is a candidate, and alpha spans all r + d
+        edges, is integral and is 0 off the support (the system over the
+        support cannot say so), and check_feasible accepts it on the system
+        of the positive edge alone.  Unbalanced: the witnesses' candidate
+        sets, joined in order, are the candidates, and check_farkas accepts
+        each refutation on the system of its set, in the support layout.
+        Anything else fails.  Every exact check of an outcome goes through
+        here: decide_balance's and subconservation_refutation's self-audits,
+        verify_balance_outcome and the engine's certificate audit.
+        """
+        if isinstance(outcome, Balanced):
+            alpha = outcome.alpha
+            if outcome.positive_edge not in self.candidates or len(alpha) != self.n_edges:
+                return False
+            if any(a != int(a) for a in alpha):
+                return False
+            inside = set(self.support)
+            if any(a for v, a in enumerate(alpha) if v not in inside):
+                return False
+            positive = self.linear_system((outcome.positive_edge,))
+            return check_feasible(positive, self.on_support(alpha))
+        if isinstance(outcome, Unbalanced):
+            covered = tuple(k for cands, _ in outcome.witnesses for k in cands)
+            if covered != self.candidates:
+                return False
+            return all(
+                check_farkas(self.linear_system(cands), cert) for cands, cert in outcome.witnesses
+            )
+        return False
+
 
 def build_balancing_system(
     dcrn: DomCRN,
@@ -241,7 +290,7 @@ def build_balancing_system(
         if tgt in incoming:
             incoming[tgt].append(i)
     position = {v: i for i, v in enumerate(support)}
-    flow_rows = tuple((y, position[v], tuple(incoming[y])) for y, v in forest.choices)
+    flow_rows = tuple((position[v], tuple(incoming[y])) for y, v in forest.choices)
     candidates = tuple(
         sorted(v for _, v in forest.choices if v < r or nontriviality == ANY_EDGE)
     )
@@ -253,22 +302,6 @@ def build_balancing_system(
         flow_rows=flow_rows,
         candidates=candidates,
     )
-
-
-@dataclass(frozen=True)
-class Balanced:
-    alpha: tuple[int, ...]  # integer balancing vector over all r+d edges
-    positive_edge: int  # candidate variable with weight >= 1
-
-
-@dataclass(frozen=True)
-class Unbalanced:
-    # refutations, each of the candidate row over its candidate set; the sets
-    # joined in order are the system's candidates
-    witnesses: tuple[tuple[tuple[int, ...], Farkas], ...]
-
-
-BalanceOutcome = Union[Balanced, Unbalanced]
 
 
 def _forest_links(system: BalancingSystem) -> list[tuple[int, int]]:
@@ -284,7 +317,7 @@ def _forest_links(system: BalancingSystem) -> list[tuple[int, int]]:
     n = len(system.support)
     row_of: list[tuple[int, ...] | None] = [None] * n  # each out var's in vars
     feeds = [0] * n  # how many in-var slots each variable fills
-    for _, out_var, in_vars in system.flow_rows:
+    for out_var, in_vars in system.flow_rows:
         if row_of[out_var] is not None:
             raise ValueError("two flow rows share an out-edge: not a forest")
         row_of[out_var] = in_vars
@@ -326,20 +359,21 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
 
     A feasible z, scaled to integers, gives alpha = T z, accumulated
     upstream first; alpha is widened to all r + d edges with zeros off the
-    support, its least positive candidate is the positive edge, and it is
-    audited by check_feasible on the one-candidate system.  A refutation
-    (y, t, w) of the z system, y^T A T + t cand T + w = 0 with t > 0 and
-    w >= 0, maps to y on the kernel rows, w_o on the flow row whose out var
-    is o, t on the candidate row, and on x_i >= 0 the multiplier 0 at an out
-    var and w_i at a free variable.  Its combination c = y^T A + t cand +
-    sum over rows of w_o (flow row o) + sum over free i of w_i e_i takes
-    T z to y^T A T z + t cand T z + w.z, since flow row o at T z is z_o.
+    support, and its least positive candidate is the positive edge.  A
+    refutation (y, t, w) of the z system, y^T A T + t cand T + w = 0 with
+    t > 0 and w >= 0, maps to y on the kernel rows, w_o on the flow row
+    whose out var is o, t on the candidate row, and on x_i >= 0 the
+    multiplier 0 at an out var and w_i at a free variable.  Its combination
+    c = y^T A + t cand + sum over rows of w_o (flow row o) + sum over free
+    i of w_i e_i takes T z to y^T A T z + t cand T z + w.z, since flow row
+    o at T z is z_o.
     So c T = 0, hence c = 0 as T is invertible; the right-hand sides
     combine to t > 0 as before, and every inequality multiplier is an entry
-    of w or t.  The mapped refutation is audited by check_farkas on the
-    support-layout system, and is the forest's one refutation, covering all
-    candidates.  ValueError when the flow rows do not come from a forest
-    (_forest_links).
+    of w or t.  The mapped refutation is the forest's one refutation,
+    covering all candidates.  Either outcome is audited once, by
+    BalancingSystem.audit in the support layout; an AssertionError
+    ("internal error: ...") when it fails.  ValueError when the flow rows do
+    not come from a forest (_forest_links).
     """
     if not system.candidates:
         return Unbalanced(())
@@ -357,24 +391,24 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     )
     if isinstance(found, Farkas):
         w = found.nonneg_mult
-        outs = [o for _, o, _ in system.flow_rows]
+        outs = [o for o, _ in system.flow_rows]
         nonneg = list(w)
         for o in outs:
             nonneg[o] = 0
         cert = Farkas(found.eq_mult, (*(w[o] for o in outs), *found.ge_mult), tuple(nonneg))
-        if not check_farkas(system.linear_system(system.candidates), cert):
-            raise AssertionError("internal error: mapped balance refutation fails its audit")
-        return Unbalanced(((system.candidates, cert),))
-    x = scale_to_integers(found.witness)[0]
-    for i, o in reversed(links):
-        x[o] += x[i]
-    alpha = [0] * system.n_edges
-    for v, a in zip(system.support, x):
-        alpha[v] = a
-    positive_edge = next(k for k in system.candidates if alpha[k] > 0)
-    if not check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha)):
-        raise AssertionError("internal error: mapped balancing vector fails its audit")
-    return Balanced(alpha=tuple(alpha), positive_edge=positive_edge)
+        outcome, fault = Unbalanced(((system.candidates, cert),)), "balance refutation"
+    else:
+        x = scale_to_integers(found.witness)[0]
+        for i, o in reversed(links):
+            x[o] += x[i]
+        alpha = [0] * system.n_edges
+        for v, a in zip(system.support, x):
+            alpha[v] = a
+        positive_edge = next(k for k in system.candidates if alpha[k] > 0)
+        outcome, fault = Balanced(tuple(alpha), positive_edge), "balancing vector"
+    if not system.audit(outcome):
+        raise AssertionError(f"internal error: mapped {fault} fails its audit")
+    return outcome
 
 
 def subconservation_slack(net: ReactionNetwork, witness: Sequence) -> tuple[list[int], list[int]]:
@@ -398,7 +432,7 @@ def subconservation_refutation(
     and the right-hand sides to the candidate row's 1.  The premise makes
     every multiplier on x_v >= 0 nonnegative; ValueError, naming the edge,
     when it does not, and ValueError when c or s has the wrong length.  All
-    entries are ints; the refutation is audited with check_farkas, as
+    entries are ints; the refutation is audited by BalancingSystem.audit, as
     _extract_farkas audits the solver's, so its AssertionError means an
     internal fault.
     """
@@ -417,9 +451,10 @@ def subconservation_refutation(
         kind = "candidate" if low in candidates else "support edge"
         raise ValueError(f"c does not refute this forest: too little slack at {kind} {low}")
     cert = Farkas(tuple(c), (0,) * len(system.flow_rows) + (1,), nonneg)
-    if not check_farkas(system.linear_system(system.candidates), cert):
+    outcome = Unbalanced(((system.candidates, cert),))
+    if not system.audit(outcome):
         raise AssertionError("internal error: subconservation refutation fails its audit")
-    return Unbalanced(((system.candidates, cert),))
+    return outcome
 
 
 class BalanceStore:
@@ -555,31 +590,10 @@ def verify_balance_outcome(
 ) -> bool:
     """Audit a balance outcome by direct exact evaluation, independent of the solver.
 
-    A balancing vector spans all r + d edges and must be 0 off the support,
-    since the system over the support cannot say so; a refutation is in the
-    support layout.
+    The forest must be valid (forest_is_valid), and the outcome must hold for
+    its balancing system (BalancingSystem.audit).
     """
     if not forest_is_valid(dcrn, forest):
         return False
-    system = build_balancing_system(dcrn, forest, nontriviality)
-    if isinstance(outcome, Balanced):
-        alpha = outcome.alpha
-        if outcome.positive_edge not in system.candidates or len(alpha) != system.n_edges:
-            return False
-        if any(a != int(a) for a in alpha):
-            return False
-        inside = set(system.support)
-        if any(a for v, a in enumerate(alpha) if v not in inside):
-            return False
-        positive = system.linear_system((outcome.positive_edge,))
-        return check_feasible(positive, system.on_support(alpha))
-    if isinstance(outcome, Unbalanced):
-        covered = tuple(k for cands, _ in outcome.witnesses for k in cands)
-        if covered != system.candidates:
-            return False
-        return all(
-            check_farkas(system.linear_system(cands), cert)
-            for cands, cert in outcome.witnesses
-        )
-    return False
+    return build_balancing_system(dcrn, forest, nontriviality).audit(outcome)
 

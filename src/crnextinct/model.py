@@ -49,13 +49,15 @@ Need = tuple  # the nonzero (species, count) pairs of a complex
 class ReactionNetwork:
     """A reaction network with derived, deterministically indexed complex list.
 
-    Species and reactions are indexed by list position.
+    Species and reactions are indexed by position.  Every public attribute
+    is a value (a tuple, or a table built once), shared by every analysis of
+    the network.
 
     Attributes:
         species: tuple of species names.
-        reactions: list of Reaction.
-        complexes: deduplicated complexes in first-appearance order
-            (per reaction: source then target, reactions in input order).
+        reactions: tuple of Reaction.
+        complexes: tuple of the deduplicated complexes in first-appearance
+            order (per reaction: source then target, reactions in input order).
         needs, firing: the firing table, built on first use.
         next_states: the successor kernel, compiled once per network from
             `firing` on first use (O(m * r), about 1 ms for EnvZ); the oracle
@@ -63,24 +65,21 @@ class ReactionNetwork:
             per-reaction reference it is tested against.
         complex_names: each complex in the text format, built on first use.
         stoich, graph: the stoichiometric matrix and the reaction graph,
-            built on first use; every caller reads them here.
+            built on first use; every caller reads them here, and each
+            reaction's endpoint complexes from graph.edges.
         domination: the domination relation, built on first use; the
             expansion and the admissibility check both read it here.
     """
 
     def __init__(self, species_names: Sequence[str], reactions: Sequence[Reaction]):
         self.species = tuple(species_names)
-        self.reactions = list(reactions)
-        self.complexes: list[Complex] = []
-        self._complex_index: dict[tuple[int, ...], int] = {}
+        self.reactions = tuple(reactions)
+        first: dict[tuple[int, ...], Complex] = {}
         for rxn in self.reactions:
-            for cpx in (rxn.source, rxn.target):
-                if cpx.coeffs not in self._complex_index:
-                    self._complex_index[cpx.coeffs] = len(self.complexes)
-                    self.complexes.append(cpx)
-        # complex indices of each reaction endpoint, in reaction order
-        self.source_index = [self._complex_index[r.source.coeffs] for r in self.reactions]
-        self.target_index = [self._complex_index[r.target.coeffs] for r in self.reactions]
+            first.setdefault(rxn.source.coeffs, rxn.source)
+            first.setdefault(rxn.target.coeffs, rxn.target)
+        self.complexes = tuple(first.values())
+        self._complex_index = {coeffs: i for i, coeffs in enumerate(first)}
 
     @property
     def m(self) -> int:
@@ -111,7 +110,7 @@ class ReactionNetwork:
         """
         needs = self.needs
         return tuple(
-            (needs[ci], rxn.vector) for ci, rxn in zip(self.source_index, self.reactions)
+            (needs[e.src], rxn.vector) for e, rxn in zip(self.graph.edges, self.reactions)
         )
 
     @cached_property
@@ -165,7 +164,10 @@ class ReactionNetwork:
 
         Built once per network, so it is condensed at most once.
         """
-        edges = tuple(map(GraphEdge, self.source_index, self.target_index))
+        index = self._complex_index
+        edges = tuple(
+            GraphEdge(index[rxn.source.coeffs], index[rxn.target.coeffs]) for rxn in self.reactions
+        )
         return ReactionGraph(self.n, edges)
 
     @cached_property

@@ -37,10 +37,9 @@ _TOKEN = re.compile(
 
 @dataclass
 class CrnDocument:
-    """A parsed network together with its source text."""
+    """A parsed network."""
 
     network: ReactionNetwork
-    source: str
 
 
 def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
@@ -138,7 +137,7 @@ def parse_crn(text: str) -> CrnDocument:
         if reversible:
             reactions.append((vec(tgt), vec(src)))
     network = build_network(reader.species, reactions)
-    return CrnDocument(network=network, source=text)
+    return CrnDocument(network=network)
 
 
 def parse_complex(text: str, net: ReactionNetwork) -> Complex:

@@ -394,8 +394,9 @@ def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
     lines.append(
         "unbalanced forest edges: " + ", ".join(cert.forest.edge_labels(net.r))
     )
+    edges = net.graph.edges
     pathway = [
-        f"{names[net.source_index[v]]} -> {names[net.target_index[v]]}"
+        f"{names[edges[v].src]} -> {names[edges[v].dst]}"
         for _, v in cert.forest.choices
         if v < net.r
     ]

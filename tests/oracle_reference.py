@@ -98,7 +98,7 @@ def slc_recurrence_report(net: ReactionNetwork, g: StateGraph) -> SlcRecurrenceR
         if len(flags) > 1:
             raise RecurrenceLawViolation(f"SLC {sorted(block)} mixes recurrent and transient complexes")
         labels.append((block, flags.pop()))
-    edges = [(net.source_index[k], net.target_index[k]) for k in range(net.r)]
+    edges = [(e.src, e.dst) for e in net.graph.edges]
     edges += [(e.src, e.dst) for e in domination_set(net)]
     for src, dst in edges:
         if src in alive and dst not in alive:

@@ -187,6 +187,26 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
     ]
 
 
+@pytest.mark.parametrize("name", ["example21", "envz"])
+def test_audit_validates_the_forest_once(nets, monkeypatch, name):
+    # the forest link validates the forest; the certificate link audits the
+    # outcome on the forest's balancing system without validating it again
+    calls = []
+    valid = forests.forest_is_valid
+
+    def counted(dcrn, forest):
+        calls.append(forest)
+        return valid(dcrn, forest)
+
+    monkeypatch.setattr(engine, "forest_is_valid", counted)
+    monkeypatch.setattr(forests, "forest_is_valid", counted)
+    net = nets[name]
+    verdict = analyze(net)
+    checks = audit_extinction(net, verdict)
+    assert all(ok for _, ok in checks)
+    assert calls == [verdict.certificate.forest]
+
+
 def test_a_witness_that_does_not_order_the_expansion_raises(nets, monkeypatch):
     # every expansion shares the network graph's blocks only because the
     # witness lowers c.y along each domination edge; a forged one is caught

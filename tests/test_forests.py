@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -118,7 +119,7 @@ def test_balancing_system_example35_left(example33):
     # variables are reactions 1 and 3 and D2, and the rows index them 0, 1, 2
     assert system.n_edges == 5 and system.support == (0, 2, 4)
     assert system.kernel_rows == ((-1, 1, 0), (1, -1, 0))
-    assert system.flow_rows == ((0, 0, ()), (1, 2, (0,)), (2, 1, (2,)))
+    assert system.flow_rows == ((0, ()), (2, (0,)), (1, (2,)))
     assert system.candidates == (0, 2)
     assert system.linear_system((2,)).ge[-1] == ((0, 1, 0), 1)
 
@@ -130,7 +131,7 @@ def test_balancing_system_example999(nets):
     # reaction 2 is off the forest, so the support is reactions 1 and 3
     assert system.n_edges == 3 and system.support == (0, 2)
     assert system.kernel_rows == ((1, -2), (-1, 2))
-    assert system.flow_rows == ((0, 0, ()), (1, 1, (0,)))
+    assert system.flow_rows == ((0, ()), (1, (0,)))
     assert system.candidates == (0, 2)
 
 
@@ -220,20 +221,42 @@ def test_decide_balance_example999(nets):
 
 
 def test_verify_rejects_corruption(example33):
+    # each corruption fails the system's audit and so verify_balance_outcome,
+    # which is the forest check plus that audit
     forest = next(enumerate_forests(example33))
-    good = decide_balance(build_balancing_system(example33, forest))
-    broken = Balanced(alpha=(1, 0, 0, 0, 1), positive_edge=0)
-    assert not verify_balance_outcome(example33, forest, broken)
-    wrong_candidate = Balanced(alpha=good.alpha, positive_edge=4)
-    assert not verify_balance_outcome(example33, forest, wrong_candidate)
-    # weight off the support: reaction 2 and D1 carry no variable, so only the
-    # explicit check sees it (the system over the support is still satisfied)
     system = build_balancing_system(example33, forest)
-    for off in ((1, 1, 1, 0, 1), (1, 0, 1, 1, 1)):
-        assert check_feasible(system.linear_system((0,)), system.on_support(off))
-        assert not verify_balance_outcome(example33, forest, Balanced(off, 0)), off
-    for width in ((1, 0, 1, 0), (1, 0, 1, 0, 1, 0)):
-        assert not verify_balance_outcome(example33, forest, Balanced(width, 0)), width
+    good = decide_balance(system)
+    assert system.audit(good) and verify_balance_outcome(example33, forest, good)
+    scaled = tuple(Fraction(3, 2) * a for a in good.alpha)
+    corrupted = [
+        Balanced(alpha=(1, 0, 0, 0, 1), positive_edge=0),
+        Balanced(alpha=good.alpha, positive_edge=4),  # not a candidate
+        # weight off the support: reaction 2 and D1 carry no variable, so only
+        # the explicit check sees it (the system over the support is still
+        # satisfied)
+        Balanced((1, 1, 1, 0, 1), 0),
+        Balanced((1, 0, 1, 1, 1), 0),
+        Balanced((1, 0, 1, 0), 0),  # too narrow
+        Balanced((1, 0, 1, 0, 1, 0), 0),  # too wide
+        Balanced(scaled, 0),  # feasible, but not integral
+        good.alpha,  # not an outcome
+    ]
+    for alpha in ((1, 1, 1, 0, 1), (1, 0, 1, 1, 1), scaled):
+        assert check_feasible(system.linear_system((0,)), system.on_support(alpha))
+    for outcome in corrupted:
+        assert not system.audit(outcome), outcome
+        assert not verify_balance_outcome(example33, forest, outcome), outcome
+    # the right forest's one refutation covers its candidates (1, 2); witness
+    # sets that miss one, or cover them twice with refutations that each
+    # hold, are rejected
+    right = list(enumerate_forests(example33))[1]
+    system = build_balancing_system(example33, right)
+    refuted = decide_balance(system)
+    (cands, farkas), = refuted.witnesses
+    assert cands == (1, 2) and system.audit(refuted)
+    for witnesses in ((((1,), farkas),), ((cands, farkas), (cands, farkas))):
+        assert not system.audit(Unbalanced(witnesses)), witnesses
+        assert not verify_balance_outcome(example33, right, Unbalanced(witnesses)), witnesses
 
 
 def test_nontriviality_readings(nets):
@@ -423,11 +446,11 @@ def test_cyclic_flow_rows_raise():
     dcrn = build_dom_crn(net, [], {2})
     cycle = replace(next(enumerate_forests(dcrn)), choices=((0, 0), (1, 1)))
     system = build_balancing_system(dcrn, cycle)
-    assert system.flow_rows == ((0, 0, (1,)), (1, 1, (0,)))
+    assert system.flow_rows == ((0, (1,)), (1, (0,)))
     with pytest.raises(ValueError, match="cyclic"):
         decide_balance(system)
     # two flow rows with one out-edge
-    shared = replace(system, flow_rows=((0, 0, ()), (1, 0, ())))
+    shared = replace(system, flow_rows=((0, ()), (0, ())))
     with pytest.raises(ValueError, match="share"):
         decide_balance(shared)
 

@@ -124,3 +124,9 @@ def test_every_table_is_hashable(name):
     for owner in (net, net.graph):
         for table in _tables(type(owner)):
             hash(getattr(owner, table))
+    # and so is every attribute set when the network is built
+    for table in ("species", "reactions", "complexes"):
+        hash(getattr(net, table))
+    assert set(vars(net)) - set(_tables(ReactionNetwork)) == {
+        "species", "reactions", "complexes", "_complex_index"
+    }
