@@ -24,8 +24,7 @@ tests check every candidate against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import (
     Condensation,
@@ -48,8 +47,7 @@ class AdmissibilityError(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
-class DomCRN:
+class DomCRN(NamedTuple):
     """A validated domination-expanded network with its absorbing complex set.
 
     `graph` (see dom_graph) is the expanded graph: the true reactions, then

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .domination import (
     AdmissibilityError,
@@ -100,8 +100,7 @@ class SearchConfig:
             raise ValueError(f"explicit_absorbing members must be ints, got {bad}")
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     candidates: int
     forests: int  # forests decided, by an LP or by a reused balancing vector
     balanced: int  # of those, balanced (every reused one is)
@@ -109,8 +108,7 @@ class SearchStats:
     vacuous_skipped: int
 
 
-@dataclass(frozen=True)
-class ExtinctionCertificate:
+class ExtinctionCertificate(NamedTuple):
     """Everything needed to re-verify a guaranteed-extinction verdict."""
 
     subconservation: tuple[Fraction, ...]
@@ -121,21 +119,18 @@ class ExtinctionCertificate:
     nontriviality: str
 
 
-@dataclass(frozen=True)
-class GuaranteedExtinction:
+class GuaranteedExtinction(NamedTuple):
     transient: frozenset[int]  # complex indices, the complement of the absorbing set
     certificate: ExtinctionCertificate
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     stats: SearchStats
     subconservation: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(NamedTuple):
     reason: str
     refutation: Farkas  # refutes conservation_system(net.stoich, equality=False)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Row = tuple[tuple[int, ...], int]  # (coefficients, rhs)
 
@@ -72,13 +72,11 @@ class LinearSystem:
             raise ValueError(f"row entries must be int, got {bad}")
 
 
-@dataclass(frozen=True)
-class Feasible:
+class Feasible(NamedTuple):
     witness: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Farkas:
+class Farkas(NamedTuple):
     """Multipliers proving infeasibility: sum of scaled rows collapses to 0 >= positive.
 
     The solver's multipliers are Fractions; a refutation built outside it

@@ -26,9 +26,8 @@ LP; its answers are mapped back to the support layout and audited there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .domination import DomCRN
 from .exactlp import (
@@ -46,8 +45,7 @@ TRUE_REACTIONS = "true-reactions"
 ANY_EDGE = "any-edge"
 
 
-@dataclass(frozen=True)
-class ExteriorForest:
+class ExteriorForest(NamedTuple):
     """One outgoing edge per exterior complex, plus all interior reactions.
 
     An edge is named by its index v in the expanded graph (`DomCRN.graph`).
@@ -80,11 +78,23 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
 
     Choices advance by exterior complex index; per complex, true reactions
     come before domination edges, each in index order.  Any selection whose
-    functional graph would cycle among exterior complexes is pruned.  Forests
-    are generated one at a time, so a caller that stops early pays only for
-    the forests it took.  The backtracking keeps an explicit stack, the
-    number of options tried at each exterior position, so no recursion
-    depth grows with the number of exterior complexes.
+    functional graph would cycle among exterior complexes is pruned, the
+    first test of each option.  Forests are generated one at a time, so a
+    caller that stops early pays only for the forests it took.  The
+    backtracking keeps an explicit stack, the number of options tried at
+    each exterior position, so no recursion depth grows with the number of
+    exterior complexes.
+
+    A position can run out of options with no forest yielded since the
+    current prefix of choices reached it: then no forest keeps that prefix.
+    The walk binary-searches the longest prefix that some forest still
+    keeps (_completable, one reverse search per probe) and resumes with the
+    next option after that prefix, so it skips only subtrees that hold no
+    forest and the order is unchanged.  Delay: between two forests, each
+    dead end discards one option at one position whose prefix a forest
+    keeps, so there are at most as many dead ends as edges, and each costs
+    O(n) steps and O(log n) reverse searches, over n complexes.  A walk
+    that meets no dead end pays nothing for this.
     """
     edges = dcrn.graph.edges
     absorbing = dcrn.absorbing
@@ -107,6 +117,9 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
 
     def walk() -> Iterator[ExteriorForest]:
         tried = [0] * len(exterior)  # options of exterior[i] tried so far
+        entered = [0] * (len(exterior) + 1)  # forests yielded when the current prefix reached i
+        yielded = 0
+        into = None  # the options entering each complex, built at the first dead end
         i = 0
         while i >= 0:
             if i == len(exterior):
@@ -114,6 +127,7 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
                     choices=tuple((y, choice[y]) for y in exterior),
                     interior=interior,
                 )
+                yielded += 1
                 i -= 1
                 continue
             y = exterior[i]
@@ -125,11 +139,61 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
                 choice[y] = opts[k]
                 tried[i] = k + 1
                 i += 1
-            else:
-                tried[i] = 0
+                entered[i] = yielded
+                continue
+            tried[i] = 0
+            if i == 0 or entered[i] != yielded:
                 i -= 1
+                continue
+            # no forest keeps the first i choices: find the fewest that none keeps
+            if into is None:
+                into = [[] for _ in range(dcrn.net.n)]
+                for at, x in enumerate(exterior):
+                    for v in options[x]:
+                        into[edges[v].dst].append((at, x, v))
+            lo, hi = 0, i
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _completable(into, absorbing, choice, mid):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            for j in range(hi, i):  # positions past the dead prefix start afresh
+                tried[j] = 0
+                del choice[exterior[j]]
+            i = hi - 1  # the next option at the last position of the dead prefix
 
     return walk()
+
+
+def _completable(
+    into: list[list[tuple[int, int, int]]],
+    absorbing: frozenset[int],
+    choice: dict[int, int],
+    length: int,
+) -> bool:
+    """Whether some exterior forest keeps the choices of the first `length` exterior complexes.
+
+    Each of those complexes keeps only its chosen edge and every other
+    exterior complex all of its options; `into[w]` lists the options that
+    enter complex w, as (position of the source, source, edge).  A forest
+    keeps the prefix iff a reverse search from the absorbing set then
+    reaches every complex: the search tree gives each unassigned complex an
+    edge to a complex reached before it, so no choice closes a cycle, and a
+    forest's own paths are in the graph.
+    """
+    reached = [False] * len(into)
+    stack = list(absorbing)
+    for w in stack:
+        reached[w] = True
+    count = len(stack)
+    while stack:
+        for at, src, v in into[stack.pop()]:
+            if not reached[src] and (at >= length or choice[src] == v):
+                reached[src] = True
+                count += 1
+                stack.append(src)
+    return count == len(into)
 
 
 def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
@@ -165,14 +229,12 @@ def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Balanced:
+class Balanced(NamedTuple):
     alpha: tuple[int, ...]  # integer balancing vector over all r+d edges
     positive_edge: int  # candidate variable with weight >= 1
 
 
-@dataclass(frozen=True)
-class Unbalanced:
+class Unbalanced(NamedTuple):
     # refutations, each of the candidate row over its candidate set; the sets
     # joined in order are the system's candidates
     witnesses: tuple[tuple[tuple[int, ...], Farkas], ...]
@@ -181,8 +243,7 @@ class Unbalanced:
 BalanceOutcome = Union[Balanced, Unbalanced]
 
 
-@dataclass(frozen=True)
-class BalancingSystem:
+class BalancingSystem(NamedTuple):
     """The constraint system a balancing vector must satisfy, over the forest's support.
 
     Edges are named as in the expanded graph: 0..r-1 for reactions and
@@ -192,13 +253,13 @@ class BalancingSystem:
     deterministically: equalities are the kernel rows (species order, over
     the support); inequalities are the flow rows (ascending exterior
     complex) followed by the candidate row: the sum of the weights of a set
-    of candidate edges >= 1.  Every other right-hand side is 0.  The shared
-    rows are built once per system; each assembled system only appends its
-    candidate row.  A Farkas refutation has one `eq` entry per species and
-    one `nonneg` entry per support edge.  This is the layout in which
-    outcomes are audited (audit, the one exact check of an outcome) and
-    reported; decide_balance solves the same system in forest coordinates
-    and maps its answer back.
+    of candidate edges >= 1.  Every other right-hand side is 0.  Every row
+    but the candidate row is shared (_shared_rows, built on each call; an
+    audit assembles one system per refutation, mostly one per forest).  A
+    Farkas refutation has one `eq` entry per species and one `nonneg` entry
+    per support edge.  This is the layout in which outcomes are audited
+    (audit, the one exact check of an outcome) and reported; decide_balance
+    solves the same system in forest coordinates and maps its answer back.
     """
 
     n_edges: int  # r + d, the width of a balancing vector
@@ -208,7 +269,6 @@ class BalancingSystem:
     flow_rows: tuple[tuple[int, tuple[int, ...]], ...]  # (out var, in vars), ascending complex
     candidates: tuple[int, ...]  # edges, ascending
 
-    @cached_property
     def _shared_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
         """(equality rows, flow rows): every row but the candidate row."""
         n = len(self.support)
@@ -229,7 +289,7 @@ class BalancingSystem:
 
     def linear_system(self, candidates: tuple[int, ...]) -> LinearSystem:
         """The shared rows with the candidate row sum of x_v over candidate edges v >= 1."""
-        eq, ge = self._shared_rows
+        eq, ge = self._shared_rows()
         row = (self._candidate_row(candidates), 1)
         return LinearSystem(len(self.support), eq=eq, ge=ge + (row,))
 
@@ -241,12 +301,13 @@ class BalancingSystem:
         """Whether an outcome holds for this system, by direct exact evaluation.
 
         Balanced: the positive edge is a candidate, and alpha spans all r + d
-        edges, is integral and is 0 off the support (the system over the
-        support cannot say so), and check_feasible accepts it on the system
-        of the positive edge alone.  Unbalanced: the witnesses' candidate
-        sets, joined in order, are the candidates, and check_farkas accepts
-        each refutation on the system of its set, in the support layout.
-        Anything else fails.  Every exact check of an outcome goes through
+        edges, holds only ints (a bool, float, Fraction or any other value
+        fails, so a malformed alpha is False, not an exception) and is 0 off
+        the support (the system over the support cannot say so), and
+        check_feasible accepts it on the system of the positive edge alone.
+        Unbalanced: the witnesses' candidate sets, joined in order, are the
+        candidates, and check_farkas accepts each refutation on the system of
+        its set, in the support layout.  Anything else fails.  Every exact check of an outcome goes through
         here: decide_balance's and subconservation_refutation's self-audits,
         verify_balance_outcome and the engine's certificate audit.
         """
@@ -254,7 +315,7 @@ class BalancingSystem:
             alpha = outcome.alpha
             if outcome.positive_edge not in self.candidates or len(alpha) != self.n_edges:
                 return False
-            if any(a != int(a) for a in alpha):
+            if any(type(a) is not int for a in alpha):
                 return False
             inside = set(self.support)
             if any(a for v, a in enumerate(alpha) if v not in inside):

@@ -60,6 +60,13 @@ class Condensation(NamedTuple):
 
 @dataclass(frozen=True)
 class ReactionGraph:
+    """A directed graph on the complexes 0..n-1; edge v is edges[v].
+
+    Every endpoint is checked to lie in 0..n-1 (ValueError).  The
+    condensation is computed once, on first use, or handed in by
+    domination.shrink_to_terminal.
+    """
+
     n: int
     edges: tuple[GraphEdge, ...]
 

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, ge
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import GraphEdge, ReactionGraph
 
@@ -32,13 +32,13 @@ class Complex:
                 raise ValueError(f"negative stoichiometric coefficient in {self.coeffs}")
 
 
-@dataclass(frozen=True)
-class Reaction:
+class Reaction(NamedTuple):
     source: Complex
     target: Complex
 
-    @cached_property
+    @property
     def vector(self) -> tuple[int, ...]:
+        """target - source, computed on each read; a network reads it for `stoich` and `firing`."""
         return tuple(t - s for s, t in zip(self.source.coeffs, self.target.coeffs))
 
 

@@ -26,7 +26,6 @@ bounds the shared graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations_with_replacement
 from operator import and_, sub
@@ -36,23 +35,25 @@ from .graphs import StateCapExceeded, condense  # condense raises it; callers im
 from .model import Complex, ReactionNetwork, State, fire, is_charged
 
 
-@dataclass
 class StateGraph:
     """States closed under firing, condensed into strongly connected components.
 
-    Component ids are reverse topological (every edge between two components
-    points to the smaller id); masks[c] has bit i set when complex i is
-    recurrent from component c.  Edges are not stored: `edges` fires the
-    states again.
+    A mutable store that _grow fills: `StateGraph(net, root)` is an empty
+    graph.  states lists the states by id and index maps each back to its
+    id; scc_of gives each state's component, and scc_terminal and masks
+    are per component.  Component ids are reverse topological (every edge
+    between two components points to the smaller id); masks[c] has bit i
+    set when complex i is recurrent from component c.  Edges are not
+    stored: `edges` fires the states again.
     """
 
-    net: ReactionNetwork
-    root: State
-    states: list[State] = field(default_factory=list)
-    index: dict[State, int] = field(default_factory=dict)
-    scc_of: list[int] = field(default_factory=list)
-    scc_terminal: list[bool] = field(default_factory=list)
-    masks: list[int] = field(default_factory=list)
+    def __init__(self, net: ReactionNetwork, root: State):
+        self.net, self.root = net, root
+        self.states: list[State] = []
+        self.index: dict[State, int] = {}
+        self.scc_of: list[int] = []
+        self.scc_terminal: list[bool] = []
+        self.masks: list[int] = []
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:

@@ -15,7 +15,7 @@ must be a positive integer; a bare identifier means coefficient 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Complex, ReactionNetwork, build_network, format_complex
 
@@ -35,8 +35,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
-class CrnDocument:
+class CrnDocument(NamedTuple):
     """A parsed network."""
 
     network: ReactionNetwork

@@ -2,7 +2,6 @@ import importlib.util
 import os
 import random
 import sys
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -87,6 +86,18 @@ def reversible_chain_text(n: int, k: int) -> str:
     step = chain_text(n).splitlines()[k]
     src, tgt = step.split(" -> ")
     return chain_text(n) + f"{tgt} -> {src}\n"
+
+
+def adv_text(k: int) -> str:
+    """Adv k: S -> A; Ci -> T1 and Ci -> T2 for i < k; A -> Z, A -> T1, Z -> A.
+
+    k + 5 complexes, each one species, so none dominates another; T1 and T2
+    are terminal.  A's first option, A -> Z, closes the cycle A -> Z -> A
+    only at Z, the last exterior complex, so a walk that backtracks one
+    position at a time tries all 2^k choices of the Ci first.
+    """
+    ci = "".join(f"C{i} -> T1\nC{i} -> T2\n" for i in range(k))
+    return f"S -> A\n{ci}A -> Z\nA -> T1\nZ -> A\n"
 
 
 def load_fixture(name: str) -> ReactionNetwork:
@@ -223,5 +234,5 @@ def _assert_every_multiplier_matters(system, cert) -> None:
             for delta in (1, -1):
                 changed = list(values)
                 changed[i] += delta
-                mutant = replace(cert, **{field: tuple(changed)})
+                mutant = cert._replace(**{field: tuple(changed)})
                 assert not check_farkas(system, mutant), (field, i, delta)

@@ -7,7 +7,6 @@ equalities; the only tolerances are the stated wall-clock budgets.
 
 import functools
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -359,51 +358,38 @@ def test_criterion_07_certificate_audit(nets, extinction_verdicts):
         n = len(cert.subconservation)
         c_zero = tuple([Fraction(0)] + list(cert.subconservation[1:]))
         c_neg = tuple([-cert.subconservation[0]] + list(cert.subconservation[1:]))
-        yield replace(verdict, certificate=replace(cert, subconservation=c_zero))
-        yield replace(verdict, certificate=replace(cert, subconservation=c_neg))
+        yield verdict._replace(certificate=cert._replace(subconservation=c_zero))
+        yield verdict._replace(certificate=cert._replace(subconservation=c_neg))
         smaller = frozenset(sorted(cert.absorbing)[1:]) if len(cert.absorbing) > 1 else frozenset()
-        yield replace(verdict, certificate=replace(cert, absorbing=smaller))
+        yield verdict._replace(certificate=cert._replace(absorbing=smaller))
         extra = next(i for i in sorted(verdict.transient))
-        yield replace(
-            verdict, certificate=replace(cert, absorbing=cert.absorbing | {extra})
-        )
-        yield replace(verdict, transient=verdict.transient - {next(iter(verdict.transient))})
+        yield verdict._replace(certificate=cert._replace(absorbing=cert.absorbing | {extra}))
+        yield verdict._replace(transient=verdict.transient - {next(iter(verdict.transient))})
         forest = cert.forest
-        yield replace(
-            verdict,
-            certificate=replace(cert, forest=replace(forest, choices=forest.choices[1:])),
+        yield verdict._replace(
+            certificate=cert._replace(forest=forest._replace(choices=forest.choices[1:])),
         )
         y0, _ = forest.choices[0]
         bogus = ((y0, 10**6),) + forest.choices[1:]
-        yield replace(
-            verdict, certificate=replace(cert, forest=replace(forest, choices=bogus))
-        )
+        yield verdict._replace(certificate=cert._replace(forest=forest._replace(choices=bogus)))
         out = cert.outcome
-        yield replace(
-            verdict, certificate=replace(cert, outcome=Unbalanced(out.witnesses[1:]))
-        )
+        yield verdict._replace(certificate=cert._replace(outcome=Unbalanced(out.witnesses[1:])))
         cands0, farkas0 = out.witnesses[0]
         zeroed = Farkas(
             tuple(Fraction(0) for _ in farkas0.eq_mult),
             tuple(Fraction(0) for _ in farkas0.ge_mult),
             tuple(Fraction(0) for _ in farkas0.nonneg_mult),
         )
-        yield replace(
-            verdict,
-            certificate=replace(
-                cert, outcome=Unbalanced(((cands0, zeroed),) + out.witnesses[1:])
-            ),
+        yield verdict._replace(
+            certificate=cert._replace(outcome=Unbalanced(((cands0, zeroed),) + out.witnesses[1:])),
         )
         flipped = Farkas(
             farkas0.eq_mult,
             tuple([-farkas0.ge_mult[0] - 1] + list(farkas0.ge_mult[1:])),
             farkas0.nonneg_mult,
         )
-        yield replace(
-            verdict,
-            certificate=replace(
-                cert, outcome=Unbalanced(((cands0, flipped),) + out.witnesses[1:])
-            ),
+        yield verdict._replace(
+            certificate=cert._replace(outcome=Unbalanced(((cands0, flipped),) + out.witnesses[1:])),
         )
 
     for name, verdict in extinction_verdicts.items():

@@ -1,3 +1,4 @@
+import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crnextinct import engine, forests
+from crnextinct.domination import build_dom_crn, maximal_admissible
 from crnextinct.engine import (
     GuaranteedExtinction,
     Inconclusive,
@@ -17,12 +19,20 @@ from crnextinct.engine import (
     verify_verdict,
 )
 from crnextinct.exactlp import Farkas, check_farkas
-from crnextinct.forests import ANY_EDGE, TRUE_REACTIONS, Unbalanced
+from crnextinct.forests import (
+    ANY_EDGE,
+    TRUE_REACTIONS,
+    Unbalanced,
+    build_balancing_system,
+    decide_balance,
+    enumerate_forests,
+)
 from crnextinct.graphs import GraphEdge
-from crnextinct.invariants import conservation_system
+from crnextinct.invariants import conservation_system, is_subconservative
 from crnextinct.parser import parse_crn
+from crnextinct.report import emit_report, report_certificate
 
-from conftest import chain_text, complex_names, name_to_index, strict_subconservation
+from conftest import FIXTURE_DIR, chain_text, complex_names, name_to_index, strict_subconservation
 
 
 def test_example21_extinction(nets):
@@ -165,8 +175,8 @@ def test_audit_reads_a_link_it_could_not_check_as_false(nets):
     net = nets["example21"]
     verdict = analyze(net)
     cert = verdict.certificate
-    forest = replace(cert.forest, choices=cert.forest.choices[1:])
-    checks = audit_extinction(net, replace(verdict, certificate=replace(cert, forest=forest)))
+    forest = cert.forest._replace(choices=cert.forest.choices[1:])
+    checks = audit_extinction(net, verdict._replace(certificate=cert._replace(forest=forest)))
     assert checks[-2:] == [("forest", False), ("unbalanced-certificates", False)]
 
 
@@ -176,7 +186,7 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
     verdict = analyze(net)
     cert = verdict.certificate
     edges = (GraphEdge(-4, 2),) + cert.dom_edges[1:]
-    checks = audit_extinction(net, replace(verdict, certificate=replace(cert, dom_edges=edges)))
+    checks = audit_extinction(net, verdict._replace(certificate=cert._replace(dom_edges=edges)))
     assert checks == [
         ("subconservativity-witness", True),
         ("domination-edges", False),
@@ -404,3 +414,41 @@ def test_a_forest_whose_candidates_the_witness_lowers_runs_no_balance_lp(reading
     assert solved == []
     assert verify_verdict(net, verdict)
     assert complex_names(net, verdict.transient) == ["2 X1", "X1"]
+
+
+RECORD_TYPES = [
+    "Feasible", "Farkas", "ExteriorForest", "Balanced", "Unbalanced", "BalancingSystem",
+    "SearchStats", "ExtinctionCertificate", "GuaranteedExtinction", "Inconclusive",
+    "NotApplicable", "DomCRN", "Reaction", "CrnDocument",
+]
+
+
+@pytest.fixture(scope="module")
+def records(nets):
+    """One instance of each plain record type, by type name, as the package hands them out."""
+    doc = parse_crn((FIXTURE_DIR / "example21.crn").read_text(encoding="utf-8"))
+    net = doc.network
+    verdict = analyze(net)
+    report = json.loads(emit_report(net, verdict, SearchConfig()))
+    cert = report_certificate(net, report).certificate
+    dcrn = build_dom_crn(net, cert.dom_edges, cert.absorbing)
+    d000 = maximal_admissible(nets["example000"])
+    found = [
+        doc, net.reactions[0], verdict, verdict.stats, cert, cert.forest, cert.outcome,
+        cert.outcome.witnesses[0][1], dcrn, build_balancing_system(dcrn, cert.forest),
+        decide_balance(build_balancing_system(d000, next(enumerate_forests(d000)))),
+        is_subconservative(net.stoich), analyze(nets["example000"]), analyze(nets["example22"]),
+    ]
+    return {type(x).__name__: x for x in found}
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_records_refuse_attribute_assignment(records, name):
+    # a NamedTuple is immutable as the frozen dataclass it replaced was
+    # (FrozenInstanceError is an AttributeError), and so is safe to share
+    record = records[name]
+    field = next(iter(type(record).__annotations__))
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1

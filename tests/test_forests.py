@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -37,6 +36,7 @@ from crnextinct.report import emit_report, verify_report
 
 from conftest import (
     FIXTURE_DIR,
+    adv_text,
     chain_text,
     random_network,
     reversible_chain_text,
@@ -73,8 +73,8 @@ def test_forest_lists_each_exterior_complex_once_in_order(example33):
     (y0, e0), (y1, e1), (y2, e2) = forest.choices
     # a second choice for one complex would add a flow row and a candidate
     (_, other), *_ = next(islice(enumerate_forests(example33), 1, None)).choices
-    repeated = replace(forest, choices=((y0, e0), (y0, other), (y1, e1), (y2, e2)))
-    swapped = replace(forest, choices=((y1, e1), (y0, e0), (y2, e2)))
+    repeated = forest._replace(choices=((y0, e0), (y0, other), (y1, e1), (y2, e2)))
+    swapped = forest._replace(choices=((y1, e1), (y0, e0), (y2, e2)))
     for bad in (repeated, swapped):
         assert not forest_is_valid(example33, bad), bad.choices
 
@@ -110,6 +110,32 @@ def test_enumerate_chain_1500_without_recursion():
     assert forest_is_valid(dcrn, forest)
     with pytest.raises(RecursionError):
         next(recursive_forests(dcrn))
+
+
+def test_a_dead_prefix_is_skipped_by_a_binary_search(monkeypatch):
+    # adv k has one dead end: with A -> Z chosen, Z's only option closes
+    # the cycle A -> Z -> A.  The walk meets it at Z, the last exterior
+    # position, once; a binary search finds that no forest keeps the first
+    # two choices (S -> A, A -> Z), and the walk goes on with A -> T1,
+    # each Ci from its first option again, instead of trying the 2^k
+    # choices of the Ci first
+    small = maximal_admissible(parse_crn(adv_text(4)).network)
+    assert list(enumerate_forests(small)) == list(recursive_forests(small))
+    lengths = []
+    completable = forests._completable
+
+    def counted(*args):
+        lengths.append(args[-1])
+        assert len(lengths) <= 20, "more reverse searches than adv 40's one dead end takes"
+        return completable(*args)
+
+    monkeypatch.setattr(forests, "_completable", counted)
+    net = parse_crn(adv_text(40)).network
+    verdict = analyze(net)
+    assert isinstance(verdict, GuaranteedExtinction) and verdict.stats.forests == 1
+    # S -> A, A -> T1, C0 -> T1
+    assert verdict.certificate.forest.choices[:3] == ((0, 0), (1, 82), (2, 1))
+    assert lengths == [21, 10, 5, 2, 1]
 
 
 def test_balancing_system_example35_left(example33):
@@ -294,6 +320,29 @@ def test_example000_terminal_balanced(nets):
     assert verify_balance_outcome(dcrn, forest, Balanced((0, 2, 1, 0), 1))
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        (0, "x", 1, 0),
+        (0, None, 1, 0),
+        (0, float("nan"), 1, 0),
+        (0, 2.0, 1, 0),
+        (0, Fraction(2), 1, 0),
+        (0, 2, True, 0),
+    ],
+    ids=["str", "None", "nan", "float", "Fraction", "bool"],
+)
+def test_audit_reads_an_alpha_entry_that_is_no_int_as_false(nets, alpha):
+    # example000's first forest is balanced by (0, 2, 1, 0) at edge 1; with
+    # one entry that is not an int the audit says False and raises nothing
+    dcrn = maximal_admissible(nets["example000"])
+    forest = next(enumerate_forests(dcrn))
+    system = build_balancing_system(dcrn, forest)
+    assert system.audit(Balanced((0, 2, 1, 0), 1))
+    assert system.audit(Balanced(alpha, 1)) is False
+    assert verify_balance_outcome(dcrn, forest, Balanced(alpha, 1)) is False
+
+
 AUDITS_UNDER_O = """
 import sys
 from crnextinct import exactlp, forests
@@ -399,9 +448,9 @@ def _corrupted(dcrn, forest):
                 kind = "self-loop"
             else:
                 kind = "other choice"  # valid, or an exterior cycle
-            yield kind, replace(forest, choices=choices[:i] + ((y, w),) + choices[i + 1 :])
-        yield "missing complex", replace(forest, choices=choices[:i] + choices[i + 1 :])
-        yield "repeated complex", replace(forest, choices=choices[: i + 1] + choices[i:])
+            yield kind, forest._replace(choices=choices[:i] + ((y, w),) + choices[i + 1 :])
+        yield "missing complex", forest._replace(choices=choices[:i] + choices[i + 1 :])
+        yield "repeated complex", forest._replace(choices=choices[: i + 1] + choices[i:])
 
 
 def test_forest_is_valid_matches_the_path_walk():
@@ -432,11 +481,11 @@ def test_forest_is_valid_rejects_an_exterior_cycle():
     dcrn = build_dom_crn(net, [], {2})
     forest = next(enumerate_forests(dcrn))
     assert forest.choices == ((0, 0), (1, 2))
-    cycle = replace(forest, choices=((0, 0), (1, 1)))
+    cycle = forest._replace(choices=((0, 0), (1, 1)))
     assert not forest_is_valid(dcrn, cycle)
     assert not path_walk_forest_is_valid(dcrn, cycle)
     # an interior that is not the absorbing set's reactions
-    assert not forest_is_valid(dcrn, replace(forest, interior=(1,)))
+    assert not forest_is_valid(dcrn, forest._replace(interior=(1,)))
 
 
 def test_cyclic_flow_rows_raise():
@@ -444,13 +493,13 @@ def test_cyclic_flow_rows_raise():
     # the other's in-edge, so no forest coordinates exist
     net = parse_crn("A -> B\nB -> A\nB -> C\n").network
     dcrn = build_dom_crn(net, [], {2})
-    cycle = replace(next(enumerate_forests(dcrn)), choices=((0, 0), (1, 1)))
+    cycle = next(enumerate_forests(dcrn))._replace(choices=((0, 0), (1, 1)))
     system = build_balancing_system(dcrn, cycle)
     assert system.flow_rows == ((0, (1,)), (1, (0,)))
     with pytest.raises(ValueError, match="cyclic"):
         decide_balance(system)
     # two flow rows with one out-edge
-    shared = replace(system, flow_rows=((0, ()), (0, ())))
+    shared = system._replace(flow_rows=((0, ()), (0, ())))
     with pytest.raises(ValueError, match="share"):
         decide_balance(shared)
 

@@ -71,3 +71,25 @@ def test_every_name_imported_from_the_package_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.update((path.stem, name) for name in imported - read)
     assert unused == _REEXPORTED
+
+
+def test_every_dataclass_validates_and_has_a_docstring():
+    # dataclasses generate and compile their methods at import, and one with
+    # no docstring also has inspect.signature build one; a plain record is a
+    # NamedTuple, so a dataclass is only worth its import cost when its
+    # __post_init__ checks what it is given
+    found, offending = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            names = {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}
+            if "dataclass" not in names:
+                continue
+            found.append(node.name)
+            methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+            if "__post_init__" not in methods or ast.get_docstring(node) is None:
+                offending.append(f"{path.name}:{node.name}")
+    assert {"Complex", "LinearSystem", "ReactionGraph", "SearchConfig"} <= set(found)
+    assert offending == []

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -27,6 +26,7 @@ from crnextinct.forests import (
 )
 from crnextinct.domination import (
     AdmissibilityError,
+    DomCRN,
     build_dom_crn,
     check_slc_coincidence,
     dom_graph,
@@ -286,6 +286,27 @@ def test_forest_order_matches_recursive_reference(net):
             assert dcrn.graph.condensation == fresh.condensation
 
 
+@st.composite
+def graphs_with_any_absorbing_set(draw):
+    # one species per complex, so the graph is any multigraph with
+    # self-loops; the absorbing set need not be closed or hold the
+    # terminal complexes, so that many prefixes of choices complete to no
+    # forest
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=20))
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    net = build_network([f"X{i}" for i in range(n)], [(unit[a], unit[b]) for a, b in pairs])
+    absorbing = draw(st.frozensets(st.integers(0, net.n - 1), min_size=1))
+    return DomCRN(net, net.graph, absorbing)
+
+
+@settings(max_examples=300)
+@given(graphs_with_any_absorbing_set())
+def test_forest_order_matches_recursive_reference_past_dead_ends(dcrn):
+    assert list(enumerate_forests(dcrn)) == list(recursive_forests(dcrn))
+
+
 @given(networks())
 def test_kernel_rays_lie_in_cone(net):
     gamma = net.stoich
@@ -502,25 +523,25 @@ def _forge(net, verdict: GuaranteedExtinction, data) -> GuaranteedExtinction:
         anywhere = st.frozensets(st.integers(0, net.n - 1), min_size=1)
         absorbing = data.draw(st.sampled_from(closed) | anywhere)
         transient = frozenset(range(net.n)) - absorbing
-        return replace(verdict, transient=transient, certificate=replace(cert, absorbing=absorbing))
+        return verdict._replace(transient=transient, certificate=cert._replace(absorbing=absorbing))
     edges = cert.dom_edges
     if kind == "drop" and edges:
         j = data.draw(st.integers(0, len(edges) - 1))
-        return replace(verdict, certificate=replace(cert, dom_edges=edges[:j] + edges[j + 1 :]))
+        return verdict._replace(certificate=cert._replace(dom_edges=edges[:j] + edges[j + 1 :]))
     if kind == "add":
         vertex = st.integers(0, net.n - 1)
         pair = st.builds(GraphEdge, vertex, vertex)
         fresh = [e for e in domination_set(net) if e not in edges]
         e = data.draw(st.sampled_from(fresh) | pair if fresh else pair)
         j = data.draw(st.integers(0, len(edges)))
-        return replace(verdict, certificate=replace(cert, dom_edges=edges[:j] + (e,) + edges[j:]))
+        return verdict._replace(certificate=cert._replace(dom_edges=edges[:j] + (e,) + edges[j:]))
     choices = cert.forest.choices
     if kind == "choice" and choices:
         j = data.draw(st.integers(0, len(choices) - 1))
         y, _ = choices[j]
         v = data.draw(st.integers(0, net.r + len(edges) - 1))
-        forest = replace(cert.forest, choices=choices[:j] + ((y, v),) + choices[j + 1 :])
-        return replace(verdict, certificate=replace(cert, forest=forest))
+        forest = cert.forest._replace(choices=choices[:j] + ((y, v),) + choices[j + 1 :])
+        return verdict._replace(certificate=cert._replace(forest=forest))
     if kind in ("forest", "refute"):
         try:
             dcrn = build_dom_crn(net, edges, cert.absorbing)
@@ -529,13 +550,13 @@ def _forge(net, verdict: GuaranteedExtinction, data) -> GuaranteedExtinction:
         if kind == "forest":
             forests = list(islice(enumerate_forests(dcrn), 8))
             if forests:
-                cert = replace(cert, forest=data.draw(st.sampled_from(forests)))
+                cert = cert._replace(forest=data.draw(st.sampled_from(forests)))
         elif forest_is_valid(dcrn, cert.forest):
             system = build_balancing_system(dcrn, cert.forest, cert.nontriviality)
             outcome = decide_balance(system)
             if isinstance(outcome, Unbalanced):
-                cert = replace(cert, outcome=outcome)
-        return replace(verdict, certificate=cert)
+                cert = cert._replace(outcome=outcome)
+        return verdict._replace(certificate=cert)
     witnesses = cert.outcome.witnesses
     spots = [
         (i, field, k)
@@ -549,9 +570,9 @@ def _forge(net, verdict: GuaranteedExtinction, data) -> GuaranteedExtinction:
     cands, farkas = witnesses[i]
     mult = getattr(farkas, field)
     moved = mult[k] + data.draw(st.fractions(-3, 3).filter(bool))
-    farkas = replace(farkas, **{field: mult[:k] + (moved,) + mult[k + 1 :]})
-    outcome = replace(cert.outcome, witnesses=witnesses[:i] + ((cands, farkas),) + witnesses[i + 1 :])
-    return replace(verdict, certificate=replace(cert, outcome=outcome))
+    farkas = farkas._replace(**{field: mult[:k] + (moved,) + mult[k + 1 :]})
+    outcome = Unbalanced(witnesses[:i] + ((cands, farkas),) + witnesses[i + 1 :])
+    return verdict._replace(certificate=cert._replace(outcome=outcome))
 
 
 @pytest.fixture(scope="module")

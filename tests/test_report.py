@@ -1,7 +1,6 @@
 import copy
 import itertools
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,7 +174,7 @@ def test_report_with_a_repeated_choice_is_rejected():
     forest = next(enumerate_forests(dcrn))
     at = [y for y, _ in forest.choices].index(2) + 1
     choices = forest.choices[:at] + ((2, net.r),) + forest.choices[at:]
-    forged = replace(forest, choices=choices)
+    forged = forest._replace(choices=choices)
     outcome = decide_balance(build_balancing_system(dcrn, forged))
     assert isinstance(outcome, Unbalanced)
     cert = ExtinctionCertificate(
