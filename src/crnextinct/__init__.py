@@ -41,13 +41,7 @@ from .graphs import (
     strong_linkage_classes,
     terminal_slcs,
 )
-from .invariants import (
-    is_conservative,
-    is_subconservative,
-    nonneg_kernel_generators,
-    p_invariants,
-    t_invariants,
-)
+from .invariants import is_conservative, is_subconservative
 from .model import (
     Complex,
     Reaction,

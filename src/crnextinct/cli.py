@@ -33,7 +33,7 @@ from .graphs import (
     strong_linkage_classes,
     terminal_slcs,
 )
-from .invariants import is_conservative, is_subconservative, p_invariants, t_invariants
+from .invariants import is_conservative, is_subconservative
 from .model import ReactionNetwork
 from .oracle import (
     StateCapExceeded,
@@ -235,12 +235,6 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             print(f"{label}: True, witness c = {[str(c) for c in outcome.witness]}")
         else:
             print(f"{label}: False")
-    print("P-invariant generators:")
-    for ray in p_invariants(gamma):
-        print(f"  {list(ray)}")
-    print("T-invariant generators (nonnegative kernel rays):")
-    for ray in t_invariants(gamma):
-        print(f"  {list(ray)}")
     return EXIT_OK
 
 
@@ -337,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=64)
     p.set_defaults(func=_cmd_structure)
 
-    p = sub.add_parser("invariants", help="conservation verdicts and kernel generators")
+    p = sub.add_parser("invariants", help="stoichiometric matrix and conservation verdicts")
     p.add_argument("file")
     p.set_defaults(func=_cmd_invariants)
 

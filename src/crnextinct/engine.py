@@ -287,10 +287,13 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
 
 
 def verify_verdict(net: ReactionNetwork, verdict: Verdict) -> bool:
-    """True iff every certificate embedded in a guaranteed-extinction verdict re-verifies."""
+    """True iff every certificate embedded in a guaranteed-extinction verdict re-verifies.
+
+    A verdict whose fields are not the documented shapes reads False.
+    """
     if not isinstance(verdict, GuaranteedExtinction):
         raise ValueError("verify_verdict audits GuaranteedExtinction verdicts")
     try:
         return all(ok for _, ok in audit_extinction(net, verdict))
-    except (IndexError, KeyError, ValueError, TypeError):
+    except (AttributeError, IndexError, KeyError, ValueError, TypeError):
         return False

