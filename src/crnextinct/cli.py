@@ -89,10 +89,11 @@ def _complex_list(net: ReactionNetwork, text: str) -> list[int]:
     indices = []
     for piece in _pieces(text):
         try:
-            cpx = parse_complex(piece, net)
-            indices.append(net.complex_index(cpx))
-        except (ParseError, KeyError) as exc:
+            indices.append(net.complex_index(parse_complex(piece, net)))
+        except ParseError as exc:
             raise InputError(f"complex {piece!r}: {exc}") from exc
+        except KeyError:
+            raise InputError(f"complex {piece!r} does not occur in the network") from None
     if not indices:
         raise InputError("empty complex list")
     return indices

@@ -6,14 +6,17 @@ certificate: multipliers, nonnegative on inequality rows, whose combination
 cancels every variable while combining the right-hand sides to something
 positive, i.e. the contradiction 0 >= 1.  No floating point enters any path.
 
-Rows are Python ints from construction on: every caller builds its rows as
-(tuple of ints, int), scaling a rational row by the lcm of its denominators
-itself (scale_to_integers), which changes no solution set, and LinearSystem
-is the one check of a row's length and entry types.  The solver is a dense
-two-phase simplex with Bland's rule, which terminates on every input.  Its
-tableau holds the integer rows as given, kept primitive by integer-preserving
-pivots (Edmonds 1967), so it stands for exactly the rational tableau and
-takes the same pivots.  Phase 1's start reduced costs are built in one
+Rows are sparse and hold Python ints from construction on: a row is
+(entries, rhs), where entries are the (column, nonzero int coefficient) pairs
+in ascending column order and rhs is an int.  Every caller builds its rows
+in this form (`sparse` takes a dense row's nonzeros), scaling a rational row
+by the lcm of its denominators itself (scale_to_integers), which changes no
+solution set, and LinearSystem is the one check of a row, in O(nonzeros).
+Only _standardize writes dense rows, those of the tableau.  The solver is a
+dense two-phase simplex with Bland's rule, which terminates on every input.
+Its tableau holds the integer rows as given, kept primitive by
+integer-preserving pivots (Edmonds 1967), so it stands for exactly the
+rational tableau and takes the same pivots.  Phase 1's start reduced costs are built in one
 pass: each row that starts basic in an artificial column has a 1 there and
 that column costs 1, so they are the cost minus those rows, with
 denominator 1.  One path, _solve, runs phase 1 and then any cost
@@ -30,8 +33,8 @@ slack-basic row's is rc[slack], and that of x_j >= 0 is rc[j].  Witnesses and
 certificates leave the solver as fractions.Fraction and are audited by
 check_feasible / check_farkas independently of the tableau: the witness, or
 all multipliers, are scaled to integers by one lcm, and each row becomes an
-integer sum over the nonzero terms.  Scaling by a positive number changes no
-sign, so the audit is exact.
+integer sum over its entries.  Scaling by a positive number changes no sign,
+so the audit is exact.
 """
 
 from __future__ import annotations
@@ -42,17 +45,25 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-Row = tuple[tuple[int, ...], int]  # (coefficients, rhs)
+Entries = tuple[tuple[int, int], ...]  # (column, nonzero coefficient), ascending column
+Row = tuple[Entries, int]  # (entries, rhs)
+
+
+def sparse(coeffs: Iterable[int]) -> Entries:
+    """The entries of a dense row: its (column, coefficient) pairs with a nonzero coefficient."""
+    return tuple((j, c) for j, c in enumerate(coeffs) if c)
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """Constraints over `n` nonnegative variables: eq rows a.x = b, ge rows a.x >= b.
 
-    Every coefficient and right-hand side is an int (scale_to_integers turns
-    a rational row into one); a row of the wrong length, or an entry of any
-    other type, bool included, is a ValueError.  This is the only check of
-    a row.  The implicit rows x >= 0 participate in Farkas certificates
+    A row is (entries, rhs): a tuple of (column, coefficient) pairs, columns
+    ascending within 0..n-1 and every coefficient a nonzero int, and an int
+    rhs (scale_to_integers turns a rational row into one, sparse a dense
+    one).  Anything else, a bool or a dense row of ints included, is a
+    ValueError.  This is the only check of a row, and it reads each entry
+    once.  The implicit rows x >= 0 participate in Farkas certificates
     through `nonneg` multipliers.
     """
 
@@ -61,15 +72,20 @@ class LinearSystem:
     ge: tuple[Row, ...] = ()
 
     def __post_init__(self) -> None:
-        types = set()
-        for coeffs, rhs in self.eq + self.ge:
-            if len(coeffs) != self.n:
-                raise ValueError(f"row has {len(coeffs)} coefficients, expected {self.n}")
-            types.update(map(type, coeffs))
-            types.add(type(rhs))
-        if not types <= {int}:
-            bad = ", ".join(sorted(t.__name__ for t in types - {int}))
-            raise ValueError(f"row entries must be int, got {bad}")
+        rows = self.eq + self.ge
+        try:
+            for row in rows:
+                entries, rhs = row
+                if type(entries) is not tuple or type(rhs) is not int:
+                    raise ValueError
+                last = -1
+                for j, c in entries:
+                    if not (type(j) is type(c) is int and c and last < j < self.n):
+                        raise ValueError
+                    last = j
+        except (TypeError, ValueError):  # also a row or an entry that is not a pair
+            want = f"a row is (ascending (column, nonzero int) pairs in 0..{self.n - 1}, int rhs)"
+            raise ValueError(f"{want}, got {row!r:.60}") from None
 
 
 class Feasible(NamedTuple):
@@ -106,12 +122,11 @@ def check_feasible(system: LinearSystem, x: Sequence) -> bool:
     xs, scale = scale_to_integers(x)
     if any(v < 0 for v in xs):
         return False
-    support = [(j, v) for j, v in enumerate(xs) if v]
-    for coeffs, rhs in system.eq:
-        if sum(coeffs[j] * v for j, v in support) != rhs * scale:
+    for entries, rhs in system.eq:
+        if sum(c * xs[j] for j, c in entries) != rhs * scale:
             return False
-    for coeffs, rhs in system.ge:
-        if sum(coeffs[j] * v for j, v in support) < rhs * scale:
+    for entries, rhs in system.ge:
+        if sum(c * xs[j] for j, c in entries) < rhs * scale:
             return False
     return True
 
@@ -121,7 +136,7 @@ def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
 
     All multipliers are scaled to integers by the lcm of their denominators,
     so the combination and its right-hand side are integer sums over the
-    nonzero multipliers and coefficients.
+    nonzero multipliers and entries.
     """
     n_eq, n_ge = len(system.eq), len(system.ge)
     if len(cert.eq_mult) != n_eq or len(cert.ge_mult) != n_ge:
@@ -133,13 +148,10 @@ def check_farkas(system: LinearSystem, cert: Farkas) -> bool:
         return False
     combo = mults[n_eq + n_ge:]  # the rows x >= 0 contribute their multipliers
     rhs_total = 0
-    for m, (coeffs, rhs) in zip(mults, chain(system.eq, system.ge)):
-        if not m:
-            continue
-        for j, c in enumerate(coeffs):
-            if c:
+    for m, (entries, rhs) in zip(mults, chain(system.eq, system.ge)):
+        if m:
+            for j, c in entries:
                 combo[j] += m * c
-        if rhs:
             rhs_total += m * rhs
     return not any(combo) and rhs_total > 0
 
@@ -260,7 +272,7 @@ class _Tableau:
 
 
 def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list[int], list[int], int]:
-    """Build phase-1 rows [x | slacks | artificials | rhs] and their start basis.
+    """Build dense phase-1 rows [x | slacks | artificials | rhs] and their start basis.
 
     A ge row a.x >= b with b <= 0 is negated to -a.x + s = -b (its flip is
     -1): x = 0 satisfies it, so its slack starts basic and it gets no
@@ -270,8 +282,8 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list
     art_cols, ncols).
     """
     n = system.n
-    rows_in = [(coeffs, rhs, False) for coeffs, rhs in system.eq]
-    rows_in += [(coeffs, rhs, True) for coeffs, rhs in system.ge]
+    rows_in = [(entries, rhs, False) for entries, rhs in system.eq]
+    rows_in += [(entries, rhs, True) for entries, rhs in system.ge]
     n_slack = len(system.ge)
     n_art = sum(1 for _, rhs, is_ge in rows_in if not (is_ge and rhs <= 0))
     ncols = n + n_slack + n_art
@@ -279,11 +291,13 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list
     flips: list[int] = []
     basis: list[int] = []
     slack_at, art_at = n, n + n_slack
-    for coeffs, rhs, is_ge in rows_in:
+    for entries, rhs, is_ge in rows_in:
         slack_basic = is_ge and rhs <= 0
         flip = -1 if rhs < 0 or slack_basic else 1
         flips.append(flip)
-        row = [flip * v for v in coeffs] + [0] * (ncols - n) + [flip * rhs]
+        row = [0] * ncols + [flip * rhs]
+        for j, c in entries:
+            row[j] = flip * c
         if is_ge:
             row[slack_at] = -flip
             if slack_basic:

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .domination import DomCRN
 from .exactlp import (
+    Entries,
     Farkas,
     LinearSystem,
     Row,
@@ -39,6 +40,7 @@ from .exactlp import (
     check_feasible,
     scale_to_integers,
     solve_feasibility,
+    sparse,
 )
 from .model import ReactionNetwork
 
@@ -268,38 +270,33 @@ class BalancingSystem(NamedTuple):
     the support); inequalities are the flow rows (ascending exterior
     complex) followed by the candidate row: the sum of the weights of a set
     of candidate edges >= 1.  Every other right-hand side is 0.  Every row
-    but the candidate row is shared (_shared_rows, built on each call; an
-    audit assembles one system per refutation, mostly one per forest).  A
-    Farkas refutation has one `eq` entry per species and one `nonneg` entry
-    per support edge.  This is the layout in which outcomes are audited
-    (audit, the one exact check of an outcome) and reported; decide_balance
-    solves the same system in forest coordinates and maps its answer back.
+    is sparse, as exactlp reads it: a kernel row holds the nonzeros of its
+    species' row of Gamma at the support reactions, a flow row one entry
+    per term.  Every row but the candidate row is shared (_shared_rows,
+    built on each call; an audit assembles one system per refutation,
+    mostly one per forest).  A Farkas refutation has one `eq` entry per
+    species and one `nonneg` entry per support edge.  This is the layout in
+    which outcomes are audited (audit, the one exact check of an outcome)
+    and reported; decide_balance solves the same system in forest
+    coordinates and maps its answer back.
     """
 
     n_edges: int  # r + d, the width of a balancing vector
     r: int  # reactions: edges 0..r-1
     support: tuple[int, ...]  # the forest's edges, ascending
-    kernel_rows: tuple[tuple[int, ...], ...]  # one per species, one entry per support edge
+    kernel_rows: tuple[Entries, ...]  # one per species, (support position, nonzero) entries
     flow_rows: tuple[tuple[int, tuple[int, ...]], ...]  # (out var, in vars), ascending complex
     candidates: tuple[int, ...]  # edges, ascending
 
     def _shared_rows(self) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
         """(equality rows, flow rows): every row but the candidate row."""
-        n = len(self.support)
-        eq = tuple((row, 0) for row in self.kernel_rows)
-        ge = []
-        for out_var, in_vars in self.flow_rows:
-            coeffs = [0] * n
-            coeffs[out_var] += 1
-            for i in in_vars:
-                coeffs[i] -= 1
-            ge.append((tuple(coeffs), 0))
-        return eq, tuple(ge)
+        flows = (sorted([(o, 1), *((i, -1) for i in in_vars)]) for o, in_vars in self.flow_rows)
+        return tuple((row, 0) for row in self.kernel_rows), tuple((tuple(f), 0) for f in flows)
 
-    def _candidate_row(self, candidates: tuple[int, ...]) -> tuple[int, ...]:
-        """1 at the variable of each candidate edge, 0 elsewhere."""
+    def _candidate_row(self, candidates: tuple[int, ...]) -> Entries:
+        """An entry 1 at the variable of each candidate edge."""
         chosen = set(candidates)
-        return tuple(int(v in chosen) for v in self.support)
+        return tuple((i, 1) for i, v in enumerate(self.support) if v in chosen)
 
     def linear_system(self, candidates: tuple[int, ...]) -> LinearSystem:
         """The shared rows with the candidate row sum of x_v over candidate edges v >= 1."""
@@ -358,9 +355,8 @@ def build_balancing_system(
         raise ValueError(f"unknown nontriviality reading {nontriviality!r}")
     r = dcrn.net.r
     support = forest.support
-    kernel_rows = tuple(
-        tuple(row[v] if v < r else 0 for v in support) for row in dcrn.net.stoich
-    )
+    reactions = [v for v in support if v < r]  # ascending: at support positions 0, 1, ...
+    kernel_rows = tuple(sparse(map(row.__getitem__, reactions)) for row in dcrn.net.stoich)
     incoming: dict[int, list[int]] = {y: [] for y, _ in forest.choices}
     edges = dcrn.graph.edges
     for i, v in enumerate(support):
@@ -433,7 +429,8 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     solve_feasibility is {(A T) z = 0, (cand T) z >= 1, z >= 0}: one row per
     species and one candidate row.  T's columns are accumulated along the
     links, downstream first: column i of A T is column i of A plus column o
-    of A T for each link (i, o), and likewise for the candidate row.
+    of A T for each link (i, o), and likewise for the candidate row.  Each
+    row is accumulated over its nonzeros and handed on sparse.
 
     A feasible z, scaled to integers, gives alpha = T z, accumulated
     upstream first; alpha is widened to all r + d edges with zeros off the
@@ -458,14 +455,14 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     links = _forest_links(system)
     rows = []
     for row in (*system.kernel_rows, system._candidate_row(system.candidates)):
-        acc = list(row)
+        acc = dict(row)
         for i, o in links:
-            acc[i] += acc[o]
-        rows.append(acc)
+            if o in acc:
+                acc[i] = acc.get(i, 0) + acc[o]
+        rows.append(tuple(sorted((j, c) for j, c in acc.items() if c)))
     cand = rows.pop()
-    n = len(system.support)
     found = solve_feasibility(
-        LinearSystem(n, eq=tuple((tuple(a), 0) for a in rows), ge=((tuple(cand), 1),))
+        LinearSystem(len(system.support), eq=tuple((a, 0) for a in rows), ge=((cand, 1),))
     )
     if isinstance(found, Farkas):
         w = found.nonneg_mult

@@ -25,6 +25,7 @@ from .exactlp import (
     check_farkas,
     check_feasible,
     solve_feasibility,
+    sparse,
 )
 
 Matrix = Sequence[Sequence[int]]
@@ -45,7 +46,7 @@ def _decide(system: LinearSystem) -> Outcome:
     m = system.n
 
     def shift(rows: Sequence[Row]) -> tuple[Row, ...]:
-        return tuple((a, b - sum(a)) for a, b in rows)
+        return tuple((a, b - sum(c for _, c in a)) for a, b in rows)
 
     outcome = solve_feasibility(
         LinearSystem(m, eq=shift(system.eq), ge=shift(system.ge[: len(system.ge) - m]))
@@ -71,17 +72,21 @@ def transpose(gamma: Matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def _unit_rows(m: int) -> tuple[Row, ...]:
-    """The rows c >= 1 over m species."""
-    return tuple((tuple(int(j == i) for j in range(m)), 1) for i in range(m))
+    """The rows c >= 1 over m species, one entry each."""
+    return tuple((((i, 1),), 1) for i in range(m))
 
 
 def conservation_system(gamma: Matrix, *, equality: bool) -> LinearSystem:
-    """The system for c >= 1 with c^T Gamma = 0 (equality) or <= 0 (subconservative)."""
+    """The system for c >= 1 with c^T Gamma = 0 (equality) or <= 0 (subconservative).
+
+    One row per reaction, over the nonzeros of its column of Gamma, then
+    the rows c >= 1.
+    """
     m = len(gamma)
     cols = transpose(gamma)
     if equality:
-        return LinearSystem(m, eq=tuple((col, 0) for col in cols), ge=_unit_rows(m))
-    neg = tuple((tuple(-c for c in col), 0) for col in cols)
+        return LinearSystem(m, eq=tuple((sparse(col), 0) for col in cols), ge=_unit_rows(m))
+    neg = tuple((sparse(-c for c in col), 0) for col in cols)
     return LinearSystem(m, ge=neg + _unit_rows(m))
 
 
@@ -94,7 +99,7 @@ def strict_subconservation_system(gamma: Matrix) -> LinearSystem:
     """
     m = len(gamma)
     distinct = dict.fromkeys(transpose(gamma))
-    strict = tuple((tuple(-c for c in a), 1) for a in distinct)
+    strict = tuple((sparse(-c for c in a), 1) for a in distinct)
     return LinearSystem(m, ge=strict + _unit_rows(m))
 
 

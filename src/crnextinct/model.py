@@ -196,10 +196,8 @@ class ReactionNetwork:
         return list(self.species)
 
     def complex_index(self, cpx: Complex) -> int:
-        try:
-            return self._complex_index[cpx.coeffs]
-        except KeyError:
-            raise KeyError(f"complex {cpx.coeffs} does not occur in the network") from None
+        """The index of a complex; KeyError when it does not occur in the network."""
+        return self._complex_index[cpx.coeffs]
 
     def __repr__(self) -> str:
         return f"ReactionNetwork(m={self.m}, r={self.r}, n={self.n})"

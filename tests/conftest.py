@@ -225,7 +225,7 @@ def check_network_refutations(net: ReactionNetwork, configs, forest_cap: int) ->
 
 def _assert_every_multiplier_matters(system, cert) -> None:
     fields = ("eq_mult", "ge_mult", "nonneg_mult")
-    zero_eq = [not any(coeffs) for coeffs, _ in system.eq]
+    zero_eq = [not entries for entries, _ in system.eq]
     for field in fields:
         values = getattr(cert, field)
         for i in range(len(values)):

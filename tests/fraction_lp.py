@@ -14,6 +14,11 @@ them before they skipped zero terms and summed integers: every multiplier
 times every coefficient, in Fraction.  The reference solver audits its own
 answers with them, and the package's audits must agree with them on every
 input.
+
+Rows are densified on entry (`_dense`), so this stays a dense reference
+to the package's sparse rows.  `int_row` and `dense_system` go the other
+way for tests: they build a package system from dense rows of ints or
+Fractions, through `exactlp.sparse`.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from crnextinct.exactlp import (
     Feasible,
     LinearSystem,
     Outcome,
+    Row,
     UnboundedError,
     scale_to_integers,
+    sparse,
 )
 
 Rat = Fraction
@@ -38,10 +45,26 @@ def _rat_vec(values: Sequence) -> tuple[Rat, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-def int_row(coeffs: Sequence, rhs) -> tuple[tuple[int, ...], int]:
-    """A row of ints or Fractions, scaled to integers by the lcm of its denominators."""
+def int_row(coeffs: Sequence, rhs) -> Row:
+    """A dense row of ints or Fractions as a package row: scaled to integers
+    by the lcm of its denominators, then its nonzeros."""
     *scaled, b = scale_to_integers([*coeffs, rhs])[0]
-    return tuple(scaled), b
+    return sparse(scaled), b
+
+
+def dense_system(n: int, eq: Sequence = (), ge: Sequence = ()) -> LinearSystem:
+    """The package system of dense rows (coefficients, rhs), each of n ints or Fractions."""
+    if any(len(coeffs) != n for coeffs, _ in [*eq, *ge]):
+        raise ValueError(f"a dense row needs {n} coefficients")
+    return LinearSystem(n, tuple(int_row(*row) for row in eq), tuple(int_row(*row) for row in ge))
+
+
+def _dense(entries, n: int) -> list[int]:
+    """The n coefficients of a package row's entries."""
+    coeffs = [0] * n
+    for j, c in entries:
+        coeffs[j] = c
+    return coeffs
 
 
 def dense_check_feasible(system: LinearSystem, x: Sequence) -> bool:
@@ -50,11 +73,11 @@ def dense_check_feasible(system: LinearSystem, x: Sequence) -> bool:
         return False
     if any(v < 0 for v in xv):
         return False
-    for coeffs, rhs in system.eq:
-        if sum(c * v for c, v in zip(coeffs, xv)) != rhs:
+    for entries, rhs in system.eq:
+        if sum(c * v for c, v in zip(_dense(entries, system.n), xv)) != rhs:
             return False
-    for coeffs, rhs in system.ge:
-        if sum(c * v for c, v in zip(coeffs, xv)) < rhs:
+    for entries, rhs in system.ge:
+        if sum(c * v for c, v in zip(_dense(entries, system.n), xv)) < rhs:
             return False
     return True
 
@@ -68,12 +91,12 @@ def dense_check_farkas(system: LinearSystem, cert: Farkas) -> bool:
         return False
     combo = [Fraction(0)] * system.n
     rhs_total = Fraction(0)
-    for m, (coeffs, rhs) in zip(cert.eq_mult, system.eq):
-        for j, c in enumerate(coeffs):
+    for m, (entries, rhs) in zip(cert.eq_mult, system.eq):
+        for j, c in enumerate(_dense(entries, system.n)):
             combo[j] += m * c
         rhs_total += m * rhs
-    for m, (coeffs, rhs) in zip(cert.ge_mult, system.ge):
-        for j, c in enumerate(coeffs):
+    for m, (entries, rhs) in zip(cert.ge_mult, system.ge):
+        for j, c in enumerate(_dense(entries, system.n)):
             combo[j] += m * c
         rhs_total += m * rhs
     for j, m in enumerate(cert.nonneg_mult):
@@ -158,8 +181,8 @@ def _standardize(system: LinearSystem) -> tuple[list[list[Rat]], list[int], list
     basic; every other row gets an artificial that starts basic.
     """
     n = system.n
-    rows_in = [(coeffs, rhs, "eq") for coeffs, rhs in system.eq]
-    rows_in += [(coeffs, rhs, "ge") for coeffs, rhs in system.ge]
+    rows_in = [(_dense(entries, n), rhs, "eq") for entries, rhs in system.eq]
+    rows_in += [(_dense(entries, n), rhs, "ge") for entries, rhs in system.ge]
     n_slack = len(system.ge)
     slack_basic = [kind == "ge" and rhs <= 0 for _, rhs, kind in rows_in]
     ncols = n + n_slack + slack_basic.count(False)
@@ -206,8 +229,8 @@ def _extract_farkas(
         for i, b in enumerate(start)
     ]
     combo = [Fraction(0)] * system.n
-    for m, (coeffs, _) in zip(y, list(system.eq) + list(system.ge)):
-        for j, c in enumerate(coeffs):
+    for m, (entries, _) in zip(y, list(system.eq) + list(system.ge)):
+        for j, c in enumerate(_dense(entries, system.n)):
             combo[j] += m * c
     scaled = _normalize_multipliers(y + [-c for c in combo])
     n_rows = len(y)

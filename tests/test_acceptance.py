@@ -64,6 +64,7 @@ from crnextinct.parser import format_network, parse_crn
 from crnextinct.petri import petri_export, petri_import
 
 from cone_reference import nonneg_kernel_generators, p_invariants, t_invariants
+from fraction_lp import dense_system
 from conftest import (
     FIXTURE_DIR,
     FIXTURE_NAMES,
@@ -211,7 +212,7 @@ def test_criterion_03_balance(nets):
     assert isinstance(out999, Unbalanced)
     assert verify_balance_outcome(d999, forest999, out999)
     gamma = net999.stoich
-    relaxation = LinearSystem(
+    relaxation = dense_system(
         3,
         eq=tuple(
             [((0, 1, 0), 0)]
@@ -425,9 +426,9 @@ def test_criterion_09_exactness(nets):
     def scale_system(system, factor_seq):
         def scaled(rows, offset):
             out = []
-            for i, (coeffs, rhs) in enumerate(rows):
+            for i, (entries, rhs) in enumerate(rows):
                 s = factor_seq[(offset + i) % len(factor_seq)]
-                out.append((tuple(s * c for c in coeffs), s * rhs))
+                out.append((tuple((j, s * c) for j, c in entries), s * rhs))
             return tuple(out)
 
         return LinearSystem(system.n, scaled(system.eq, 0), scaled(system.ge, 2))

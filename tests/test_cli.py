@@ -86,7 +86,24 @@ def test_unknown_complex_exit_code(capsys):
     assert (
         main(["analyze", fixture("example21"), "--absorbing", "set:X1 + 5 X2"]) == 2
     )
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: complex 'X1 + 5 X2' does not occur in the network\n"
+    )
+
+
+def test_complex_the_network_lacks_is_named_plainly(tmp_path, capsys):
+    # the same one-line error for --absorbing set: and --check-extinction;
+    # A is a species, but 2 A is no complex of the network
+    path = tmp_path / "ab.crn"
+    path.write_text("A + B -> 2 B\nB -> A\n")
+    for args in (
+        ["analyze", str(path), "--absorbing", "set:A, 2 A"],
+        ["oracle", str(path), "--init", "A=1", "--check-extinction", "A, 2 A"],
+    ):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: complex '2 A' does not occur in the network\n"
 
 
 def test_oracle_confirms_extinction(capsys):
@@ -214,6 +231,25 @@ def test_invariants_ends_on_the_complete_conversion_network(tmp_path):
     lines = done.stdout.splitlines()
     for label in ("conservative", "subconservative"):
         assert any(line.startswith(f"{label}: True, witness c = ") for line in lines), label
+
+
+def test_one_reaction_over_40000_species_ends(tmp_path):
+    # X0 + ... + X39999 -> 0: each conservation row has one entry per species
+    # it names, so neither command builds a 40,000 x 40,000 identity
+    path = tmp_path / "wide.crn"
+    path.write_text(" + ".join(f"X{i}" for i in range(40000)) + " -> 0\n")
+    report = tmp_path / "wide.json"
+    for args in (["analyze", str(path), "--json", str(report)], ["invariants", str(path)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "crnextinct.cli", *args],
+            env=subprocess_env(), capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    witness = str(["1"] * 40000)
+    assert lines[-2:] == ["conservative: False", f"subconservative: True, witness c = {witness}"]
+    net = parse_crn(path.read_text()).network
+    assert verify_report(net, json.loads(report.read_text()))
 
 
 def test_forests_output(capsys):

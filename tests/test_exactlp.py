@@ -18,10 +18,11 @@ from crnextinct.exactlp import (
 )
 
 import fraction_lp
+from fraction_lp import dense_system
 
 
 def test_direct_contradiction():
-    system = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
+    system = dense_system(1, ge=(((1,), 1), ((-1,), 0)))
     out = solve_feasibility(system)
     assert isinstance(out, Farkas)
     assert out.ge_mult == (Fraction(1), Fraction(1))
@@ -29,7 +30,7 @@ def test_direct_contradiction():
 
 
 def test_simple_feasible():
-    system = LinearSystem(2, eq=(((1, -1), 0),), ge=(((1, 0), 1),))
+    system = dense_system(2, eq=(((1, -1), 0),), ge=(((1, 0), 1),))
     out = lexmin(system)
     assert isinstance(out, Feasible)
     assert out.witness == (Fraction(1), Fraction(1))
@@ -38,25 +39,50 @@ def test_simple_feasible():
 
 def test_unbounded_direction():
     # x1 >= x2 >= 0 lets x1 grow without bound
-    system = LinearSystem(2, ge=(((1, -1), 0),))
+    system = dense_system(2, ge=(((1, -1), 0),))
     with pytest.raises(UnboundedError):
         minimize(system, [-1, 0])
 
 
 def test_minimize_value():
-    system = LinearSystem(2, ge=(((1, 1), 4), ((1, -1), 0)))
+    system = dense_system(2, ge=(((1, 1), 4), ((1, -1), 0)))
     value, out = minimize(system, [1, 0])
     assert value == Fraction(2)
     assert isinstance(out, Feasible)
 
 
 def test_rows_must_be_ints():
-    for bad in (Fraction(1, 2), Fraction(2), 1.0, True):
-        with pytest.raises(ValueError, match="must be int"):
-            LinearSystem(2, eq=(((1, bad), 0),))
-        with pytest.raises(ValueError, match="must be int"):
-            LinearSystem(2, ge=(((1, 0), bad),))
-    assert LinearSystem(2, eq=(((1, -2), 3),)).eq == (((1, -2), 3),)
+    # a row is (ascending (column, nonzero int) pairs, int rhs); anything
+    # else is a ValueError, never a TypeError
+    bad_rows = [
+        ((1, -2), 3),  # a dense row of ints
+        ((1, 0), 3),
+        (((0, 1), 2), 0),  # an entry that is not a pair
+        (((0,),), 0),
+        (((0, 1, 2),), 0),
+        ((((0, 1),),), 0),
+        (((0, 0),), 0),  # a zero coefficient
+        (((1, 1), (1, 2)), 0),  # a repeated column
+        (((1, 1), (0, 2)), 0),  # a descending column
+        (((2, 1),), 0),  # a column outside 0..n-1
+        (((-1, 1),), 0),
+        ([(0, 1)], 0),  # entries that are not a tuple
+        ((), 1, 2),  # a row that is not a pair
+        (),
+        5,
+        None,
+    ]
+    for bad in (Fraction(1, 2), Fraction(2), 1.0, True, "1", None):
+        bad_rows.append((((0, 1), (1, bad)), 0))  # a coefficient
+        bad_rows.append((((0, 1), (bad, 1)), 0))  # a column
+        bad_rows.append((((0, 1),), bad))  # a rhs
+    for row in bad_rows:
+        with pytest.raises(ValueError, match="a row is"):
+            LinearSystem(2, eq=(row,))
+        with pytest.raises(ValueError, match="a row is"):
+            LinearSystem(2, ge=((((0, 1),), 0), row))
+    assert LinearSystem(2, eq=((((0, 1), (1, -2)), 3),)).eq == ((((0, 1), (1, -2)), 3),)
+    assert LinearSystem(2, ge=(((), 0), (((1, 5),), 1))).ge[1] == (((1, 5),), 1)
 
 
 def test_integer_rows_build_no_fraction(monkeypatch):
@@ -66,10 +92,10 @@ def test_integer_rows_build_no_fraction(monkeypatch):
         raise AssertionError("Fraction built")
 
     monkeypatch.setattr(exactlp, "Fraction", no_fraction)
-    feasible = LinearSystem(2, eq=(((1, -1), 0),), ge=(((1, 0), 1),))
+    feasible = dense_system(2, eq=(((1, -1), 0),), ge=(((1, 0), 1),))
     exactlp._standardize(feasible)
     assert check_feasible(feasible, (1, 1))
-    infeasible = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
+    infeasible = dense_system(1, ge=(((1,), 1), ((-1,), 0)))
     exactlp._standardize(infeasible)
     assert check_farkas(infeasible, Farkas((), (1, 1), (0,)))
 
@@ -101,8 +127,8 @@ def test_one_solve_path_per_public_call(monkeypatch):
         return drive_out(tab, first_art)
 
     monkeypatch.setattr(exactlp._Tableau, "drive_out", counted)
-    feasible = LinearSystem(3, eq=(((1, 1, 1), 6),))
-    infeasible = LinearSystem(3, ge=(((-1, 0, 0), 1),))
+    feasible = dense_system(3, eq=(((1, 1, 1), 6),))
+    infeasible = dense_system(3, ge=(((-1, 0, 0), 1),))
     for system in (feasible, infeasible):
         stages.clear()
         drives.clear()
@@ -125,13 +151,13 @@ def test_phase1_starts_from_the_slack_basis(monkeypatch):
         return pivot(tab, r, c)
 
     monkeypatch.setattr(exactlp._Tableau, "pivot", counted)
-    system = LinearSystem(
+    system = dense_system(
         3, ge=(((1, -1, 0), 0), ((-1, 0, -2), -3), ((0, 1, -1), 0))
     )
     assert lexmin(system) == Feasible((0, 0, 0))
     assert pivots == []
     # only equality rows and ge rows with b > 0 get an artificial column
-    mixed = LinearSystem(
+    mixed = dense_system(
         2,
         eq=(((1, 1), 0), ((1, -1), -2)),
         ge=(((1, 0), 1), ((0, 1), 0), ((-1, 1), -1)),
@@ -142,7 +168,7 @@ def test_phase1_starts_from_the_slack_basis(monkeypatch):
 
 
 def test_lexmin_deterministic():
-    system = LinearSystem(
+    system = dense_system(
         3,
         eq=(((1, 1, 1), 6),),
         ge=(((0, 1, 0), 1),),
@@ -154,7 +180,7 @@ def test_lexmin_deterministic():
 
 
 def test_check_rejects_corrupted_certificates():
-    system = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
+    system = dense_system(1, ge=(((1,), 1), ((-1,), 0)))
     out = solve_feasibility(system)
     assert isinstance(out, Farkas)
     corrupted = Farkas(out.eq_mult, (Fraction(1), Fraction(0)), out.nonneg_mult)
@@ -165,12 +191,12 @@ def test_check_rejects_corrupted_certificates():
 
 
 def test_row_scaling_preserves_verdicts():
-    base = LinearSystem(
+    base = dense_system(
         2,
         eq=(((1, -2), 0),),
         ge=(((1, 0), 1), ((0, 1), 1)),
     )
-    scaled = LinearSystem(
+    scaled = dense_system(
         2,
         eq=(((3, -6), 0),),
         ge=(((5, 0), 5), ((0, 7), 7)),
@@ -180,8 +206,8 @@ def test_row_scaling_preserves_verdicts():
     assert isinstance(a, Feasible) and isinstance(b, Feasible)
     assert check_feasible(scaled, a.witness)
 
-    base_inf = LinearSystem(1, ge=(((1,), 1), ((-1,), 0)))
-    scaled_inf = LinearSystem(1, ge=(((4,), 4), ((-9,), 0)))
+    base_inf = dense_system(1, ge=(((1,), 1), ((-1,), 0)))
+    scaled_inf = dense_system(1, ge=(((4,), 4), ((-9,), 0)))
     assert isinstance(solve_feasibility(base_inf), Farkas)
     out = solve_feasibility(scaled_inf)
     assert isinstance(out, Farkas) and check_farkas(scaled_inf, out)
@@ -192,7 +218,7 @@ def test_empty_and_degenerate_systems():
     out = solve_feasibility(LinearSystem(0, eq=(((), 1),)))
     assert isinstance(out, Farkas)
     with pytest.raises(ValueError):
-        LinearSystem(2, eq=(((1,), 0),))
+        LinearSystem(2, eq=((((2, 1),), 0),))
 
 
 HUGE = 2**64
@@ -223,11 +249,7 @@ def differential_systems(draw):
         rhs = st.one_of(coeff, st.integers(-5, 5))
         eq_rhs = [draw(rhs) for _ in eq]
         ge_rhs = [draw(rhs) for _ in ge]
-    return LinearSystem(
-        n,
-        eq=tuple(fraction_lp.int_row(c, b) for c, b in zip(eq, eq_rhs)),
-        ge=tuple(fraction_lp.int_row(c, b) for c, b in zip(ge, ge_rhs)),
-    )
+    return dense_system(n, eq=tuple(zip(eq, eq_rhs)), ge=tuple(zip(ge, ge_rhs)))
 
 
 @st.composite
@@ -239,7 +261,7 @@ def origin_systems(draw):
         st.integers(-5, 0),
     )
     rows = draw(st.lists(row, max_size=5))
-    return LinearSystem(n, ge=tuple((tuple(a), b) for a, b in rows))
+    return dense_system(n, ge=rows)
 
 
 @given(origin_systems())
@@ -255,12 +277,12 @@ def test_origin_answer_builds_no_tableau(monkeypatch):
         raise AssertionError("a tableau was built")
 
     monkeypatch.setattr(exactlp, "_standardize", no_tableau)
-    system = LinearSystem(2, ge=(((1, -1), 0), ((-2, 3), -4)))
+    system = dense_system(2, ge=(((1, -1), 0), ((-2, 3), -4)))
     assert solve_feasibility(system) == Feasible((0, 0))
     # an equality row, or a positive right-hand side, still goes to phase 1
     for other in (
-        LinearSystem(2, eq=(((1, -1), 0),)),
-        LinearSystem(2, ge=(((1, -1), 1),)),
+        dense_system(2, eq=(((1, -1), 0),)),
+        dense_system(2, ge=(((1, -1), 1),)),
     ):
         with pytest.raises(AssertionError, match="tableau"):
             solve_feasibility(other)

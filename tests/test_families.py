@@ -52,6 +52,7 @@ from crnextinct.parser import parse_crn
 from crnextinct.report import emit_report, render_text, support_refutation, verify_report
 from forests_reference import recursive_forests
 from search_reference import analyze_per_forest, candidate_pairs
+from fraction_lp import dense_system
 
 FOREST_CAP = 3  # forests per (expansion, absorbing set) candidate
 
@@ -155,7 +156,7 @@ def edge_layout_system(dcrn, forest, candidates) -> LinearSystem:
                 coeffs[v] -= 1
         ge.append((tuple(coeffs), 0))
     ge.append((tuple(int(v in candidates) for v in range(n)), 1))
-    return LinearSystem(n, tuple(eq), tuple(ge))
+    return dense_system(n, eq, ge)
 
 
 def test_support_system_matches_edge_layout(workloads):

@@ -16,7 +16,7 @@ from crnextinct.domination import (
     maximal_admissible,
 )
 from crnextinct.engine import GuaranteedExtinction, SearchConfig, analyze
-from crnextinct.exactlp import LinearSystem, check_feasible, solve_feasibility
+from crnextinct.exactlp import check_feasible, solve_feasibility
 from crnextinct.forests import (
     ANY_EDGE,
     Balanced,
@@ -45,6 +45,7 @@ from conftest import (
 )
 from forests_reference import path_walk_forest_is_valid, recursive_forests
 from search_reference import candidate_pairs
+from fraction_lp import dense_system
 
 
 @pytest.fixture()
@@ -144,10 +145,10 @@ def test_balancing_system_example35_left(example33):
     # the unused reaction 2 and domination edge D1 have no variable: the
     # variables are reactions 1 and 3 and D2, and the rows index them 0, 1, 2
     assert system.n_edges == 5 and system.support == (0, 2, 4)
-    assert system.kernel_rows == ((-1, 1, 0), (1, -1, 0))
+    assert system.kernel_rows == (((0, -1), (1, 1)), ((0, 1), (1, -1)))
     assert system.flow_rows == ((0, ()), (2, (0,)), (1, (2,)))
     assert system.candidates == (0, 2)
-    assert system.linear_system((2,)).ge[-1] == ((0, 1, 0), 1)
+    assert system.linear_system((2,)).ge[-1] == (((1, 1),), 1)
 
 
 def test_balancing_system_example999(nets):
@@ -156,7 +157,7 @@ def test_balancing_system_example999(nets):
     system = build_balancing_system(dcrn, forest)
     # reaction 2 is off the forest, so the support is reactions 1 and 3
     assert system.n_edges == 3 and system.support == (0, 2)
-    assert system.kernel_rows == ((1, -2), (-1, 2))
+    assert system.kernel_rows == (((0, 1), (1, -2)), ((0, -1), (1, 2)))
     assert system.flow_rows == ((0, ()), (1, (0,)))
     assert system.candidates == (0, 2)
 
@@ -239,7 +240,7 @@ def test_decide_balance_example999(nets):
     assert verify_balance_outcome(dcrn, forest, outcome)
     # dropping the flow rows leaves the kernel system, satisfied by (2, 0, 1)
     gamma = nets["example999"].stoich
-    relaxed = LinearSystem(
+    relaxed = dense_system(
         3,
         eq=tuple([((0, 1, 0), 0)] + [(r, 0) for r in gamma]),
     )
@@ -352,7 +353,7 @@ from crnextinct.parser import parse_crn
 print("optimize", sys.flags.optimize)
 dcrn = maximal_admissible(parse_crn(open(sys.argv[1]).read()).network)
 system = forests.build_balancing_system(dcrn, next(forests.enumerate_forests(dcrn)))
-feasible = exactlp.LinearSystem(1, eq=(((1,), 1),))
+feasible = exactlp.LinearSystem(1, eq=((((0, 1),), 1),))
 for module, decide in ((forests, lambda: forests.decide_balance(system)),
                        (exactlp, lambda: exactlp.solve_feasibility(feasible))):
     real, module.check_feasible = module.check_feasible, lambda *args: False

@@ -64,6 +64,7 @@ from crnextinct.petri import PetriFormatError, petri_export, petri_import
 from crnextinct.report import emit_report, verify_report
 
 import fraction_lp
+from fraction_lp import dense_system
 from cone_reference import in_cone, nonneg_kernel_generators
 from conftest import FIXTURE_NAMES, check_network_refutations, random_network, strict_subconservation
 from forests_reference import recursive_forests, support_layout_balance
@@ -244,6 +245,39 @@ def test_strict_vector_refutes_every_forest(net):
 
 
 @given(st.integers(0, 2**32 - 1))
+def test_rows_hold_exactly_the_nonzeros(seed):
+    # every exact-LP row the package builds is sparse: a row of Gamma's
+    # column holds that column's nonzeros, a unit row c_i >= 1 one entry, a
+    # flow row one per term, a candidate row one per candidate; no row is
+    # dense, which would hold a zero entry
+    net = random_network(random.Random(seed))
+    gamma = net.stoich
+    cols = list(zip(*gamma))
+
+    def nonzeros(vector):
+        return sum(1 for v in vector if v)
+
+    def counts(rows):
+        return [len(entries) for entries, _ in rows]
+
+    units = [1] * net.m
+    for equality in (True, False):
+        system = conservation_system(gamma, equality=equality)
+        assert counts(system.eq + system.ge) == [nonzeros(col) for col in cols] + units
+    strict = strict_subconservation_system(gamma)
+    assert counts(strict.ge) == [nonzeros(col) for col in dict.fromkeys(cols)] + units
+    for dcrn in candidate_pairs(net, WIDENED):
+        for forest in islice(enumerate_forests(dcrn), 20):
+            for reading in (TRUE_REACTIONS, ANY_EDGE):
+                system = build_balancing_system(dcrn, forest, reading)
+                reactions = [v for v in system.support if v < net.r]
+                lin = system.linear_system(system.candidates)
+                assert counts(lin.eq) == [nonzeros(row[v] for v in reactions) for row in gamma]
+                flows = [1 + len(in_vars) for _, in_vars in system.flow_rows]
+                assert counts(lin.ge) == flows + [len(system.candidates)]
+
+
+@given(st.integers(0, 2**32 - 1))
 def test_forest_coordinates_decide_as_the_support_layout(seed):
     # every forest of every widened candidate, under both readings: the solve
     # in forest coordinates and the support-layout reference agree on the
@@ -351,11 +385,7 @@ def small_systems(draw):
     row = st.tuples(st.tuples(*[coeff] * n), st.integers(-4, 4))
     eq = draw(st.lists(row, max_size=3))
     ge = draw(st.lists(row, max_size=4))
-    return LinearSystem(
-        n,
-        eq=tuple(eq),
-        ge=tuple(ge),
-    )
+    return dense_system(n, eq=eq, ge=ge)
 
 
 @given(small_systems())
@@ -371,9 +401,9 @@ def test_lp_answers_are_self_certifying(system):
 def test_row_scaling_invariance(system, scales):
     def scaled_rows(rows, offset):
         out = []
-        for i, (coeffs, rhs) in enumerate(rows):
+        for i, (entries, rhs) in enumerate(rows):
             s = scales[(offset + i) % len(scales)]
-            out.append((tuple(s * c for c in coeffs), s * rhs))
+            out.append((tuple((j, s * c) for j, c in entries), s * rhs))
         return tuple(out)
 
     scaled = LinearSystem(system.n, scaled_rows(system.eq, 0), scaled_rows(system.ge, 3))
@@ -392,7 +422,7 @@ def test_cone_generators_are_complete(net):
     gens = nonneg_kernel_generators(gamma)
     from crnextinct.exactlp import lexmin, Feasible
 
-    slice_system = LinearSystem(
+    slice_system = dense_system(
         net.r,
         eq=tuple(
             [(row, 0) for row in gamma]
