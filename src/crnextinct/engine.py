@@ -102,8 +102,8 @@ class SearchConfig:
 
 class SearchStats(NamedTuple):
     candidates: int
-    forests: int  # forests decided, by an LP or by a reused balancing vector
-    balanced: int  # of those, balanced (every reused one is)
+    forests: int  # forests decided: by an LP, a reused balancing vector, or the witness's refutation
+    balanced: int  # of those, balanced (every reused one is; no refuted one is)
     truncated: bool  # some candidate had more forests than forest_cap
     vacuous_skipped: int
 

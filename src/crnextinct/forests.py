@@ -1,18 +1,23 @@
 """Exterior forests of a domination-expanded network and their balance status.
 
 An exterior forest picks exactly one outgoing edge (true reaction or
-domination edge, never a self-loop) for every complex outside the absorbing
-set, such that following the choices always reaches the absorbing set without
-revisiting a complex.  Every interior reaction is included by convention.
-The chosen edges and the interior reactions are the forest's support.
+domination edge) for every complex outside the absorbing set, such that the
+absorbing set is absorbing in the graph of the chosen edges: following the
+choices from any complex reaches it.  That one rule (graphs.is_absorbing_set)
+both checks a forest (forest_is_valid) and, with the later complexes keeping
+all their options, probes the enumerator's dead ends (_completable).  Every
+interior reaction is included by convention.  The chosen edges and the
+interior reactions are the forest's support.
 
-A forest is balanced when a nonnegative vector over all edges exists that
-(C1) is supported on the forest, (C2) has its reaction part in the kernel of
-the stoichiometric matrix, and (C3) at every exterior complex weighs the
-outgoing edge at least as much as the sum of the incoming forest edges, with
-strictly positive weight on at least one nontriviality candidate.  By default
-the candidates are the exterior true reactions of the forest; a switch widens
-them to include domination edges for comparison.  decide_forests decides a
+A forest is balanced when a nonnegative vector alpha over all edges exists
+that (C1) is supported on the forest, (C2) has its reaction part in the
+kernel of the stoichiometric matrix, and (C3) at every exterior complex
+weighs the outgoing edge at least as much as the sum of the incoming forest
+edges, with strictly positive weight on at least one nontriviality
+candidate; a Balanced outcome is that alpha and nothing more.  By default
+the candidates are the exterior true reactions of the forest; a switch
+widens them to include domination edges for comparison (_candidates, the
+one rule for both the balance system and the store).  decide_forests decides a
 network's forests, candidate after candidate, and keeps every balancing
 vector it finds in one store (BalanceStore) by edge identity, so a vector
 found in one candidate settles, with no LP, a forest of any candidate that
@@ -42,6 +47,7 @@ from .exactlp import (
     solve_feasibility,
     sparse,
 )
+from .graphs import ReactionGraph, is_absorbing_set
 from .model import ReactionNetwork
 
 TRUE_REACTIONS = "true-reactions"
@@ -91,12 +97,12 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
     A position can run out of options with no forest yielded since the
     current prefix of choices reached it: then no forest keeps that prefix.
     The walk binary-searches the longest prefix that some forest still
-    keeps (_completable, one reverse search per probe) and resumes with the
+    keeps (_completable, one is_absorbing_set per probe) and resumes with the
     next option after that prefix, so it skips only subtrees that hold no
     forest and the order is unchanged.  Delay: between two forests, each
     dead end discards one option at one position whose prefix a forest
     keeps, so there are at most as many dead ends as edges, and each costs
-    O(n) steps and O(log n) reverse searches, over n complexes.  A walk
+    O(n) steps and O(log n) probes, over n complexes.  A walk
     that meets no dead end pays nothing for this.
     """
     edges = dcrn.graph.edges
@@ -122,7 +128,6 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
         tried = [0] * len(exterior)  # options of exterior[i] tried so far
         entered = [0] * (len(exterior) + 1)  # forests yielded when the current prefix reached i
         yielded = 0
-        into = None  # the options entering each complex, built at the first dead end
         i = 0
         while i >= 0:
             if i == len(exterior):
@@ -149,15 +154,10 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
                 i -= 1
                 continue
             # no forest keeps the first i choices: find the fewest that none keeps
-            if into is None:
-                into = [[] for _ in range(dcrn.net.n)]
-                for at, x in enumerate(exterior):
-                    for v in options[x]:
-                        into[edges[v].dst].append((at, x, v))
             lo, hi = 0, i
             while lo < hi:
                 mid = (lo + hi) // 2
-                if _completable(into, absorbing, choice, mid):
+                if _completable(dcrn, options, choice, mid):
                     lo = mid + 1
                 else:
                     hi = mid
@@ -170,71 +170,54 @@ def enumerate_forests(dcrn: DomCRN) -> Iterator[ExteriorForest]:
 
 
 def _completable(
-    into: list[list[tuple[int, int, int]]],
-    absorbing: frozenset[int],
+    dcrn: DomCRN,
+    options: dict[int, list[int]],
     choice: dict[int, int],
     length: int,
 ) -> bool:
     """Whether some exterior forest keeps the choices of the first `length` exterior complexes.
 
-    Each of those complexes keeps only its chosen edge and every other
-    exterior complex all of its options; `into[w]` lists the options that
-    enter complex w, as (position of the source, source, edge).  A forest
-    keeps the prefix iff a reverse search from the absorbing set then
-    reaches every complex: the search tree gives each unassigned complex an
-    edge to a complex reached before it, so no choice closes a cycle, and a
-    forest's own paths are in the graph.
+    options lists each exterior complex's edges, in ascending complex
+    order.  The first `length` complexes keep only their chosen edge, every
+    later one all of its options.  A forest keeps the prefix iff the
+    absorbing set is absorbing in that graph (is_absorbing_set): a search
+    tree back from the set gives each unassigned complex an edge to a
+    complex reached before it, so no choice closes a cycle, and a forest's
+    own paths are in the graph.
     """
-    reached = [False] * len(into)
-    stack = list(absorbing)
-    for w in stack:
-        reached[w] = True
-    count = len(stack)
-    while stack:
-        for at, src, v in into[stack.pop()]:
-            if not reached[src] and (at >= length or choice[src] == v):
-                reached[src] = True
-                count += 1
-                stack.append(src)
-    return count == len(into)
+    edges = dcrn.graph.edges
+    kept = tuple(
+        edges[v]
+        for at, (y, opts) in enumerate(options.items())
+        for v in (opts if at >= length else (choice[y],))
+    )
+    return is_absorbing_set(ReactionGraph(dcrn.net.n, kept), dcrn.absorbing)
 
 
 def forest_is_valid(dcrn: DomCRN, forest: ExteriorForest) -> bool:
-    """Check the conventions and that every chosen path reaches the absorbing set.
+    """Check the conventions, and that the absorbing set is absorbing in the forest's graph.
 
-    Each walk follows the choices until it meets a complex known to reach
-    the absorbing set (absorbing, or marked by an earlier walk), then marks
-    every complex it passed; meeting its own path again is a cycle.  So
-    every complex is walked once.
+    The conventions: one choice per exterior complex, ascending, each an
+    edge that leaves it, and the interior reactions as interior_reactions
+    gives them.  The forest's graph holds the chosen edges only, so no edge
+    leaves the absorbing set, and it is absorbing (is_absorbing_set) iff
+    following the choices from any complex reaches it: a self-loop or a
+    cycle never does.
     """
-    exterior = dcrn.exterior_complexes()
-    if [y for y, _ in forest.choices] != exterior:  # each once, ascending
+    if [y for y, _ in forest.choices] != dcrn.exterior_complexes():  # each once, ascending
         return False
     if forest.interior != interior_reactions(dcrn):
         return False
     edges = dcrn.graph.edges
-    for y, v in forest.choices:
-        if not 0 <= v < len(edges):  # before the lookup: a negative index would alias
-            return False
-        if edges[v].src != y or edges[v].dst == y:
-            return False
-    step = {y: edges[v].dst for y, v in forest.choices}
-    reaches = set(dcrn.absorbing)
-    for y in exterior:
-        path: set[int] = set()
-        cur = y
-        while cur not in reaches:
-            if cur in path:
-                return False
-            path.add(cur)
-            cur = step[cur]
-        reaches |= path
-    return True
+    # the range first: a negative index would alias
+    if not all(0 <= v < len(edges) and edges[v].src == y for y, v in forest.choices):
+        return False
+    chosen = ReactionGraph(dcrn.net.n, tuple(edges[v] for _, v in forest.choices))
+    return is_absorbing_set(chosen, dcrn.absorbing)
 
 
 class Balanced(NamedTuple):
     alpha: tuple[int, ...]  # integer balancing vector over all r+d edges
-    positive_edge: int  # candidate variable with weight >= 1
 
 
 class Unbalanced(NamedTuple):
@@ -312,10 +295,12 @@ class BalancingSystem(NamedTuple):
         """Whether an outcome holds for this system, by direct exact evaluation.
 
         Balanced: alpha is a tuple of ints (a bool, float, Fraction or any
-        other value fails) and the positive edge an int; the positive edge is
-        a candidate, and alpha spans all r + d edges and is 0 off the support
-        (the system over the support cannot say so), and check_feasible
-        accepts it on the system of the positive edge alone.  Unbalanced: the
+        other value fails) that spans all r + d edges and is 0 off the
+        support (the system over the support cannot say so), and
+        check_feasible accepts it on the system of all the candidates: the
+        summed candidate row decide_balance solves.  Nonnegative and
+        integral, alpha meets that row iff it is at least 1 on some
+        candidate, which is (C3); no candidate, and no alpha does.  Unbalanced: the
         witnesses are a tuple of (tuple of ints, Farkas) pairs, each Farkas
         field a tuple of ints or Fractions; their candidate sets, joined in
         order, are the candidates, and check_farkas accepts each refutation
@@ -327,15 +312,12 @@ class BalancingSystem(NamedTuple):
         """
         if isinstance(outcome, Balanced):
             alpha = outcome.alpha
-            if not _tuple_of(alpha, (int,)) or type(outcome.positive_edge) is not int:
-                return False
-            if outcome.positive_edge not in self.candidates or len(alpha) != self.n_edges:
+            if not _tuple_of(alpha, (int,)) or len(alpha) != self.n_edges:
                 return False
             inside = set(self.support)
             if any(a for v, a in enumerate(alpha) if v not in inside):
                 return False
-            positive = self.linear_system((outcome.positive_edge,))
-            return check_feasible(positive, self.on_support(alpha))
+            return check_feasible(self.linear_system(self.candidates), self.on_support(alpha))
         if isinstance(outcome, Unbalanced):
             witnesses = outcome.witnesses
             if not (isinstance(witnesses, tuple) and all(map(_is_witness, witnesses))):
@@ -346,14 +328,24 @@ class BalancingSystem(NamedTuple):
         return False
 
 
+def _candidates(forest: ExteriorForest, r: int, nontriviality: str) -> tuple[int, ...]:
+    """The forest's nontriviality candidates, ascending: the one candidate rule.
+
+    Its chosen true reactions (edges below r), or under ANY_EDGE every
+    chosen edge.  ValueError for any other reading.
+    """
+    if nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
+        raise ValueError(f"unknown nontriviality reading {nontriviality!r}")
+    return tuple(sorted(v for _, v in forest.choices if v < r or nontriviality == ANY_EDGE))
+
+
 def build_balancing_system(
     dcrn: DomCRN,
     forest: ExteriorForest,
     nontriviality: str = TRUE_REACTIONS,
 ) -> BalancingSystem:
-    if nontriviality not in (TRUE_REACTIONS, ANY_EDGE):
-        raise ValueError(f"unknown nontriviality reading {nontriviality!r}")
     r = dcrn.net.r
+    candidates = _candidates(forest, r, nontriviality)
     support = forest.support
     reactions = [v for v in support if v < r]  # ascending: at support positions 0, 1, ...
     kernel_rows = tuple(sparse(map(row.__getitem__, reactions)) for row in dcrn.net.stoich)
@@ -365,9 +357,6 @@ def build_balancing_system(
             incoming[tgt].append(i)
     position = {v: i for i, v in enumerate(support)}
     flow_rows = tuple((position[v], tuple(incoming[y])) for y, v in forest.choices)
-    candidates = tuple(
-        sorted(v for _, v in forest.choices if v < r or nontriviality == ANY_EDGE)
-    )
     return BalancingSystem(
         n_edges=r + dcrn.d,
         r=r,
@@ -433,10 +422,9 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
     row is accumulated over its nonzeros and handed on sparse.
 
     A feasible z, scaled to integers, gives alpha = T z, accumulated
-    upstream first; alpha is widened to all r + d edges with zeros off the
-    support, and its least positive candidate is the positive edge.  A
-    refutation (y, t, w) of the z system, y^T A T + t cand T + w = 0 with
-    t > 0 and w >= 0, maps to y on the kernel rows, w_o on the flow row
+    upstream first, and widened to all r + d edges with zeros off the
+    support.  A refutation (y, t, w) of the z system, y^T A T + t cand T +
+    w = 0 with t > 0 and w >= 0, maps to y on the kernel rows, w_o on the flow row
     whose out var is o, t on the candidate row, and on x_i >= 0 the
     multiplier 0 at an out var and w_i at a free variable.  Its combination
     c = y^T A + t cand + sum over rows of w_o (flow row o) + sum over free
@@ -479,8 +467,7 @@ def decide_balance(system: BalancingSystem) -> BalanceOutcome:
         alpha = [0] * system.n_edges
         for v, a in zip(system.support, x):
             alpha[v] = a
-        positive_edge = next(k for k in system.candidates if alpha[k] > 0)
-        outcome, fault = Balanced(tuple(alpha), positive_edge), "balancing vector"
+        outcome, fault = Balanced(tuple(alpha)), "balancing vector"
     if not system.audit(outcome):
         raise AssertionError(f"internal error: mapped {fault} fails its audit")
     return outcome
@@ -541,15 +528,14 @@ class BalanceStore:
     subconservative.  Every balancing vector a balance LP finds is kept by
     edge identity, which is the same in every candidate of the network
     where an edge's index is not: reaction k by k, a domination edge by its
-    GraphEdge (src, dst).  A vector is kept as its positive weights, the
-    (identity, source complex) of each positive edge, and the weight
-    entering each complex.  analyze owns one store per call; a store serves
-    one network only.
+    GraphEdge (src, dst).  A vector is kept as its positive weights by
+    identity and the weight entering each complex.  analyze owns one store
+    per call; a store serves one network only.
     """
 
     def __init__(self, net: ReactionNetwork, witness: Optional[Sequence]):
         self.net, self.witness = net, witness
-        self._vectors: list[tuple[dict, tuple[tuple[object, int], ...], dict[int, int]]] = []
+        self._vectors: list[tuple[dict, dict[int, int]]] = []
 
     @cached_property
     def slack(self) -> tuple[Optional[list[int]], Optional[list[int]]]:
@@ -559,54 +545,39 @@ class BalanceStore:
     def add(self, dcrn: DomCRN, alpha: Sequence[int]) -> None:
         """Keep a balancing vector over dcrn's r + d edges."""
         r, edges = dcrn.net.r, dcrn.graph.edges
-        weights, sources, inflow = {}, [], {}
+        weights, inflow = {}, {}
         for v, a in enumerate(alpha):
             if a:
-                key = v if v < r else edges[v]
-                weights[key] = a
-                sources.append((key, edges[v].src))
+                weights[v if v < r else edges[v]] = a
                 inflow[edges[v].dst] = inflow.get(edges[v].dst, 0) + a
-        self._vectors.append((weights, tuple(sources), inflow))
+        self._vectors.append((weights, inflow))
 
     def balance(self, dcrn: DomCRN, forest: ExteriorForest, nontriviality: str) -> Optional[Balanced]:
         """The first kept vector that balances the forest, over dcrn's edges, or None.
 
-        A kept vector alpha balances forest F' when (i) every positive edge
-        lies in F''s support: it is F''s choice at its source, or a reaction
-        whose source is absorbing (interior); (ii) at every exterior complex
+        A kept vector balances forest F' when (i) the identity of every
+        positive edge is that of an edge of F''s support, so the vector
+        re-indexes to F''s edges as alpha; (ii) at every exterior complex
         y, alpha on y's chosen edge is at least the weight of the positive
-        edges entering y; and (iii) some candidate of F' has alpha > 0.  The
-        answer is alpha re-indexed to F''s edges, positive on the same
-        edges, with its least positive candidate as the positive edge.
+        edges entering y; and (iii) some candidate of F' has alpha > 0.
+        The answer is that alpha.
         """
         if not self._vectors:
             return None
         r, edges, absorbing = dcrn.net.r, dcrn.graph.edges, dcrn.absorbing
-        index = dict(forest.choices)
-        chosen = {y: v if v < r else edges[v] for y, v in index.items()}
-        any_edge = nontriviality == ANY_EDGE
-        for weights, sources, inflow in self._vectors:
-            if not all(
-                chosen.get(src) == key if src not in absorbing else type(key) is int
-                for key, src in sources
-            ):
+        index = {v if v < r else edges[v]: v for v in forest.support}  # identity -> edge
+        choice = dict(forest.choices)
+        candidates = _candidates(forest, r, nontriviality)
+        for weights, inflow in self._vectors:
+            if not weights.keys() <= index.keys():
                 continue  # (i)
-            if any(
-                y not in absorbing and weights.get(chosen[y], 0) < flow for y, flow in inflow.items()
-            ):
-                continue  # (ii)
             alpha = [0] * (r + dcrn.d)
-            positive = []
-            for key, src in sources:
-                if src in absorbing:
-                    alpha[key] = weights[key]
-                else:
-                    v = index[src]
-                    alpha[v] = weights[key]
-                    if v < r or any_edge:
-                        positive.append(v)
-            if positive:  # (iii)
-                return Balanced(alpha=tuple(alpha), positive_edge=min(positive))
+            for key, a in weights.items():
+                alpha[index[key]] = a
+            if any(y not in absorbing and alpha[choice[y]] < flow for y, flow in inflow.items()):
+                continue  # (ii)
+            if any(alpha[v] for v in candidates):  # (iii)
+                return Balanced(tuple(alpha))
         return None
 
 
@@ -625,13 +596,17 @@ def decide_forests(
     part is the same in every candidate, in the kernel of Gamma.  At an
     exterior complex y the inflow of F' is the weight of the positive edges
     entering y, as every positive edge lies in the support, so (ii) is the
-    flow row of y and (iii) the candidate row.  The rule decides every
+    flow row of y and (iii) the candidate row.  Conversely a kept vector
+    that breaks (i), (ii) or (iii) fails F''s audit, re-indexed by edge
+    identity: weight off the support, a flow row or the candidate row.  So
+    the rule misses no kept vector that balances F'.  It decides every
     forest that keeps the positive choices of an earlier balanced forest F
     of the same candidate (its choices where alpha > 0): (i) holds, as
     F''s interior reactions are F's; at a complex where F' keeps F's choice
     the inflow and the chosen weight are F's, and where it does not, F's
     choice has alpha = 0 and F's flow row forced the inflow to 0, so (ii)
-    holds; and F's positive edge is a choice F' keeps, so (iii) holds.
+    holds; and a candidate of F with alpha > 0 is a positive choice, which
+    F' keeps, so (iii) holds.
     Within one candidate (i) forces F' to keep each positive choice, so
     there the rule decides exactly those forests; across candidates it
     decides more.

@@ -15,7 +15,7 @@ alike, Balanced or Unbalanced.
 from typing import Iterator
 
 from crnextinct.domination import DomCRN
-from crnextinct.exactlp import Farkas, check_feasible, scale_to_integers, solve_feasibility
+from crnextinct.exactlp import Farkas, scale_to_integers, solve_feasibility
 from crnextinct.forests import (
     BalanceOutcome,
     Balanced,
@@ -99,6 +99,4 @@ def support_layout_balance(system: BalancingSystem) -> BalanceOutcome:
     alpha = [0] * system.n_edges
     for v, a in zip(system.support, scale_to_integers(found.witness)[0]):
         alpha[v] = a
-    positive_edge = next(k for k in system.candidates if alpha[k] > 0)
-    assert check_feasible(system.linear_system((positive_edge,)), system.on_support(alpha))
-    return Balanced(alpha=tuple(alpha), positive_edge=positive_edge)
+    return Balanced(alpha=tuple(alpha))

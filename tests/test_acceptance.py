@@ -198,7 +198,7 @@ def test_criterion_03_balance(nets):
     left_out = decide_balance(left_sys)
     assert isinstance(left_out, Balanced)
     assert verify_balance_outcome(dcrn, left, left_out)
-    assert verify_balance_outcome(dcrn, left, Balanced((1, 0, 1, 0, 1), 0))
+    assert verify_balance_outcome(dcrn, left, Balanced((1, 0, 1, 0, 1)))
     assert left_sys.support == (0, 2, 4)  # (C1): reaction 2 and D1 have no variable
 
     right_out = decide_balance(build_balancing_system(dcrn, right))
@@ -226,7 +226,7 @@ def test_criterion_03_balance(nets):
     forest000 = next(enumerate_forests(d000))
     out000 = decide_balance(build_balancing_system(d000, forest000))
     assert isinstance(out000, Balanced)
-    assert verify_balance_outcome(d000, forest000, Balanced((0, 2, 1, 0), 1))
+    assert verify_balance_outcome(d000, forest000, Balanced((0, 2, 1, 0)))
     names = name_to_index(net000)
     verdict = analyze(
         net000,

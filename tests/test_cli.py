@@ -54,6 +54,25 @@ def test_analyze_explicit_absorbing(capsys):
     assert "guaranteed extinction" in out and "2 X1" in out
 
 
+def test_enumeration_caps_bound_the_candidates_and_truncate_nothing(tmp_path, capsys):
+    # all:1 and enumerate:1 try only the maximal expansion's terminal set,
+    # whose one forest is balanced: inconclusive, and not truncated, since
+    # only --forest-cap leaves a forest undecided.  all:4 and enumerate:2
+    # reach a second candidate, which certifies the event
+    def run(dom, absorbing):
+        out = tmp_path / f"{dom}-{absorbing}.json"
+        args = ["analyze", fixture("example000"), "--dom", dom, "--absorbing", absorbing]
+        assert main([*args, "--json", str(out)]) == 0
+        return capsys.readouterr().out, json.loads(out.read_text())
+
+    text, report = run("all:1", "enumerate:1")
+    assert "verdict: inconclusive" in text and "1 candidate(s)" in text
+    assert report["statistics"]["truncated"] is False
+    text, report = run("all:4", "enumerate:2")
+    assert "verdict: guaranteed extinction event" in text and "2 candidate(s)" in text
+    assert report["statistics"]["truncated"] is False
+
+
 def test_analyze_nontriviality_flag(capsys):
     assert main(["analyze", fixture("example21"), "--nontriviality", "any"]) == 0
     capsys.readouterr()

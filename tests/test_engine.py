@@ -199,8 +199,8 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
 
 
 MALFORMED_OUTCOMES = {
-    "alpha-none": lambda cands: Balanced(None, 1),
-    "alpha-int": lambda cands: Balanced(5, 1),
+    "alpha-none": lambda cands: Balanced(None),
+    "alpha-int": lambda cands: Balanced(5),
     "witnesses-none": lambda cands: Unbalanced(None),
     "witness-of-nones": lambda cands: Unbalanced(((None, None),)),
     "farkas-none": lambda cands: Unbalanced(((cands, None),)),

@@ -96,7 +96,7 @@ def per_candidate_balance(system: BalancingSystem):
         alpha = [0] * system.n_edges
         for v, a in zip(system.support, scale_to_integers(best.witness)[0]):
             alpha[v] = a
-        return Balanced(alpha=tuple(alpha), positive_edge=cand)
+        return Balanced(alpha=tuple(alpha))
     return Unbalanced(tuple(refutations))
 
 
@@ -112,8 +112,6 @@ def _check_against_reference(dcrn, forest, reading) -> type:
         # one refutation, covering every candidate (none for no candidates)
         covering = [system.candidates] if system.candidates else []
         assert [c for c, _ in got.witnesses] == covering
-    else:
-        assert got.positive_edge == min(k for k in system.candidates if got.alpha[k] > 0)
     return type(got)
 
 
@@ -176,9 +174,7 @@ def test_support_system_matches_edge_layout(workloads):
             moved = support_refutation(dcrn.net, dcrn.d, forest, old)
             outcome = Unbalanced(((system.candidates, moved),))
         else:
-            alpha = tuple(scale_to_integers(old.witness)[0])
-            positive = min(k for k in system.candidates if alpha[k] > 0)
-            outcome = Balanced(alpha, positive)
+            outcome = Balanced(tuple(scale_to_integers(old.witness)[0]))
         assert verify_balance_outcome(dcrn, forest, outcome, reading)
     assert kinds == {Balanced, Unbalanced}
 
@@ -242,6 +238,56 @@ def test_reused_balancing_vectors_balance_their_forests(workloads, monkeypatch):
                     fresh = decide_balance(build_balancing_system(dcrn, forest, reading))
                     assert isinstance(fresh, Balanced)
     assert within >= 50 and reused > within
+
+
+def _moved(old, alpha, new):
+    """alpha over old's edges, moved to new's by edge identity; None when an edge it weighs is not in new."""
+    r = new.net.r
+    index = {e: r + j for j, e in enumerate(new.graph.edges[r:])}
+    moved = [0] * (r + new.d)
+    for v, a in enumerate(alpha):
+        if a:
+            w = v if v < r else index.get(old.graph.edges[v])
+            if w is None:
+                return None
+            moved[w] = a
+    return tuple(moved)
+
+
+def test_the_store_answers_exactly_as_the_audit(workloads, monkeypatch):
+    # the store's rules (i)-(iii) are the audit's: every answer it gives
+    # passes the forest's audit, and whenever the balance LP runs, no vector
+    # it keeps, moved to the forest by edge identity, passes that audit
+    cfg = replace(workloads.search_config(engine, "search"), forest_cap=8)
+    kept, checked, ran = [], [], []
+
+    def audited(system):  # dcrn is the candidate being decided
+        ran.append(system)
+        for old, alpha in kept:
+            moved = _moved(old, alpha, dcrn)
+            if moved is not None:
+                checked.append(moved)
+                assert not system.audit(Balanced(moved))
+        outcome = decide_balance(system)
+        if isinstance(outcome, Balanced):
+            kept.append((dcrn, outcome.alpha))
+        return outcome
+
+    monkeypatch.setattr(forests, "decide_balance", audited)
+    hits = 0
+    for _, net in _fixtures_and_families(workloads):
+        witness = _witness(net)
+        for reading in (TRUE_REACTIONS, ANY_EDGE):
+            store = BalanceStore(net, witness)
+            kept.clear()
+            for dcrn in candidate_pairs(net, cfg):
+                forests_of = islice(enumerate_forests(dcrn), cfg.forest_cap)
+                for forest, outcome in decide_forests(dcrn, forests_of, reading, store):
+                    if not ran and isinstance(outcome, Balanced):
+                        hits += 1
+                        assert build_balancing_system(dcrn, forest, reading).audit(outcome)
+                    ran.clear()
+    assert hits >= 100 and len(checked) >= 70
 
 
 def test_a_search_pass_runs_at_most_31_balance_lps(workloads, monkeypatch):

@@ -290,8 +290,8 @@ def test_forest_coordinates_decide_as_the_support_layout(seed):
                 got = decide_balance(system)
                 assert type(got) is type(support_layout_balance(system))
                 if isinstance(got, Balanced):
-                    positive = system.linear_system((got.positive_edge,))
-                    assert check_feasible(positive, system.on_support(got.alpha))
+                    summed = system.linear_system(system.candidates)
+                    assert check_feasible(summed, system.on_support(got.alpha))
                 else:
                     for candidates, cert in got.witnesses:
                         assert check_farkas(system.linear_system(candidates), cert)
