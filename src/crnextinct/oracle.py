@@ -17,10 +17,13 @@ callback as it stands; terminal components' charged complexes are found from
 ReactionNetwork.needs.  The public `fire` reads the firing table per reaction
 and stays the reference the kernel is tested against.
 
-explore grows an empty graph from one root.  The budgeted sweep over every
-root (find_recurrent_witness) grows one shared graph root by root, so each
-reachable state is expanded once however many roots reach it; one hard cap
-bounds the shared graph.
+explore grows an empty graph from one root and labels every complex.  The
+budgeted sweep over every root (find_recurrent_witness) grows one shared
+graph root by root, so each reachable state is expanded once however many
+roots reach it; one hard cap bounds the shared graph.  The sweep only reads
+its listed complexes' bits, so its terminal components test only their
+needs (StateGraph.labelled).  Its roots come from states_with_total, which
+builds each root from a prefix and a 2-tuple suffix out of a per-call table.
 """
 
 from __future__ import annotations
@@ -43,12 +46,16 @@ class StateGraph:
     id; scc_of gives each state's component, and scc_terminal and masks
     are per component.  Component ids are reverse topological (every edge
     between two components points to the smaller id); masks[c] has bit i
-    set when complex i is recurrent from component c.  Edges are not
-    stored: `edges` fires the states again.
+    set when complex i is recurrent from component c.  Only the complexes
+    in `labelled` get bits: every complex for a graph that explore builds,
+    and only the listed complexes for the budgeted sweep's shared graph,
+    which never leaves the sweep.  Edges are not stored: `edges` fires the
+    states again.
     """
 
     def __init__(self, net: ReactionNetwork, root: State):
         self.net, self.root = net, root
+        self.labelled: Sequence[int] = range(net.n)
         self.states: list[State] = []
         self.index: dict[State, int] = {}
         self.scc_of: list[int] = []
@@ -72,10 +79,15 @@ class StateGraph:
         ]
 
 
-def _charged_mask(net: ReactionNetwork, states: Sequence[State]) -> int:
-    """Bitmask of the complexes that some of the states charge (bit i: complex i)."""
+def _charged_mask(net: ReactionNetwork, states: Sequence[State], complexes: Iterable[int]) -> int:
+    """Bitmask of the listed complexes that some of the states charge (bit i: complex i).
+
+    Only the listed complexes are tested, so every other bit is 0.
+    """
     mask = 0
-    for ci, need in enumerate(net.needs):
+    needs = net.needs
+    for ci in complexes:
+        need = needs[ci]
         for state in states:
             for s, c in need:
                 if state[s] < c:
@@ -92,9 +104,10 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
     The stored states are closed under firing and condensed, so one
     graphs.condense search from `start`, expanding states with the network's
     successor kernel, discovers exactly the new ones.  A new component with
-    no exit is terminal, its mask the complexes its states charge; any
-    other's mask is the AND of its exits'.  Raises StateCapExceeded when a
-    new state would pass `hard_cap` stored states, counted by the search.
+    no exit is terminal, its mask the complexes in g.labelled that its
+    states charge; any other's mask is the AND of its exits'.  Raises
+    StateCapExceeded when a new state would pass `hard_cap` stored states,
+    counted by the search.
     """
     net, states, masks, terminal = g.net, g.states, g.masks, g.scc_terminal
     grown = condense((start,), net.next_states, g.index, states, g.scc_of, len(masks), hard_cap)
@@ -102,7 +115,7 @@ def _grow(g: StateGraph, start: State, hard_cap: int) -> None:
         terminal.append(not exits)
         masks.append(
             reduce(and_, map(masks.__getitem__, exits)) if exits
-            else _charged_mask(net, [states[v] for v in block])
+            else _charged_mask(net, [states[v] for v in block], g.labelled)
         )
 
 
@@ -193,17 +206,30 @@ def extinction_on(net: ReactionNetwork, g: StateGraph, complexes: Iterable[int])
 def states_with_total(m: int, total: int) -> Iterable[State]:
     """All length-m nonnegative integer vectors with the given coordinate sum, in lexicographic order.
 
-    Stars and bars: cuts c1 <= ... <= c(m-1) in 0..total give the vector
-    (c1, c2 - c1, ..., total - c(m-1)), and cuts in lexicographic order give
-    vectors in lexicographic order.
+    Lazy, and empty for a negative total or length.  Stars and bars: cuts
+    c1 <= ... <= c(m-2) in 0..total give the first m - 2 coordinates
+    (c1, c2 - c1, ..., c(m-2) - c(m-3)) once per prefix, and cuts in
+    lexicographic order give prefixes in lexicographic order.  Each prefix
+    leaves r = total - c(m-2) to the last two coordinates, which come as the
+    pairs (a, r - a), a = 0..r, from a table built once per call and indexed
+    by r, so a vector costs one tuple concatenation.  The table holds
+    O(total ** 2) pairs, never more than the vectors it yields.
     """
-    if m == 0:
-        if total == 0:
-            yield ()
+    if total < 0 or m < 0:
+        return  # no vector has a negative count or length
+    if m < 2:
+        if m == 1 or total == 0:
+            yield (total,) * m  # (total,), or () for m = 0
         return
-    ends = (total,)
-    for cuts in combinations_with_replacement(range(total + 1), m - 1):
-        yield tuple(map(sub, cuts + ends, (0,) + cuts))
+    if m == 2:
+        for a in range(total + 1):
+            yield a, total - a
+        return
+    pairs = [[(a, r - a) for a in range(r + 1)] for r in range(total + 1)]
+    for cuts in combinations_with_replacement(range(total + 1), m - 2):
+        prefix = tuple(map(sub, cuts, (0,) + cuts))  # map stops with cuts
+        for pair in pairs[total - cuts[-1]]:
+            yield prefix + pair
 
 
 def guaranteed_extinction_on(
@@ -245,6 +271,7 @@ def find_recurrent_witness(
     targets = _targets(net, complexes)
     wanted = sum(1 << ci for ci in targets)
     g = StateGraph(net, (0,) * net.m)
+    g.labelled = sorted(targets)  # masks are only ANDed with wanted
     index, masks, scc_of = g.index, g.masks, g.scc_of
     for total in range(budget + 1):
         for root in states_with_total(net.m, total):

@@ -33,15 +33,42 @@ def _imports(module: str) -> set[str]:
     return found
 
 
+def _type_checking_lines(source: str) -> list[int]:
+    """The lines that import TYPE_CHECKING or read it as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        # only an import's names are aliases: global and nonlocal keep plain strings
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "TYPE_CHECKING" in [alias.name for alias in node.names]:
+                lines.append(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_type_checking_scan_reads_names_only_from_imports():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import typing\n"
+        "count = 0\n"
+        "def bump():\n"
+        "    global count\n"
+        "    count += 1\n"
+        "    total = 0\n"
+        "    def inner():\n"
+        "        nonlocal total\n"
+        "        total += typing.TYPE_CHECKING\n"
+        "    inner()\n"
+    )
+    assert _type_checking_lines(source) == [1, 10]
+
+
 def test_imports_are_one_way_and_none_is_under_type_checking():
-    hidden = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = [alias.name for alias in getattr(node, "names", ())]
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and "TYPE_CHECKING" in names:
-                hidden.append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING":
-                hidden.append(f"{path.name}:{node.lineno}")
+    hidden = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _type_checking_lines(path.read_text(encoding="utf-8"))
+    ]
     assert hidden == []
     # model imports graphs (a network holds its reaction graph), never the reverse
     assert "graphs" in _imports("model")

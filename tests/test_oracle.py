@@ -1,5 +1,7 @@
+import inspect
 from collections import deque
 from fractions import Fraction
+from itertools import product
 from math import comb
 from types import SimpleNamespace
 
@@ -376,23 +378,36 @@ def _charged_by_definition(net, states):
     )
 
 
+def _listings(net):
+    """Every complex, none, and a proper subset: the listed complexes a mask is asked for."""
+    return [list(range(net.n)), [], list(range(0, net.n, 2))]
+
+
+def _bits(listed):
+    """The mask with a bit set for each listed complex."""
+    return sum(1 << ci for ci in set(listed))
+
+
 def test_charged_mask_matches_definition(nets):
     for name in FIXTURE_NAMES:
         net = nets[name]
         states = [s for total in range(4) for s in states_with_total(net.m, total)]
-        assert oracle._charged_mask(net, []) == 0
-        assert oracle._charged_mask(net, states) == _charged_by_definition(net, states)
-        for state in states:
-            assert oracle._charged_mask(net, [state]) == _charged_by_definition(net, [state]), (
-                name,
-                state,
-            )
+        for listed in _listings(net):
+            bits = _bits(listed)
+            assert oracle._charged_mask(net, [], listed) == 0
+            got = oracle._charged_mask(net, states, listed)
+            assert got == _charged_by_definition(net, states) & bits, (name, listed)
+            for state in states:
+                got = oracle._charged_mask(net, [state], listed)
+                assert got == _charged_by_definition(net, [state]) & bits, (name, state, listed)
 
 
 @given(net=small_networks(), data=st.data())
 def test_charged_mask_matches_definition_random(net, data):
     states = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * net.m), max_size=4))
-    assert oracle._charged_mask(net, states) == _charged_by_definition(net, states)
+    listed = data.draw(st.sampled_from(_listings(net)) | st.lists(st.integers(0, net.n - 1)))
+    got = oracle._charged_mask(net, states, listed)
+    assert got == _charged_by_definition(net, states) & _bits(listed)
 
 
 def _count_grown(monkeypatch):
@@ -517,6 +532,14 @@ def test_states_with_total():
     assert sorted(states_with_total(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(states_with_total(1, 3)) == [(3,)]
     assert list(states_with_total(0, 0)) == [()]
+    assert inspect.isgenerator(states_with_total(4, 10))
+    # the exact sequence: every vector of the total, in lexicographic order;
+    # a negative total has none, in every dimension
+    assert list(states_with_total(-1, 0)) == []
+    for m in range(7):
+        for total in range(-1, 8):
+            want = sorted(s for s in product(range(max(total, 0) + 1), repeat=m) if sum(s) == total)
+            assert list(states_with_total(m, total)) == want, (m, total)
 
 
 def test_slc_recurrence_report_example23(nets):
