@@ -45,7 +45,7 @@ from .oracle import (
 )
 from .parser import ParseError, parse_complex, parse_crn, format_network
 from .petri import petri_export, petri_import
-from .report import emit_report, render_text
+from .report import emit_report, rational_text, render_text
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -60,9 +60,12 @@ class InputError(Exception):
 
 
 def _read(path: str, decode: Callable[[str], T]) -> T:
-    """Decode a UTF-8 file; unreadable or malformed input becomes an InputError."""
+    """Decode a UTF-8 file, dropping a leading byte order mark.
+
+    Unreadable or malformed input becomes an InputError.
+    """
     try:
-        return decode(Path(path).read_text(encoding="utf-8"))
+        return decode(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8; JSON nested too deep
@@ -233,7 +236,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     for label, decide in deciders.items():
         outcome = decide(gamma)
         if isinstance(outcome, Feasible):
-            print(f"{label}: True, witness c = {[str(c) for c in outcome.witness]}")
+            print(f"{label}: True, witness c = {list(map(rational_text, outcome.witness))}")
         else:
             print(f"{label}: False")
     return EXIT_OK

@@ -16,10 +16,13 @@ Only _standardize writes dense rows, those of the tableau.  The solver is a
 dense two-phase simplex with Bland's rule, which terminates on every input.
 Its tableau holds the integer rows as given, kept primitive by
 integer-preserving pivots (Edmonds 1967), so it stands for exactly the
-rational tableau and takes the same pivots.  Phase 1's start reduced costs are built in one
-pass: each row that starts basic in an artificial column has a 1 there and
-that column costs 1, so they are the cost minus those rows, with
-denominator 1.  One path, _solve, runs phase 1 and then any cost
+rational tableau and takes the same pivots.  The objective is the
+tableau's last row, basic in a column of its own whose entry is the
+reduced-cost denominator, so one row operation, _combine, rewrites every
+row, the objective's included, in a pivot and in a cost stage's setup.
+_standardize writes phase 1's objective row with the rows: each
+artificial costs 1 and starts basic in its one row, so the row is the cost
+minus those rows.  One path, _solve, runs phase 1 and then any cost
 stages; only a cost stage needs the zero-level artificials pivoted out of
 the basis, so a feasibility query skips those pivots.  Phase 1 starts from
 the slack basis where it can: a row a.x >= b with b <= 0 holds at x = 0, so
@@ -27,9 +30,10 @@ it is negated and its slack starts basic; only equality rows and rows with
 b > 0 get an artificial column.  So a system with
 no equality row and every right-hand side <= 0 holds at the origin, and
 solve_feasibility returns that point, as phase 1 would, without building a
-tableau.  A Farkas certificate is read off the final phase-1 reduced costs
-rc / den: an artificial row's multiplier is flip * (den - rc[artificial]), a
-slack-basic row's is rc[slack], and that of x_j >= 0 is rc[j].  Witnesses and
+tableau.  A Farkas certificate is read off the final phase-1 objective
+row, the reduced costs rc / den: an artificial row's multiplier is
+flip * (den - rc[artificial]), a slack-basic row's is rc[slack], and that
+of x_j >= 0 is rc[j].  Witnesses and
 certificates leave the solver as fractions.Fraction and are audited by
 check_feasible / check_farkas independently of the tableau: the witness, or
 all multipliers, are scaled to integers by one lcm, and each row becomes an
@@ -174,14 +178,33 @@ def primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-class _Tableau:
-    """Dense integer simplex tableau; rows carry rhs in the last slot.
+def _combine(row: list[int], pivot_row: list[int], c: int) -> list[int]:
+    """p*row - f*pivot_row, for p and f the entries of pivot_row and row in column c, over its gcd.
 
-    Row i stands for the rational row rows[i] / rows[i][basis[i]], whose basic
-    entry is 1; the integer basic entry is kept positive and every rewritten
-    row is divided by the gcd of its entries (Edmonds' integer-preserving
-    elimination).  The rational tableau is the one a Fraction simplex would
-    hold, so the pivots are the same, and so is every answer.
+    Column c of the result is 0.  This is the one step of Edmonds'
+    integer-preserving elimination: every rewritten row of the tableau,
+    the objective's included, comes from it.
+    """
+    p, f = pivot_row[c], row[c]
+    new = [p * a - f * b for a, b in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [v // g for v in new] if g > 1 else new
+
+
+class _Tableau:
+    """Dense integer simplex tableau: constraint rows, then the objective row.
+
+    A row is [columns 0..ncols-1 | objective column ncols | rhs].  Constraint
+    row i stands for the rational row rows[i] / rows[i][basis[i]], whose
+    basic entry is 1; it is 0 in column ncols.  The last row is the
+    objective, basic in column ncols: its entry there is the reduced-cost
+    denominator den, so rows[-1][j] / den is column j's reduced cost and
+    rows[-1][-1] / den is minus the objective's value.  basis lists the
+    constraint rows' basic columns only.  Every integer basic entry, den
+    included, is kept positive, and every rewritten row comes from _combine
+    (Edmonds' integer-preserving elimination).  The rational tableau is the
+    one a Fraction simplex would hold, so the pivots are the same, and so is
+    every answer.
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
@@ -191,22 +214,17 @@ class _Tableau:
 
     def pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
-        p = row[c]
-        if p < 0:  # only while artificials are driven out
+        if row[c] < 0:  # only while artificials are driven out
             row = self.rows[r] = [-v for v in row]
-            p = -p
         for i, other in enumerate(self.rows):
-            f = other[c]
-            if f and i != r:
-                new = [p * a - f * b for a, b in zip(other, row)]
-                g = gcd(*new)
-                self.rows[i] = [v // g for v in new] if g > 1 else new
+            if other[c] and i != r:
+                self.rows[i] = _combine(other, row, c)
         self.basis[r] = c
 
     def drive_out(self, first_art: int) -> None:
         """Pivot each basic artificial (column >= first_art, at level 0) out; drop redundant rows."""
         r = 0
-        while r < len(self.rows):
+        while r < len(self.basis):
             if self.basis[r] >= first_art:
                 row = self.rows[r]
                 col = next((j for j in range(first_art) if row[j]), None)
@@ -216,45 +234,39 @@ class _Tableau:
                 self.pivot(r, col)
             r += 1
 
-    def _eliminate(self, rc: list[int], den: int, r: int, c: int) -> tuple[list[int], int]:
-        """Clear column c of the reduced costs rc / den with row r (basic in c)."""
-        row = self.rows[r]
-        p, f = row[c], rc[c]
-        rc = [p * a - f * b for a, b in zip(rc, row)]
-        den *= p
-        g = gcd(den, *rc)
-        if g > 1:
-            return [v // g for v in rc], den // g
-        return rc, den
+    def set_cost(self, cost: list[int]) -> None:
+        """Make the objective row an integer cost, reduced in the current basis.
 
-    def reduced_costs(self, cost: list[int]) -> tuple[list[int], int]:
-        """The reduced costs of an integer cost vector in the current basis, as (rc, den)."""
-        rc, den = list(cost) + [0], 1
-        for r, b in enumerate(self.basis):
-            if rc[b]:
-                rc, den = self._eliminate(rc, den, r, b)
-        return rc, den
+        cost covers the first columns, the system's variables; the rest cost 0.
+        """
+        obj = cost + [0] * (self.ncols - len(cost)) + [1, 0]
+        for row, b in zip(self.rows, self.basis):
+            if obj[b]:
+                obj = _combine(obj, row, b)
+        self.rows[-1] = obj
 
-    def minimize(self, rc: list[int], den: int, banned: set[int]) -> tuple[list[int], int]:
-        """Run Bland-rule simplex from the reduced costs rc / den of the current basis.
+    def minimize(self, banned: set[int]) -> None:
+        """Run Bland-rule simplex on the objective row from the current basis.
 
-        The tableau must be canonical for its current basis, and rc must be
-        0 at every basic column.  Returns the final reduced-cost row as
-        (integers, positive denominator); its last slot is minus the optimal
-        value.  Raises UnboundedError when the objective is unbounded below.
-        Bland's rule (lowest eligible entering column, lowest basic index on
-        ratio ties) guarantees termination.
+        The tableau must be canonical for its current basis, and the
+        objective row 0 at every basic column.  At the end no column outside
+        banned has a negative reduced cost.  Raises UnboundedError when the
+        objective is unbounded below.  Bland's rule (lowest eligible
+        entering column, lowest basic index on ratio ties) guarantees
+        termination.  The ratio test skips the objective row by itself: its
+        entry in the entering column is negative.
         """
         ncols = self.ncols
         rows, basis = self.rows, self.basis
         while True:
+            rc = rows[-1]
             enter = -1
             for j in range(ncols):
                 if rc[j] < 0 and j not in banned:
                     enter = j
                     break
             if enter == -1:
-                return rc, den
+                return
             leave = -1
             for i, row in enumerate(rows):
                 a = row[enter]
@@ -268,18 +280,21 @@ class _Tableau:
             if leave == -1:
                 raise UnboundedError("objective unbounded below")
             self.pivot(leave, enter)
-            rc, den = self._eliminate(rc, den, leave, enter)
 
 
-def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list[int], list[int], int]:
-    """Build dense phase-1 rows [x | slacks | artificials | rhs] and their start basis.
+def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Build the dense phase-1 tableau rows and their start basis.
 
-    A ge row a.x >= b with b <= 0 is negated to -a.x + s = -b (its flip is
-    -1): x = 0 satisfies it, so its slack starts basic and it gets no
+    A row is [x | slacks | artificials | objective column | rhs].  A ge
+    row a.x >= b with b <= 0 is negated to -a.x + s = -b (its flip is -1):
+    x = 0 satisfies it, so its slack starts basic and it gets no
     artificial.  Every other row, an equality or a ge row with b > 0, gets an
     artificial column that starts basic; an equality with b < 0 is negated
-    so that the start basis is feasible.  Returns (rows, flips, basis,
-    art_cols, ncols).
+    so that the start basis is feasible.  The last row is phase 1's
+    objective, the sum of the artificials, reduced in the start basis: each
+    artificial costs 1 and holds a 1 in the one row basic in it, so the row
+    is the cost minus those rows, with den = 1.  Returns (rows, flips,
+    basis, ncols).
     """
     n = system.n
     rows_in = [(entries, rhs, False) for entries, rhs in system.eq]
@@ -287,6 +302,7 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list
     n_slack = len(system.ge)
     n_art = sum(1 for _, rhs, is_ge in rows_in if not (is_ge and rhs <= 0))
     ncols = n + n_slack + n_art
+    obj = [0] * (n + n_slack) + [1] * n_art + [1, 0]
     rows: list[list[int]] = []
     flips: list[int] = []
     basis: list[int] = []
@@ -295,7 +311,7 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list
         slack_basic = is_ge and rhs <= 0
         flip = -1 if rhs < 0 or slack_basic else 1
         flips.append(flip)
-        row = [0] * ncols + [flip * rhs]
+        row = [0] * (ncols + 1) + [flip * rhs]
         for j, c in entries:
             row[j] = flip * c
         if is_ge:
@@ -307,8 +323,9 @@ def _standardize(system: LinearSystem) -> tuple[list[list[int]], list[int], list
             row[art_at] = 1
             basis.append(art_at)
             art_at += 1
+            obj = [o - v for o, v in zip(obj, row)]
         rows.append(row)
-    return rows, flips, basis, list(range(n + n_slack, ncols)), ncols
+    return rows + [obj], flips, basis, ncols
 
 
 def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Fraction, ...]:
@@ -319,10 +336,8 @@ def _extract_point(system: LinearSystem, tab: _Tableau) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def _extract_farkas(
-    system: LinearSystem, rc: list[int], den: int, flips: list[int], start: list[int]
-) -> Farkas:
-    """The certificate in the optimal phase-1 reduced costs rc / den = c - yA.
+def _extract_farkas(system: LinearSystem, tab: _Tableau, flips: list[int], start: list[int]) -> Farkas:
+    """The certificate in the optimal phase-1 objective row, reduced costs rc / den = c - yA.
 
     Row i started basic in column start[i].  If that is its artificial, the
     row's multiplier is flip_i * (den - rc[artificial_i]); if it is the slack
@@ -332,6 +347,7 @@ def _extract_farkas(
     """
     n_eq = len(system.eq)
     first_art = system.n + len(system.ge)
+    *rc, den, _ = tab.rows[-1]
     y = [
         flip * (den - rc[b]) if b >= first_art else rc[b] for flip, b in zip(flips, start)
     ]
@@ -344,23 +360,12 @@ def _extract_farkas(
 
 
 def _phase1(system: LinearSystem) -> tuple[Optional[_Tableau], Optional[Farkas]]:
-    """Minimize the sum of the artificials from the start basis.
-
-    Each artificial column costs 1 and holds a 1 in the one row that starts
-    basic in it, and 0 in every other row, so the start reduced costs are
-    the cost minus the sum of those rows, with den = 1: the same integers
-    that clearing each artificial column in turn gives, in one pass.
-    """
-    rows, flips, start, art_cols, ncols = _standardize(system)
+    """Minimize the sum of the artificials from the start basis."""
+    rows, flips, start, ncols = _standardize(system)
     tab = _Tableau(rows, list(start), ncols)
-    cost = [0] * (ncols + 1)
-    for c in art_cols:
-        cost[c] = 1
-    art_rows = [row for row, b in zip(rows, start) if b >= system.n + len(system.ge)]
-    rc = [c - sum(col) for c, col in zip(cost, zip(*art_rows))] if art_rows else cost
-    rc, den = tab.minimize(rc, 1, banned=set())
-    if rc[-1] < 0:  # the least sum of artificials, -rc[-1] / den, is positive
-        return None, _extract_farkas(system, rc, den, flips, start)
+    tab.minimize(banned=set())
+    if tab.rows[-1][-1] < 0:  # the least sum of artificials, -rows[-1][-1] / den, is positive
+        return None, _extract_farkas(system, tab, flips, start)
     return tab, None  # artificials may stay basic, at level 0
 
 
@@ -370,24 +375,25 @@ def _solve(system: LinearSystem, costs: Iterable[list[int]]) -> tuple[Outcome, O
     The artificials are driven out of the basis before the first stage.
     After a stage every column with positive reduced cost is banned and the
     next stage continues from the same basis.  Returns (Farkas, None) or the
-    final point with the last stage's optimal value (0 with no stages).
+    final point with the last stage's optimal value (with no stages, phase
+    1's: 0).
     """
     tab, farkas = _phase1(system)
     if farkas is not None:
         return farkas, None
     ncols, first_art = tab.ncols, system.n + len(system.ge)
-    pad = [0] * (ncols - system.n)
     banned = set(range(first_art, ncols))  # the artificials built
-    rc, den = [0], 1
     for stage, cost in enumerate(costs):
         if not stage:
             tab.drive_out(first_art)
-        rc, den = tab.minimize(*tab.reduced_costs(cost + pad), banned=banned)
-        banned.update(j for j in range(ncols) if rc[j] > 0)
+        tab.set_cost(cost)
+        tab.minimize(banned=banned)
+        banned.update(j for j, v in enumerate(tab.rows[-1][:ncols]) if v > 0)
     point = _extract_point(system, tab)
     if not check_feasible(system, point):
         raise AssertionError("internal error: produced point fails its own audit")
-    return Feasible(point), Fraction(-rc[-1], den)
+    *_, den, neg_value = tab.rows[-1]
+    return Feasible(point), Fraction(-neg_value, den)
 
 
 def solve_feasibility(system: LinearSystem) -> Outcome:

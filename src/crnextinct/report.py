@@ -1,9 +1,13 @@
 """Analysis reports: exact JSON serialization and a human-readable summary.
 
 Rationals travel as {"num": "...", "den": "..."} strings so no precision is
-lost between tools.  A guaranteed-extinction report is self-contained: given
-the report and the network text alone, the certificate chain can be rebuilt
-and re-audited (see verify_report).  From version 4 the JSON report is one
+lost between tools.  str() and int() refuse an int of more digits than the
+interpreter's limit (4,300 by default) with ValueError; past it, the digits
+are written and read through Decimal, whose conversions are exact and have
+no such limit, and the limit itself is left as it is.  A
+guaranteed-extinction report is self-contained: given the report and the
+network text alone, the certificate chain can be rebuilt and re-audited
+(see verify_report).  From version 4 the JSON report is one
 compact line (no indentation), so the C encoder writes it; every version
 from 1 on is read by the same decoder.
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -71,9 +76,21 @@ REPORT_FORMAT = "crn-extinction-report"
 REPORT_VERSION = 10
 
 
+def rational_text(x: int | Fraction) -> str:
+    """str(x) of an int or Fraction, at any number of digits."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 def encode_rational(x: int | Fraction) -> dict[str, str]:
     """The exact encoding of an int or Fraction (both carry numerator/denominator)."""
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    try:
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+    except ValueError:
+        return {"num": str(Decimal(x.numerator)), "den": str(Decimal(x.denominator))}
 
 
 # The strings str(int) produces: no sign on zero, no leading zeros, spaces or "_".
@@ -83,7 +100,10 @@ _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 def _decode_int(text: Any) -> int:
     if not isinstance(text, str) or not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer string: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
 
 
 def decode_rational(obj: Any) -> Fraction:
@@ -192,6 +212,23 @@ def _config_obj(cfg: SearchConfig, net: ReactionNetwork) -> dict[str, Any]:
     return obj
 
 
+def _decode_config(net: ReactionNetwork, obj: Any) -> SearchConfig:
+    """The "search" block as a SearchConfig.
+
+    ValueError (or LookupError, TypeError) unless _config_obj writes the
+    block back exactly.
+    """
+    fields = _exact(obj, dict)
+    if "explicit_absorbing" in fields:
+        index = {name: i for i, name in enumerate(net.complex_names)}
+        names = _exact(fields["explicit_absorbing"], list)
+        fields = dict(fields, explicit_absorbing=[index[name] for name in names])
+    cfg = SearchConfig(**fields)
+    if _config_obj(cfg, net) != obj:
+        raise ValueError("the search block is not one that build_report writes")
+    return cfg
+
+
 def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> dict[str, Any]:
     report: dict[str, Any] = {
         "format": REPORT_FORMAT,
@@ -268,7 +305,9 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     Cross-checks the report's complex names against the network before
     trusting any index, then every other name against the index it names:
     the transient and absorbing sets, each domination edge's ends and label,
-    and each forest choice's complex and edge label.  Every list field must
+    and each forest choice's complex and edge label.  The "search" block must
+    decode to a SearchConfig that writes it back exactly, with the
+    certificate's nontriviality.  Every list field must
     be a JSON list, "absorbing_indices" strictly ascending, and each count of
     "statistics" a nonnegative JSON int.  A refutation covers the list
     "candidate_variables" from version 6 and the one "candidate_variable"
@@ -297,6 +336,8 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         _exact(k, int) for k in _exact(report["forest"]["interior_reactions"], list)
     )
     forest = ExteriorForest(choices=choices, interior=interior)
+    if _decode_config(net, report["search"]).nontriviality != report["nontriviality"]:
+        raise ValueError("the certificate's nontriviality is not the search's")
     version = _exact(report["version"], int)
     listed = version >= 6
     stale = "candidate_variable" if listed else "candidate_variables"
@@ -402,7 +443,7 @@ def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
     ]
     if pathway:
         lines.append("extinction pathway (true reactions of the forest): " + "; ".join(pathway))
-    witness = ", ".join(str(c) for c in cert.subconservation)
+    witness = ", ".join(map(rational_text, cert.subconservation))
     lines.append(f"subconservativity witness: c = ({witness})")
     lines.append(
         f"search: {s.candidates} candidate(s), {s.forests} forest(s), {s.balanced} balanced"

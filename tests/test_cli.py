@@ -460,6 +460,48 @@ def test_largest_cap_runs(capsys):
     assert "forest 1:" in out and "truncated" not in out
 
 
+def test_numbers_past_the_str_digit_limit(tmp_path, capsys):
+    # X1 -> 10**400 X2 -> ... -> 10**400 X13: the subconservativity witness has
+    # about 4,780 digits, more than str() converts at the interpreter's default
+    # limit, which stays as it is; every command writes the exact digits
+    text = "".join(f"X{i} -> {10**400} X{i + 1}\n" for i in range(1, 13))
+    path = tmp_path / "big.crn"
+    path.write_text(text)
+    out = tmp_path / "big.json"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before 3.10.7
+    assert main(["analyze", str(path)]) == 0
+    assert main(["analyze", str(path), "--json", str(out)]) == 0
+    assert main(["invariants", str(path)]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    stdout = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    digits = max(len(v["num"]) for v in report["subconservativity_witness"])
+    assert digits > 4300
+    assert "subconservative: True, witness c = ['" in stdout
+    assert verify_report(parse_crn(text).network, report)
+    shown = ", ".join(
+        v["num"] if v["den"] == "1" else f"{v['num']}/{v['den']}"
+        for v in report["subconservativity_witness"]
+    )
+    assert f"subconservativity witness: c = ({shown})\n" in stdout
+
+
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte order mark at the start of a file is dropped, for both kinds of input
+    bom = "\ufeff".encode("utf-8")
+    crn = tmp_path / "net.crn"
+    crn.write_bytes(bom + (FIXTURE_DIR / "example21.crn").read_bytes())
+    assert main(["analyze", fixture("example21")]) == 0
+    plain = capsys.readouterr().out
+    assert main(["analyze", str(crn)]) == 0
+    assert capsys.readouterr().out == plain
+    petri = tmp_path / "net.json"
+    assert main(["petri", "export", fixture("example21"), "--out", str(petri)]) == 0
+    petri.write_bytes(bom + petri.read_bytes())
+    assert main(["petri", "import", str(petri)]) == 0
+    assert capsys.readouterr().out == "X1 + X2 -> 2 X2\n2 X2 -> X1 + X2\nX2 -> X1\n"
+
+
 def _deep_json(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

@@ -162,7 +162,8 @@ def test_phase1_starts_from_the_slack_basis(monkeypatch):
         eq=(((1, 1), 0), ((1, -1), -2)),
         ge=(((1, 0), 1), ((0, 1), 0), ((-1, 1), -1)),
     )
-    _, flips, basis, art_cols, ncols = exactlp._standardize(mixed)
+    _, flips, basis, ncols = exactlp._standardize(mixed)
+    art_cols = [b for b in basis if b >= mixed.n + len(mixed.ge)]
     assert (art_cols, ncols) == ([5, 6, 7], 8)  # [x0 x1 | 3 slacks | 3 artificials]
     assert basis == [5, 6, 7, 3, 4] and flips == [1, -1, 1, -1, -1]
 
@@ -366,3 +367,43 @@ def test_sparse_audit_matches_dense_reference(system, data):
         point = [data.draw(st.lists(weight, min_size=system.n, max_size=system.n))]
     _corrupt(data, point)
     assert check_feasible(system, point[0]) == fraction_lp.dense_check_feasible(system, point[0])
+
+
+def _objective(tab):
+    """The package tableau's objective row over its entry in column ncols: (reduced costs, value)."""
+    *rc, den, neg_value = tab.rows[-1]
+    return [Fraction(v, den) for v in rc], Fraction(-neg_value, den)
+
+
+@settings(max_examples=200)
+@given(differential_systems(), st.data())
+def test_objective_row_is_the_fraction_reduced_costs(system, data):
+    # the objective row over its basic entry is the Fraction tableau's
+    # reduced-cost row, with minus the value in the rhs slot: after phase 1,
+    # and after one cost stage from the basis with the artificials driven out
+    rows, _, start, ncols = exactlp._standardize(system)
+    tab = exactlp._Tableau(rows, list(start), ncols)
+    tab.minimize(banned=set())
+    frows, _, fstart, art_cols, fncols = fraction_lp._standardize(system)
+    ftab = fraction_lp._Tableau(frows, list(fstart), fncols)
+    value, rc = ftab.minimize([Fraction(int(j in art_cols)) for j in range(fncols)], banned=set())
+    assert (ncols, tab.basis) == (fncols, ftab.basis)
+    assert _objective(tab) == (rc, value)
+    if value > 0:  # infeasible: no cost stage follows
+        return
+    first_art = system.n + len(system.ge)
+    tab.drive_out(first_art)
+    ftab, _ = fraction_lp._phase1(system)  # it drives the artificials out itself
+    cost = data.draw(st.lists(st.integers(-2, 4), min_size=system.n, max_size=system.n))
+    banned = set(range(first_art, ncols))
+    fcost = [Fraction(c) for c in cost] + [Fraction(0)] * (ncols - system.n)
+    tab.set_cost(cost)
+    try:
+        tab.minimize(banned=banned)
+    except UnboundedError:
+        with pytest.raises(UnboundedError):
+            ftab.minimize(fcost, banned=banned)
+        return
+    value, rc = ftab.minimize(fcost, banned=banned)
+    assert tab.basis == ftab.basis
+    assert _objective(tab) == (rc, value)

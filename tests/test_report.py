@@ -34,6 +34,7 @@ from crnextinct.report import (
     decode_rational,
     emit_report,
     encode_rational,
+    rational_text,
     render_text,
     report_certificate,
     support_refutation,
@@ -46,14 +47,23 @@ REPORT_DIR = Path(__file__).resolve().parent / "reports"
 
 
 def test_rational_encoding_round_trip(nets):
-    for value in (Fraction(0), Fraction(3, 7), Fraction(-12, 5), Fraction(10**30)):
+    # str() and int() refuse more than 4,300 digits by default; the encoding
+    # and the text view write such numbers exactly, and the decoder reads them
+    big = 10**5000 + 7
+    digits = "1" + "0" * 4999 + "7"
+    small = (Fraction(0), Fraction(3, 7), Fraction(-12, 5), Fraction(10**30))
+    for value in small + (Fraction(big), Fraction(-big, 3), Fraction(3, big)):
         assert decode_rational(encode_rational(value)) == value
+    assert [rational_text(v) for v in small] == [str(v) for v in small]
+    assert encode_rational(big) == {"num": digits, "den": "1"}
+    assert rational_text(Fraction(-big, 3)) == f"-{digits}/3"
     with pytest.raises(ValueError):
         decode_rational({"num": "1"})
     with pytest.raises(ValueError):
         decode_rational({"num": "1", "den": "0"})
-    # int() would read each of these as 1 (1.5 truncated, "1_0" as 10)
-    not_int_strings = (1.5, True, "1_0", " 1")
+    # int() would read the first four (1.5 truncated, "1_0" as 10); past the
+    # digit limit, too, only the form str() writes is read
+    not_int_strings = (1.5, True, "1_0", " 1", digits + "x", "0" + digits, "-" + "0" * 5000)
     for bad in not_int_strings:
         with pytest.raises(ValueError):
             decode_rational({"num": bad, "den": "1"})
@@ -703,6 +713,46 @@ def test_report_round_trip_under_search_options(nets, cfg, candidates):
         assert report["search"]["explicit_absorbing"] == report["absorbing_set"] == ["X1"]
     assert [w["candidate_variables"] for w in report["balance_refutations"]] == [candidates]
     assert verify_report(net, report)
+
+
+@pytest.mark.parametrize(
+    "pin, doctor",
+    [
+        ("envz-v10", lambda r: r.__setitem__("search", {"bogus": 1})),
+        ("envz-v10", lambda r: r.__setitem__("search", [])),
+        ("envz-v10", lambda r: r.__setitem__("search", None)),
+        ("envz-v10", lambda r: r.pop("search")),
+        ("envz-v10", lambda r: r["search"].__setitem__("forest_cap", -3)),
+        ("envz-v10", lambda r: r["search"].__setitem__("forest_cap", True)),
+        ("envz-v10", lambda r: r["search"].pop("forest_cap")),
+        ("envz-v10", lambda r: r["search"].__setitem__("dom_cap", 64)),
+        ("envz-v10", lambda r: r["search"].__setitem__("bogus", 1)),
+        ("envz-v10", lambda r: r["search"].__setitem__("nontriviality", "any-edge")),
+        ("chain6-any-v10", lambda r: r["search"].__setitem__("nontriviality", "true-reactions")),
+        (
+            "envz-v10",
+            lambda r: r["search"].update(absorbing_strategy="explicit", explicit_absorbing=["bogus"]),
+        ),
+        (
+            "envz-v10",
+            lambda r: r["search"].update(absorbing_strategy="explicit", explicit_absorbing=["X4", "X4"]),
+        ),
+        ("envz-v10", lambda r: r["search"].update(absorbing_strategy="explicit", explicit_absorbing="X4")),
+    ],
+    ids=[
+        "unknown-field", "list", "null", "missing", "negative-cap", "bool-cap", "cap-dropped",
+        "unused-cap", "extra-field", "other-reading", "other-reading-any", "unknown-complex",
+        "repeated-complex", "complex-not-a-list",
+    ],
+)
+def test_search_block_is_checked(nets, pin, doctor):
+    # the block decodes to a SearchConfig that build_report writes back
+    # exactly, and its nontriviality is the certificate's
+    net = _pin_network(nets, pin.rsplit("-", 1)[0])
+    report = json.loads((REPORT_DIR / f"{pin}.json").read_bytes())
+    assert verify_report(net, report)
+    doctor(report)
+    assert verify_report(net, report) is False
 
 
 @pytest.mark.parametrize(
