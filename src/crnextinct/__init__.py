@@ -31,7 +31,6 @@ from .forests import (
     decide_balance,
     decide_forests,
     enumerate_forests,
-    verify_balance_outcome,
 )
 from .graphs import (
     GraphEdge,

@@ -34,7 +34,7 @@ from .graphs import (
     terminal_slcs,
 )
 from .invariants import is_conservative, is_subconservative
-from .model import ReactionNetwork
+from .model import ReactionNetwork, parse_int, rational_text
 from .oracle import (
     StateCapExceeded,
     explore,
@@ -45,7 +45,7 @@ from .oracle import (
 )
 from .parser import ParseError, parse_complex, parse_crn, format_network
 from .petri import petri_export, petri_import
-from .report import emit_report, rational_text, render_text
+from .report import emit_report, render_text
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -145,6 +145,11 @@ def _search_config(net: ReactionNetwork, args: argparse.Namespace) -> SearchConf
     return SearchConfig(**kwargs)
 
 
+def _int_list(values) -> str:
+    """The ints as a list would print them, at any number of digits."""
+    return "[" + ", ".join(map(rational_text, values)) + "]"
+
+
 def _complex_set(net: ReactionNetwork, indices) -> str:
     """The complexes at the indices, ascending, as {a, b}."""
     return "{" + ", ".join(net.complex_names[i] for i in sorted(indices)) + "}"
@@ -231,7 +236,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     gamma = net.stoich
     print("stoichiometric matrix (rows = species):")
     for name, row in zip(net.species_names, gamma):
-        print(f"  {name}: {list(row)}")
+        print(f"  {name}: {_int_list(row)}")
     deciders = {"conservative": is_conservative, "subconservative": is_subconservative}
     for label, decide in deciders.items():
         outcome = decide(gamma)
@@ -268,7 +273,7 @@ def _cmd_forests(args: argparse.Namespace) -> int:
     decided = decide_forests(dcrn, forests, TRUE_REACTIONS, BalanceStore(net, witness))
     for idx, (forest, outcome) in enumerate(decided, start=1):
         if isinstance(outcome, Balanced):
-            status = f"balanced, alpha = {list(outcome.alpha)}"
+            status = f"balanced, alpha = {_int_list(outcome.alpha)}"
         else:
             covered = [edge_label(v, net.r) for cands, _ in outcome.witnesses for v in cands]
             status = f"unbalanced, refuted on candidates {{{', '.join(covered)}}}"
@@ -279,9 +284,12 @@ def _cmd_forests(args: argparse.Namespace) -> int:
 def _cmd_petri(args: argparse.Namespace) -> int:
     if args.direction == "export":
         net = _load_network(args.file)
-        text = json.dumps(petri_export(net), indent=2) + "\n"
+        try:
+            text = json.dumps(petri_export(net), indent=2) + "\n"
+        except ValueError:  # json writes an int with int.__repr__, which has a digit limit
+            raise InputError(f"{args.file}: a multiplicity has too many digits for JSON") from None
     else:
-        net = _read(args.file, lambda text: petri_import(json.loads(text)))
+        net = _read(args.file, lambda text: petri_import(json.loads(text, parse_int=parse_int)))
         text = format_network(net)
         kept = parse_crn(text).network.species_names  # by first use, unused ones dropped
         moved = [p for i, p in enumerate(net.species_names) if kept[i:i + 1] != [p]]

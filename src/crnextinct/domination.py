@@ -54,9 +54,10 @@ class DomCRN(NamedTuple):
     the domination edges, condensed at most once.  Construct through
     build_dom_crn, shrink_to_terminal or maximal_admissible; direct
     construction skips validation.  The tests use it to reproduce
-    deliberately inadmissible expansions, and engine._candidate_pairs to
-    pair a fixpoint's graph with another absorbing set of that graph, which
-    is sound because no kept edge touches the set.
+    deliberately inadmissible expansions.  engine._candidate_pairs uses it
+    for pairs admissible by construction: distinct expansion edges, none
+    touching a set that is absorbing on their graph (enumerated as one, or
+    tested by is_absorbing_set, as build_dom_crn tests it).
     """
 
     net: ReactionNetwork

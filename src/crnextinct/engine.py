@@ -28,6 +28,7 @@ from .domination import (
     AdmissibilityError,
     DomCRN,
     build_dom_crn,
+    dom_graph,
     expansion_edges,
     shrink_to_terminal,
 )
@@ -45,7 +46,7 @@ from .forests import (
     enumerate_forests,
     forest_is_valid,
 )
-from .graphs import GraphEdge, enumerate_absorbing_sets
+from .graphs import GraphEdge, enumerate_absorbing_sets, is_absorbing_set
 from .invariants import conservation_system, is_subconservative
 from .model import ReactionNetwork
 
@@ -139,13 +140,22 @@ Verdict = Union[GuaranteedExtinction, Inconclusive, NotApplicable]
 
 
 def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig, c: Sequence[int]) -> Iterator[DomCRN]:
-    """Validated (expansion, absorbing set) candidates in deterministic order.
+    """Admissible (expansion, absorbing set) candidates in deterministic order.
 
     Each seed (the full set first) shrinks to its fixpoint, whose absorbing
     sets come terminal set first; "explicit" tries its set on the raw seed.
     A seed that shrinks to an earlier seed's fixpoint is skipped before its
     absorbing sets are enumerated: the fixpoint's graph is fixed by its
     edges, so every pair it would yield is already in seen.
+
+    Every pair meets build_dom_crn's edge conditions by construction: the
+    kept edges are distinct expansion edges, none of them touches the set,
+    and the set lies in 0..n-1 (enumerated, or checked by analyze when
+    explicit).  So a pair is admissible exactly when its set is absorbing
+    on the expanded graph.  Enumeration makes it so when no edge was
+    dropped; otherwise is_absorbing_set, the test build_dom_crn applies,
+    decides it.  build_dom_crn itself checks certificates from outside, in
+    audit_extinction.
 
     `c` is the network's subconservativity witness scaled to integers
     (BalanceStore.slack), so c >= 1.  The potential c.y never rises along a
@@ -187,11 +197,8 @@ def _candidate_pairs(net: ReactionNetwork, cfg: SearchConfig, c: Sequence[int]) 
             seen.add((kept, aset))
             if fix is not None and kept == edges:
                 yield DomCRN(net, fix.graph, aset)  # absorbing by enumeration
-                continue
-            try:
-                yield build_dom_crn(net, kept, aset)
-            except AdmissibilityError:
-                continue
+            elif is_absorbing_set(graph := dom_graph(net, kept), aset):
+                yield DomCRN(net, graph, aset)
 
 
 def analyze(net: ReactionNetwork, cfg: SearchConfig = SearchConfig()) -> Verdict:
@@ -251,7 +258,8 @@ def audit_extinction(net: ReactionNetwork, verdict: GuaranteedExtinction) -> lis
 
     Returns (check name, passed) pairs for every link; a link whose premise
     failed reads False, so the first False names the broken link.  The
-    expansion and absorbing set are validated by build_dom_crn, as in the search.
+    expansion and absorbing set are validated by build_dom_crn, whose one
+    caller this is: the search builds only admissible pairs (_candidate_pairs).
     The forest is validated once, for its own link; the outcome is then checked
     by its balancing system's audit (BalancingSystem.audit).
     """

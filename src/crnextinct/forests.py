@@ -307,8 +307,9 @@ class BalancingSystem(NamedTuple):
         on the system of its set, in the support layout.  Anything else
         fails, so a malformed outcome is False, not an exception.  Every
         exact check of an outcome goes through here: decide_balance's and
-        subconservation_refutation's self-audits, verify_balance_outcome and
-        the engine's certificate audit.
+        subconservation_refutation's self-audits, and the engine's
+        certificate audit (engine.audit_extinction), the one caller that
+        also checks the forest (forest_is_valid).
         """
         if isinstance(outcome, Balanced):
             alpha = outcome.alpha
@@ -630,20 +631,3 @@ def decide_forests(
             if isinstance(outcome, Balanced):
                 store.add(dcrn, outcome.alpha)
         yield forest, outcome
-
-
-def verify_balance_outcome(
-    dcrn: DomCRN,
-    forest: ExteriorForest,
-    outcome: BalanceOutcome,
-    nontriviality: str = TRUE_REACTIONS,
-) -> bool:
-    """Audit a balance outcome by direct exact evaluation, independent of the solver.
-
-    The forest must be valid (forest_is_valid), and the outcome must hold for
-    its balancing system (BalancingSystem.audit).
-    """
-    if not forest_is_valid(dcrn, forest):
-        return False
-    return build_balancing_system(dcrn, forest, nontriviality).audit(outcome)
-

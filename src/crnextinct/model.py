@@ -5,12 +5,20 @@ between complexes (nonnegative integer combinations of species).
 The complex list is derived from the reactions in first-appearance order
 (source before target), which fixes a deterministic complex indexing used
 everywhere else in the package.
+
+Numbers meet text through rational_text and parse_int, at any number of
+digits.  str() and int() refuse an int of more decimal digits than the
+interpreter's limit (4,300 by default) with ValueError; past it, these two
+go through Decimal, whose conversions are exact and have no such limit, and
+the limit itself is left as it is.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 from operator import add, ge
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -252,11 +260,32 @@ def fire(net: ReactionNetwork, state: State, k: int) -> Optional[State]:
     return tuple(map(add, state, delta))
 
 
+def rational_text(x: int | Fraction) -> str:
+    """str(x) of an int or Fraction, at any number of digits."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def parse_int(text: str) -> int:
+    """int(text), at any number of digits.
+
+    `text` is an integer literal whose form the caller has checked (digits,
+    at most a leading minus), as a parser token or json.loads hands it over.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
+
+
 def format_complex(cpx: Complex, species_names: Sequence[str]) -> str:
     """Render a complex in the text format, e.g. 'X1 + 2 X2' or '0'."""
     terms = []
     for coeff, name in zip(cpx.coeffs, species_names):
         if coeff == 0:
             continue
-        terms.append(name if coeff == 1 else f"{coeff} {name}")
+        terms.append(name if coeff == 1 else f"{rational_text(coeff)} {name}")
     return " + ".join(terms) if terms else "0"

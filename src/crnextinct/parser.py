@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .model import Complex, ReactionNetwork, build_network, format_complex
+from .model import Complex, ReactionNetwork, build_network, format_complex, parse_int
 
 
 class ParseError(ValueError):
@@ -84,7 +84,7 @@ class _ComplexReader:
             kind, value, col = tokens[at]
             coeff = 1
             if kind == "int":
-                coeff = int(value)
+                coeff = parse_int(value)
                 if coeff <= 0:
                     raise ParseError(f"coefficient must be positive, got {value}", lineno, col)
                 at += 1

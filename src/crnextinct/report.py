@@ -1,13 +1,10 @@
 """Analysis reports: exact JSON serialization and a human-readable summary.
 
 Rationals travel as {"num": "...", "den": "..."} strings so no precision is
-lost between tools.  str() and int() refuse an int of more digits than the
-interpreter's limit (4,300 by default) with ValueError; past it, the digits
-are written and read through Decimal, whose conversions are exact and have
-no such limit, and the limit itself is left as it is.  A
-guaranteed-extinction report is self-contained: given the report and the
-network text alone, the certificate chain can be rebuilt and re-audited
-(see verify_report).  From version 4 the JSON report is one
+lost between tools, at any number of digits (model.rational_text and
+model.parse_int).  A guaranteed-extinction report is self-contained: given
+the report and the network text alone, the certificate chain can be rebuilt
+and re-audited (see verify_report).  From version 4 the JSON report is one
 compact line (no indentation), so the C encoder writes it; every version
 from 1 on is read by the same decoder.
 
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import json
 import re
-from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -43,7 +39,7 @@ from .engine import (
 from .exactlp import Farkas
 from .forests import ExteriorForest, Unbalanced, edge_label
 from .graphs import GraphEdge
-from .model import ReactionNetwork
+from .model import ReactionNetwork, parse_int, rational_text
 
 REPORT_FORMAT = "crn-extinction-report"
 # Version 2: statistics.truncated is set only when a candidate had forests
@@ -76,21 +72,12 @@ REPORT_FORMAT = "crn-extinction-report"
 REPORT_VERSION = 10
 
 
-def rational_text(x: int | Fraction) -> str:
-    """str(x) of an int or Fraction, at any number of digits."""
-    try:
-        return str(x)
-    except ValueError:
-        num = str(Decimal(x.numerator))
-        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
-
-
 def encode_rational(x: int | Fraction) -> dict[str, str]:
     """The exact encoding of an int or Fraction (both carry numerator/denominator)."""
-    try:
+    try:  # str inline, not rational_text: no helper call per number in the common case
         return {"num": str(x.numerator), "den": str(x.denominator)}
     except ValueError:
-        return {"num": str(Decimal(x.numerator)), "den": str(Decimal(x.denominator))}
+        return {"num": rational_text(x.numerator), "den": rational_text(x.denominator)}
 
 
 # The strings str(int) produces: no sign on zero, no leading zeros, spaces or "_".
@@ -100,10 +87,7 @@ _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 def _decode_int(text: Any) -> int:
     if not isinstance(text, str) or not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer string: {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        return int(Decimal(text))
+    return parse_int(text)
 
 
 def decode_rational(obj: Any) -> Fraction:
@@ -307,7 +291,8 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     the transient and absorbing sets, each domination edge's ends and label,
     and each forest choice's complex and edge label.  The "search" block must
     decode to a SearchConfig that writes it back exactly, with the
-    certificate's nontriviality.  Every list field must
+    certificate's nontriviality and, when it names an explicit absorbing
+    set, the certificate's absorbing set.  Every list field must
     be a JSON list, "absorbing_indices" strictly ascending, and each count of
     "statistics" a nonnegative JSON int.  A refutation covers the list
     "candidate_variables" from version 6 and the one "candidate_variable"
@@ -336,8 +321,11 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
         _exact(k, int) for k in _exact(report["forest"]["interior_reactions"], list)
     )
     forest = ExteriorForest(choices=choices, interior=interior)
-    if _decode_config(net, report["search"]).nontriviality != report["nontriviality"]:
+    search = _decode_config(net, report["search"])
+    if search.nontriviality != report["nontriviality"]:
         raise ValueError("the certificate's nontriviality is not the search's")
+    if search.explicit_absorbing not in (None, absorbing):  # the one set it tried
+        raise ValueError("the certificate's absorbing set is not the explicit search's")
     version = _exact(report["version"], int)
     listed = version >= 6
     stale = "candidate_variable" if listed else "candidate_variables"

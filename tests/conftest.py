@@ -17,11 +17,11 @@ from crnextinct.forests import (
     enumerate_forests,
     subconservation_refutation,
     subconservation_slack,
-    verify_balance_outcome,
 )
 from crnextinct.invariants import is_subconservative
 from crnextinct.model import ReactionNetwork, build_network
 from crnextinct.parser import parse_crn
+from forests_reference import verify_balance_outcome
 
 settings.register_profile(
     "suite", max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]

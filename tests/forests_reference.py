@@ -9,7 +9,9 @@ absorbing set; both must give the same answer on every forest.
 `support_layout_balance` is `decide_balance` as it was before it solved in
 forest coordinates: one phase 1 on the support-layout system itself, with a
 flow row and a slack per exterior complex.  Both must decide every forest
-alike, Balanced or Unbalanced.
+alike, Balanced or Unbalanced.  `verify_balance_outcome` is the audit's
+last two links on one forest, as the package exported it: the forest must
+be valid and the outcome must hold for its balancing system.
 """
 
 from typing import Iterator
@@ -17,11 +19,14 @@ from typing import Iterator
 from crnextinct.domination import DomCRN
 from crnextinct.exactlp import Farkas, scale_to_integers, solve_feasibility
 from crnextinct.forests import (
+    TRUE_REACTIONS,
     BalanceOutcome,
     Balanced,
     BalancingSystem,
     ExteriorForest,
     Unbalanced,
+    build_balancing_system,
+    forest_is_valid,
     interior_reactions,
 )
 
@@ -100,3 +105,19 @@ def support_layout_balance(system: BalancingSystem) -> BalanceOutcome:
     for v, a in zip(system.support, scale_to_integers(found.witness)[0]):
         alpha[v] = a
     return Balanced(alpha=tuple(alpha))
+
+
+def verify_balance_outcome(
+    dcrn: DomCRN,
+    forest: ExteriorForest,
+    outcome: BalanceOutcome,
+    nontriviality: str = TRUE_REACTIONS,
+) -> bool:
+    """Audit a balance outcome by direct exact evaluation, independent of the solver.
+
+    The forest must be valid (forest_is_valid), and the outcome must hold for
+    its balancing system (BalancingSystem.audit).
+    """
+    if not forest_is_valid(dcrn, forest):
+        return False
+    return build_balancing_system(dcrn, forest, nontriviality).audit(outcome)

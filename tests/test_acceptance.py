@@ -42,7 +42,6 @@ from crnextinct.forests import (
     build_balancing_system,
     decide_balance,
     enumerate_forests,
-    verify_balance_outcome,
 )
 from crnextinct.graphs import (
     GraphEdge,
@@ -65,6 +64,7 @@ from crnextinct.petri import petri_export, petri_import
 
 from cone_reference import nonneg_kernel_generators, p_invariants, t_invariants
 from fraction_lp import dense_system
+from forests_reference import verify_balance_outcome
 from conftest import (
     FIXTURE_DIR,
     FIXTURE_NAMES,

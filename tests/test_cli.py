@@ -486,6 +486,37 @@ def test_numbers_past_the_str_digit_limit(tmp_path, capsys):
     assert f"subconservativity witness: c = ({shown})\n" in stdout
 
 
+def test_coefficients_past_the_str_digit_limit(tmp_path, capsys):
+    # a 5,000-digit coefficient in network text and in a Petri multiplicity:
+    # every command reads it and prints its digits, but petri export, whose
+    # JSON numbers go through int.__repr__, refuses it in one plain line
+    nines = "9" * 5000
+    text = f"X -> {nines} Y\n"
+    crn, report, petri = tmp_path / "big.crn", tmp_path / "big.json", tmp_path / "petri.json"
+    crn.write_text(text)
+    petri.write_text(
+        '{"places": ["X", "Y"], "transitions": [{"input": {"X": 1}, "output": {"Y": %s}}]}' % nines
+    )
+    runs = [
+        (["analyze", str(crn), "--json", str(report)], 0),
+        (["structure", str(crn)], 0),
+        (["invariants", str(crn)], 0),
+        (["forests", str(crn)], 0),
+        (["oracle", str(crn), "--init", "X=1", "--check-extinction", "X"], 0),
+        (["petri", "import", str(petri)], 0),
+        (["petri", "export", str(crn)], 2),
+    ]
+    for argv, code in runs:
+        assert main(argv) == code, argv
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and "set_int_max_str_digits" not in out + err, argv
+        if code == 0:
+            assert nines in out and err == "", argv
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    assert verify_report(parse_crn(text).network, json.loads(report.read_text()))
+
+
 def test_inputs_may_start_with_a_byte_order_mark(tmp_path, capsys):
     # a UTF-8 byte order mark at the start of a file is dropped, for both kinds of input
     bom = "\ufeff".encode("utf-8")

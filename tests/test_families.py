@@ -12,7 +12,7 @@ reference enumeration gives.
 import json
 from collections import Counter
 from dataclasses import replace
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -45,12 +45,11 @@ from crnextinct.forests import (
     decide_forests,
     enumerate_forests,
     subconservation_slack,
-    verify_balance_outcome,
 )
 from crnextinct.invariants import is_subconservative
 from crnextinct.parser import parse_crn
 from crnextinct.report import emit_report, render_text, support_refutation, verify_report
-from forests_reference import recursive_forests
+from forests_reference import recursive_forests, verify_balance_outcome
 from search_reference import analyze_per_forest, candidate_pairs
 from fraction_lp import dense_system
 
@@ -316,6 +315,25 @@ def test_a_search_pass_runs_at_most_31_balance_lps(workloads, monkeypatch):
     assert calls["absorbing"] <= 31
 
 
+def test_a_search_pass_builds_no_candidate_through_build_dom_crn(workloads, monkeypatch):
+    # seed 1's search inputs: the search tests each pair's absorbing set
+    # directly, and build_dom_crn checks only certificates from outside (it
+    # was called 13 times in this pass when the search ran its pairs through
+    # it, 12 of them raising AdmissibilityError)
+    calls = []
+    build = engine.build_dom_crn
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(engine, "build_dom_crn", counted)
+    cfg = workloads.search_config(engine, "search")
+    for _, text, _ in workloads.network_texts("search", 1, FIXTURE_DIR):
+        engine.analyze(parse_crn(text).network, cfg)
+    assert calls == []
+
+
 @pytest.mark.parametrize("workload, most", [("certify", 19), ("search", 21)])
 def test_a_first_pass_condenses_each_network_graph_once(workloads, condense_calls, workload, most):
     # seed 1's inputs, parsed afresh so that no network graph is condensed
@@ -343,15 +361,41 @@ def family_networks(workloads):
     return [net for _, net in _fixtures_and_families(workloads) if _witness(net) is not None]
 
 
+def _explicit_configs(net):
+    """A search given each set of one or two complexes, under domination caps 1 and 8."""
+    return [
+        engine.SearchConfig(
+            dom_strategy="all-subsets",
+            dom_cap=cap,
+            absorbing_strategy="explicit",
+            explicit_absorbing=frozenset(aset),
+        )
+        for size in (1, 2)
+        for aset in combinations(range(net.n), size)
+        for cap in (1, 8)
+    ]
+
+
 def test_candidate_pairs_match_reference(workloads, family_networks):
+    # the default search, the bench's widened one, a wider one, and every
+    # explicit set of one or two complexes; the reference sends each pair
+    # that enumeration did not make absorbing through build_dom_crn
     configs = [workloads.search_config(engine, w) for w in ("certify", "search")]
+    configs.append(
+        engine.SearchConfig(
+            dom_strategy="all-subsets", dom_cap=16, absorbing_strategy="enumerate", absorbing_cap=16
+        )
+    )
+    explicit_pairs = 0
     for net in family_networks:
-        for cfg in configs:
+        for cfg in configs + _explicit_configs(net):
             want = list(candidate_pairs(net, cfg))
             got = _analyzed_pairs(net, cfg)
             assert got == want
             for dcrn, fresh in zip(got, want):
                 assert dcrn.graph.condensation == fresh.graph.condensation
+            explicit_pairs += len(got) if cfg.explicit_absorbing else 0
+    assert explicit_pairs > 0
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -28,7 +28,6 @@ from crnextinct.forests import (
     forest_is_valid,
     subconservation_refutation,
     subconservation_slack,
-    verify_balance_outcome,
 )
 from crnextinct.graphs import GraphEdge
 from crnextinct.parser import parse_crn
@@ -43,7 +42,11 @@ from conftest import (
     strict_subconservation,
     subprocess_env,
 )
-from forests_reference import path_walk_forest_is_valid, recursive_forests
+from forests_reference import (
+    path_walk_forest_is_valid,
+    recursive_forests,
+    verify_balance_outcome,
+)
 from search_reference import candidate_pairs
 from fraction_lp import dense_system
 

@@ -357,7 +357,7 @@ def test_forests_of_maximal_expansion_are_valid(net):
     for forest in islice(enumerate_forests(dcrn), 64):
         assert forest_is_valid(dcrn, forest)
         outcome = decide_balance(build_balancing_system(dcrn, forest))
-        from crnextinct.forests import verify_balance_outcome
+        from forests_reference import verify_balance_outcome
 
         assert verify_balance_outcome(dcrn, forest, outcome)
 

@@ -22,7 +22,6 @@ from crnextinct.forests import (
     build_balancing_system,
     decide_balance,
     enumerate_forests,
-    verify_balance_outcome,
 )
 from crnextinct.invariants import conservation_system, is_subconservative
 from crnextinct.oracle import find_recurrent_witness
@@ -30,6 +29,7 @@ from crnextinct.parser import parse_crn
 from crnextinct.report import (
     REPORT_FORMAT,
     REPORT_VERSION,
+    _decode_config,
     build_report,
     decode_rational,
     emit_report,
@@ -42,6 +42,7 @@ from crnextinct.report import (
 )
 
 from conftest import FIXTURE_NAMES, load_fixture, reversible_chain_text
+from forests_reference import verify_balance_outcome
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
 
@@ -245,9 +246,10 @@ def _pin_network(nets, name):
     """A pin's network: a fixture, or the network text stored beside the pins.
 
     A pin named "<network>-any" is that network's report under the any-edge
-    reading.
+    reading, and "<network>-explicit" its report of a search given one
+    absorbing set; the report's "search" block names it.
     """
-    name = name.removesuffix("-any")
+    name = name.removesuffix("-any").removesuffix("-explicit")
     if name in nets:
         return nets[name]
     return parse_crn((REPORT_DIR / f"{name}.crn").read_text(encoding="utf-8")).network
@@ -415,7 +417,7 @@ def test_refutation_widths_follow_the_version(nets, name):
 @pytest.mark.parametrize("version", range(2, REPORT_VERSION + 1))
 def test_every_version_has_pins_that_verify(nets, version):
     # every report version from 2 on has a pin, every pin verifies, and the
-    # newest version's pins are today's bytes, each under its own reading
+    # newest version's pins are today's bytes, each under its own search block
     pins = sorted(REPORT_DIR.glob(f"*-v{version}.json"))
     assert pins, f"no pinned report of version {version}"
     for path in pins:
@@ -425,8 +427,8 @@ def test_every_version_has_pins_that_verify(nets, version):
         report = json.loads(pinned)
         assert report["version"] == version, path.name
         assert verify_report(net, report), path.name
-        cfg = SearchConfig(nontriviality=report["nontriviality"])
         if version == REPORT_VERSION:
+            cfg = _decode_config(net, report["search"])
             assert emit_report(net, analyze(net, cfg), cfg) == pinned, path.name
     named = {int(p.stem.rsplit("-v", 1)[1]) for p in REPORT_DIR.glob("*.json")}
     assert named == set(range(2, REPORT_VERSION + 1))
@@ -738,16 +740,18 @@ def test_report_round_trip_under_search_options(nets, cfg, candidates):
             lambda r: r["search"].update(absorbing_strategy="explicit", explicit_absorbing=["X4", "X4"]),
         ),
         ("envz-v10", lambda r: r["search"].update(absorbing_strategy="explicit", explicit_absorbing="X4")),
+        ("envz-explicit-v10", lambda r: r["search"].__setitem__("explicit_absorbing", ["X1"])),
     ],
     ids=[
         "unknown-field", "list", "null", "missing", "negative-cap", "bool-cap", "cap-dropped",
         "unused-cap", "extra-field", "other-reading", "other-reading-any", "unknown-complex",
-        "repeated-complex", "complex-not-a-list",
+        "repeated-complex", "complex-not-a-list", "other-explicit-set",
     ],
 )
 def test_search_block_is_checked(nets, pin, doctor):
     # the block decodes to a SearchConfig that build_report writes back
-    # exactly, and its nontriviality is the certificate's
+    # exactly, its nontriviality is the certificate's, and an explicit
+    # absorbing set (the one set that search tried) is the certificate's
     net = _pin_network(nets, pin.rsplit("-", 1)[0])
     report = json.loads((REPORT_DIR / f"{pin}.json").read_bytes())
     assert verify_report(net, report)
