@@ -183,7 +183,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.budget < 0:
         raise InputError("--budget must be >= 0")
     state_cap = _positive_int(args.state_cap, "--state-cap")
-    targets = _complex_list(net, args.check_extinction) if args.check_extinction else None
+    targets = _complex_list(net, args.check_extinction) if args.check_extinction is not None else None
     graph = explore(net, root, hard_cap=state_cap)
     flags = recurrent_states(graph)
     print(f"root: {root}")

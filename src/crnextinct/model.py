@@ -10,7 +10,10 @@ Numbers meet text through rational_text and parse_int, at any number of
 digits.  str() and int() refuse an int of more decimal digits than the
 interpreter's limit (4,300 by default) with ValueError; past it, these two
 go through Decimal, whose conversions are exact and have no such limit, and
-the limit itself is left as it is.
+the limit itself is left as it is.  Decimal's conversions are quadratic in
+the digits: parse_int took 0.10, 0.39 and 1.52 s on 50,000, 100,000 and
+200,000 digits (Python 3.11.7), where int() with the limit lifted took
+0.01, 0.06 and 0.25 s.  No network or report at hand comes near that size.
 """
 
 from __future__ import annotations

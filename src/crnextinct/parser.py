@@ -148,13 +148,12 @@ def parse_complex(text: str, net: ReactionNetwork) -> Complex:
     reader = _ComplexReader()
     reader.species = list(net.species_names)
     reader.index = {name: i for i, name in enumerate(reader.species)}
-    known = set(reader.index)
     coeffs, at = reader.read(tokens, 0, 1)
     if at != len(tokens):
         raise ParseError(f"unexpected trailing input {tokens[at][1]!r}", 1, tokens[at][2])
-    new = [name for name in reader.species if name not in known]
-    if new:
-        raise ParseError(f"unknown species {new[0]!r}", 1, 1)
+    for kind, name, col in tokens:
+        if kind == "ident" and reader.index[name] >= net.m:  # read as a new species
+            raise ParseError(f"unknown species {name!r}", 1, col)
     return Complex(tuple(coeffs.get(i, 0) for i in range(net.m)))
 
 

@@ -17,6 +17,13 @@ refutation is over the forest's support; the decoder checks the entries that
 versions 1-6 add for the edges off the support and drops them, so every
 version goes through the same audit.  Versions 8 to 10 changed only which
 witness and multipliers a report carries, so versions 7 to 10 decode alike.
+
+Each record of a report is stated once.  "statistics" is SearchStats's
+fields in order, and a refutation's "farkas" is Farkas's fields under the
+JSON keys _FARKAS_KEYS, so both are written and read from their types.
+The "search" block, each domination edge and each forest choice come from one
+writer (_config_obj, _edge_obj, _choice_obj), which the decoder re-runs to
+check what it read.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, get_type_hints
 
 from .engine import (
     ExtinctionCertificate,
@@ -54,9 +61,9 @@ REPORT_FORMAT = "crn-extinction-report"
 # "candidate_variables"; the per-candidate "candidate_variable",
 # "candidate_reaction" and "label" fields are gone.
 # Version 7: the balance LP is over the forest's support, so a refutation has
-# one "eq" entry per species and one "nonneg" entry per support edge
-# (ascending); versions 1-6 add one "eq" entry per off-support edge, ahead of
-# the species, and one "nonneg" entry per edge.  Fields as in version 6.
+# one eq entry per species and one nonneg entry per support edge
+# (ascending); versions 1-6 add one eq entry per off-support edge, ahead of
+# the species, and one nonneg entry per edge.  Fields as in version 6.
 # Version 8: a strictly subconservative network's subconservativity witness is
 # its strict vector c, and its forest's refutation is the one c gives (c on
 # the kernel rows, 1 on the candidate row); other witnesses are phase-1
@@ -70,6 +77,11 @@ REPORT_FORMAT = "crn-extinction-report"
 # gives, also under the any-edge reading and in networks that are not
 # strictly subconservative.  Fields as in version 7.
 REPORT_VERSION = 10
+
+# The JSON keys of a refutation's Farkas fields, in field order.
+_FARKAS_KEYS = ("eq", "ge", "nonneg")
+# Each SearchStats field and its type: "statistics" holds them in this order.
+_STATS_TYPES = get_type_hints(SearchStats)
 
 
 def encode_rational(x: int | Fraction) -> dict[str, str]:
@@ -106,9 +118,9 @@ def _exact(value: Any, kind: type) -> Any:
     return value
 
 
-def _count(value: Any) -> int:
-    """A nonnegative JSON int, as build_report writes each count."""
-    if _exact(value, int) < 0:
+def _stat(value: Any, kind: type) -> Any:
+    """A "statistics" field of the type SearchStats declares, exactly; a count is nonnegative."""
+    if _exact(value, kind) < 0:
         raise ValueError(f"negative count: {value!r}")
     return value
 
@@ -159,25 +171,11 @@ def _decode_choice_edge(obj: Any, r: int, d: int) -> int:
 
 
 def _farkas_obj(cert: Farkas) -> dict[str, Any]:
-    return {
-        "eq": _rational_vector(cert.eq_mult),
-        "ge": _rational_vector(cert.ge_mult),
-        "nonneg": _rational_vector(cert.nonneg_mult),
-    }
+    return {key: _rational_vector(mults) for key, mults in zip(_FARKAS_KEYS, cert)}
 
 
 def _decode_farkas(obj: Any) -> Farkas:
-    return Farkas(_rationals(obj["eq"]), _rationals(obj["ge"]), _rationals(obj["nonneg"]))
-
-
-def _stats_obj(stats: SearchStats) -> dict[str, Any]:
-    return {
-        "candidates": stats.candidates,
-        "forests": stats.forests,
-        "balanced": stats.balanced,
-        "truncated": stats.truncated,
-        "vacuous_skipped": stats.vacuous_skipped,
-    }
+    return Farkas(*(_rationals(obj[key]) for key in _FARKAS_KEYS))
 
 
 def _config_obj(cfg: SearchConfig, net: ReactionNetwork) -> dict[str, Any]:
@@ -229,7 +227,7 @@ def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> d
     if isinstance(verdict, Inconclusive):
         report["verdict"] = "inconclusive"
         report["subconservativity_witness"] = _rational_vector(verdict.subconservation)
-        report["statistics"] = _stats_obj(verdict.stats)
+        report["statistics"] = verdict.stats._asdict()
         return report
     cert = verdict.certificate
     report["verdict"] = "guaranteed-extinction"
@@ -247,7 +245,7 @@ def build_report(net: ReactionNetwork, verdict: Verdict, cfg: SearchConfig) -> d
         for cands, farkas in cert.outcome.witnesses
     ]
     report["subconservativity_witness"] = _rational_vector(cert.subconservation)
-    report["statistics"] = _stats_obj(verdict.stats)
+    report["statistics"] = verdict.stats._asdict()
     return report
 
 
@@ -293,8 +291,9 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     decode to a SearchConfig that writes it back exactly, with the
     certificate's nontriviality and, when it names an explicit absorbing
     set, the certificate's absorbing set.  Every list field must
-    be a JSON list, "absorbing_indices" strictly ascending, and each count of
-    "statistics" a nonnegative JSON int.  A refutation covers the list
+    be a JSON list, "absorbing_indices" strictly ascending, and each field of
+    "statistics" of the JSON type that SearchStats declares for it, each
+    count nonnegative; extra keys are ignored.  A refutation covers the list
     "candidate_variables" from version 6 and the one "candidate_variable"
     before; each key is rejected at the other versions.  A refutation of
     versions 1-6 is moved to the support layout of version 7 by
@@ -349,13 +348,7 @@ def report_certificate(net: ReactionNetwork, report: dict[str, Any]) -> Guarante
     )
     transient = frozenset(range(net.n)) - absorbing
     counts = report["statistics"]
-    stats = SearchStats(
-        _count(counts["candidates"]),
-        _count(counts["forests"]),
-        _count(counts["balanced"]),
-        _exact(counts["truncated"], bool),
-        _count(counts["vacuous_skipped"]),
-    )
+    stats = SearchStats(*(_stat(counts[key], kind) for key, kind in _STATS_TYPES.items()))
     named = (
         report["transient_complexes"] == _complex_names(net, transient)
         and report["absorbing_set"] == _complex_names(net, absorbing)
@@ -397,18 +390,15 @@ def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
             "nonincreasing under every reaction (exact certificate in the JSON report)"
         )
         return "\n".join(lines) + "\n"
+    s = verdict.stats
+    search = f"search: {s.candidates} candidate(s), {s.forests} forest(s), {s.balanced} balanced"
     if isinstance(verdict, Inconclusive):
-        s = verdict.stats
         lines.append("verdict: inconclusive")
-        lines.append(
-            f"search: {s.candidates} candidate(s), {s.forests} forest(s), "
-            f"{s.balanced} balanced"
-        )
+        lines.append(search)
         if s.truncated:
             lines.append("warning: forest enumeration truncated; verdict limited to the searched portion")
         return "\n".join(lines) + "\n"
     cert = verdict.certificate
-    s = verdict.stats
     lines.append("verdict: guaranteed extinction event")
     lines.append("transient complexes: " + ", ".join(_complex_names(net, verdict.transient)))
     lines.append("absorbing set: " + ", ".join(_complex_names(net, cert.absorbing)))
@@ -433,9 +423,7 @@ def render_text(net: ReactionNetwork, verdict: Verdict) -> str:
         lines.append("extinction pathway (true reactions of the forest): " + "; ".join(pathway))
     witness = ", ".join(map(rational_text, cert.subconservation))
     lines.append(f"subconservativity witness: c = ({witness})")
-    lines.append(
-        f"search: {s.candidates} candidate(s), {s.forests} forest(s), {s.balanced} balanced"
-    )
+    lines.append(search)
     return "\n".join(lines) + "\n"
 
 

@@ -125,6 +125,21 @@ def test_complex_the_network_lacks_is_named_plainly(tmp_path, capsys):
         assert captured.err == "error: complex '2 A' does not occur in the network\n"
 
 
+def test_an_empty_complex_list_is_an_error_for_both_flags(capsys):
+    # "" lists no complex, as " , " does: an error, never a flag left unset
+    for args in (
+        ["analyze", fixture("intro"), "--absorbing", "set:"],
+        *(
+            ["oracle", fixture("intro"), "--init", "X1=1", "--check-extinction", text]
+            for text in ("", " , ")
+        ),
+    ):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty complex list\n"
+
+
 def test_oracle_confirms_extinction(capsys):
     code = main(
         [

@@ -93,3 +93,7 @@ def test_parse_complex(nets):
     assert format_complex(cpx, net.species_names) == "2 X2"
     with pytest.raises(ParseError, match="unknown species"):
         parse_complex("X7", net)
+    # the column of the token that first names a species the network lacks
+    with pytest.raises(ParseError, match="column 6: unknown species 'X7'") as exc:
+        parse_complex("X1 + X7 + X8", net)
+    assert (exc.value.line, exc.value.col) == (1, 6)

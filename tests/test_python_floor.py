@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crnextinct"
 PYPROJECT = ROOT / "pyproject.toml"
+SMOKE = ROOT / "tools" / "smoke.py"
 
 
 def _floor() -> tuple[int, int]:
@@ -29,3 +32,15 @@ def test_the_floor_check_refuses_newer_syntax():
     ast.parse(newer)
     with pytest.raises(SyntaxError):
         ast.parse(newer, feature_version=_floor())
+
+
+def test_the_stdlib_smoke_run_passes():
+    # tools/smoke.py is what an interpreter without pytest runs; it needs no PYTHONPATH
+    done = subprocess.run(
+        [sys.executable, str(SMOKE)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(list((ROOT / "fixtures").glob("*.crn"))) + 1
+    assert lines.count("envz: GuaranteedExtinction, report verifies") == 1
+    assert lines[-1].startswith("oracle: ")
