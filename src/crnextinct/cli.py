@@ -43,7 +43,7 @@ from .oracle import (
     recurrent_complexes,
     recurrent_states,
 )
-from .parser import ParseError, parse_complex, parse_crn, format_network
+from .parser import INTEGER, ParseError, parse_complex, parse_crn, format_network
 from .petri import petri_export, petri_import
 from .report import emit_report, render_text
 
@@ -112,13 +112,10 @@ def _parse_init(net: ReactionNetwork, text: str) -> tuple[int, ...]:
             raise InputError(f"unknown species {name!r} in --init")
         if name in counts:
             raise InputError(f"species {name!r} given twice in --init")
-        try:
-            count = int(value)
-        except ValueError:
-            raise InputError(f"bad count for {name!r} in --init") from None
-        if count < 0:
-            raise InputError(f"negative count for {name!r} in --init")
-        counts[name] = count
+        value = value.strip()
+        if not INTEGER.fullmatch(value):  # a count reads like a network coefficient
+            raise InputError(f"bad count for {name!r} in --init")
+        counts[name] = parse_int(value)
     return tuple(counts.get(name, 0) for name in names)
 
 
@@ -148,6 +145,12 @@ def _search_config(net: ReactionNetwork, args: argparse.Namespace) -> SearchConf
 def _int_list(values) -> str:
     """The ints as a list would print them, at any number of digits."""
     return "[" + ", ".join(map(rational_text, values)) + "]"
+
+
+def _int_tuple(values) -> str:
+    """The ints as a tuple would print them, at any number of digits."""
+    text = ", ".join(map(rational_text, values))
+    return f"({text},)" if len(values) == 1 else f"({text})"
 
 
 def _complex_set(net: ReactionNetwork, indices) -> str:
@@ -186,7 +189,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     targets = _complex_list(net, args.check_extinction) if args.check_extinction is not None else None
     graph = explore(net, root, hard_cap=state_cap)
     flags = recurrent_states(graph)
-    print(f"root: {root}")
+    print(f"root: {_int_tuple(root)}")
     print(f"reachable states: {len(graph.states)}")
     print(f"recurrent states: {sum(flags)}")
     alive = recurrent_complexes(net, graph)

@@ -120,8 +120,9 @@ def condense(
 ) -> list[tuple[list[int], list[int]]]:
     """Discover what the roots reach beyond `index` and condense it, in one iterative Tarjan search.
 
-    `expand(key)` lists a vertex's successor keys, called once per new vertex
-    as soon as it is met.  That vertex gets the next id, len(keys), so every
+    `expand(key)` iterates a vertex's successor keys (a list or a generator),
+    called once per new vertex as soon as it is met and consumed as the
+    search goes.  That vertex gets the next id, len(keys), so every
     one but a root is discovered along an edge from a smaller id.  Its key
     goes to `index` and `keys`, its component id to `comp`; a vertex already
     in `index` must have its component.  A new vertex that would make the

@@ -8,12 +8,15 @@ everywhere else in the package.
 
 Numbers meet text through rational_text and parse_int, at any number of
 digits.  str() and int() refuse an int of more decimal digits than the
-interpreter's limit (4,300 by default) with ValueError; past it, these two
-go through Decimal, whose conversions are exact and have no such limit, and
-the limit itself is left as it is.  Decimal's conversions are quadratic in
-the digits: parse_int took 0.10, 0.39 and 1.52 s on 50,000, 100,000 and
-200,000 digits (Python 3.11.7), where int() with the limit lifted took
-0.01, 0.06 and 0.25 s.  No network or report at hand comes near that size.
+interpreter's limit (4,300 by default) with ValueError, and the limit itself
+is left as it is.  Past it, parse_int reads the digits by divide and
+conquer, in pieces of at most 640 digits joined as hi * 10**k + lo: 0.05 s
+on 200,000 digits (Python 3.11.7), where the Decimal route it replaced took
+1.5 s.  rational_text goes through Decimal, whose conversion is exact, has
+no limit and is quadratic in the digits (0.7-0.8 s on 200,000); a
+divide-and-conquer divmod took 0.39 s there but stays quadratic, as
+CPython's long division is.  No network or report at hand comes near that
+size.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from operator import add, ge
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import groupby
+from operator import add, ge, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import GraphEdge, ReactionGraph
 
@@ -125,35 +129,37 @@ class ReactionNetwork:
         )
 
     @cached_property
-    def next_states(self) -> Callable[[State], list[State]]:
+    def next_states(self) -> Callable[[State], Iterator[State]]:
         """The successors of a state, one per reaction it fires, in reaction order.
 
-        One function compiled with exec from `firing` on first use, as
+        A generator function compiled with exec from `firing` on first use, as
         dataclasses and namedtuple compile their methods: it unpacks the state
-        into locals x0, x1, ..., tests each need on them and appends each
+        into locals x0, x1, ..., tests each need on them and yields each
         successor as a tuple literal (a zero-vector reaction gives the state
-        again).  Only int indices and counts enter the source, never a
-        species name; counts are written in hex, which has no digit limit.
-        Compiling costs O(m * r): about 1 ms for EnvZ (9 x 14), 50 ms for
-        chain 1,500.  Whole tuple literals (not a copied list with the
-        changed entries set) are the fastest per state, and the oracle only
-        affords networks whose compile is small.  `fire` is the reference.
+        again).  A run of consecutive reactions with one need shares one test.
+        Only int indices and counts enter the source, never a species name;
+        counts are written in hex, which has no digit limit.  Compiling costs
+        O(m * r): about 1 ms for EnvZ (9 x 14), 50 ms for chain 1,500.  Whole
+        tuple literals (not a copied list with the changed entries set) are
+        the fastest per state, and the oracle only affords networks whose
+        compile is small.  `fire` is the reference.
         """
         xs = [f"x{i}" for i in range(self.m)]
         lines = [
             "def next_states(state):",
             f"    ({''.join(x + ', ' for x in xs)}) = state",
-            "    out = []",
-            "    append = out.append",
         ]
-        for need, delta in self.firing:
+        for need, run in groupby(self.firing, itemgetter(0)):
             test = " and ".join(f"x{i} >= {c:#x}" for i, c in need) or "True"
-            succ = "".join(
-                f"{x} + {d:#x}, " if d > 0 else f"{x} - {-d:#x}, " if d else f"{x}, "
-                for x, d in zip(xs, delta)
-            )
-            lines.append(f"    if {test}:\n        append(({succ}))")
-        lines.append("    return out")
+            lines.append(f"    if {test}:")
+            for _, delta in run:
+                succ = "".join(
+                    f"{x} + {d:#x}, " if d > 0 else f"{x} - {-d:#x}, " if d else f"{x}, "
+                    for x, d in zip(xs, delta)
+                )
+                lines.append(f"        yield ({succ})")
+        if not self.firing:
+            lines.append("    yield from ()")  # no reaction: still a generator, of nothing
         namespace: dict = {}
         exec("\n".join(lines), {"__builtins__": {}}, namespace)
         return namespace["next_states"]
@@ -277,11 +283,26 @@ def parse_int(text: str) -> int:
 
     `text` is an integer literal whose form the caller has checked (digits,
     at most a leading minus), as a parser token or json.loads hands it over.
+    Past the digit limit the digits are read in halves, down to pieces that
+    int() takes at any limit, and joined as hi * 10**k + lo.
     """
     try:
         return int(text)
     except ValueError:
-        return int(Decimal(text))
+        digits = text.lstrip("-")
+        value = _digits_value(digits)
+        return -value if len(digits) < len(text) else value
+
+
+def _digits_value(digits: str) -> int:
+    """The value of a string of decimal digits, in pieces of at most 640 digits.
+
+    640 is the smallest nonzero digit limit the interpreter allows.
+    """
+    if len(digits) <= 640:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_value(digits[:-k]) * 10**k + _digits_value(digits[-k:])
 
 
 def format_complex(cpx: Complex, species_names: Sequence[str]) -> str:

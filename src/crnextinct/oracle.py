@@ -11,7 +11,7 @@ enter, or, for a terminal one, from the complexes its states charge.
 Every recurrence and extinction answer is read off those labels, so no
 successor list is stored; StateGraph.edges fires the stored states again.
 The search counts the hard cap itself, so the network's successor kernel
-(ReactionNetwork.next_states, one function compiled once per network from
+(ReactionNetwork.next_states, one generator compiled once per network from
 its firing table, at O(m * r) cost, about 1 ms for EnvZ) is its expansion
 callback as it stands; terminal components' charged complexes are found from
 ReactionNetwork.needs.  The public `fire` reads the firing table per reaction
@@ -23,7 +23,7 @@ graph root by root, so each reachable state is expanded once however many
 roots reach it; one hard cap bounds the shared graph.  The sweep only reads
 its listed complexes' bits, so its terminal components test only their
 needs (StateGraph.labelled).  Its roots come from states_with_total, which
-builds each root from a prefix and a 2-tuple suffix out of a per-call table.
+builds each root from a prefix and a 3-tuple suffix out of a per-call table.
 """
 
 from __future__ import annotations
@@ -207,13 +207,14 @@ def states_with_total(m: int, total: int) -> Iterable[State]:
     """All length-m nonnegative integer vectors with the given coordinate sum, in lexicographic order.
 
     Lazy, and empty for a negative total or length.  Stars and bars: cuts
-    c1 <= ... <= c(m-2) in 0..total give the first m - 2 coordinates
-    (c1, c2 - c1, ..., c(m-2) - c(m-3)) once per prefix, and cuts in
+    c1 <= ... <= c(m-3) in 0..total give the first m - 3 coordinates
+    (c1, c2 - c1, ..., c(m-3) - c(m-4)) once per prefix, and cuts in
     lexicographic order give prefixes in lexicographic order.  Each prefix
-    leaves r = total - c(m-2) to the last two coordinates, which come as the
-    pairs (a, r - a), a = 0..r, from a table built once per call and indexed
-    by r, so a vector costs one tuple concatenation.  The table holds
-    O(total ** 2) pairs, never more than the vectors it yields.
+    leaves r = total - c(m-3) to the last three coordinates, which come as
+    the triples (a, b, r - a - b) in lexicographic order, from a table built
+    once per call and indexed by r, so a vector costs one tuple
+    concatenation.  The table holds C(total + 3, 3) triples, never more than
+    the vectors it yields.
     """
     if total < 0 or m < 0:
         return  # no vector has a negative count or length
@@ -225,11 +226,19 @@ def states_with_total(m: int, total: int) -> Iterable[State]:
         for a in range(total + 1):
             yield a, total - a
         return
-    pairs = [[(a, r - a) for a in range(r + 1)] for r in range(total + 1)]
-    for cuts in combinations_with_replacement(range(total + 1), m - 2):
+    if m == 3:
+        for a in range(total + 1):
+            for b in range(total - a + 1):
+                yield a, b, total - a - b
+        return
+    triples = [
+        [(a, b, r - a - b) for a in range(r + 1) for b in range(r - a + 1)]
+        for r in range(total + 1)
+    ]
+    for cuts in combinations_with_replacement(range(total + 1), m - 3):
         prefix = tuple(map(sub, cuts, (0,) + cuts))  # map stops with cuts
-        for pair in pairs[total - cuts[-1]]:
-            yield prefix + pair
+        for triple in triples[total - cuts[-1]]:
+            yield prefix + triple
 
 
 def guaranteed_extinction_on(

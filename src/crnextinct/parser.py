@@ -30,8 +30,9 @@ class ParseError(ValueError):
 
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a species name
+INTEGER = re.compile(r"\d+")  # a coefficient, read with model.parse_int
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<int>\d+)|(?P<ident>{IDENTIFIER.pattern})|(?P<arrow><->|->)|(?P<plus>\+)|(?P<bad>\S))"
+    rf"\s*(?:(?P<int>{INTEGER.pattern})|(?P<ident>{IDENTIFIER.pattern})|(?P<arrow><->|->)|(?P<plus>\+)|(?P<bad>\S))"
 )
 
 

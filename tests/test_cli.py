@@ -167,6 +167,28 @@ def test_oracle_bad_init(capsys):
         assert "given twice" in capsys.readouterr().err
 
 
+def test_oracle_init_counts_read_like_coefficients(tmp_path, capsys):
+    # a count is the parser's integer token, whitespace aside: no underscore, no sign
+    for init in ("X1=1_0", "X1=+3", "X1=-1", "X1=", "X1=2.0"):
+        assert main(["oracle", fixture("intro"), "--init", init]) == 2, init
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bad count for 'X1' in --init\n", init
+    assert main(["oracle", fixture("intro"), "--init", " X1 = 3 ,X2=0"]) == 0
+    assert capsys.readouterr().out.startswith("root: (3, 0)\n")
+    # a count past the interpreter's digit limit is read; intro then passes the cap
+    nines = "9" * 5000
+    args = ["oracle", fixture("intro"), "--init", f"X1={nines}", "--state-cap", "50"]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "cap 50" in err
+    # where nothing fires, the root is printed with all its digits
+    path = tmp_path / "idle.crn"
+    path.write_text("A + B -> 0\n")
+    assert main(["oracle", str(path), "--init", f"A={nines}"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"root: ({nines}, 0)\nreachable states: 1\n") and err == ""
+
+
 def test_oracle_bad_target_prints_nothing(capsys):
     # the targets are checked before the root is explored or reported
     args = ["oracle", fixture("intro"), "--init", "X1=1", "--check-extinction", "X9"]

@@ -1,3 +1,5 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
@@ -11,6 +13,7 @@ from crnextinct.model import (
     fire,
     format_complex,
     is_charged,
+    parse_int,
 )
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -108,6 +111,16 @@ def test_fire_iff_charged(nets):
 def test_format_complex():
     assert format_complex(Complex((0, 0)), ["A", "B"]) == "0"
     assert format_complex(Complex((1, 2)), ["A", "B"]) == "A + 2 B"
+
+
+def test_parse_int_past_the_digit_limit():
+    # past 4,300 digits int() refuses the text and parse_int joins pieces of
+    # at most 640 digits; Decimal's exact conversion is the reference
+    rng = random.Random(3)
+    for n in (4301, 5000, 12_801):
+        digits = "".join(rng.choice("0123456789") for _ in range(n))
+        for text in (digits, "-" + digits, "000" + digits, "-0" + digits, "9" * n):
+            assert parse_int(text) == int(Decimal(text)), (n, text[:5])
 
 
 def _tables(cls) -> list[str]:

@@ -317,7 +317,7 @@ def test_next_states_matches_fire_random(net, data):
     assert net.next_states is net.next_states
     for _ in range(5):
         state = data.draw(st.tuples(*[st.integers(0, 4)] * net.m))
-        assert net.next_states(state) == _fired(net, state)
+        assert list(net.next_states(state)) == _fired(net, state)
 
 
 def test_next_states_matches_fire_edge_cases():
@@ -336,12 +336,32 @@ def test_next_states_matches_fire_edge_cases():
     ]
     for net, states in cases:
         for state in states:
-            assert net.next_states(state) == _fired(net, state), (net, state)
+            assert list(net.next_states(state)) == _fired(net, state), (net, state)
     net, _ = cases[2]
-    assert net.next_states((1, 1)) == [(1, 1), (2, 1)]
-    assert net.next_states((0, 0)) == [(1, 0)]
+    assert list(net.next_states((1, 1))) == [(1, 1), (2, 1)]
+    assert list(net.next_states((0, 0))) == [(1, 0)]
     net, _ = cases[3]
-    assert net.next_states((big + 1, 0)) == [(0, 2 * big)]
+    assert list(net.next_states((big + 1, 0))) == [(0, 2 * big)]
+
+
+def test_next_states_is_lazy_and_keeps_reaction_order():
+    # A -> B and A -> C share one need, B -> A breaks the run, A -> 0 repeats
+    # the first need: the successors still come in reaction order
+    net = build_network(["A", "B", "C"], [
+        ((1, 0, 0), (0, 1, 0)),
+        ((1, 0, 0), (0, 0, 1)),
+        ((0, 1, 0), (1, 0, 0)),
+        ((1, 0, 0), (0, 0, 0)),
+    ])
+    assert inspect.isgenerator(net.next_states((1, 1, 0)))
+    assert list(net.next_states((1, 1, 0))) == [(0, 2, 0), (0, 1, 1), (2, 0, 0), (0, 1, 0)]
+    for total in range(4):
+        for state in states_with_total(net.m, total):
+            assert list(net.next_states(state)) == _fired(net, state), state
+    # a network without reactions has a kernel that yields nothing
+    bare = build_network(["A"], [])
+    assert inspect.isgenerator(bare.next_states((3,)))
+    assert list(bare.next_states((3,))) == []
 
 
 def test_next_states_built_once_and_not_at_parse():
@@ -350,7 +370,7 @@ def test_next_states_built_once_and_not_at_parse():
     assert "next_states" not in vars(build_network(["A"], [((1,), (0,))]))
     kernel = net.next_states
     assert net.next_states is kernel
-    assert kernel((1, 1)) == [(0, 2), (2, 0)]
+    assert list(kernel((1, 1))) == [(0, 2), (2, 0)]
 
 
 def test_next_states_ignores_species_names():
@@ -363,7 +383,7 @@ def test_next_states_ignores_species_names():
     ])
     for total in range(4):
         for state in states_with_total(net.m, total):
-            assert net.next_states(state) == _fired(net, state)
+            assert list(net.next_states(state)) == _fired(net, state)
     g = explore(net, (2, 1, 1, 1))
     assert len(g.states) > 1
     _check_successors(net, g)
@@ -536,10 +556,13 @@ def test_states_with_total():
     # the exact sequence: every vector of the total, in lexicographic order;
     # a negative total has none, in every dimension
     assert list(states_with_total(-1, 0)) == []
-    for m in range(7):
-        for total in range(-1, 8):
-            want = sorted(s for s in product(range(max(total, 0) + 1), repeat=m) if sum(s) == total)
-            assert list(states_with_total(m, total)) == want, (m, total)
+    # up to m = 6 and total 7, and the bench's sweeps: EnvZ (m = 9) to total 3,
+    # example100 (m = 4) at total 10
+    shapes = [(m, total) for m in range(7) for total in range(-1, 8)]
+    shapes += [(9, total) for total in range(4)] + [(4, 10)]
+    for m, total in shapes:
+        want = sorted(s for s in product(range(max(total, 0) + 1), repeat=m) if sum(s) == total)
+        assert list(states_with_total(m, total)) == want, (m, total)
 
 
 def test_slc_recurrence_report_example23(nets):
