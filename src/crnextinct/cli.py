@@ -120,17 +120,17 @@ def _parse_init(net: ReactionNetwork, text: str) -> tuple[int, ...]:
 
 
 def _search_config(net: ReactionNetwork, args: argparse.Namespace) -> SearchConfig:
-    kwargs: dict = {"forest_cap": _positive_int(args.forest_cap, "--forest-cap")}
+    kwargs: dict = {"forest_cap": _count(args.forest_cap, "--forest-cap")}
     dom = args.dom  # "maximal" and "terminal" are the defaults
     if dom.startswith("all:"):
         kwargs["dom_strategy"] = "all-subsets"
-        kwargs["dom_cap"] = _positive_int(dom[4:], "--dom all:N")
+        kwargs["dom_cap"] = _count(dom[4:], "--dom all:N")
     elif dom != "maximal":
         raise InputError("--dom expects 'maximal' or 'all:N'")
     absorbing = args.absorbing
     if absorbing.startswith("enumerate:"):
         kwargs["absorbing_strategy"] = "enumerate"
-        kwargs["absorbing_cap"] = _positive_int(absorbing[10:], "--absorbing enumerate:N")
+        kwargs["absorbing_cap"] = _count(absorbing[10:], "--absorbing enumerate:N")
     elif absorbing.startswith("set:"):
         kwargs["absorbing_strategy"] = "explicit"
         kwargs["explicit_absorbing"] = _complex_list(net, absorbing[4:])
@@ -158,13 +158,16 @@ def _complex_set(net: ReactionNetwork, indices) -> str:
     return "{" + ", ".join(net.complex_names[i] for i in sorted(indices)) + "}"
 
 
-def _positive_int(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise InputError(f"{what} needs an integer") from None
-    if value < 1:
-        raise InputError(f"{what} must be >= 1")
+def _count(text: str, what: str, least: int = 1) -> int:
+    """A flag's count in least..sys.maxsize, written as the text format writes a coefficient.
+
+    At most one leading '-' is read too, so that a negative count is out of range.
+    """
+    if not INTEGER.fullmatch(text.removeprefix("-")):
+        raise InputError(f"{what} needs an integer")
+    value = parse_int(text)
+    if value < least:
+        raise InputError(f"{what} must be >= {least}")
     if value > sys.maxsize:
         raise InputError(f"{what} must be <= {sys.maxsize}")
     return value
@@ -183,9 +186,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
     root = _parse_init(net, args.init)
-    if args.budget < 0:
-        raise InputError("--budget must be >= 0")
-    state_cap = _positive_int(args.state_cap, "--state-cap")
+    budget = _count(args.budget, "--budget", least=0)
+    state_cap = _count(args.state_cap, "--state-cap")
     targets = _complex_list(net, args.check_extinction) if args.check_extinction is not None else None
     graph = explore(net, root, hard_cap=state_cap)
     flags = recurrent_states(graph)
@@ -200,17 +202,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         local = extinction_on(net, graph, targets)
         print(f"extinction event on listed complexes from root: {local}")
         swept = guaranteed_extinction_on(
-            net, targets, budget=args.budget, hard_cap=state_cap
+            net, targets, budget=budget, hard_cap=state_cap
         )
         print(
-            f"extinction from every initial state with total <= {args.budget}: {swept}"
+            f"extinction from every initial state with total <= {budget}: {swept}"
         )
     return EXIT_OK
 
 
 def _cmd_structure(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
-    cap = _positive_int(args.cap, "--cap")
+    cap = _count(args.cap, "--cap")
     names = net.complex_names
     g = net.graph
 
@@ -252,7 +254,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_forests(args: argparse.Namespace) -> int:
     net = _load_network(args.file)
-    cap = _positive_int(args.forest_cap, "--forest-cap")
+    cap = _count(args.forest_cap, "--forest-cap")
     names = net.complex_names
     dcrn = maximal_admissible(net)
     print("maximal admissible domination expansion:")
@@ -317,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--dom", default="maximal", help="maximal | all:N")
     p.add_argument("--absorbing", default="terminal", help="terminal | enumerate:N | set:'c1,c2'")
-    p.add_argument("--forest-cap", type=int, default=10000)
+    p.add_argument("--forest-cap", default="10000")
     p.add_argument("--nontriviality", choices=["true-reactions", "any"], default="true-reactions")
     p.add_argument("--json", help="write the JSON report to this path")
     p.set_defaults(func=_cmd_analyze)
@@ -327,14 +329,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help='e.g. "X1=2,X2=0"')
     p.add_argument(
         "--budget",
-        type=int,
-        default=6,
+        default="6",
         help="--check-extinction sweeps every initial state whose counts total at most this",
     )
     p.add_argument(
         "--state-cap",
-        type=int,
-        default=200000,
+        default="200000",
         help="most states to store: in the root's closure, and in the one closure "
         "shared by all roots of the --check-extinction sweep (exit 3 beyond it)",
     )
@@ -343,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", help="complexes, linkage classes, absorbing sets")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", default="64")
     p.set_defaults(func=_cmd_structure)
 
     p = sub.add_parser("invariants", help="stoichiometric matrix and conservation verdicts")
@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forests", help="exterior forests of the maximal admissible expansion")
     p.add_argument("file")
-    p.add_argument("--forest-cap", type=int, default=64)
+    p.add_argument("--forest-cap", default="64")
     p.set_defaults(func=_cmd_forests)
 
     p = sub.add_parser("petri", help="Petri-net JSON import/export")

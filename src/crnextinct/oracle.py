@@ -212,32 +212,26 @@ def states_with_total(m: int, total: int) -> Iterable[State]:
     lexicographic order give prefixes in lexicographic order.  Each prefix
     leaves r = total - c(m-3) to the last three coordinates, which come as
     the triples (a, b, r - a - b) in lexicographic order, from a table built
-    once per call and indexed by r, so a vector costs one tuple
-    concatenation.  The table holds C(total + 3, 3) triples, never more than
-    the vectors it yields.
+    once per call and indexed by the last cut, so a vector costs one tuple
+    concatenation.  For m <= 3 there is no cut: the one prefix is () and
+    r = total, and for m < 3 the table holds the triples whose first 3 - m
+    coordinates are 0, with those dropped.  The table holds only the rows
+    and triples the call reads, never more than the vectors it yields.
     """
-    if total < 0 or m < 0:
-        return  # no vector has a negative count or length
-    if m < 2:
-        if m == 1 or total == 0:
-            yield (total,) * m  # (total,), or () for m = 0
-        return
-    if m == 2:
-        for a in range(total + 1):
-            yield a, total - a
-        return
-    if m == 3:
-        for a in range(total + 1):
-            for b in range(total - a + 1):
-                yield a, b, total - a - b
-        return
+    if total < 0 or m < 0 or (m == 0 and total > 0):
+        return  # no vector has a negative count or length, and () sums to 0
+    top = total if m > 3 else 0  # the largest last cut; there is no cut for m <= 3
     triples = [
-        [(a, b, r - a - b) for a in range(r + 1) for b in range(r - a + 1)]
-        for r in range(total + 1)
+        [(a, b, r - a - b) for a in range(r + 1 if m > 2 else 1)
+         for b in range(r - a + 1 if m > 1 else 1)]
+        for r in range(total, total - top - 1, -1)
     ]
-    for cuts in combinations_with_replacement(range(total + 1), m - 3):
-        prefix = tuple(map(sub, cuts, (0,) + cuts))  # map stops with cuts
-        for triple in triples[total - cuts[-1]]:
+    if m < 3:  # built with a = 0, and b = 0 for m < 2: drop those
+        triples = [[t[3 - m:] for t in triples[0]]]
+    for cuts in combinations_with_replacement(range(top + 1), max(m - 3, 0)):
+        bounds = (0,) + cuts
+        prefix = tuple(map(sub, cuts, bounds))  # map stops with cuts
+        for triple in triples[bounds[-1]]:
             yield prefix + triple
 
 

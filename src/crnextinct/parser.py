@@ -9,7 +9,8 @@ Grammar (one reaction per line, '#' starts a comment, blank lines ignored):
 
 A "<->" line expands to two reactions, forward then reverse, in textual
 order.  Species are indexed by first appearance.  An explicit coefficient
-must be a positive integer; a bare identifier means coefficient 1.
+must be a positive integer, written in ASCII digits (no sign, underscore
+or other decimal digit); a bare identifier means coefficient 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class ParseError(ValueError):
 
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a species name
-INTEGER = re.compile(r"\d+")  # a coefficient, read with model.parse_int
+INTEGER = re.compile(r"[0-9]+")  # a coefficient, ASCII digits only, read with model.parse_int
 _TOKEN = re.compile(
     rf"\s*(?:(?P<int>{INTEGER.pattern})|(?P<ident>{IDENTIFIER.pattern})|(?P<arrow><->|->)|(?P<plus>\+)|(?P<bad>\S))"
 )
@@ -59,48 +60,40 @@ def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _ComplexReader:
-    """Parses complex expressions, assigning species indices by first appearance."""
+def _read_complex(
+    tokens: list[tuple[str, str, int]], at: int, lineno: int, species: dict[str, int]
+) -> tuple[dict[int, int], int]:
+    """Read one complex starting at token `at`; returns (coeff map, next index).
 
-    def __init__(self) -> None:
-        self.species: list[str] = []
-        self.index: dict[str, int] = {}
-
-    def _species_index(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.species)
-            self.species.append(name)
-        return self.index[name]
-
-    def read(self, tokens: list[tuple[str, str, int]], at: int, lineno: int) -> tuple[dict[int, int], int]:
-        """Read one complex starting at token `at`; returns (coeff map, next index)."""
-        coeffs: dict[int, int] = {}
-        if at < len(tokens) and tokens[at][0] == "int" and tokens[at][1] == "0":
-            # the zero complex, unless a species name follows ("0 X1" is invalid anyway)
-            if at + 1 >= len(tokens) or tokens[at + 1][0] not in ("ident",):
-                return coeffs, at + 1
-        while True:
-            if at >= len(tokens):
-                raise ParseError("expected a complex term", lineno, tokens[-1][2] if tokens else 1)
-            kind, value, col = tokens[at]
-            coeff = 1
-            if kind == "int":
-                coeff = parse_int(value)
-                if coeff <= 0:
-                    raise ParseError(f"coefficient must be positive, got {value}", lineno, col)
-                at += 1
-                if at >= len(tokens) or tokens[at][0] != "ident":
-                    raise ParseError("expected species name after coefficient", lineno, col)
-                kind, value, col = tokens[at]
-            if kind != "ident":
-                raise ParseError(f"expected species name, got {value!r}", lineno, col)
-            idx = self._species_index(value)
-            coeffs[idx] = coeffs.get(idx, 0) + coeff
+    `species` maps each name to its index; a new name gets the next one.
+    """
+    coeffs: dict[int, int] = {}
+    if at < len(tokens) and tokens[at][0] == "int" and tokens[at][1] == "0":
+        # the zero complex, unless a species name follows ("0 X1" is invalid anyway)
+        if at + 1 >= len(tokens) or tokens[at + 1][0] not in ("ident",):
+            return coeffs, at + 1
+    while True:
+        if at >= len(tokens):
+            raise ParseError("expected a complex term", lineno, tokens[-1][2] if tokens else 1)
+        kind, value, col = tokens[at]
+        coeff = 1
+        if kind == "int":
+            coeff = parse_int(value)
+            if coeff <= 0:
+                raise ParseError(f"coefficient must be positive, got {value}", lineno, col)
             at += 1
-            if at < len(tokens) and tokens[at][0] == "plus":
-                at += 1
-                continue
-            return coeffs, at
+            if at >= len(tokens) or tokens[at][0] != "ident":
+                raise ParseError("expected species name after coefficient", lineno, col)
+            kind, value, col = tokens[at]
+        if kind != "ident":
+            raise ParseError(f"expected species name, got {value!r}", lineno, col)
+        idx = species.setdefault(value, len(species))
+        coeffs[idx] = coeffs.get(idx, 0) + coeff
+        at += 1
+        if at < len(tokens) and tokens[at][0] == "plus":
+            at += 1
+            continue
+        return coeffs, at
 
 
 def parse_crn(text: str) -> CrnDocument:
@@ -108,25 +101,25 @@ def parse_crn(text: str) -> CrnDocument:
 
     Raises ParseError (with line/column) on malformed input.
     """
-    reader = _ComplexReader()
+    species: dict[str, int] = {}  # by first appearance
     raw: list[tuple[dict[int, int], dict[int, int], bool]] = []
     for lineno, line_text in enumerate(text.splitlines(), start=1):
         body = line_text.split("#", 1)[0]
         if not body.strip():
             continue
         tokens = _tokenize(body, lineno)
-        src, at = reader.read(tokens, 0, lineno)
+        src, at = _read_complex(tokens, 0, lineno, species)
         if at >= len(tokens) or tokens[at][0] != "arrow":
             col = tokens[at][2] if at < len(tokens) else (tokens[-1][2] if tokens else 1)
             raise ParseError("expected '->' or '<->'", lineno, col)
         reversible = tokens[at][1] == "<->"
         at += 1
-        tgt, at = reader.read(tokens, at, lineno)
+        tgt, at = _read_complex(tokens, at, lineno, species)
         if at != len(tokens):
             raise ParseError(f"unexpected trailing input {tokens[at][1]!r}", lineno, tokens[at][2])
         raw.append((src, tgt, reversible))
 
-    m = len(reader.species)
+    m = len(species)
 
     def vec(coeffs: dict[int, int]) -> tuple[int, ...]:
         return tuple(coeffs.get(i, 0) for i in range(m))
@@ -136,7 +129,7 @@ def parse_crn(text: str) -> CrnDocument:
         reactions.append((vec(src), vec(tgt)))
         if reversible:
             reactions.append((vec(tgt), vec(src)))
-    network = build_network(reader.species, reactions)
+    network = build_network(list(species), reactions)
     return CrnDocument(network=network)
 
 
@@ -146,14 +139,12 @@ def parse_complex(text: str, net: ReactionNetwork) -> Complex:
     Unknown species names are rejected rather than added.
     """
     tokens = _tokenize(text, 1)
-    reader = _ComplexReader()
-    reader.species = list(net.species_names)
-    reader.index = {name: i for i, name in enumerate(reader.species)}
-    coeffs, at = reader.read(tokens, 0, 1)
+    species = {name: i for i, name in enumerate(net.species_names)}
+    coeffs, at = _read_complex(tokens, 0, 1, species)
     if at != len(tokens):
         raise ParseError(f"unexpected trailing input {tokens[at][1]!r}", 1, tokens[at][2])
     for kind, name, col in tokens:
-        if kind == "ident" and reader.index[name] >= net.m:  # read as a new species
+        if kind == "ident" and species[name] >= net.m:  # read as a new species
             raise ParseError(f"unknown species {name!r}", 1, col)
     return Complex(tuple(coeffs.get(i, 0) for i in range(net.m)))
 

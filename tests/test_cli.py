@@ -169,7 +169,8 @@ def test_oracle_bad_init(capsys):
 
 def test_oracle_init_counts_read_like_coefficients(tmp_path, capsys):
     # a count is the parser's integer token, whitespace aside: no underscore, no sign
-    for init in ("X1=1_0", "X1=+3", "X1=-1", "X1=", "X1=2.0"):
+    # and ASCII digits only (\u0663 is ARABIC-INDIC DIGIT THREE)
+    for init in ("X1=1_0", "X1=+3", "X1=-1", "X1=", "X1=2.0", "X1=\u0663"):
         assert main(["oracle", fixture("intro"), "--init", init]) == 2, init
         out, err = capsys.readouterr()
         assert out == "" and err == "error: bad count for 'X1' in --init\n", init
@@ -323,6 +324,16 @@ def test_forests_output(capsys):
     assert "forest 1" not in out and "unbalanced" not in out
 
 
+def test_forests_says_where_the_cap_truncated(capsys):
+    # example21 has three forests; a cap of 1 decides the first and says so
+    assert main(["forests", fixture("example21"), "--forest-cap", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "(enumeration truncated at 1)",
+        "forest 1: edges {1, D2, 3}: balanced, alpha = [1, 0, 1, 0, 1]",
+    ]
+
+
 def test_forests_prints_a_reused_alpha(tmp_path, capsys, monkeypatch):
     # every forest keeps the first forest's positive choices {1, 2, 3, D1},
     # so one balance LP decides all seven and each prints its alpha
@@ -451,6 +462,10 @@ def test_analyze_bad_strategy_values(capsys):
     assert main(["analyze", fixture("example21"), "--dom", "some"]) == 2
     assert main(["analyze", fixture("example21"), "--absorbing", "enumerate:0"]) == 2
     capsys.readouterr()
+    assert main(["analyze", fixture("example21"), "--absorbing", "foo"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: --absorbing expects 'terminal', 'enumerate:N', or 'set:...'\n"
 
 
 @pytest.mark.parametrize(
@@ -467,6 +482,24 @@ def test_analyze_bad_strategy_values(capsys):
 def test_out_of_range_caps_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fixture("example21"), "--forest-cap", "1_0"],
+        ["analyze", fixture("example21"), "--dom", "all:+3"],
+        ["analyze", fixture("example21"), "--absorbing", "enumerate:\u0663"],
+        ["oracle", fixture("intro"), "--init", "X1=1", "--budget", "1_0"],
+        ["oracle", fixture("intro"), "--init", "X1=1", "--state-cap", " 50"],
+        ["structure", fixture("example21"), "--cap", "1_0"],
+    ],
+)
+def test_counts_read_like_coefficients(argv, capsys):
+    # int() takes these spellings; a count is the text format's integer token
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "needs an integer" in captured.err and not captured.out
 
 
 HUGE = "99999999999999999999"  # above sys.maxsize

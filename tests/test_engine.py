@@ -198,6 +198,23 @@ def test_audit_reads_an_out_of_range_edge_as_false(nets):
     ]
 
 
+def test_audit_reads_an_absorbing_index_past_the_complexes_as_false(nets):
+    # build_dom_crn rejects the set; the audit reports it and raises nothing
+    net = nets["envz"]
+    verdict = analyze(net)
+    cert = verdict.certificate
+    absorbing = cert.absorbing | {net.n}
+    checks = audit_extinction(net, verdict._replace(certificate=cert._replace(absorbing=absorbing)))
+    assert checks == [
+        ("subconservativity-witness", True),
+        ("domination-edges", True),
+        ("absorbing-set", False),
+        ("transient-set", True),
+        ("forest", False),
+        ("unbalanced-certificates", False),
+    ]
+
+
 MALFORMED_OUTCOMES = {
     "alpha-none": lambda cands: Balanced(None),
     "alpha-int": lambda cands: Balanced(5),

@@ -49,6 +49,8 @@ def test_minimize_value():
     value, out = minimize(system, [1, 0])
     assert value == Fraction(2)
     assert isinstance(out, Feasible)
+    with pytest.raises(ValueError, match="direction length mismatch"):
+        minimize(system, [1, 0, 0])
 
 
 def test_rows_must_be_ints():

@@ -19,10 +19,13 @@ from crnextinct.engine import GuaranteedExtinction, SearchConfig, analyze
 from crnextinct.exactlp import check_feasible, solve_feasibility
 from crnextinct.forests import (
     ANY_EDGE,
+    TRUE_REACTIONS,
     Balanced,
+    BalanceStore,
     Unbalanced,
     build_balancing_system,
     decide_balance,
+    decide_forests,
     edge_label,
     enumerate_forests,
     forest_is_valid,
@@ -577,3 +580,13 @@ def test_subconservation_refutation_names_a_candidate_it_cannot_cover():
         subconservation_refutation(system, c, slack)
     outcome = subconservation_refutation(build_balancing_system(dcrn, forest), c, slack)
     assert verify_balance_outcome(dcrn, forest, outcome)
+
+
+def test_a_balance_store_serves_one_network(nets):
+    # decide_forests is lazy: the check runs when the first outcome is asked for
+    dcrn = maximal_admissible(nets["example21"])
+    decided = decide_forests(
+        dcrn, enumerate_forests(dcrn), TRUE_REACTIONS, BalanceStore(nets["intro"], None)
+    )
+    with pytest.raises(ValueError, match="another network"):
+        next(decided)

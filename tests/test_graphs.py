@@ -90,6 +90,11 @@ def test_is_absorbing_set(nets):
         is_absorbing_set(g, {9})
 
 
+def test_an_edge_endpoint_outside_the_complexes_is_an_error():
+    with pytest.raises(ValueError, match="outside 0..1"):
+        ReactionGraph(2, (GraphEdge(0, 5),))
+
+
 def test_enumerate_absorbing_sets_example22(nets):
     g = nets["example22"].graph
     sets = enumerate_absorbing_sets(g, 16)

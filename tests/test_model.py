@@ -93,6 +93,8 @@ def test_fire(nets):
     assert fire(net21, (0, 1), 2) == (1, 0)
     with pytest.raises(IndexError):
         fire(intro, (1, 1), 7)
+    with pytest.raises(ValueError, match="different lengths"):
+        fire(intro, (1, 1, 0), 0)
 
 
 def test_fire_iff_charged(nets):

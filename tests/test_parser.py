@@ -57,6 +57,8 @@ def test_species_first_appearance_order():
         ("0 X1 -> X2", "coefficient must be positive"),
         ("X1 -> X2 X3", "trailing"),
         ("2 -> X1", "expected species name after coefficient"),
+        # a coefficient is ASCII digits: ARABIC-INDIC DIGIT THREE is no 3
+        ("\u0663 X1 -> X2", "line 1, column 1: unexpected character '\u0663'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -97,3 +99,5 @@ def test_parse_complex(nets):
     with pytest.raises(ParseError, match="column 6: unknown species 'X7'") as exc:
         parse_complex("X1 + X7 + X8", net)
     assert (exc.value.line, exc.value.col) == (1, 6)
+    with pytest.raises(ParseError, match="column 4: unexpected trailing input 'X2'"):
+        parse_complex("X1 X2", net)

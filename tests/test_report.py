@@ -785,6 +785,18 @@ def test_candidate_variables_are_strict(nets, pin, doctor):
     assert verify_report(net, report) is False
 
 
+def test_an_old_refutation_naming_an_edge_outside_the_graph_is_rejected(nets):
+    # a version 1-6 refutation is moved to the support layout, which first
+    # checks every support edge against the expanded graph
+    net = nets["envz"]
+    report = json.loads((REPORT_DIR / "envz-v5.json").read_bytes())
+    assert verify_report(net, report)
+    report["forest"]["interior_reactions"].append(999)
+    with pytest.raises(ValueError, match="forest names an edge outside the expanded graph"):
+        report_certificate(net, report)
+    assert verify_report(net, report) is False
+
+
 def _certify(net, cfg):
     """analyze -> emit_report -> verify_report: the verdict, the bytes and the audit."""
     verdict = analyze(net, cfg)
